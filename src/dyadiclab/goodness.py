@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def _complement(space: FiniteMetricSpace, members: frozenset[int]) -> list[int]:
     return [i for i in range(len(space)) if i not in members]
 
 
-def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams,
-            cubes_by_level: Mapping[int, Sequence[Cube]] | None = None) -> bool:
+def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
     Levels with no grid coarser by r are vacuously fine (empty quantifier).
@@ -91,10 +90,8 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams,
     for n in forest.levels:
         if k < n + params.r:
             continue
-        coarse = (cubes_by_level[n] if cubes_by_level is not None
-                  else build_cubes(forest, n))
         threshold = params.threshold(k, n)
-        for q1 in coarse:
+        for q1 in build_cubes(forest, n):
             if set_distance(space, q, q1.members) >= threshold:
                 continue
             if set_distance(space, q, _complement(space, q1.members)) >= threshold:
@@ -104,8 +101,7 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams,
 
 
 def theorem_step_violations(forest: LatticeForest, cube: Cube,
-                            params: GoodnessParams,
-                            cubes_by_level: Mapping[int, Sequence[Cube]]) -> list[int]:
+                            params: GoodnessParams) -> list[int]:
     """Check the deep-inside step: an ancestor holding the center deeper than
     twice the threshold must pass that ancestor's goodness test.
 
@@ -120,7 +116,7 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
         if k < n + params.r:
             continue
         anc = forest.ancestor(x, k, n)
-        anc_cube = next(c for c in cubes_by_level[n] if c.center == anc)
+        anc_cube = forest.cube(n, anc)
         threshold = params.threshold(k, n)
         depth = set_distance(space, [x], _complement(space, anc_cube.members))
         if depth > 2 * threshold:
@@ -186,6 +182,15 @@ def _build_trial_forest(space, params: GoodnessParams, coarsest_level, mode,
     return build_forest(hierarchy, rng)
 
 
+def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
+    """The cube of the fixed center, which a sampled grid may have dropped."""
+    if center not in forest.hierarchy.grid(level).members:
+        raise CenterNotInGrid(
+            f"fixed center {center} absent from the level-{level} grid; "
+            f"fix the center at the deterministic finest level")
+    return forest.cube(level, center)
+
+
 def _bad_chunk(payload, lo: int, hi: int) -> np.ndarray:
     (space, level, center, params, coarsest_level, mode, limit, seed) = payload
     cache: dict = {}
@@ -194,15 +199,9 @@ def _bad_chunk(payload, lo: int, hi: int) -> np.ndarray:
         rng = trial_rng(seed, t)
         forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
                                      rng, cache)
-        if center not in forest.hierarchy.grid(level).members:
-            raise CenterNotInGrid(
-                f"fixed center {center} absent from the level-{level} grid; "
-                f"fix the center at the deterministic finest level")
-        cubes_by_level = {n: build_cubes(forest, n)
-                          for n in forest.levels if level >= n + params.r}
-        cube = next(c for c in build_cubes(forest, level) if c.center == center)
-        bad = not is_good(forest, cube, params, cubes_by_level)
-        steps = theorem_step_violations(forest, cube, params, cubes_by_level)
+        cube = _center_cube(forest, level, center)
+        bad = not is_good(forest, cube, params)
+        steps = theorem_step_violations(forest, cube, params)
         rows[t - lo, 0] = int(bad)
         rows[t - lo, 1] = len(steps)
     return rows
@@ -246,7 +245,7 @@ def _decay_chunk(payload, lo: int, hi: int) -> np.ndarray:
         forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
                                      rng, cache)
         owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
-        cube = next(c for c in build_cubes(forest, level) if c.center == owner)
+        cube = forest.cube(level, owner)
         depth = set_distance(space, [x], _complement(space, cube.members))
         for j, eps in enumerate(eps_schedule):
             # x is inside its own cube, so layer membership is depth alone
@@ -344,15 +343,12 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     """Exact rational P(cube of the fixed center is good), by full enumeration."""
     center = space.resolve(center)
     total = Fraction(0)
-    for forest, prob in enumerate_forest_outcomes(space, params.delta,
-                                                  coarsest_level, limit=limit,
-                                                  max_outcomes=max_outcomes):
-        if center not in forest.hierarchy.grid(level).members:
-            raise CenterNotInGrid(f"center {center} missing at level {level}")
-        cubes_by_level = {n: build_cubes(forest, n)
-                          for n in forest.levels if level >= n + params.r}
-        cube = next(c for c in build_cubes(forest, level) if c.center == center)
-        if is_good(forest, cube, params, cubes_by_level):
+    outcomes = enumerate_forest_outcomes(space, params.delta, coarsest_level,
+                                         limit=limit, max_outcomes=max_outcomes)
+    # pop each outcome once classified, so its cube table can be freed
+    while outcomes:
+        forest, prob = outcomes.pop()
+        if is_good(forest, _center_cube(forest, level, center), params):
             total += prob
     return total
 
@@ -365,10 +361,7 @@ def _really_good_chunk(payload, lo: int, hi: int) -> np.ndarray:
         rng = trial_rng(seed, t)
         forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
                                      rng, cache)
-        cubes_by_level = {n: build_cubes(forest, n)
-                          for n in forest.levels if level >= n + params.r}
-        cube = next(c for c in build_cubes(forest, level) if c.center == center)
-        good = is_good(forest, cube, params, cubes_by_level)
+        good = is_good(forest, _center_cube(forest, level, center), params)
         xi = float(rng.random())
         rows[t - lo, 0] = int(good and equalize(p_q, a, xi))
     return rows

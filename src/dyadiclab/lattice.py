@@ -5,7 +5,10 @@ unique coarser point within a quarter of the coarse scale when one exists,
 otherwise a uniformly random choice among coarser points within three times
 the coarse scale.  The cube of a coarse point is the union, over all of its
 descendants z at finer levels l, of the open balls B(z, scale(l)/100)
-intersected with the space.
+intersected with the space.  Equivalently, cube(y, k) is B(y, scale(k)/100)
+united with the level-(k+1) cubes of y's children, so a forest builds the
+cubes of every level once, in one pass from the finest level up, and keeps
+them in its ``cube_table``.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -14,6 +17,7 @@ cubes' member sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -104,18 +108,7 @@ class LatticeForest:
         """Walk the parent chain from ``from_level`` down to ``to_level``."""
         if to_level > from_level:
             raise InvalidParams("ancestor level must be at most the point's level")
-        p = point
-        for lev in range(from_level, to_level, -1):
-            p = self.parents[lev][p]
-        return p
-
-    def ancestor_map(self, fine_level: int, coarse_level: int) -> dict[int, int]:
-        """Level-``coarse_level`` ancestor of every member of the fine grid."""
-        anc = {p: p for p in self.hierarchy.grid(coarse_level).members}
-        for lev in range(coarse_level + 1, fine_level + 1):
-            anc = {c: anc[self.parents[lev][c]]
-                   for c in self.hierarchy.grid(lev).members}
-        return anc
+        return self.chain(point, from_level, to_level)[-1]
 
     def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
         """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
@@ -125,6 +118,33 @@ class LatticeForest:
             p = self.parents[lev][p]
             out.append(p)
         return out
+
+    @cached_property
+    def cube_table(self) -> dict[int, dict[int, Cube]]:
+        """Level -> center -> cube, with centers in order; built on first use,
+        finest level first, as cube(y, k) = B(y, scale(k)/100) united with
+        cube(c, k+1) over the children c of y."""
+        h = self.hierarchy
+        table: dict[int, dict[int, Cube]] = {}
+        for lev in reversed(h.levels):
+            scale = h.scale(lev)
+            members = {
+                y: set(np.flatnonzero(h.space.d[y] < scale / BALL_DIVISOR).tolist())
+                for y in sorted(h.grid(lev).members)}
+            for child, cube in table.get(lev + 1, {}).items():
+                members[self.parents[lev + 1][child]] |= cube.members
+            table[lev] = {y: Cube(center=y, level=lev, scale=scale,
+                                  members=frozenset(m))
+                          for y, m in members.items()}
+        return table
+
+    def cube(self, level: int, center: int) -> Cube:
+        """The cube of one grid point at one level."""
+        try:
+            return self.cube_table[level][center]
+        except KeyError:
+            raise UnknownCenter(
+                f"no cube centered at {center} at level {level}") from None
 
 
 def _parent_options(space: FiniteMetricSpace, child: int, parents: Grid) -> list[int]:
@@ -180,23 +200,14 @@ def build_forest(hierarchy: GridHierarchy,
 
 
 def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
-    """One cube per grid point of the level, per the descendant-ball definition."""
-    h = forest.hierarchy
-    if level not in h.levels:
+    """One cube per grid point of the level, sorted by center.
+
+    A read of the forest's cube table, which is built once, on first use, for
+    every level, from the finest up: cube(y, k) = B(y, scale(k)/100) united
+    with the level-(k+1) cubes of y's children."""
+    if level not in forest.levels:
         raise InvalidParams(f"level {level} not present in the hierarchy")
-    space = h.space
-    members: dict[int, set[int]] = {y: set() for y in h.grid(level).members}
-    anc = {p: p for p in h.grid(level).members}
-    for lev in range(level, h.finest_level + 1):
-        if lev > level:
-            anc = {c: anc[forest.parents[lev][c]] for c in h.grid(lev).members}
-        radius = h.scale(lev) / BALL_DIVISOR
-        for z in h.grid(lev).members:
-            inside = np.flatnonzero(space.d[z] < radius)
-            members[anc[z]].update(int(i) for i in inside)
-    return [Cube(center=y, level=level, scale=h.scale(level),
-                 members=frozenset(members[y]))
-            for y in sorted(members)]
+    return list(forest.cube_table[level].values())
 
 
 def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> TildeCube:
@@ -304,8 +315,8 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     for k in h.levels:
         scale = h.scale(k)
         for lev in range(k + 1, h.finest_level + 1):
-            anc = forest.ancestor_map(lev, k)
-            for z, a in anc.items():
+            for z in h.grid(lev).members:
+                a = forest.ancestor(z, lev, k)
                 ratio = space.d[z, a] / scale
                 rep.max_ancestor_ratio = max(rep.max_ancestor_ratio, ratio)
                 rep.checked_links += 1
@@ -315,9 +326,8 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                         f"ancestor {a} (level {k})")
 
     # child cubes nest inside their parent's cube; diameters stay bounded
-    cubes_at = {k: build_cubes(forest, k) for k in h.levels}
     for k in h.levels:
-        for cube in cubes_at[k]:
+        for cube in build_cubes(forest, k):
             rep.checked_cubes += 1
             if cube.center not in cube.members:
                 rep.violations.append(f"cube {cube.center}@{k} misses its center")
@@ -331,9 +341,8 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                         f"cube {cube.center}@{k} has diameter {diam} "
                         f"> {DIAMETER_FACTOR} * {cube.scale}")
     for lev in h.levels[1:]:
-        parent_cubes = {c.center: c for c in cubes_at[lev - 1]}
-        for cube in cubes_at[lev]:
-            up = parent_cubes[forest.parents[lev][cube.center]]
+        for cube in build_cubes(forest, lev):
+            up = forest.cube(lev - 1, forest.parents[lev][cube.center])
             if not cube.members <= up.members:
                 rep.violations.append(
                     f"cube {cube.center}@{lev} not nested in parent "
@@ -343,17 +352,8 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 
 # --- chain separation -----------------------------------------------------------
 
-def _other_cube_union(cubes: Sequence[Cube], center: int) -> frozenset[int]:
-    out: set[int] = set()
-    for c in cubes:
-        if c.center != center:
-            out |= c.members
-    return frozenset(out)
-
-
 def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
-                            base_level: int, eps: float,
-                            cubes_cache: dict | None = None) -> bool:
+                            base_level: int, eps: float) -> bool:
     """Check pairwise separation along a parent chain under the boundary hypotheses.
 
     ``chain`` lists points from the finest level ``base_level + len(chain) - 1``
@@ -377,25 +377,20 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     if eps <= 0 or delta ** m < 100.0 * eps:
         raise HypothesesNotMet(f"need delta**m >= 100*eps, got {delta**m} < {100*eps}")
 
-    def cubes(level: int) -> list[Cube]:
-        if cubes_cache is not None:
-            if level not in cubes_cache:
-                cubes_cache[level] = build_cubes(forest, level)
-            return cubes_cache[level]
-        return build_cubes(forest, level)
-
-    top_cubes = {c.center: c for c in cubes(top_level)}
+    top_cubes = forest.cube_table[top_level]
     if chain[0] not in top_cubes or x not in top_cubes[chain[0]].members:
         raise HypothesesNotMet(
             f"point {x} not in the cube of {chain[0]} at level {top_level}")
-    base_cubes = cubes(base_level)
+    space = forest.space
+    everything = frozenset(range(len(space)))
+    base_cubes = build_cubes(forest, base_level)
     scale_k = h.scale(base_level)
     hypothesis = False
     for cube in base_cubes:
         if x not in cube.members:
             continue
-        rival = _other_cube_union(base_cubes, cube.center)
-        if set_distance(forest.space, [x], rival) < eps * scale_k:
+        rival = everything - tilde_cube(space, base_cubes, cube.center).members
+        if set_distance(space, [x], rival) < eps * scale_k:
             hypothesis = True
             break
     if not hypothesis:
@@ -407,7 +402,7 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
             # chain[i_off] sits at the finer level, chain[j_off] at the coarser
             level_j = top_level - j_off
             threshold = h.scale(level_j) / 100.0
-            if forest.space.d[chain[i_off], chain[j_off]] < threshold:
+            if space.d[chain[i_off], chain[j_off]] < threshold:
                 return False
     return True
 
@@ -435,19 +430,15 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     if h.delta > 1.0 / 1000.0:
         return rep  # hypotheses are never met at this scale ratio
     space = forest.space
-    cubes_at = {k: build_cubes(forest, k) for k in h.levels}
-    containing = {
-        k: {x: [c for c in cubes_at[k] if x in c.members]
-            for x in range(len(space))}
-        for k in h.levels
-    }
+    everything = frozenset(range(len(space)))
     for base_level in h.levels:
         scale_k = h.scale(base_level)
-        base_cubes = cubes_at[base_level]
+        base_cubes = build_cubes(forest, base_level)
         # distance from each member of a cube to the union of the other cubes
         depth: dict[int, float] = {}
         for cube in base_cubes:
-            rival = sorted(_other_cube_union(base_cubes, cube.center))
+            rival = sorted(
+                everything - tilde_cube(space, base_cubes, cube.center).members)
             members = sorted(cube.members)
             if rival:
                 mins = space.d[np.ix_(members, rival)].min(axis=1)
@@ -458,13 +449,13 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
         for m in range(1, h.finest_level - base_level + 1):
             eps = h.delta ** m / 100.0
             top = base_level + m
+            top_cubes = build_cubes(forest, top)
             anc_chain_cache: dict[int, list[int]] = {}
             for x in range(len(space)):
                 if depth.get(x, np.inf) >= eps * scale_k:
                     rep.vacuous += 1
                     continue
-                for cube in containing[top][x]:
-                    z = cube.center
+                for z in [c.center for c in top_cubes if x in c.members]:
                     if z not in anc_chain_cache:
                         anc_chain_cache[z] = forest.chain(z, top, base_level)
                     chain = anc_chain_cache[z]
@@ -524,7 +515,8 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
                         ({**cmap, child: opt}, cp / len(options))
                         for cmap, cp in combos for opt in options
                     ]
-                    if len(combos) * len(partial_parents) > max_outcomes:
+                    if (len(results) + len(combos) * len(partial_parents)
+                            > max_outcomes):
                         raise TooLargeForExhaustive("too many parent outcomes")
                 for cmap, cp in combos:
                     nxt.append(({**pmap, lev: cmap}, cp))

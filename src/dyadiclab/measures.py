@@ -52,12 +52,15 @@ def weighted_measure_from_maps(space: FiniteMetricSpace,
                                mu: Mapping[str, float] | None,
                                w: Mapping[str, float] | None) -> WeightedMeasure:
     """Build from name->value maps; missing mu defaults to 1, missing w to 1."""
-    n = len(space)
-    mu_arr = np.ones(n) if mu is None else np.array(
-        [float(mu[space.name(i)]) for i in range(n)])
-    w_arr = np.ones(n) if w is None else np.array(
-        [float(w[space.name(i)]) for i in range(n)])
-    return WeightedMeasure(mu=mu_arr, w=w_arr)
+    def values(label: str, given: Mapping[str, float] | None) -> np.ndarray:
+        if given is None:
+            return np.ones(len(space))
+        for name in space.points:
+            if name not in given:
+                raise InvalidParams(f"{label} map lacks point {name!r}")
+        return np.array([float(given[name]) for name in space.points])
+
+    return WeightedMeasure(mu=values("mu", mu), w=values("w", w))
 
 
 def _center_radii(space: FiniteMetricSpace, center: int) -> np.ndarray:

@@ -403,6 +403,8 @@ def load_space(path: str) -> FiniteMetricSpace:
     if str(path).endswith(".json"):
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise InvalidParams(f"{path}: top level is not a JSON object")
         return validate_metric(payload["dist"], payload.get("points"))
     rows = []
     with open(path, newline="") as fh:

@@ -32,7 +32,7 @@ from dyadiclab.goodness import (
     estimate_boundary_decay,
     estimate_really_good,
 )
-from dyadiclab.lattice import enumerate_forest_outcomes, build_cubes
+from dyadiclab.lattice import enumerate_forest_outcomes
 from dyadiclab.measures import WeightedMeasure
 
 
@@ -258,9 +258,8 @@ def test_criterion_9_equalization(elbow):
     assert sum(p for _, p in outcomes) == 1
     p_q = Fraction(0)
     for forest, prob in outcomes:
-        cubes_by_level = {n: build_cubes(forest, n) for n in forest.levels}
-        cube = next(c for c in cubes_by_level[2] if c.center == 0)
-        if dl.is_good(forest, cube, params, cubes_by_level):
+        cube = forest.cube(2, 0)
+        if dl.is_good(forest, cube, params):
             p_q += prob
     assert p_q == Fraction(3, 4)
     a = Fraction(1, 2 ** dl.max_ball_occupancy(elbow, params.delta ** 1))

@@ -152,3 +152,30 @@ def test_bad_delta_is_config_error(tmp_path, elbow_json):
     code = main(["goodness", "--input", elbow_json, "--delta", "0.9",
                  "--r", "1", "--trials", "10", "--seed", "1"])
     assert code == 2
+
+
+def test_non_object_space_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([1, 2]))
+    code = main(["validate", "--input", str(path)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    code = main(["lattice", "--input", str(path), "--seed", "0"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_a2_weights_missing_point_exits_3(tmp_path, capsys):
+    src = tmp_path / "weighted.json"
+    src.write_text(json.dumps({
+        "points": ["p", "q"],
+        "dist": [[0, 1], [1, 0]],
+        "mu": {"p": 1, "q": 1},
+        "w": {"p": 1},
+    }))
+    code = main(["a2", "--input", str(src)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'q'" in err
+    assert "Traceback" not in err

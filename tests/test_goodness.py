@@ -70,9 +70,8 @@ def test_elbow_badness_matches_hand_analysis(elbow):
     trials = 4000
     for t in range(trials):
         forest = forest_for(elbow, 0.1, t)
-        cubes_by_level = {n: dl.build_cubes(forest, n) for n in forest.levels}
-        cube = next(c for c in cubes_by_level[2] if c.center == 0)
-        bad += not dl.is_good(forest, cube, PARAMS, cubes_by_level)
+        cube = forest.cube(2, 0)
+        bad += not dl.is_good(forest, cube, PARAMS)
     sigma = (0.25 * 0.75 / trials) ** 0.5
     assert abs(bad / trials - 0.25) <= 4 * sigma
 
@@ -86,10 +85,9 @@ def test_goodness_monotone_in_r(elbow):
     loose = GoodnessParams(delta=0.1, gamma=0.1, r=2)
     for t in range(100):
         forest = forest_for(elbow, 0.1, t)
-        cubes_by_level = {n: dl.build_cubes(forest, n) for n in forest.levels}
-        cube = next(c for c in cubes_by_level[2] if c.center == 0)
-        if dl.is_good(forest, cube, PARAMS, cubes_by_level):
-            assert dl.is_good(forest, cube, loose, cubes_by_level)
+        cube = forest.cube(2, 0)
+        if dl.is_good(forest, cube, PARAMS):
+            assert dl.is_good(forest, cube, loose)
 
 
 # --- boundary layers ---------------------------------------------------------------
@@ -157,6 +155,13 @@ def test_estimate_center_not_in_grid(elbow):
     """At a random coarse level the fixed center is sometimes absent."""
     with pytest.raises(CenterNotInGrid):
         estimate_bad_probability(elbow, 1, "u", PARAMS, trials=50, seed=0)
+
+
+def test_really_good_center_not_in_grid(elbow):
+    """The really-good estimator reports a missing center the same way."""
+    with pytest.raises(CenterNotInGrid):
+        estimate_really_good(elbow, "x", 1, PARAMS, 0.25, 0.75, trials=50,
+                             seed=0)
 
 
 # --- boundary decay estimator -----------------------------------------------------------

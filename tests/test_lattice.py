@@ -9,10 +9,11 @@ from dyadiclab.errors import (
     HypothesesNotMet,
     InvalidParams,
     NoCandidateParent,
+    TooLargeForExhaustive,
     UnknownCenter,
 )
 from dyadiclab.grids import Grid
-from dyadiclab.lattice import forest_to_json, cube_to_json
+from dyadiclab.lattice import BALL_DIVISOR, Cube, forest_to_json, cube_to_json
 
 
 def shared_stream_forest(space, delta, n0, seed, **kw):
@@ -110,6 +111,70 @@ def test_cubes_two_far_points_disjoint(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=1)
     cubes = dl.build_cubes(forest, 0)
     assert [sorted(c.members) for c in cubes] == [[0], [1]]
+
+
+# the per-level builder that the cube table replaced, kept as its oracle: each
+# level walks every finer level again and adds each descendant's small ball
+def reference_build_cubes(forest: dl.LatticeForest, level: int) -> list[Cube]:
+    """One cube per grid point of the level, per the descendant-ball definition."""
+    h = forest.hierarchy
+    if level not in h.levels:
+        raise InvalidParams(f"level {level} not present in the hierarchy")
+    space = h.space
+    members: dict[int, set[int]] = {y: set() for y in h.grid(level).members}
+    anc = {p: p for p in h.grid(level).members}
+    for lev in range(level, h.finest_level + 1):
+        if lev > level:
+            anc = {c: anc[forest.parents[lev][c]] for c in h.grid(lev).members}
+        radius = h.scale(lev) / BALL_DIVISOR
+        for z in h.grid(lev).members:
+            inside = np.flatnonzero(space.d[z] < radius)
+            members[anc[z]].update(int(i) for i in inside)
+    return [Cube(center=y, level=level, scale=h.scale(level),
+                 members=frozenset(members[y]))
+            for y in sorted(members)]
+
+
+def assert_table_matches_reference(forest):
+    for level in forest.levels:
+        want = reference_build_cubes(forest, level)
+        assert dl.build_cubes(forest, level) == want
+        for cube in want:
+            assert forest.cube(level, cube.center) == cube
+    return len(forest.levels)
+
+
+def test_cube_table_matches_reference_seeded(decay_probe):
+    pairs = 0
+    for seed in range(20):
+        cloud = dl.make_space("random_cloud", seed=seed + 30, n=30, dim=2,
+                              min_sep=0.02)
+        pairs += assert_table_matches_reference(
+            shared_stream_forest(cloud, 0.1, 0, seed=seed,
+                                 mode="greedy_permutation"))
+    cascade = dl.make_space("random_cloud", seed=1, n=60, dim=2, levels=4,
+                            branching=3, ratio=0.01)
+    for seed in range(20):
+        pairs += assert_table_matches_reference(
+            shared_stream_forest(cascade, 0.001, 0, seed=seed,
+                                 mode="greedy_permutation"))
+        pairs += assert_table_matches_reference(
+            shared_stream_forest(decay_probe, 0.001, 0, seed=seed))
+    assert pairs > 200
+
+
+def test_cube_table_matches_reference_exact(elbow, ladder):
+    for space in (elbow, ladder):
+        for forest, _ in dl.enumerate_forest_outcomes(space, 0.1, 0):
+            assert_table_matches_reference(forest)
+
+
+def test_cube_lookup_unknown_center(two_far):
+    forest = shared_stream_forest(two_far, 0.5, 0, seed=1)
+    with pytest.raises(UnknownCenter):
+        forest.cube(0, 99)
+    with pytest.raises(InvalidParams):
+        dl.build_cubes(forest, 99)
 
 
 def test_cube_cover_l3_seed0(l3):
@@ -276,6 +341,16 @@ def test_outcome_probabilities_sum_to_one(elbow):
     assert len(outcomes) == 6
     for forest, _ in outcomes:
         assert dl.check_forest_invariants(forest).ok
+
+
+def test_max_outcomes_caps_the_total():
+    """The cap counts forests over all grid outcomes, not within each one:
+    this 11-point cloud has 124,548 forests over 36 grid outcomes, at most
+    4096 in each."""
+    cloud = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
+                          min_sep=0.05)
+    with pytest.raises(TooLargeForExhaustive):
+        dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=5000)
 
 
 def test_outcome_enumeration_matches_sampling_support(elbow):
