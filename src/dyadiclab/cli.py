@@ -293,25 +293,17 @@ def _cmd_goodness(args) -> tuple[dict, int]:
 def _cmd_a2(args) -> tuple[dict, int]:
     space = _load(args.input)
     checks: list = []
-    mu_map = w_map = None
-    if args.weights:
-        try:
-            with open(args.weights) as fh:
-                payload = json.load(fh)
-            mu_map = payload.get("mu")
-            w_map = payload.get("w")
-        except (OSError, ValueError) as exc:
-            raise InputError(f"bad weights file: {exc}") from exc
-    else:
-        try:
-            with open(args.input) as fh:
-                payload = json.load(fh)
-            mu_map = payload.get("mu")
-            w_map = payload.get("w")
-        except (OSError, ValueError):
-            pass  # CSV input: fall back to defaults
     try:
-        wm = weighted_measure_from_maps(space, mu_map, w_map)
+        with open(args.weights or args.input) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("top level is not a JSON object")
+    except (OSError, ValueError) as exc:
+        if args.weights:
+            raise InputError(f"bad weights file: {exc}") from exc
+        payload = {}  # CSV input: unit weights
+    try:
+        wm = weighted_measure_from_maps(space, payload.get("mu"), payload.get("w"))
     except DyadicLabError as exc:
         raise InputError(str(exc)) from exc
     value = a2_characteristic(space, wm)

@@ -7,6 +7,10 @@ quantifier over the coarse cubes is universal, matching how the failure
 probabilities are summed over all coarser scales.  Set distances are min over
 member pairs and the distance to an empty set is +inf, so a coarse cube that
 swallows the whole space never hurts.
+
+The three estimators share one trial pipeline: trial t draws the grids, then
+the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
+the estimator's own draws (the equalization coin of ``estimate_really_good``).
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
 from .lattice import Cube, LatticeForest, build_cubes, build_forest, enumerate_forest_outcomes
 from .mc import run_chunked, trial_rng, loglog_slope, wilson_interval
-from .metric import FiniteMetricSpace, max_ball_occupancy, set_distance
+from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
     "GoodnessParams",
@@ -79,24 +83,39 @@ def _complement(space: FiniteMetricSpace, members: frozenset[int]) -> list[int]:
     return [i for i in range(len(space)) if i not in members]
 
 
+def _distance_row(space: FiniteMetricSpace, points) -> np.ndarray:
+    """Distance from the point set to each point of the space; +inf if it is empty."""
+    return space.d[sorted(points)].min(axis=0, initial=np.inf)
+
+
+def _split_min(row: np.ndarray, members: frozenset[int]) -> tuple[float, float]:
+    """Least entry of a distance row on the member set and on its complement."""
+    inside = np.zeros(len(row), dtype=bool)
+    inside[list(members)] = True
+    return row[inside].min(initial=np.inf), row[~inside].min(initial=np.inf)
+
+
+def _separated(row: np.ndarray, members: frozenset[int], threshold: float) -> bool:
+    """Whether the set with this distance row is far from the member set or from
+    its complement."""
+    to_cube, to_rest = _split_min(row, members)
+    return to_cube >= threshold or to_rest >= threshold
+
+
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
     Levels with no grid coarser by r are vacuously fine (empty quantifier).
     """
-    space = forest.space
     k = cube.level
-    q = sorted(cube.members)
+    row = _distance_row(forest.space, cube.members)
     for n in forest.levels:
         if k < n + params.r:
             continue
         threshold = params.threshold(k, n)
         for q1 in build_cubes(forest, n):
-            if set_distance(space, q, q1.members) >= threshold:
-                continue
-            if set_distance(space, q, _complement(space, q1.members)) >= threshold:
-                continue
-            return False
+            if not _separated(row, q1.members, threshold):
+                return False
     return True
 
 
@@ -107,24 +126,18 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
 
     Returns the levels at which the implication failed (expected empty).
     """
-    space = forest.space
     k = cube.level
     x = cube.center
-    q = sorted(cube.members)
+    row = _distance_row(forest.space, cube.members)
     bad_levels = []
     for n in forest.levels:
         if k < n + params.r:
             continue
-        anc = forest.ancestor(x, k, n)
-        anc_cube = forest.cube(n, anc)
+        anc_cube = forest.cube(n, forest.ancestor(x, k, n))
         threshold = params.threshold(k, n)
-        depth = set_distance(space, [x], _complement(space, anc_cube.members))
-        if depth > 2 * threshold:
-            ok = (set_distance(space, q, anc_cube.members) >= threshold
-                  or set_distance(space, q, _complement(space, anc_cube.members))
-                  >= threshold)
-            if not ok:
-                bad_levels.append(n)
+        _, depth = _split_min(forest.space.d[x], anc_cube.members)
+        if depth > 2 * threshold and not _separated(row, anc_cube.members, threshold):
+            bad_levels.append(n)
     return bad_levels
 
 
@@ -133,14 +146,10 @@ def boundary_layer(space: FiniteMetricSpace, cube: Cube, eps: float) -> Boundary
     if eps <= 0:
         raise InvalidParams("eps must be positive")
     width = eps * cube.scale
-    inside = sorted(cube.members)
-    outside = _complement(space, cube.members)
-    members = set()
-    for x in range(len(space)):
-        if set_distance(space, [x], inside) <= width and \
-           set_distance(space, [x], outside) <= width:
-            members.add(x)
-    return BoundaryLayer(cube=cube, eps=eps, members=frozenset(members))
+    near_inside = _distance_row(space, cube.members) <= width
+    near_outside = _distance_row(space, _complement(space, cube.members)) <= width
+    members = np.flatnonzero(near_inside & near_outside)
+    return BoundaryLayer(cube=cube, eps=eps, members=frozenset(int(x) for x in members))
 
 
 # --- Monte Carlo estimators -----------------------------------------------------
@@ -168,18 +177,19 @@ class DecayFit:
     eta_reference: float | None
     seed: int
 
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
-            raise InvalidParams("eps values must be strictly decreasing")
-        if any(not 0 <= p <= 1 for p in self.estimates):
-            raise InvalidParams("estimates must be probabilities")
 
-
-def _build_trial_forest(space, params: GoodnessParams, coarsest_level, mode,
-                        limit, rng, cache) -> LatticeForest:
-    hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
-                                   mode=mode, limit=limit, cache=cache)
-    return build_forest(hierarchy, rng)
+def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
+    ``trial_rng(seed, t)``, then ``row(forest, rng, params, *args)``."""
+    space, params, coarsest_level, mode, limit, seed, row, args = payload
+    cache: dict = {}
+    rows = []
+    for t in range(lo, hi):
+        rng = trial_rng(seed, t)
+        hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
+                                       mode=mode, limit=limit, cache=cache)
+        rows.append(row(build_forest(hierarchy, rng), rng, params, *args))
+    return np.array(rows, dtype=np.int64)
 
 
 def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
@@ -191,20 +201,11 @@ def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
     return forest.cube(level, center)
 
 
-def _bad_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    (space, level, center, params, coarsest_level, mode, limit, seed) = payload
-    cache: dict = {}
-    rows = np.zeros((hi - lo, 2), dtype=np.int64)
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
-                                     rng, cache)
-        cube = _center_cube(forest, level, center)
-        bad = not is_good(forest, cube, params)
-        steps = theorem_step_violations(forest, cube, params)
-        rows[t - lo, 0] = int(bad)
-        rows[t - lo, 1] = len(steps)
-    return rows
+def _bad_row(forest: LatticeForest, rng, params: GoodnessParams, level: int,
+             center: int) -> tuple[int, int]:
+    cube = _center_cube(forest, level, center)
+    return (int(not is_good(forest, cube, params)),
+            len(theorem_step_violations(forest, cube, params)))
 
 
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,
@@ -224,8 +225,9 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     center = space.resolve(center)
-    payload = (space, level, center, params, coarsest_level, mode, limit, seed)
-    rows = run_chunked(_bad_chunk, payload, trials, workers)
+    payload = (space, params, coarsest_level, mode, limit, seed, _bad_row,
+               (level, center))
+    rows = run_chunked(_trial_chunk, payload, trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
     return BadProbabilityEstimate(trials=trials, bad_count=bad,
@@ -235,22 +237,13 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
                                   seed=seed)
 
 
-def _decay_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    (space, x, level, eps_schedule, params, coarsest_level, mode, limit, seed) = payload
-    cache: dict = {}
-    rows = np.zeros((hi - lo, len(eps_schedule)), dtype=np.int64)
+def _decay_row(forest: LatticeForest, rng, params: GoodnessParams, x: int,
+               level: int, eps_schedule: tuple[float, ...]) -> list[int]:
+    owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
+    _, depth = _split_min(forest.space.d[x], forest.cube(level, owner).members)
     scale = params.delta ** level
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
-                                     rng, cache)
-        owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
-        cube = forest.cube(level, owner)
-        depth = set_distance(space, [x], _complement(space, cube.members))
-        for j, eps in enumerate(eps_schedule):
-            # x is inside its own cube, so layer membership is depth alone
-            rows[t - lo, j] = int(depth <= eps * scale)
-    return rows
+    # x is inside its own cube, so layer membership is depth alone
+    return [int(depth <= eps * scale) for eps in eps_schedule]
 
 
 def _reference_floor(space: FiniteMetricSpace, level: int,
@@ -295,8 +288,9 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     if any(500.0 * e > params.delta for e in eps):
         raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
     x = space.resolve(x)
-    payload = (space, x, level, tuple(eps), params, coarsest_level, mode, limit, seed)
-    rows = run_chunked(_decay_chunk, payload, trials, workers)
+    payload = (space, params, coarsest_level, mode, limit, seed, _decay_row,
+               (x, level, tuple(eps)))
+    rows = run_chunked(_trial_chunk, payload, trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
     intervals = [wilson_interval(c, trials) for c in counts]
@@ -353,18 +347,11 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     return total
 
 
-def _really_good_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    (space, level, center, params, coarsest_level, mode, limit, seed, a, p_q) = payload
-    cache: dict = {}
-    rows = np.zeros((hi - lo, 1), dtype=np.int64)
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        forest = _build_trial_forest(space, params, coarsest_level, mode, limit,
-                                     rng, cache)
-        good = is_good(forest, _center_cube(forest, level, center), params)
-        xi = float(rng.random())
-        rows[t - lo, 0] = int(good and equalize(p_q, a, xi))
-    return rows
+def _really_good_row(forest: LatticeForest, rng, params: GoodnessParams,
+                     level: int, center: int, a: float, p_q: float) -> tuple[int]:
+    good = is_good(forest, _center_cube(forest, level, center), params)
+    xi = float(rng.random())
+    return (int(good and equalize(p_q, a, xi)),)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -377,7 +364,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     center = space.resolve(center)
-    payload = (space, level, center, params, coarsest_level, mode, limit, seed,
-               float(a), float(p_q))
-    rows = run_chunked(_really_good_chunk, payload, trials, workers)
+    payload = (space, params, coarsest_level, mode, limit, seed, _really_good_row,
+               (level, center, float(a), float(p_q)))
+    rows = run_chunked(_trial_chunk, payload, trials, workers)
     return float(rows[:, 0].sum() / trials)

@@ -55,10 +55,18 @@ def weighted_measure_from_maps(space: FiniteMetricSpace,
     def values(label: str, given: Mapping[str, float] | None) -> np.ndarray:
         if given is None:
             return np.ones(len(space))
-        for name in space.points:
+        if not isinstance(given, Mapping):
+            raise InvalidParams(f"{label} is not a map from point names to values")
+        out = np.empty(len(space))
+        for i, name in enumerate(space.points):
             if name not in given:
                 raise InvalidParams(f"{label} map lacks point {name!r}")
-        return np.array([float(given[name]) for name in space.points])
+            try:
+                out[i] = float(given[name])
+            except (TypeError, ValueError) as exc:
+                raise InvalidParams(
+                    f"{label} map has a non-numeric value at point {name!r}") from exc
+        return out
 
     return WeightedMeasure(mu=values("mu", mu), w=values("w", w))
 

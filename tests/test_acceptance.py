@@ -15,6 +15,10 @@ them on success).  Tolerances are pinned here, not configurable:
   9  equalization: exact rational identity and 4-sigma frequency match
   10 weight characteristic exact at 1, >= 1 with inversion symmetry over
      1000 weight vectors, growth homogeneity to machine precision
+
+An agreement harness rides along: on the family's spaces of at most 7
+points, the exact P(bad) lies in the 95% Wilson interval of 400 trials on
+all but at most the 99.5th percentile of Binomial(#spaces, 0.05) of them.
 """
 import itertools
 import math
@@ -233,6 +237,34 @@ def test_criterion_7_bad_probability():
     report(7, est.wilson_high <= 0.5 and elapsed < 600.0,
            f"bad fraction {est.fraction:.4f}, Wilson upper {est.wilson_high:.4f}"
            f" <= 0.5, {elapsed:.0f}s")
+
+
+def binomial_quantile(n: int, p: float, q: float) -> int:
+    """Least k with P(Binomial(n, p) <= k) >= q."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+        if cdf >= q:
+            return k
+    return n
+
+
+def test_exact_and_monte_carlo_bad_probability_agree(small_family):
+    params = GoodnessParams(delta=0.1, gamma=0.1, r=1)
+    misses, spaces = [], 0
+    for index, (label, space) in enumerate(small_family):
+        if len(space) > 7:
+            continue
+        spaces += 1
+        level = dl.finest_level(space, params.delta, 0)
+        exact_bad = 1 - dl.exact_good_probability(space, 0, level, params)
+        est = estimate_bad_probability(space, level, 0, params, trials=400,
+                                       seed=index)
+        if not est.wilson_low <= exact_bad <= est.wilson_high:
+            misses.append((index, label, exact_bad, est.fraction))
+    allowed = binomial_quantile(spaces, 0.05, 0.995)
+    assert spaces >= 20
+    assert len(misses) <= allowed, (spaces, allowed, misses)
 
 
 # --- criterion 8: boundary decay ---------------------------------------------------------------

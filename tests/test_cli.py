@@ -166,16 +166,34 @@ def test_non_object_space_json_exits_3(tmp_path, capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-def test_a2_weights_missing_point_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("flag, weights, needle", [
+    ("--input", {"mu": {"p": 1, "q": 1}, "w": {"p": 1}}, "'q'"),
+    ("--weights", [1, 2], "not a JSON object"),
+    ("--weights", {"w": {"p": "abc", "q": 1}}, "'p'"),
+    ("--weights", {"mu": 5}, "mu is not a map"),
+], ids=["missing-point", "list-top-level", "non-numeric", "mu-not-a-map"])
+def test_a2_weights_missing_point_exits_3(tmp_path, capsys, flag, weights, needle):
+    """Malformed weights, in the space file or a --weights file, exit 3."""
+    space = {"points": ["p", "q"], "dist": [[0, 1], [1, 0]]}
     src = tmp_path / "weighted.json"
-    src.write_text(json.dumps({
-        "points": ["p", "q"],
-        "dist": [[0, 1], [1, 0]],
-        "mu": {"p": 1, "q": 1},
-        "w": {"p": 1},
-    }))
-    code = main(["a2", "--input", str(src)])
+    args = ["a2", "--input", str(src)]
+    if flag == "--input":
+        space.update(weights)
+    else:
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(weights))
+        args += ["--weights", str(path)]
+    src.write_text(json.dumps(space))
+    code = main(args)
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "'q'" in err
+    assert err.startswith("input error:") and needle in err
     assert "Traceback" not in err
+
+
+def test_a2_csv_input_uses_unit_weights(tmp_path):
+    src = tmp_path / "line.csv"
+    src.write_text("0\n1\n3\n")
+    code, out = run_to_file(tmp_path, ["a2", "--input", str(src)])
+    assert code == 0
+    assert json.loads(out.read_text())["data"]["a2_characteristic"] == 1.0

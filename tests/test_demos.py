@@ -1,8 +1,4 @@
-"""Smoke test: the walkthrough demos run to completion.
-
-Demo 04 is left out: it takes about half a minute, and test_goodness.py
-covers the functions it calls.
-"""
+"""Smoke test: the walkthrough demos run to completion."""
 import os
 import subprocess
 import sys
@@ -17,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "01_metric_spaces.py",
     "02_grids_and_forests.py",
     "03_coloring_probabilities.py",
+    "04_good_bad_cubes.py",
     "05_weights.py",
 ])
 def test_demo_runs(demo):

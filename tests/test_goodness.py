@@ -19,6 +19,7 @@ from dyadiclab.goodness import (
     estimate_boundary_decay,
     estimate_really_good,
     exact_good_probability,
+    theorem_step_violations,
 )
 from dyadiclab.mc import wilson_interval
 
@@ -74,6 +75,67 @@ def test_elbow_badness_matches_hand_analysis(elbow):
         bad += not dl.is_good(forest, cube, PARAMS)
     sigma = (0.25 * 0.75 / trials) ** 0.5
     assert abs(bad / trials - 0.25) <= 4 * sigma
+
+
+# the classifiers as first written, over set_distance and _complement, kept as
+# the oracle for the distance-row versions in the library
+def reference_is_good(forest: dl.LatticeForest, cube: dl.Cube,
+                      params: GoodnessParams) -> bool:
+    space = forest.space
+    k = cube.level
+    q = sorted(cube.members)
+    for n in forest.levels:
+        if k < n + params.r:
+            continue
+        threshold = params.threshold(k, n)
+        for q1 in dl.build_cubes(forest, n):
+            if dl.set_distance(space, q, q1.members) >= threshold:
+                continue
+            if dl.set_distance(space, q, _complement(space, q1.members)) >= threshold:
+                continue
+            return False
+    return True
+
+
+def reference_theorem_step_violations(forest: dl.LatticeForest, cube: dl.Cube,
+                                      params: GoodnessParams) -> list[int]:
+    space = forest.space
+    k = cube.level
+    x = cube.center
+    q = sorted(cube.members)
+    bad_levels = []
+    for n in forest.levels:
+        if k < n + params.r:
+            continue
+        anc = forest.ancestor(x, k, n)
+        anc_cube = forest.cube(n, anc)
+        threshold = params.threshold(k, n)
+        depth = dl.set_distance(space, [x], _complement(space, anc_cube.members))
+        if depth > 2 * threshold:
+            ok = (dl.set_distance(space, q, anc_cube.members) >= threshold
+                  or dl.set_distance(space, q, _complement(space, anc_cube.members))
+                  >= threshold)
+            if not ok:
+                bad_levels.append(n)
+    return bad_levels
+
+
+def test_classifiers_match_reference(ladder, elbow, decay_probe):
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    verdicts = {True: 0, False: 0}
+    for space, params in ((ladder, PARAMS), (elbow, PARAMS), (cloud, PARAMS),
+                          (decay_probe, DECAY_PARAMS)):
+        for seed in range(40):
+            forest = forest_for(space, params.delta, seed)
+            for level in forest.levels:
+                for cube in dl.build_cubes(forest, level):
+                    good = dl.is_good(forest, cube, params)
+                    assert good == reference_is_good(forest, cube, params)
+                    assert theorem_step_violations(forest, cube, params) \
+                        == reference_theorem_step_violations(forest, cube, params)
+                    verdicts[good] += 1
+    assert min(verdicts.values()) > 0
 
 
 def test_exact_good_probability_elbow(elbow):
@@ -133,12 +195,19 @@ def test_estimate_bad_probability_elbow(elbow):
     assert est.step_violations == 0
 
 
-def test_estimate_deterministic_and_worker_invariant(elbow):
+def test_estimate_deterministic_and_worker_invariant(elbow, decay_probe):
     a = estimate_bad_probability(elbow, 2, 0, PARAMS, trials=300, seed=9)
     b = estimate_bad_probability(elbow, 2, 0, PARAMS, trials=300, seed=9)
     c = estimate_bad_probability(elbow, 2, 0, PARAMS, trials=300, seed=9,
                                  workers=2)
     assert a == b == c
+    fits = [estimate_boundary_decay(decay_probe, "x", 0, DECAY_SCHEDULE,
+                                    trials=300, seed=7, params=DECAY_PARAMS,
+                                    workers=workers) for workers in (1, 2)]
+    assert fits[0] == fits[1] and fits[0].counts[0] > 0
+    freqs = [estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=300,
+                                  seed=3, workers=workers) for workers in (1, 2)]
+    assert freqs[0] == freqs[1]
 
 
 def test_estimate_singleton_never_bad(singleton):
