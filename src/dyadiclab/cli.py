@@ -73,10 +73,17 @@ def _load(path: str):
         raise ConfigError("--input is required for this subcommand")
     try:
         return load_space(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(str(exc)) from exc
-    except (MetricValidationError, InvalidParams, KeyError, ValueError) as exc:
+    except (MetricValidationError, InvalidParams, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid space input: {exc}") from exc
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=int, default=1)
             p.add_argument("--n0", type=int, default=0,
                            help="coarsest hierarchy level")
-            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--seed", type=_seed, required=True)
             p.add_argument("--mode", default="exhaustive_uniform",
                            choices=("exhaustive_uniform", "greedy_permutation"))
             p.add_argument("--freeze-above", type=int, default=None,
@@ -432,7 +439,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     report = {"schema": SCHEMA, "subcommand": args.subcommand,
               "config": config, **body}
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        sys.stderr.write(f"config error: cannot write the report: {exc}\n")
+        return EXIT_CONFIG
     return code
 
 

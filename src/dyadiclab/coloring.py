@@ -225,11 +225,16 @@ def tree_experiment(branching: int, height: int, vertex: int | str | None = None
     """
     if branching < 1 or height < 0:
         raise InvalidParams("need branching >= 1 and height >= 0")
+    vertices = layer = 1
+    for _ in range(height):
+        layer *= branching
+        vertices += layer
+        if vertices > limit:
+            # the enumeration below would refuse anyway; fail before building
+            raise TooLargeForExhaustive(
+                f"tree with branching {branching} and height {height} has more "
+                f"than {limit} vertices, the exhaustive cap")
     space = make_space("tree", branching=branching, height=height)
-    if len(space) > limit:
-        # the enumeration below would refuse anyway; fail early with context
-        raise TooLargeForExhaustive(
-            f"tree with {len(space)} vertices exceeds the exhaustive cap {limit}")
     grids = enumerate_maximal_separated(space, range(len(space)), 2.0, limit=limit)
     v = space.resolve(vertex if vertex is not None else "r")
     hits = sum(1 for g in grids if v in g.members)

@@ -194,6 +194,8 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
 
 def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
     """The cube of the fixed center, which a sampled grid may have dropped."""
+    if level not in forest.levels:
+        raise InvalidParams(f"level {level} not present in the hierarchy")
     if center not in forest.hierarchy.grid(level).members:
         raise CenterNotInGrid(
             f"fixed center {center} absent from the level-{level} grid; "
@@ -281,7 +283,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     eps = [float(e) for e in eps_schedule]
-    if not eps or any(e <= 0 for e in eps):
+    if not eps or any(not e > 0 for e in eps):
         raise ScheduleInvalid("eps values must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ScheduleInvalid("eps values must be strictly decreasing")

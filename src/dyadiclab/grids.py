@@ -232,6 +232,11 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     """
     if not 0 < delta < 1:
         raise InvalidParams("delta must lie in (0, 1)")
+    try:
+        delta ** coarsest_level
+    except OverflowError:
+        raise InvalidParams(
+            f"the coarsest scale {delta}**{coarsest_level} overflows") from None
     md = space.min_distance
     if md == np.inf:
         return coarsest_level

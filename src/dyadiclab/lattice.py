@@ -8,7 +8,8 @@ descendants z at finer levels l, of the open balls B(z, scale(l)/100)
 intersected with the space.  Equivalently, cube(y, k) is B(y, scale(k)/100)
 united with the level-(k+1) cubes of y's children, so a forest builds the
 cubes of every level once, in one pass from the finest level up, and keeps
-them in its ``cube_table``.
+them in its ``cube_table``.  The cover and chain-separation checks read each
+level of that table as one boolean cube-by-point membership matrix.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -32,7 +33,7 @@ from .errors import (
     UnknownCenter,
 )
 from .grids import Grid, GridHierarchy, enumerate_maximal_separated, finest_level
-from .metric import FiniteMetricSpace, set_distance
+from .metric import FiniteMetricSpace
 
 __all__ = [
     "Cube",
@@ -106,12 +107,14 @@ class LatticeForest:
 
     def ancestor(self, point: int, from_level: int, to_level: int) -> int:
         """Walk the parent chain from ``from_level`` down to ``to_level``."""
-        if to_level > from_level:
-            raise InvalidParams("ancestor level must be at most the point's level")
         return self.chain(point, from_level, to_level)[-1]
 
     def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
         """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
+        if from_level not in self.levels or to_level not in self.levels:
+            raise InvalidParams("chain levels must lie inside the hierarchy")
+        if to_level > from_level:
+            raise InvalidParams("ancestor level must be at most the point's level")
         out = [point]
         p = point
         for lev in range(from_level, to_level, -1):
@@ -225,6 +228,16 @@ def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> 
                      members=frozenset(range(len(space))) - others)
 
 
+def _held(forest: LatticeForest, level: int) -> np.ndarray:
+    """Boolean cube-by-point membership matrix of a level, one row per cube in
+    center order."""
+    cubes = build_cubes(forest, level)
+    held = np.zeros((len(cubes), len(forest.space)), dtype=bool)
+    for row, cube in zip(held, cubes):
+        row[list(cube.members)] = True
+    return held
+
+
 # --- covering and structural checks -------------------------------------------
 
 
@@ -267,18 +280,15 @@ class CubeCoverReport:
 
 def check_cube_cover(forest: LatticeForest, level: int) -> CubeCoverReport:
     """Every point must belong to at least one cube of the level."""
-    cubes = build_cubes(forest, level)
-    witness: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for cube in cubes:
-        for x in cube.members:
-            witness.setdefault(x, cube.center)
-            counts[x] = counts.get(x, 0) + 1
-    missing = [x for x in range(len(forest.space)) if x not in witness]
+    held = _held(forest, level)
+    cover = held.sum(axis=0)
+    missing = np.flatnonzero(cover == 0).tolist()
     if missing:
         raise CoverViolation(
             f"point {missing[0]} is in no level-{level} cube", witness=missing[0])
-    multi = tuple(sorted(x for x, c in counts.items() if c > 1))
+    centers = list(forest.cube_table[level])
+    witness = {x: centers[row] for x, row in enumerate(held.argmax(axis=0).tolist())}
+    multi = tuple(np.flatnonzero(cover > 1).tolist())
     return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
 
 
@@ -352,6 +362,35 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 
 # --- chain separation -----------------------------------------------------------
 
+def _rival_depth(forest: LatticeForest, level: int) -> np.ndarray:
+    """Per point, the least distance to the union of the level's other cubes,
+    over the cubes that hold it; +inf when no cube holding it has a rival."""
+    held = _held(forest, level)
+    cover = held.sum(axis=0)
+    d = forest.space.d
+    depth = np.full(len(d), np.inf)
+    for row in held:
+        rival = np.flatnonzero(cover - row > 0)
+        if rival.size:
+            members = np.flatnonzero(row)
+            depth[members] = np.minimum(depth[members],
+                                        d[np.ix_(members, rival)].min(axis=1))
+    return depth
+
+
+def _chain_violations(forest: LatticeForest, chain: Sequence[int],
+                      top_level: int) -> list[tuple[int, int]]:
+    """The (finer, coarser) point pairs of a chain from ``top_level`` down that
+    lie closer than scale(coarser level) / 100, in order of the coarser point."""
+    d = forest.space.d
+    out = []
+    for j_off, coarser in enumerate(chain):
+        threshold = forest.hierarchy.scale(top_level - j_off) / 100.0
+        out.extend((finer, coarser) for finer in chain[:j_off]
+                   if d[finer, coarser] < threshold)
+    return out
+
+
 def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
                             base_level: int, eps: float) -> bool:
     """Check pairwise separation along a parent chain under the boundary hypotheses.
@@ -381,30 +420,10 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     if chain[0] not in top_cubes or x not in top_cubes[chain[0]].members:
         raise HypothesesNotMet(
             f"point {x} not in the cube of {chain[0]} at level {top_level}")
-    space = forest.space
-    everything = frozenset(range(len(space)))
-    base_cubes = build_cubes(forest, base_level)
-    scale_k = h.scale(base_level)
-    hypothesis = False
-    for cube in base_cubes:
-        if x not in cube.members:
-            continue
-        rival = everything - tilde_cube(space, base_cubes, cube.center).members
-        if set_distance(space, [x], rival) < eps * scale_k:
-            hypothesis = True
-            break
-    if not hypothesis:
+    if not _rival_depth(forest, base_level)[x] < eps * h.scale(base_level):
         raise HypothesesNotMet(
             f"point {x} is not within eps*scale of any rival cube at level {base_level}")
-
-    for j_off in range(m + 1):
-        for i_off in range(j_off):
-            # chain[i_off] sits at the finer level, chain[j_off] at the coarser
-            level_j = top_level - j_off
-            threshold = h.scale(level_j) / 100.0
-            if space.d[chain[i_off], chain[j_off]] < threshold:
-                return False
-    return True
+    return not _chain_violations(forest, chain, top_level)
 
 
 @dataclass
@@ -429,43 +448,21 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     rep = ChainScanReport()
     if h.delta > 1.0 / 1000.0:
         return rep  # hypotheses are never met at this scale ratio
-    space = forest.space
-    everything = frozenset(range(len(space)))
+    held = {lev: _held(forest, lev) for lev in h.levels[1:]}
     for base_level in h.levels:
-        scale_k = h.scale(base_level)
-        base_cubes = build_cubes(forest, base_level)
-        # distance from each member of a cube to the union of the other cubes
-        depth: dict[int, float] = {}
-        for cube in base_cubes:
-            rival = sorted(
-                everything - tilde_cube(space, base_cubes, cube.center).members)
-            members = sorted(cube.members)
-            if rival:
-                mins = space.d[np.ix_(members, rival)].min(axis=1)
-            else:
-                mins = np.full(len(members), np.inf)
-            for x, dist in zip(members, mins):
-                depth[x] = min(depth.get(x, np.inf), float(dist))
+        depth = _rival_depth(forest, base_level)
         for m in range(1, h.finest_level - base_level + 1):
-            eps = h.delta ** m / 100.0
             top = base_level + m
-            top_cubes = build_cubes(forest, top)
-            anc_chain_cache: dict[int, list[int]] = {}
-            for x in range(len(space)):
-                if depth.get(x, np.inf) >= eps * scale_k:
-                    rep.vacuous += 1
-                    continue
-                for z in [c.center for c in top_cubes if x in c.members]:
-                    if z not in anc_chain_cache:
-                        anc_chain_cache[z] = forest.chain(z, top, base_level)
-                    chain = anc_chain_cache[z]
+            near = depth < h.delta ** m / 100.0 * h.scale(base_level)
+            rep.vacuous += int((~near).sum())
+            centers = list(forest.cube_table[top])
+            for x in np.flatnonzero(near).tolist():
+                for row in np.flatnonzero(held[top][:, x]).tolist():
+                    chain = forest.chain(centers[row], top, base_level)
                     rep.verified += 1
-                    for j_off in range(m + 1):
-                        threshold = h.scale(top - j_off) / 100.0
-                        for i_off in range(j_off):
-                            if space.d[chain[i_off], chain[j_off]] < threshold:
-                                rep.violations.append(
-                                    (x, base_level, m, chain[i_off], chain[j_off]))
+                    rep.violations.extend(
+                        (x, base_level, m, finer, coarser)
+                        for finer, coarser in _chain_violations(forest, chain, top))
     return rep
 
 

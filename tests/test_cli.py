@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dyadiclab.cli import main
 
@@ -197,3 +200,121 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
     code, out = run_to_file(tmp_path, ["a2", "--input", str(src)])
     assert code == 0
     assert json.loads(out.read_text())["data"]["a2_characteristic"] == 1.0
+
+
+GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"]
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["validate", "--input", "{dir}"], 3, "Is a directory"),
+    (["lattice", "--input", "{dir}", "--seed", "0"], 3, "input error:"),
+    (GOODNESS + ["--seed", "0", "--level", "99"], 2, "error: level 99"),
+    (GOODNESS + ["--seed", "0", "--level", "-5"], 2, "error: level -5"),
+    (["grids", "--input", "{elbow}", "--seed", "-1"], 2, "seed must be nonnegative"),
+    (["grids", "--input", "{elbow}", "--seed", "0", "--n0", "-400"], 2,
+     "error: the coarsest scale"),
+    (["grids", "--input", "{elbow}", "--seed", "0", "--out", "{dir}/no/r.json"], 2,
+     "config error: cannot write the report"),
+    (GOODNESS + ["--seed", "0", "--eps-schedule", "nan"], 2, "error: eps values"),
+], ids=["dir-input", "dir-input-lattice", "level-above", "level-below",
+        "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps"])
+def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
+                                         code, needle):
+    argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    # validate reports a bad input in its report; the others on stderr
+    assert needle in (out if argv[0] == "validate" else err)
+    assert "Traceback" not in err
+
+
+# --- fuzzing -----------------------------------------------------------------------
+
+def mostly(valid, invalid):
+    """A valid draw three times in four, so most runs get past the parser;
+    otherwise one of the listed invalid values."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else st.sampled_from(invalid))
+
+
+def optional(flag, values):
+    """The option with a drawn value, or nothing when the draw is None."""
+    return st.one_of(st.none(), values).map(
+        lambda v: [] if v is None else [flag, str(v)])
+
+
+# points on a line, kept as coordinates for the CSV form of the input
+LINE = st.lists(st.integers(0, 300), min_size=1, max_size=5, unique=True).map(
+    lambda xs: {"coords": [x / 100 for x in xs],
+                "points": [f"p{i}" for i in range(len(xs))],
+                "dist": [[abs(a - b) / 100 for b in xs] for a in xs]})
+SPACE = mostly(LINE, [
+    [1, 2], {"points": ["a"]}, {"dist": {"a": 1}}, {"dist": [[0]], "points": 5},
+    {"dist": []}, {"points": ["p", "p"], "dist": [[0, 1], [1, 0]]}, "text", None,
+    {"dist": [[0, 1], [2, 0]]}, {"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}])
+WEIGHTS = st.one_of(st.none(), st.sampled_from([[1], 3, "w"]), st.fixed_dictionaries({
+    "mu": st.dictionaries(st.sampled_from(["p0", "p1", "p2"]),
+                          st.sampled_from([0, 1, 2.5, -1, "a", None])),
+    "w": st.dictionaries(st.sampled_from(["p0", "p1", "p2"]),
+                         st.sampled_from([0, 1, 4, -1, "a"])),
+}))
+BAD_FLOATS = ["0", "1", "-0.1", "2", "nan", "inf"]
+SEEDED = [
+    optional("--delta", mostly(st.sampled_from(["0.001", "0.01", "0.1", "0.3"]),
+                               BAD_FLOATS + ["0.5"])),
+    optional("--gamma", mostly(st.sampled_from(["0.1", "0.5", "0.9"]), BAD_FLOATS)),
+    optional("--r", mostly(st.integers(1, 3), [-1, 0])),
+    optional("--n0", st.integers(-3, 3)),
+    mostly(st.integers(0, 50), [-1, None]).map(
+        lambda v: [] if v is None else ["--seed", str(v)]),
+    optional("--mode", mostly(st.sampled_from(["exhaustive_uniform",
+                                               "greedy_permutation"]), ["other"])),
+    optional("--freeze-above", st.integers(-1, 4)),
+]
+OPTIONS = {
+    "validate": [],
+    "grids": SEEDED,
+    "lattice": SEEDED,
+    "coloring": [optional("--tree-branching", st.integers(0, 3)),
+                 optional("--tree-height", st.integers(-1, 3))],
+    "goodness": SEEDED + [
+        optional("--trials", mostly(st.integers(1, 20), [-1, 0])),
+        optional("--level", st.integers(-2, 8)),
+        optional("--center", st.sampled_from(["p0", "p1", "zz"])),
+        optional("--eps-schedule", mostly(
+            st.sampled_from(["1e-6", "1e-6,1e-7"]),
+            ["1e-7,1e-6", "nan", "-1", "x", "0.5", ","]))],
+    "a2": [optional("--m-exponent", mostly(st.sampled_from(["0.5", "1", "2"]),
+                                           BAD_FLOATS))],
+}
+ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(lambda sub: st.tuples(
+    st.just(sub),
+    optional("--limit", mostly(st.integers(3, 20), [-1, 0, 1])),
+    optional("--format", st.sampled_from(["json", "csv"])),
+    *OPTIONS[sub]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV, space=SPACE, weights=WEIGHTS, as_csv=st.booleans())
+def test_cli_fuzz_exit_codes(argv, space, weights, as_csv):
+    """No run raises; the exit code is 0-3; 1 means a check failed."""
+    sub, *opts = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if as_csv and isinstance(space, dict) and "coords" in space:
+            src = tmp / "space.csv"
+            src.write_text("".join(f"{x}\n" for x in space["coords"]))
+        else:
+            src = tmp / "space.json"
+            src.write_text(json.dumps(space))
+        args = [sub, "--input", str(src), "--out", str(tmp / "report")]
+        args += [tok for opt in opts for tok in opt]
+        if weights is not None and sub == "a2":
+            (tmp / "weights.json").write_text(json.dumps(weights))
+            args += ["--weights", str(tmp / "weights.json")]
+        code = main(args)
+        assert code in (0, 1, 2, 3)
+        if code == 1 and "csv" not in args:
+            report = json.loads((tmp / "report").read_text())
+            assert any(not c["pass"] for c in report["checks"])

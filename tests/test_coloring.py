@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import dyadiclab as dl
+from dyadiclab import coloring
+from dyadiclab.cli import main
 from dyadiclab.coloring import RecoloringReport, is_proper
 from dyadiclab.errors import PreconditionNotWS, TooLargeForExhaustive
 
@@ -186,3 +188,18 @@ def test_tree_experiment_matches_tree_mis_oracle():
 def test_tree_experiment_cap():
     with pytest.raises(TooLargeForExhaustive):
         dl.tree_experiment(3, 3)
+
+
+def test_tree_experiment_cap_counts_before_building(monkeypatch, tmp_path):
+    """The cap is checked from the branching and the height, so a tree of
+    29,524 vertices is refused before its distance matrix is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree space was built")
+
+    monkeypatch.setattr(coloring, "make_space", refuse)
+    with pytest.raises(TooLargeForExhaustive):
+        dl.tree_experiment(3, 9)
+    path = tmp_path / "pair.json"
+    path.write_text('{"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}')
+    assert main(["coloring", "--input", str(path), "--tree-height", "9",
+                 "--out", str(tmp_path / "r.json")]) == 2

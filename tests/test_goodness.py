@@ -138,6 +138,24 @@ def test_classifiers_match_reference(ladder, elbow, decay_probe):
     assert min(verdicts.values()) > 0
 
 
+def test_theorem_step_depth_gate():
+    """q hangs under x, so the level-1 cube of x is {x, q}; x lies 2.3 deep in
+    its level-0 cube, past twice the threshold 0.1**0.1 = 0.79, yet q is only
+    0.6 from p outside it, so the deep-inside implication fails at level 0."""
+    space = dl.space_from_coords([[0.0], [1.7], [2.3]], names=("x", "q", "p"))
+    coarse = frozenset({0, 2})
+    hierarchy = dl.GridHierarchy(space=space, delta=0.1, levels=(0, 1, 2), grids={
+        0: dl.Grid(scale=1.0, members=coarse),
+        1: dl.Grid(scale=0.1, members=coarse),
+        2: dl.Grid(scale=0.01, members=frozenset({0, 1, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy,
+                              parents={1: {0: 0, 2: 2}, 2: {0: 0, 1: 0, 2: 2}})
+    cube = forest.cube(1, 0)
+    assert theorem_step_violations(forest, cube, PARAMS) == [0]
+    assert reference_theorem_step_violations(forest, cube, PARAMS) == [0]
+    assert not dl.is_good(forest, cube, PARAMS)
+
+
 def test_exact_good_probability_elbow(elbow):
     assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
 

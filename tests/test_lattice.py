@@ -6,14 +6,23 @@ import pytest
 
 import dyadiclab as dl
 from dyadiclab.errors import (
+    CoverViolation,
+    DyadicLabError,
     HypothesesNotMet,
     InvalidParams,
     NoCandidateParent,
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from dyadiclab.grids import Grid
-from dyadiclab.lattice import BALL_DIVISOR, Cube, forest_to_json, cube_to_json
+from dyadiclab.grids import Grid, GridHierarchy
+from dyadiclab.lattice import (
+    BALL_DIVISOR,
+    ChainScanReport,
+    Cube,
+    CubeCoverReport,
+    cube_to_json,
+    forest_to_json,
+)
 
 
 def shared_stream_forest(space, delta, n0, seed, **kw):
@@ -223,7 +232,6 @@ def test_tilde_disjoint_cover(two_far):
 def test_tilde_unknown_center(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=0)
     cubes = dl.build_cubes(forest, 0)
-    missing = next(i for i in range(2) if i not in {c.center for c in cubes} or True)
     with pytest.raises(UnknownCenter):
         dl.tilde_cube(two_far, cubes, 99)
 
@@ -331,6 +339,202 @@ def test_verify_chain_large_delta_is_vacuous(l3):
     with pytest.raises(HypothesesNotMet):
         dl.verify_chain_separation(forest, 0, [forest.ancestor(0, 1, 0)], 0,
                                    eps=1e-6)
+
+
+# the cover and chain checks before the per-level membership matrix, kept as
+# their oracle: each builds every rival set as the space minus a tilde cube
+def reference_check_cube_cover(forest: dl.LatticeForest, level: int) -> CubeCoverReport:
+    """Every point must belong to at least one cube of the level."""
+    cubes = dl.build_cubes(forest, level)
+    witness: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for cube in cubes:
+        for x in cube.members:
+            witness.setdefault(x, cube.center)
+            counts[x] = counts.get(x, 0) + 1
+    missing = [x for x in range(len(forest.space)) if x not in witness]
+    if missing:
+        raise CoverViolation(
+            f"point {missing[0]} is in no level-{level} cube", witness=missing[0])
+    multi = tuple(sorted(x for x, c in counts.items() if c > 1))
+    return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
+
+
+def reference_verify_chain_separation(forest, x, chain, base_level, eps):
+    """Check pairwise separation along a parent chain under the boundary hypotheses."""
+    h = forest.hierarchy
+    delta = h.delta
+    m = len(chain) - 1
+    top_level = base_level + m
+    if m < 0 or top_level not in h.levels or base_level not in h.levels:
+        raise InvalidParams("chain levels must lie inside the hierarchy")
+    if delta > 1.0 / 1000.0:
+        raise HypothesesNotMet(f"scale ratio {delta} exceeds 1/1000")
+    if eps <= 0 or delta ** m < 100.0 * eps:
+        raise HypothesesNotMet(f"need delta**m >= 100*eps, got {delta**m} < {100*eps}")
+
+    top_cubes = forest.cube_table[top_level]
+    if chain[0] not in top_cubes or x not in top_cubes[chain[0]].members:
+        raise HypothesesNotMet(
+            f"point {x} not in the cube of {chain[0]} at level {top_level}")
+    space = forest.space
+    everything = frozenset(range(len(space)))
+    base_cubes = dl.build_cubes(forest, base_level)
+    scale_k = h.scale(base_level)
+    hypothesis = False
+    for cube in base_cubes:
+        if x not in cube.members:
+            continue
+        rival = everything - dl.tilde_cube(space, base_cubes, cube.center).members
+        if dl.set_distance(space, [x], rival) < eps * scale_k:
+            hypothesis = True
+            break
+    if not hypothesis:
+        raise HypothesesNotMet(
+            f"point {x} is not within eps*scale of any rival cube at level {base_level}")
+
+    for j_off in range(m + 1):
+        for i_off in range(j_off):
+            # chain[i_off] sits at the finer level, chain[j_off] at the coarser
+            level_j = top_level - j_off
+            threshold = h.scale(level_j) / 100.0
+            if space.d[chain[i_off], chain[j_off]] < threshold:
+                return False
+    return True
+
+
+def reference_scan_chain_separation(forest: dl.LatticeForest) -> ChainScanReport:
+    """Exhaustively test every chain whose boundary hypotheses can be met."""
+    h = forest.hierarchy
+    rep = ChainScanReport()
+    if h.delta > 1.0 / 1000.0:
+        return rep  # hypotheses are never met at this scale ratio
+    space = forest.space
+    everything = frozenset(range(len(space)))
+    for base_level in h.levels:
+        scale_k = h.scale(base_level)
+        base_cubes = dl.build_cubes(forest, base_level)
+        # distance from each member of a cube to the union of the other cubes
+        depth: dict[int, float] = {}
+        for cube in base_cubes:
+            rival = sorted(
+                everything - dl.tilde_cube(space, base_cubes, cube.center).members)
+            members = sorted(cube.members)
+            if rival:
+                mins = space.d[np.ix_(members, rival)].min(axis=1)
+            else:
+                mins = np.full(len(members), np.inf)
+            for x, dist in zip(members, mins):
+                depth[x] = min(depth.get(x, np.inf), float(dist))
+        for m in range(1, h.finest_level - base_level + 1):
+            eps = h.delta ** m / 100.0
+            top = base_level + m
+            top_cubes = dl.build_cubes(forest, top)
+            anc_chain_cache: dict[int, list[int]] = {}
+            for x in range(len(space)):
+                if depth.get(x, np.inf) >= eps * scale_k:
+                    rep.vacuous += 1
+                    continue
+                for z in [c.center for c in top_cubes if x in c.members]:
+                    if z not in anc_chain_cache:
+                        anc_chain_cache[z] = forest.chain(z, top, base_level)
+                    chain = anc_chain_cache[z]
+                    rep.verified += 1
+                    for j_off in range(m + 1):
+                        threshold = h.scale(top - j_off) / 100.0
+                        for i_off in range(j_off):
+                            if space.d[chain[i_off], chain[j_off]] < threshold:
+                                rep.violations.append(
+                                    (x, base_level, m, chain[i_off], chain[j_off]))
+    return rep
+
+
+def outcome(fn, *args):
+    """A call's return value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except DyadicLabError as exc:
+        return type(exc), str(exc)
+
+
+def scan_tuple(rep):
+    return rep.verified, rep.vacuous, rep.violations
+
+
+def assert_checks_match_reference(forest):
+    """Cover reports of every level and the scan agree with the oracles."""
+    for level in forest.levels:
+        assert (outcome(dl.check_cube_cover, forest, level)
+                == outcome(reference_check_cube_cover, forest, level))
+    got = dl.scan_chain_separation(forest)
+    assert scan_tuple(got) == scan_tuple(reference_scan_chain_separation(forest))
+    assert all(type(v) is int for t in got.violations for v in t)
+    return got
+
+
+def test_chain_checks_match_reference(decay_probe):
+    verified = 0
+    for seed in range(30):
+        verified += assert_checks_match_reference(
+            shared_stream_forest(decay_probe, 0.001, 0, seed=seed)).verified
+    cascade60 = dl.make_space("random_cloud", seed=1, n=60, dim=2, levels=4,
+                              branching=3, ratio=0.01)
+    for seed in range(10):
+        verified += assert_checks_match_reference(
+            shared_stream_forest(cascade60, 0.001, 0, seed=seed)).verified
+    # the 200-point cascade of the lattice benchmark workload
+    cascade200 = dl.make_space("random_cloud", seed=1, n=200, dim=2, levels=5,
+                               branching=3, ratio=0.01)
+    for seed in range(2):
+        verified += assert_checks_match_reference(
+            shared_stream_forest(cascade200, 0.001, 0, seed=seed)).verified
+    assert verified > 0
+
+
+def test_verify_chain_matches_reference(decay_probe):
+    """Every (x, base level, span, top center) at two layer widths."""
+    results = set()
+    for seed in range(10):
+        forest = shared_stream_forest(decay_probe, 0.001, 0, seed=seed)
+        for base in forest.levels:
+            for m in range(forest.hierarchy.finest_level - base + 1):
+                top = base + m
+                for z in forest.cube_table[top]:
+                    chain = forest.chain(z, top, base)
+                    for eps in (0.001 ** m / 100.0, 1e-5):
+                        for x in range(len(decay_probe)):
+                            args = (forest, x, chain, base, eps)
+                            want = outcome(reference_verify_chain_separation, *args)
+                            assert outcome(dl.verify_chain_separation, *args) == want
+                            results.add(want if isinstance(want, bool) else want[0])
+    assert results == {True, HypothesesNotMet}
+
+
+def test_chain_scan_reports_violation():
+    """b sits in a's small ball but hangs under c, so a's level-1 chain is a
+    -> a and b's is b -> c: both top cubes hold a, and the two chain pairs
+    within 1/100 of the coarse scale are reported."""
+    space = dl.space_from_coords([[0.0], [5e-6], [0.5]], names=("a", "b", "c"))
+    delta = 0.001
+    hierarchy = GridHierarchy(space=space, delta=delta, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 2})),
+        1: Grid(scale=delta, members=frozenset({0, 1, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 2, 2: 2}})
+    want = (4, 1, [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)])
+    assert scan_tuple(reference_scan_chain_separation(forest)) == want
+    assert scan_tuple(assert_checks_match_reference(forest)) == want
+    for verify in (reference_verify_chain_separation, dl.verify_chain_separation):
+        assert verify(forest, 0, [0, 0], 0, 1e-5) is False
+
+
+def test_chain_levels_outside_hierarchy(l3):
+    forest = shared_stream_forest(l3, 0.1, 0, seed=0)
+    top = forest.hierarchy.finest_level
+    for bad in ((0, top, top + 1), (0, top + 1, 0), (0, top, -5), (0, 0, top)):
+        with pytest.raises(InvalidParams):
+            forest.chain(*bad)
+        with pytest.raises(InvalidParams):
+            forest.ancestor(*bad)
 
 
 # --- exact outcome enumeration ------------------------------------------------------------
