@@ -409,7 +409,10 @@ def _emit(report: dict, args) -> None:
     if args.format == "csv":
         text = _render_csv(report)
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise ConfigError("the report holds a non-finite number") from None
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -441,6 +444,9 @@ def main(argv=None) -> int:
               "config": config, **body}
     try:
         _emit(report, args)
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"config error: cannot write the report: {exc}\n")
         return EXIT_CONFIG

@@ -29,7 +29,7 @@ from .errors import (
     ScheduleInvalid,
 )
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
-from .lattice import Cube, LatticeForest, build_cubes, build_forest, enumerate_forest_outcomes
+from .lattice import Cube, LatticeForest, build_forest, enumerate_forest_outcomes
 from .mc import run_chunked, trial_rng, loglog_slope, wilson_interval
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
@@ -88,18 +88,11 @@ def _distance_row(space: FiniteMetricSpace, points) -> np.ndarray:
     return space.d[sorted(points)].min(axis=0, initial=np.inf)
 
 
-def _split_min(row: np.ndarray, members: frozenset[int]) -> tuple[float, float]:
-    """Least entry of a distance row on the member set and on its complement."""
-    inside = np.zeros(len(row), dtype=bool)
-    inside[list(members)] = True
-    return row[inside].min(initial=np.inf), row[~inside].min(initial=np.inf)
-
-
-def _separated(row: np.ndarray, members: frozenset[int], threshold: float) -> bool:
-    """Whether the set with this distance row is far from the member set or from
-    its complement."""
-    to_cube, to_rest = _split_min(row, members)
-    return to_cube >= threshold or to_rest >= threshold
+def _split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
+    """Least entry of a distance row inside and outside a member mask, per row
+    of the mask; +inf for an empty side."""
+    return (np.where(inside, row, np.inf).min(axis=-1),
+            np.where(inside, np.inf, row).min(axis=-1))
 
 
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
@@ -113,9 +106,10 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
         if k < n + params.r:
             continue
         threshold = params.threshold(k, n)
-        for q1 in build_cubes(forest, n):
-            if not _separated(row, q1.members, threshold):
-                return False
+        _, held = forest.cube_table[n]
+        to_cube, to_rest = _split_min(row, held)
+        if ((to_cube < threshold) & (to_rest < threshold)).any():
+            return False
     return True
 
 
@@ -133,10 +127,12 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     for n in forest.levels:
         if k < n + params.r:
             continue
-        anc_cube = forest.cube(n, forest.ancestor(x, k, n))
+        rows, held = forest.cube_table[n]
+        anc_row = held[rows[forest.ancestor(x, k, n)]]
         threshold = params.threshold(k, n)
-        _, depth = _split_min(forest.space.d[x], anc_cube.members)
-        if depth > 2 * threshold and not _separated(row, anc_cube.members, threshold):
+        _, depth = _split_min(forest.space.d[x], anc_row)
+        to_cube, to_rest = _split_min(row, anc_row)
+        if depth > 2 * threshold and to_cube < threshold and to_rest < threshold:
             bad_levels.append(n)
     return bad_levels
 
@@ -242,7 +238,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
 def _decay_row(forest: LatticeForest, rng, params: GoodnessParams, x: int,
                level: int, eps_schedule: tuple[float, ...]) -> list[int]:
     owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
-    _, depth = _split_min(forest.space.d[x], forest.cube(level, owner).members)
+    rows, held = forest.cube_table[level]
+    _, depth = _split_min(forest.space.d[x], held[rows[owner]])
     scale = params.delta ** level
     # x is inside its own cube, so layer membership is depth alone
     return [int(depth <= eps * scale) for eps in eps_schedule]

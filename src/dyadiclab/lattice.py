@@ -8,8 +8,8 @@ descendants z at finer levels l, of the open balls B(z, scale(l)/100)
 intersected with the space.  Equivalently, cube(y, k) is B(y, scale(k)/100)
 united with the level-(k+1) cubes of y's children, so a forest builds the
 cubes of every level once, in one pass from the finest level up, and keeps
-them in its ``cube_table``.  The cover and chain-separation checks read each
-level of that table as one boolean cube-by-point membership matrix.
+them in its ``cube_table`` as, per level, a map from center to row and one
+read-only boolean cube-by-point membership matrix, which every check reads.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -123,31 +123,35 @@ class LatticeForest:
         return out
 
     @cached_property
-    def cube_table(self) -> dict[int, dict[int, Cube]]:
-        """Level -> center -> cube, with centers in order; built on first use,
-        finest level first, as cube(y, k) = B(y, scale(k)/100) united with
-        cube(c, k+1) over the children c of y."""
+    def cube_table(self) -> dict[int, tuple[dict[int, int], np.ndarray]]:
+        """Level -> (rows, held): ``rows`` maps each center, in ascending order,
+        to its row of ``held``, a read-only boolean cube-by-point matrix; built
+        on first use, finest level first, as cube(y, k) = B(y, scale(k)/100)
+        united with cube(c, k+1) over the children c of y."""
         h = self.hierarchy
-        table: dict[int, dict[int, Cube]] = {}
+        table: dict[int, tuple[dict[int, int], np.ndarray]] = {}
         for lev in reversed(h.levels):
-            scale = h.scale(lev)
-            members = {
-                y: set(np.flatnonzero(h.space.d[y] < scale / BALL_DIVISOR).tolist())
-                for y in sorted(h.grid(lev).members)}
-            for child, cube in table.get(lev + 1, {}).items():
-                members[self.parents[lev + 1][child]] |= cube.members
-            table[lev] = {y: Cube(center=y, level=lev, scale=scale,
-                                  members=frozenset(m))
-                          for y, m in members.items()}
+            centers = sorted(h.grid(lev).members)
+            rows = {y: i for i, y in enumerate(centers)}
+            held = h.space.d[centers] < h.scale(lev) / BALL_DIVISOR
+            if lev + 1 in table:
+                finer_rows, finer_held = table[lev + 1]
+                up = [rows[self.parents[lev + 1][c]] for c in finer_rows]
+                np.logical_or.at(held, up, finer_held)
+            held.setflags(write=False)
+            table[lev] = (rows, held)
         return table
 
     def cube(self, level: int, center: int) -> Cube:
         """The cube of one grid point at one level."""
         try:
-            return self.cube_table[level][center]
+            rows, held = self.cube_table[level]
+            row = held[rows[center]]
         except KeyError:
             raise UnknownCenter(
                 f"no cube centered at {center} at level {level}") from None
+        return Cube(center=int(center), level=level, scale=self.hierarchy.scale(level),
+                    members=frozenset(np.flatnonzero(row).tolist()))
 
 
 def _parent_options(space: FiniteMetricSpace, child: int, parents: Grid) -> list[int]:
@@ -205,12 +209,12 @@ def build_forest(hierarchy: GridHierarchy,
 def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
     """One cube per grid point of the level, sorted by center.
 
-    A read of the forest's cube table, which is built once, on first use, for
-    every level, from the finest up: cube(y, k) = B(y, scale(k)/100) united
-    with the level-(k+1) cubes of y's children."""
+    Each cube is read from its row of the forest's cube table, which is built
+    once, on first use, for every level, from the finest up: cube(y, k) =
+    B(y, scale(k)/100) united with the level-(k+1) cubes of y's children."""
     if level not in forest.levels:
         raise InvalidParams(f"level {level} not present in the hierarchy")
-    return list(forest.cube_table[level].values())
+    return [forest.cube(level, y) for y in forest.cube_table[level][0]]
 
 
 def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> TildeCube:
@@ -226,16 +230,6 @@ def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> 
             others |= c.members
     return TildeCube(center=center, level=level,
                      members=frozenset(range(len(space))) - others)
-
-
-def _held(forest: LatticeForest, level: int) -> np.ndarray:
-    """Boolean cube-by-point membership matrix of a level, one row per cube in
-    center order."""
-    cubes = build_cubes(forest, level)
-    held = np.zeros((len(cubes), len(forest.space)), dtype=bool)
-    for row, cube in zip(held, cubes):
-        row[list(cube.members)] = True
-    return held
 
 
 # --- covering and structural checks -------------------------------------------
@@ -280,13 +274,15 @@ class CubeCoverReport:
 
 def check_cube_cover(forest: LatticeForest, level: int) -> CubeCoverReport:
     """Every point must belong to at least one cube of the level."""
-    held = _held(forest, level)
+    if level not in forest.levels:
+        raise InvalidParams(f"level {level} not present in the hierarchy")
+    rows, held = forest.cube_table[level]
     cover = held.sum(axis=0)
     missing = np.flatnonzero(cover == 0).tolist()
     if missing:
         raise CoverViolation(
             f"point {missing[0]} is in no level-{level} cube", witness=missing[0])
-    centers = list(forest.cube_table[level])
+    centers = list(rows)
     witness = {x: centers[row] for x, row in enumerate(held.argmax(axis=0).tolist())}
     multi = tuple(np.flatnonzero(cover > 1).tolist())
     return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
@@ -337,26 +333,28 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 
     # child cubes nest inside their parent's cube; diameters stay bounded
     for k in h.levels:
-        for cube in build_cubes(forest, k):
+        rows, held = forest.cube_table[k]
+        scale = h.scale(k)
+        for center, i in rows.items():
             rep.checked_cubes += 1
-            if cube.center not in cube.members:
-                rep.violations.append(f"cube {cube.center}@{k} misses its center")
-            if cube.members:
-                idx = sorted(cube.members)
+            if not held[i, center]:
+                rep.violations.append(f"cube {center}@{k} misses its center")
+            idx = np.flatnonzero(held[i])
+            if idx.size:
                 diam = float(space.d[np.ix_(idx, idx)].max())
-                ratio = diam / cube.scale
-                rep.max_diameter_ratio = max(rep.max_diameter_ratio, ratio)
-                if diam > DIAMETER_FACTOR * cube.scale:
+                rep.max_diameter_ratio = max(rep.max_diameter_ratio, diam / scale)
+                if diam > DIAMETER_FACTOR * scale:
                     rep.violations.append(
-                        f"cube {cube.center}@{k} has diameter {diam} "
-                        f"> {DIAMETER_FACTOR} * {cube.scale}")
+                        f"cube {center}@{k} has diameter {diam} "
+                        f"> {DIAMETER_FACTOR} * {scale}")
     for lev in h.levels[1:]:
-        for cube in build_cubes(forest, lev):
-            up = forest.cube(lev - 1, forest.parents[lev][cube.center])
-            if not cube.members <= up.members:
+        rows, held = forest.cube_table[lev]
+        up_rows, up_held = forest.cube_table[lev - 1]
+        for center, i in rows.items():
+            up = forest.parents[lev][center]
+            if (held[i] & ~up_held[up_rows[up]]).any():
                 rep.violations.append(
-                    f"cube {cube.center}@{lev} not nested in parent "
-                    f"{up.center}@{lev - 1}")
+                    f"cube {center}@{lev} not nested in parent {up}@{lev - 1}")
     return rep
 
 
@@ -365,7 +363,7 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 def _rival_depth(forest: LatticeForest, level: int) -> np.ndarray:
     """Per point, the least distance to the union of the level's other cubes,
     over the cubes that hold it; +inf when no cube holding it has a rival."""
-    held = _held(forest, level)
+    _, held = forest.cube_table[level]
     cover = held.sum(axis=0)
     d = forest.space.d
     depth = np.full(len(d), np.inf)
@@ -416,8 +414,9 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     if eps <= 0 or delta ** m < 100.0 * eps:
         raise HypothesesNotMet(f"need delta**m >= 100*eps, got {delta**m} < {100*eps}")
 
-    top_cubes = forest.cube_table[top_level]
-    if chain[0] not in top_cubes or x not in top_cubes[chain[0]].members:
+    rows, held = forest.cube_table[top_level]
+    if (chain[0] not in rows or x not in range(len(h.space))
+            or not held[rows[chain[0]], x]):
         raise HypothesesNotMet(
             f"point {x} not in the cube of {chain[0]} at level {top_level}")
     if not _rival_depth(forest, base_level)[x] < eps * h.scale(base_level):
@@ -448,16 +447,16 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     rep = ChainScanReport()
     if h.delta > 1.0 / 1000.0:
         return rep  # hypotheses are never met at this scale ratio
-    held = {lev: _held(forest, lev) for lev in h.levels[1:]}
     for base_level in h.levels:
         depth = _rival_depth(forest, base_level)
         for m in range(1, h.finest_level - base_level + 1):
             top = base_level + m
             near = depth < h.delta ** m / 100.0 * h.scale(base_level)
             rep.vacuous += int((~near).sum())
-            centers = list(forest.cube_table[top])
+            rows, held = forest.cube_table[top]
+            centers = list(rows)
             for x in np.flatnonzero(near).tolist():
-                for row in np.flatnonzero(held[top][:, x]).tolist():
+                for row in np.flatnonzero(held[:, x]).tolist():
                     chain = forest.chain(centers[row], top, base_level)
                     rep.verified += 1
                     rep.violations.extend(

@@ -140,10 +140,11 @@ def measure_doubling_constant(space: FiniteMetricSpace, wm: WeightedMeasure) -> 
     mu = wm.mu
     if mu.sum() <= 0:
         raise DegenerateMeasure("measure is identically zero")
+    radii = space.pairwise_distances()
     best = 1.0
     for center in range(len(space)):
         row = space.d[center]
-        for r in space.pairwise_distances():
+        for r in radii:
             inner = mu[row <= r].sum()
             if inner <= 0:
                 continue

@@ -216,8 +216,12 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["grids", "--input", "{elbow}", "--seed", "0", "--out", "{dir}/no/r.json"], 2,
      "config error: cannot write the report"),
     (GOODNESS + ["--seed", "0", "--eps-schedule", "nan"], 2, "error: eps values"),
+    (["grids", "--input", "{elbow}", "--seed", "0", "--delta", "0.1", "--n0", "-308",
+      "--out", "{dir}/r.json"], 2,
+     "config error: the report holds a non-finite number"),
 ], ids=["dir-input", "dir-input-lattice", "level-above", "level-below",
-        "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps"])
+        "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps",
+        "infinite-bound"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
     argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]
@@ -226,6 +230,7 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     # validate reports a bad input in its report; the others on stderr
     assert needle in (out if argv[0] == "validate" else err)
     assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()  # no partial report
 
 
 # --- fuzzing -----------------------------------------------------------------------
@@ -294,6 +299,10 @@ ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(lambda sub: st.tuples(
     *OPTIONS[sub]))
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=ARGV, space=SPACE, weights=WEIGHTS, as_csv=st.booleans())
@@ -315,6 +324,8 @@ def test_cli_fuzz_exit_codes(argv, space, weights, as_csv):
             args += ["--weights", str(tmp / "weights.json")]
         code = main(args)
         assert code in (0, 1, 2, 3)
-        if code == 1 and "csv" not in args:
-            report = json.loads((tmp / "report").read_text())
-            assert any(not c["pass"] for c in report["checks"])
+        if code in (0, 1) and "csv" not in args:
+            report = json.loads((tmp / "report").read_text(),
+                                parse_constant=reject_constant)
+            if code == 1:
+                assert any(not c["pass"] for c in report["checks"])

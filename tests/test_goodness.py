@@ -123,18 +123,22 @@ def reference_theorem_step_violations(forest: dl.LatticeForest, cube: dl.Cube,
 def test_classifiers_match_reference(ladder, elbow, decay_probe):
     cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
                           branching=3, ratio=0.1, spread=(0.25, 0.45))
+    forests = [(forest_for(space, params.delta, seed), params)
+               for space, params in ((ladder, PARAMS), (elbow, PARAMS),
+                                     (cloud, PARAMS), (decay_probe, DECAY_PARAMS))
+               for seed in range(40)]
+    # every exact outcome of the construction on the two small spaces
+    forests += [(forest, PARAMS) for space in (elbow, ladder)
+                for forest, _ in dl.enumerate_forest_outcomes(space, 0.1, 0)]
     verdicts = {True: 0, False: 0}
-    for space, params in ((ladder, PARAMS), (elbow, PARAMS), (cloud, PARAMS),
-                          (decay_probe, DECAY_PARAMS)):
-        for seed in range(40):
-            forest = forest_for(space, params.delta, seed)
-            for level in forest.levels:
-                for cube in dl.build_cubes(forest, level):
-                    good = dl.is_good(forest, cube, params)
-                    assert good == reference_is_good(forest, cube, params)
-                    assert theorem_step_violations(forest, cube, params) \
-                        == reference_theorem_step_violations(forest, cube, params)
-                    verdicts[good] += 1
+    for forest, params in forests:
+        for level in forest.levels:
+            for cube in dl.build_cubes(forest, level):
+                good = dl.is_good(forest, cube, params)
+                assert good == reference_is_good(forest, cube, params)
+                assert theorem_step_violations(forest, cube, params) \
+                    == reference_theorem_step_violations(forest, cube, params)
+                verdicts[good] += 1
     assert min(verdicts.values()) > 0
 
 

@@ -178,6 +178,15 @@ def test_cube_table_matches_reference_exact(elbow, ladder):
             assert_table_matches_reference(forest)
 
 
+def test_cube_table_is_read_only(l3):
+    forest = shared_stream_forest(l3, 0.1, 0, seed=0)
+    for level in forest.levels:
+        rows, held = forest.cube_table[level]
+        assert list(rows) == sorted(rows)
+        with pytest.raises(ValueError):
+            held[0, 0] = not held[0, 0]
+
+
 def test_cube_lookup_unknown_center(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=1)
     with pytest.raises(UnknownCenter):
@@ -373,7 +382,7 @@ def reference_verify_chain_separation(forest, x, chain, base_level, eps):
     if eps <= 0 or delta ** m < 100.0 * eps:
         raise HypothesesNotMet(f"need delta**m >= 100*eps, got {delta**m} < {100*eps}")
 
-    top_cubes = forest.cube_table[top_level]
+    top_cubes = {c.center: c for c in dl.build_cubes(forest, top_level)}
     if chain[0] not in top_cubes or x not in top_cubes[chain[0]].members:
         raise HypothesesNotMet(
             f"point {x} not in the cube of {chain[0]} at level {top_level}")
@@ -492,17 +501,19 @@ def test_chain_checks_match_reference(decay_probe):
 
 
 def test_verify_chain_matches_reference(decay_probe):
-    """Every (x, base level, span, top center) at two layer widths."""
+    """Every (x, base level, span, top center) at two layer widths, and two
+    indices outside the space."""
     results = set()
     for seed in range(10):
         forest = shared_stream_forest(decay_probe, 0.001, 0, seed=seed)
         for base in forest.levels:
             for m in range(forest.hierarchy.finest_level - base + 1):
                 top = base + m
-                for z in forest.cube_table[top]:
+                for z in sorted(forest.hierarchy.grid(top).members):
                     chain = forest.chain(z, top, base)
                     for eps in (0.001 ** m / 100.0, 1e-5):
-                        for x in range(len(decay_probe)):
+                        # -1 and len(space) are not points of the space
+                        for x in range(-1, len(decay_probe) + 1):
                             args = (forest, x, chain, base, eps)
                             want = outcome(reference_verify_chain_separation, *args)
                             assert outcome(dl.verify_chain_separation, *args) == want
