@@ -10,6 +10,8 @@ united with the level-(k+1) cubes of y's children, so a forest builds the
 cubes of every level once, in one pass from the finest level up, and keeps
 them in its ``cube_table`` as, per level, a map from center to row and one
 read-only boolean cube-by-point membership matrix, which every check reads.
+The link rule lives in one per-level helper, whose options the sampler, the
+exact enumeration and the capture check all read.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -17,6 +19,8 @@ cubes' member sets.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -154,23 +158,39 @@ class LatticeForest:
                     members=frozenset(np.flatnonzero(row).tolist()))
 
 
-def _parent_options(space: FiniteMetricSpace, child: int, parents: Grid) -> list[int]:
-    """Possible parents of a child: the captured one, or all within reach."""
-    scale = parents.scale
-    members = sorted(parents.members)
-    captured = [p for p in members if space.d[child, p] <= scale / CAPTURE_DIVISOR]
-    if len(captured) > 1:
-        # impossible for a valid grid: two such parents would be within scale/2
-        raise InvalidParams(
-            f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
-            f"of child {child}")
-    if captured:
-        return captured
-    cands = [p for p in members if space.d[child, p] <= CANDIDATE_FACTOR * scale]
-    if not cands:
-        raise NoCandidateParent(
-            f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
-    return cands
+def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
+               coarse: Grid) -> list[tuple[list[int], list[int]]]:
+    """Per child, in the given order: the coarse points within a quarter of
+    the coarse scale, and the child's parent options, which are those captured
+    points when there are any and otherwise every coarse point within three
+    times the coarse scale.  Reads one distance slice for the whole level."""
+    cols = sorted(coarse.members)
+    capture = coarse.scale / CAPTURE_DIVISOR
+    reach = CANDIDATE_FACTOR * coarse.scale
+    out = []
+    for row in space.d.take(children, 0).take(cols, 1).tolist():
+        captured = [p for p, x in zip(cols, row) if x <= capture]
+        out.append((captured, captured or [p for p, x in zip(cols, row) if x <= reach]))
+    return out
+
+
+def _parent_options(space: FiniteMetricSpace, children: Sequence[int],
+                    coarse: Grid) -> list[list[int]]:
+    """Per child, in the given order, its parent options; raises for the first
+    child with two captured points or with no coarse point in reach."""
+    scale = coarse.scale
+    out = []
+    for child, (captured, options) in zip(children, _link_rule(space, children, coarse)):
+        if len(captured) > 1:
+            # impossible for a valid grid: two such parents would be within scale/2
+            raise InvalidParams(
+                f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
+                f"of child {child}")
+        if not options:
+            raise NoCandidateParent(
+                f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
+        out.append(options)
+    return out
 
 
 def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
@@ -183,14 +203,10 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
     if not parents.members <= children.members:
         raise InvalidParams("parent grid must be a subset of the child grid")
     rng = np.random.default_rng(rng)
-    out: dict[int, int] = {}
-    for child in sorted(children.members):
-        options = _parent_options(space, child, parents)
-        if len(options) == 1:
-            out[child] = options[0]
-        else:
-            out[child] = options[int(rng.integers(len(options)))]
-    return out
+    kids = sorted(children.members)
+    return {child: options[0] if len(options) == 1
+            else options[int(rng.integers(len(options)))]
+            for child, options in zip(kids, _parent_options(space, kids, parents))}
 
 
 def build_forest(hierarchy: GridHierarchy,
@@ -309,13 +325,12 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 
     # no child may see two coarser points within the capture radius
     for lev in h.levels[1:]:
-        coarse = sorted(h.grid(lev - 1).members)
-        radius = h.scale(lev - 1) / CAPTURE_DIVISOR
-        for child in h.grid(lev).members:
-            close = [p for p in coarse if space.d[child, p] <= radius]
-            if len(close) > 1:
+        children = sorted(h.grid(lev).members)
+        for child, (captured, _) in zip(children,
+                                        _link_rule(space, children, h.grid(lev - 1))):
+            if len(captured) > 1:
                 rep.violations.append(
-                    f"child {child} at level {lev} captured by {close}")
+                    f"child {child} at level {lev} captured by {captured}")
 
     # every descendant stays within 10x the ancestor's scale
     for k in h.levels:
@@ -476,7 +491,9 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
 
     Grid choices are uniform over the maximal-set family at each level
     (conditioned on the finer levels), and parent choices are uniform over the
-    candidate lists; probabilities are exact rationals and sum to one.
+    candidate lists; probabilities are exact rationals and sum to one.  The
+    forests of a grid outcome, all of equal weight, are the product of every
+    child's options; the cap is checked on its size before any is built.
     """
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
@@ -498,27 +515,17 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
     results: list[tuple[LatticeForest, Fraction]] = []
     for grids, prob in grid_outcomes:
         hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
-        partial_parents: list[tuple[dict[int, dict[int, int]], Fraction]] = [({}, prob)]
-        for lev in levels[1:]:
-            children = sorted(grids[lev].members)
-            per_child = [(c, _parent_options(space, c, grids[lev - 1]))
-                         for c in children]
-            nxt = []
-            for pmap, p in partial_parents:
-                combos: list[tuple[dict[int, int], Fraction]] = [({}, p)]
-                for child, options in per_child:
-                    combos = [
-                        ({**cmap, child: opt}, cp / len(options))
-                        for cmap, cp in combos for opt in options
-                    ]
-                    if (len(results) + len(combos) * len(partial_parents)
-                            > max_outcomes):
-                        raise TooLargeForExhaustive("too many parent outcomes")
-                for cmap, cp in combos:
-                    nxt.append(({**pmap, lev: cmap}, cp))
-            partial_parents = nxt
-        for pmap, p in partial_parents:
-            results.append((LatticeForest(hierarchy=hierarchy, parents=pmap), p))
+        children = [(lev, sorted(grids[lev].members)) for lev in levels[1:]]
+        options = [opts for lev, kids in children
+                   for opts in _parent_options(space, kids, grids[lev - 1])]
+        count = math.prod(map(len, options))
+        if len(results) + count > max_outcomes:
+            raise TooLargeForExhaustive("too many parent outcomes")
+        weight = prob / count
+        for choice in itertools.product(*options):
+            picks = iter(choice)
+            parents = {lev: {c: next(picks) for c in kids} for lev, kids in children}
+            results.append((LatticeForest(hierarchy=hierarchy, parents=parents), weight))
     return results
 
 

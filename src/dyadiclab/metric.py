@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ class FiniteMetricSpace:
     def distance(self, a: int | str, b: int | str) -> float:
         return float(self.d[self.resolve(a), self.resolve(b)])
 
-    @property
+    @cached_property
     def min_distance(self) -> float:
         """Smallest positive pairwise distance; +inf for a singleton."""
         n = len(self)
@@ -97,9 +98,7 @@ class FiniteMetricSpace:
 
     def pairwise_distances(self) -> list[float]:
         """Sorted distinct positive pairwise distances."""
-        n = len(self)
-        vals = {float(self.d[i, j]) for i in range(n) for j in range(i + 1, n)}
-        return sorted(vals)
+        return np.unique(self.d[np.triu_indices(len(self), 1)]).tolist()
 
     def rescale(self, factor: float) -> "FiniteMetricSpace":
         """New space with every distance divided by ``factor``."""

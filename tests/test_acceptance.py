@@ -50,29 +50,6 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def small_family():
-    """At least 50 spaces with <= 12 points: clouds, trees, snowflakes."""
-    spaces = []
-    for seed in range(25):
-        n = 4 + seed % 9
-        dim = 1 + seed % 3
-        spaces.append(("cloud", dl.make_space(
-            "random_cloud", seed=seed, n=n, dim=dim, scale=2.2, min_sep=0.05)))
-    for branching, height in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-                              (1, 7), (2, 1), (2, 2), (3, 1)]:
-        tree = dl.make_space("tree", branching=branching, height=height)
-        spaces.append((f"tree{branching}{height}", tree.rescale(2.0)))
-    for i in range(15):
-        base = dl.make_space("random_cloud", seed=100 + i, n=4 + i % 9,
-                             dim=2, scale=2.5, min_sep=0.05)
-        alpha = 0.5 if i % 2 == 0 else 0.75
-        spaces.append(("snow", dl.make_space("snowflake", base=base, alpha=alpha)))
-    assert len(spaces) >= 50
-    assert all(len(s) <= 12 for _, s in spaces)
-    return spaces
-
-
-@pytest.fixture(scope="module")
 def hundred_forests(decay_probe, ladder):
     """100 seeded hierarchies/forests, n <= 200, at ratios 0.1 and 1/1000."""
     runs = []

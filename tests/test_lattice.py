@@ -1,4 +1,5 @@
 """Parent forests, cubes, covering lemmas, interiors, chain separation."""
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,20 @@ from dyadiclab.errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from dyadiclab.grids import Grid, GridHierarchy
+from dyadiclab.grids import (
+    Grid,
+    GridHierarchy,
+    enumerate_maximal_separated,
+    finest_level,
+)
 from dyadiclab.lattice import (
     BALL_DIVISOR,
+    CANDIDATE_FACTOR,
+    CAPTURE_DIVISOR,
     ChainScanReport,
     Cube,
     CubeCoverReport,
+    _parent_options,
     cube_to_json,
     forest_to_json,
 )
@@ -78,6 +87,106 @@ def test_assign_parent_requires_nested(l3):
     parents = Grid(scale=1.0, members=frozenset({0, 2}))
     with pytest.raises(InvalidParams):
         dl.assign_parents(l3, children, parents, rng=0)
+
+
+# the per-child option list and the sampler that the per-level link rule
+# replaced, kept verbatim as their oracles
+def reference_parent_options(space: dl.FiniteMetricSpace, child: int,
+                             parents: Grid) -> list[int]:
+    """Possible parents of a child: the captured one, or all within reach."""
+    scale = parents.scale
+    members = sorted(parents.members)
+    captured = [p for p in members if space.d[child, p] <= scale / CAPTURE_DIVISOR]
+    if len(captured) > 1:
+        # impossible for a valid grid: two such parents would be within scale/2
+        raise InvalidParams(
+            f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
+            f"of child {child}")
+    if captured:
+        return captured
+    cands = [p for p in members if space.d[child, p] <= CANDIDATE_FACTOR * scale]
+    if not cands:
+        raise NoCandidateParent(
+            f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
+    return cands
+
+
+def reference_assign_parents(space: dl.FiniteMetricSpace, children: Grid, parents: Grid,
+                             rng: np.random.Generator | int | None) -> dict[int, int]:
+    """Link every child to one parent; random choices are uniform and independent.
+
+    Children are processed in index order, consuming one draw per child that
+    is not captured, so the map is deterministic for a fixed generator state.
+    """
+    if not parents.members <= children.members:
+        raise InvalidParams("parent grid must be a subset of the child grid")
+    rng = np.random.default_rng(rng)
+    out: dict[int, int] = {}
+    for child in sorted(children.members):
+        options = reference_parent_options(space, child, parents)
+        if len(options) == 1:
+            out[child] = options[0]
+        else:
+            out[child] = options[int(rng.integers(len(options)))]
+    return out
+
+
+def seeded_hierarchies(decay_probe, elbow, ladder, seeds=range(8)):
+    """(space, hierarchy) pairs on the criterion-7 cloud, the 60-point cascade,
+    the decay probe, the elbow and the ladder.  The cascade's conflict graph at
+    ratio 1/1000 is too large for the exhaustive grid sampler."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cascade = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                            branching=3, ratio=0.1)
+    for space, delta, mode in ((cloud, 0.1, "exhaustive_uniform"),
+                               (cascade, 0.001, "greedy_permutation"),
+                               (decay_probe, 0.001, "exhaustive_uniform"),
+                               (elbow, 0.1, "exhaustive_uniform"),
+                               (ladder, 0.1, "exhaustive_uniform")):
+        for seed in seeds:
+            yield space, dl.build_nested_grids(space, delta, 0, rng=seed, mode=mode)
+
+
+def test_parent_options_match_reference(decay_probe, elbow, ladder):
+    random_links = 0
+    for space, h in seeded_hierarchies(decay_probe, elbow, ladder):
+        for lev in h.levels[1:]:
+            kids = sorted(h.grid(lev).members)
+            got = _parent_options(space, kids, h.grid(lev - 1))
+            assert got == [reference_parent_options(space, c, h.grid(lev - 1))
+                           for c in kids]
+            random_links += sum(len(options) > 1 for options in got)
+    assert random_links > 100
+
+
+def test_parent_option_errors_match_reference():
+    """The first failing child in index order raises, with the old type and
+    message: child 0 is captured by 2 alone, child 1 by both 1 and 2, and
+    child 3 has no coarse point in reach."""
+    space = dl.space_from_coords([[0.3125], [0.0], [0.125], [10.0]])
+    for coarse, kids, error in (({1, 2}, [0, 1, 2, 3], InvalidParams),
+                                ({2}, [0, 2, 3], NoCandidateParent)):
+        parents = Grid(scale=1.0, members=frozenset(coarse))
+        want = outcome(lambda: [reference_parent_options(space, c, parents)
+                                for c in kids])
+        assert want[0] is error
+        assert outcome(_parent_options, space, kids, parents) == want
+        children = Grid(scale=0.1, members=frozenset(kids))
+        assert outcome(dl.assign_parents, space, children, parents, 0) == want
+        assert outcome(reference_assign_parents, space, children, parents, 0) == want
+
+
+def test_build_forest_matches_reference_stream(decay_probe, elbow, ladder):
+    """Same parents from one stream, and the stream left in the same state."""
+    for space, h in seeded_hierarchies(decay_probe, elbow, ladder):
+        rng = np.random.default_rng(len(h.levels))
+        ref_rng = copy.deepcopy(rng)
+        forest = dl.build_forest(h, rng)
+        assert forest.parents == {
+            lev: reference_assign_parents(space, h.grid(lev), h.grid(lev - 1), ref_rng)
+            for lev in h.levels[1:]}
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
 
 
 # --- forest construction -----------------------------------------------------------
@@ -275,6 +384,32 @@ def test_forest_invariants_seeded(seed):
     assert rep.ok, rep.violations
     assert rep.max_ancestor_ratio <= 10.0
     assert rep.max_diameter_ratio <= 21.0
+
+
+def test_forest_invariants_report_double_capture():
+    """A coarse grid that is not separated captures both children 0 and 1."""
+    space = dl.space_from_coords([[0.0], [0.125], [0.5]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 1})),
+        1: Grid(scale=0.1, members=frozenset({0, 1, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 1, 2: 1}})
+    assert dl.check_forest_invariants(forest).violations == [
+        "child 0 at level 1 captured by [0, 1]",
+        "child 1 at level 1 captured by [0, 1]"]
+
+
+def test_forest_invariants_report_unnested_cube():
+    """A hand-set cube table whose child row holds a point its parent's lacks."""
+    space = dl.space_from_coords([[0.0], [0.05]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0})),
+        1: Grid(scale=0.1, members=frozenset({0, 1}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 0}})
+    forest.__dict__["cube_table"] = {
+        0: ({0: 0}, np.array([[True, False]])),
+        1: ({0: 0, 1: 1}, np.array([[True, False], [False, True]]))}
+    assert dl.check_forest_invariants(forest).violations == [
+        "cube 1@1 not nested in parent 0@0"]
 
 
 # --- chain separation -------------------------------------------------------------------
@@ -550,6 +685,79 @@ def test_chain_levels_outside_hierarchy(l3):
 
 # --- exact outcome enumeration ------------------------------------------------------------
 
+# the enumeration that the product of parent choices replaced, kept verbatim
+# as its oracle: it extends partial parent maps one child at a time
+def reference_enumerate_forest_outcomes(space: dl.FiniteMetricSpace, delta: float,
+                                        coarsest_level: int,
+                                        limit: int = 20,
+                                        max_outcomes: int = 100_000,
+                                        ) -> list[tuple[dl.LatticeForest, Fraction]]:
+    """All (forest, probability) outcomes of the construction on a small space.
+
+    Grid choices are uniform over the maximal-set family at each level
+    (conditioned on the finer levels), and parent choices are uniform over the
+    candidate lists; probabilities are exact rationals and sum to one.
+    """
+    m = finest_level(space, delta, coarsest_level)
+    levels = tuple(range(coarsest_level, m + 1))
+    full = Grid(scale=delta ** m, members=frozenset(range(len(space))))
+    grid_outcomes: list[tuple[dict[int, Grid], Fraction]] = [({m: full}, Fraction(1))]
+    for k in range(m - 1, coarsest_level - 1, -1):
+        nxt = []
+        for partial, prob in grid_outcomes:
+            options = enumerate_maximal_separated(
+                space, sorted(partial[k + 1].members), delta ** k, limit=limit)
+            for g in options:
+                grids = dict(partial)
+                grids[k] = g
+                nxt.append((grids, prob / len(options)))
+        grid_outcomes = nxt
+        if len(grid_outcomes) > max_outcomes:
+            raise TooLargeForExhaustive("too many grid outcomes")
+
+    results: list[tuple[dl.LatticeForest, Fraction]] = []
+    for grids, prob in grid_outcomes:
+        hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
+        partial_parents: list[tuple[dict[int, dict[int, int]], Fraction]] = [({}, prob)]
+        for lev in levels[1:]:
+            children = sorted(grids[lev].members)
+            per_child = [(c, reference_parent_options(space, c, grids[lev - 1]))
+                         for c in children]
+            nxt = []
+            for pmap, p in partial_parents:
+                combos: list[tuple[dict[int, int], Fraction]] = [({}, p)]
+                for child, options in per_child:
+                    combos = [
+                        ({**cmap, child: opt}, cp / len(options))
+                        for cmap, cp in combos for opt in options
+                    ]
+                    if (len(results) + len(combos) * len(partial_parents)
+                            > max_outcomes):
+                        raise TooLargeForExhaustive("too many parent outcomes")
+                for cmap, cp in combos:
+                    nxt.append(({**pmap, lev: cmap}, cp))
+            partial_parents = nxt
+        for pmap, p in partial_parents:
+            results.append((dl.LatticeForest(hierarchy=hierarchy, parents=pmap), p))
+    return results
+
+
+def outcome_list(space, delta, enumerate_outcomes):
+    """Grids, parent maps in insertion order, and Fractions of every outcome."""
+    got = outcome(enumerate_outcomes, space, delta, 0)
+    if isinstance(got, tuple):
+        return got
+    return [(f.hierarchy.grids, [(lev, list(m.items())) for lev, m in f.parents.items()],
+             p) for f, p in got]
+
+
+def test_outcomes_match_reference(elbow, ladder, small_family):
+    spaces = [elbow, ladder] + [s for _, s in small_family if len(s) <= 8]
+    for space in spaces:
+        want = outcome_list(space, 0.1, reference_enumerate_forest_outcomes)
+        assert outcome_list(space, 0.1, dl.enumerate_forest_outcomes) == want
+
+
 def test_outcome_probabilities_sum_to_one(elbow):
     outcomes = dl.enumerate_forest_outcomes(elbow, 0.1, 0)
     assert sum(p for _, p in outcomes) == Fraction(1)
@@ -564,8 +772,11 @@ def test_max_outcomes_caps_the_total():
     4096 in each."""
     cloud = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
                           min_sep=0.05)
-    with pytest.raises(TooLargeForExhaustive):
-        dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=5000)
+    for cap in (5000, 124_547):
+        with pytest.raises(TooLargeForExhaustive, match="too many parent outcomes"):
+            dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=cap)
+    assert len(dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=124_548)) \
+        == 124_548
 
 
 def test_outcome_enumeration_matches_sampling_support(elbow):

@@ -239,3 +239,19 @@ def test_rescale_and_subspace(l3):
     sub = l3.subspace([0, 2])
     assert sub.points == ("a", "c")
     assert sub.distance(0, 1) == 1.0
+
+
+# the pair loop that one numpy call replaced, kept as its oracle
+def reference_pairwise_distances(space: dl.FiniteMetricSpace) -> list[float]:
+    """Sorted distinct positive pairwise distances."""
+    n = len(space)
+    vals = {float(space.d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    return sorted(vals)
+
+
+def test_pairwise_distances_match_reference(singleton, l3, small_family):
+    grid = dl.make_space("grid_points", shape=(4, 4), spacing=0.5)
+    for space in [singleton, l3, grid] + [s for _, s in small_family]:
+        got = space.pairwise_distances()
+        assert got == reference_pairwise_distances(space)
+        assert all(type(r) is float for r in got)
