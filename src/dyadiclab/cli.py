@@ -17,6 +17,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     ConfigError,
@@ -32,13 +34,15 @@ from .coloring import (
     verify_recoloring_injective,
 )
 from .goodness import (
+    EPS_DIVISOR,
     GoodnessParams,
     estimate_bad_probability,
     estimate_boundary_decay,
     estimate_really_good,
     exact_good_probability,
 )
-from .grids import build_nested_grids, hierarchy_to_json
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level,
+                    hierarchy_to_json)
 from .lattice import (
     build_forest,
     check_cube_cover,
@@ -86,9 +90,23 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
+def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
-    return ok
+
+
+def _verdict(checks: list, data: dict) -> tuple[dict, int]:
+    """The report body and its exit code, 1 when any check failed."""
+    code = EXIT_OK if all(c["pass"] for c in checks) else EXIT_ASSERTION
+    return {"checks": checks, "data": data}, code
+
+
+def _hierarchy(args, space):
+    """The seeded hierarchy of ``grids`` and ``lattice``, and its generator."""
+    rng = np.random.default_rng(args.seed)
+    hierarchy = build_nested_grids(space, args.delta, args.n0, rng=rng,
+                                   mode=args.mode, limit=args.limit,
+                                   freeze_above=args.freeze_above)
+    return hierarchy, rng
 
 
 def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
@@ -98,7 +116,7 @@ def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
         except ValueError as exc:
             raise ConfigError(f"bad --eps-schedule: {exc}") from exc
         return eps
-    base = delta / 500.0
+    base = delta / EPS_DIVISOR
     ratio = delta ** gamma
     return [base * ratio ** j for j in range(6)]
 
@@ -117,17 +135,15 @@ def _cmd_validate(args) -> tuple[dict, int]:
     data["points"] = list(space.points)
     data["min_distance"] = space.min_distance if len(space) > 1 else None
     data["diameter"] = space.diameter
-    return {"checks": checks, "data": data}, EXIT_OK
+    return _verdict(checks, data)
 
 
 def _cmd_grids(args) -> tuple[dict, int]:
     space = _load(args.input)
     checks: list = []
-    hierarchy = build_nested_grids(space, args.delta, args.n0, rng=args.seed,
-                                   mode=args.mode, limit=args.limit,
-                                   freeze_above=args.freeze_above)
+    hierarchy, _ = _hierarchy(args, space)
     rows = []
-    ok_all = True
+    cover_ok = True
     for level in hierarchy.levels:
         try:
             rep = check_grid_cover(hierarchy, level)
@@ -138,21 +154,16 @@ def _cmd_grids(args) -> tuple[dict, int]:
         except DyadicLabError as exc:
             ok = False
             rows.append({"level": level, "error": str(exc)})
-        ok_all &= ok
-    _check(checks, "grid_cover_within_3_scale", ok_all)
+        cover_ok &= ok
+    _check(checks, "grid_cover_within_3_scale", cover_ok)
     data = {"hierarchy": hierarchy_to_json(hierarchy), "cover": rows}
-    return {"checks": checks, "data": data}, EXIT_OK if ok_all else EXIT_ASSERTION
+    return _verdict(checks, data)
 
 
 def _cmd_lattice(args) -> tuple[dict, int]:
-    import numpy as np
-
     space = _load(args.input)
     checks: list = []
-    rng = np.random.default_rng(args.seed)
-    hierarchy = build_nested_grids(space, args.delta, args.n0, rng=rng,
-                                   mode=args.mode, limit=args.limit,
-                                   freeze_above=args.freeze_above)
+    hierarchy, rng = _hierarchy(args, space)
     forest = build_forest(hierarchy, rng)
     cover_rows, cover_ok = [], True
     for level in hierarchy.levels:
@@ -178,8 +189,7 @@ def _cmd_lattice(args) -> tuple[dict, int]:
         "chain_scan": {"verified": scan.verified, "vacuous": scan.vacuous,
                        "violations": [list(v) for v in scan.violations]},
     }
-    ok_all = all(c["pass"] for c in checks)
-    return {"checks": checks, "data": data}, EXIT_OK if ok_all else EXIT_ASSERTION
+    return _verdict(checks, data)
 
 
 def _cmd_coloring(args) -> tuple[dict, int]:
@@ -209,7 +219,8 @@ def _cmd_coloring(args) -> tuple[dict, int]:
             inj_ok = False
             detail = str(exc)
     _check(checks, "recoloring_injective", inj_ok, detail)
-    tree_prob = tree_experiment(args.tree_branching, args.tree_height)
+    tree_prob = tree_experiment(args.tree_branching, args.tree_height,
+                                limit=args.limit)
     tree_ok = tree_prob > Fraction(1, 16) if args.tree_branching == 3 else True
     _check(checks, "tree_root_probability", tree_ok,
            f"{tree_prob} (branching={args.tree_branching}, height={args.tree_height})")
@@ -220,8 +231,7 @@ def _cmd_coloring(args) -> tuple[dict, int]:
         "paper_floor_satisfied": {"count": int(paper_tally), "of": len(space)},
         "tree_probability": _frac(tree_prob),
     }
-    ok_all = all(c["pass"] for c in checks)
-    return {"checks": checks, "data": data}, EXIT_OK if ok_all else EXIT_ASSERTION
+    return _verdict(checks, data)
 
 
 def _cmd_goodness(args) -> tuple[dict, int]:
@@ -231,7 +241,6 @@ def _cmd_goodness(args) -> tuple[dict, int]:
         params = GoodnessParams(delta=args.delta, gamma=args.gamma, r=args.r)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
-    from .grids import finest_level
     level = args.level if args.level is not None else finest_level(
         space, args.delta, args.n0)
     center = args.center if args.center is not None else space.name(0)
@@ -293,8 +302,7 @@ def _cmd_goodness(args) -> tuple[dict, int]:
                   "eta_hat": fit.eta_hat, "eta_reference": fit.eta_reference},
         "equalization": equalization,
     }
-    ok_all = all(c["pass"] for c in checks)
-    return {"checks": checks, "data": data}, EXIT_OK if ok_all else EXIT_ASSERTION
+    return _verdict(checks, data)
 
 
 def _cmd_a2(args) -> tuple[dict, int]:
@@ -325,8 +333,7 @@ def _cmd_a2(args) -> tuple[dict, int]:
                    "witness_radius": growth.witness_radius},
         "measure_doubling_constant": doubling,
     }
-    ok_all = all(c["pass"] for c in checks)
-    return {"checks": checks, "data": data}, EXIT_OK if ok_all else EXIT_ASSERTION
+    return _verdict(checks, data)
 
 
 # --- wiring ----------------------------------------------------------------------
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=False, help="space JSON or coordinate CSV")
         p.add_argument("--out", default="-", help="report path, '-' for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--limit", type=int, default=20,
+        p.add_argument("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT,
                        help="exhaustive enumeration cap")
         if seeded:
             p.add_argument("--delta", type=float, default=0.001)

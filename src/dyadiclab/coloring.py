@@ -17,7 +17,7 @@ from .errors import (
     PreconditionNotWS,
     TooLargeForExhaustive,
 )
-from .grids import DEFAULT_EXHAUSTIVE_LIMIT, enumerate_maximal_separated
+from .grids import DEFAULT_EXHAUSTIVE_LIMIT, enumerate_maximal_separated, greedy_grid
 from .metric import FiniteMetricSpace, ball, make_space, max_ball_occupancy
 
 __all__ = [
@@ -39,12 +39,6 @@ class ProperColoring:
     """Red point set of one proper coloring; everything else is green."""
     red: frozenset[int]
     n_points: int
-
-    def green(self) -> frozenset[int]:
-        return frozenset(range(self.n_points)) - self.red
-
-    def color_of(self, point: int) -> str:
-        return "red" if point in self.red else "green"
 
 
 @dataclass(frozen=True)
@@ -144,11 +138,8 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     red = (set(coloring.red) - s_set) | {v}
     yellow = [y for y in sorted(tilde)
               if not any(space.d[y, r] < 1.0 for r in red)]
-    recolored: list[int] = []
-    for y in yellow:
-        if all(space.d[y, z] >= 1.0 for z in recolored):
-            recolored.append(y)
-    red.update(recolored)
+    # the ascending scan is the greedy 1-separated grid of the yellow points
+    red.update(greedy_grid(space, yellow, 1.0, yellow).members)
     return ProperColoring(red=frozenset(red), n_points=len(space))
 
 

@@ -48,6 +48,8 @@ __all__ = [
     "estimate_really_good",
 ]
 
+EPS_DIVISOR = 500           # every boundary layer width eps satisfies eps <= delta / 500
+
 
 @dataclass(frozen=True)
 class GoodnessParams:
@@ -95,6 +97,13 @@ def _split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
             np.where(inside, np.inf, row).min(axis=-1))
 
 
+def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
+    """The bad test, per row of the mask: the point set of the distance row
+    lies closer than the threshold to both the cube and its complement."""
+    to_cube, to_rest = _split_min(row, inside)
+    return (to_cube < threshold) & (to_rest < threshold)
+
+
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
@@ -105,10 +114,8 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     for n in forest.levels:
         if k < n + params.r:
             continue
-        threshold = params.threshold(k, n)
         _, held = forest.cube_table[n]
-        to_cube, to_rest = _split_min(row, held)
-        if ((to_cube < threshold) & (to_rest < threshold)).any():
+        if _straddles(row, held, params.threshold(k, n)).any():
             return False
     return True
 
@@ -131,8 +138,7 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
         anc_row = held[rows[forest.ancestor(x, k, n)]]
         threshold = params.threshold(k, n)
         _, depth = _split_min(forest.space.d[x], anc_row)
-        to_cube, to_rest = _split_min(row, anc_row)
-        if depth > 2 * threshold and to_cube < threshold and to_rest < threshold:
+        if depth > 2 * threshold and _straddles(row, anc_row, threshold):
             bad_levels.append(n)
     return bad_levels
 
@@ -190,8 +196,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
 
 def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
     """The cube of the fixed center, which a sampled grid may have dropped."""
-    if level not in forest.levels:
-        raise InvalidParams(f"level {level} not present in the hierarchy")
+    forest.hierarchy._require_level(level)
     if center not in forest.hierarchy.grid(level).members:
         raise CenterNotInGrid(
             f"fixed center {center} absent from the level-{level} grid; "
@@ -284,7 +289,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
         raise ScheduleInvalid("eps values must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ScheduleInvalid("eps values must be strictly decreasing")
-    if any(500.0 * e > params.delta for e in eps):
+    if any(EPS_DIVISOR * e > params.delta for e in eps):
         raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
     x = space.resolve(x)
     payload = (space, params, coarsest_level, mode, limit, seed, _decay_row,

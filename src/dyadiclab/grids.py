@@ -10,6 +10,7 @@ choices compose to a uniform choice overall.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,9 +42,6 @@ class Grid:
     scale: float
     members: frozenset[int]
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 @dataclass(frozen=True)
 class GridHierarchy:
@@ -68,6 +66,11 @@ class GridHierarchy:
 
     def grid(self, level: int) -> Grid:
         return self.grids[level]
+
+    def _require_level(self, level: int) -> None:
+        """Raise InvalidParams unless the level is one of the hierarchy's."""
+        if level not in self.levels:
+            raise InvalidParams(f"level {level} not present in the hierarchy")
 
     def scale(self, level: int) -> float:
         return self.delta ** level
@@ -180,13 +183,12 @@ def is_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
 
 
 def enumerate_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
-                                k: float, limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                                cache: dict | None = None) -> list[Grid]:
+                                k: float, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[Grid]:
     """Complete duplicate-free list of maximal k-separated subsets of ``base``."""
     base = sorted(space.resolve(p) for p in base)
     if len(base) > limit:
         raise TooLargeForExhaustive(f"|base|={len(base)} exceeds the cap {limit}")
-    families = _component_families(space, base, k, limit, cache)
+    families = _component_families(space, base, k, limit)
     combos: list[frozenset[int]] = [frozenset()]
     for fam in families:
         combos = [acc | piece for acc in combos for piece in fam]
@@ -228,8 +230,12 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     """Smallest level M with delta**M below the min pairwise distance.
 
     At that scale the whole space is the unique maximal grid.  A singleton has
-    no constraint and the hierarchy collapses to the coarsest level.
+    no constraint and the hierarchy collapses to the coarsest level.  Every
+    hierarchy, sampled or enumerated, is framed by this call, so it also
+    refuses an empty space and a coarsest level finer than M.
     """
+    if len(space) == 0:
+        raise InvalidParams("space must be nonempty")
     if not 0 < delta < 1:
         raise InvalidParams("delta must lie in (0, 1)")
     try:
@@ -241,13 +247,14 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     if md == np.inf:
         return coarsest_level
     # log-based guess, corrected by exact comparison
-    import math
-
     m = int(math.floor(math.log(md) / math.log(delta))) + 1
     while delta ** m >= md:
         m += 1
     while delta ** (m - 1) < md:
         m -= 1
+    if coarsest_level > m:
+        raise InvalidParams(
+            f"coarsest level {coarsest_level} is finer than the finest level {m}")
     return m
 
 
@@ -265,13 +272,8 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
     index to the deterministic greedy grid in index order, leaving only the
     coarser choices random.
     """
-    if len(space) == 0:
-        raise InvalidParams("space must be nonempty")
-    rng = np.random.default_rng(rng)
     m = finest_level(space, delta, coarsest_level)
-    if coarsest_level > m:
-        raise InvalidParams(
-            f"coarsest level {coarsest_level} is finer than the finest level {m}")
+    rng = np.random.default_rng(rng)
     levels = list(range(coarsest_level, m + 1))
     grids: dict[int, Grid] = {m: Grid(scale=delta ** m, members=frozenset(range(len(space))))}
     for k in range(m - 1, coarsest_level - 1, -1):
@@ -290,7 +292,7 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
 
 def grid_to_json(space: FiniteMetricSpace, grid: Grid) -> dict:
     return {"scale": grid.scale,
-            "members": [space.name(i) for i in grid.sorted_members()]}
+            "members": [space.name(i) for i in sorted(grid.members)]}
 
 
 def hierarchy_to_json(h: GridHierarchy) -> dict:

@@ -36,7 +36,8 @@ from .errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from .grids import Grid, GridHierarchy, enumerate_maximal_separated, finest_level
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy,
+                    enumerate_maximal_separated, finest_level)
 from .metric import FiniteMetricSpace
 
 __all__ = [
@@ -63,6 +64,7 @@ CANDIDATE_FACTOR = 3        # random link radius = 3 * coarse scale
 DIAMETER_FACTOR = 21.0      # asserted cube diameter bound, in units of the scale
 ANCESTOR_FACTOR = 10.0      # asserted ancestor proximity bound
 COVER_FACTOR = 3.0          # asserted grid covering radius
+MAX_CHAIN_DELTA = 1.0 / 1000.0  # largest scale ratio the chain separation assumes
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,6 @@ class LatticeForest:
     @property
     def levels(self) -> tuple[int, ...]:
         return self.hierarchy.levels
-
-    def parent(self, level: int, point: int) -> int:
-        return self.parents[level][point]
 
     def ancestor(self, point: int, from_level: int, to_level: int) -> int:
         """Walk the parent chain from ``from_level`` down to ``to_level``."""
@@ -228,8 +227,7 @@ def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
     Each cube is read from its row of the forest's cube table, which is built
     once, on first use, for every level, from the finest up: cube(y, k) =
     B(y, scale(k)/100) united with the level-(k+1) cubes of y's children."""
-    if level not in forest.levels:
-        raise InvalidParams(f"level {level} not present in the hierarchy")
+    forest.hierarchy._require_level(level)
     return [forest.cube(level, y) for y in forest.cube_table[level][0]]
 
 
@@ -263,8 +261,7 @@ class GridCoverReport:
 
 def check_grid_cover(hierarchy: GridHierarchy, level: int) -> GridCoverReport:
     """Every point must lie within 3 * scale (closed) of the level's grid."""
-    if level not in hierarchy.levels:
-        raise InvalidParams(f"level {level} not present")
+    hierarchy._require_level(level)
     space = hierarchy.space
     members = sorted(hierarchy.grid(level).members)
     dist = space.d[:, members].min(axis=1)
@@ -290,8 +287,7 @@ class CubeCoverReport:
 
 def check_cube_cover(forest: LatticeForest, level: int) -> CubeCoverReport:
     """Every point must belong to at least one cube of the level."""
-    if level not in forest.levels:
-        raise InvalidParams(f"level {level} not present in the hierarchy")
+    forest.hierarchy._require_level(level)
     rows, held = forest.cube_table[level]
     cover = held.sum(axis=0)
     missing = np.flatnonzero(cover == 0).tolist()
@@ -309,8 +305,6 @@ class ForestInvariantReport:
     violations: list[str] = field(default_factory=list)
     max_ancestor_ratio: float = 0.0   # dist(z, ancestor) / scale(ancestor level)
     max_diameter_ratio: float = 0.0   # cube diameter / scale
-    checked_links: int = 0
-    checked_cubes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -340,7 +334,6 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                 a = forest.ancestor(z, lev, k)
                 ratio = space.d[z, a] / scale
                 rep.max_ancestor_ratio = max(rep.max_ancestor_ratio, ratio)
-                rep.checked_links += 1
                 if space.d[z, a] > ANCESTOR_FACTOR * scale:
                     rep.violations.append(
                         f"descendant {z} (level {lev}) is {space.d[z, a]} from "
@@ -351,7 +344,6 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
         rows, held = forest.cube_table[k]
         scale = h.scale(k)
         for center, i in rows.items():
-            rep.checked_cubes += 1
             if not held[i, center]:
                 rep.violations.append(f"cube {center}@{k} misses its center")
             idx = np.flatnonzero(held[i])
@@ -398,7 +390,7 @@ def _chain_violations(forest: LatticeForest, chain: Sequence[int],
     d = forest.space.d
     out = []
     for j_off, coarser in enumerate(chain):
-        threshold = forest.hierarchy.scale(top_level - j_off) / 100.0
+        threshold = forest.hierarchy.scale(top_level - j_off) / BALL_DIVISOR
         out.extend((finer, coarser) for finer in chain[:j_off]
                    if d[finer, coarser] < threshold)
     return out
@@ -424,10 +416,11 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     top_level = base_level + m
     if m < 0 or top_level not in h.levels or base_level not in h.levels:
         raise InvalidParams("chain levels must lie inside the hierarchy")
-    if delta > 1.0 / 1000.0:
+    if delta > MAX_CHAIN_DELTA:
         raise HypothesesNotMet(f"scale ratio {delta} exceeds 1/1000")
-    if eps <= 0 or delta ** m < 100.0 * eps:
-        raise HypothesesNotMet(f"need delta**m >= 100*eps, got {delta**m} < {100*eps}")
+    if eps <= 0 or delta ** m < BALL_DIVISOR * eps:
+        raise HypothesesNotMet(
+            f"need delta**m >= 100*eps, got {delta**m} < {BALL_DIVISOR * eps}")
 
     rows, held = forest.cube_table[top_level]
     if (chain[0] not in rows or x not in range(len(h.space))
@@ -460,13 +453,13 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     """
     h = forest.hierarchy
     rep = ChainScanReport()
-    if h.delta > 1.0 / 1000.0:
+    if h.delta > MAX_CHAIN_DELTA:
         return rep  # hypotheses are never met at this scale ratio
     for base_level in h.levels:
         depth = _rival_depth(forest, base_level)
         for m in range(1, h.finest_level - base_level + 1):
             top = base_level + m
-            near = depth < h.delta ** m / 100.0 * h.scale(base_level)
+            near = depth < h.delta ** m / BALL_DIVISOR * h.scale(base_level)
             rep.vacuous += int((~near).sum())
             rows, held = forest.cube_table[top]
             centers = list(rows)
@@ -484,7 +477,7 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 
 def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
                               coarsest_level: int,
-                              limit: int = 20,
+                              limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
                               max_outcomes: int = 100_000,
                               ) -> list[tuple[LatticeForest, Fraction]]:
     """All (forest, probability) outcomes of the construction on a small space.

@@ -16,12 +16,13 @@ __all__ = ["Z95", "wilson_interval", "trial_rng", "loglog_slope",
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     if not 0 <= successes <= trials:
         raise InvalidTrials("successes must lie in [0, trials]")
+    z = Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -42,9 +43,9 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def worker_count(env_var: str = "DYADICLAB_WORKERS") -> int:
-    """Worker count from the environment; 1 (serial) when unset or invalid."""
-    raw = os.environ.get(env_var, "1")
+def worker_count() -> int:
+    """Worker count from DYADICLAB_WORKERS; 1 (serial) when unset or invalid."""
+    raw = os.environ.get("DYADICLAB_WORKERS", "1")
     try:
         return max(1, int(raw))
     except ValueError:

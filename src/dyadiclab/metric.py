@@ -153,8 +153,7 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
                 continue
             # d[i,k] <= d[i,j] + d[j,k] for all k; find smallest violating k
             bad = np.flatnonzero(d[i] > d[i, j] + d[j])
-            bad = [k for k in bad if k != i and k != j]
-            if bad:
+            if bad.size:
                 raise TriangleViolation(i, j, int(bad[0]))
     return FiniteMetricSpace(points, d)
 

@@ -102,6 +102,15 @@ def test_coloring_subcommand(tmp_path, l3_json):
     assert report["data"]["tree_probability"] == {"num": 1, "den": 8}
 
 
+def test_coloring_limit_reaches_tree_experiment(tmp_path, elbow_json):
+    # a height-3 ternary tree has 40 vertices, over the default cap of 20
+    code, out = run_to_file(tmp_path, ["coloring", "--input", elbow_json,
+                                       "--limit", "40", "--tree-height", "3"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["data"]["tree_probability"] == {"num": 512, "den": 681}
+
+
 def test_goodness_subcommand(tmp_path, elbow_json):
     code, out = run_to_file(tmp_path, [
         "goodness", "--input", elbow_json, "--delta", "0.1", "--gamma", "0.1",

@@ -766,6 +766,20 @@ def test_outcome_probabilities_sum_to_one(elbow):
         assert dl.check_forest_invariants(forest).ok
 
 
+def test_enumeration_and_sampler_share_the_frame_checks(elbow):
+    """The exact enumeration refuses what the sampler refuses, with the same
+    error: a coarsest level finer than the finest, and an empty space."""
+    empty = dl.validate_metric(np.zeros((0, 0)))
+    cases = [(elbow, 5, "coarsest level 5 is finer than the finest level 2"),
+             (empty, 0, "space must be nonempty")]
+    for space, n0, message in cases:
+        for run in (lambda: dl.enumerate_forest_outcomes(space, 0.1, n0),
+                    lambda: dl.build_nested_grids(space, 0.1, n0, rng=0)):
+            with pytest.raises(InvalidParams) as exc:
+                run()
+            assert str(exc.value) == message
+
+
 def test_max_outcomes_caps_the_total():
     """The cap counts forests over all grid outcomes, not within each one:
     this 11-point cloud has 124,548 forests over 36 grid outcomes, at most

@@ -11,6 +11,7 @@ from dyadiclab.errors import (
     AsymmetricMatrix,
     DuplicatePoint,
     InvalidParams,
+    MetricValidationError,
     NonzeroDiagonal,
     TriangleViolation,
     UnknownPoint,
@@ -255,3 +256,88 @@ def test_pairwise_distances_match_reference(singleton, l3, small_family):
         got = space.pairwise_distances()
         assert got == reference_pairwise_distances(space)
         assert all(type(r) is float for r in got)
+
+
+# validate_metric before its dead exclusion filter was dropped, kept verbatim
+# as the oracle for any rewrite of the checks
+def reference_validate_metric(matrix, points=None) -> dl.FiniteMetricSpace:
+    """Validate a square matrix against the metric axioms.
+
+    Checks, in order: shape, nonnegativity, zero diagonal, symmetry, absence
+    of duplicate points, and the triangle inequality.  The first violation
+    found is raised with its witness indices; the triangle check reports the
+    lexicographically smallest violating triple (i, j, k) with
+    dist(i,k) > dist(i,j) + dist(j,k).
+    """
+    d = np.asarray(matrix, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InvalidParams(f"matrix must be square, got shape {d.shape}")
+    n = d.shape[0]
+    if points is None:
+        points = [f"p{i}" for i in range(n)]
+    if len(points) != n:
+        raise InvalidParams("points list length must match the matrix size")
+    if len(set(points)) != n:
+        raise InvalidParams("point names must be distinct")
+    if np.any(d < 0) or not np.all(np.isfinite(d)):
+        raise InvalidParams("distances must be finite and nonnegative")
+    for i in range(n):
+        if d[i, i] != 0:
+            raise NonzeroDiagonal(i, float(d[i, i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] != d[j, i]:
+                raise AsymmetricMatrix(i, j, float(d[i, j]), float(d[j, i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] == 0:
+                raise DuplicatePoint(i, j)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            # d[i,k] <= d[i,j] + d[j,k] for all k; find smallest violating k
+            bad = np.flatnonzero(d[i] > d[i, j] + d[j])
+            bad = [k for k in bad if k != i and k != j]
+            if bad:
+                raise TriangleViolation(i, j, int(bad[0]))
+    return dl.FiniteMetricSpace(points, d)
+
+
+def perturbed_matrix(rng: np.random.Generator) -> np.ndarray:
+    """A Euclidean cloud of 2-12 points with zero to three random edits, each
+    of which may break the diagonal, symmetry, distinctness or the triangle
+    inequality."""
+    n = int(rng.integers(2, 13))
+    d = dl.space_from_coords(rng.uniform(0, 10, size=(n, 2))).d.copy()
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(x) for x in rng.integers(0, n, size=2))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            d[i, i] = float(rng.choice([0.0, 0.25]))
+        elif kind == 1:
+            d[i, j] += float(rng.uniform(0, 1))
+        elif kind == 2 and i != j:
+            d[i, j] = d[j, i] = 0.0
+        elif i != j:
+            d[i, j] = d[j, i] = d[i, j] * float(rng.uniform(0.2, 3.0))
+    return d
+
+
+def outcome(validate, matrix):
+    try:
+        return ("ok", validate(matrix).d.tolist())
+    except MetricValidationError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_validate_metric_matches_reference():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(1500):
+        d = perturbed_matrix(rng)
+        got = outcome(dl.validate_metric, d)
+        assert got == outcome(reference_validate_metric, d)
+        kinds.add(got[0])
+    assert kinds == {"ok", "NonzeroDiagonal", "AsymmetricMatrix", "DuplicatePoint",
+                     "TriangleViolation"}
