@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     MetricValidationError,
     InvalidParams,
+    TooLargeForExhaustive,
 )
 from .coloring import (
     enumerate_proper_colorings,
@@ -264,30 +265,32 @@ def _cmd_goodness(args) -> tuple[dict, int]:
     monotone = all(a >= b for a, b in zip(fit.estimates, fit.estimates[1:]))
     _check(checks, "boundary_decay_monotone", monotone)
 
-    equalization: dict = {}
+    p_q, note = None, "plugin estimate, no exact identity on large spaces"
     if len(space) <= args.limit:
-        p_q = exact_good_probability(space, center, level, params,
-                                     coarsest_level=args.n0, limit=args.limit)
-        if p_q > 0:
-            d = max_ball_occupancy(space, args.delta ** (level - 1))
-            a = min(Fraction(1, 2 ** d), p_q)
-            freq = estimate_really_good(space, center, level, params,
-                                        float(a), float(p_q),
-                                        trials=args.trials, seed=args.seed + 2,
-                                        coarsest_level=args.n0, mode=args.mode,
-                                        limit=args.limit, workers=workers)
-            sigma = (float(a) * (1 - float(a)) / args.trials) ** 0.5
-            _check(checks, "equalization_frequency",
-                   abs(freq - float(a)) <= 4 * sigma,
-                   f"freq={freq:.6f} target={float(a):.6f}")
-            equalization = {"p_q": _frac(p_q), "a": _frac(a), "frequency": freq}
-        else:
-            equalization = {"p_q": _frac(p_q), "note": "cube is never good"}
-    else:
+        try:
+            p_q = exact_good_probability(space, center, level, params,
+                                         coarsest_level=args.n0, limit=args.limit)
+        except TooLargeForExhaustive as exc:
+            note = f"plugin estimate, exact enumeration refused: {exc}"
+    if p_q is None:
         # plugin estimate on large spaces; biased, reported without a verdict
         p_hat = max(1.0 - est.fraction, 1.0 / args.trials)
-        equalization = {"p_q_plugin": p_hat,
-                        "note": "plugin estimate, no exact identity on large spaces"}
+        equalization = {"p_q_plugin": p_hat, "note": note}
+    elif p_q > 0:
+        d = max_ball_occupancy(space, args.delta ** (level - 1))
+        a = min(Fraction(1, 2 ** d), p_q)
+        freq = estimate_really_good(space, center, level, params,
+                                    float(a), float(p_q),
+                                    trials=args.trials, seed=args.seed + 2,
+                                    coarsest_level=args.n0, mode=args.mode,
+                                    limit=args.limit, workers=workers)
+        sigma = (float(a) * (1 - float(a)) / args.trials) ** 0.5
+        _check(checks, "equalization_frequency",
+               abs(freq - float(a)) <= 4 * sigma,
+               f"freq={freq:.6f} target={float(a):.6f}")
+        equalization = {"p_q": _frac(p_q), "a": _frac(a), "frequency": freq}
+    else:
+        equalization = {"p_q": _frac(p_q), "note": "cube is never good"}
 
     data = {
         "params": {"delta": params.delta, "gamma": params.gamma, "r": params.r,

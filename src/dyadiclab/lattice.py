@@ -112,12 +112,17 @@ class LatticeForest:
         """Walk the parent chain from ``from_level`` down to ``to_level``."""
         return self.chain(point, from_level, to_level)[-1]
 
-    def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
-        """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
+    def _require_chain_levels(self, from_level: int | None, to_level: int) -> None:
+        """Raise InvalidParams unless a chain can run from ``from_level`` down to
+        ``to_level``.  An empty chain has no top level: pass None."""
         if from_level not in self.levels or to_level not in self.levels:
             raise InvalidParams("chain levels must lie inside the hierarchy")
         if to_level > from_level:
             raise InvalidParams("ancestor level must be at most the point's level")
+
+    def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
+        """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
+        self._require_chain_levels(from_level, to_level)
         out = [point]
         p = point
         for lev in range(from_level, to_level, -1):
@@ -414,8 +419,7 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     delta = h.delta
     m = len(chain) - 1
     top_level = base_level + m
-    if m < 0 or top_level not in h.levels or base_level not in h.levels:
-        raise InvalidParams("chain levels must lie inside the hierarchy")
+    forest._require_chain_levels(top_level if m >= 0 else None, base_level)
     if delta > MAX_CHAIN_DELTA:
         raise HypothesesNotMet(f"scale ratio {delta} exceeds 1/1000")
     if eps <= 0 or delta ** m < BALL_DIVISOR * eps:

@@ -3,8 +3,10 @@
 All geometry in the package runs against a validated distance matrix.  Points
 are addressed by integer index; every space also carries a tuple of opaque
 string names used for serialization and reports.  Threshold comparisons are
-exact floating comparisons with no tolerance: generated test spaces keep every
-distance well clear of any decision threshold.
+exact floating comparisons with no tolerance, and generated spaces promise no
+margin: ``grid_points`` spaces put distances exactly on thresholds such as
+delta**k, and Euclidean cascade clouds can fail the exact triangle check by one
+ulp, which ``make_space`` then raises as a TriangleViolation.
 """
 from __future__ import annotations
 
@@ -136,25 +138,29 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
         raise InvalidParams("point names must be distinct")
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise InvalidParams("distances must be finite and nonnegative")
-    for i in range(n):
-        if d[i, i] != 0:
-            raise NonzeroDiagonal(i, float(d[i, i]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] != d[j, i]:
-                raise AsymmetricMatrix(i, j, float(d[i, j]), float(d[j, i]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] == 0:
-                raise DuplicatePoint(i, j)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # d[i,k] <= d[i,j] + d[j,k] for all k; find smallest violating k
-            bad = np.flatnonzero(d[i] > d[i, j] + d[j])
-            if bad.size:
-                raise TriangleViolation(i, j, int(bad[0]))
+    diag = np.flatnonzero(np.diagonal(d) != 0)
+    if diag.size:
+        i = int(diag[0])
+        raise NonzeroDiagonal(i, float(d[i, i]))
+    # Each mask below is symmetric and false on the diagonal, so its first
+    # true entry in row-major order is the first pair (i, j), i < j.
+    asym = np.flatnonzero(d != d.T)
+    if asym.size:
+        i, j = divmod(int(asym[0]), n)
+        raise AsymmetricMatrix(i, j, float(d[i, j]), float(d[j, i]))
+    dup = np.flatnonzero((d == 0) & ~np.eye(n, dtype=bool))
+    if dup.size:
+        raise DuplicatePoint(*divmod(int(dup[0]), n))
+    # A violation (i, j, k) implies (k, j, i) on a symmetric matrix, so the
+    # smallest one has i < k and only the columns k > i are tested.  j == i
+    # and k == j cannot fire on a zero diagonal.
+    for i in range(n - 1):
+        tail = d[:, i + 1:]
+        # bad[j, c]: dist(i, k) > dist(i, j) + dist(j, k) with k = i + 1 + c
+        bad = tail[i] > d[i][:, None] + tail
+        if bad.any():
+            j, c = divmod(int(bad.argmax()), n - 1 - i)
+            raise TriangleViolation(i, j, i + 1 + c)
     return FiniteMetricSpace(points, d)
 
 
@@ -208,16 +214,12 @@ def set_distance(space: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]) -
 
 def _greedy_cover_count(space: FiniteMetricSpace, target: np.ndarray, r: float) -> int:
     """Greedily cover the target index set with closed r-balls centered at its points."""
-    uncovered = set(int(i) for i in target)
+    uncovered = np.unique(target)
     count = 0
-    while uncovered:
+    while uncovered.size:
         # center whose ball covers the most remaining points; ties to lowest index
-        best, best_gain = None, -1
-        for c in sorted(uncovered):
-            gain = sum(1 for x in uncovered if space.d[c, x] <= r)
-            if gain > best_gain:
-                best, best_gain = c, gain
-        uncovered -= {x for x in uncovered if space.d[best, x] <= r}
+        near = space.d[np.ix_(uncovered, uncovered)] <= r
+        uncovered = uncovered[~near[near.sum(axis=1).argmax()]]
         count += 1
     return count
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dyadiclab as dl
 from dyadiclab.cli import main
 
 
@@ -141,6 +142,25 @@ def test_goodness_csv_decay_rows(tmp_path, elbow_json):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "eps,estimate,ci_low,ci_high"
     assert len(lines) > 1
+
+
+def test_goodness_falls_back_when_exact_is_refused(tmp_path):
+    """An 11-point space within --limit whose parent outcomes exceed the exact
+    enumerator's cap gets the plugin estimate, not a configuration error."""
+    src = tmp_path / "cloud16.json"
+    dl.save_space(dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
+                                min_sep=0.05), str(src))
+    code, out = run_to_file(tmp_path, [
+        "goodness", "--input", str(src), "--delta", "0.1", "--gamma", "0.1",
+        "--r", "1", "--trials", "50", "--seed", "0"])
+    assert code in (0, 1)
+    report = json.loads(out.read_text())
+    equalization = report["data"]["equalization"]
+    assert set(equalization) == {"p_q_plugin", "note"}
+    assert equalization["note"] == ("plugin estimate, exact enumeration refused: "
+                                    "too many parent outcomes")
+    fraction = report["data"]["bad_probability"]["fraction"]
+    assert equalization["p_q_plugin"] == max(1.0 - fraction, 1.0 / 50)
 
 
 def test_a2_subcommand(tmp_path):

@@ -683,6 +683,23 @@ def test_chain_levels_outside_hierarchy(l3):
             forest.ancestor(*bad)
 
 
+def test_chain_level_guard_messages(l3):
+    """Chains and the chain check share one level guard: a level outside the
+    hierarchy, a chain asked to climb, and an empty chain, even one whose
+    base has a coarser level above it."""
+    forest = shared_stream_forest(l3, 0.1, 0, seed=0)
+    top = forest.hierarchy.finest_level
+    assert top >= 1
+    outside = "^chain levels must lie inside the hierarchy$"
+    with pytest.raises(InvalidParams, match=outside):
+        forest.chain(0, top + 1, 0)
+    with pytest.raises(InvalidParams, match="^ancestor level must be at most the point's level$"):
+        forest.chain(0, 0, top)
+    for base in (0, top):
+        with pytest.raises(InvalidParams, match=outside):
+            dl.verify_chain_separation(forest, 0, [], base, 1e-5)
+
+
 # --- exact outcome enumeration ------------------------------------------------------------
 
 # the enumeration that the product of parent choices replaced, kept verbatim

@@ -16,6 +16,7 @@ from dyadiclab.errors import (
     TriangleViolation,
     UnknownPoint,
 )
+from dyadiclab.metric import _greedy_cover_count
 
 
 # --- validation ----------------------------------------------------------------
@@ -258,6 +259,39 @@ def test_pairwise_distances_match_reference(singleton, l3, small_family):
         assert all(type(r) is float for r in got)
 
 
+# the set loop that one distance slice per round replaced, kept verbatim as
+# its oracle
+def reference_greedy_cover_count(space: dl.FiniteMetricSpace, target: np.ndarray,
+                                 r: float) -> int:
+    """Greedily cover the target index set with closed r-balls centered at its points."""
+    uncovered = set(int(i) for i in target)
+    count = 0
+    while uncovered:
+        # center whose ball covers the most remaining points; ties to lowest index
+        best, best_gain = None, -1
+        for c in sorted(uncovered):
+            gain = sum(1 for x in uncovered if space.d[c, x] <= r)
+            if gain > best_gain:
+                best, best_gain = c, gain
+        uncovered -= {x for x in uncovered if space.d[best, x] <= r}
+        count += 1
+    return count
+
+
+def test_greedy_cover_count_matches_reference(l3):
+    """Every (r, x) target of doubling_estimate, on seeded clouds of up to 20
+    points and on a grid whose equal distances make ties."""
+    spaces = [l3, dl.make_space("grid_points", shape=(3, 4))]
+    spaces += [dl.make_space("random_cloud", seed=seed, n=n, dim=2)
+               for seed, n in enumerate((2, 5, 9, 14, 20))]
+    for space in spaces:
+        for r in space.pairwise_distances():
+            for x in range(len(space)):
+                target = np.flatnonzero(space.d[x] <= 2 * r)
+                assert (_greedy_cover_count(space, target, r)
+                        == reference_greedy_cover_count(space, target, r))
+
+
 # validate_metric before its dead exclusion filter was dropped, kept verbatim
 # as the oracle for any rewrite of the checks
 def reference_validate_metric(matrix, points=None) -> dl.FiniteMetricSpace:
@@ -341,3 +375,67 @@ def test_validate_metric_matches_reference():
         kinds.add(got[0])
     assert kinds == {"ok", "NonzeroDiagonal", "AsymmetricMatrix", "DuplicatePoint",
                      "TriangleViolation"}
+
+
+def late_edit_matrix(rng: np.random.Generator, triangle_only: bool) -> np.ndarray:
+    """A Euclidean cloud of 30-80 points with one to four edits, each placed
+    in the later half of the rows, so that a scan must pass many valid rows
+    first.  With ``triangle_only``, two to four edits each stretch or shrink
+    one symmetric pair, which breaks the triangle inequality at several
+    triples: a stretched pair (i, j) only in rows i and j, a shrunk one in
+    rows anywhere."""
+    n = int(rng.integers(30, 81))
+    d = dl.space_from_coords(rng.uniform(0, 10, size=(n, 2))).d.copy()
+    for _ in range(int(rng.integers(2, 5) if triangle_only else rng.integers(1, 5))):
+        i, j = (int(x) for x in rng.integers(n // 2, n, size=2))
+        kind = 3 if triangle_only else int(rng.integers(4))
+        if kind == 0:
+            d[i, i] = 0.25
+        elif kind == 1:
+            d[i, j] += float(rng.uniform(0, 1))
+        elif kind == 2 and i != j:
+            d[i, j] = d[j, i] = 0.0
+        elif i != j:
+            factor = rng.uniform(0.05, 0.3) if rng.random() < 0.25 else rng.uniform(2.0, 4.0)
+            d[i, j] = d[j, i] = d[i, j] * float(factor)
+    return d
+
+
+def triangle_violations(d: np.ndarray) -> np.ndarray:
+    """Every (i, j, k) with dist(i,k) > dist(i,j) + dist(j,k), in
+    lexicographic order, from the full n x n x n comparison."""
+    return np.argwhere(d[:, None, :] > d[:, :, None] + d[None, :, :])
+
+
+def test_validate_metric_matches_reference_on_late_edits():
+    rng = np.random.default_rng(2025)
+    kinds = set()
+    for _ in range(80):
+        d = late_edit_matrix(rng, triangle_only=False)
+        got = outcome(dl.validate_metric, d)
+        assert got == outcome(reference_validate_metric, d)
+        kinds.add(got[0])
+    assert kinds == {"ok", "NonzeroDiagonal", "AsymmetricMatrix", "DuplicatePoint",
+                     "TriangleViolation"}
+
+
+def test_triangle_witness_is_smallest_of_several_violations():
+    """The witness is the lexicographically smallest of several violating
+    triples, both when others share its first index and when they lie in
+    other rows."""
+    rng = np.random.default_rng(2026)
+    same_row = other_rows = late_row = 0
+    for _ in range(60):
+        d = late_edit_matrix(rng, triangle_only=True)
+        got = outcome(dl.validate_metric, d)
+        assert got == outcome(reference_validate_metric, d)
+        triples = triangle_violations(d)
+        if not len(triples):
+            assert got[0] == "ok"
+            continue
+        i, j, k = (int(x) for x in triples[0])
+        assert got == ("TriangleViolation", str(TriangleViolation(i, j, k)))
+        same_row += int((triples[1:, 0] == i).any())
+        other_rows += int((triples[:, 0] != i).any())
+        late_row += int(i >= len(d) // 2)
+    assert same_row >= 20 and other_rows >= 40 and late_row >= 15
