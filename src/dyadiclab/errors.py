@@ -30,9 +30,12 @@ class DuplicatePoint(MetricValidationError):
 
 
 class TriangleViolation(MetricValidationError):
-    def __init__(self, i, j, k):
+    """dist(i,k) exceeds the floating sum dist(i,j) + dist(j,k) by ``excess``."""
+
+    def __init__(self, i, j, k, excess):
         self.i, self.j, self.k = i, j, k
-        super().__init__(f"dist({i},{k}) > dist({i},{j}) + dist({j},{k})")
+        super().__init__(
+            f"dist({i},{k}) > dist({i},{j}) + dist({j},{k}) by {excess!r}")
 
 
 class UnknownPoint(DyadicLabError):

@@ -8,12 +8,20 @@ probabilities are summed over all coarser scales.  Set distances are min over
 member pairs and the distance to an empty set is +inf, so a coarse cube that
 swallows the whole space never hurts.
 
+The test of one coarse level is written once, on distance rows and cube
+matrices with any leading batch axes: ``is_good`` and the trial rows apply it
+to one forest's table, and the exact P(good) to every parent choice of a
+level at once, in a pruned walk over the outcomes that builds no forest.
+
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
+The trial rows classify the center's cube from its row of the forest's cube
+table, without building a ``Cube``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +36,9 @@ from .errors import (
     InvalidTrials,
     ScheduleInvalid,
 )
-from .grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
-from .lattice import Cube, LatticeForest, build_forest, enumerate_forest_outcomes
+from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
+from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
+                      build_forest)
 from .mc import run_chunked, trial_rng, loglog_slope, wilson_interval
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
@@ -81,13 +90,17 @@ class BoundaryLayer:
     members: frozenset[int]
 
 
-def _complement(space: FiniteMetricSpace, members: frozenset[int]) -> list[int]:
-    return [i for i in range(len(space)) if i not in members]
+def _mask(space: FiniteMetricSpace, members) -> np.ndarray:
+    """The boolean point mask of a member set."""
+    inside = np.zeros(len(space), dtype=bool)
+    inside[list(members)] = True
+    return inside
 
 
-def _distance_row(space: FiniteMetricSpace, points) -> np.ndarray:
-    """Distance from the point set to each point of the space; +inf if it is empty."""
-    return space.d[sorted(points)].min(axis=0, initial=np.inf)
+def _distance_row(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
+    """Distance from the point set of a mask to each point of the space, per
+    row of the mask; +inf where the set is empty."""
+    return np.where(inside[..., None], space.d, np.inf).min(axis=-2)
 
 
 def _split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
@@ -104,32 +117,33 @@ def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
     return (to_cube < threshold) & (to_rest < threshold)
 
 
+def _bad_against(row: np.ndarray, held: np.ndarray, k: int, n: int,
+                 params: GoodnessParams):
+    """Whether a level-k cube with distance row ``row`` straddles some level-n
+    cube of the matrix ``held``, per leading batch index of both."""
+    return _straddles(row[..., None, :], held, params.threshold(k, n)).any(axis=-1)
+
+
+def _row_is_good(forest: LatticeForest, k: int, row: np.ndarray,
+                 params: GoodnessParams) -> bool:
+    """``is_good`` for the level-k cube with distance row ``row``."""
+    return not any(_bad_against(row, forest.cube_table[n][1], k, n, params)
+                   for n in forest.levels if k >= n + params.r)
+
+
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
     Levels with no grid coarser by r are vacuously fine (empty quantifier).
     """
-    k = cube.level
-    row = _distance_row(forest.space, cube.members)
-    for n in forest.levels:
-        if k < n + params.r:
-            continue
-        _, held = forest.cube_table[n]
-        if _straddles(row, held, params.threshold(k, n)).any():
-            return False
-    return True
+    row = _distance_row(forest.space, _mask(forest.space, cube.members))
+    return _row_is_good(forest, cube.level, row, params)
 
 
-def theorem_step_violations(forest: LatticeForest, cube: Cube,
-                            params: GoodnessParams) -> list[int]:
-    """Check the deep-inside step: an ancestor holding the center deeper than
-    twice the threshold must pass that ancestor's goodness test.
-
-    Returns the levels at which the implication failed (expected empty).
-    """
-    k = cube.level
-    x = cube.center
-    row = _distance_row(forest.space, cube.members)
+def _row_step_violations(forest: LatticeForest, x: int, k: int,
+                         row: np.ndarray, params: GoodnessParams) -> list[int]:
+    """``theorem_step_violations`` for the level-k cube of center x with
+    distance row ``row``."""
     bad_levels = []
     for n in forest.levels:
         if k < n + params.r:
@@ -143,13 +157,25 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     return bad_levels
 
 
+def theorem_step_violations(forest: LatticeForest, cube: Cube,
+                            params: GoodnessParams) -> list[int]:
+    """Check the deep-inside step: an ancestor holding the center deeper than
+    twice the threshold must pass that ancestor's goodness test.
+
+    Returns the levels at which the implication failed (expected empty).
+    """
+    row = _distance_row(forest.space, _mask(forest.space, cube.members))
+    return _row_step_violations(forest, cube.center, cube.level, row, params)
+
+
 def boundary_layer(space: FiniteMetricSpace, cube: Cube, eps: float) -> BoundaryLayer:
     """Exact member set of the layer around the cube's boundary."""
     if eps <= 0:
         raise InvalidParams("eps must be positive")
     width = eps * cube.scale
-    near_inside = _distance_row(space, cube.members) <= width
-    near_outside = _distance_row(space, _complement(space, cube.members)) <= width
+    inside = _mask(space, cube.members)
+    near_inside = _distance_row(space, inside) <= width
+    near_outside = _distance_row(space, ~inside) <= width
     members = np.flatnonzero(near_inside & near_outside)
     return BoundaryLayer(cube=cube, eps=eps, members=frozenset(int(x) for x in members))
 
@@ -194,21 +220,28 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _center_cube(forest: LatticeForest, level: int, center: int) -> Cube:
-    """The cube of the fixed center, which a sampled grid may have dropped."""
-    forest.hierarchy._require_level(level)
-    if center not in forest.hierarchy.grid(level).members:
+def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
+    """Raise unless the level is the hierarchy's and its grid holds the fixed
+    center, which a sampled grid may have dropped."""
+    hierarchy._require_level(level)
+    if center not in hierarchy.grid(level).members:
         raise CenterNotInGrid(
             f"fixed center {center} absent from the level-{level} grid; "
             f"fix the center at the deterministic finest level")
-    return forest.cube(level, center)
+
+
+def _center_row(forest: LatticeForest, level: int, center: int) -> np.ndarray:
+    """The distance row of the fixed center's cube."""
+    _require_center(forest.hierarchy, level, center)
+    rows, held = forest.cube_table[level]
+    return _distance_row(forest.space, held[rows[center]])
 
 
 def _bad_row(forest: LatticeForest, rng, params: GoodnessParams, level: int,
              center: int) -> tuple[int, int]:
-    cube = _center_cube(forest, level, center)
-    return (int(not is_good(forest, cube, params)),
-            len(theorem_step_violations(forest, cube, params)))
+    row = _center_row(forest, level, center)
+    return (int(not _row_is_good(forest, level, row, params)),
+            len(_row_step_violations(forest, center, level, row, params)))
 
 
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,
@@ -338,22 +371,74 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
                            params: GoodnessParams, coarsest_level: int = 0,
                            limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
                            max_outcomes: int = 100_000) -> Fraction:
-    """Exact rational P(cube of the fixed center is good), by full enumeration."""
+    """Exact rational P(cube of the fixed center is good), over every outcome
+    of the construction.
+
+    The cap is that of ``enumerate_forest_outcomes``: every grid outcome and
+    its count of forests is listed first, and the same TooLargeForExhaustive
+    is raised when the unpruned count exceeds ``max_outcomes``.  No forest is
+    built.  Each grid outcome is walked depth-first from the finest level to
+    the coarsest: one step builds the cube matrices of the next coarser level
+    for all of its parent choices at once, tests them against the center's
+    cube when the level is coarser by at least r, and walks on only from the
+    good ones, since a bad cube stays bad whatever the coarser choices.  The
+    good leaves of a grid outcome, counted at the coarsest level, each carry
+    its forests' weight.
+    """
     center = space.resolve(center)
+    frames = list(_outcome_frames(space, params.delta, coarsest_level, limit,
+                                  max_outcomes))
+    for hierarchy, _, _ in frames:
+        _require_center(hierarchy, level, center)
     total = Fraction(0)
-    outcomes = enumerate_forest_outcomes(space, params.delta, coarsest_level,
-                                         limit=limit, max_outcomes=max_outcomes)
-    # pop each outcome once classified, so its cube table can be freed
-    while outcomes:
-        forest, prob = outcomes.pop()
-        if is_good(forest, _center_cube(forest, level, center), params):
-            total += prob
+    for hierarchy, children, weight in frames:
+        total += weight * _good_leaves(hierarchy, children, level, center, params)
     return total
+
+
+def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
+                 params: GoodnessParams) -> int:
+    """The number of parent maps of one grid outcome under which the cube of
+    the center at ``level`` is good; ``children`` lists, per level above the
+    coarsest, the level, its sorted points and their parent options."""
+    levels = hierarchy.levels
+    balls = {lev: _balls(hierarchy, lev) for lev in levels}
+    # per level above the coarsest, one row per parent map of its points, in
+    # itertools.product order, holding each point's parent row one level down
+    choices = {}
+    for lev, _, options in children:
+        row_of = {y: i for i, y in enumerate(balls[lev - 1][0])}
+        axes = np.meshgrid(*[[row_of[p] for p in opts] for opts in options],
+                           indexing="ij", copy=False)
+        choices[lev] = np.stack([a.ravel() for a in axes], axis=1)
+    center_row = balls[level][0].index(center)
+
+    def walk(lev: int, held: np.ndarray, row: np.ndarray | None) -> int:
+        """Good leaves below one level-lev cube matrix; ``row`` is the center's
+        distance row on its path once the walk has passed ``level``."""
+        if lev == levels[0]:
+            return 1
+        batch = np.repeat(balls[lev - 1][1][None], len(choices[lev]), axis=0)
+        _unite_children(batch, choices[lev], held)
+        if lev - 1 == level:
+            rows = _distance_row(hierarchy.space, batch[:, center_row])
+        else:
+            rows = itertools.repeat(row)
+            if lev - 1 <= level - params.r:
+                batch = batch[~_bad_against(row, batch, level, lev - 1, params)]
+        if lev - 1 == levels[0]:
+            return len(batch)
+        return sum(walk(lev - 1, cubes, r) for cubes, r in zip(batch, rows))
+
+    finest = levels[-1]
+    held = balls[finest][1]
+    return walk(finest, held, _distance_row(hierarchy.space, held[center_row])
+                if finest == level else None)
 
 
 def _really_good_row(forest: LatticeForest, rng, params: GoodnessParams,
                      level: int, center: int, a: float, p_q: float) -> tuple[int]:
-    good = is_good(forest, _center_cube(forest, level, center), params)
+    good = _row_is_good(forest, level, _center_row(forest, level, center), params)
     xi = float(rng.random())
     return (int(good and equalize(p_q, a, xi)),)
 

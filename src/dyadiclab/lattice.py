@@ -10,8 +10,15 @@ united with the level-(k+1) cubes of y's children, so a forest builds the
 cubes of every level once, in one pass from the finest level up, and keeps
 them in its ``cube_table`` as, per level, a map from center to row and one
 read-only boolean cube-by-point membership matrix, which every check reads.
-The link rule lives in one per-level helper, whose options the sampler, the
-exact enumeration and the capture check all read.
+That union is written once, for one parent map of a level pair or for a
+batch of them: a forest calls it with its own map, and the exact goodness
+walk with every parent choice of a level at once.  The link rule lives in
+one per-level helper, whose options the sampler, the exact enumeration and
+the capture check all read.  The exact enumeration is split the same way:
+one helper yields each grid outcome with its parent options and the weight
+of each of its forests, after the outcome cap is checked;
+``enumerate_forest_outcomes`` builds the product of those options, and the
+exact goodness walk reads the options without building any forest.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -139,13 +146,12 @@ class LatticeForest:
         h = self.hierarchy
         table: dict[int, tuple[dict[int, int], np.ndarray]] = {}
         for lev in reversed(h.levels):
-            centers = sorted(h.grid(lev).members)
+            centers, held = _balls(h, lev)
             rows = {y: i for i, y in enumerate(centers)}
-            held = h.space.d[centers] < h.scale(lev) / BALL_DIVISOR
             if lev + 1 in table:
                 finer_rows, finer_held = table[lev + 1]
                 up = [rows[self.parents[lev + 1][c]] for c in finer_rows]
-                np.logical_or.at(held, up, finer_held)
+                _unite_children(held, up, finer_held)
             held.setflags(write=False)
             table[lev] = (rows, held)
         return table
@@ -160,6 +166,26 @@ class LatticeForest:
                 f"no cube centered at {center} at level {level}") from None
         return Cube(center=int(center), level=level, scale=self.hierarchy.scale(level),
                     members=frozenset(np.flatnonzero(row).tolist()))
+
+
+def _balls(hierarchy: GridHierarchy, level: int) -> tuple[list[int], np.ndarray]:
+    """The level's grid points in ascending order, and the boolean
+    center-by-point matrix of their balls B(y, scale(level)/100)."""
+    centers = sorted(hierarchy.grid(level).members)
+    return centers, hierarchy.space.d[centers] < hierarchy.scale(level) / BALL_DIVISOR
+
+
+def _unite_children(held: np.ndarray, parent_rows, finer_held: np.ndarray) -> None:
+    """The cube rule between levels k+1 and k: cube(y, k) = B(y, scale(k)/100)
+    united with cube(c, k+1) over the children c of y.  ``held`` holds the
+    level-k balls, center by point, on entry and the level-k cubes on return;
+    ``finer_held`` is the level-(k+1) cube matrix, and ``parent_rows`` gives,
+    per row of ``finer_held``, the row of its parent.  With a leading batch
+    axis on ``held`` and on ``parent_rows``, it applies one parent map per
+    batch element; a single map takes numpy's fast path for a flat index."""
+    index = (parent_rows if held.ndim == 2
+             else (np.arange(len(parent_rows))[:, None], parent_rows))
+    np.logical_or.at(held, index, finer_held)
 
 
 def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
@@ -479,18 +505,15 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 
 # --- exact enumeration of the whole random construction -------------------------
 
-def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
-                              coarsest_level: int,
-                              limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                              max_outcomes: int = 100_000,
-                              ) -> list[tuple[LatticeForest, Fraction]]:
-    """All (forest, probability) outcomes of the construction on a small space.
-
-    Grid choices are uniform over the maximal-set family at each level
-    (conditioned on the finer levels), and parent choices are uniform over the
-    candidate lists; probabilities are exact rationals and sum to one.  The
-    forests of a grid outcome, all of equal weight, are the product of every
-    child's options; the cap is checked on its size before any is built.
+def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
+                    limit: int, max_outcomes: int):
+    """Per grid outcome of the construction, in enumeration order: its
+    hierarchy, the (level, sorted children, per-child parent options) of every
+    level above the coarsest, and the weight prob / count that each of its
+    count forests carries, count being the product of the option counts.
+    Raises TooLargeForExhaustive when the grid outcomes, or the running count
+    of forests, exceed ``max_outcomes``, before yielding the grid outcome that
+    passes the cap.
     """
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
@@ -509,19 +532,40 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
         if len(grid_outcomes) > max_outcomes:
             raise TooLargeForExhaustive("too many grid outcomes")
 
-    results: list[tuple[LatticeForest, Fraction]] = []
+    total = 0
     for grids, prob in grid_outcomes:
         hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
-        children = [(lev, sorted(grids[lev].members)) for lev in levels[1:]]
-        options = [opts for lev, kids in children
-                   for opts in _parent_options(space, kids, grids[lev - 1])]
-        count = math.prod(map(len, options))
-        if len(results) + count > max_outcomes:
+        children = []
+        for lev in levels[1:]:
+            kids = sorted(grids[lev].members)
+            children.append((lev, kids, _parent_options(space, kids, grids[lev - 1])))
+        count = math.prod(len(opts) for _, _, options in children for opts in options)
+        if total + count > max_outcomes:
             raise TooLargeForExhaustive("too many parent outcomes")
-        weight = prob / count
+        total += count
+        yield hierarchy, children, prob / count
+
+
+def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
+                              coarsest_level: int,
+                              limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+                              max_outcomes: int = 100_000,
+                              ) -> list[tuple[LatticeForest, Fraction]]:
+    """All (forest, probability) outcomes of the construction on a small space.
+
+    Grid choices are uniform over the maximal-set family at each level
+    (conditioned on the finer levels), and parent choices are uniform over the
+    candidate lists; probabilities are exact rationals and sum to one.  The
+    forests of a grid outcome, all of equal weight, are the product of every
+    child's options; the cap is checked on its size before any is built.
+    """
+    results: list[tuple[LatticeForest, Fraction]] = []
+    for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level,
+                                                       limit, max_outcomes):
+        options = [opts for _, _, level_options in children for opts in level_options]
         for choice in itertools.product(*options):
             picks = iter(choice)
-            parents = {lev: {c: next(picks) for c in kids} for lev, kids in children}
+            parents = {lev: {c: next(picks) for c in kids} for lev, kids, _ in children}
             results.append((LatticeForest(hierarchy=hierarchy, parents=parents), weight))
     return results
 

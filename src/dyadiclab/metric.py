@@ -124,7 +124,9 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
     of duplicate points, and the triangle inequality.  The first violation
     found is raised with its witness indices; the triangle check reports the
     lexicographically smallest violating triple (i, j, k) with
-    dist(i,k) > dist(i,j) + dist(j,k).
+    dist(i,k) > dist(i,j) + dist(j,k), and by how much dist(i,k) exceeds that
+    floating sum: always positive, and as small as one ulp when rounding alone
+    breaks the inequality.
     """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -160,7 +162,8 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
         bad = tail[i] > d[i][:, None] + tail
         if bad.any():
             j, c = divmod(int(bad.argmax()), n - 1 - i)
-            raise TriangleViolation(i, j, i + 1 + c)
+            k = i + 1 + c
+            raise TriangleViolation(i, j, k, float(d[i, k] - (d[i, j] + d[j, k])))
     return FiniteMetricSpace(points, d)
 
 

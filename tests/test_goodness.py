@@ -1,5 +1,7 @@
 """Good/bad classification, boundary layers, Monte Carlo estimates, equalization."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import dyadiclab as dl
 from dyadiclab.errors import (
     CenterNotInGrid,
+    DyadicLabError,
     InvalidParams,
     InvalidProbabilities,
     InvalidTrials,
@@ -14,7 +17,6 @@ from dyadiclab.errors import (
 )
 from dyadiclab.goodness import (
     GoodnessParams,
-    _complement,
     estimate_bad_probability,
     estimate_boundary_decay,
     estimate_really_good,
@@ -75,6 +77,10 @@ def test_elbow_badness_matches_hand_analysis(elbow):
         bad += not dl.is_good(forest, cube, PARAMS)
     sigma = (0.25 * 0.75 / trials) ** 0.5
     assert abs(bad / trials - 0.25) <= 4 * sigma
+
+
+def _complement(space: dl.FiniteMetricSpace, members) -> list[int]:
+    return [i for i in range(len(space)) if i not in members]
 
 
 # the classifiers as first written, over set_distance and _complement, kept as
@@ -162,6 +168,136 @@ def test_theorem_step_depth_gate():
 
 def test_exact_good_probability_elbow(elbow):
     assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
+
+
+# exact_good_probability as it was before the pruned level walk, kept verbatim
+# with the center check it called as its oracle: it classifies the center's
+# cube in every enumerated forest
+def reference_center_cube(forest: dl.LatticeForest, level: int, center: int) -> dl.Cube:
+    """The cube of the fixed center, which a sampled grid may have dropped."""
+    forest.hierarchy._require_level(level)
+    if center not in forest.hierarchy.grid(level).members:
+        raise CenterNotInGrid(
+            f"fixed center {center} absent from the level-{level} grid; "
+            f"fix the center at the deterministic finest level")
+    return forest.cube(level, center)
+
+
+def reference_exact_good_probability(space: dl.FiniteMetricSpace, center: int | str,
+                                     level: int, params: GoodnessParams,
+                                     coarsest_level: int = 0, limit: int = 20,
+                                     max_outcomes: int = 100_000) -> Fraction:
+    """Exact rational P(cube of the fixed center is good), by full enumeration."""
+    center = space.resolve(center)
+    total = Fraction(0)
+    outcomes = dl.enumerate_forest_outcomes(space, params.delta, coarsest_level,
+                                            limit=limit, max_outcomes=max_outcomes)
+    # pop each outcome once classified, so its cube table can be freed
+    while outcomes:
+        forest, prob = outcomes.pop()
+        if dl.is_good(forest, reference_center_cube(forest, level, center), params):
+            total += prob
+    return total
+
+
+def exact_outcome(exact, *args, **kwargs):
+    try:
+        return exact(*args, **kwargs)
+    except DyadicLabError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+ORACLE_PARAMS = [GoodnessParams(delta=0.1, gamma=gamma, r=r)
+                 for gamma, r in ((0.1, 1), (0.5, 1), (0.5, 2))]
+
+
+def test_exact_good_probability_matches_reference(small_family, elbow, ladder,
+                                                  singleton, monkeypatch):
+    """The walk against full enumeration: every level, at the first and last
+    point of each space of at most 9 points, and at every point of the elbow,
+    the ladder and a one-level singleton, for three (gamma, r) pairs; on the
+    elbow and the ladder also from coarsest level 1.  A center that a coarse
+    grid can drop must raise the same error as the reference."""
+    cases = [(space, center, 0) for _, space in small_family if len(space) <= 9
+             for center in (0, len(space) - 1)]
+    cases += [(space, center, 0) for space in (elbow, ladder, singleton)
+              for center in range(len(space))]
+    cases += [(space, center, 1) for space in (elbow, ladder)
+              for center in range(len(space))]
+    # the reference enumerates each space once and reuses the forests, and so
+    # their cube tables, for every case on that space
+    enumerate_outcomes = dl.enumerate_forest_outcomes
+    memo = {}
+
+    def enumerate_once(space, *args, **kwargs):
+        key = (id(space), args, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo.clear()
+            memo[key] = enumerate_outcomes(space, *args, **kwargs)
+        return list(memo[key])
+
+    monkeypatch.setattr(dl, "enumerate_forest_outcomes", enumerate_once)
+    kinds = {"P = 1": 0, "P < 1": 0, "CenterNotInGrid": 0}
+    for space, center, n0 in cases:
+        for level in range(n0, dl.finest_level(space, 0.1, n0) + 1):
+            for params in ORACLE_PARAMS:
+                want = exact_outcome(reference_exact_good_probability, space,
+                                     center, level, params, n0)
+                assert exact_outcome(exact_good_probability, space, center,
+                                     level, params, n0) == want
+                if isinstance(want, tuple):
+                    kinds[want[0]] += 1
+                else:
+                    kinds["P = 1" if want == 1 else "P < 1"] += 1
+    assert min(kinds.values()) > 0
+
+
+def test_exact_good_probability_errors_match_reference(elbow):
+    """A level outside the hierarchy, a center some grid outcome drops, an
+    11-point cloud past the default cap, and a cap one below the count."""
+    cloud11 = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
+                            min_sep=0.05)
+    count = len(dl.enumerate_forest_outcomes(elbow, 0.1, 0))
+    cases = [((elbow, "x", 5, PARAMS), {}, "InvalidParams"),
+             ((elbow, "u", 1, PARAMS), {}, "CenterNotInGrid"),
+             ((cloud11, 0, 2, PARAMS), {}, "TooLargeForExhaustive"),
+             ((elbow, "x", 2, PARAMS), {"max_outcomes": count - 1},
+              "TooLargeForExhaustive")]
+    for args, kwargs, kind in cases:
+        got = exact_outcome(exact_good_probability, *args, **kwargs)
+        assert got == exact_outcome(reference_exact_good_probability, *args, **kwargs)
+        assert got[0] == kind
+    assert exact_good_probability(elbow, "x", 2, PARAMS, max_outcomes=count) \
+        == Fraction(3, 4)
+
+
+def test_exact_small_benchmark_reference():
+    """The seed-0 gate of the benchmark's exact-small workload: its recorded
+    P(good) of the finest cube of point 0, per space of the criterion-1
+    family with at most 9 points, recomputed with the library."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    with open(path) as fh:
+        reference = json.load(fh)["exact-small"]
+    spaces = {}
+    for seed in range(25):
+        spaces[f"cloud{seed}"] = dl.make_space(
+            "random_cloud", seed=seed, n=4 + seed % 9, dim=1 + seed % 3,
+            scale=2.2, min_sep=0.05)
+    for branching, height in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                              (1, 7), (2, 1), (2, 2), (3, 1)]:
+        spaces[f"tree{branching}{height}"] = dl.make_space(
+            "tree", branching=branching, height=height).rescale(2.0)
+    for i in range(15):
+        base = dl.make_space("random_cloud", seed=100 + i, n=4 + i % 9, dim=2,
+                             scale=2.5, min_sep=0.05)
+        spaces[f"snow{i}"] = dl.make_space("snowflake", base=base,
+                                           alpha=0.5 if i % 2 == 0 else 0.75)
+    small = {label for label, space in spaces.items() if len(space) <= 9}
+    assert set(reference) == small and len(small) == 40
+    for label in sorted(small):
+        space = spaces[label]
+        got = exact_good_probability(space, 0, dl.finest_level(space, 0.1, 0), PARAMS)
+        assert str(got) == reference[label], label
 
 
 def test_goodness_monotone_in_r(elbow):

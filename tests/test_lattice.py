@@ -416,14 +416,14 @@ def test_forest_invariants_report_unnested_cube():
 
 def find_divergent_seed(space, widths, max_seed=400):
     """First seed whose forest leaves the probe within the widest layer."""
-    from dyadiclab.goodness import _complement
     from dyadiclab.metric import set_distance
 
     for seed in range(max_seed):
         forest = shared_stream_forest(space, 0.001, 0, seed=seed)
         owner = forest.ancestor(0, forest.hierarchy.finest_level, 0)
         cube = next(c for c in dl.build_cubes(forest, 0) if c.center == owner)
-        depth = set_distance(space, [0], _complement(space, cube.members))
+        outside = [i for i in range(len(space)) if i not in cube.members]
+        depth = set_distance(space, [0], outside)
         if depth <= widths:
             return seed, forest
     raise AssertionError("no divergent seed found")

@@ -35,6 +35,17 @@ def test_triangle_violation_reports_triple():
     with pytest.raises(TriangleViolation) as exc:
         dl.validate_metric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert (exc.value.i, exc.value.j, exc.value.k) == (0, 1, 2)
+    assert str(exc.value) == "dist(0,2) > dist(0,1) + dist(1,2) by 3.0"
+
+
+def test_triangle_violation_states_a_rounding_excess():
+    """0.7 + 0.1 rounds to 0.7999999999999999, so an exact 0.8 fails the
+    check by one ulp, and the message says so."""
+    with pytest.raises(TriangleViolation) as exc:
+        dl.validate_metric([[0, 0.7, 0.8], [0.7, 0, 0.1], [0.8, 0.1, 0]])
+    assert str(exc.value) == ("dist(0,2) > dist(0,1) + dist(1,2) "
+                              f"by {0.8 - (0.7 + 0.1)!r}")
+    assert 0.8 - (0.7 + 0.1) == np.spacing(0.7 + 0.1)
 
 
 def test_asymmetric_matrix():
@@ -334,7 +345,8 @@ def reference_validate_metric(matrix, points=None) -> dl.FiniteMetricSpace:
             bad = np.flatnonzero(d[i] > d[i, j] + d[j])
             bad = [k for k in bad if k != i and k != j]
             if bad:
-                raise TriangleViolation(i, j, int(bad[0]))
+                k = int(bad[0])
+                raise TriangleViolation(i, j, k, float(d[i, k] - (d[i, j] + d[j, k])))
     return dl.FiniteMetricSpace(points, d)
 
 
@@ -434,7 +446,9 @@ def test_triangle_witness_is_smallest_of_several_violations():
             assert got[0] == "ok"
             continue
         i, j, k = (int(x) for x in triples[0])
-        assert got == ("TriangleViolation", str(TriangleViolation(i, j, k)))
+        excess = float(d[i, k] - (d[i, j] + d[j, k]))
+        assert excess > 0
+        assert got == ("TriangleViolation", str(TriangleViolation(i, j, k, excess)))
         same_row += int((triples[1:, 0] == i).any())
         other_rows += int((triples[:, 0] != i).any())
         late_row += int(i >= len(d) // 2)
