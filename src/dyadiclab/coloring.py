@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     InjectivityViolation,
@@ -38,7 +38,6 @@ __all__ = [
 class ProperColoring:
     """Red point set of one proper coloring; everything else is green."""
     red: frozenset[int]
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def enumerate_proper_colorings(space: FiniteMetricSpace,
                                limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> ColoringUniverse:
     """All proper colorings; red sets are exactly the maximal 1-separated subsets."""
     grids = enumerate_maximal_separated(space, range(len(space)), 1.0, limit=limit)
-    colorings = tuple(ProperColoring(red=g.members, n_points=len(space)) for g in grids)
+    colorings = tuple(ProperColoring(red=g.members) for g in grids)
     return ColoringUniverse(space=space, colorings=colorings,
                             d=max_ball_occupancy(space, 1.0))
 
@@ -140,12 +139,11 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
               if not any(space.d[y, r] < 1.0 for r in red)]
     # the ascending scan is the greedy 1-separated grid of the yellow points
     red.update(greedy_grid(space, yellow, 1.0, yellow).members)
-    return ProperColoring(red=frozenset(red), n_points=len(space))
+    return ProperColoring(red=frozenset(red))
 
 
 @dataclass
 class RecoloringReport:
-    v: int
     card_b: int
     class_sizes: dict[frozenset, int] = field(default_factory=dict)
     checked: int = 0
@@ -170,7 +168,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
     v = space.resolve(v)
     ball_v = ball(space, v, 1.0, mode="open")
     b_class = [c for c in universe.colorings if v in c.red]
-    rep = RecoloringReport(v=v, card_b=len(b_class))
+    rep = RecoloringReport(card_b=len(b_class))
 
     classes: dict[frozenset, list[ProperColoring]] = {}
     for col in universe.colorings:
@@ -191,9 +189,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
         for col in members:
             out = recolor(universe, col, v, s_set)
             rep.checked += 1
-            if v not in out.red:
-                rep.improper_outputs.append(out.red)
-            elif not is_proper(space, out.red):
+            if v not in out.red or not is_proper(space, out.red):
                 rep.improper_outputs.append(out.red)
             changed = (col.red ^ out.red)
             if not changed <= allowed:
@@ -225,8 +221,7 @@ def tree_experiment(branching: int, height: int, vertex: int | str | None = None
             raise TooLargeForExhaustive(
                 f"tree with branching {branching} and height {height} has more "
                 f"than {limit} vertices, the exhaustive cap")
-    space = make_space("tree", branching=branching, height=height)
-    grids = enumerate_maximal_separated(space, range(len(space)), 2.0, limit=limit)
-    v = space.resolve(vertex if vertex is not None else "r")
-    hits = sum(1 for g in grids if v in g.members)
-    return Fraction(hits, len(grids))
+    tree = make_space("tree", branching=branching, height=height)
+    # integer distances: d/2 < 1 exactly when d < 2
+    universe = enumerate_proper_colorings(tree.rescale(2.0), limit=limit)
+    return membership_probability(universe, vertex if vertex is not None else "r")

@@ -37,8 +37,8 @@ from .errors import (
     ScheduleInvalid,
 )
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
-from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
-                      build_forest)
+from .lattice import (DEFAULT_MAX_OUTCOMES, Cube, LatticeForest, _balls,
+                      _outcome_frames, _unite_children, build_forest)
 from .mc import run_chunked, trial_rng, loglog_slope, wilson_interval
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
@@ -305,15 +305,14 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
                             coarsest_level: int = 0,
                             mode: str = "exhaustive_uniform",
                             limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                            workers: int = 1,
-                            a_reference: float | None = None) -> DecayFit:
+                            workers: int = 1) -> DecayFit:
     """Estimate the probability that x falls in its cube's boundary layer,
     per epsilon of a decreasing schedule, from one shared set of trials.
 
     Because one trial serves every epsilon, the estimates are monotone by
     construction; a log-log slope is fitted over the positive ones.  The
-    reference exponent uses log(1-a)/log(delta) with the supplied membership
-    bound, or a conservative occupancy floor when none is given.
+    reference exponent is log(1-a)/log(delta), with a the conservative
+    occupancy floor of ``_reference_floor``.
     """
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
@@ -337,10 +336,8 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     if len({e for e, _ in positive}) >= 2:
         eta_hat = loglog_slope([e for e, _ in positive], [p for _, p in positive])
 
-    a_ref = a_reference
-    if a_ref is None:
-        a_ref = _reference_floor(space, level, params,
-                                 finest_level(space, params.delta, coarsest_level))
+    a_ref = _reference_floor(space, level, params,
+                             finest_level(space, params.delta, coarsest_level))
     eta_reference = None
     if a_ref is not None and 0 < a_ref < 1:
         eta_reference = math.log(1 - a_ref) / math.log(params.delta)
@@ -370,7 +367,7 @@ def equalize(p_q: float, a: float, xi: float) -> bool:
 def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: int,
                            params: GoodnessParams, coarsest_level: int = 0,
                            limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                           max_outcomes: int = 100_000) -> Fraction:
+                           max_outcomes: int = DEFAULT_MAX_OUTCOMES) -> Fraction:
     """Exact rational P(cube of the fixed center is good), over every outcome
     of the construction.
 
@@ -386,12 +383,11 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     its forests' weight.
     """
     center = space.resolve(center)
-    frames = list(_outcome_frames(space, params.delta, coarsest_level, limit,
-                                  max_outcomes))
-    for hierarchy, _, _ in frames:
-        _require_center(hierarchy, level, center)
     total = Fraction(0)
-    for hierarchy, children, weight in frames:
+    # listed in full first, so the cap is checked before any walk
+    for hierarchy, children, weight in list(_outcome_frames(
+            space, params.delta, coarsest_level, limit, max_outcomes)):
+        _require_center(hierarchy, level, center)
         total += weight * _good_leaves(hierarchy, children, level, center, params)
     return total
 

@@ -57,10 +57,6 @@ class GridHierarchy:
     grids: Mapping[int, Grid]
 
     @property
-    def coarsest_level(self) -> int:
-        return self.levels[0]
-
-    @property
     def finest_level(self) -> int:
         return self.levels[-1]
 

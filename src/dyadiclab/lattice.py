@@ -72,6 +72,7 @@ DIAMETER_FACTOR = 21.0      # asserted cube diameter bound, in units of the scal
 ANCESTOR_FACTOR = 10.0      # asserted ancestor proximity bound
 COVER_FACTOR = 3.0          # asserted grid covering radius
 MAX_CHAIN_DELTA = 1.0 / 1000.0  # largest scale ratio the chain separation assumes
+DEFAULT_MAX_OUTCOMES = 100_000  # cap on the forests of every exact enumeration
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,6 @@ class GridCoverReport:
     max_distance: float
     bound: float            # asserted: 3 * scale
     sharp_bound: float      # scale / (1 - delta), from the telescoping argument
-    worst_point: int
     sharp_ok: bool
 
 
@@ -305,7 +305,7 @@ def check_grid_cover(hierarchy: GridHierarchy, level: int) -> GridCoverReport:
             f"(> {bound})", witness=worst)
     sharp = scale / (1.0 - hierarchy.delta)
     return GridCoverReport(level=level, max_distance=float(dist[worst]),
-                           bound=bound, sharp_bound=sharp, worst_point=worst,
+                           bound=bound, sharp_bound=sharp,
                            sharp_ok=bool(dist[worst] <= sharp))
 
 
@@ -549,7 +549,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
 def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
                               coarsest_level: int,
                               limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                              max_outcomes: int = 100_000,
+                              max_outcomes: int = DEFAULT_MAX_OUTCOMES,
                               ) -> list[tuple[LatticeForest, Fraction]]:
     """All (forest, probability) outcomes of the construction on a small space.
 

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -63,14 +64,8 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
     workers = min(workers, trials)
     if workers <= 1:
         return np.asarray(worker(payload, 0, trials))
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(payload, int(lo), int(hi))
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+    los, his = zip(*[(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_call_worker, [(worker, c) for c in chunks]))
+        parts = list(pool.map(worker, itertools.repeat(payload), los, his))
     return np.concatenate(parts, axis=0)
-
-
-def _call_worker(packed):
-    worker, (payload, lo, hi) = packed
-    return np.asarray(worker(payload, lo, hi))

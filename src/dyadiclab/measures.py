@@ -71,11 +71,6 @@ def weighted_measure_from_maps(space: FiniteMetricSpace,
     return WeightedMeasure(mu=values("mu", mu), w=values("w", w))
 
 
-def _center_radii(space: FiniteMetricSpace, center: int) -> np.ndarray:
-    """Radii producing every distinct closed ball around the center."""
-    return np.unique(space.d[center])
-
-
 def a2_characteristic(space: FiniteMetricSpace, wm: WeightedMeasure) -> float:
     """Supremum over closed balls of avg(w) * avg(1/w) with respect to mu.
 
@@ -91,7 +86,7 @@ def a2_characteristic(space: FiniteMetricSpace, wm: WeightedMeasure) -> float:
     best = -np.inf
     for center in range(len(space)):
         row = space.d[center]
-        for radius in _center_radii(space, center):
+        for radius in np.unique(row):
             inside = row <= radius
             mass = mu[inside].sum()
             if mass <= 0:

@@ -5,8 +5,9 @@ are addressed by integer index; every space also carries a tuple of opaque
 string names used for serialization and reports.  Threshold comparisons are
 exact floating comparisons with no tolerance, and generated spaces promise no
 margin: ``grid_points`` spaces put distances exactly on thresholds such as
-delta**k, and Euclidean cascade clouds can fail the exact triangle check by one
-ulp, which ``make_space`` then raises as a TriangleViolation.
+delta**k, and Euclidean clouds can fail the exact triangle check by one ulp.
+``make_space`` redraws such a cloud from the same stream, as it redraws one
+that breaks ``min_sep``, and refuses the parameters when 200 draws all fail.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import csv
 import itertools
 import json
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -318,6 +319,7 @@ def _cloud_space(rng: np.random.Generator, n: int, dim: int, scale: float,
                  spread: tuple[float, float]) -> FiniteMetricSpace:
     if n < 1 or dim < 1:
         raise InvalidParams("cloud needs n >= 1 and dim >= 1")
+    rounding = None  # the triangle failure of the last draw, if it had one
     for _ in range(200):
         if levels <= 0:
             pts = rng.uniform(0.0, scale, size=(n, dim))
@@ -345,9 +347,20 @@ def _cloud_space(rng: np.random.Generator, n: int, dim: int, scale: float,
             # exactly collinear points can break the exact triangle check
             # through rounding; a gentle parabola keeps strict real margins
             pts = np.column_stack([pts[:, 0], 0.05 * pts[:, 0] ** 2 / scale])
-        space = space_from_coords(pts)
+        try:
+            space = space_from_coords(pts)
+        except TriangleViolation as exc:
+            # coordinates rounded to distances can break the exact check by
+            # one ulp; such a draw is redrawn like one that is too dense
+            rounding = exc
+            continue
+        rounding = None
         if space.min_distance > min_sep:
             return space
+    if rounding is not None:
+        raise InvalidParams(
+            f"could not pass the exact triangle check after 200 attempts; "
+            f"the last draw failed with {rounding}") from rounding
     raise InvalidParams("could not satisfy min_sep after 200 attempts")
 
 
@@ -366,19 +379,20 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
                    for a hierarchical cascade cloud; requires a seed
     snowflake:     base (a FiniteMetricSpace), alpha in (0, 1]
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A key the kind does not take is refused.
     """
     try:
         if kind == "tree":
-            return _tree_space(int(params.pop("branching")), int(params.pop("height")))
-        if kind == "grid_points":
-            return _grid_space(params.pop("shape"), params.pop("spacing", 1.0))
-        if kind == "random_cloud":
+            build = partial(_tree_space, int(params.pop("branching")),
+                            int(params.pop("height")))
+        elif kind == "grid_points":
+            build = partial(_grid_space, params.pop("shape"), params.pop("spacing", 1.0))
+        elif kind == "random_cloud":
             if seed is None:
                 raise InvalidParams("random_cloud requires a seed")
-            rng = np.random.default_rng(seed)
-            return _cloud_space(
-                rng,
+            build = partial(
+                _cloud_space,
+                np.random.default_rng(seed),
                 n=int(params.pop("n")),
                 dim=int(params.pop("dim", 2)),
                 scale=float(params.pop("scale", 1.0)),
@@ -388,11 +402,16 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
                 ratio=float(params.pop("ratio", 0.1)),
                 spread=tuple(params.pop("spread", (0.25, 0.45))),
             )
-        if kind == "snowflake":
-            return _snowflake(params.pop("base"), float(params.pop("alpha")))
+        elif kind == "snowflake":
+            build = partial(_snowflake, params.pop("base"), float(params.pop("alpha")))
+        else:
+            raise InvalidParams(f"unknown space kind {kind!r}")
     except KeyError as exc:
         raise InvalidParams(f"missing parameter {exc} for kind {kind!r}") from None
-    raise InvalidParams(f"unknown space kind {kind!r}")
+    if params:
+        raise InvalidParams(
+            f"unknown parameters {sorted(params)} for kind {kind!r}")
+    return build()
 
 
 # --- input / output -------------------------------------------------------------

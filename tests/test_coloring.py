@@ -9,7 +9,9 @@ import dyadiclab as dl
 from dyadiclab import coloring
 from dyadiclab.cli import main
 from dyadiclab.coloring import RecoloringReport, is_proper
-from dyadiclab.errors import PreconditionNotWS, TooLargeForExhaustive
+from dyadiclab.errors import InvalidParams, PreconditionNotWS, TooLargeForExhaustive
+from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, enumerate_maximal_separated
+from dyadiclab.metric import make_space
 
 
 def brute_force_colorings(space):
@@ -183,6 +185,45 @@ def test_tree_experiment_matches_tree_mis_oracle():
             count += 1
             root_count += root in s
     assert dl.tree_experiment(2, 2) == Fraction(root_count, count)
+
+
+# tree_experiment as it was before it read the coloring universe, kept
+# verbatim as its oracle: it counts the root's maximal 2-separated sets itself
+def reference_tree_experiment(branching: int, height: int, vertex: int | str | None = None,
+                              limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Fraction:
+    """Exact probability that a tree vertex joins a uniform maximal 2-separated set.
+
+    The tree has unit edge lengths, so the conflict graph at threshold 2 is
+    the tree's own adjacency.  Defaults to the root.
+    """
+    if branching < 1 or height < 0:
+        raise InvalidParams("need branching >= 1 and height >= 0")
+    vertices = layer = 1
+    for _ in range(height):
+        layer *= branching
+        vertices += layer
+        if vertices > limit:
+            # the enumeration below would refuse anyway; fail before building
+            raise TooLargeForExhaustive(
+                f"tree with branching {branching} and height {height} has more "
+                f"than {limit} vertices, the exhaustive cap")
+    space = make_space("tree", branching=branching, height=height)
+    grids = enumerate_maximal_separated(space, range(len(space)), 2.0, limit=limit)
+    v = space.resolve(vertex if vertex is not None else "r")
+    hits = sum(1 for g in grids if v in g.members)
+    return Fraction(hits, len(grids))
+
+
+def test_tree_experiment_matches_reference():
+    """Membership in the coloring universe of the halved tree against the
+    direct count, at every vertex of the trees of branching 1-3 and height
+    0-2, by name, by index and by default."""
+    for branching in (1, 2, 3):
+        for height in (0, 1, 2):
+            tree = dl.make_space("tree", branching=branching, height=height)
+            for vertex in [None, *tree.points, *range(len(tree))]:
+                assert dl.tree_experiment(branching, height, vertex) == \
+                    reference_tree_experiment(branching, height, vertex)
 
 
 def test_tree_experiment_cap():

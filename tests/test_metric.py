@@ -210,6 +210,65 @@ def test_random_cloud_requires_seed():
         dl.make_space("random_cloud", n=8)
 
 
+def test_make_space_refuses_unknown_keys():
+    """A misspelt key used to be dropped, so the cascade below came back as a
+    uniform cloud."""
+    base = dl.validate_metric([[0, 1], [1, 0]])
+    for kind, params, key in [("random_cloud", dict(seed=1, n=5, levles=3), "levles"),
+                              ("tree", dict(branching=2, height=1, depth=3), "depth"),
+                              ("grid_points", dict(shape=(2,), spaceing=2.0), "spaceing"),
+                              ("snowflake", dict(base=base, alpha=0.5, beta=1), "beta")]:
+        with pytest.raises(InvalidParams, match=key):
+            dl.make_space(kind, **params)
+
+
+def test_rounding_cloud_is_redrawn():
+    """The first draw of this cascade breaks the exact triangle check by one
+    ulp; it is redrawn, and the result is a metric."""
+    space = dl.make_space("random_cloud", seed=1, n=600, dim=2, levels=6,
+                          branching=3, ratio=0.1)
+    assert len(space) == 600
+    dl.validate_metric(space.d)
+
+
+def test_benchmark_clouds_keep_their_draws(monkeypatch):
+    """A cloud is redrawn after a triangle failure only, and no cloud of the
+    benchmark has one, so each is built from the same draws as before."""
+    failures = []
+    build = dl.metric.space_from_coords
+
+    def spy(*args):
+        try:
+            return build(*args)
+        except TriangleViolation:
+            failures.append(args)
+            raise
+
+    monkeypatch.setattr(dl.metric, "space_from_coords", spy)
+    clouds = [dict(seed=10, n=60, dim=2, levels=4, ratio=0.1),
+              dict(seed=1, n=200, dim=2, levels=5, ratio=0.01)]
+    clouds += [dict(seed=s, n=4 + s % 9, dim=1 + s % 3, scale=2.2, min_sep=0.05)
+               for s in range(25)]
+    clouds += [dict(seed=100 + i, n=4 + i % 9, dim=2, scale=2.5, min_sep=0.05)
+               for i in range(15)]
+    for params in clouds:
+        dl.make_space("random_cloud", **params)
+    assert not failures
+
+
+def test_cloud_failure_names_the_last_condition(monkeypatch):
+    """When every draw fails, the refusal names what the last draw broke."""
+    with pytest.raises(InvalidParams, match="min_sep"):
+        dl.make_space("random_cloud", seed=0, n=5, min_sep=10.0)
+
+    def rounded(pts):
+        raise TriangleViolation(0, 1, 2, 5.551115123125783e-17)
+
+    monkeypatch.setattr(dl.metric, "space_from_coords", rounded)
+    with pytest.raises(InvalidParams, match="triangle check.*by 5.55"):
+        dl.make_space("random_cloud", seed=0, n=5)
+
+
 def test_grid_points_space():
     grid = dl.make_space("grid_points", shape=(2, 2), spacing=2.0)
     assert len(grid) == 4
