@@ -42,8 +42,8 @@ from .goodness import (
     estimate_really_good,
     exact_good_probability,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level,
-                    hierarchy_to_json)
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, MODES, build_nested_grids,
+                    finest_level, hierarchy_to_json)
 from .lattice import (
     build_forest,
     check_cube_cover,
@@ -139,23 +139,27 @@ def _cmd_validate(args) -> tuple[dict, int]:
     return _verdict(checks, data)
 
 
+def _level_rows(levels, check, fields) -> tuple[list, bool]:
+    """One report row per level, ``fields(check(level))`` or the error the
+    check raised, and whether every level passed."""
+    rows, ok = [], True
+    for level in levels:
+        try:
+            rows.append({"level": level, **fields(check(level))})
+        except DyadicLabError as exc:
+            ok = False
+            rows.append({"level": level, "error": str(exc)})
+    return rows, ok
+
+
 def _cmd_grids(args) -> tuple[dict, int]:
     space = _load(args.input)
     checks: list = []
     hierarchy, _ = _hierarchy(args, space)
-    rows = []
-    cover_ok = True
-    for level in hierarchy.levels:
-        try:
-            rep = check_grid_cover(hierarchy, level)
-            ok = True
-            rows.append({"level": level, "max_distance": rep.max_distance,
-                         "bound": rep.bound, "sharp_bound": rep.sharp_bound,
-                         "sharp_ok": rep.sharp_ok})
-        except DyadicLabError as exc:
-            ok = False
-            rows.append({"level": level, "error": str(exc)})
-        cover_ok &= ok
+    rows, cover_ok = _level_rows(
+        hierarchy.levels, lambda level: check_grid_cover(hierarchy, level),
+        lambda rep: {"max_distance": rep.max_distance, "bound": rep.bound,
+                     "sharp_bound": rep.sharp_bound, "sharp_ok": rep.sharp_ok})
     _check(checks, "grid_cover_within_3_scale", cover_ok)
     data = {"hierarchy": hierarchy_to_json(hierarchy), "cover": rows}
     return _verdict(checks, data)
@@ -166,15 +170,9 @@ def _cmd_lattice(args) -> tuple[dict, int]:
     checks: list = []
     hierarchy, rng = _hierarchy(args, space)
     forest = build_forest(hierarchy, rng)
-    cover_rows, cover_ok = [], True
-    for level in hierarchy.levels:
-        try:
-            rep = check_cube_cover(forest, level)
-            cover_rows.append({"level": level,
-                               "multi_covered": [space.name(i) for i in rep.multi_covered]})
-        except DyadicLabError as exc:
-            cover_ok = False
-            cover_rows.append({"level": level, "error": str(exc)})
+    cover_rows, cover_ok = _level_rows(
+        hierarchy.levels, lambda level: check_cube_cover(forest, level),
+        lambda rep: {"multi_covered": [space.name(i) for i in rep.multi_covered]})
     _check(checks, "cube_cover", cover_ok)
     inv = check_forest_invariants(forest)
     _check(checks, "forest_invariants", inv.ok, "; ".join(inv.violations[:3]))
@@ -236,6 +234,8 @@ def _cmd_coloring(args) -> tuple[dict, int]:
 
 
 def _cmd_goodness(args) -> tuple[dict, int]:
+    if args.freeze_above is not None:
+        raise ConfigError("--freeze-above applies to grids and lattice only")
     space = _load(args.input)
     checks: list = []
     try:
@@ -266,14 +266,16 @@ def _cmd_goodness(args) -> tuple[dict, int]:
     _check(checks, "boundary_decay_monotone", monotone)
 
     p_q, note = None, "plugin estimate, no exact identity on large spaces"
-    if len(space) <= args.limit:
+    if args.mode != MODES[0]:  # the exact law is that of uniform grids
+        note = f"plugin estimate, the exact identity needs {MODES[0]}, not {args.mode}"
+    elif len(space) <= args.limit:
         try:
             p_q = exact_good_probability(space, center, level, params,
                                          coarsest_level=args.n0, limit=args.limit)
         except TooLargeForExhaustive as exc:
             note = f"plugin estimate, exact enumeration refused: {exc}"
     if p_q is None:
-        # plugin estimate on large spaces; biased, reported without a verdict
+        # plugin estimate; biased, reported without a verdict
         p_hat = max(1.0 - est.fraction, 1.0 / args.trials)
         equalization = {"p_q_plugin": p_hat, "note": note}
     elif p_q > 0:
@@ -361,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n0", type=int, default=0,
                            help="coarsest hierarchy level")
             p.add_argument("--seed", type=_seed, required=True)
-            p.add_argument("--mode", default="exhaustive_uniform",
-                           choices=("exhaustive_uniform", "greedy_permutation"))
+            p.add_argument("--mode", default=MODES[0], choices=MODES)
             p.add_argument("--freeze-above", type=int, default=None,
-                           help="pin levels >= this index to deterministic grids")
+                           help="grids, lattice: pin levels >= this index to "
+                                "deterministic grids")
 
     common(sub.add_parser("validate", help="check the metric axioms"), seeded=False)
     common(sub.add_parser("grids", help="build nested grids and check covering"))
@@ -423,11 +425,14 @@ def _emit(report: dict, args) -> None:
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError:
             raise ConfigError("the report holds a non-finite number") from None
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    try:
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -441,6 +446,8 @@ def main(argv=None) -> int:
               if k not in ("subcommand", "out")}
     try:
         body, code = _DISPATCH[args.subcommand](args)
+        _emit({"schema": SCHEMA, "subcommand": args.subcommand,
+               "config": config, **body}, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -449,16 +456,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except DyadicLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    report = {"schema": SCHEMA, "subcommand": args.subcommand,
-              "config": config, **body}
-    try:
-        _emit(report, args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except OSError as exc:
-        sys.stderr.write(f"config error: cannot write the report: {exc}\n")
         return EXIT_CONFIG
     return code
 

@@ -283,22 +283,6 @@ def _decay_row(forest: LatticeForest, rng, params: GoodnessParams, x: int,
     return [int(depth <= eps * scale) for eps in eps_schedule]
 
 
-def _reference_floor(space: FiniteMetricSpace, level: int,
-                     params: GoodnessParams, finest: int) -> float | None:
-    """Conservative membership floor 2**-d over the levels above the cube level.
-
-    Occupancy is measured on the whole space, which can only overcount the
-    grid points of a sampled level, so the floor (and the derived exponent)
-    is a lower reference, not a fitted value.
-    """
-    ds = []
-    for lev in range(level + 1, finest + 1):
-        ds.append(max_ball_occupancy(space, params.delta ** (lev - 1)))
-    if not ds:
-        return None
-    return 0.5 ** max(ds)
-
-
 def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
                             eps_schedule: Sequence[float], trials: int, seed: int,
                             params: GoodnessParams,
@@ -311,8 +295,10 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
 
     Because one trial serves every epsilon, the estimates are monotone by
     construction; a log-log slope is fitted over the positive ones.  The
-    reference exponent is log(1-a)/log(delta), with a the conservative
-    occupancy floor of ``_reference_floor``.
+    reference exponent is log(1-a)/log(delta), with a = 2**-d and d the
+    largest open-ball occupancy of the whole space at delta**level, the largest
+    radius of the finer levels (None if there are none).  The whole space can
+    only overcount a sampled grid, so this is a lower reference, not a fit.
     """
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
@@ -336,11 +322,11 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     if len({e for e, _ in positive}) >= 2:
         eta_hat = loglog_slope([e for e, _ in positive], [p for _, p in positive])
 
-    a_ref = _reference_floor(space, level, params,
-                             finest_level(space, params.delta, coarsest_level))
     eta_reference = None
-    if a_ref is not None and 0 < a_ref < 1:
-        eta_reference = math.log(1 - a_ref) / math.log(params.delta)
+    if level < finest_level(space, params.delta, coarsest_level):
+        a_ref = 0.5 ** max_ball_occupancy(space, params.delta ** level)
+        if 0 < a_ref < 1:  # 2**-d underflows to 0 past d = 1074
+            eta_reference = math.log(1 - a_ref) / math.log(params.delta)
     return DecayFit(eps=tuple(eps), counts=tuple(counts),
                     estimates=tuple(estimates),
                     intervals=tuple(intervals), trials=trials,
@@ -449,7 +435,9 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     center = space.resolve(center)
+    a, p_q = float(a), float(p_q)
+    equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     payload = (space, params, coarsest_level, mode, limit, seed, _really_good_row,
-               (level, center, float(a), float(p_q)))
+               (level, center, a, p_q))
     rows = run_chunked(_trial_chunk, payload, trials, workers)
     return float(rows[:, 0].sum() / trials)

@@ -23,17 +23,18 @@ __all__ = [
     "Grid",
     "GridHierarchy",
     "DEFAULT_EXHAUSTIVE_LIMIT",
+    "MODES",
     "greedy_grid",
     "is_maximal_separated",
     "enumerate_maximal_separated",
     "sample_maximal_separated",
     "build_nested_grids",
     "finest_level",
-    "grid_to_json",
     "hierarchy_to_json",
 ]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,12 @@ def enumerate_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
     return [Grid(scale=k, members=c) for c in combos]
 
 
+def _require_mode(mode: str) -> None:
+    """Raise InvalidParams unless the mode is one of ``MODES``."""
+    if mode not in MODES:
+        raise InvalidParams(f"unknown sampling mode {mode!r}")
+
+
 def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: float,
                              rng: np.random.Generator,
                              mode: str = "exhaustive_uniform",
@@ -208,12 +215,11 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     for arbitrarily large bases but its distribution over maximal subsets is
     not uniform; probabilistic verdicts should use exhaustive_uniform.
     """
+    _require_mode(mode)
     base = sorted(space.resolve(p) for p in base)
     if mode == "greedy_permutation":
         order = [base[i] for i in rng.permutation(len(base))]
         return greedy_grid(space, base, k, order)
-    if mode != "exhaustive_uniform":
-        raise InvalidParams(f"unknown sampling mode {mode!r}")
     families = _component_families(space, base, k, limit, cache)
     members: set[int] = set()
     for fam in families:
@@ -268,6 +274,7 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
     index to the deterministic greedy grid in index order, leaving only the
     coarser choices random.
     """
+    _require_mode(mode)
     m = finest_level(space, delta, coarsest_level)
     rng = np.random.default_rng(rng)
     levels = list(range(coarsest_level, m + 1))
@@ -286,15 +293,10 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
 
 # --- serialization --------------------------------------------------------------
 
-def grid_to_json(space: FiniteMetricSpace, grid: Grid) -> dict:
-    return {"scale": grid.scale,
-            "members": [space.name(i) for i in sorted(grid.members)]}
-
-
 def hierarchy_to_json(h: GridHierarchy) -> dict:
     return {
         "delta": h.delta,
-        "levels": [
-            {"level": k, **grid_to_json(h.space, h.grids[k])} for k in h.levels
-        ],
+        "levels": [{"level": k, "scale": h.grids[k].scale,
+                    "members": [h.space.name(i) for i in sorted(h.grids[k].members)]}
+                   for k in h.levels],
     }

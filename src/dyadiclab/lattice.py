@@ -265,16 +265,15 @@ def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
 
 def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> TildeCube:
     """Space minus all other cubes of the level (closures are trivial here)."""
-    centers = {c.center for c in cubes}
-    if center not in centers:
-        raise UnknownCenter(f"no cube centered at {center}")
-    others: set[int] = set()
-    level = None
+    own, others = None, set()
     for c in cubes:
-        level = c.level
-        if c.center != center:
+        if c.center == center:
+            own = c
+        else:
             others |= c.members
-    return TildeCube(center=center, level=level,
+    if own is None:
+        raise UnknownCenter(f"no cube centered at {center}")
+    return TildeCube(center=center, level=own.level,
                      members=frozenset(range(len(space))) - others)
 
 
@@ -343,19 +342,25 @@ class ForestInvariantReport:
 
 
 def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
-    """Parent uniqueness, ancestor proximity, cube nesting, and diameter bounds."""
+    """Parent uniqueness and the link rule, ancestor proximity, cube nesting,
+    and diameter bounds."""
     h = forest.hierarchy
     space = h.space
     rep = ForestInvariantReport()
 
-    # no child may see two coarser points within the capture radius
+    # no child may see two coarser points within the capture radius, and
+    # every child's parent must be one of its link-rule options
     for lev in h.levels[1:]:
         children = sorted(h.grid(lev).members)
-        for child, (captured, _) in zip(children,
-                                        _link_rule(space, children, h.grid(lev - 1))):
+        for child, (captured, options) in zip(
+                children, _link_rule(space, children, h.grid(lev - 1))):
             if len(captured) > 1:
                 rep.violations.append(
                     f"child {child} at level {lev} captured by {captured}")
+            parent = forest.parents[lev][child]
+            if parent not in options:
+                rep.violations.append(f"child {child} at level {lev} has parent "
+                                      f"{parent}, not one of its options {options}")
 
     # every descendant stays within 10x the ancestor's scale
     for k in h.levels:

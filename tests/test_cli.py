@@ -163,6 +163,28 @@ def test_goodness_falls_back_when_exact_is_refused(tmp_path):
     assert equalization["p_q_plugin"] == max(1.0 - fraction, 1.0 / 50)
 
 
+def test_goodness_greedy_mode_takes_the_plugin_path(tmp_path):
+    """The exact law is that of uniform grids, so a greedy run is not checked
+    against it.  On the path a-b-c the uniform law picks {b} at level 1 with
+    probability 1/2, the greedy sampler with probability 1/3."""
+    src = tmp_path / "path.json"
+    src.write_text(json.dumps({
+        "points": ["a", "b", "c"],
+        "dist": [[0, 0.07, 0.13], [0.07, 0, 0.07], [0.13, 0.07, 0]],
+    }))
+    args = ["goodness", "--input", str(src), "--delta", "0.1", "--gamma", "0.1",
+            "--r", "1", "--center", "b", "--trials", "200", "--seed", "1",
+            "--mode", "greedy_permutation"]
+    _, out = run_to_file(tmp_path, args)
+    report = json.loads(out.read_text())
+    fraction = report["data"]["bad_probability"]["fraction"]
+    assert report["data"]["equalization"] == {
+        "p_q_plugin": max(1.0 - fraction, 1.0 / 200),
+        "note": "plugin estimate, the exact identity needs exhaustive_uniform, "
+                "not greedy_permutation"}
+    assert "equalization_frequency" not in {c["name"] for c in report["checks"]}
+
+
 def test_a2_subcommand(tmp_path):
     payload = {
         "points": ["p", "q"],
@@ -245,12 +267,14 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["grids", "--input", "{elbow}", "--seed", "0", "--out", "{dir}/no/r.json"], 2,
      "config error: cannot write the report"),
     (GOODNESS + ["--seed", "0", "--eps-schedule", "nan"], 2, "error: eps values"),
+    (GOODNESS + ["--seed", "0", "--freeze-above", "0"], 2,
+     "config error: --freeze-above applies to grids and lattice only"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--delta", "0.1", "--n0", "-308",
       "--out", "{dir}/r.json"], 2,
      "config error: the report holds a non-finite number"),
 ], ids=["dir-input", "dir-input-lattice", "level-above", "level-below",
         "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps",
-        "infinite-bound"])
+        "goodness-freeze-above", "infinite-bound"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
     argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]

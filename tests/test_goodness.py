@@ -1,5 +1,6 @@
 """Good/bad classification, boundary layers, Monte Carlo estimates, equalization."""
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from dyadiclab.goodness import (
     exact_good_probability,
     theorem_step_violations,
 )
+from dyadiclab.grids import finest_level
 from dyadiclab.mc import wilson_interval
 
 
@@ -436,6 +438,44 @@ def test_decay_schedule_validation(decay_probe):
                                 seed=0, params=DECAY_PARAMS)
 
 
+def reference_floor(space: dl.FiniteMetricSpace, level: int,
+                    params: GoodnessParams, finest: int) -> float | None:
+    """Conservative membership floor 2**-d over the levels above the cube level.
+
+    Occupancy is measured on the whole space, which can only overcount the
+    grid points of a sampled level, so the floor (and the derived exponent)
+    is a lower reference, not a fitted value.
+    """
+    ds = []
+    for lev in range(level + 1, finest + 1):
+        ds.append(dl.max_ball_occupancy(space, params.delta ** (lev - 1)))
+    if not ds:
+        return None
+    return 0.5 ** max(ds)
+
+
+def reference_eta(space, level, params, finest):
+    """The reference exponent as computed from the per-level floor above."""
+    a_ref = reference_floor(space, level, params, finest)
+    if a_ref is not None and 0 < a_ref < 1:
+        return math.log(1 - a_ref) / math.log(params.delta)
+    return None
+
+
+def test_decay_reference_matches_per_level_floor(small_family):
+    """One occupancy call at delta**level gives the exponent of the old
+    maximum over every level finer than the cube's."""
+    for delta in (0.1, 0.001):
+        params = GoodnessParams(delta=delta, gamma=0.1, r=1)
+        for _, space in small_family:
+            finest = finest_level(space, delta, 0)
+            for level in range(finest + 1):
+                fit = estimate_boundary_decay(space, 0, level, (delta / 500,),
+                                              trials=1, seed=0, params=params)
+                assert fit.eta_reference == reference_eta(space, level, params,
+                                                          finest)
+
+
 # --- equalization ------------------------------------------------------------------------
 
 def test_equalize_examples():
@@ -448,6 +488,16 @@ def test_equalize_examples():
         dl.equalize(0.0, 0.0, 0.5)
     with pytest.raises(InvalidProbabilities):
         dl.equalize(0.6, 0.3, 1.5)
+
+
+def test_really_good_refuses_bad_pair_whatever_the_draws(elbow):
+    """a > p_q is refused before the first trial, also on seeds whose one
+    trial draws a bad cube and so never reaches the equalization coin."""
+    level = finest_level(elbow, PARAMS.delta, 0)
+    for seed in range(6):
+        with pytest.raises(InvalidProbabilities):
+            estimate_really_good(elbow, "x", level, PARAMS, 5.0, 0.5, trials=1,
+                                 seed=seed)
 
 
 def test_really_good_frequency_elbow(elbow):

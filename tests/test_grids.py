@@ -163,6 +163,18 @@ def test_nested_coarsest_beyond_finest(singleton):
         dl.build_nested_grids(space, 0.5, 5, rng=0)
 
 
+def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
+    """A bad mode is refused also when no level is sampled: on a singleton,
+    and when every level below the finest is frozen."""
+    with pytest.raises(InvalidParams, match="unknown sampling mode 'bogus'"):
+        dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, np.random.default_rng(0),
+                                    mode="bogus")
+    with pytest.raises(InvalidParams, match="unknown sampling mode 'bogus'"):
+        dl.build_nested_grids(singleton, 0.1, 0, 1, mode="bogus")
+    with pytest.raises(InvalidParams, match="unknown sampling mode 'bogus'"):
+        dl.build_nested_grids(l3, 0.1, 0, 1, mode="bogus", freeze_above=0)
+
+
 def test_hierarchy_serialization(l3):
     h = dl.build_nested_grids(l3, 0.1, 0, rng=0)
     payload = hierarchy_to_json(h)

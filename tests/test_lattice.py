@@ -398,6 +398,18 @@ def test_forest_invariants_report_double_capture():
         "child 1 at level 1 captured by [0, 1]"]
 
 
+def test_forest_invariants_report_parent_outside_options():
+    """Child 0 is captured by itself, so its only option is 0; a parent map
+    that links it to 2 breaks the link rule and is reported."""
+    space = dl.space_from_coords([[0.0], [0.5], [3.0]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 2})),
+        1: Grid(scale=0.1, members=frozenset({0, 1, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 2, 1: 0, 2: 2}})
+    assert dl.check_forest_invariants(forest).violations == [
+        "child 0 at level 1 has parent 2, not one of its options [0]"]
+
+
 def test_forest_invariants_report_unnested_cube():
     """A hand-set cube table whose child row holds a point its parent's lacks."""
     space = dl.space_from_coords([[0.0], [0.05]])
