@@ -17,7 +17,10 @@ The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
-table, without building a ``Cube``.
+table, without building a ``Cube``.  A trial first replays its draws along
+the draw paths of the earlier trials of its chunk, so a chunk builds and
+classifies each distinct forest once; the streams are drawn as if every
+trial built its own forest.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -206,17 +210,102 @@ class DecayFit:
     seed: int
 
 
+_MISS_BUDGET = 256  # draw paths one trial chunk adds to its trie; later misses only build
+
+
+@cache
+def _recorder_type() -> type:
+    """The recorder class, made on first use: naming ``np.random`` at import
+    would load numpy.random with this module."""
+
+    class Recorder(np.random.Generator):
+        """A generator on a shared bit generator that logs the draw calls a
+        forest's build makes, as ((method, argument), drawn values) pairs."""
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.path: list = []
+
+        def _logged(self, call: tuple, values: np.ndarray) -> np.ndarray:
+            self.path.append((call, tuple(values.tolist())))
+            return values
+
+        def integers(self, bounds):
+            return self._logged(("integers", bounds), super().integers(bounds))
+
+        def permutation(self, n):
+            return self._logged(("permutation", n), super().permutation(n))
+
+    return Recorder
+
+
+class _Node:
+    """A node of a chunk's draw trie: the next draw call of every trial that
+    reaches it, and per tuple of drawn values the next node, or the forest
+    part of the row where the draws end."""
+    __slots__ = ("call", "after")
+
+    def __init__(self, call: tuple):
+        self.call, self.after = call, {}
+
+
+def _replay(node, rng: np.random.Generator):
+    """Make the trial's draws down the trie from ``node``: the row part at the
+    end of its path, or None when the path leaves the trie."""
+    while isinstance(node, _Node):
+        method, arg = node.call
+        node = node.after.get(tuple(getattr(rng, method)(arg).tolist()))
+    return node
+
+
+def _insert(root, path: list, part):
+    """The trie ``root`` (None when empty) with one more draw path, whose end
+    holds ``part``."""
+    if not path:
+        return part
+    node = root = _Node(path[0][0]) if root is None else root
+    for (_, values), (call, _) in zip(path, path[1:]):
+        node = node.after.setdefault(values, _Node(call))
+    node.after[path[-1][1]] = part
+    return root
+
+
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
-    ``trial_rng(seed, t)``, then ``row(forest, rng, params, *args)``."""
-    space, params, coarsest_level, mode, limit, seed, row, args = payload
+    ``trial_rng(seed, t)``, its part ``row(forest)``, and the row
+    ``finish(part, rng)``, whose own draws come after the forest's (the row is
+    the part itself when ``finish`` is None).
+
+    A forest is a function of its drawn values, and the bounds of each draw
+    call are a function of the values before it.  So the chunk keeps a trie
+    of draw paths, built and dropped within the call: a trial first replays
+    its draws down the trie, and one that reaches a leaf takes its part and
+    builds nothing.  One that leaves the trie rewinds its stream, builds the
+    forest through a recorder on the same bit generator, and adds its path
+    while the chunk has had fewer than ``_MISS_BUDGET`` misses.  So a chunk
+    builds each distinct forest about once, and every stream is drawn as if
+    each trial built its own.
+    """
+    space, params, coarsest_level, mode, limit, seed, row, finish = payload
     cache: dict = {}
+    trie, misses = None, 0
     rows = []
+    recorder_type = _recorder_type()
     for t in range(lo, hi):
         rng = trial_rng(seed, t)
-        hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
-                                       mode=mode, limit=limit, cache=cache)
-        rows.append(row(build_forest(hierarchy, rng), rng, params, *args))
+        state = rng.bit_generator.state
+        part = _replay(trie, rng)
+        if part is None:
+            rng.bit_generator.state = state
+            recorder = recorder_type(rng.bit_generator)
+            hierarchy = build_nested_grids(space, params.delta, coarsest_level,
+                                           recorder, mode=mode, limit=limit,
+                                           cache=cache)
+            part = row(build_forest(hierarchy, recorder))
+            if misses < _MISS_BUDGET:
+                trie = _insert(trie, recorder.path, part)
+            misses += 1
+        rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
 
 
@@ -237,7 +326,7 @@ def _center_row(forest: LatticeForest, level: int, center: int) -> np.ndarray:
     return _distance_row(forest.space, held[rows[center]])
 
 
-def _bad_row(forest: LatticeForest, rng, params: GoodnessParams, level: int,
+def _bad_row(forest: LatticeForest, params: GoodnessParams, level: int,
              center: int) -> tuple[int, int]:
     row = _center_row(forest, level, center)
     return (int(not _row_is_good(forest, level, row, params)),
@@ -261,8 +350,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
     center = space.resolve(center)
-    payload = (space, params, coarsest_level, mode, limit, seed, _bad_row,
-               (level, center))
+    row = partial(_bad_row, params=params, level=level, center=center)
+    payload = (space, params, coarsest_level, mode, limit, seed, row, None)
     rows = run_chunked(_trial_chunk, payload, trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
@@ -273,14 +362,14 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
                                   seed=seed)
 
 
-def _decay_row(forest: LatticeForest, rng, params: GoodnessParams, x: int,
-               level: int, eps_schedule: tuple[float, ...]) -> list[int]:
+def _decay_row(forest: LatticeForest, params: GoodnessParams, x: int,
+               level: int, eps_schedule: tuple[float, ...]) -> tuple[int, ...]:
     owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
     rows, held = forest.cube_table[level]
     _, depth = _split_min(forest.space.d[x], held[rows[owner]])
     scale = params.delta ** level
     # x is inside its own cube, so layer membership is depth alone
-    return [int(depth <= eps * scale) for eps in eps_schedule]
+    return tuple(int(depth <= eps * scale) for eps in eps_schedule)
 
 
 def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
@@ -310,8 +399,9 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     if any(EPS_DIVISOR * e > params.delta for e in eps):
         raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
     x = space.resolve(x)
-    payload = (space, params, coarsest_level, mode, limit, seed, _decay_row,
-               (x, level, tuple(eps)))
+    row = partial(_decay_row, params=params, x=x, level=level,
+                  eps_schedule=tuple(eps))
+    payload = (space, params, coarsest_level, mode, limit, seed, row, None)
     rows = run_chunked(_trial_chunk, payload, trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
@@ -418,11 +508,16 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _really_good_row(forest: LatticeForest, rng, params: GoodnessParams,
-                     level: int, center: int, a: float, p_q: float) -> tuple[int]:
-    good = _row_is_good(forest, level, _center_row(forest, level, center), params)
+def _good_row(forest: LatticeForest, params: GoodnessParams, level: int,
+              center: int) -> tuple[int]:
+    return (int(_row_is_good(forest, level, _center_row(forest, level, center),
+                             params)),)
+
+
+def _equalized_row(part: tuple[int], rng, a: float, p_q: float) -> tuple[int]:
+    """The really-good verdict of a good-row part, with its own coin."""
     xi = float(rng.random())
-    return (int(good and equalize(p_q, a, xi)),)
+    return (int(part[0] and equalize(p_q, a, xi)),)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -437,7 +532,8 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     center = space.resolve(center)
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
-    payload = (space, params, coarsest_level, mode, limit, seed, _really_good_row,
-               (level, center, a, p_q))
+    payload = (space, params, coarsest_level, mode, limit, seed,
+               partial(_good_row, params=params, level=level, center=center),
+               partial(_equalized_row, a=a, p_q=p_q))
     rows = run_chunked(_trial_chunk, payload, trials, workers)
     return float(rows[:, 0].sum() / trials)

@@ -155,11 +155,16 @@ def greedy_grid(space: FiniteMetricSpace, base: Sequence[int], k: float,
     order = [space.resolve(p) for p in order]
     if set(order) != base_set or len(order) != len(base_set):
         raise InvalidParams("order must be a permutation of the base set")
+    return Grid(scale=k, members=_greedy_members(space, order, k))
+
+
+def _greedy_members(space: FiniteMetricSpace, order: list[int], k: float) -> frozenset[int]:
+    """The points that the greedy scan of ``order`` admits."""
     chosen: list[int] = []
     for p in order:
         if all(space.d[p, q] >= k for q in chosen):
             chosen.append(p)
-    return Grid(scale=k, members=frozenset(chosen))
+    return frozenset(chosen)
 
 
 def is_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
@@ -208,8 +213,8 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
 
     exhaustive_uniform: exactly uniform over all maximal subsets, realized as
     an independent uniform choice per conflict-graph component (the family is
-    the product of the component families).  The enumeration cap applies per
-    component.
+    the product of the component families), all drawn in one call, in
+    component order.  The enumeration cap applies per component.
 
     greedy_permutation: greedy scan of a uniformly random permutation.  Works
     for arbitrarily large bases but its distribution over maximal subsets is
@@ -217,13 +222,21 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     """
     _require_mode(mode)
     base = sorted(space.resolve(p) for p in base)
+    return _sample_grid(space, base, k, rng, mode, limit, cache)
+
+
+def _sample_grid(space: FiniteMetricSpace, base: list[int], k: float,
+                 rng: np.random.Generator, mode: str, limit: int,
+                 cache: dict | None) -> Grid:
+    """``sample_maximal_separated`` on sorted point indices and a known mode."""
     if mode == "greedy_permutation":
         order = [base[i] for i in rng.permutation(len(base))]
-        return greedy_grid(space, base, k, order)
+        return Grid(scale=k, members=_greedy_members(space, order, k))
     families = _component_families(space, base, k, limit, cache)
     members: set[int] = set()
-    for fam in families:
-        members.update(fam[int(rng.integers(len(fam)))])
+    picks = rng.integers([len(fam) for fam in families]).tolist()
+    for fam, pick in zip(families, picks):
+        members.update(fam[pick])
     return Grid(scale=k, members=frozenset(members))
 
 
@@ -283,11 +296,9 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
         base = sorted(grids[k + 1].members)
         scale = delta ** k
         if freeze_above is not None and k >= freeze_above:
-            grid = greedy_grid(space, base, scale, base)
+            grids[k] = Grid(scale=scale, members=_greedy_members(space, base, scale))
         else:
-            grid = sample_maximal_separated(space, base, scale, rng, mode=mode,
-                                            limit=limit, cache=cache)
-        grids[k] = grid
+            grids[k] = _sample_grid(space, base, scale, rng, mode, limit, cache)
     return GridHierarchy(space=space, delta=delta, levels=tuple(levels), grids=grids)
 
 

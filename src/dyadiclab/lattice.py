@@ -228,16 +228,19 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
                    rng: np.random.Generator | int | None) -> dict[int, int]:
     """Link every child to one parent; random choices are uniform and independent.
 
-    Children are processed in index order, consuming one draw per child that
-    is not captured, so the map is deterministic for a fixed generator state.
+    Children are processed in index order: one draw call covers every child
+    with more than one option, in that order, and none is made when no child
+    has, so the map is deterministic for a fixed generator state.
     """
     if not parents.members <= children.members:
         raise InvalidParams("parent grid must be a subset of the child grid")
     rng = np.random.default_rng(rng)
     kids = sorted(children.members)
-    return {child: options[0] if len(options) == 1
-            else options[int(rng.integers(len(options)))]
-            for child, options in zip(kids, _parent_options(space, kids, parents))}
+    options = _parent_options(space, kids, parents)
+    bounds = [len(opts) for opts in options if len(opts) > 1]
+    picks = iter(rng.integers(bounds).tolist() if bounds else ())
+    return {child: opts[next(picks)] if len(opts) > 1 else opts[0]
+            for child, opts in zip(kids, options)}
 
 
 def build_forest(hierarchy: GridHierarchy,
@@ -349,18 +352,30 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     rep = ForestInvariantReport()
 
     # no child may see two coarser points within the capture radius, and
-    # every child's parent must be one of its link-rule options
+    # every child must have a parent, and one of its link-rule options
+    broken = False
     for lev in h.levels[1:]:
         children = sorted(h.grid(lev).members)
+        links = forest.parents.get(lev, {})
+        coarse = h.grid(lev - 1)
         for child, (captured, options) in zip(
-                children, _link_rule(space, children, h.grid(lev - 1))):
+                children, _link_rule(space, children, coarse)):
             if len(captured) > 1:
                 rep.violations.append(
                     f"child {child} at level {lev} captured by {captured}")
-            parent = forest.parents[lev][child]
-            if parent not in options:
+            parent = links.get(child)
+            if parent is None:
+                broken = True
+                rep.violations.append(f"child {child} at level {lev} has no parent")
+            elif parent not in coarse.members:
+                broken = True
+                rep.violations.append(f"child {child} at level {lev} has parent "
+                                      f"{parent}, outside the level-{lev - 1} grid")
+            elif parent not in options:
                 rep.violations.append(f"child {child} at level {lev} has parent "
                                       f"{parent}, not one of its options {options}")
+    if broken:
+        return rep  # the ancestor walk and the cube table index every link
 
     # every descendant stays within 10x the ancestor's scale
     for k in h.levels:

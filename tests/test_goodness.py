@@ -16,16 +16,23 @@ from dyadiclab.errors import (
     InvalidTrials,
     ScheduleInvalid,
 )
+from dyadiclab import goodness
 from dyadiclab.goodness import (
     GoodnessParams,
+    _center_row,
+    _row_is_good,
+    _row_step_violations,
+    _split_min,
+    equalize,
     estimate_bad_probability,
     estimate_boundary_decay,
     estimate_really_good,
     exact_good_probability,
     theorem_step_violations,
 )
-from dyadiclab.grids import finest_level
-from dyadiclab.mc import wilson_interval
+from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
+from dyadiclab.lattice import build_forest
+from dyadiclab.mc import run_chunked, trial_rng, wilson_interval
 
 
 PARAMS = GoodnessParams(delta=0.1, gamma=0.1, r=1)
@@ -507,6 +514,131 @@ def test_really_good_frequency_elbow(elbow):
                                 trials=20_000, seed=3)
     sigma = (float(a) * (1 - float(a)) / 20_000) ** 0.5
     assert abs(freq - float(a)) <= 4 * sigma
+
+
+# --- the trial pipeline ------------------------------------------------------------------
+# The trial chunk and its rows as they were when every trial built its own
+# forest (kept verbatim): the oracle for the chunk's draw-path trie.
+
+def reference_trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
+    ``trial_rng(seed, t)``, then ``row(forest, rng, params, *args)``."""
+    space, params, coarsest_level, mode, limit, seed, row, args = payload
+    cache: dict = {}
+    rows = []
+    for t in range(lo, hi):
+        rng = trial_rng(seed, t)
+        hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
+                                       mode=mode, limit=limit, cache=cache)
+        rows.append(row(build_forest(hierarchy, rng), rng, params, *args))
+    return np.array(rows, dtype=np.int64)
+
+
+def reference_bad_row(forest, rng, params, level, center):
+    row = _center_row(forest, level, center)
+    return (int(not _row_is_good(forest, level, row, params)),
+            len(_row_step_violations(forest, center, level, row, params)))
+
+
+def reference_decay_row(forest, rng, params, x, level, eps_schedule):
+    owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
+    rows, held = forest.cube_table[level]
+    _, depth = _split_min(forest.space.d[x], held[rows[owner]])
+    scale = params.delta ** level
+    # x is inside its own cube, so layer membership is depth alone
+    return [int(depth <= eps * scale) for eps in eps_schedule]
+
+
+def reference_really_good_row(forest, rng, params, level, center, a, p_q):
+    good = _row_is_good(forest, level, _center_row(forest, level, center), params)
+    xi = float(rng.random())
+    return (int(good and equalize(p_q, a, xi)),)
+
+
+def chunk_rows(monkeypatch, estimate, *args, lo=0, **kwargs):
+    """Rows lo.. of the one trial chunk the estimator runs."""
+    payloads = []
+
+    def capture(worker, payload, trials, workers=1):
+        payloads.append((worker, payload, trials))
+        return run_chunked(worker, payload, trials, workers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(goodness, "run_chunked", capture)
+        estimate(*args, **kwargs)
+    (worker, payload, trials), = payloads
+    return worker(payload, lo, trials)
+
+
+def pipeline_cases(elbow, ladder, decay_probe):
+    """(space, params, mode, trials, decay level, eps schedule): the elbow,
+    the ladder, the decay probe and the criterion-7 cloud, and two
+    greedy-mode cases."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    wide = (2e-4, 2e-5)
+    return [(elbow, PARAMS, "exhaustive_uniform", 400, 0, wide),
+            (ladder, PARAMS, "exhaustive_uniform", 400, 0, wide),
+            (decay_probe, DECAY_PARAMS, "exhaustive_uniform", 300, 0, DECAY_SCHEDULE),
+            (cloud, PARAMS, "exhaustive_uniform", 40, 1, wide),
+            (ladder, PARAMS, "greedy_permutation", 200, 0, wide),
+            (cloud, PARAMS, "greedy_permutation", 20, 1, wide)]
+
+
+def assert_rows_match_reference(monkeypatch, space, params, mode, trials,
+                                decay_level, eps, seed=11, lo=0):
+    level = finest_level(space, params.delta, 0)
+    common = dict(mode=mode, limit=DEFAULT_EXHAUSTIVE_LIMIT)
+    old = (space, params, 0, mode, DEFAULT_EXHAUSTIVE_LIMIT, seed)
+    got = chunk_rows(monkeypatch, estimate_bad_probability, space, level, 0,
+                     params, trials, seed, lo=lo, **common)
+    want = reference_trial_chunk(old + (reference_bad_row, (level, 0)), lo, trials)
+    assert np.array_equal(got, want)
+    got = chunk_rows(monkeypatch, estimate_boundary_decay, space, 0, decay_level,
+                     eps, trials, seed, params, lo=lo, **common)
+    want = reference_trial_chunk(
+        old + (reference_decay_row, (0, decay_level, eps)), lo, trials)
+    assert np.array_equal(got, want)
+    got = chunk_rows(monkeypatch, estimate_really_good, space, 0, level, params,
+                     0.25, 0.75, trials, seed, lo=lo, **common)
+    want = reference_trial_chunk(
+        old + (reference_really_good_row, (level, 0, 0.25, 0.75)), lo, trials)
+    assert np.array_equal(got, want)
+
+
+def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe):
+    """Equal rows for all three estimators, from the first trial and from
+    one inside the chunk."""
+    for case in pipeline_cases(elbow, ladder, decay_probe):
+        for lo in (0, 7):
+            assert_rows_match_reference(monkeypatch, *case, lo=lo)
+
+
+@pytest.mark.parametrize("budget", [0, 1, goodness._MISS_BUDGET])
+def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
+                                             decay_probe):
+    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
+    for case in pipeline_cases(elbow, ladder, decay_probe)[:3]:
+        assert_rows_match_reference(monkeypatch, *case)
+
+
+@pytest.mark.parametrize("budget, builds", [(0, 1500), (goodness._MISS_BUDGET, 6)])
+def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
+    """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
+    once, unless its miss budget is spent."""
+    built = []
+
+    def counting_build_forest(hierarchy, rng):
+        built.append(hierarchy)
+        return build_forest(hierarchy, rng)
+
+    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
+    monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
+    est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+    assert len(built) == builds
+    assert est.bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+         reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
 # --- Wilson intervals ---------------------------------------------------------------------

@@ -4,9 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+import copy
+
 import dyadiclab as dl
 from dyadiclab.errors import InvalidParams, TooLargeForExhaustive
-from dyadiclab.grids import hierarchy_to_json
+from dyadiclab.grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, _component_families,
+                             _require_mode, hierarchy_to_json)
 
 
 def brute_force_maximal(space, base, k):
@@ -116,6 +119,61 @@ def test_sample_greedy_permutation_valid(l3):
         g = dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, rng,
                                         mode="greedy_permutation")
         assert dl.is_maximal_separated(l3, [0, 1, 2], g.members, 1.0)
+
+
+def reference_sample_maximal_separated(space, base, k, rng,
+                                       mode="exhaustive_uniform",
+                                       limit=DEFAULT_EXHAUSTIVE_LIMIT,
+                                       cache=None) -> Grid:
+    """The sampler as it was with one scalar draw per component (kept verbatim)."""
+    _require_mode(mode)
+    base = sorted(space.resolve(p) for p in base)
+    if mode == "greedy_permutation":
+        order = [base[i] for i in rng.permutation(len(base))]
+        return dl.greedy_grid(space, base, k, order)
+    families = _component_families(space, base, k, limit, cache)
+    members: set[int] = set()
+    for fam in families:
+        members.update(fam[int(rng.integers(len(fam)))])
+    return Grid(scale=k, members=frozenset(members))
+
+
+def test_array_draw_equals_scalar_draws_in_order():
+    """numpy does not document it, and the one draw call per level rests on
+    it: integers over an array of bounds gives the values, and leaves the
+    generator in the state, of one scalar call per bound in order."""
+    bounds_rng = np.random.default_rng(2024)
+    for seed in range(240):
+        bounds = bounds_rng.integers(1, 9, size=1 + seed % 16).tolist()
+        rng, ref = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+        assert rng.integers(bounds).tolist() == [int(ref.integers(b)) for b in bounds]
+        assert rng.random() == ref.random()
+
+
+def test_sampler_matches_reference_stream(elbow, ladder, decay_probe):
+    """The same grid from one stream, level by level, and the stream left in
+    the same state, for both modes and for the public sampler."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cases = [(cloud, 0.1, "exhaustive_uniform"), (cloud, 0.1, "greedy_permutation"),
+             (elbow, 0.1, "exhaustive_uniform"), (ladder, 0.1, "exhaustive_uniform"),
+             (ladder, 0.1, "greedy_permutation"),
+             (decay_probe, 0.001, "exhaustive_uniform")]
+    for space, delta, mode in cases:
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            ref = copy.deepcopy(rng)
+            h = dl.build_nested_grids(space, delta, 0, rng, mode=mode)
+            for k in reversed(h.levels[:-1]):
+                base = [space.name(p) for p in sorted(h.grid(k + 1).members)]
+                before = copy.deepcopy(ref)
+                want = reference_sample_maximal_separated(space, base, delta ** k,
+                                                          ref, mode=mode)
+                assert h.grid(k) == want
+                assert dl.sample_maximal_separated(space, base, delta ** k, before,
+                                                   mode=mode) == want
+                assert before.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(2 ** 62) == ref.integers(2 ** 62)
 
 
 # --- nested hierarchies ----------------------------------------------------------------

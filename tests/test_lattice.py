@@ -410,6 +410,22 @@ def test_forest_invariants_report_parent_outside_options():
         "child 0 at level 1 has parent 2, not one of its options [0]"]
 
 
+def test_forest_invariants_report_broken_parent_maps():
+    """A hand-built map that lacks a child, or links one outside the coarse
+    grid, is reported, before the checks that index every link run."""
+    space = dl.space_from_coords([[0.0], [0.5], [3.0]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 2})),
+        1: Grid(scale=0.1, members=frozenset({0, 1, 2}))})
+    for parents, want in (
+            ({1: {0: 0, 2: 2}}, ["child 1 at level 1 has no parent"]),
+            ({1: {0: 0, 1: 1, 2: 2}},
+             ["child 1 at level 1 has parent 1, outside the level-0 grid"]),
+            ({}, [f"child {c} at level 1 has no parent" for c in range(3)])):
+        forest = dl.LatticeForest(hierarchy=hierarchy, parents=parents)
+        assert dl.check_forest_invariants(forest).violations == want
+
+
 def test_forest_invariants_report_unnested_cube():
     """A hand-set cube table whose child row holds a point its parent's lacks."""
     space = dl.space_from_coords([[0.0], [0.05]])
