@@ -5,8 +5,9 @@ Subcommands: ``validate``, ``grids``, ``lattice``, ``coloring``, ``goodness``,
 deterministic: the same input, configuration, and seed produce byte-identical
 reports.  Exit codes: 0 all checks passed, 1 at least one assertion failed,
 2 bad configuration, 3 bad input.  Worker fan-out for trial loops is
-controlled by the DYADICLAB_WORKERS environment variable; results do not
-depend on it.
+controlled by the DYADICLAB_WORKERS environment variable, an integer of at
+least 1 (1 when unset or empty; any other value is bad configuration);
+results do not depend on it.
 """
 from __future__ import annotations
 

@@ -18,9 +18,9 @@ the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``.  A trial first replays its draws along
-the draw paths of the earlier trials of its chunk, so a chunk builds and
-classifies each distinct forest once; the streams are drawn as if every
-trial built its own forest.
+the draw paths of the earlier trials of its chunk, kept in two maps keyed by
+the values drawn, so a chunk builds and classifies each distinct forest
+once; the streams are drawn as if every trial built its own forest.
 """
 from __future__ import annotations
 
@@ -210,7 +210,7 @@ class DecayFit:
     seed: int
 
 
-_MISS_BUDGET = 256  # draw paths one trial chunk adds to its trie; later misses only build
+_MISS_BUDGET = 256  # draw paths one trial chunk enters in its maps; later misses only build
 
 
 @cache
@@ -239,35 +239,14 @@ def _recorder_type() -> type:
     return Recorder
 
 
-class _Node:
-    """A node of a chunk's draw trie: the next draw call of every trial that
-    reaches it, and per tuple of drawn values the next node, or the forest
-    part of the row where the draws end."""
-    __slots__ = ("call", "after")
-
-    def __init__(self, call: tuple):
-        self.call, self.after = call, {}
-
-
-def _replay(node, rng: np.random.Generator):
-    """Make the trial's draws down the trie from ``node``: the row part at the
-    end of its path, or None when the path leaves the trie."""
-    while isinstance(node, _Node):
-        method, arg = node.call
-        node = node.after.get(tuple(getattr(rng, method)(arg).tolist()))
-    return node
-
-
-def _insert(root, path: list, part):
-    """The trie ``root`` (None when empty) with one more draw path, whose end
-    holds ``part``."""
-    if not path:
-        return part
-    node = root = _Node(path[0][0]) if root is None else root
-    for (_, values), (call, _) in zip(path, path[1:]):
-        node = node.after.setdefault(values, _Node(call))
-    node.after[path[-1][1]] = part
-    return root
+def _replay(calls: dict, rng: np.random.Generator) -> tuple:
+    """Make the trial's draws while ``calls`` knows the next draw call after
+    the values drawn so far; the values drawn, one tuple per call."""
+    prefix = ()
+    while (call := calls.get(prefix)) is not None:
+        method, arg = call
+        prefix += (tuple(getattr(rng, method)(arg).tolist()),)
+    return prefix
 
 
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
@@ -277,24 +256,25 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     the part itself when ``finish`` is None).
 
     A forest is a function of its drawn values, and the bounds of each draw
-    call are a function of the values before it.  So the chunk keeps a trie
-    of draw paths, built and dropped within the call: a trial first replays
-    its draws down the trie, and one that reaches a leaf takes its part and
-    builds nothing.  One that leaves the trie rewinds its stream, builds the
-    forest through a recorder on the same bit generator, and adds its path
-    while the chunk has had fewer than ``_MISS_BUDGET`` misses.  So a chunk
-    builds each distinct forest about once, and every stream is drawn as if
-    each trial built its own.
+    call are a function of the values before it.  So the chunk keeps, for the
+    length of the call, the next draw call after each prefix of drawn values
+    (``calls``) and the part at the end of each complete path (``parts``).  A
+    trial first replays its draws while ``calls`` knows the next one; one whose
+    path is in ``parts`` builds nothing.  Any other rewinds its stream, builds
+    the forest through a recorder on the same bit generator, and enters its
+    path while the chunk has had fewer than ``_MISS_BUDGET`` misses.  So a
+    chunk builds each distinct forest about once, and every stream is drawn
+    as if each trial built its own.
     """
     space, params, coarsest_level, mode, limit, seed, row, finish = payload
     cache: dict = {}
-    trie, misses = None, 0
+    calls, parts, misses = {}, {}, 0
     rows = []
     recorder_type = _recorder_type()
     for t in range(lo, hi):
         rng = trial_rng(seed, t)
         state = rng.bit_generator.state
-        part = _replay(trie, rng)
+        part = parts.get(_replay(calls, rng))
         if part is None:
             rng.bit_generator.state = state
             recorder = recorder_type(rng.bit_generator)
@@ -303,7 +283,11 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                                            cache=cache)
             part = row(build_forest(hierarchy, recorder))
             if misses < _MISS_BUDGET:
-                trie = _insert(trie, recorder.path, part)
+                prefix = ()
+                for call, values in recorder.path:
+                    calls[prefix] = call
+                    prefix += (values,)
+                parts[prefix] = part
             misses += 1
         rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
@@ -460,9 +444,8 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     """
     center = space.resolve(center)
     total = Fraction(0)
-    # listed in full first, so the cap is checked before any walk
-    for hierarchy, children, weight in list(_outcome_frames(
-            space, params.delta, coarsest_level, limit, max_outcomes)):
+    for hierarchy, children, weight in _outcome_frames(
+            space, params.delta, coarsest_level, limit, max_outcomes):
         _require_center(hierarchy, level, center)
         total += weight * _good_leaves(hierarchy, children, level, center, params)
     return total

@@ -15,7 +15,7 @@ batch of them: a forest calls it with its own map, and the exact goodness
 walk with every parent choice of a level at once.  The link rule lives in
 one per-level helper, whose options the sampler, the exact enumeration and
 the capture check all read.  The exact enumeration is split the same way:
-one helper yields each grid outcome with its parent options and the weight
+one helper lists each grid outcome with its parent options and the weight
 of each of its forests, after the outcome cap is checked;
 ``enumerate_forest_outcomes`` builds the product of those options, and the
 exact goodness walk reads the options without building any forest.
@@ -131,6 +131,8 @@ class LatticeForest:
     def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
         """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
         self._require_chain_levels(from_level, to_level)
+        if point not in self.hierarchy.grid(from_level).members:
+            raise UnknownCenter(f"point {point} is not in the level-{from_level} grid")
         out = [point]
         p = point
         for lev in range(from_level, to_level, -1):
@@ -345,8 +347,9 @@ class ForestInvariantReport:
 
 
 def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
-    """Parent uniqueness and the link rule, ancestor proximity, cube nesting,
-    and diameter bounds."""
+    """Parent uniqueness and the link rule, ancestor proximity, each cube
+    against its definition (the union of its descendants' balls), and
+    diameter bounds."""
     h = forest.hierarchy
     space = h.space
     rep = ForestInvariantReport()
@@ -377,26 +380,36 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     if broken:
         return rep  # the ancestor walk and the cube table index every link
 
-    # every descendant stays within 10x the ancestor's scale
-    for k in h.levels:
-        scale = h.scale(k)
-        for lev in range(k + 1, h.finest_level + 1):
-            for z in h.grid(lev).members:
-                a = forest.ancestor(z, lev, k)
-                ratio = space.d[z, a] / scale
-                rep.max_ancestor_ratio = max(rep.max_ancestor_ratio, ratio)
-                if space.d[z, a] > ANCESTOR_FACTOR * scale:
-                    rep.violations.append(
-                        f"descendant {z} (level {lev}) is {space.d[z, a]} from "
-                        f"ancestor {a} (level {k})")
+    # one walk per level down the parent links: every descendant stays within
+    # 10x its ancestor's scale, and its ball goes into the ancestor's row of
+    # that level's union of descendant balls, which each cube must equal
+    unions = {k: np.zeros_like(forest.cube_table[k][1]) for k in h.levels}
+    for lev in h.levels:
+        points, balls = _balls(h, lev)
+        ancestors = points
+        for k in range(lev, h.levels[0] - 1, -1):
+            if k < lev:
+                ancestors = [forest.parents[k + 1][a] for a in ancestors]
+                scale = h.scale(k)
+                dist = space.d[points, ancestors]
+                rep.max_ancestor_ratio = (dist / scale).max(
+                    initial=rep.max_ancestor_ratio)
+                for z, a, d in zip(points, ancestors, dist.tolist()):
+                    if d > ANCESTOR_FACTOR * scale:
+                        rep.violations.append(f"descendant {z} (level {lev}) is "
+                                              f"{d} from ancestor {a} (level {k})")
+            rows = forest.cube_table[k][0]
+            np.logical_or.at(unions[k], [rows[a] for a in ancestors], balls)
 
-    # child cubes nest inside their parent's cube; diameters stay bounded
+    # each cube is that union; diameters stay bounded
     for k in h.levels:
         rows, held = forest.cube_table[k]
         scale = h.scale(k)
+        differs = (held != unions[k]).any(axis=1).tolist()
         for center, i in rows.items():
-            if not held[i, center]:
-                rep.violations.append(f"cube {center}@{k} misses its center")
+            if differs[i]:
+                rep.violations.append(f"cube {center}@{k} differs from the "
+                                      f"union of its descendants' balls")
             idx = np.flatnonzero(held[i])
             if idx.size:
                 diam = float(space.d[np.ix_(idx, idx)].max())
@@ -405,14 +418,6 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                     rep.violations.append(
                         f"cube {center}@{k} has diameter {diam} "
                         f"> {DIAMETER_FACTOR} * {scale}")
-    for lev in h.levels[1:]:
-        rows, held = forest.cube_table[lev]
-        up_rows, up_held = forest.cube_table[lev - 1]
-        for center, i in rows.items():
-            up = forest.parents[lev][center]
-            if (held[i] & ~up_held[up_rows[up]]).any():
-                rep.violations.append(
-                    f"cube {center}@{lev} not nested in parent {up}@{lev - 1}")
     return rep
 
 
@@ -526,14 +531,13 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 # --- exact enumeration of the whole random construction -------------------------
 
 def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
-                    limit: int, max_outcomes: int):
+                    limit: int, max_outcomes: int) -> list[tuple]:
     """Per grid outcome of the construction, in enumeration order: its
     hierarchy, the (level, sorted children, per-child parent options) of every
     level above the coarsest, and the weight prob / count that each of its
     count forests carries, count being the product of the option counts.
-    Raises TooLargeForExhaustive when the grid outcomes, or the running count
-    of forests, exceed ``max_outcomes``, before yielding the grid outcome that
-    passes the cap.
+    Raises TooLargeForExhaustive, before returning any outcome, when the grid
+    outcomes or the forests exceed ``max_outcomes``.
     """
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
@@ -553,6 +557,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
             raise TooLargeForExhaustive("too many grid outcomes")
 
     total = 0
+    frames = []
     for grids, prob in grid_outcomes:
         hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
         children = []
@@ -563,7 +568,8 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
         if total + count > max_outcomes:
             raise TooLargeForExhaustive("too many parent outcomes")
         total += count
-        yield hierarchy, children, prob / count
+        frames.append((hierarchy, children, prob / count))
+    return frames
 
 
 def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import InvalidTrials
+from .errors import ConfigError, InvalidTrials
 
 __all__ = ["Z95", "wilson_interval", "trial_rng", "loglog_slope",
            "worker_count", "run_chunked"]
@@ -45,12 +45,14 @@ def loglog_slope(xs, ys) -> float:
 
 
 def worker_count() -> int:
-    """Worker count from DYADICLAB_WORKERS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("DYADICLAB_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker count from DYADICLAB_WORKERS; 1 (serial) when unset or empty.
+    Raises ConfigError for any other value that is not an integer >= 1."""
+    raw = os.environ.get("DYADICLAB_WORKERS", "")
+    if not raw:
         return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"DYADICLAB_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:

@@ -286,6 +286,30 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     assert not (tmp_path / "r.json").exists()  # no partial report
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_malformed_workers_is_config_error(monkeypatch, tmp_path, capsys,
+                                           elbow_json, value):
+    monkeypatch.setenv("DYADICLAB_WORKERS", value)
+    argv = [a.format(elbow=elbow_json) for a in GOODNESS]
+    assert main(argv + ["--seed", "0", "--out", str(tmp_path / "r.json")]) == 2
+    _, err = capsys.readouterr()
+    assert err == (f"config error: DYADICLAB_WORKERS must be an integer >= 1, "
+                   f"got {value!r}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_goodness_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, elbow_json):
+    args = ["goodness", "--input", elbow_json, "--delta", "0.1",
+            "--trials", "200", "--seed", "4"]
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DYADICLAB_WORKERS", workers)
+        code, out = run_to_file(tmp_path, args, f"workers{workers}.json")
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # --- fuzzing -----------------------------------------------------------------------
 
 def mostly(valid, invalid):

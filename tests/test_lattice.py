@@ -22,12 +22,16 @@ from dyadiclab.grids import (
     finest_level,
 )
 from dyadiclab.lattice import (
+    ANCESTOR_FACTOR,
     BALL_DIVISOR,
     CANDIDATE_FACTOR,
     CAPTURE_DIVISOR,
     ChainScanReport,
     Cube,
     CubeCoverReport,
+    DIAMETER_FACTOR,
+    ForestInvariantReport,
+    _link_rule,
     _parent_options,
     cube_to_json,
     forest_to_json,
@@ -437,7 +441,135 @@ def test_forest_invariants_report_unnested_cube():
         0: ({0: 0}, np.array([[True, False]])),
         1: ({0: 0, 1: 1}, np.array([[True, False], [False, True]]))}
     assert dl.check_forest_invariants(forest).violations == [
-        "cube 1@1 not nested in parent 0@0"]
+        "cube 0@0 differs from the union of its descendants' balls"]
+
+
+def test_forest_invariants_report_cube_beyond_its_definition():
+    """A hand-set cube table whose level-1 cube of 0 also holds point 1:
+    every cube still holds its center and nests in its parent's, but that
+    cube is not the union of its descendants' balls."""
+    space = dl.space_from_coords([[0.0], [0.05]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0})),
+        1: Grid(scale=0.1, members=frozenset({0, 1}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 0}})
+    forest.__dict__["cube_table"] = {
+        0: ({0: 0}, np.array([[True, True]])),
+        1: ({0: 0, 1: 1}, np.array([[True, True], [False, True]]))}
+    assert dl.check_forest_invariants(forest).violations == [
+        "cube 0@1 differs from the union of its descendants' balls"]
+
+
+def test_forest_invariants_report_far_ancestor():
+    """Point 2 linked to a parent 30 away, outside its options: the link rule,
+    the ancestor bound and the diameter bound all report it."""
+    space = dl.space_from_coords([[0.0], [0.5], [30.0]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 2})),
+        1: Grid(scale=0.1, members=frozenset({0, 1, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 0, 2: 0}})
+    rep = dl.check_forest_invariants(forest)
+    assert rep.violations == [
+        "child 2 at level 1 has parent 0, not one of its options [2]",
+        "descendant 2 (level 1) is 30.0 from ancestor 0 (level 0)",
+        "cube 0@0 has diameter 30.0 > 21.0 * 1.0"]
+    want = reference_check_forest_invariants(forest)
+    assert (rep.violations, rep.max_ancestor_ratio, rep.max_diameter_ratio) == (
+        want.violations, want.max_ancestor_ratio, want.max_diameter_ratio)
+
+
+# the check that walked each ancestor point by point and tested each cube for
+# its center and for nesting in its parent's cube, kept as the oracle of the
+# one-walk-per-level definition check
+def reference_check_forest_invariants(forest: dl.LatticeForest) -> ForestInvariantReport:
+    """Parent uniqueness and the link rule, ancestor proximity, cube nesting,
+    and diameter bounds."""
+    h = forest.hierarchy
+    space = h.space
+    rep = ForestInvariantReport()
+
+    # no child may see two coarser points within the capture radius, and
+    # every child must have a parent, and one of its link-rule options
+    broken = False
+    for lev in h.levels[1:]:
+        children = sorted(h.grid(lev).members)
+        links = forest.parents.get(lev, {})
+        coarse = h.grid(lev - 1)
+        for child, (captured, options) in zip(
+                children, _link_rule(space, children, coarse)):
+            if len(captured) > 1:
+                rep.violations.append(
+                    f"child {child} at level {lev} captured by {captured}")
+            parent = links.get(child)
+            if parent is None:
+                broken = True
+                rep.violations.append(f"child {child} at level {lev} has no parent")
+            elif parent not in coarse.members:
+                broken = True
+                rep.violations.append(f"child {child} at level {lev} has parent "
+                                      f"{parent}, outside the level-{lev - 1} grid")
+            elif parent not in options:
+                rep.violations.append(f"child {child} at level {lev} has parent "
+                                      f"{parent}, not one of its options {options}")
+    if broken:
+        return rep  # the ancestor walk and the cube table index every link
+
+    # every descendant stays within 10x the ancestor's scale
+    for k in h.levels:
+        scale = h.scale(k)
+        for lev in range(k + 1, h.finest_level + 1):
+            for z in h.grid(lev).members:
+                a = forest.ancestor(z, lev, k)
+                ratio = space.d[z, a] / scale
+                rep.max_ancestor_ratio = max(rep.max_ancestor_ratio, ratio)
+                if space.d[z, a] > ANCESTOR_FACTOR * scale:
+                    rep.violations.append(
+                        f"descendant {z} (level {lev}) is {space.d[z, a]} from "
+                        f"ancestor {a} (level {k})")
+
+    # child cubes nest inside their parent's cube; diameters stay bounded
+    for k in h.levels:
+        rows, held = forest.cube_table[k]
+        scale = h.scale(k)
+        for center, i in rows.items():
+            if not held[i, center]:
+                rep.violations.append(f"cube {center}@{k} misses its center")
+            idx = np.flatnonzero(held[i])
+            if idx.size:
+                diam = float(space.d[np.ix_(idx, idx)].max())
+                rep.max_diameter_ratio = max(rep.max_diameter_ratio, diam / scale)
+                if diam > DIAMETER_FACTOR * scale:
+                    rep.violations.append(
+                        f"cube {center}@{k} has diameter {diam} "
+                        f"> {DIAMETER_FACTOR} * {scale}")
+    for lev in h.levels[1:]:
+        rows, held = forest.cube_table[lev]
+        up_rows, up_held = forest.cube_table[lev - 1]
+        for center, i in rows.items():
+            up = forest.parents[lev][center]
+            if (held[i] & ~up_held[up_rows[up]]).any():
+                rep.violations.append(
+                    f"cube {center}@{lev} not nested in parent {up}@{lev - 1}")
+    return rep
+
+
+def test_forest_invariants_match_reference():
+    """The same report as the oracle on 75 seeded draws: the 200-point cascade
+    at ratio 1/1000, and the criterion-7 cloud at 0.1 and, through the greedy
+    sampler (the exhaustive one refuses it), at 1/1000."""
+    cascade = dl.make_space("random_cloud", seed=1, n=200, dim=2, levels=5,
+                            branching=3, ratio=0.01)
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    for space, delta, mode in ((cascade, 0.001, "exhaustive_uniform"),
+                               (cloud, 0.1, "exhaustive_uniform"),
+                               (cloud, 0.001, "greedy_permutation")):
+        for seed in range(25):
+            forest = shared_stream_forest(space, delta, 0, seed=seed, mode=mode)
+            got = dl.check_forest_invariants(forest)
+            want = reference_check_forest_invariants(forest)
+            assert (got.violations, got.max_ancestor_ratio, got.max_diameter_ratio) == (
+                want.violations, want.max_ancestor_ratio, want.max_diameter_ratio)
 
 
 # --- chain separation -------------------------------------------------------------------
@@ -709,6 +841,20 @@ def test_chain_levels_outside_hierarchy(l3):
             forest.chain(*bad)
         with pytest.raises(InvalidParams):
             forest.ancestor(*bad)
+
+
+def test_chain_from_point_outside_grid():
+    """A chain or ancestor asked of a point that is not in its level's grid,
+    or not in the space, names the point and the level."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    forest = shared_stream_forest(cloud, 0.1, 0, seed=0)
+    assert 0 not in forest.hierarchy.grid(1).members
+    for point, level in ((0, 1), (999, 2), (-1, 2)):
+        for walk in (forest.chain, forest.ancestor):
+            with pytest.raises(UnknownCenter,
+                               match=f"^point {point} is not in the level-{level} grid$"):
+                walk(point, level, 0)
 
 
 def test_chain_level_guard_messages(l3):
