@@ -43,7 +43,7 @@ from .goodness import (
     estimate_really_good,
     exact_good_probability,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, MODES, build_nested_grids,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, MODES, _scale_or_inf, build_nested_grids,
                     finest_level, hierarchy_to_json)
 from .lattice import (
     build_forest,
@@ -280,7 +280,7 @@ def _cmd_goodness(args) -> tuple[dict, int]:
         p_hat = max(1.0 - est.fraction, 1.0 / args.trials)
         equalization = {"p_q_plugin": p_hat, "note": note}
     elif p_q > 0:
-        d = max_ball_occupancy(space, args.delta ** (level - 1))
+        d = max_ball_occupancy(space, _scale_or_inf(args.delta, level - 1))
         a = min(Fraction(1, 2 ** d), p_q)
         freq = estimate_really_good(space, center, level, params,
                                     float(a), float(p_q),

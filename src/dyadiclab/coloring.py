@@ -17,7 +17,8 @@ from .errors import (
     PreconditionNotWS,
     TooLargeForExhaustive,
 )
-from .grids import DEFAULT_EXHAUSTIVE_LIMIT, enumerate_maximal_separated, greedy_grid
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, _is_maximal,
+                    enumerate_maximal_separated)
 from .metric import FiniteMetricSpace, ball, make_space, max_ball_occupancy
 
 __all__ = [
@@ -52,17 +53,8 @@ class ColoringUniverse:
 
 
 def is_proper(space: FiniteMetricSpace, red: Iterable[int]) -> bool:
-    """Check both coloring conditions directly from the definition."""
-    red = set(red)
-    n = len(space)
-    for a in red:
-        for b in red:
-            if a != b and space.d[a, b] < 1.0:
-                return False
-    for g in set(range(n)) - red:
-        if not any(space.d[g, r] < 1.0 for r in red):
-            return False
-    return True
+    """Both conditions at once: the red set, repeats ignored, is maximal 1-separated."""
+    return _is_maximal(space, set(range(len(space))), sorted(set(red)), 1.0)
 
 
 def enumerate_proper_colorings(space: FiniteMetricSpace,
@@ -138,7 +130,7 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     yellow = [y for y in sorted(tilde)
               if not any(space.d[y, r] < 1.0 for r in red)]
     # the ascending scan is the greedy 1-separated grid of the yellow points
-    red.update(greedy_grid(space, yellow, 1.0, yellow).members)
+    red.update(_greedy_members(space, yellow, 1.0))
     return ProperColoring(red=frozenset(red))
 
 

@@ -380,7 +380,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
         raise ScheduleInvalid("eps values must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ScheduleInvalid("eps values must be strictly decreasing")
-    if any(EPS_DIVISOR * e > params.delta for e in eps):
+    if any(e > params.delta / EPS_DIVISOR for e in eps):
         raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
     x = space.resolve(x)
     row = partial(_decay_row, params=params, x=x, level=level,

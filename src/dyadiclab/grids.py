@@ -174,11 +174,17 @@ def is_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
     sub = [space.resolve(p) for p in subset]
     if not set(sub) <= base_set:
         raise InvalidParams("subset must be contained in the base set")
+    return _is_maximal(space, base_set, sub, k)
+
+
+def _is_maximal(space: FiniteMetricSpace, base: set[int], sub: list[int],
+                k: float) -> bool:
+    """``is_maximal_separated`` on point indices, with ``sub`` inside ``base``."""
     for i, a in enumerate(sub):
         for b in sub[i + 1:]:
             if space.d[a, b] < k:
                 return False
-    for p in base_set - set(sub):
+    for p in base - set(sub):
         if all(space.d[p, q] >= k for q in sub):
             return False
     return True
@@ -240,6 +246,14 @@ def _sample_grid(space: FiniteMetricSpace, base: list[int], k: float,
     return Grid(scale=k, members=frozenset(members))
 
 
+def _scale_or_inf(delta: float, level: int) -> float:
+    """delta**level, or +inf where that overflows a float."""
+    try:
+        return delta ** level
+    except OverflowError:
+        return math.inf
+
+
 def finest_level(space: FiniteMetricSpace, delta: float,
                  coarsest_level: int) -> int:
     """Smallest level M with delta**M below the min pairwise distance.
@@ -253,19 +267,16 @@ def finest_level(space: FiniteMetricSpace, delta: float,
         raise InvalidParams("space must be nonempty")
     if not 0 < delta < 1:
         raise InvalidParams("delta must lie in (0, 1)")
-    try:
-        delta ** coarsest_level
-    except OverflowError:
-        raise InvalidParams(
-            f"the coarsest scale {delta}**{coarsest_level} overflows") from None
+    if _scale_or_inf(delta, coarsest_level) == math.inf:
+        raise InvalidParams(f"the coarsest scale {delta}**{coarsest_level} overflows")
     md = space.min_distance
     if md == np.inf:
         return coarsest_level
     # log-based guess, corrected by exact comparison
     m = int(math.floor(math.log(md) / math.log(delta))) + 1
-    while delta ** m >= md:
+    while _scale_or_inf(delta, m) >= md:
         m += 1
-    while delta ** (m - 1) < md:
+    while _scale_or_inf(delta, m - 1) < md:
         m -= 1
     if coarsest_level > m:
         raise InvalidParams(

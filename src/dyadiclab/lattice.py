@@ -411,7 +411,7 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                 rep.violations.append(f"cube {center}@{k} differs from the "
                                       f"union of its descendants' balls")
             idx = np.flatnonzero(held[i])
-            if idx.size:
+            if idx.size > 1:  # a one-point cube has diameter 0
                 diam = float(space.d[np.ix_(idx, idx)].max())
                 rep.max_diameter_ratio = max(rep.max_diameter_ratio, diam / scale)
                 if diam > DIAMETER_FACTOR * scale:
@@ -424,18 +424,14 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
 # --- chain separation -----------------------------------------------------------
 
 def _rival_depth(forest: LatticeForest, level: int) -> np.ndarray:
-    """Per point, the least distance to the union of the level's other cubes,
-    over the cubes that hold it; +inf when no cube holding it has a rival."""
+    """Per point, the least distance to the union of the level's other cubes, over the
+    cubes that hold it; +inf if none has a rival.  The cover count decides: a point two
+    cubes hold is its own rival, and a point one cube holds sees what the others hold."""
     _, held = forest.cube_table[level]
     cover = held.sum(axis=0)
-    d = forest.space.d
-    depth = np.full(len(d), np.inf)
-    for row in held:
-        rival = np.flatnonzero(cover - row > 0)
-        if rival.size:
-            members = np.flatnonzero(row)
-            depth[members] = np.minimum(depth[members],
-                                        d[np.ix_(members, rival)].min(axis=1))
+    rival = cover - held[held.argmax(axis=0)] > 0
+    depth = np.where(rival, forest.space.d, np.inf).min(axis=1)
+    depth[cover == 0] = np.inf
     return depth
 
 

@@ -112,8 +112,8 @@ def growth_constant(space: FiniteMetricSpace, wm: WeightedMeasure,
 
     A singleton has no positive radii; by convention its constant is 0.
     """
-    if m <= 0:
-        raise InvalidParams("growth exponent must be positive")
+    if not 0 < m < np.inf:
+        raise InvalidParams("growth exponent must be positive and finite")
     radii = space.pairwise_distances()
     best, w_center, w_radius = 0.0, -1, 0.0
     for center in range(len(space)):

@@ -105,8 +105,8 @@ class FiniteMetricSpace:
 
     def rescale(self, factor: float) -> "FiniteMetricSpace":
         """New space with every distance divided by ``factor``."""
-        if factor <= 0:
-            raise InvalidParams("rescale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise InvalidParams("rescale factor must be positive and finite")
         return FiniteMetricSpace(self.points, self.d / factor)
 
     def subspace(self, indices: Iterable[int]) -> "FiniteMetricSpace":

@@ -272,9 +272,11 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["grids", "--input", "{elbow}", "--seed", "0", "--delta", "0.1", "--n0", "-308",
       "--out", "{dir}/r.json"], 2,
      "config error: the report holds a non-finite number"),
+    (["a2", "--input", "{elbow}", "--m-exponent", "nan"], 2,
+     "error: growth exponent must be positive"),
 ], ids=["dir-input", "dir-input-lattice", "level-above", "level-below",
         "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps",
-        "goodness-freeze-above", "infinite-bound"])
+        "goodness-freeze-above", "infinite-bound", "nan-growth-exponent"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
     argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]
@@ -284,6 +286,32 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     assert needle in (out if argv[0] == "validate" else err)
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()  # no partial report
+
+
+@pytest.mark.parametrize("argv", [["grids"], ["lattice"], ["goodness", "--trials", "5"]])
+def test_distances_near_the_float_maximum(tmp_path, capsys, argv):
+    """delta**(M - 1) overflows past the finest level M = -102; the coarsest
+    level is then refused as finer than M, and --n0 -102 runs."""
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps({"points": ["a", "b"], "dist": [[0, 1e308], [1e308, 0]]}))
+    argv = argv + ["--input", str(src), "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: coarsest level 0 is finer than the finest level -102\n")
+    code, out = run_to_file(tmp_path, argv + ["--n0", "-102"])
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["n0"] == -102
+
+
+@pytest.mark.parametrize("delta", ["0.123", "0.246"])
+def test_goodness_default_eps_schedule_meets_its_bound(tmp_path, elbow_json, delta):
+    """The default schedule starts at delta / 500, which the bound accepts
+    even where 500 * (delta / 500) rounds above delta."""
+    code, out = run_to_file(tmp_path, [
+        "goodness", "--input", elbow_json, "--delta", delta, "--trials", "20",
+        "--seed", "0"])
+    assert code in (0, 1)
+    assert json.loads(out.read_text())["data"]["decay"]["eps"][0] == float(delta) / 500
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])

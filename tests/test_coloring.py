@@ -25,6 +25,11 @@ def brute_force_colorings(space):
     return out
 
 
+def test_is_proper_ignores_a_repeated_red_point(l3):
+    assert is_proper(l3, [0, 2, 0]) and is_proper(l3, [1, 1])
+    assert not is_proper(l3, [0, 0])  # 2 is green with no red point within 1
+
+
 # --- enumeration ------------------------------------------------------------------
 
 def test_universe_l3(l3):

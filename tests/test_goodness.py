@@ -445,6 +445,16 @@ def test_decay_schedule_validation(decay_probe):
                                 seed=0, params=DECAY_PARAMS)
 
 
+@pytest.mark.parametrize("delta", [0.123, 0.246])
+def test_decay_accepts_eps_at_its_bound(elbow, delta):
+    """eps = delta / 500 is allowed, also where 500 * eps rounds above delta."""
+    assert 500 * (delta / 500) > delta
+    params = GoodnessParams(delta=delta, gamma=0.1, r=1)
+    fit = estimate_boundary_decay(elbow, 0, 0, (delta / 500,), trials=5,
+                                  seed=0, params=params)
+    assert fit.eps == (delta / 500,)
+
+
 def reference_floor(space: dl.FiniteMetricSpace, level: int,
                     params: GoodnessParams, finest: int) -> float | None:
     """Conservative membership floor 2**-d over the levels above the cube level.

@@ -221,6 +221,17 @@ def test_nested_coarsest_beyond_finest(singleton):
         dl.build_nested_grids(space, 0.5, 5, rng=0)
 
 
+@pytest.mark.parametrize("md, delta, finest", [(1e308, 0.001, -102),
+                                               (1.7e308, 0.5, -1023)])
+def test_finest_level_near_the_float_maximum(md, delta, finest):
+    """A power of delta past the float maximum counts as +inf, so the least
+    distance still frames the hierarchy instead of raising OverflowError."""
+    space = dl.validate_metric([[0, md], [md, 0]])
+    with pytest.raises(InvalidParams, match=f"finer than the finest level {finest}$"):
+        dl.finest_level(space, delta, 0)
+    assert dl.finest_level(space, delta, finest) == finest
+
+
 def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
     """A bad mode is refused also when no level is sampled: on a singleton,
     and when every level below the finest is frozen."""

@@ -33,6 +33,7 @@ from dyadiclab.lattice import (
     ForestInvariantReport,
     _link_rule,
     _parent_options,
+    _rival_depth,
     cube_to_json,
     forest_to_json,
 )
@@ -707,6 +708,31 @@ def reference_verify_chain_separation(forest, x, chain, base_level, eps):
     return True
 
 
+def reference_rival_depth(forest: dl.LatticeForest, level: int) -> dict[int, float]:
+    """Distance from each member of a cube to the union of the other cubes,
+    least over the cubes that hold it; points in no cube are absent."""
+    space = forest.space
+    everything = frozenset(range(len(space)))
+    cubes = dl.build_cubes(forest, level)
+    depth: dict[int, float] = {}
+    for cube in cubes:
+        rival = sorted(everything - dl.tilde_cube(space, cubes, cube.center).members)
+        members = sorted(cube.members)
+        if rival:
+            mins = space.d[np.ix_(members, rival)].min(axis=1)
+        else:
+            mins = np.full(len(members), np.inf)
+        for x, dist in zip(members, mins):
+            depth[x] = min(depth.get(x, np.inf), float(dist))
+    return depth
+
+
+def assert_rival_depth_matches_reference(forest, level):
+    want = reference_rival_depth(forest, level)
+    got = _rival_depth(forest, level)
+    assert got.tolist() == [want.get(x, np.inf) for x in range(len(forest.space))]
+
+
 def reference_scan_chain_separation(forest: dl.LatticeForest) -> ChainScanReport:
     """Exhaustively test every chain whose boundary hypotheses can be met."""
     h = forest.hierarchy
@@ -714,22 +740,9 @@ def reference_scan_chain_separation(forest: dl.LatticeForest) -> ChainScanReport
     if h.delta > 1.0 / 1000.0:
         return rep  # hypotheses are never met at this scale ratio
     space = forest.space
-    everything = frozenset(range(len(space)))
     for base_level in h.levels:
         scale_k = h.scale(base_level)
-        base_cubes = dl.build_cubes(forest, base_level)
-        # distance from each member of a cube to the union of the other cubes
-        depth: dict[int, float] = {}
-        for cube in base_cubes:
-            rival = sorted(
-                everything - dl.tilde_cube(space, base_cubes, cube.center).members)
-            members = sorted(cube.members)
-            if rival:
-                mins = space.d[np.ix_(members, rival)].min(axis=1)
-            else:
-                mins = np.full(len(members), np.inf)
-            for x, dist in zip(members, mins):
-                depth[x] = min(depth.get(x, np.inf), float(dist))
+        depth = reference_rival_depth(forest, base_level)
         for m in range(1, h.finest_level - base_level + 1):
             eps = h.delta ** m / 100.0
             top = base_level + m
@@ -766,10 +779,12 @@ def scan_tuple(rep):
 
 
 def assert_checks_match_reference(forest):
-    """Cover reports of every level and the scan agree with the oracles."""
+    """Cover reports and rival depths of every level, and the scan, agree
+    with the oracles."""
     for level in forest.levels:
         assert (outcome(dl.check_cube_cover, forest, level)
                 == outcome(reference_check_cube_cover, forest, level))
+        assert_rival_depth_matches_reference(forest, level)
     got = dl.scan_chain_separation(forest)
     assert scan_tuple(got) == scan_tuple(reference_scan_chain_separation(forest))
     assert all(type(v) is int for t in got.violations for v in t)
@@ -793,6 +808,20 @@ def test_chain_checks_match_reference(decay_probe):
         verified += assert_checks_match_reference(
             shared_stream_forest(cascade200, 0.001, 0, seed=seed)).verified
     assert verified > 0
+
+
+def test_rival_depth_from_the_cover_count():
+    """One hand-set level: b lies in the cubes of a and c, e only in c's, d in
+    none.  b is its own rival, a and c each see b, e sees b, and d has no
+    cube to hold it."""
+    space = dl.space_from_coords([[0.0], [0.0075], [0.015], [0.5], [0.02]],
+                                 names=("a", "b", "c", "d", "e"))
+    hierarchy = GridHierarchy(space=space, delta=0.001, levels=(0,), grids={
+        0: Grid(scale=1.0, members=frozenset({0, 2}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={})
+    assert forest.cube_table[0][1].sum(axis=0).tolist() == [1, 2, 1, 0, 1]
+    assert _rival_depth(forest, 0).tolist() == [0.0075, 0.0, 0.0075, np.inf, 0.0125]
+    assert_rival_depth_matches_reference(forest, 0)
 
 
 def test_verify_chain_matches_reference(decay_probe):

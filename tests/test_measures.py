@@ -79,6 +79,14 @@ def test_growth_requires_positive_exponent(singleton):
         dl.growth_constant(singleton, uniform_wm(1), 0.0)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf")])
+def test_growth_refuses_non_finite_exponent(m):
+    """1.0 ** nan is 1.0, so a non-finite exponent would pass for a constant."""
+    space = dl.validate_metric([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    with pytest.raises(InvalidParams, match="positive"):
+        dl.growth_constant(space, uniform_wm(3), m)
+
+
 def test_measure_doubling_examples(singleton):
     assert dl.measure_doubling_constant(singleton, uniform_wm(1)) == 1.0
     space = dl.validate_metric([[0, 1], [1, 0]])

@@ -313,6 +313,12 @@ def test_rescale_and_subspace(l3):
     assert sub.distance(0, 1) == 1.0
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_rescale_refuses_non_finite_factor(l3, factor):
+    with pytest.raises(InvalidParams, match="positive"):
+        l3.rescale(factor)
+
+
 # the pair loop that one numpy call replaced, kept as its oracle
 def reference_pairwise_distances(space: dl.FiniteMetricSpace) -> list[float]:
     """Sorted distinct positive pairwise distances."""
