@@ -174,7 +174,7 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
 
 def boundary_layer(space: FiniteMetricSpace, cube: Cube, eps: float) -> BoundaryLayer:
     """Exact member set of the layer around the cube's boundary."""
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise InvalidParams("eps must be positive")
     width = eps * cube.scale
     inside = _mask(space, cube.members)
@@ -454,16 +454,15 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
 def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                  params: GoodnessParams) -> int:
     """The number of parent maps of one grid outcome under which the cube of
-    the center at ``level`` is good; ``children`` lists, per level above the
-    coarsest, the level, its sorted points and their parent options."""
+    the center at ``level`` is good; ``children`` is the grid outcome's link
+    rule from ``_outcome_frames``, whose option columns are the ball rows."""
     levels = hierarchy.levels
     balls = {lev: _balls(hierarchy, lev) for lev in levels}
     # per level above the coarsest, one row per parent map of its points, in
     # itertools.product order, holding each point's parent row one level down
     choices = {}
-    for lev, _, options in children:
-        row_of = {y: i for i, y in enumerate(balls[lev - 1][0])}
-        axes = np.meshgrid(*[[row_of[p] for p in opts] for opts in options],
+    for lev, _, _, options in children:
+        axes = np.meshgrid(*[row.nonzero()[0] for row in options],
                            indexing="ij", copy=False)
         choices[lev] = np.stack([a.ravel() for a in axes], axis=1)
     center_row = balls[level][0].index(center)

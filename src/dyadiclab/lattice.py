@@ -12,13 +12,13 @@ them in its ``cube_table`` as, per level, a map from center to row and one
 read-only boolean cube-by-point membership matrix, which every check reads.
 That union is written once, for one parent map of a level pair or for a
 batch of them: a forest calls it with its own map, and the exact goodness
-walk with every parent choice of a level at once.  The link rule lives in
-one per-level helper, whose options the sampler, the exact enumeration and
-the capture check all read.  The exact enumeration is split the same way:
-one helper lists each grid outcome with its parent options and the weight
-of each of its forests, after the outcome cap is checked;
-``enumerate_forest_outcomes`` builds the product of those options, and the
-exact goodness walk reads the options without building any forest.
+walk with every parent choice of a level at once.  The link rule is, per
+level pair, two boolean child-by-coarse-point matrices, captured points and
+parent options, read by the sampler, the checks and the exact enumeration.
+That enumeration is split the same way: one helper lists each grid outcome
+with its option matrices and the weight of each of its forests, after the
+cap is checked; ``enumerate_forest_outcomes`` takes the product of the
+options, and the exact goodness walk reads them without building a forest.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -192,57 +192,49 @@ def _unite_children(held: np.ndarray, parent_rows, finer_held: np.ndarray) -> No
 
 
 def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
-               coarse: Grid) -> list[tuple[list[int], list[int]]]:
-    """Per child, in the given order: the coarse points within a quarter of
-    the coarse scale, and the child's parent options, which are those captured
-    points when there are any and otherwise every coarse point within three
-    times the coarse scale.  Reads one distance slice for the whole level."""
-    cols = sorted(coarse.members)
-    capture = coarse.scale / CAPTURE_DIVISOR
-    reach = CANDIDATE_FACTOR * coarse.scale
-    out = []
-    for row in space.d.take(children, 0).take(cols, 1).tolist():
-        captured = [p for p, x in zip(cols, row) if x <= capture]
-        out.append((captured, captured or [p for p, x in zip(cols, row) if x <= reach]))
-    return out
-
-
-def _parent_options(space: FiniteMetricSpace, children: Sequence[int],
-                    coarse: Grid) -> list[list[int]]:
-    """Per child, in the given order, its parent options; raises for the first
-    child with two captured points or with no coarse point in reach."""
-    scale = coarse.scale
-    out = []
-    for child, (captured, options) in zip(children, _link_rule(space, children, coarse)):
-        if len(captured) > 1:
-            # impossible for a valid grid: two such parents would be within scale/2
-            raise InvalidParams(
-                f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
-                f"of child {child}")
-        if not options:
-            raise NoCandidateParent(
-                f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
-        out.append(options)
-    return out
+               coarse: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse grid's sorted points ``cols`` and, from one distance slice,
+    two boolean child-by-``cols`` matrices, children in the given order:
+    ``captured``, the points within a quarter of the coarse scale, and
+    ``options``, those when there are any, else every point within 3 * scale."""
+    cols = np.array(sorted(coarse.members), dtype=np.intp)
+    d = space.d.take(children, 0).take(cols, 1)
+    captured = d <= coarse.scale / CAPTURE_DIVISOR
+    options = np.where(captured.any(axis=1, keepdims=True), captured,
+                       d <= CANDIDATE_FACTOR * coarse.scale)
+    return cols, captured, options
 
 
 def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
                    rng: np.random.Generator | int | None) -> dict[int, int]:
     """Link every child to one parent; random choices are uniform and independent.
 
-    Children are processed in index order: one draw call covers every child
-    with more than one option, in that order, and none is made when no child
-    has, so the map is deterministic for a fixed generator state.
+    Children are processed in index order; the first with two captured points
+    or none in reach raises before any draw.  One draw call covers them all (a
+    bound of 1 draws nothing), and none is made when no child has more than
+    one option, so the map is deterministic for a fixed generator state.
     """
     if not parents.members <= children.members:
         raise InvalidParams("parent grid must be a subset of the child grid")
     rng = np.random.default_rng(rng)
     kids = sorted(children.members)
-    options = _parent_options(space, kids, parents)
-    bounds = [len(opts) for opts in options if len(opts) > 1]
-    picks = iter(rng.integers(bounds).tolist() if bounds else ())
-    return {child: opts[next(picks)] if len(opts) > 1 else opts[0]
-            for child, opts in zip(kids, options)}
+    cols, captured, options = _link_rule(space, kids, parents)
+    counts = options.sum(axis=1)
+    twice = captured.sum(axis=1) > 1
+    failing = np.flatnonzero(twice | (counts == 0))
+    if failing.size:
+        child, scale = kids[failing[0]], parents.scale
+        if twice[failing[0]]:
+            # impossible for a valid grid: two such parents would be within scale/2
+            raise InvalidParams(
+                f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
+                f"of child {child}")
+        raise NoCandidateParent(
+            f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
+    picks = rng.integers(counts) if counts.max(initial=0) > 1 else np.zeros_like(counts)
+    # the first column whose running count passes the pick; argmax fails on (0, 0)
+    col = (options.cumsum(axis=1) <= picks[:, None]).sum(axis=1)
+    return dict(zip(kids, cols[col].tolist()))
 
 
 def build_forest(hierarchy: GridHierarchy,
@@ -360,23 +352,25 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     for lev in h.levels[1:]:
         children = sorted(h.grid(lev).members)
         links = forest.parents.get(lev, {})
-        coarse = h.grid(lev - 1)
-        for child, (captured, options) in zip(
-                children, _link_rule(space, children, coarse)):
-            if len(captured) > 1:
-                rep.violations.append(
-                    f"child {child} at level {lev} captured by {captured}")
+        cols, captured, options = _link_rule(space, children, h.grid(lev - 1))
+        col_of = {p: j for j, p in enumerate(cols.tolist())}
+        twice = (captured.sum(axis=1) > 1).tolist()
+        for i, child in enumerate(children):
+            if twice[i]:
+                rep.violations.append(f"child {child} at level {lev} captured by "
+                                      f"{cols[captured[i]].tolist()}")
             parent = links.get(child)
             if parent is None:
                 broken = True
                 rep.violations.append(f"child {child} at level {lev} has no parent")
-            elif parent not in coarse.members:
+            elif parent not in col_of:
                 broken = True
                 rep.violations.append(f"child {child} at level {lev} has parent "
                                       f"{parent}, outside the level-{lev - 1} grid")
-            elif parent not in options:
+            elif not options[i, col_of[parent]]:
                 rep.violations.append(f"child {child} at level {lev} has parent "
-                                      f"{parent}, not one of its options {options}")
+                                      f"{parent}, not one of its options "
+                                      f"{cols[options[i]].tolist()}")
     if broken:
         return rep  # the ancestor walk and the cube table index every link
 
@@ -529,9 +523,9 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
                     limit: int, max_outcomes: int) -> list[tuple]:
     """Per grid outcome of the construction, in enumeration order: its
-    hierarchy, the (level, sorted children, per-child parent options) of every
-    level above the coarsest, and the weight prob / count that each of its
-    count forests carries, count being the product of the option counts.
+    hierarchy, (level, sorted children, ``cols``, ``options`` of ``_link_rule``)
+    for every level above the coarsest, and the weight prob / count that each
+    of its count forests carries, count being the product of the row sums.
     Raises TooLargeForExhaustive, before returning any outcome, when the grid
     outcomes or the forests exceed ``max_outcomes``.
     """
@@ -556,11 +550,14 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
     frames = []
     for grids, prob in grid_outcomes:
         hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
+        # maximal separated grids give each child an option and no two captured
+        # points; Python ints keep the count from overflowing before the cap test
         children = []
         for lev in levels[1:]:
             kids = sorted(grids[lev].members)
-            children.append((lev, kids, _parent_options(space, kids, grids[lev - 1])))
-        count = math.prod(len(opts) for _, _, options in children for opts in options)
+            cols, _, options = _link_rule(space, kids, grids[lev - 1])
+            children.append((lev, kids, cols, options))
+        count = math.prod(n for *_, opts in children for n in opts.sum(axis=1).tolist())
         if total + count > max_outcomes:
             raise TooLargeForExhaustive("too many parent outcomes")
         total += count
@@ -584,10 +581,10 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
     results: list[tuple[LatticeForest, Fraction]] = []
     for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level,
                                                        limit, max_outcomes):
-        options = [opts for _, _, level_options in children for opts in level_options]
+        options = [cols[row].tolist() for *_, cols, rows in children for row in rows]
         for choice in itertools.product(*options):
             picks = iter(choice)
-            parents = {lev: {c: next(picks) for c in kids} for lev, kids, _ in children}
+            parents = {lev: {c: next(picks) for c in kids} for lev, kids, *_ in children}
             results.append((LatticeForest(hierarchy=hierarchy, parents=parents), weight))
     return results
 

@@ -66,6 +66,10 @@ def weighted_measure_from_maps(space: FiniteMetricSpace,
             except (TypeError, ValueError) as exc:
                 raise InvalidParams(
                     f"{label} map has a non-numeric value at point {name!r}") from exc
+        known = set(space.points)
+        for key in given:
+            if key not in known:
+                raise InvalidParams(f"{label} map names point {key!r}, which the space lacks")
         return out
 
     return WeightedMeasure(mu=values("mu", mu), w=values("w", w))

@@ -137,7 +137,7 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
         points = [f"p{i}" for i in range(n)]
     if len(points) != n:
         raise InvalidParams("points list length must match the matrix size")
-    if len(set(points)) != n:
+    if len({str(p) for p in points}) != n:  # the space keeps the str names
         raise InvalidParams("point names must be distinct")
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise InvalidParams("distances must be finite and nonnegative")
@@ -186,7 +186,7 @@ def ball(space: FiniteMetricSpace, center: int | str, radius: float,
          mode: str = "open") -> frozenset[int]:
     """Members of the ball around ``center``: strict ``<`` (open) or ``<=`` (closed)."""
     c = space.resolve(center)
-    if radius < 0:
+    if not radius >= 0:  # NaN too
         raise InvalidParams("radius must be nonnegative")
     row = space.d[c]
     if mode == "open":
@@ -200,7 +200,7 @@ def ball(space: FiniteMetricSpace, center: int | str, radius: float,
 
 def max_ball_occupancy(space: FiniteMetricSpace, radius: float) -> int:
     """Largest number of points in any open ball of the given radius."""
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise InvalidParams("radius must be positive")
     counts = (space.d < radius).sum(axis=1)
     return int(counts.max())

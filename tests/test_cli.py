@@ -225,7 +225,9 @@ def test_non_object_space_json_exits_3(tmp_path, capsys):
     ("--weights", [1, 2], "not a JSON object"),
     ("--weights", {"w": {"p": "abc", "q": 1}}, "'p'"),
     ("--weights", {"mu": 5}, "mu is not a map"),
-], ids=["missing-point", "list-top-level", "non-numeric", "mu-not-a-map"])
+    ("--input", {"mu": {"p": 1, "q": 1, "typo": 5}}, "'typo'"),
+], ids=["missing-point", "list-top-level", "non-numeric", "mu-not-a-map",
+        "unknown-point"])
 def test_a2_weights_missing_point_exits_3(tmp_path, capsys, flag, weights, needle):
     """Malformed weights, in the space file or a --weights file, exit 3."""
     space = {"points": ["p", "q"], "dist": [[0, 1], [1, 0]]}
@@ -243,6 +245,16 @@ def test_a2_weights_missing_point_exits_3(tmp_path, capsys, flag, weights, needl
     err = capsys.readouterr().err
     assert err.startswith("input error:") and needle in err
     assert "Traceback" not in err
+
+
+def test_validate_refuses_names_equal_as_strings(tmp_path, capsys):
+    """The space keeps each name as a string, so 1 and "1" name one point."""
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"points": [1, "1", "z"],
+                                "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]}))
+    assert main(["validate", "--input", str(path)]) == 3
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["detail"] == "invalid space input: point names must be distinct"
 
 
 def test_a2_csv_input_uses_unit_weights(tmp_path):

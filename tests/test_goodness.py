@@ -358,6 +358,8 @@ def test_boundary_layer_requires_positive_eps(two_far):
     cube = dl.build_cubes(forest, forest.levels[-1])[0]
     with pytest.raises(InvalidParams):
         dl.boundary_layer(two_far, cube, 0.0)
+    with pytest.raises(InvalidParams, match="eps must be positive"):
+        dl.boundary_layer(two_far, cube, float("nan"))  # NaN compares false
 
 
 # --- bad-probability estimator --------------------------------------------------------

@@ -141,13 +141,23 @@ def reference_sample_maximal_separated(space, base, k, rng,
 def test_array_draw_equals_scalar_draws_in_order():
     """numpy does not document it, and the one draw call per level rests on
     it: integers over an array of bounds gives the values, and leaves the
-    generator in the state, of one scalar call per bound in order."""
+    generator in the state, of one scalar call per bound in order.  And a
+    bound of 1 draws nothing: one call over every bound gives the values and
+    the state of one call over only the bounds above 1, with 0 elsewhere."""
     bounds_rng = np.random.default_rng(2024)
     for seed in range(240):
         bounds = bounds_rng.integers(1, 9, size=1 + seed % 16).tolist()
         rng, ref = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
         assert rng.integers(bounds).tolist() == [int(ref.integers(b)) for b in bounds]
         assert rng.random() == ref.random()
+    for seed in range(240):
+        bounds = [1] + bounds_rng.integers(1, 4, size=seed % 16).tolist()
+        above = [b for b in bounds if b > 1]
+        rng, ref = np.random.default_rng([seed, 6]), np.random.default_rng([seed, 6])
+        picks = iter(ref.integers(above).tolist() if above else ())
+        assert rng.integers(bounds).tolist() == [next(picks) if b > 1 else 0
+                                                 for b in bounds]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sampler_matches_reference_stream(elbow, ladder, decay_probe):

@@ -1,6 +1,7 @@
 """Parent forests, cubes, covering lemmas, interiors, chain separation."""
 import copy
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from dyadiclab.lattice import (
     DIAMETER_FACTOR,
     ForestInvariantReport,
     _link_rule,
-    _parent_options,
     _rival_depth,
     cube_to_json,
     forest_to_json,
@@ -95,6 +95,7 @@ def test_assign_parent_requires_nested(l3):
 
 
 # the per-child option list and the sampler that the per-level link rule
+# replaced, and the per-child lists of that rule that the option matrices
 # replaced, kept verbatim as their oracles
 def reference_parent_options(space: dl.FiniteMetricSpace, child: int,
                              parents: Grid) -> list[int]:
@@ -114,6 +115,22 @@ def reference_parent_options(space: dl.FiniteMetricSpace, child: int,
         raise NoCandidateParent(
             f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
     return cands
+
+
+def reference_link_rule(space: dl.FiniteMetricSpace, children: Sequence[int],
+                        coarse: Grid) -> list[tuple[list[int], list[int]]]:
+    """Per child, in the given order: the coarse points within a quarter of
+    the coarse scale, and the child's parent options, which are those captured
+    points when there are any and otherwise every coarse point within three
+    times the coarse scale.  Reads one distance slice for the whole level."""
+    cols = sorted(coarse.members)
+    capture = coarse.scale / CAPTURE_DIVISOR
+    reach = CANDIDATE_FACTOR * coarse.scale
+    out = []
+    for row in space.d.take(children, 0).take(cols, 1).tolist():
+        captured = [p for p, x in zip(cols, row) if x <= capture]
+        out.append((captured, captured or [p for p, x in zip(cols, row) if x <= reach]))
+    return out
 
 
 def reference_assign_parents(space: dl.FiniteMetricSpace, children: Grid, parents: Grid,
@@ -154,14 +171,23 @@ def seeded_hierarchies(decay_probe, elbow, ladder, seeds=range(8)):
 
 
 def test_parent_options_match_reference(decay_probe, elbow, ladder):
+    """Each option row marks the oracle's options among the sorted coarse
+    points, and each capture row the ones of them within the capture radius;
+    both matrices give the per-child lists of the old link rule."""
     random_links = 0
     for space, h in seeded_hierarchies(decay_probe, elbow, ladder):
         for lev in h.levels[1:]:
-            kids = sorted(h.grid(lev).members)
-            got = _parent_options(space, kids, h.grid(lev - 1))
-            assert got == [reference_parent_options(space, c, h.grid(lev - 1))
-                           for c in kids]
-            random_links += sum(len(options) > 1 for options in got)
+            kids, coarse = sorted(h.grid(lev).members), h.grid(lev - 1)
+            cols, captured, options = _link_rule(space, kids, coarse)
+            assert cols.dtype == np.intp and cols.tolist() == sorted(coarse.members)
+            for child, caught, row in zip(kids, captured, options):
+                want = reference_parent_options(space, child, coarse)
+                assert cols[row].tolist() == want
+                assert caught.sum() == sum(
+                    space.d[child, p] <= coarse.scale / CAPTURE_DIVISOR for p in want)
+            assert [(cols[c].tolist(), cols[o].tolist()) for c, o in zip(
+                captured, options)] == reference_link_rule(space, kids, coarse)
+            random_links += int((options.sum(axis=1) > 1).sum())
     assert random_links > 100
 
 
@@ -176,10 +202,19 @@ def test_parent_option_errors_match_reference():
         want = outcome(lambda: [reference_parent_options(space, c, parents)
                                 for c in kids])
         assert want[0] is error
-        assert outcome(_parent_options, space, kids, parents) == want
         children = Grid(scale=0.1, members=frozenset(kids))
         assert outcome(dl.assign_parents, space, children, parents, 0) == want
         assert outcome(reference_assign_parents, space, children, parents, 0) == want
+
+
+def test_assign_parents_empty_grid():
+    """An empty child grid links nothing and draws nothing."""
+    space = dl.space_from_coords([[0.0], [1.0]])
+    empty = Grid(scale=1.0, members=frozenset())
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert dl.assign_parents(space, empty, empty, rng) == {}
+    assert rng.bit_generator.state == state
 
 
 def test_build_forest_matches_reference_stream(decay_probe, elbow, ladder):
@@ -497,7 +532,7 @@ def reference_check_forest_invariants(forest: dl.LatticeForest) -> ForestInvaria
         links = forest.parents.get(lev, {})
         coarse = h.grid(lev - 1)
         for child, (captured, options) in zip(
-                children, _link_rule(space, children, coarse)):
+                children, reference_link_rule(space, children, coarse)):
             if len(captured) > 1:
                 rep.violations.append(
                     f"child {child} at level {lev} captured by {captured}")

@@ -109,3 +109,9 @@ def test_weighted_measure_from_maps(l3):
     assert wm.w.tolist() == [1, 1, 4]
     default = weighted_measure_from_maps(l3, None, None)
     assert default.mu.tolist() == [1, 1, 1]
+
+
+def test_weighted_measure_from_maps_refuses_unknown_point(l3):
+    """A key the space lacks is refused by name, not dropped."""
+    with pytest.raises(InvalidParams, match="w map names point 'typo'"):
+        weighted_measure_from_maps(l3, None, {"a": 1, "b": 1, "c": 1, "typo": 5})

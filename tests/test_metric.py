@@ -63,6 +63,13 @@ def test_duplicate_point():
         dl.validate_metric([[0, 0], [0, 0]])
 
 
+def test_names_distinct_as_stored():
+    """The space stores str(name), so distinctness is tested on those."""
+    with pytest.raises(InvalidParams, match="point names must be distinct"):
+        dl.validate_metric([[0, 1], [1, 0]], points=(1, "1"))
+    assert dl.validate_metric([[0, 1], [1, 0]], points=(1, 2)).points == ("1", "2")
+
+
 def test_negative_and_nonsquare_rejected():
     with pytest.raises(InvalidParams):
         dl.validate_metric([[0, -1], [-1, 0]])
@@ -119,6 +126,14 @@ def test_ball_examples(l3):
     assert dl.ball(l3, "a", 1.0, "closed") == {0, 1, 2}
 
 
+def test_ball_refuses_nan_radius(l3):
+    """NaN compares false both ways, so it would give an empty ball, without
+    even the center; an infinite radius is the whole space."""
+    with pytest.raises(InvalidParams, match="radius must be nonnegative"):
+        dl.ball(l3, "a", float("nan"))
+    assert dl.ball(l3, "a", float("inf")) == {0, 1, 2}
+
+
 def test_ball_unknown_point(l3):
     with pytest.raises(UnknownPoint):
         dl.ball(l3, "z", 1.0)
@@ -130,6 +145,12 @@ def test_max_ball_occupancy_examples(l3, singleton, two_far):
     assert dl.max_ball_occupancy(l3, 1.0) == 3
     assert dl.max_ball_occupancy(singleton, 1.0) == 1
     assert dl.max_ball_occupancy(two_far, 1.0) == 1
+
+
+def test_max_ball_occupancy_refuses_nan_radius(l3):
+    with pytest.raises(InvalidParams, match="radius must be positive"):
+        dl.max_ball_occupancy(l3, float("nan"))
+    assert dl.max_ball_occupancy(l3, float("inf")) == 3
 
 
 @settings(max_examples=30, deadline=None)
