@@ -17,15 +17,20 @@ The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
-table, without building a ``Cube``.  A trial first replays its draws along
-the draw paths of the earlier trials of its chunk, kept in two maps keyed by
-the values drawn, so a chunk builds and classifies each distinct forest
-once; the streams are drawn as if every trial built its own forest.
+table, without building a ``Cube``.  A chunk of trials draws from one
+reused generator: it computes the states of all its streams in one array
+pass, checked against ``trial_rng``, and sets each trial's state in turn.  A
+trial first replays its draws along the draw paths of the earlier trials of
+its chunk, kept in two maps keyed by the values drawn, making an integers
+call with few bounds above 1 as scalar draws, so a chunk builds and
+classifies each distinct forest once; the streams are drawn as if every
+trial built its own forest.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -43,7 +48,7 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (DEFAULT_MAX_OUTCOMES, Cube, LatticeForest, _balls,
                       _outcome_frames, _unite_children, build_forest)
-from .mc import run_chunked, trial_rng, loglog_slope, wilson_interval
+from .mc import _trial_states, run_chunked, trial_rng, loglog_slope, wilson_interval
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
@@ -211,6 +216,27 @@ class DecayFit:
 
 
 _MISS_BUDGET = 256  # draw paths one trial chunk enters in its maps; later misses only build
+# an integers call with at most this many bounds above 1 is replayed as scalar
+# draws: about 3 us each, against about 14 us for the array call (timeit,
+# numpy 2.4 on an Intel Xeon); every call on the 3-point elbow falls below, and
+# the criterion-7 cloud's first call, with 21 bounds above 1, above
+_SCALAR_DRAWS = 4
+
+
+def _scalar_draws(rng: np.random.Generator, bounds: tuple) -> tuple:
+    """The values of ``rng.integers(bounds)`` as one scalar draw per bound
+    above 1 and a 0 per bound of 1: the same values, and the stream left in
+    the same state (tests/test_grids.py pins this), without the array call's
+    fixed cost of bounds checks."""
+    return tuple([int(rng.integers(b)) if b > 1 else 0 for b in bounds])
+
+
+def _array_draw(rng: np.random.Generator, bounds: tuple) -> tuple:
+    return tuple(rng.integers(bounds).tolist())
+
+
+def _permutation(rng: np.random.Generator, n: int) -> tuple:
+    return tuple(rng.permutation(n).tolist())
 
 
 @cache
@@ -220,7 +246,9 @@ def _recorder_type() -> type:
 
     class Recorder(np.random.Generator):
         """A generator on a shared bit generator that logs the draw calls a
-        forest's build makes, as ((method, argument), drawn values) pairs."""
+        forest's build makes, as ((replay, argument), drawn values) pairs:
+        ``replay(rng, argument)`` makes the same draws and returns the values.
+        An integers call's argument is its bounds as a tuple of ints."""
 
         def __init__(self, bit_generator):
             super().__init__(bit_generator)
@@ -231,10 +259,13 @@ def _recorder_type() -> type:
             return values
 
         def integers(self, bounds):
-            return self._logged(("integers", bounds), super().integers(bounds))
+            logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
+            few = len(logged) - logged.count(1) <= _SCALAR_DRAWS  # every bound is >= 1
+            return self._logged((_scalar_draws if few else _array_draw, logged),
+                                super().integers(bounds))
 
         def permutation(self, n):
-            return self._logged(("permutation", n), super().permutation(n))
+            return self._logged((_permutation, n), super().permutation(n))
 
     return Recorder
 
@@ -244,8 +275,8 @@ def _replay(calls: dict, rng: np.random.Generator) -> tuple:
     the values drawn so far; the values drawn, one tuple per call."""
     prefix = ()
     while (call := calls.get(prefix)) is not None:
-        method, arg = call
-        prefix += (tuple(getattr(rng, method)(arg).tolist()),)
+        replay, arg = call
+        prefix += (replay(rng, arg),)
     return prefix
 
 
@@ -255,29 +286,40 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     ``finish(part, rng)``, whose own draws come after the forest's (the row is
     the part itself when ``finish`` is None).
 
+    The chunk draws every trial from one generator: it computes the states
+    of all its streams in one pass (``_trial_states``), checks the first
+    against ``trial_rng(seed, lo)``, and sets each trial's state in turn on
+    that generator's bit generator, which the recorder shares.
+
     A forest is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the chunk keeps, for the
     length of the call, the next draw call after each prefix of drawn values
     (``calls``) and the part at the end of each complete path (``parts``).  A
-    trial first replays its draws while ``calls`` knows the next one; one whose
-    path is in ``parts`` builds nothing.  Any other rewinds its stream, builds
-    the forest through a recorder on the same bit generator, and enters its
-    path while the chunk has had fewer than ``_MISS_BUDGET`` misses.  So a
-    chunk builds each distinct forest about once, and every stream is drawn
-    as if each trial built its own.
+    trial first replays its draws while ``calls`` knows the next one, an
+    integers call with few bounds above 1 as scalar draws; one whose path is
+    in ``parts`` builds nothing.  Any other sets its state again, builds the
+    forest through the recorder, and enters its path while the chunk has had
+    fewer than ``_MISS_BUDGET`` misses.  So a chunk builds each distinct
+    forest about once, and every stream is drawn as if each trial built its
+    own.
     """
     space, params, coarsest_level, mode, limit, seed, row, finish = payload
+    rng = trial_rng(seed, lo)
+    bit_generator = rng.bit_generator
+    states = _trial_states(seed, lo, hi)
+    if bit_generator.state != states[0]:
+        raise RuntimeError("the batched trial states differ from trial_rng: "
+                           "numpy's SeedSequence or PCG64 seeding has changed")
+    recorder = _recorder_type()(bit_generator)
     cache: dict = {}
     calls, parts, misses = {}, {}, 0
     rows = []
-    recorder_type = _recorder_type()
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        state = rng.bit_generator.state
+    for state in states:
+        bit_generator.state = state
         part = parts.get(_replay(calls, rng))
         if part is None:
-            rng.bit_generator.state = state
-            recorder = recorder_type(rng.bit_generator)
+            bit_generator.state = state
+            recorder.path.clear()
             hierarchy = build_nested_grids(space, params.delta, coarsest_level,
                                            recorder, mode=mode, limit=limit,
                                            cache=cache)
@@ -291,6 +333,19 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
             misses += 1
         rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
+
+
+def _master_seed(seed) -> int:
+    """The master seed as an int, refused with InvalidParams unless it is an
+    integer >= 0: ``trial_rng`` would draw seed 2's streams for 2.5."""
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        pass
+    else:
+        if index >= 0:
+            return index
+    raise InvalidParams(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
@@ -333,6 +388,7 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     """
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
+    seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
     payload = (space, params, coarsest_level, mode, limit, seed, row, None)
@@ -375,6 +431,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     """
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
+    seed = _master_seed(seed)
     eps = [float(e) for e in eps_schedule]
     if not eps or any(not e > 0 for e in eps):
         raise ScheduleInvalid("eps values must be positive")
@@ -511,6 +568,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     """Empirical frequency of the really-good event; expected to match ``a``."""
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
+    seed = _master_seed(seed)
     center = space.resolve(center)
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws

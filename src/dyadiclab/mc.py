@@ -33,8 +33,109 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent deterministic stream for one trial of a seeded experiment."""
+    """Independent deterministic stream for one trial of a seeded experiment.
+
+    This is the definition of trial ``index``'s stream: ``_trial_states``
+    computes the same streams for a whole chunk of trials at once, and is
+    pinned to this function by test and by a check in every trial chunk.
+    """
     return np.random.default_rng([int(master_seed), int(index)])
+
+
+# NumPy's SeedSequence (O'Neill's seed_seq design) with its default pool of 4
+# words, then the PCG64 seeding step; their constants, and the hash constants
+# of the pool's mixing and of generate_state, which do not depend on the data.
+_POOL = 4
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``steps`` hash steps, as uint32
+    columns: step i xors c_i and multiplies by c_(i+1), where c_0 = init and
+    c_(i+1) = c_i * mult."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & _MASK32)
+    column = np.array(chain, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+_MIX_STEPS = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_GENERATE_STEPS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of an int >= 0, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mixed pool, a (4, n) uint32 array, of each column of an
+    (L, n) uint32 array of entropy words."""
+    xor, mult = (_MIX_STEPS if len(entropy) <= _POOL else
+                 _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy)))
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = _hash(pool, xor[:_POOL], mult[:_POOL])
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        steps = slice(_POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1))
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[steps], mult[steps]))
+    for extra, word in enumerate(entropy[_POOL:], start=_POOL):
+        steps = slice(_POOL * extra, _POOL * (extra + 1))
+        pool = _mix(pool, _hash(word, xor[steps], mult[steps]))
+    return pool
+
+
+def _pcg64_state(initstate: int, initseq: int) -> dict:
+    """The state PCG64 seeds from a 128-bit (initstate, initseq): state 0,
+    inc = initseq << 1 | 1, one step, add initstate, one step."""
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _trial_states(master_seed: int, lo: int, hi: int) -> list[dict]:
+    """``trial_rng(master_seed, t).bit_generator.state`` for each t in
+    [lo, hi), in one pass of uint32 array math over the range; the seed and
+    the indices are ints >= 0."""
+    states = []
+    seed_words = _words(master_seed)
+    while lo < hi:  # the entropy is one word longer from each power of 2**32 on
+        width = len(_words(lo))
+        top = min(hi, 1 << 32 * width)
+        trials = range(lo, top)
+        entropy = np.array([[word] * len(trials) for word in seed_words]
+                           + [[t >> shift & _MASK32 for t in trials]
+                              for shift in range(0, 32 * width, 32)],
+                           dtype=np.uint32)
+        pool = _seed_pool(entropy)
+        # generate_state(4, uint64): 8 hashed words, cycling the pool
+        words = _hash(np.tile(pool, (2, 1)), *_GENERATE_STEPS).astype(np.uint64)
+        uint64s = words[0::2] | words[1::2] << np.uint64(32)
+        seed_hi, seed_lo, inc_hi, inc_lo = uint64s.tolist()
+        states += [_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+                   for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo)]
+        lo = top
+    return states
 
 
 def loglog_slope(xs, ys) -> float:

@@ -32,7 +32,7 @@ from dyadiclab.goodness import (
 )
 from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
 from dyadiclab.lattice import build_forest
-from dyadiclab.mc import run_chunked, trial_rng, wilson_interval
+from dyadiclab.mc import _trial_states, run_chunked, trial_rng, wilson_interval
 
 
 PARAMS = GoodnessParams(delta=0.1, gamma=0.1, r=1)
@@ -397,6 +397,27 @@ def test_estimate_rejects_zero_trials(elbow):
         estimate_bad_probability(elbow, 2, 0, PARAMS, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_estimators_refuse_a_bad_seed(monkeypatch, elbow, seed):
+    """Refused before any trial runs: trial_rng would draw seed 2's streams
+    for 2.5, and numpy refuses -1 with a bare ValueError."""
+    monkeypatch.setattr(goodness, "run_chunked", None)
+    refused = "seed must be an integer >= 0"
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_bad_probability(elbow, 2, 0, PARAMS, trials=10, seed=seed)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=10, seed=seed,
+                                params=PARAMS)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=10,
+                             seed=seed)
+
+
+def test_estimators_take_a_numpy_integer_seed(elbow):
+    assert (estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=np.int64(3))
+            == estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=3))
+
+
 def test_estimate_center_not_in_grid(elbow):
     """At a random coarse level the fixed center is sometimes absent."""
     with pytest.raises(CenterNotInGrid):
@@ -620,10 +641,13 @@ def assert_rows_match_reference(monkeypatch, space, params, mode, trials,
 
 def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe):
     """Equal rows for all three estimators, from the first trial and from
-    one inside the chunk."""
-    for case in pipeline_cases(elbow, ladder, decay_probe):
+    one inside the chunk, and for a seed of three 32-bit words."""
+    cases = pipeline_cases(elbow, ladder, decay_probe)
+    for case in cases:
         for lo in (0, 7):
             assert_rows_match_reference(monkeypatch, *case, lo=lo)
+    for lo in (0, 7):
+        assert_rows_match_reference(monkeypatch, *cases[0], seed=2**64 + 5, lo=lo)
 
 
 @pytest.mark.parametrize("budget", [0, 1, goodness._MISS_BUDGET])
@@ -651,6 +675,60 @@ def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds)
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+
+
+def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):
+    """A chunk sets its trials' states from one batched pass, so the elbow's
+    1500 trials seed a stream with default_rng at most once: for the check
+    against trial_rng.  (A call on a Generator only passes it through.)"""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_default_rng(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+    assert len(made) <= 1
+
+
+def test_trial_chunk_refuses_states_that_differ_from_trial_rng(monkeypatch, elbow):
+    monkeypatch.setattr(goodness, "_trial_states",
+                        lambda seed, lo, hi: _trial_states(seed + 1, lo, hi))
+    with pytest.raises(RuntimeError, match="differ from trial_rng"):
+        estimate_bad_probability(elbow, 2, "x", PARAMS, trials=10, seed=5)
+
+
+STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7)
+STATE_TRIALS = (0, 1, 7, 499, 500, 2**32 - 1, 2**32)
+
+
+def test_trial_states_match_trial_rng():
+    """The batched states are trial_rng's, for seeds and trial indices of
+    more than one 32-bit word (2**96 + 7 has more words than the hash's pool
+    of 4), one at a time and over ranges that cross a word boundary."""
+    def want(seed, ts):
+        return [trial_rng(seed, t).bit_generator.state for t in ts]
+
+    for seed in STATE_SEEDS:
+        for t in STATE_TRIALS:
+            assert _trial_states(seed, t, t + 1) == want(seed, [t])
+        assert _trial_states(seed, 0, 12) == want(seed, range(12))
+        across = range(2**32 - 3, 2**32 + 2)
+        assert _trial_states(seed, across.start, across.stop) == want(seed, across)
+
+
+def test_trial_state_set_resets_the_buffered_half_word():
+    rng = trial_rng(5, 0)
+    rng.integers(10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    rng.bit_generator.state, = _trial_states(5, 3, 4)
+    ref = trial_rng(5, 3)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert (rng.integers(10, size=5, dtype=np.uint32).tolist()
+            == ref.integers(10, size=5, dtype=np.uint32).tolist())
 
 
 # --- Wilson intervals ---------------------------------------------------------------------
