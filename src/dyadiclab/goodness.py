@@ -311,7 +311,6 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(bit_generator)
-    cache: dict = {}
     calls, parts, misses = {}, {}, 0
     rows = []
     for state in states:
@@ -321,8 +320,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
             bit_generator.state = state
             recorder.path.clear()
             hierarchy = build_nested_grids(space, params.delta, coarsest_level,
-                                           recorder, mode=mode, limit=limit,
-                                           cache=cache)
+                                           recorder, mode=mode, limit=limit)
             part = row(build_forest(hierarchy, recorder))
             if misses < _MISS_BUDGET:
                 prefix = ()

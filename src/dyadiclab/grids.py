@@ -7,10 +7,18 @@ uniform sampling factor over connected components of that graph: a subset is
 maximal exactly when its restriction to every component is, so the family of
 grids is the product of the per-component families and per-component uniform
 choices compose to a uniform choice overall.
+
+The component families of a (base, scale) pair are a function of the space
+alone, so they are computed once per space: ``_FAMILIES`` keeps them, weakly
+keyed by the space, so they die with it, and are never pickled with it into a
+worker.  Each space keeps the first ``_FAMILY_BUDGET`` (base, scale, cap)
+keys it meets; later ones are computed on every call.  Sampling, enumeration,
+the exact forest walk and the coloring enumerator all read through it.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,6 +43,8 @@ __all__ = [
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
+_FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
+_FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> {key: families}
 
 
 @dataclass(frozen=True)
@@ -73,9 +83,9 @@ class GridHierarchy:
         return self.delta ** level
 
 
-def _conflict_lists(space: FiniteMetricSpace, base: Sequence[int], k: float) -> dict[int, list[int]]:
-    """Adjacency of the conflict graph: edges between base points at distance < k."""
-    base = sorted(base)
+def _conflict_lists(space: FiniteMetricSpace, base: tuple[int, ...], k: float) -> dict[int, list[int]]:
+    """Adjacency of the conflict graph on the sorted ``base``: edges between
+    base points at distance < k."""
     adj: dict[int, list[int]] = {b: [] for b in base}
     for idx, a in enumerate(base):
         for b in base[idx + 1:]:
@@ -129,20 +139,24 @@ def _component_mis(adj: dict[int, list[int]], comp: list[int]) -> list[frozenset
     return sorted(out, key=sorted)
 
 
-def _component_families(space, base, k, limit, cache=None) -> list[list[frozenset[int]]]:
-    """Per-component maximal-set families; each component must fit the cap."""
-    key = (frozenset(base), float(k))
-    if cache is not None and key in cache:
-        return cache[key]
-    adj = _conflict_lists(space, base, k)
-    families = []
-    for comp in _components(adj):
-        if len(comp) > limit:
-            raise TooLargeForExhaustive(
-                f"component of size {len(comp)} exceeds the cap {limit}")
-        families.append(_component_mis(adj, comp))
-    if cache is not None:
-        cache[key] = families
+def _component_families(space, base, k, limit) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Per-component maximal-set families; each component must fit the cap.
+    Kept in the space's ``_FAMILIES`` entry while it has room."""
+    base = tuple(sorted(base))
+    memo = _FAMILIES.setdefault(space, {})
+    key = (base, k, limit)
+    families = memo.get(key)
+    if families is None:
+        adj = _conflict_lists(space, base, k)
+        families = []
+        for comp in _components(adj):
+            if len(comp) > limit:
+                raise TooLargeForExhaustive(
+                    f"component of size {len(comp)} exceeds the cap {limit}")
+            families.append(tuple(_component_mis(adj, comp)))
+        families = tuple(families)
+        if len(memo) < _FAMILY_BUDGET:
+            memo[key] = families
     return families
 
 
@@ -151,6 +165,7 @@ def _component_families(space, base, k, limit, cache=None) -> list[list[frozense
 def greedy_grid(space: FiniteMetricSpace, base: Sequence[int], k: float,
                 order: Sequence[int]) -> Grid:
     """Scan ``base`` in the given order, admitting points >= k from all admitted."""
+    _require_scale(k)
     base_set = set(space.resolve(p) for p in base)
     order = [space.resolve(p) for p in order]
     if set(order) != base_set or len(order) != len(base_set):
@@ -170,6 +185,7 @@ def _greedy_members(space: FiniteMetricSpace, order: list[int], k: float) -> fro
 def is_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
                          subset: Sequence[int], k: float) -> bool:
     """True iff the subset is pairwise >= k and no base point can be added."""
+    _require_scale(k)
     base_set = {space.resolve(p) for p in base}
     sub = [space.resolve(p) for p in subset]
     if not set(sub) <= base_set:
@@ -193,6 +209,7 @@ def _is_maximal(space: FiniteMetricSpace, base: set[int], sub: list[int],
 def enumerate_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
                                 k: float, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[Grid]:
     """Complete duplicate-free list of maximal k-separated subsets of ``base``."""
+    _require_scale(k)
     base = sorted(space.resolve(p) for p in base)
     if len(base) > limit:
         raise TooLargeForExhaustive(f"|base|={len(base)} exceeds the cap {limit}")
@@ -210,11 +227,17 @@ def _require_mode(mode: str) -> None:
         raise InvalidParams(f"unknown sampling mode {mode!r}")
 
 
+def _require_scale(k: float) -> None:
+    """Raise InvalidParams if the scale is NaN: every distance comparison with
+    it is false, so the grid functions would each answer differently."""
+    if math.isnan(k):
+        raise InvalidParams("the scale k must not be NaN")
+
+
 def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: float,
                              rng: np.random.Generator,
                              mode: str = "exhaustive_uniform",
-                             limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                             cache: dict | None = None) -> Grid:
+                             limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Grid:
     """Draw one maximal k-separated subset of ``base``.
 
     exhaustive_uniform: exactly uniform over all maximal subsets, realized as
@@ -227,18 +250,18 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     not uniform; probabilistic verdicts should use exhaustive_uniform.
     """
     _require_mode(mode)
+    _require_scale(k)
     base = sorted(space.resolve(p) for p in base)
-    return _sample_grid(space, base, k, rng, mode, limit, cache)
+    return _sample_grid(space, base, k, rng, mode, limit)
 
 
 def _sample_grid(space: FiniteMetricSpace, base: list[int], k: float,
-                 rng: np.random.Generator, mode: str, limit: int,
-                 cache: dict | None) -> Grid:
+                 rng: np.random.Generator, mode: str, limit: int) -> Grid:
     """``sample_maximal_separated`` on sorted point indices and a known mode."""
     if mode == "greedy_permutation":
         order = [base[i] for i in rng.permutation(len(base))]
         return Grid(scale=k, members=_greedy_members(space, order, k))
-    families = _component_families(space, base, k, limit, cache)
+    families = _component_families(space, base, k, limit)
     members: set[int] = set()
     picks = rng.integers([len(fam) for fam in families]).tolist()
     for fam, pick in zip(families, picks):
@@ -288,8 +311,7 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
                        rng: np.random.Generator | int | None,
                        mode: str = "exhaustive_uniform",
                        limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                       freeze_above: int | None = None,
-                       cache: dict | None = None) -> GridHierarchy:
+                       freeze_above: int | None = None) -> GridHierarchy:
     """Sample a nested hierarchy of grids at scales delta**level.
 
     The finest level M makes the whole space the (unique) grid; every coarser
@@ -309,7 +331,7 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
         if freeze_above is not None and k >= freeze_above:
             grids[k] = Grid(scale=scale, members=_greedy_members(space, base, scale))
         else:
-            grids[k] = _sample_grid(space, base, scale, rng, mode, limit, cache)
+            grids[k] = _sample_grid(space, base, scale, rng, mode, limit)
     return GridHierarchy(space=space, delta=delta, levels=tuple(levels), grids=grids)
 
 

@@ -109,8 +109,10 @@ class FiniteMetricSpace:
             raise InvalidParams("rescale factor must be positive and finite")
         return FiniteMetricSpace(self.points, self.d / factor)
 
-    def subspace(self, indices: Iterable[int]) -> "FiniteMetricSpace":
-        idx = sorted(self.resolve(i) for i in indices)
+    def subspace(self, indices: Iterable[int | str]) -> "FiniteMetricSpace":
+        """The space on the given points, by index or name; a point given
+        twice is taken once."""
+        idx = sorted({self.resolve(i) for i in indices})
         sub = self.d[np.ix_(idx, idx)]
         return FiniteMetricSpace([self.points[i] for i in idx], sub)
 

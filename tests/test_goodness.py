@@ -557,12 +557,11 @@ def reference_trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
     ``trial_rng(seed, t)``, then ``row(forest, rng, params, *args)``."""
     space, params, coarsest_level, mode, limit, seed, row, args = payload
-    cache: dict = {}
     rows = []
     for t in range(lo, hi):
         rng = trial_rng(seed, t)
         hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
-                                       mode=mode, limit=limit, cache=cache)
+                                       mode=mode, limit=limit)
         rows.append(row(build_forest(hierarchy, rng), rng, params, *args))
     return np.array(rows, dtype=np.int64)
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import copy
+import gc
+import weakref
 
 import dyadiclab as dl
+from dyadiclab import grids
 from dyadiclab.errors import InvalidParams, TooLargeForExhaustive
 from dyadiclab.grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, _component_families,
                              _require_mode, hierarchy_to_json)
@@ -68,16 +71,18 @@ def test_enumerate_trivial(singleton, two_far):
 
 
 def test_enumerate_matches_brute_force_oracle():
-    """Component-factorized enumeration equals the all-subsets filter."""
+    """Component-factorized enumeration equals the all-subsets filter, on the
+    first call and on the second, which reads the space's family memo."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 11))
         space = dl.space_from_coords(rng.uniform(0, 4, size=(n, 2)))
         for k in (0.8, 1.5, 2.5):
-            got = {g.members for g in dl.enumerate_maximal_separated(
-                space, range(n), k)}
             want = set(brute_force_maximal(space, range(n), k))
-            assert got == want
+            for _ in range(2):
+                got = {g.members for g in dl.enumerate_maximal_separated(
+                    space, range(n), k)}
+                assert got == want
 
 
 def test_enumerate_cap():
@@ -94,11 +99,10 @@ def test_enumerate_cap():
 def test_sample_uniform_frequencies(l3):
     """Empirical frequencies over 1e5 draws match uniform within 4 sigma."""
     rng = np.random.default_rng(123)
-    cache = {}
     trials = 100_000
     counts = {frozenset({0, 2}): 0, frozenset({1}): 0}
     for _ in range(trials):
-        g = dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, rng, cache=cache)
+        g = dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, rng)
         counts[g.members] += 1
     sigma = (0.5 * 0.5 / trials) ** 0.5
     for c in counts.values():
@@ -123,15 +127,14 @@ def test_sample_greedy_permutation_valid(l3):
 
 def reference_sample_maximal_separated(space, base, k, rng,
                                        mode="exhaustive_uniform",
-                                       limit=DEFAULT_EXHAUSTIVE_LIMIT,
-                                       cache=None) -> Grid:
+                                       limit=DEFAULT_EXHAUSTIVE_LIMIT) -> Grid:
     """The sampler as it was with one scalar draw per component (kept verbatim)."""
     _require_mode(mode)
     base = sorted(space.resolve(p) for p in base)
     if mode == "greedy_permutation":
         order = [base[i] for i in rng.permutation(len(base))]
         return dl.greedy_grid(space, base, k, order)
-    families = _component_families(space, base, k, limit, cache)
+    families = _component_families(space, base, k, limit)
     members: set[int] = set()
     for fam in families:
         members.update(fam[int(rng.integers(len(fam)))])
@@ -252,6 +255,51 @@ def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
         dl.build_nested_grids(singleton, 0.1, 0, 1, mode="bogus")
     with pytest.raises(InvalidParams, match="unknown sampling mode 'bogus'"):
         dl.build_nested_grids(l3, 0.1, 0, 1, mode="bogus", freeze_above=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda l3, k, rng: dl.greedy_grid(l3, [0, 1, 2], k, [0, 1, 2]),
+    lambda l3, k, rng: dl.is_maximal_separated(l3, [0, 1, 2], [0], k),
+    lambda l3, k, rng: dl.enumerate_maximal_separated(l3, [0, 1, 2], k),
+    lambda l3, k, rng: dl.sample_maximal_separated(l3, [0, 1, 2], k, rng),
+], ids=["greedy", "is_maximal", "enumerate", "sample"])
+def test_nan_scale_is_refused_before_any_draw(l3, call):
+    """Every comparison with a NaN scale is false, so the four grid functions
+    would each answer differently; all four refuse it, and draw nothing."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParams, match="NaN"):
+        call(l3, float("nan"), rng)
+    assert rng.bit_generator.state == state
+
+
+# --- the per-space family memo ----------------------------------------------------------
+
+def test_family_memo_dies_with_its_space(monkeypatch):
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    space = dl.space_from_coords([[0.0], [0.5], [1.0], [3.0]])
+    dl.build_nested_grids(space, 0.5, -2, rng=0)
+    dl.enumerate_maximal_separated(space, range(4), 1.0)
+    assert len(grids._FAMILIES) == 1
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
+    assert len(grids._FAMILIES) == 0
+
+
+def test_family_memo_keeps_at_most_its_budget(monkeypatch):
+    """Past the budget a space's memo stops growing, and the grids drawn
+    are still the reference sampler's."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    monkeypatch.setattr(grids, "_FAMILY_BUDGET", 2)
+    space = dl.space_from_coords([[0.0], [0.5], [1.0], [1.5], [3.0]])
+    for seed, base in enumerate([range(5), range(4), [0, 2, 3, 4]]):
+        got = dl.sample_maximal_separated(space, base, 1.0, np.random.default_rng(seed))
+        want = reference_sample_maximal_separated(space, base, 1.0,
+                                                  np.random.default_rng(seed))
+        assert got == want
+    assert len(grids._FAMILIES[space]) == 2
 
 
 def test_hierarchy_serialization(l3):

@@ -334,6 +334,17 @@ def test_rescale_and_subspace(l3):
     assert sub.distance(0, 1) == 1.0
 
 
+def test_subspace_takes_a_repeated_point_once(l3):
+    """A point given twice, by index or by name, is one point of the
+    subspace, which is then a metric space the grids can be drawn on."""
+    sub = l3.subspace([0, 0, 2])
+    assert sub.points == ("a", "c")
+    assert sub.d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert l3.subspace(["a", 0]).points == ("a",)
+    dl.validate_metric(sub.d, points=sub.points)
+    assert dl.build_nested_grids(sub, 0.5, 0, rng=0).finest_level == 1
+
+
 @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
 def test_rescale_refuses_non_finite_factor(l3, factor):
     with pytest.raises(InvalidParams, match="positive"):
