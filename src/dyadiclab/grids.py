@@ -6,7 +6,9 @@ with an edge between any two base points at distance < k.  Enumeration and
 uniform sampling factor over connected components of that graph: a subset is
 maximal exactly when its restriction to every component is, so the family of
 grids is the product of the per-component families and per-component uniform
-choices compose to a uniform choice overall.
+choices compose to a uniform choice overall.  The conflict graph of a (base,
+scale) pair is one comparison on the base-by-base distance slice, read by
+position in the sorted base, so components come in order of least point.
 
 The component families of a (base, scale) pair are a function of the space
 alone, so they are computed once per space: ``_FAMILIES`` keeps them, weakly
@@ -83,22 +85,10 @@ class GridHierarchy:
         return self.delta ** level
 
 
-def _conflict_lists(space: FiniteMetricSpace, base: tuple[int, ...], k: float) -> dict[int, list[int]]:
-    """Adjacency of the conflict graph on the sorted ``base``: edges between
-    base points at distance < k."""
-    adj: dict[int, list[int]] = {b: [] for b in base}
-    for idx, a in enumerate(base):
-        for b in base[idx + 1:]:
-            if space.d[a, b] < k:
-                adj[a].append(b)
-                adj[b].append(a)
-    return adj
-
-
-def _components(adj: dict[int, list[int]]) -> list[list[int]]:
+def _components(adj: list[list[int]]) -> list[list[int]]:
     seen: set[int] = set()
     comps = []
-    for start in sorted(adj):
+    for start in range(len(adj)):
         if start in seen:
             continue
         stack, comp = [start], []
@@ -114,14 +104,15 @@ def _components(adj: dict[int, list[int]]) -> list[list[int]]:
     return comps
 
 
-def _component_mis(adj: dict[int, list[int]], comp: list[int]) -> list[frozenset[int]]:
+def _component_mis(adj: list[list[int]], comp: list[int]) -> list[frozenset[int]]:
     """All maximal independent sets of one component, in canonical order.
 
     Bron-Kerbosch with pivoting, run on the complement graph (maximal
     independent sets are exactly the maximal cliques of the complement).
     """
     comp_set = set(comp)
-    # complement adjacency: compatible pairs are those at distance >= k
+    # complement adjacency: compatible pairs are those at distance >= k; at
+    # k <= 0 the diagonal is no conflict, so each vertex is removed by hand
     compat = {u: comp_set - set(adj[u]) - {u} for u in comp}
     out: list[frozenset[int]] = []
 
@@ -147,13 +138,15 @@ def _component_families(space, base, k, limit) -> tuple[tuple[frozenset[int], ..
     key = (base, k, limit)
     families = memo.get(key)
     if families is None:
-        adj = _conflict_lists(space, base, k)
+        # the conflict graph by position in base: edges at distance < k
+        adj = [row.nonzero()[0].tolist() for row in space.d.take(base, 0).take(base, 1) < k]
         families = []
         for comp in _components(adj):
             if len(comp) > limit:
                 raise TooLargeForExhaustive(
                     f"component of size {len(comp)} exceeds the cap {limit}")
-            families.append(tuple(_component_mis(adj, comp)))
+            families.append(tuple(frozenset(base[i] for i in mis)
+                                  for mis in _component_mis(adj, comp)))
         families = tuple(families)
         if len(memo) < _FAMILY_BUDGET:
             memo[key] = families

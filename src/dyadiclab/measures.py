@@ -29,15 +29,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Per-point masses mu >= 0 (not all zero) and weights w > 0 where mu > 0."""
+    """Per-point masses mu >= 0 (not all zero) and weights w > 0 where mu > 0.
+
+    Both arrays are read-only copies of the caller's, so the checks below
+    hold for the life of the object.
+    """
     mu: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "w", w)
+        mu = np.array(self.mu, dtype=float)
+        w = np.array(self.w, dtype=float)
+        for name, arr in (("mu", mu), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if mu.ndim != 1 or w.shape != mu.shape:
             raise InvalidParams("mu and w must be 1-d arrays of equal length")
         if np.any(mu < 0) or not np.all(np.isfinite(mu)):
@@ -75,15 +80,21 @@ def weighted_measure_from_maps(space: FiniteMetricSpace,
     return WeightedMeasure(mu=values("mu", mu), w=values("w", w))
 
 
+def _require_measure_of(space: FiniteMetricSpace, wm: WeightedMeasure) -> None:
+    """Raise InvalidParams unless the measure has one mass per point of the space."""
+    if len(wm.mu) != len(space):
+        raise InvalidParams(
+            f"the measure has {len(wm.mu)} masses but the space has {len(space)} points")
+
+
 def a2_characteristic(space: FiniteMetricSpace, wm: WeightedMeasure) -> float:
     """Supremum over closed balls of avg(w) * avg(1/w) with respect to mu.
 
     Balls of zero mass are skipped; the weight is inverted only where the
     measure charges the point.
     """
+    _require_measure_of(space, wm)
     mu, w = wm.mu, wm.w
-    if mu.sum() <= 0:
-        raise DegenerateMeasure("measure is identically zero")
     winv = np.zeros_like(w)
     positive = mu > 0
     winv[positive] = 1.0 / w[positive]
@@ -116,6 +127,7 @@ def growth_constant(space: FiniteMetricSpace, wm: WeightedMeasure,
 
     A singleton has no positive radii; by convention its constant is 0.
     """
+    _require_measure_of(space, wm)
     if not 0 < m < np.inf:
         raise InvalidParams("growth exponent must be positive and finite")
     radii = space.pairwise_distances()
@@ -136,9 +148,8 @@ def measure_doubling_constant(space: FiniteMetricSpace, wm: WeightedMeasure) -> 
     Only balls of positive mass enter; with no positive pairwise radii the
     constant is 1 (balls cannot grow).
     """
+    _require_measure_of(space, wm)
     mu = wm.mu
-    if mu.sum() <= 0:
-        raise DegenerateMeasure("measure is identically zero")
     radii = space.pairwise_distances()
     best = 1.0
     for center in range(len(space)):

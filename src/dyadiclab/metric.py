@@ -422,7 +422,8 @@ def load_space(path: str) -> FiniteMetricSpace:
     """Load a space from JSON ({"points", "dist"}) or a CSV of coordinates.
 
     CSV rows are coordinate vectors; an optional leading non-numeric field per
-    row names the point, and a non-numeric first row is treated as a header.
+    row names the point.  The first row is a header only when it cannot be a
+    data row, that is, unless it is all numbers or a name and then numbers.
     """
     if str(path).endswith(".json"):
         with open(path) as fh:
@@ -445,7 +446,8 @@ def load_space(path: str) -> FiniteMetricSpace:
         except ValueError:
             return False
 
-    if not all(_numeric(c) for c in rows[0]):
+    first = rows[0] if _numeric(rows[0][0]) else rows[0][1:]
+    if not (first and all(_numeric(c) for c in first)):
         rows = rows[1:]
     names, coords = [], []
     for i, row in enumerate(rows):

@@ -85,6 +85,63 @@ def test_enumerate_matches_brute_force_oracle():
                 assert got == want
 
 
+def brute_force_families(space, base, k):
+    """Oracle for ``_component_families``: the components of the graph joining
+    distinct base points at distance < k, in order of least point, each with
+    every maximal independent subset, sorted by sorted members."""
+    base = sorted(base)
+
+    def conflict(a, b):
+        return a != b and space.d[a, b] < k
+
+    comps = []
+    for p in base:
+        if any(p in comp for comp in comps):
+            continue
+        comp, frontier = {p}, [p]
+        while frontier:
+            u = frontier.pop()
+            for v in base:
+                if v not in comp and conflict(u, v):
+                    comp.add(v)
+                    frontier.append(v)
+        comps.append(sorted(comp))
+    families = []
+    for comp in comps:
+        family = [frozenset(sub)
+                  for r in range(len(comp) + 1)
+                  for sub in itertools.combinations(comp, r)
+                  if not any(conflict(a, b) for a, b in itertools.combinations(sub, 2))
+                  and all(any(conflict(p, q) for q in sub) for p in comp if p not in sub)]
+        families.append(tuple(sorted(family, key=sorted)))
+    return tuple(families)
+
+
+def test_component_families_match_definition_oracle(monkeypatch):
+    """The families, their order included (it fixes every draw), are the
+    definition's, on the first call and on the memo hit; distances equal to
+    k are no conflict, and at k <= 0 every point is its own component."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 11))
+        space = dl.space_from_coords(rng.uniform(0, 4, size=(n, 2)))
+        cases += [(space, range(n), k) for k in (0.8, 1.5, 2.5, 0.0, -1.0, np.inf)]
+        cases.append((space, [], 1.0))
+    line = dl.make_space("grid_points", shape=(6,), spacing=1.0)
+    cases += [(line, range(6), k) for k in (1.0, 2.0, 0.0, -1.0, np.inf)]
+    cases.append((line, [1, 2, 4, 5], 2.0))
+    for space, base, k in cases:
+        want = brute_force_families(space, base, k)
+        for _ in range(2):
+            assert _component_families(space, base, k, DEFAULT_EXHAUSTIVE_LIMIT) == want
+    assert _component_families(line, range(6), 0.0, DEFAULT_EXHAUSTIVE_LIMIT) == tuple(
+        (frozenset({p}),) for p in range(6))
+    assert [g.members for g in dl.enumerate_maximal_separated(line, range(3), 0.0)] == [
+        frozenset({0, 1, 2})]
+
+
 def test_enumerate_cap():
     space = dl.make_space("grid_points", shape=(21,), spacing=2.0)
     with pytest.raises(TooLargeForExhaustive):

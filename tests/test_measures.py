@@ -51,6 +51,27 @@ def test_weighted_measure_validation():
     WeightedMeasure(mu=np.array([1.0, 0.0]), w=np.array([1.0, 0.0]))
 
 
+def test_weighted_measure_arrays_are_read_only_copies():
+    mu, w = np.ones(3), np.ones(3)
+    wm = WeightedMeasure(mu=mu, w=w)
+    for arr in (wm.mu, wm.w):
+        with pytest.raises(ValueError):
+            arr[:] = 0
+    mu[:] = 0  # the caller's arrays stay theirs, and writable
+    assert wm.mu.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("call", [
+    dl.a2_characteristic,
+    lambda space, wm: dl.growth_constant(space, wm, 1.0),
+    dl.measure_doubling_constant,
+], ids=["a2", "growth", "doubling"])
+def test_measure_of_another_space_is_refused(l3, call):
+    for n in (2, 4):
+        with pytest.raises(InvalidParams, match="masses"):
+            call(l3, uniform_wm(n))
+
+
 def test_growth_two_points():
     space = dl.validate_metric([[0, 1], [1, 0]])
     rep = dl.growth_constant(space, uniform_wm(2), 1.0)

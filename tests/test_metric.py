@@ -326,6 +326,19 @@ def test_csv_unnamed_load(tmp_path):
     assert space.distance(0, 1) == 1.0
 
 
+@pytest.mark.parametrize("text, points", [
+    ("a,0,0\nb,1,0\nc,0,1\n", ("a", "b", "c")),  # named rows, no header
+    ("a,0\n", ("a",)),
+    ("x,y\n0,0\n1,0\n", ("p0", "p1")),
+    ("x\n0\n1\n", ("p0", "p1")),
+    ("0,0\n1,0\n", ("p0", "p1")),
+])
+def test_csv_first_row_is_a_header_only_when_it_cannot_be_data(tmp_path, text, points):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    assert dl.load_space(str(path)).points == points
+
+
 def test_rescale_and_subspace(l3):
     half = l3.rescale(0.5)
     assert half.distance("a", "c") == 2.0
