@@ -18,8 +18,9 @@ the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``.  A chunk of trials draws from one
-reused generator: it computes the states of all its streams in one array
-pass, checked against ``trial_rng``, and sets each trial's state in turn.  A
+reused generator: it takes the states of all its streams from
+``_trial_states`` (one array pass for any seed below 2**96), checked against
+``trial_rng``, and sets each trial's state in turn.  A
 trial first replays its draws along the draw paths of the earlier trials of
 its chunk, kept in two maps keyed by the values drawn, making an integers
 call with few bounds above 1 as scalar draws, so a chunk builds and
@@ -286,10 +287,10 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     ``finish(part, rng)``, whose own draws come after the forest's (the row is
     the part itself when ``finish`` is None).
 
-    The chunk draws every trial from one generator: it computes the states
-    of all its streams in one pass (``_trial_states``), checks the first
-    against ``trial_rng(seed, lo)``, and sets each trial's state in turn on
-    that generator's bit generator, which the recorder shares.
+    The chunk draws every trial from one generator: it takes the states of
+    all its streams from ``_trial_states``, checks the first against
+    ``trial_rng(seed, lo)``, and sets each trial's state in turn on that
+    generator's bit generator, which the recorder shares.
 
     A forest is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the chunk keeps, for the
@@ -331,6 +332,19 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
             misses += 1
         rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
+
+
+def _trial_count(trials) -> int:
+    """The trial count as an int, refused with InvalidTrials unless it is an
+    integer >= 1: ``range`` would refuse 10.0 with a bare TypeError."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        pass
+    else:
+        if count >= 1:
+            return count
+    raise InvalidTrials("trials must be a positive integer")
 
 
 def _master_seed(seed) -> int:
@@ -384,8 +398,7 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     bad fraction with its 95% Wilson interval.  Deterministic for a fixed
     master seed, independent of the worker count.
     """
-    if trials < 1:
-        raise InvalidTrials("trials must be a positive integer")
+    trials = _trial_count(trials)
     seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
@@ -427,8 +440,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     radius of the finer levels (None if there are none).  The whole space can
     only overcount a sampled grid, so this is a lower reference, not a fit.
     """
-    if trials < 1:
-        raise InvalidTrials("trials must be a positive integer")
+    trials = _trial_count(trials)
     seed = _master_seed(seed)
     eps = [float(e) for e in eps_schedule]
     if not eps or any(not e > 0 for e in eps):
@@ -564,8 +576,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
                          limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
                          workers: int = 1) -> float:
     """Empirical frequency of the really-good event; expected to match ``a``."""
-    if trials < 1:
-        raise InvalidTrials("trials must be a positive integer")
+    trials = _trial_count(trials)
     seed = _master_seed(seed)
     center = space.resolve(center)
     a, p_q = float(a), float(p_q)

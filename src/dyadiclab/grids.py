@@ -201,9 +201,10 @@ def _is_maximal(space: FiniteMetricSpace, base: set[int], sub: list[int],
 
 def enumerate_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
                                 k: float, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[Grid]:
-    """Complete duplicate-free list of maximal k-separated subsets of ``base``."""
+    """Complete duplicate-free list of maximal k-separated subsets of ``base``;
+    a point repeated in ``base`` counts once."""
     _require_scale(k)
-    base = sorted(space.resolve(p) for p in base)
+    base = sorted({space.resolve(p) for p in base})
     if len(base) > limit:
         raise TooLargeForExhaustive(f"|base|={len(base)} exceeds the cap {limit}")
     families = _component_families(space, base, k, limit)
@@ -231,7 +232,8 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
                              rng: np.random.Generator,
                              mode: str = "exhaustive_uniform",
                              limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Grid:
-    """Draw one maximal k-separated subset of ``base``.
+    """Draw one maximal k-separated subset of ``base``; a point repeated in
+    ``base`` counts once.
 
     exhaustive_uniform: exactly uniform over all maximal subsets, realized as
     an independent uniform choice per conflict-graph component (the family is
@@ -244,7 +246,7 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     """
     _require_mode(mode)
     _require_scale(k)
-    base = sorted(space.resolve(p) for p in base)
+    base = sorted({space.resolve(p) for p in base})
     return _sample_grid(space, base, k, rng, mode, limit)
 
 

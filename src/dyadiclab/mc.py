@@ -1,4 +1,11 @@
-"""Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out."""
+"""Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out.
+
+Trial t of a run with master seed s draws from its own stream,
+``trial_rng(s, t)``.  A chunk of trials takes its streams' states from
+``_trial_states``: in one array pass of NumPy's seeding hash when the entropy
+fits the hash's pool (s below 2**96 and t below 2**32, the shape of every
+ordinary run), and from ``trial_rng`` itself otherwise.
+"""
 from __future__ import annotations
 
 import itertools
@@ -35,9 +42,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent deterministic stream for one trial of a seeded experiment.
 
-    This is the definition of trial ``index``'s stream: ``_trial_states``
-    computes the same streams for a whole chunk of trials at once, and is
-    pinned to this function by test and by a check in every trial chunk.
+    This is the definition of trial ``index``'s stream.  ``_trial_states``
+    computes the same streams for a whole chunk of trials at once when the
+    seed is below 2**96 and the indices below 2**32, takes them from this
+    function otherwise, and is pinned to it by test and by a check in every
+    trial chunk.
     """
     return np.random.default_rng([int(master_seed), int(index)])
 
@@ -88,19 +97,15 @@ def _words(n: int) -> list[int]:
 
 def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence's mixed pool, a (4, n) uint32 array, of each column of an
-    (L, n) uint32 array of entropy words."""
-    xor, mult = (_MIX_STEPS if len(entropy) <= _POOL else
-                 _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy)))
+    (L, n) uint32 array of entropy words that fits the pool (L <= 4)."""
+    xor, mult = _MIX_STEPS
     pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL]
+    pool[:len(entropy)] = entropy
     pool = _hash(pool, xor[:_POOL], mult[:_POOL])
     for src in range(_POOL):
         dst = [i for i in range(_POOL) if i != src]
         steps = slice(_POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1))
         pool[dst] = _mix(pool[dst], _hash(pool[src], xor[steps], mult[steps]))
-    for extra, word in enumerate(entropy[_POOL:], start=_POOL):
-        steps = slice(_POOL * extra, _POOL * (extra + 1))
-        pool = _mix(pool, _hash(word, xor[steps], mult[steps]))
     return pool
 
 
@@ -115,27 +120,23 @@ def _pcg64_state(initstate: int, initseq: int) -> dict:
 
 def _trial_states(master_seed: int, lo: int, hi: int) -> list[dict]:
     """``trial_rng(master_seed, t).bit_generator.state`` for each t in
-    [lo, hi), in one pass of uint32 array math over the range; the seed and
-    the indices are ints >= 0."""
-    states = []
+    [lo, hi); the seed and the indices are ints >= 0.
+
+    When the entropy fits SeedSequence's pool of 4 words, that is the seed is
+    below 2**96 and every t below 2**32, the states come from one pass of
+    uint32 array math over the range; otherwise from ``trial_rng`` itself."""
     seed_words = _words(master_seed)
-    while lo < hi:  # the entropy is one word longer from each power of 2**32 on
-        width = len(_words(lo))
-        top = min(hi, 1 << 32 * width)
-        trials = range(lo, top)
-        entropy = np.array([[word] * len(trials) for word in seed_words]
-                           + [[t >> shift & _MASK32 for t in trials]
-                              for shift in range(0, 32 * width, 32)],
-                           dtype=np.uint32)
-        pool = _seed_pool(entropy)
-        # generate_state(4, uint64): 8 hashed words, cycling the pool
-        words = _hash(np.tile(pool, (2, 1)), *_GENERATE_STEPS).astype(np.uint64)
-        uint64s = words[0::2] | words[1::2] << np.uint64(32)
-        seed_hi, seed_lo, inc_hi, inc_lo = uint64s.tolist()
-        states += [_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
-                   for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo)]
-        lo = top
-    return states
+    if len(seed_words) >= _POOL or hi > 1 << 32:
+        return [trial_rng(master_seed, t).bit_generator.state for t in range(lo, hi)]
+    entropy = np.array([[word] * (hi - lo) for word in seed_words] + [list(range(lo, hi))],
+                       dtype=np.uint32)
+    pool = _seed_pool(entropy)
+    # generate_state(4, uint64): 8 hashed words, cycling the pool
+    words = _hash(np.tile(pool, (2, 1)), *_GENERATE_STEPS).astype(np.uint64)
+    uint64s = words[0::2] | words[1::2] << np.uint64(32)
+    seed_hi, seed_lo, inc_hi, inc_lo = uint64s.tolist()
+    return [_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+            for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo)]
 
 
 def loglog_slope(xs, ys) -> float:

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -137,6 +137,8 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
     n = d.shape[0]
     if points is None:
         points = [f"p{i}" for i in range(n)]
+    if isinstance(points, (str, Mapping)):  # a str or dict would load its letters or keys
+        raise InvalidParams("points must be a list of names")
     if len(points) != n:
         raise InvalidParams("points list length must match the matrix size")
     if len({str(p) for p in points}) != n:  # the space keeps the str names

@@ -257,6 +257,24 @@ def test_validate_refuses_names_equal_as_strings(tmp_path, capsys):
     assert check["detail"] == "invalid space input: point names must be distinct"
 
 
+@pytest.mark.parametrize("points", ["abc", {"a": 1, "b": 2, "c": 3}], ids=["str", "map"])
+def test_validate_refuses_point_names_that_are_not_a_list(tmp_path, capsys, points):
+    """A string or a map would load as its letters or its keys."""
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"points": points,
+                                "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]}))
+    assert main(["validate", "--input", str(path)]) == 3
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["detail"] == "invalid space input: points must be a list of names"
+
+
+def test_validate_keeps_default_names_for_null_points(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"points": None, "dist": [[0, 1], [1, 0]]}))
+    assert main(["validate", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["points"] == ["p0", "p1"]
+
+
 def test_a2_csv_input_uses_unit_weights(tmp_path):
     src = tmp_path / "line.csv"
     src.write_text("0\n1\n3\n")

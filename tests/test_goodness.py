@@ -16,7 +16,7 @@ from dyadiclab.errors import (
     InvalidTrials,
     ScheduleInvalid,
 )
-from dyadiclab import goodness
+from dyadiclab import goodness, mc
 from dyadiclab.goodness import (
     GoodnessParams,
     _center_row,
@@ -385,6 +385,13 @@ def test_estimate_deterministic_and_worker_invariant(elbow, decay_probe):
     freqs = [estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=300,
                                   seed=3, workers=workers) for workers in (1, 2)]
     assert freqs[0] == freqs[1]
+    # streams taken from trial_rng, not batched: a seed of 4 words
+    big = [estimate_bad_probability(elbow, 2, 0, PARAMS, trials=300, seed=2**96 + 9,
+                                    workers=workers) for workers in (1, 2)]
+    assert big[0] == big[1]
+    assert big[0].bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 2**96 + 9,
+         reference_bad_row, (2, 0)), 0, 300)[:, 0].sum())
 
 
 def test_estimate_singleton_never_bad(singleton):
@@ -395,6 +402,35 @@ def test_estimate_singleton_never_bad(singleton):
 def test_estimate_rejects_zero_trials(elbow):
     with pytest.raises(InvalidTrials):
         estimate_bad_probability(elbow, 2, 0, PARAMS, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("trials", [10.0, 2.5, "5"])
+def test_estimators_refuse_a_trial_count_that_is_not_an_integer(monkeypatch, elbow,
+                                                                trials):
+    monkeypatch.setattr(goodness, "run_chunked", None)
+    refused = "trials must be a positive integer"
+    with pytest.raises(InvalidTrials, match=refused):
+        estimate_bad_probability(elbow, 2, 0, PARAMS, trials=trials, seed=0)
+    with pytest.raises(InvalidTrials, match=refused):
+        estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=trials, seed=0,
+                                params=PARAMS)
+    with pytest.raises(InvalidTrials, match=refused):
+        estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=trials,
+                             seed=0)
+
+
+def test_estimators_take_a_numpy_integer_trial_count(elbow):
+    est = estimate_bad_probability(elbow, 2, 0, PARAMS, trials=np.int64(50), seed=3)
+    assert est == estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=3)
+    assert type(est.trials) is int
+    assert (estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=np.int64(50),
+                                    seed=3, params=PARAMS)
+            == estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=50, seed=3,
+                                       params=PARAMS))
+    assert (estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75,
+                                 trials=np.int64(50), seed=3)
+            == estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=50,
+                                    seed=3))
 
 
 @pytest.mark.parametrize("seed", [2.5, -1])
@@ -700,14 +736,15 @@ def test_trial_chunk_refuses_states_that_differ_from_trial_rng(monkeypatch, elbo
         estimate_bad_probability(elbow, 2, "x", PARAMS, trials=10, seed=5)
 
 
-STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7)
+STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)
 STATE_TRIALS = (0, 1, 7, 499, 500, 2**32 - 1, 2**32)
 
 
 def test_trial_states_match_trial_rng():
-    """The batched states are trial_rng's, for seeds and trial indices of
-    more than one 32-bit word (2**96 + 7 has more words than the hash's pool
-    of 4), one at a time and over ranges that cross a word boundary."""
+    """The states are trial_rng's, for seeds and trial indices of more than
+    one 32-bit word, on both sides of the entropy that fits the hash's pool of
+    4 words (a seed below 2**96, indices below 2**32), one at a time and over
+    ranges that end at 2**32 and that cross it."""
     def want(seed, ts):
         return [trial_rng(seed, t).bit_generator.state for t in ts]
 
@@ -715,8 +752,21 @@ def test_trial_states_match_trial_rng():
         for t in STATE_TRIALS:
             assert _trial_states(seed, t, t + 1) == want(seed, [t])
         assert _trial_states(seed, 0, 12) == want(seed, range(12))
-        across = range(2**32 - 3, 2**32 + 2)
-        assert _trial_states(seed, across.start, across.stop) == want(seed, across)
+        for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2)):
+            assert _trial_states(seed, ts.start, ts.stop) == want(seed, ts)
+
+
+def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
+    """A seed below 2**96 with indices below 2**32 is one array pass; any
+    other range takes each state from trial_rng."""
+    taken = []
+    monkeypatch.setattr(mc, "trial_rng",
+                        lambda seed, t: taken.append((seed, t)) or trial_rng(seed, t))
+    _trial_states(2**96 - 1, 2**32 - 3, 2**32)
+    assert taken == []
+    _trial_states(2**96, 0, 2)
+    _trial_states(5, 2**32 - 1, 2**32 + 1)
+    assert taken == [(2**96, 0), (2**96, 1), (5, 2**32 - 1), (5, 2**32)]
 
 
 def test_trial_state_set_resets_the_buffered_half_word():

@@ -142,6 +142,14 @@ def test_component_families_match_definition_oracle(monkeypatch):
         frozenset({0, 1, 2})]
 
 
+def test_enumerate_takes_a_repeated_base_point_once(l3):
+    def members(base):
+        return [sorted(g.members) for g in dl.enumerate_maximal_separated(l3, base, 1.0)]
+
+    assert members([0, 0, 1, 2]) == members([0, 1, 2]) == [[0, 2], [1]]
+    assert members([1, 1]) == members([1]) == [[1]]
+
+
 def test_enumerate_cap():
     space = dl.make_space("grid_points", shape=(21,), spacing=2.0)
     with pytest.raises(TooLargeForExhaustive):
@@ -172,6 +180,17 @@ def test_sample_trivial_and_deterministic(singleton, l3):
     a = dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, np.random.default_rng(9))
     b = dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, np.random.default_rng(9))
     assert a.members == b.members
+
+
+@pytest.mark.parametrize("mode", grids.MODES)
+def test_sample_takes_a_repeated_base_point_once(l3, mode):
+    """The same grid, and the generator left in the same state, as on the
+    duplicate-free base."""
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (dl.sample_maximal_separated(l3, [0, 0, 1, 2], 1.0, rng, mode=mode)
+                == dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, ref, mode=mode))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_greedy_permutation_valid(l3):
