@@ -5,76 +5,18 @@ links them into a random parent forest whose cubes tile the space, and
 provides exhaustive and Monte Carlo verification of the covering, separation,
 coloring-probability, and good/bad-cube properties of that construction,
 plus weight/measure characteristics used alongside it.
+
+The package exports each module's ``__all__``, and nothing else but
+``__version__``: a module's ``__all__`` is the one list of its public names.
 """
 
 from .errors import *  # noqa: F401,F403
-from .metric import (  # noqa: F401
-    FiniteMetricSpace,
-    validate_metric,
-    space_from_coords,
-    ball,
-    max_ball_occupancy,
-    set_distance,
-    doubling_estimate,
-    min_cover_doubling,
-    make_space,
-    load_space,
-    save_space,
-)
-from .grids import (  # noqa: F401
-    Grid,
-    GridHierarchy,
-    greedy_grid,
-    is_maximal_separated,
-    enumerate_maximal_separated,
-    sample_maximal_separated,
-    build_nested_grids,
-    finest_level,
-)
-from .lattice import (  # noqa: F401
-    Cube,
-    TildeCube,
-    LatticeForest,
-    assign_parents,
-    build_forest,
-    build_cubes,
-    tilde_cube,
-    check_grid_cover,
-    check_cube_cover,
-    check_forest_invariants,
-    verify_chain_separation,
-    scan_chain_separation,
-    enumerate_forest_outcomes,
-)
-from .coloring import (  # noqa: F401
-    ProperColoring,
-    ColoringUniverse,
-    is_proper,
-    enumerate_proper_colorings,
-    membership_probability,
-    close_membership_probability,
-    recolor,
-    verify_recoloring_injective,
-    tree_experiment,
-)
-from .goodness import (  # noqa: F401
-    GoodnessParams,
-    BoundaryLayer,
-    is_good,
-    boundary_layer,
-    estimate_bad_probability,
-    estimate_boundary_decay,
-    equalize,
-    exact_good_probability,
-    estimate_really_good,
-)
-from .measures import (  # noqa: F401
-    WeightedMeasure,
-    GrowthReport,
-    a2_characteristic,
-    growth_constant,
-    measure_doubling_constant,
-)
-from .mc import wilson_interval, trial_rng  # noqa: F401
+from .metric import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .coloring import *  # noqa: F401,F403
+from .goodness import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .mc import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

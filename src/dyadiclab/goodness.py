@@ -17,21 +17,20 @@ The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
-table, without building a ``Cube``.  A chunk of trials draws from one
-reused generator: it takes the states of all its streams from
-``_trial_states`` (one array pass for any seed below 2**96), checked against
-``trial_rng``, and sets each trial's state in turn.  A
-trial first replays its draws along the draw paths of the earlier trials of
-its chunk, kept in two maps keyed by the values drawn, making an integers
-call with few bounds above 1 as scalar draws, so a chunk builds and
-classifies each distinct forest once; the streams are drawn as if every
-trial built its own forest.
+table, without building a ``Cube``.  The trial count and the master seed
+follow ``mc``'s rules, checked before any trial runs.  A chunk of trials
+draws from one reused generator: it takes the states of all its streams from
+``mc._trial_states``, checked against ``trial_rng``, and sets each trial's
+state in turn.  A trial first replays its draws along the draw paths of the
+earlier trials of its chunk, kept in two maps keyed by the values drawn,
+making an integers call with few bounds above 1 as scalar draws, so a chunk
+builds and classifies each distinct forest once; the streams are drawn as if
+every trial built its own forest.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -43,13 +42,13 @@ from .errors import (
     CenterNotInGrid,
     InvalidParams,
     InvalidProbabilities,
-    InvalidTrials,
     ScheduleInvalid,
 )
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (DEFAULT_MAX_OUTCOMES, Cube, LatticeForest, _balls,
                       _outcome_frames, _unite_children, build_forest)
-from .mc import _trial_states, run_chunked, trial_rng, loglog_slope, wilson_interval
+from .mc import (_master_seed, _trial_count, _trial_states, loglog_slope, run_chunked,
+                 trial_rng, wilson_interval)
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
@@ -155,11 +154,11 @@ def _row_step_violations(forest: LatticeForest, x: int, k: int,
     """``theorem_step_violations`` for the level-k cube of center x with
     distance row ``row``."""
     bad_levels = []
-    for n in forest.levels:
-        if k < n + params.r:
-            continue
+    tested = [n for n in forest.levels if k >= n + params.r]
+    chain = forest.chain(x, k, forest.levels[0]) if tested else []
+    for n in tested:
         rows, held = forest.cube_table[n]
-        anc_row = held[rows[forest.ancestor(x, k, n)]]
+        anc_row = held[rows[chain[k - n]]]
         threshold = params.threshold(k, n)
         _, depth = _split_min(forest.space.d[x], anc_row)
         if depth > 2 * threshold and _straddles(row, anc_row, threshold):
@@ -332,32 +331,6 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
             misses += 1
         rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
-
-
-def _trial_count(trials) -> int:
-    """The trial count as an int, refused with InvalidTrials unless it is an
-    integer >= 1: ``range`` would refuse 10.0 with a bare TypeError."""
-    try:
-        count = operator.index(trials)
-    except TypeError:
-        pass
-    else:
-        if count >= 1:
-            return count
-    raise InvalidTrials("trials must be a positive integer")
-
-
-def _master_seed(seed) -> int:
-    """The master seed as an int, refused with InvalidParams unless it is an
-    integer >= 0: ``trial_rng`` would draw seed 2's streams for 2.5."""
-    try:
-        index = operator.index(seed)
-    except TypeError:
-        pass
-    else:
-        if index >= 0:
-            return index
-    raise InvalidParams(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:

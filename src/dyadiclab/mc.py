@@ -1,5 +1,11 @@
 """Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out.
 
+The rules for a seeded run's inputs live here, and every entry point and
+estimator applies them before any trial runs: a trial count must be an
+integer >= 1 (else ``InvalidTrials``), a master seed and a trial index
+integers >= 0, and a worker count an integer >= 1 (else ``InvalidParams``).
+NumPy integers pass; floats and strings are refused, not truncated.
+
 Trial t of a run with master seed s draws from its own stream,
 ``trial_rng(s, t)``.  A chunk of trials takes its streams' states from
 ``_trial_states``: in one array pass of NumPy's seeding hash when the entropy
@@ -10,25 +16,53 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTrials
+from .errors import ConfigError, InvalidParams, InvalidTrials
 
-__all__ = ["Z95", "wilson_interval", "trial_rng", "loglog_slope",
-           "worker_count", "run_chunked"]
+__all__ = ["wilson_interval", "trial_rng"]
 
 # two-sided 95% normal quantile
 Z95 = 1.959963984540054
 
 
+def _integer_at_least(value, least: int):
+    """The value as an int when it is an integer >= least, else None."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        return None
+    return value if value >= least else None
+
+
+def _trial_count(trials) -> int:
+    """The trial count as an int, refused with InvalidTrials unless it is an
+    integer >= 1: ``range`` would refuse 10.0 with a bare TypeError."""
+    count = _integer_at_least(trials, 1)
+    if count is None:
+        raise InvalidTrials("trials must be a positive integer")
+    return count
+
+
+def _master_seed(seed, name: str = "seed") -> int:
+    """The master seed (or, by ``name``, a trial index) as an int, refused
+    with InvalidParams unless it is an integer >= 0: ``int`` would draw seed
+    2's streams for 2.5."""
+    index = _integer_at_least(seed, 0)
+    if index is None:
+        raise InvalidParams(f"{name} must be an integer >= 0, got {seed!r}")
+    return index
+
+
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise InvalidTrials("trials must be a positive integer")
-    if not 0 <= successes <= trials:
+    trials = _trial_count(trials)
+    successes = _integer_at_least(successes, 0)
+    if successes is None or successes > trials:
         raise InvalidTrials("successes must lie in [0, trials]")
     z = Z95
     phat = successes / trials
@@ -46,9 +80,10 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     computes the same streams for a whole chunk of trials at once when the
     seed is below 2**96 and the indices below 2**32, takes them from this
     function otherwise, and is pinned to it by test and by a check in every
-    trial chunk.
+    trial chunk.  Both arguments must be integers >= 0.
     """
-    return np.random.default_rng([int(master_seed), int(index)])
+    return np.random.default_rng([_master_seed(master_seed),
+                                  _master_seed(index, "trial index")])
 
 
 # NumPy's SeedSequence (O'Neill's seed_seq design) with its default pool of 4
@@ -162,10 +197,13 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
 
     The worker must return one row per trial; rows are concatenated in trial
     order, so results do not depend on the number of workers or on scheduling.
+    Refuses a trial count or a worker count that is not an integer >= 1.
     """
-    if trials < 1:
-        raise InvalidTrials("trials must be a positive integer")
-    workers = min(workers, trials)
+    trials = _trial_count(trials)
+    count = _integer_at_least(workers, 1)
+    if count is None:
+        raise InvalidParams(f"workers must be an integer >= 1, got {workers!r}")
+    workers = min(count, trials)
     if workers <= 1:
         return np.asarray(worker(payload, 0, trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()

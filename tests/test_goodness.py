@@ -417,6 +417,26 @@ def test_estimators_refuse_a_trial_count_that_is_not_an_integer(monkeypatch, elb
     with pytest.raises(InvalidTrials, match=refused):
         estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=trials,
                              seed=0)
+    with pytest.raises(InvalidTrials, match=refused):
+        run_chunked(None, None, trials)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", 0, -3])
+def test_estimators_refuse_a_worker_count_that_is_not_a_positive_integer(
+        monkeypatch, elbow, workers):
+    """Refused before any trial runs: a float or a string escaped as a bare
+    TypeError, and 0 or a negative count ran serially."""
+    monkeypatch.setattr(goodness, "_trial_chunk", None)
+    refused = "^workers must be an integer >= 1, got "
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_bad_probability(elbow, 2, 0, PARAMS, trials=10, seed=0,
+                                 workers=workers)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=10, seed=0,
+                                params=PARAMS, workers=workers)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=10,
+                             seed=0, workers=workers)
 
 
 def test_estimators_take_a_numpy_integer_trial_count(elbow):
@@ -433,10 +453,11 @@ def test_estimators_take_a_numpy_integer_trial_count(elbow):
                                     seed=3))
 
 
-@pytest.mark.parametrize("seed", [2.5, -1])
+@pytest.mark.parametrize("seed", [2.5, -1, 0.5])
 def test_estimators_refuse_a_bad_seed(monkeypatch, elbow, seed):
     """Refused before any trial runs: trial_rng would draw seed 2's streams
-    for 2.5, and numpy refuses -1 with a bare ValueError."""
+    for 2.5, and numpy refuses -1 with a bare ValueError.  trial_rng itself
+    applies the rule to the seed and to the trial index."""
     monkeypatch.setattr(goodness, "run_chunked", None)
     refused = "seed must be an integer >= 0"
     with pytest.raises(InvalidParams, match=refused):
@@ -447,11 +468,17 @@ def test_estimators_refuse_a_bad_seed(monkeypatch, elbow, seed):
     with pytest.raises(InvalidParams, match=refused):
         estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=10,
                              seed=seed)
+    with pytest.raises(InvalidParams, match=refused):
+        trial_rng(seed, 0)
+    with pytest.raises(InvalidParams, match="^trial index must be an integer >= 0, got "):
+        trial_rng(1, seed)
 
 
 def test_estimators_take_a_numpy_integer_seed(elbow):
     assert (estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=np.int64(3))
             == estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=3))
+    assert (trial_rng(np.int64(3), np.int64(4)).bit_generator.state
+            == trial_rng(3, 4).bit_generator.state)
 
 
 def test_estimate_center_not_in_grid(elbow):
@@ -799,3 +826,8 @@ def test_wilson_rejects_bad_counts():
         wilson_interval(1, 0)
     with pytest.raises(InvalidTrials):
         wilson_interval(5, 3)
+    for trials in ("5", 2.5):
+        with pytest.raises(InvalidTrials, match="^trials must be a positive integer$"):
+            wilson_interval(1, trials)
+    with pytest.raises(InvalidTrials, match=r"^successes must lie in \[0, trials\]$"):
+        wilson_interval(1.5, 3)

@@ -1,0 +1,49 @@
+"""The package namespace: each module's ``__all__`` is what the package exports."""
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dyadiclab
+
+SRC = str(Path(dyadiclab.__file__).parent.parent)
+
+
+def test_package_exports_each_modules_public_names():
+    """Every name a library module declares public (its ``__all__``, or every
+    public name where it has none, as a star import reads it) is the
+    package's own object.  The CLI is a program, not a library module."""
+    for info in pkgutil.iter_modules(dyadiclab.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"dyadiclab.{info.name}")
+        public = getattr(module, "__all__",
+                         [n for n in vars(module) if not n.startswith("_")])
+        for attr in public:
+            assert getattr(dyadiclab, attr, None) is getattr(module, attr), (info.name, attr)
+
+
+def test_mc_exports_only_the_trial_streams_and_intervals():
+    assert dyadiclab.mc.__all__ == ["wilson_interval", "trial_rng"]
+
+
+def loads_numpy_random(code: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return out.strip() == "True"
+
+
+def test_importing_the_package_loads_no_numpy_random():
+    """``goodness._recorder_type`` makes its Generator subclass on first use,
+    so the package and its CLI load ``numpy.random`` no sooner than numpy
+    does."""
+    if loads_numpy_random("import numpy"):
+        pytest.skip("import numpy loads numpy.random on its own (numpy 1.24)")
+    assert not loads_numpy_random("import dyadiclab, dyadiclab.cli")
