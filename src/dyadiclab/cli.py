@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -344,6 +345,7 @@ def _cmd_a2(args) -> tuple[dict, int]:
 
 # --- wiring ----------------------------------------------------------------------
 
+@cache  # built once per process; main parses each argv afresh
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyadiclab",

@@ -8,24 +8,28 @@ probabilities are summed over all coarser scales.  Set distances are min over
 member pairs and the distance to an empty set is +inf, so a coarse cube that
 swallows the whole space never hurts.
 
-The test of one coarse level is written once, on distance rows and cube
-matrices with any leading batch axes: ``is_good`` and the trial rows apply it
-to one forest's table, and the exact P(good) to every parent choice of a
-level at once, in a pruned walk over the outcomes that builds no forest.
+The straddle test of one coarse level is written once, on distance rows and
+cube matrices with any leading batch axes.  One straddle mask per tested
+level, of the coarse cubes that the cube straddles, serves goodness (no mask
+has a true entry) and the deep-inside step (the mask's entry at the center's
+ancestor, with the center's depth in that ancestor read only where the entry
+is true).  The exact P(good) applies the same test to every parent choice of
+a level at once, in a pruned walk over the outcomes that builds no forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
 the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
-table, without building a ``Cube``.  The trial count and the master seed
-follow ``mc``'s rules, checked before any trial runs.  A chunk of trials
-draws from one reused generator: it takes the states of all its streams from
-``mc._trial_states``, checked against ``trial_rng``, and sets each trial's
-state in turn.  A trial first replays its draws along the draw paths of the
-earlier trials of its chunk, kept in two maps keyed by the values drawn,
-making an integers call with few bounds above 1 as scalar draws, so a chunk
-builds and classifies each distinct forest once; the streams are drawn as if
-every trial built its own forest.
+table, without building a ``Cube``; the bad-probability and really-good
+estimators share one row, whose bad verdict the coin reads.  The trial count
+and the master seed follow ``mc``'s rules, checked before any trial runs.  A
+chunk of trials draws from one reused generator: it takes the states of all
+its streams from ``mc._trial_states``, checked against ``trial_rng``, and
+sets each trial's state in turn.  A trial first replays its draws along the
+draw paths of the earlier trials of its chunk, kept in two maps keyed by the
+values drawn, making an integers call with few bounds above 1 as scalar
+draws, so a chunk builds and classifies each distinct forest once; the
+streams are drawn as if every trial built its own forest.
 """
 from __future__ import annotations
 
@@ -126,18 +130,12 @@ def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
     return (to_cube < threshold) & (to_rest < threshold)
 
 
-def _bad_against(row: np.ndarray, held: np.ndarray, k: int, n: int,
-                 params: GoodnessParams):
-    """Whether a level-k cube with distance row ``row`` straddles some level-n
-    cube of the matrix ``held``, per leading batch index of both."""
-    return _straddles(row[..., None, :], held, params.threshold(k, n)).any(axis=-1)
-
-
-def _row_is_good(forest: LatticeForest, k: int, row: np.ndarray,
-                 params: GoodnessParams) -> bool:
-    """``is_good`` for the level-k cube with distance row ``row``."""
-    return not any(_bad_against(row, forest.cube_table[n][1], k, n, params)
-                   for n in forest.levels if k >= n + params.r)
+def _straddle_masks(forest: LatticeForest, k: int, row: np.ndarray,
+                    params: GoodnessParams) -> dict[int, np.ndarray]:
+    """Per level n coarser than k by at least r, the mask of the level-n
+    cubes that the level-k cube with distance row ``row`` straddles."""
+    return {n: _straddles(row, forest.cube_table[n][1], params.threshold(k, n))
+            for n in forest.levels if k >= n + params.r}
 
 
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
@@ -146,23 +144,25 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     Levels with no grid coarser by r are vacuously fine (empty quantifier).
     """
     row = _distance_row(forest.space, _mask(forest.space, cube.members))
-    return _row_is_good(forest, cube.level, row, params)
+    masks = _straddle_masks(forest, cube.level, row, params)
+    return not any(m.any() for m in masks.values())
 
 
-def _row_step_violations(forest: LatticeForest, x: int, k: int,
-                         row: np.ndarray, params: GoodnessParams) -> list[int]:
-    """``theorem_step_violations`` for the level-k cube of center x with
-    distance row ``row``."""
+def _step_violations(forest: LatticeForest, x: int, k: int,
+                     masks: dict[int, np.ndarray], params: GoodnessParams) -> list[int]:
+    """The levels n of ``masks`` at which the level-k cube of center x
+    straddles the cube of x's level-n ancestor while x lies deeper than twice
+    the threshold in it.  Walks x's chain once when some level is tested, and
+    measures the depth only where the ancestor's mask entry is true."""
+    chain = forest.chain(x, k, forest.levels[0]) if masks else []
     bad_levels = []
-    tested = [n for n in forest.levels if k >= n + params.r]
-    chain = forest.chain(x, k, forest.levels[0]) if tested else []
-    for n in tested:
+    for n, mask in masks.items():
         rows, held = forest.cube_table[n]
-        anc_row = held[rows[chain[k - n]]]
-        threshold = params.threshold(k, n)
-        _, depth = _split_min(forest.space.d[x], anc_row)
-        if depth > 2 * threshold and _straddles(row, anc_row, threshold):
-            bad_levels.append(n)
+        anc = rows[chain[k - n]]
+        if mask[anc]:
+            _, depth = _split_min(forest.space.d[x], held[anc])
+            if depth > 2 * params.threshold(k, n):
+                bad_levels.append(n)
     return bad_levels
 
 
@@ -174,7 +174,8 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     Returns the levels at which the implication failed (expected empty).
     """
     row = _distance_row(forest.space, _mask(forest.space, cube.members))
-    return _row_step_violations(forest, cube.center, cube.level, row, params)
+    masks = _straddle_masks(forest, cube.level, row, params)
+    return _step_violations(forest, cube.center, cube.level, masks, params)
 
 
 def boundary_layer(space: FiniteMetricSpace, cube: Cube, eps: float) -> BoundaryLayer:
@@ -343,18 +344,16 @@ def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
             f"fix the center at the deterministic finest level")
 
 
-def _center_row(forest: LatticeForest, level: int, center: int) -> np.ndarray:
-    """The distance row of the fixed center's cube."""
-    _require_center(forest.hierarchy, level, center)
-    rows, held = forest.cube_table[level]
-    return _distance_row(forest.space, held[rows[center]])
-
-
 def _bad_row(forest: LatticeForest, params: GoodnessParams, level: int,
              center: int) -> tuple[int, int]:
-    row = _center_row(forest, level, center)
-    return (int(not _row_is_good(forest, level, row, params)),
-            len(_row_step_violations(forest, center, level, row, params)))
+    """Whether the fixed center's cube is bad, and its count of step
+    violations, from one straddle mask per tested level."""
+    _require_center(forest.hierarchy, level, center)
+    rows, held = forest.cube_table[level]
+    row = _distance_row(forest.space, held[rows[center]])
+    masks = _straddle_masks(forest, level, row, params)
+    return (int(any(m.any() for m in masks.values())),
+            len(_step_violations(forest, center, level, masks, params)))
 
 
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,
@@ -519,7 +518,8 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
         else:
             rows = itertools.repeat(row)
             if lev - 1 <= level - params.r:
-                batch = batch[~_bad_against(row, batch, level, lev - 1, params)]
+                threshold = params.threshold(level, lev - 1)
+                batch = batch[~_straddles(row, batch, threshold).any(axis=-1)]
         if lev - 1 == levels[0]:
             return len(batch)
         return sum(walk(lev - 1, cubes, r) for cubes, r in zip(batch, rows))
@@ -530,16 +530,10 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _good_row(forest: LatticeForest, params: GoodnessParams, level: int,
-              center: int) -> tuple[int]:
-    return (int(_row_is_good(forest, level, _center_row(forest, level, center),
-                             params)),)
-
-
-def _equalized_row(part: tuple[int], rng, a: float, p_q: float) -> tuple[int]:
-    """The really-good verdict of a good-row part, with its own coin."""
+def _equalized_row(part: tuple[int, int], rng, a: float, p_q: float) -> tuple[int]:
+    """The really-good verdict of a ``_bad_row`` part, with its own coin."""
     xi = float(rng.random())
-    return (int(part[0] and equalize(p_q, a, xi)),)
+    return (int(not part[0] and equalize(p_q, a, xi)),)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -555,7 +549,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     payload = (space, params, coarsest_level, mode, limit, seed,
-               partial(_good_row, params=params, level=level, center=center),
+               partial(_bad_row, params=params, level=level, center=center),
                partial(_equalized_row, a=a, p_q=p_q))
     rows = run_chunked(_trial_chunk, payload, trials, workers)
     return float(rows[:, 0].sum() / trials)

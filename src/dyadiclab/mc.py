@@ -4,7 +4,7 @@ The rules for a seeded run's inputs live here, and every entry point and
 estimator applies them before any trial runs: a trial count must be an
 integer >= 1 (else ``InvalidTrials``), a master seed and a trial index
 integers >= 0, and a worker count an integer >= 1 (else ``InvalidParams``).
-NumPy integers pass; floats and strings are refused, not truncated.
+NumPy integers pass; floats, strings and bools are refused, not truncated.
 
 Trial t of a run with master seed s draws from its own stream,
 ``trial_rng(s, t)``.  A chunk of trials takes its streams' states from
@@ -31,7 +31,10 @@ Z95 = 1.959963984540054
 
 
 def _integer_at_least(value, least: int):
-    """The value as an int when it is an integer >= least, else None."""
+    """The value as an int when it is an integer >= least, else None.  A bool
+    is no count or seed, though ``operator.index(True)`` is 1."""
+    if isinstance(value, bool):
+        return None
     try:
         value = operator.index(value)
     except TypeError:

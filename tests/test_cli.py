@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dyadiclab as dl
+from dyadiclab import cli
 from dyadiclab.cli import main
 
 
@@ -59,6 +60,17 @@ def test_validate_bad_input_exits_3(tmp_path, bad_json):
     assert code == 3
     report = json.loads(out.read_text())
     assert report["checks"][0]["pass"] is False
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(tmp_path, l3_json):
+    """One parser serves every call in a process; no option of one call
+    carries into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_to_file(tmp_path, ["validate", "--input", l3_json, "--format", "csv"],
+                            name="first.csv")
+    assert code == 0 and out.read_text().startswith("check,pass,detail")
+    code, out = run_to_file(tmp_path, ["validate", "--input", l3_json])
+    assert code == 0 and json.loads(out.read_text())["config"]["format"] == "json"
 
 
 def test_missing_input_exits_3(tmp_path):

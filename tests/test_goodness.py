@@ -19,9 +19,6 @@ from dyadiclab.errors import (
 from dyadiclab import goodness, mc
 from dyadiclab.goodness import (
     GoodnessParams,
-    _center_row,
-    _row_is_good,
-    _row_step_violations,
     _split_min,
     equalize,
     estimate_bad_probability,
@@ -42,6 +39,12 @@ def forest_for(space, delta, seed, n0=0):
     rng = np.random.default_rng(seed)
     h = dl.build_nested_grids(space, delta, n0, rng=rng)
     return dl.build_forest(h, rng)
+
+
+def line_space(coords: dict[str, float]) -> dl.FiniteMetricSpace:
+    """Points on a line, with the exact float distances |p - q|."""
+    xs = list(coords.values())
+    return dl.validate_metric([[abs(p - q) for q in xs] for p in xs], list(coords))
 
 
 # --- parameters -----------------------------------------------------------------
@@ -158,21 +161,43 @@ def test_classifiers_match_reference(ladder, elbow, decay_probe):
 
 
 def test_theorem_step_depth_gate():
-    """q hangs under x, so the level-1 cube of x is {x, q}; x lies 2.3 deep in
-    its level-0 cube, past twice the threshold 0.1**0.1 = 0.79, yet q is only
-    0.6 from p outside it, so the deep-inside implication fails at level 0."""
-    space = dl.space_from_coords([[0.0], [1.7], [2.3]], names=("x", "q", "p"))
-    coarse = frozenset({0, 2})
-    hierarchy = dl.GridHierarchy(space=space, delta=0.1, levels=(0, 1, 2), grids={
-        0: dl.Grid(scale=1.0, members=coarse),
-        1: dl.Grid(scale=0.1, members=coarse),
-        2: dl.Grid(scale=0.01, members=frozenset({0, 1, 2}))})
-    forest = dl.LatticeForest(hierarchy=hierarchy,
-                              parents={1: {0: 0, 2: 2}, 2: {0: 0, 1: 0, 2: 2}})
+    """q hangs under x, so the level-1 cube of x is {x, q}; q is within the
+    threshold 0.1**0.1 = 0.79 of p, outside x's level-0 cube {x, q}, so the
+    cube straddles it.  With p 2.3 from x, past twice the threshold, the
+    deep-inside implication fails at level 0; with p exactly twice the
+    threshold from x, x lies no deeper than the gate and the step makes no
+    claim."""
+    threshold = PARAMS.threshold(1, 0)
+    for q, p, want in ((1.7, 2.3, [0]), (1.0, 2 * threshold, [])):
+        space = line_space({"x": 0.0, "q": q, "p": p})
+        coarse = frozenset({0, 2})
+        hierarchy = dl.GridHierarchy(space=space, delta=0.1, levels=(0, 1, 2), grids={
+            0: dl.Grid(scale=1.0, members=coarse),
+            1: dl.Grid(scale=0.1, members=coarse),
+            2: dl.Grid(scale=0.01, members=frozenset({0, 1, 2}))})
+        forest = dl.LatticeForest(hierarchy=hierarchy,
+                                  parents={1: {0: 0, 2: 2}, 2: {0: 0, 1: 0, 2: 2}})
+        cube = forest.cube(1, 0)
+        assert theorem_step_violations(forest, cube, PARAMS) == want
+        assert reference_theorem_step_violations(forest, cube, PARAMS) == want
+        assert not dl.is_good(forest, cube, PARAMS)
+
+
+def test_straddle_is_strict_at_the_threshold():
+    """p lies exactly the threshold delta**gamma from x, w on the other side.
+    Every forest of the construction leaves x or p alone in its level-0 cube,
+    so x's level-1 cube {x} lies exactly the threshold from a coarse cube or
+    from a complement, not closer: it is good in every outcome."""
+    threshold = PARAMS.threshold(1, 0)
+    space = line_space({"x": 0.0, "p": threshold, "w": -1.5})
+    assert space.d[0, 1] == threshold
+    forest, = [f for f, _ in dl.enumerate_forest_outcomes(space, 0.1, 0)
+               if f.parents == {1: {0: 0, 1: 2, 2: 2}}]
     cube = forest.cube(1, 0)
-    assert theorem_step_violations(forest, cube, PARAMS) == [0]
-    assert reference_theorem_step_violations(forest, cube, PARAMS) == [0]
-    assert not dl.is_good(forest, cube, PARAMS)
+    assert cube.members == {0} and forest.cube(0, 2).members == {1, 2}
+    assert dl.is_good(forest, cube, PARAMS)
+    assert reference_is_good(forest, cube, PARAMS)
+    assert exact_good_probability(space, "x", 1, PARAMS) == 1
 
 
 def test_exact_good_probability_elbow(elbow):
@@ -404,7 +429,7 @@ def test_estimate_rejects_zero_trials(elbow):
         estimate_bad_probability(elbow, 2, 0, PARAMS, trials=0, seed=0)
 
 
-@pytest.mark.parametrize("trials", [10.0, 2.5, "5"])
+@pytest.mark.parametrize("trials", [10.0, 2.5, "5", True])
 def test_estimators_refuse_a_trial_count_that_is_not_an_integer(monkeypatch, elbow,
                                                                 trials):
     monkeypatch.setattr(goodness, "run_chunked", None)
@@ -421,7 +446,7 @@ def test_estimators_refuse_a_trial_count_that_is_not_an_integer(monkeypatch, elb
         run_chunked(None, None, trials)
 
 
-@pytest.mark.parametrize("workers", [2.5, "2", 0, -3])
+@pytest.mark.parametrize("workers", [2.5, "2", 0, -3, True])
 def test_estimators_refuse_a_worker_count_that_is_not_a_positive_integer(
         monkeypatch, elbow, workers):
     """Refused before any trial runs: a float or a string escaped as a bare
@@ -453,7 +478,7 @@ def test_estimators_take_a_numpy_integer_trial_count(elbow):
                                     seed=3))
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, 0.5])
+@pytest.mark.parametrize("seed", [2.5, -1, 0.5, False])
 def test_estimators_refuse_a_bad_seed(monkeypatch, elbow, seed):
     """Refused before any trial runs: trial_rng would draw seed 2's streams
     for 2.5, and numpy refuses -1 with a bare ValueError.  trial_rng itself
@@ -529,6 +554,21 @@ def test_decay_schedule_validation(decay_probe):
     with pytest.raises(ScheduleInvalid):
         estimate_boundary_decay(decay_probe, 0, 0, (), trials=10,
                                 seed=0, params=DECAY_PARAMS)
+
+
+def test_decay_layer_is_closed_at_its_width():
+    """z lies exactly eps * scale from x at level 0.  Under grids {a, b} with
+    the links x -> a -> c and z -> b -> C, or their mirror, x's depth in its
+    level-0 cube is that distance, which the closed layer counts; no trial
+    puts x closer to its cube's complement.  Dyadic coordinates keep the
+    line's distances exact."""
+    eps = 2.0 ** -19
+    space = line_space({"c": -0.625, "a": -5 * 2.0 ** -13, "x": 0.0, "z": eps,
+                        "b": 5 * 2.0 ** -13 + eps, "C": 0.625})
+    assert space.d[2, 3] == eps * DECAY_PARAMS.delta ** 0
+    fit = estimate_boundary_decay(space, "x", 0, (eps, np.nextafter(eps, 0)),
+                                  trials=400, seed=0, params=DECAY_PARAMS)
+    assert fit.counts[0] > 0 and fit.counts[1] == 0
 
 
 @pytest.mark.parametrize("delta", [0.123, 0.246])
@@ -613,8 +653,10 @@ def test_really_good_frequency_elbow(elbow):
 
 
 # --- the trial pipeline ------------------------------------------------------------------
-# The trial chunk and its rows as they were when every trial built its own
-# forest (kept verbatim): the oracle for the chunk's draw-path trie.
+# The trial chunk as it was when every trial built its own forest (kept
+# verbatim), and rows that classify the center's cube with the
+# definition-level classifiers above: the oracle for the chunk's draw-path
+# trie and for the rows it caches.
 
 def reference_trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
@@ -630,9 +672,9 @@ def reference_trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
 
 
 def reference_bad_row(forest, rng, params, level, center):
-    row = _center_row(forest, level, center)
-    return (int(not _row_is_good(forest, level, row, params)),
-            len(_row_step_violations(forest, center, level, row, params)))
+    cube = forest.cube(level, center)
+    return (int(not reference_is_good(forest, cube, params)),
+            len(reference_theorem_step_violations(forest, cube, params)))
 
 
 def reference_decay_row(forest, rng, params, x, level, eps_schedule):
@@ -645,7 +687,7 @@ def reference_decay_row(forest, rng, params, x, level, eps_schedule):
 
 
 def reference_really_good_row(forest, rng, params, level, center, a, p_q):
-    good = _row_is_good(forest, level, _center_row(forest, level, center), params)
+    good = reference_is_good(forest, forest.cube(level, center), params)
     xi = float(rng.random())
     return (int(good and equalize(p_q, a, xi)),)
 
@@ -826,8 +868,9 @@ def test_wilson_rejects_bad_counts():
         wilson_interval(1, 0)
     with pytest.raises(InvalidTrials):
         wilson_interval(5, 3)
-    for trials in ("5", 2.5):
+    for trials in ("5", 2.5, True):
         with pytest.raises(InvalidTrials, match="^trials must be a positive integer$"):
             wilson_interval(1, trials)
-    with pytest.raises(InvalidTrials, match=r"^successes must lie in \[0, trials\]$"):
-        wilson_interval(1.5, 3)
+    for successes in (1.5, True):
+        with pytest.raises(InvalidTrials, match=r"^successes must lie in \[0, trials\]$"):
+            wilson_interval(successes, 3)

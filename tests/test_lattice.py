@@ -336,6 +336,23 @@ def test_cube_table_is_read_only(l3):
             held[0, 0] = not held[0, 0]
 
 
+def test_cube_ball_is_open_at_its_radius():
+    """z lies exactly scale(0) / 100 from y.  In this forest of the
+    construction z's chain runs z -> a -> b -> c, so only the level-0 ball of
+    y could put z in y's cube, and the ball is open: y's cube is {y}."""
+    coords = {"y": 0.0, "z": 0.01, "a": 0.035, "b": 0.285, "c": 1.5}
+    xs = list(coords.values())
+    space = dl.validate_metric([[abs(p - q) for q in xs] for p in xs], list(coords))
+    y, z, a, b, c = range(5)
+    parents = {1: {y: y, b: c, c: c}, 2: {y: y, a: b, b: b, c: c},
+               3: {y: y, z: a, a: a, b: b, c: c}}
+    forest, = [f for f, _ in dl.enumerate_forest_outcomes(space, 0.1, 0)
+               if f.parents == parents]
+    assert space.d[y, z] == forest.hierarchy.scale(0) / BALL_DIVISOR
+    assert forest.cube(0, y).members == {y}
+    assert forest.cube(0, c).members == {z, a, b, c}
+
+
 def test_cube_lookup_unknown_center(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=1)
     with pytest.raises(UnknownCenter):
