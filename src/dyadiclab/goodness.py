@@ -8,13 +8,21 @@ probabilities are summed over all coarser scales.  Set distances are min over
 member pairs and the distance to an empty set is +inf, so a coarse cube that
 swallows the whole space never hurts.
 
+Each threshold rule takes one side, stated here: a cube straddles a coarse
+cube, and is bad, when it lies strictly closer than the threshold to both
+that cube and its complement, so a distance equal to the threshold is far;
+the deep-inside step makes its claim only where the center lies strictly
+deeper than twice the threshold; and a boundary layer is closed, the points
+at most eps * scale from both sides, for widths with eps <= delta /
+``EPS_DIVISOR``, also closed.
+
 The straddle test of one coarse level is written once, on distance rows and
 cube matrices with any leading batch axes.  One straddle mask per tested
 level, of the coarse cubes that the cube straddles, serves goodness (no mask
 has a true entry) and the deep-inside step (the mask's entry at the center's
 ancestor, with the center's depth in that ancestor read only where the entry
-is true).  The exact P(good) applies the same test to every parent choice of
-a level at once, in a pruned walk over the outcomes that builds no forest.
+is true).  The exact P(good) applies the same test to every parent map of a
+level at once, in a pruned walk over the outcomes that builds no forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
@@ -133,7 +141,9 @@ def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
 def _straddle_masks(forest: LatticeForest, k: int, row: np.ndarray,
                     params: GoodnessParams) -> dict[int, np.ndarray]:
     """Per level n coarser than k by at least r, the mask of the level-n
-    cubes that the level-k cube with distance row ``row`` straddles."""
+    cubes that the level-k cube with distance row ``row`` straddles.  Raises
+    InvalidParams unless k is one of the hierarchy's levels."""
+    forest.hierarchy._require_level(k)
     return {n: _straddles(row, forest.cube_table[n][1], params.threshold(k, n))
             for n in forest.levels if k >= n + params.r}
 
@@ -141,7 +151,8 @@ def _straddle_masks(forest: LatticeForest, k: int, row: np.ndarray,
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
-    Levels with no grid coarser by r are vacuously fine (empty quantifier).
+    Levels with no grid coarser by r are vacuously fine (empty quantifier);
+    a cube whose level is not the hierarchy's is refused with InvalidParams.
     """
     row = _distance_row(forest.space, _mask(forest.space, cube.members))
     masks = _straddle_masks(forest, cube.level, row, params)
@@ -494,16 +505,11 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                  params: GoodnessParams) -> int:
     """The number of parent maps of one grid outcome under which the cube of
     the center at ``level`` is good; ``children`` is the grid outcome's link
-    rule from ``_outcome_frames``, whose option columns are the ball rows."""
+    rule from ``_outcome_frames``, whose parent maps of a level hold each
+    child's parent as its ball row one level down."""
     levels = hierarchy.levels
     balls = {lev: _balls(hierarchy, lev) for lev in levels}
-    # per level above the coarsest, one row per parent map of its points, in
-    # itertools.product order, holding each point's parent row one level down
-    choices = {}
-    for lev, _, _, options in children:
-        axes = np.meshgrid(*[row.nonzero()[0] for row in options],
-                           indexing="ij", copy=False)
-        choices[lev] = np.stack([a.ravel() for a in axes], axis=1)
+    maps = {lev: table for lev, *_, table in children}
     center_row = balls[level][0].index(center)
 
     def walk(lev: int, held: np.ndarray, row: np.ndarray | None) -> int:
@@ -511,8 +517,7 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
         distance row on its path once the walk has passed ``level``."""
         if lev == levels[0]:
             return 1
-        batch = np.repeat(balls[lev - 1][1][None], len(choices[lev]), axis=0)
-        _unite_children(batch, choices[lev], held)
+        batch = _unite_children(balls[lev - 1][1], maps[lev], held)
         if lev - 1 == level:
             rows = _distance_row(hierarchy.space, batch[:, center_row])
         else:

@@ -1,24 +1,42 @@
 """Random parent links between grid levels, the cubes they generate, and checks.
 
 Each point of a fine grid is linked to one point of the next coarser grid: the
-unique coarser point within a quarter of the coarse scale when one exists,
-otherwise a uniformly random choice among coarser points within three times
-the coarse scale.  The cube of a coarse point is the union, over all of its
-descendants z at finer levels l, of the open balls B(z, scale(l)/100)
-intersected with the space.  Equivalently, cube(y, k) is B(y, scale(k)/100)
-united with the level-(k+1) cubes of y's children, so a forest builds the
-cubes of every level once, in one pass from the finest level up, and keeps
-them in its ``cube_table`` as, per level, a map from center to row and one
-read-only boolean cube-by-point membership matrix, which every check reads.
-That union is written once, for one parent map of a level pair or for a
-batch of them: a forest calls it with its own map, and the exact goodness
-walk with every parent choice of a level at once.  The link rule is, per
-level pair, two boolean child-by-coarse-point matrices, captured points and
-parent options, read by the sampler, the checks and the exact enumeration.
-That enumeration is split the same way: one helper lists each grid outcome
-with its option matrices and the weight of each of its forests, after the
-cap is checked; ``enumerate_forest_outcomes`` takes the product of the
-options, and the exact goodness walk reads them without building a forest.
+unique coarser point in its capture radius when one exists, otherwise a
+uniformly random choice among the coarser points in its candidate radius.  The
+cube of a coarse point is the union, over all of its descendants z at finer
+levels l, of the balls B(z, scale(l)/100) intersected with the space.
+Equivalently, cube(y, k) is B(y, scale(k)/100) united with the level-(k+1)
+cubes of y's children, so a forest builds the cubes of every level once, in
+one pass from the finest level up, and keeps them in its ``cube_table`` as,
+per level, a map from center to row and one read-only boolean cube-by-point
+membership matrix, which every check reads.
+
+That union is one pure function, for one parent map of a level pair or for a
+batch of them: with P the 0/1 parent-by-child incidence of a map, the level-k
+cube matrix is balls | (P @ cubes(k+1) > 0), a float product through BLAS
+that is exact because each sum counts children.  A forest applies it to its
+own map, and the exact goodness walk to every parent map of a level at once.
+The link rule is, per level pair, two boolean child-by-coarse-point matrices,
+captured points and parent options, read by the sampler, the checks and the
+exact enumeration.  That enumeration is split the same way: one helper lists
+each grid outcome, with one table of parent maps per level, built once the
+forest count has passed the cap, and the weight of each of its forests;
+``enumerate_forest_outcomes`` takes the product of the levels' tables, and
+the exact goodness walk reads them without building a forest.
+
+Each threshold rule takes one side, stated here:
+
+- ``BALL_DIVISOR``: the ball B(z, scale/100) is open, d < scale/100; a chain
+  pair violates separation when it is closer than scale/100, strictly.
+- ``CAPTURE_DIVISOR``: the capture radius is closed, d <= coarse scale/4.
+- ``CANDIDATE_FACTOR``: the candidate radius is closed, d <= 3 * coarse scale.
+- ``COVER_FACTOR``, ``ANCESTOR_FACTOR``, ``DIAMETER_FACTOR``: the asserted
+  bounds are closed; a point more than 3 * scale from the grid, a descendant
+  more than 10 * scale(k) from its level-k ancestor, or a cube of diameter
+  more than 21 * scale is a violation, and one exactly on the bound is not.
+- ``MAX_CHAIN_DELTA``: chain separation assumes delta <= 1/1000 and
+  delta**m >= 100 * eps, both closed, and a point within the layer, strictly
+  closer than eps * scale to a rival cube.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -153,8 +171,8 @@ class LatticeForest:
             rows = {y: i for i, y in enumerate(centers)}
             if lev + 1 in table:
                 finer_rows, finer_held = table[lev + 1]
-                up = [rows[self.parents[lev + 1][c]] for c in finer_rows]
-                _unite_children(held, up, finer_held)
+                held = _unite_children(
+                    held, [rows[self.parents[lev + 1][c]] for c in finer_rows], finer_held)
             held.setflags(write=False)
             table[lev] = (rows, held)
         return table
@@ -178,17 +196,18 @@ def _balls(hierarchy: GridHierarchy, level: int) -> tuple[list[int], np.ndarray]
     return centers, hierarchy.space.d[centers] < hierarchy.scale(level) / BALL_DIVISOR
 
 
-def _unite_children(held: np.ndarray, parent_rows, finer_held: np.ndarray) -> None:
+def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> np.ndarray:
     """The cube rule between levels k+1 and k: cube(y, k) = B(y, scale(k)/100)
-    united with cube(c, k+1) over the children c of y.  ``held`` holds the
-    level-k balls, center by point, on entry and the level-k cubes on return;
-    ``finer_held`` is the level-(k+1) cube matrix, and ``parent_rows`` gives,
-    per row of ``finer_held``, the row of its parent.  With a leading batch
-    axis on ``held`` and on ``parent_rows``, it applies one parent map per
-    batch element; a single map takes numpy's fast path for a flat index."""
-    index = (parent_rows if held.ndim == 2
-             else (np.arange(len(parent_rows))[:, None], parent_rows))
-    np.logical_or.at(held, index, finer_held)
+    united with cube(c, k+1) over the children c of y.  ``balls`` is the
+    level-k ball matrix, center by point, ``finer_held`` the level-(k+1) cube
+    matrix, and ``parent_rows`` gives, per row of ``finer_held``, the row of
+    its parent.  Leading axes on any of them broadcast: a leading axis on
+    ``parent_rows`` alone holds one parent map per entry, and the result one
+    cube matrix per map.  Returns the new matrix balls | (P @ finer_held > 0),
+    P the 0/1 parent-by-child incidence, multiplied in float32 through BLAS:
+    exact, since each sum counts children."""
+    incidence = np.asarray(parent_rows)[..., None, :] == np.arange(balls.shape[-2])[:, None]
+    return balls | (incidence.astype(np.float32) @ finer_held.astype(np.float32) > 0)
 
 
 def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
@@ -523,11 +542,15 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
                     limit: int, max_outcomes: int) -> list[tuple]:
     """Per grid outcome of the construction, in enumeration order: its
-    hierarchy, (level, sorted children, ``cols``, ``options`` of ``_link_rule``)
-    for every level above the coarsest, and the weight prob / count that each
-    of its count forests carries, count being the product of the row sums.
-    Raises TooLargeForExhaustive, before returning any outcome, when the grid
-    outcomes or the forests exceed ``max_outcomes``.
+    hierarchy, (level, sorted children, ``cols`` of ``_link_rule``, parent
+    maps) for every level above the coarsest, and the weight prob / count
+    that each of its count forests carries, count being the product of the
+    levels' map counts.  A level's maps are one row per choice of every
+    child's option, in ``itertools.product`` order, holding each child's
+    parent as a column of ``cols``, which is also its ball row.  Raises
+    TooLargeForExhaustive, before returning any outcome, when the grid
+    outcomes or the forests exceed ``max_outcomes``; a grid outcome's maps
+    are listed only once its forests have passed that cap.
     """
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
@@ -552,15 +575,17 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
         hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
         # maximal separated grids give each child an option and no two captured
         # points; Python ints keep the count from overflowing before the cap test
-        children = []
+        links = []
         for lev in levels[1:]:
             kids = sorted(grids[lev].members)
             cols, _, options = _link_rule(space, kids, grids[lev - 1])
-            children.append((lev, kids, cols, options))
-        count = math.prod(n for *_, opts in children for n in opts.sum(axis=1).tolist())
+            links.append((lev, kids, cols, [row.nonzero()[0].tolist() for row in options]))
+        count = math.prod(len(opts) for *_, per_kid in links for opts in per_kid)
         if total + count > max_outcomes:
             raise TooLargeForExhaustive("too many parent outcomes")
         total += count
+        children = [(lev, kids, cols, np.array(list(itertools.product(*per_kid))))
+                    for lev, kids, cols, per_kid in links]
         frames.append((hierarchy, children, prob / count))
     return frames
 
@@ -575,16 +600,16 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
     Grid choices are uniform over the maximal-set family at each level
     (conditioned on the finer levels), and parent choices are uniform over the
     candidate lists; probabilities are exact rationals and sum to one.  The
-    forests of a grid outcome, all of equal weight, are the product of every
-    child's options; the cap is checked on its size before any is built.
+    forests of a grid outcome, all of equal weight, are the product of its
+    levels' parent maps; the cap is checked on its size before any is built.
     """
     results: list[tuple[LatticeForest, Fraction]] = []
     for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level,
                                                        limit, max_outcomes):
-        options = [cols[row].tolist() for *_, cols, rows in children for row in rows]
-        for choice in itertools.product(*options):
-            picks = iter(choice)
-            parents = {lev: {c: next(picks) for c in kids} for lev, kids, *_ in children}
+        per_level = [cols[maps].tolist() for *_, cols, maps in children]
+        for choice in itertools.product(*per_level):
+            parents = {lev: dict(zip(kids, row))
+                       for (lev, kids, *_), row in zip(children, choice)}
             results.append((LatticeForest(hierarchy=hierarchy, parents=parents), weight))
     return results
 

@@ -209,8 +209,8 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
     workers = min(count, trials)
     if workers <= 1:
         return np.asarray(worker(payload, 0, trials))
+    # workers <= trials, so every chunk holds at least one trial
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    los, his = zip(*[(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(worker, itertools.repeat(payload), los, his))
+        parts = list(pool.map(worker, itertools.repeat(payload), bounds[:-1], bounds[1:]))
     return np.concatenate(parts, axis=0)

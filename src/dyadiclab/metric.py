@@ -3,7 +3,8 @@
 All geometry in the package runs against a validated distance matrix.  Points
 are addressed by integer index; every space also carries a tuple of opaque
 string names used for serialization and reports.  Threshold comparisons are
-exact floating comparisons with no tolerance, and generated spaces promise no
+exact floating comparisons with no tolerance; a ball is open, d < radius,
+unless ``ball`` is asked for a closed one, and generated spaces promise no
 margin: ``grid_points`` spaces put distances exactly on thresholds such as
 delta**k, and Euclidean clouds can fail the exact triangle check by one ulp.
 ``make_space`` redraws such a cloud from the same stream, as it redraws one
@@ -313,8 +314,7 @@ def _tree_space(branching: int, height: int) -> FiniteMetricSpace:
 def _grid_space(shape: Sequence[int], spacing: float = 1.0) -> FiniteMetricSpace:
     if not shape or any(s < 1 for s in shape):
         raise InvalidParams("grid shape must have positive extents")
-    axes = [np.arange(s) for s in shape]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    coords = np.indices(shape).reshape(len(shape), -1).T
     return space_from_coords(coords * float(spacing))
 
 

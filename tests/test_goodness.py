@@ -1,4 +1,5 @@
 """Good/bad classification, boundary layers, Monte Carlo estimates, equalization."""
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -158,6 +159,22 @@ def test_classifiers_match_reference(ladder, elbow, decay_probe):
                     == reference_theorem_step_violations(forest, cube, params)
                 verdicts[good] += 1
     assert min(verdicts.values()) > 0
+
+
+def test_classifiers_refuse_a_level_outside_the_hierarchy(elbow):
+    """The seed-0 elbow forest has levels 0..2; its level-2 cube of x
+    relabelled as level 7 is refused by both classifiers and by the
+    estimators' row, with one message."""
+    forest = forest_for(elbow, 0.1, 0)
+    assert forest.levels == (0, 1, 2)
+    cube = dataclasses.replace(forest.cube(2, 0), level=7)
+    outside = "^level 7 not present in the hierarchy$"
+    with pytest.raises(InvalidParams, match=outside):
+        dl.is_good(forest, cube, PARAMS)
+    with pytest.raises(InvalidParams, match=outside):
+        theorem_step_violations(forest, cube, PARAMS)
+    with pytest.raises(InvalidParams, match=outside):
+        estimate_bad_probability(elbow, 7, "x", PARAMS, trials=1, seed=0)
 
 
 def test_theorem_step_depth_gate():

@@ -29,6 +29,8 @@ def brute_force_maximal(space, base, k):
 # --- greedy -------------------------------------------------------------------
 
 def test_greedy_orders(l3):
+    """a and c lie exactly k = 1.0 apart, and the scan admits both: the
+    separation d >= k is closed."""
     assert dl.greedy_grid(l3, [0, 1, 2], 1.0, [0, 1, 2]).members == {0, 2}
     assert dl.greedy_grid(l3, [0, 1, 2], 1.0, [1, 0, 2]).members == {1}
 
@@ -51,6 +53,7 @@ def test_greedy_output_is_maximal(l3):
 # --- maximality predicate -------------------------------------------------------
 
 def test_is_maximal_separated_trio(l3):
+    """{a, c}, exactly k = 1.0 apart, is separated, and c is addable to {a}."""
     assert dl.is_maximal_separated(l3, [0, 1, 2], [0, 2], 1.0)
     assert not dl.is_maximal_separated(l3, [0, 1, 2], [0], 1.0)  # c addable
     assert not dl.is_maximal_separated(l3, [0, 1, 2], [0, 1], 1.0)  # 0.5 < 1

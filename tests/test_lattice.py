@@ -34,6 +34,7 @@ from dyadiclab.lattice import (
     ForestInvariantReport,
     _link_rule,
     _rival_depth,
+    _unite_children,
     cube_to_json,
     forest_to_json,
 )
@@ -353,6 +354,42 @@ def test_cube_ball_is_open_at_its_radius():
     assert forest.cube(0, c).members == {z, a, b, c}
 
 
+def reference_unite_children(balls, parent_rows, finer_held):
+    """The cube rule one child at a time: each child's row ORed into its
+    parent's row of a copy of the balls."""
+    out = balls.copy()
+    for child, parent in enumerate(parent_rows):
+        out[parent] |= finer_held[child]
+    return out
+
+
+def test_unite_children_is_a_pure_union_per_map():
+    """One map and a batch of three, against the per-child OR; parent row 2
+    has no child in the single map, and rows 0 and 1 none in the batch's
+    second, so they keep their balls.  The inputs are left as they were."""
+    rng = np.random.default_rng(5)
+    balls = rng.random((3, 7)) < 0.3
+    finer = rng.random((5, 7)) < 0.4
+    one = np.array([0, 1, 1, 0, 1])
+    batch = np.array([one, [2, 2, 2, 2, 2], [1, 0, 2, 1, 0]])
+    inputs = [a.copy() for a in (balls, one, batch, finer)]
+    got = _unite_children(balls, one, finer)
+    assert got.dtype == bool and got is not balls
+    assert (got == reference_unite_children(balls, one, finer)).all()
+    assert (got[2] == balls[2]).all()
+    got = _unite_children(balls, batch, finer)
+    assert got.shape == (3, 3, 7)
+    for rows, cubes in zip(batch, got):
+        assert (cubes == reference_unite_children(balls, rows, finer)).all()
+    # one finer cube matrix per map broadcasts the same way
+    finers = np.stack([finer, ~finer, finer[::-1]])
+    got = _unite_children(balls, batch, finers)
+    for rows, f, cubes in zip(batch, finers, got):
+        assert (cubes == reference_unite_children(balls, rows, f)).all()
+    for before, after in zip(inputs, (balls, one, batch, finer)):
+        assert (before == after).all()
+
+
 def test_cube_lookup_unknown_center(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=1)
     with pytest.raises(UnknownCenter):
@@ -378,6 +415,17 @@ def test_grid_cover_reports(l3, singleton):
         rep = dl.check_grid_cover(h3, level)
         assert rep.max_distance <= rep.bound
         assert rep.sharp_ok
+
+
+def test_grid_cover_is_closed_at_three_scales():
+    """Point 1 lies exactly 3 * scale(0) from the level-0 grid {0}: the cover
+    holds, and its distance is the bound."""
+    space = dl.space_from_coords([[0.0], [3.0]])
+    hierarchy = GridHierarchy(space=space, delta=0.5, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({0})),
+        1: Grid(scale=0.5, members=frozenset({0, 1}))})
+    rep = dl.check_grid_cover(hierarchy, 0)
+    assert rep.max_distance == rep.bound == 3.0 * hierarchy.scale(0)
 
 
 def test_grid_cover_seeded_cloud_bound():
@@ -529,6 +577,24 @@ def test_forest_invariants_report_far_ancestor():
     want = reference_check_forest_invariants(forest)
     assert (rep.violations, rep.max_ancestor_ratio, rep.max_diameter_ratio) == (
         want.violations, want.max_ancestor_ratio, want.max_diameter_ratio)
+
+
+def test_forest_invariants_bounds_are_closed():
+    """Point 1 linked, outside its options, to the level-0 point 0: exactly
+    10 * scale(0) away it meets the ancestor bound, and exactly 21 * scale(0)
+    away, past that bound, the cube {0, 1} meets the diameter bound."""
+    for far, want in (
+            (ANCESTOR_FACTOR, []),
+            (DIAMETER_FACTOR, ["descendant 1 (level 1) is 21.0 from ancestor 0 (level 0)"])):
+        space = dl.space_from_coords([[0.0], [far]])
+        hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1), grids={
+            0: Grid(scale=1.0, members=frozenset({0})),
+            1: Grid(scale=0.1, members=frozenset({0, 1}))})
+        forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 1: 0}})
+        rep = dl.check_forest_invariants(forest)
+        assert rep.violations == [
+            "child 1 at level 1 has parent 0, not one of its options []"] + want
+        assert rep.max_ancestor_ratio == rep.max_diameter_ratio == far
 
 
 # the check that walked each ancestor point by point and tested each cube for
@@ -696,6 +762,25 @@ def test_verify_chain_large_delta_is_vacuous(l3):
     with pytest.raises(HypothesesNotMet):
         dl.verify_chain_separation(forest, 0, [forest.ancestor(0, 1, 0)], 0,
                                    eps=1e-6)
+
+
+def test_verify_chain_rival_gate_is_strict():
+    """x hangs under a, p under y, 2**-7 from x, in this forest of the
+    construction at ratio 1/1000.  So x's rival depth at level 0 is 2**-7:
+    with eps = 2**-7 the point is not closer than eps * scale(0) to a rival
+    cube, and the hypotheses fail; with the next float above, the trivial
+    chain [a] verifies."""
+    coords = {"a": 0.0, "x": 0.28125, "p": 0.2890625, "y": 2.0}
+    xs = list(coords.values())
+    space = dl.validate_metric([[abs(p - q) for q in xs] for p in xs], list(coords))
+    a, x, p, y = range(4)
+    forest, = [f for f, _ in dl.enumerate_forest_outcomes(space, 0.001, 0)
+               if f.parents == {1: {a: a, x: a, p: y, y: y}}]
+    eps = 2.0 ** -7
+    assert _rival_depth(forest, 0)[x] == eps * forest.hierarchy.scale(0)
+    with pytest.raises(HypothesesNotMet, match="not within eps"):
+        dl.verify_chain_separation(forest, x, [a], 0, eps=eps)
+    assert dl.verify_chain_separation(forest, x, [a], 0, eps=np.nextafter(eps, 1.0))
 
 
 # the cover and chain checks before the per-level membership matrix, kept as

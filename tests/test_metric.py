@@ -145,6 +145,9 @@ def test_max_ball_occupancy_examples(l3, singleton, two_far):
     assert dl.max_ball_occupancy(l3, 1.0) == 3
     assert dl.max_ball_occupancy(singleton, 1.0) == 1
     assert dl.max_ball_occupancy(two_far, 1.0) == 1
+    # the ball is open: two points exactly the radius apart share none
+    assert dl.max_ball_occupancy(two_far, 2.0) == 1
+    assert dl.max_ball_occupancy(two_far, np.nextafter(2.0, np.inf)) == 2
 
 
 def test_max_ball_occupancy_refuses_nan_radius(l3):
