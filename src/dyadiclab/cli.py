@@ -76,8 +76,6 @@ def _frac(x: Fraction) -> dict:
 
 
 def _load(path: str):
-    if path is None:
-        raise ConfigError("--input is required for this subcommand")
     try:
         return load_space(path)
     except OSError as exc:
@@ -267,10 +265,8 @@ def _cmd_goodness(args) -> tuple[dict, int]:
     monotone = all(a >= b for a, b in zip(fit.estimates, fit.estimates[1:]))
     _check(checks, "boundary_decay_monotone", monotone)
 
-    p_q, note = None, "plugin estimate, no exact identity on large spaces"
-    if args.mode != MODES[0]:  # the exact law is that of uniform grids
-        note = f"plugin estimate, the exact identity needs {MODES[0]}, not {args.mode}"
-    elif len(space) <= args.limit:
+    p_q, note = None, f"plugin estimate, the exact identity needs {MODES[0]}, not {args.mode}"
+    if args.mode == MODES[0]:  # the exact law is that of uniform grids
         try:
             p_q = exact_good_probability(space, center, level, params,
                                          coarsest_level=args.n0, limit=args.limit)
@@ -354,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, seeded=True):
-        p.add_argument("--input", required=False, help="space JSON or coordinate CSV")
+        p.add_argument("--input", required=True, help="space JSON or coordinate CSV")
         p.add_argument("--out", default="-", help="report path, '-' for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT,

@@ -12,10 +12,11 @@ per level, a map from center to row and one read-only boolean cube-by-point
 membership matrix, which every check reads.
 
 That union is one pure function, for one parent map of a level pair or for a
-batch of them: with P the 0/1 parent-by-child incidence of a map, the level-k
-cube matrix is balls | (P @ cubes(k+1) > 0), a float product through BLAS
-that is exact because each sum counts children.  A forest applies it to its
-own map, and the exact goodness walk to every parent map of a level at once.
+batch of them: it copies the level-k balls once per map and sets True, in each
+child's parent row, every point the child's level-(k+1) cube holds, a boolean
+assignment that is exact by construction.  A forest applies it to its own map,
+the exact goodness walk to every parent map of a level at once, and the forest
+check to each level's ancestor rows when it unites descendant balls.
 The link rule is, per level pair, two boolean child-by-coarse-point matrices,
 captured points and parent options, read by the sampler, the checks and the
 exact enumeration.  That enumeration is split the same way: one helper lists
@@ -201,13 +202,17 @@ def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> n
     united with cube(c, k+1) over the children c of y.  ``balls`` is the
     level-k ball matrix, center by point, ``finer_held`` the level-(k+1) cube
     matrix, and ``parent_rows`` gives, per row of ``finer_held``, the row of
-    its parent.  Leading axes on any of them broadcast: a leading axis on
-    ``parent_rows`` alone holds one parent map per entry, and the result one
-    cube matrix per map.  Returns the new matrix balls | (P @ finer_held > 0),
-    P the 0/1 parent-by-child incidence, multiplied in float32 through BLAS:
-    exact, since each sum counts children."""
-    incidence = np.asarray(parent_rows)[..., None, :] == np.arange(balls.shape[-2])[:, None]
-    return balls | (incidence.astype(np.float32) @ finer_held.astype(np.float32) > 0)
+    its parent; leading axes on ``parent_rows`` hold one parent map each, and
+    the result one cube matrix per map.  Returns a new boolean matrix: a copy
+    of ``balls`` per map, set True at (parent row, point) wherever a child's
+    row of ``finer_held`` holds the point."""
+    maps = np.asarray(parent_rows)
+    flat = maps.reshape(-1, maps.shape[-1])
+    held = balls[None].repeat(len(flat), axis=0)
+    # the (child, point) entries; a 1-D nonzero is several times faster than 2-D
+    child, point = np.divmod(finer_held.ravel().nonzero()[0], finer_held.shape[-1])
+    held[np.arange(len(flat))[:, None], flat[:, child], point] = True
+    return held.reshape(maps.shape[:-1] + balls.shape)
 
 
 def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
@@ -391,28 +396,27 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
                                       f"{parent}, not one of its options "
                                       f"{cols[options[i]].tolist()}")
     if broken:
-        return rep  # the ancestor walk and the cube table index every link
+        return rep  # the chains and the cube table index every link
 
-    # one walk per level down the parent links: every descendant stays within
-    # 10x its ancestor's scale, and its ball goes into the ancestor's row of
+    # each point's chain down to the coarsest level: every descendant stays
+    # within 10x its ancestor's scale, tested for all of a level's (point,
+    # ancestor) pairs at once, and its ball goes into the ancestor's row of
     # that level's union of descendant balls, which each cube must equal
     unions = {k: np.zeros_like(forest.cube_table[k][1]) for k in h.levels}
     for lev in h.levels:
         points, balls = _balls(h, lev)
-        ancestors = points
-        for k in range(lev, h.levels[0] - 1, -1):
-            if k < lev:
-                ancestors = [forest.parents[k + 1][a] for a in ancestors]
-                scale = h.scale(k)
-                dist = space.d[points, ancestors]
-                rep.max_ancestor_ratio = (dist / scale).max(
-                    initial=rep.max_ancestor_ratio)
-                for z, a, d in zip(points, ancestors, dist.tolist()):
-                    if d > ANCESTOR_FACTOR * scale:
-                        rep.violations.append(f"descendant {z} (level {lev}) is "
-                                              f"{d} from ancestor {a} (level {k})")
+        chains = np.array([forest.chain(z, lev, h.levels[0]) for z in points])
+        coarser = range(lev, h.levels[0] - 1, -1)  # the level of each chain column
+        scales = np.array([h.scale(k) for k in coarser[1:]])
+        dist = space.d[np.array(points)[:, None], chains[:, 1:]]
+        rep.max_ancestor_ratio = float((dist / scales).max(initial=rep.max_ancestor_ratio))
+        for j, i in zip(*(dist > ANCESTOR_FACTOR * scales).T.nonzero()):
+            rep.violations.append(f"descendant {points[i]} (level {lev}) is "
+                                  f"{dist[i, j].item()} from ancestor "
+                                  f"{chains[i, j + 1].item()} (level {coarser[j + 1]})")
+        for k, ancestors in zip(coarser, chains.T.tolist()):
             rows = forest.cube_table[k][0]
-            np.logical_or.at(unions[k], [rows[a] for a in ancestors], balls)
+            unions[k] = _unite_children(unions[k], [rows[a] for a in ancestors], balls)
 
     # each cube is that union; diameters stay bounded
     for k in h.levels:

@@ -175,6 +175,40 @@ def test_goodness_falls_back_when_exact_is_refused(tmp_path):
     assert equalization["p_q_plugin"] == max(1.0 - fraction, 1.0 / 50)
 
 
+@pytest.fixture(scope="module")
+def criterion7_json(tmp_path_factory):
+    """The 60-point cascade cloud of acceptance criterion 7."""
+    path = tmp_path_factory.mktemp("criterion7") / "cloud.json"
+    dl.save_space(dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                                branching=3, ratio=0.1, spread=(0.25, 0.45)), str(path))
+    return str(path)
+
+
+def test_goodness_notes_why_a_space_above_the_cap_is_not_exact(tmp_path, criterion7_json):
+    """The exact enumerator itself refuses a space larger than --limit, since
+    the base of the first level it enumerates is every point."""
+    code, out = run_to_file(tmp_path, [
+        "goodness", "--input", criterion7_json, "--delta", "0.1", "--trials", "50",
+        "--seed", "0"])
+    assert code == 0
+    equalization = json.loads(out.read_text())["data"]["equalization"]
+    assert equalization["note"] == ("plugin estimate, exact enumeration refused: "
+                                    "|base|=60 exceeds the cap 20")
+
+
+def test_goodness_one_level_hierarchy_is_exact_above_the_cap(tmp_path, criterion7_json):
+    """With --n0 at the finest level nothing is enumerated, so the 60-point
+    cloud gets its exact P(good) = 1 and the equalization check."""
+    finest = dl.finest_level(dl.load_space(criterion7_json), 0.1, 0)
+    code, out = run_to_file(tmp_path, [
+        "goodness", "--input", criterion7_json, "--delta", "0.1", "--trials", "50",
+        "--seed", "0", "--n0", str(finest)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["data"]["equalization"]["p_q"] == {"num": 1, "den": 1}
+    assert "equalization_frequency" in {c["name"] for c in report["checks"]}
+
+
 def test_goodness_greedy_mode_takes_the_plugin_path(tmp_path):
     """The exact law is that of uniform grids, so a greedy run is not checked
     against it.  On the path a-b-c the uniform law picks {b} at level 1 with
@@ -301,6 +335,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
 @pytest.mark.parametrize("argv, code, needle", [
     (["validate", "--input", "{dir}"], 3, "Is a directory"),
     (["lattice", "--input", "{dir}", "--seed", "0"], 3, "input error:"),
+    (["lattice", "--seed", "0"], 2, "the following arguments are required: --input"),
+    (["a2"], 2, "the following arguments are required: --input"),
     (GOODNESS + ["--seed", "0", "--level", "99"], 2, "error: level 99"),
     (GOODNESS + ["--seed", "0", "--level", "-5"], 2, "error: level -5"),
     (["grids", "--input", "{elbow}", "--seed", "-1"], 2, "seed must be nonnegative"),
@@ -309,6 +345,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["grids", "--input", "{elbow}", "--seed", "0", "--out", "{dir}/no/r.json"], 2,
      "config error: cannot write the report"),
     (GOODNESS + ["--seed", "0", "--eps-schedule", "nan"], 2, "error: eps values"),
+    (GOODNESS + ["--seed", "0", "--eps-schedule", "1e-4,abc"], 2,
+     "config error: bad --eps-schedule"),
     (GOODNESS + ["--seed", "0", "--freeze-above", "0"], 2,
      "config error: --freeze-above applies to grids and lattice only"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--delta", "0.1", "--n0", "-308",
@@ -316,9 +354,10 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
      "config error: the report holds a non-finite number"),
     (["a2", "--input", "{elbow}", "--m-exponent", "nan"], 2,
      "error: growth exponent must be positive"),
-], ids=["dir-input", "dir-input-lattice", "level-above", "level-below",
-        "negative-seed", "overflowing-n0", "unwritable-out", "nan-eps",
-        "goodness-freeze-above", "infinite-bound", "nan-growth-exponent"])
+], ids=["dir-input", "dir-input-lattice", "no-input-lattice", "no-input-a2",
+        "level-above", "level-below", "negative-seed", "overflowing-n0",
+        "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above",
+        "infinite-bound", "nan-growth-exponent"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
     argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]

@@ -162,6 +162,28 @@ def test_enumerate_cap():
     assert len(grids) == 1
 
 
+def test_sampler_caps_each_component(monkeypatch):
+    """On the line 0, 1, 2, 3, 50, 51 the conflict graph at scale 1.5 has
+    components {0, 1, 2, 3} and {50, 51}: a cap of 3 refuses the first and
+    memoizes nothing for it, and a cap of 4 samples.  The nested sampler
+    refuses the same component at scale 2, the level-(-1) scale of ratio 1/2."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    line = dl.space_from_coords([[0.0], [1.0], [2.0], [3.0], [50.0], [51.0]])
+    base, rng = tuple(range(6)), np.random.default_rng(0)
+    with pytest.raises(TooLargeForExhaustive,
+                       match="component of size 4 exceeds the cap 3"):
+        dl.sample_maximal_separated(line, base, 1.5, rng, limit=3)
+    assert (base, 1.5, 3) not in grids._FAMILIES[line]
+    grid = dl.sample_maximal_separated(line, base, 1.5, rng, limit=4)
+    assert dl.is_maximal_separated(line, base, grid.members, 1.5)
+    assert (base, 1.5, 4) in grids._FAMILIES[line]
+    with pytest.raises(TooLargeForExhaustive,
+                       match="component of size 4 exceeds the cap 3"):
+        dl.build_nested_grids(line, 0.5, -1, rng=0, limit=3)
+    assert (base, 2.0, 3) not in grids._FAMILIES[line]
+    assert dl.build_nested_grids(line, 0.5, -1, rng=0, limit=4).levels == (-1, 0, 1)
+
+
 # --- sampling ----------------------------------------------------------------------
 
 def test_sample_uniform_frequencies(l3):

@@ -32,6 +32,7 @@ from dyadiclab.lattice import (
     CubeCoverReport,
     DIAMETER_FACTOR,
     ForestInvariantReport,
+    _balls,
     _link_rule,
     _rival_depth,
     _unite_children,
@@ -303,6 +304,17 @@ def assert_table_matches_reference(forest):
     return len(forest.levels)
 
 
+def assert_table_unites_per_child(forest):
+    """Each level's cube matrix is its balls with the finer level's cube rows
+    ORed in one child at a time."""
+    for lev in forest.levels[1:]:
+        rows, held = forest.cube_table[lev - 1]
+        finer_rows, finer_held = forest.cube_table[lev]
+        _, balls = _balls(forest.hierarchy, lev - 1)
+        parent_rows = [rows[forest.parents[lev][c]] for c in finer_rows]
+        assert (held == reference_unite_children(balls, parent_rows, finer_held)).all()
+
+
 def test_cube_table_matches_reference_seeded(decay_probe):
     pairs = 0
     for seed in range(20):
@@ -319,6 +331,13 @@ def test_cube_table_matches_reference_seeded(decay_probe):
                                  mode="greedy_permutation"))
         pairs += assert_table_matches_reference(
             shared_stream_forest(decay_probe, 0.001, 0, seed=seed))
+    # levels of up to about 193 parents by 200 points
+    cascade = dl.make_space("random_cloud", seed=1, n=200, dim=2, levels=5,
+                            branching=3, ratio=0.01)
+    for seed in range(3):
+        forest = shared_stream_forest(cascade, 0.001, 0, seed=seed)
+        assert_table_unites_per_child(forest)
+        pairs += assert_table_matches_reference(forest)
     assert pairs > 200
 
 
@@ -381,11 +400,6 @@ def test_unite_children_is_a_pure_union_per_map():
     assert got.shape == (3, 3, 7)
     for rows, cubes in zip(batch, got):
         assert (cubes == reference_unite_children(balls, rows, finer)).all()
-    # one finer cube matrix per map broadcasts the same way
-    finers = np.stack([finer, ~finer, finer[::-1]])
-    got = _unite_children(balls, batch, finers)
-    for rows, f, cubes in zip(batch, finers, got):
-        assert (cubes == reference_unite_children(balls, rows, f)).all()
     for before, after in zip(inputs, (balls, one, batch, finer)):
         assert (before == after).all()
 
@@ -1148,6 +1162,13 @@ def test_max_outcomes_caps_the_total():
             dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=cap)
     assert len(dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=124_548)) \
         == 124_548
+
+
+def test_max_outcomes_caps_the_grid_outcomes(elbow):
+    """The elbow has two grid outcomes, so a cap of one refuses them before
+    any parent map is counted."""
+    with pytest.raises(TooLargeForExhaustive, match="too many grid outcomes"):
+        dl.enumerate_forest_outcomes(elbow, 0.1, 0, max_outcomes=1)
 
 
 def test_outcome_enumeration_matches_sampling_support(elbow):
