@@ -31,12 +31,12 @@ The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow ``mc``'s rules, checked before any trial runs.  A
-chunk of trials draws from one reused generator: it takes the states of all
-its streams from ``mc._trial_states``, checked against ``trial_rng``, and
-sets each trial's state in turn.  A trial first replays its draws along the
-draw paths of the earlier trials of its chunk, kept in two maps keyed by the
-values drawn, making an integers call with few bounds above 1 as scalar
-draws, so a chunk builds and classifies each distinct forest once; the
+chunk of trials draws from one reused generator: it reads each trial's
+state from ``mc._trial_states`` as the trial starts, checks the first against
+``trial_rng``, and sets each state in turn.  A trial first replays its draws
+along the draw paths of the earlier trials of its chunk, kept in two maps
+keyed by the values drawn, making an integers call with few bounds above 1 as
+scalar draws, so a chunk builds and classifies each distinct forest once; the
 streams are drawn as if every trial built its own forest.
 """
 from __future__ import annotations
@@ -298,10 +298,10 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     ``finish(part, rng)``, whose own draws come after the forest's (the row is
     the part itself when ``finish`` is None).
 
-    The chunk draws every trial from one generator: it takes the states of
-    all its streams from ``_trial_states``, checks the first against
-    ``trial_rng(seed, lo)``, and sets each trial's state in turn on that
-    generator's bit generator, which the recorder shares.
+    The chunk draws every trial from one generator: it reads each trial's
+    state from ``_trial_states`` as the trial starts, checks the first against
+    ``trial_rng(seed, lo)``, and sets each state in turn on that generator's
+    bit generator, which the recorder shares.
 
     A forest is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the chunk keeps, for the
@@ -319,13 +319,14 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     rng = trial_rng(seed, lo)
     bit_generator = rng.bit_generator
     states = _trial_states(seed, lo, hi)
-    if bit_generator.state != states[0]:
+    first = next(states)
+    if bit_generator.state != first:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(bit_generator)
     calls, parts, misses = {}, {}, 0
     rows = []
-    for state in states:
+    for state in itertools.chain([first], states):
         bit_generator.state = state
         part = parts.get(_replay(calls, rng))
         if part is None:

@@ -37,7 +37,9 @@ Each threshold rule takes one side, stated here:
   more than 21 * scale is a violation, and one exactly on the bound is not.
 - ``MAX_CHAIN_DELTA``: chain separation assumes delta <= 1/1000 and
   delta**m >= 100 * eps, both closed, and a point within the layer, strictly
-  closer than eps * scale to a rival cube.
+  closer than eps * scale to a rival cube.  The scan takes, per span m, the
+  widest eps that closed test admits: delta**m / 100, or the float below it
+  where 100 times that quotient rounds above delta**m.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -501,6 +503,14 @@ def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
     return not _chain_violations(forest, chain, top_level)
 
 
+def _widest_eps(delta: float, m: int) -> float:
+    """The widest layer width that ``verify_chain_separation`` admits for a
+    chain of span m: delta**m / 100, or the float below it where 100 times
+    the quotient rounds above delta**m."""
+    eps = delta ** m / BALL_DIVISOR
+    return eps if delta ** m >= BALL_DIVISOR * eps else math.nextafter(eps, 0.0)
+
+
 @dataclass
 class ChainScanReport:
     verified: int = 0
@@ -515,9 +525,10 @@ class ChainScanReport:
 def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     """Exhaustively test every chain whose boundary hypotheses can be met.
 
-    For each base level k and span m >= 1 the widest admissible layer width
-    eps = delta**m / 100 is used; a point activates the hypotheses exactly
-    when some rival cube at level k comes within eps * scale(k) of it.
+    For each base level k and span m >= 1 the widest layer width eps that
+    ``verify_chain_separation`` admits is used (``_widest_eps``); a point
+    activates the hypotheses exactly when some rival cube at level k comes
+    within eps * scale(k) of it.
     """
     h = forest.hierarchy
     rep = ChainScanReport()
@@ -527,7 +538,7 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
         depth = _rival_depth(forest, base_level)
         for m in range(1, h.finest_level - base_level + 1):
             top = base_level + m
-            near = depth < h.delta ** m / BALL_DIVISOR * h.scale(base_level)
+            near = depth < _widest_eps(h.delta, m) * h.scale(base_level)
             rep.vacuous += int((~near).sum())
             rows, held = forest.cube_table[top]
             centers = list(rows)

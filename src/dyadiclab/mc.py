@@ -8,9 +8,10 @@ NumPy integers pass; floats, strings and bools are refused, not truncated.
 
 Trial t of a run with master seed s draws from its own stream,
 ``trial_rng(s, t)``.  A chunk of trials takes its streams' states from
-``_trial_states``: in one array pass of NumPy's seeding hash when the entropy
-fits the hash's pool (s below 2**96 and t below 2**32, the shape of every
-ordinary run), and from ``trial_rng`` itself otherwise.
+``_trial_states``: its hash words in one array pass of NumPy's seeding hash
+when the entropy fits the hash's pool (s below 2**96 and t below 2**32, the
+shape of every ordinary run), and from ``trial_rng`` itself otherwise; either
+way each trial's state is built when that trial starts, not all at once.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from typing import Iterator
 
 import numpy as np
 
@@ -156,16 +158,17 @@ def _pcg64_state(initstate: int, initseq: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _trial_states(master_seed: int, lo: int, hi: int) -> list[dict]:
-    """``trial_rng(master_seed, t).bit_generator.state`` for each t in
-    [lo, hi); the seed and the indices are ints >= 0.
+def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[dict]:
+    """An iterator over ``trial_rng(master_seed, t).bit_generator.state`` for
+    each t in [lo, hi), which builds each state when it is read; the seed and
+    the indices are ints >= 0.
 
     When the entropy fits SeedSequence's pool of 4 words, that is the seed is
     below 2**96 and every t below 2**32, the states come from one pass of
     uint32 array math over the range; otherwise from ``trial_rng`` itself."""
     seed_words = _words(master_seed)
     if len(seed_words) >= _POOL or hi > 1 << 32:
-        return [trial_rng(master_seed, t).bit_generator.state for t in range(lo, hi)]
+        return (trial_rng(master_seed, t).bit_generator.state for t in range(lo, hi))
     entropy = np.array([[word] * (hi - lo) for word in seed_words] + [list(range(lo, hi))],
                        dtype=np.uint32)
     pool = _seed_pool(entropy)
@@ -173,8 +176,8 @@ def _trial_states(master_seed: int, lo: int, hi: int) -> list[dict]:
     words = _hash(np.tile(pool, (2, 1)), *_GENERATE_STEPS).astype(np.uint64)
     uint64s = words[0::2] | words[1::2] << np.uint64(32)
     seed_hi, seed_lo, inc_hi, inc_lo = uint64s.tolist()
-    return [_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
-            for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo)]
+    return (_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+            for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo))
 
 
 def loglog_slope(xs, ys) -> float:

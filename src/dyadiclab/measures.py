@@ -1,11 +1,10 @@
 """Weights and measures on a finite space: two-weight characteristic, growth,
 and measure doubling.
 
-Suprema over balls are taken over closed balls with radii drawn from the
-pairwise-distance set: on a finite space every ball realized by any radius
-equals one of these, so the finite family attains the supremum.  The
-small-radius degeneracy of growth conditions (point masses blow up as the
-radius shrinks) is avoided by the same restriction.
+Suprema over balls are taken over closed balls: a center of a finite space
+has at most one distinct ball per entry of its distance row, so a finite
+family of radii attains each supremum.  ``_ball_sums`` sums each center's
+distinct balls once, and states which radii each supremum reads.
 """
 from __future__ import annotations
 
@@ -87,6 +86,23 @@ def _require_measure_of(space: FiniteMetricSpace, wm: WeightedMeasure) -> None:
             f"the measure has {len(wm.mu)} masses but the space has {len(space)} points")
 
 
+def _ball_sums(space: FiniteMetricSpace, values: tuple[np.ndarray, ...]):
+    """Per center x: the distinct entries of d[x] in ascending order, 0 first,
+    and an array of each value vector v summed once over each closed ball
+    B(x, r) at those radii, as v[d[x] <= r].sum(), one row per vector.
+
+    Two radius families read these sums.  The characteristic ranges over
+    each center's own radii, 0 included.  Growth and doubling range over the
+    positive pairwise distances r (and 2r), each read at the center's largest
+    own radius <= r, which bounds the same ball; the pairwise family keeps
+    growth clear of the point masses that blow up as the radius shrinks.
+    """
+    for row in space.d:
+        radii = np.unique(row)
+        masks = [row <= r for r in radii]
+        yield radii, np.array([[v[inside].sum() for inside in masks] for v in values])
+
+
 def a2_characteristic(space: FiniteMetricSpace, wm: WeightedMeasure) -> float:
     """Supremum over closed balls of avg(w) * avg(1/w) with respect to mu.
 
@@ -95,20 +111,11 @@ def a2_characteristic(space: FiniteMetricSpace, wm: WeightedMeasure) -> float:
     """
     _require_measure_of(space, wm)
     mu, w = wm.mu, wm.w
-    winv = np.zeros_like(w)
-    positive = mu > 0
-    winv[positive] = 1.0 / w[positive]
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=mu > 0)
     best = -np.inf
-    for center in range(len(space)):
-        row = space.d[center]
-        for radius in np.unique(row):
-            inside = row <= radius
-            mass = mu[inside].sum()
-            if mass <= 0:
-                continue
-            avg_w = float((w[inside] * mu[inside]).sum() / mass)
-            avg_winv = float((winv[inside] * mu[inside]).sum() / mass)
-            best = max(best, avg_w * avg_winv)
+    for _, sums in _ball_sums(space, (mu, w * mu, winv * mu)):
+        mass, w_mass, winv_mass = sums[:, sums[0] > 0]
+        best = max([best, *(w_mass / mass * (winv_mass / mass)).tolist()])
     return best
 
 
@@ -125,19 +132,28 @@ def growth_constant(space: FiniteMetricSpace, wm: WeightedMeasure,
                     m: float) -> GrowthReport:
     """Largest mu(B(x, r)) / r**m over centers and positive pairwise radii.
 
-    A singleton has no positive radii; by convention its constant is 0.
+    A singleton has no positive radii; by convention its constant is 0.  An
+    exponent at which some r**m overflows or is 0, or the total mass over it
+    overflows, is refused, so no ratio leaves the float range.
     """
     _require_measure_of(space, wm)
     if not 0 < m < np.inf:
         raise InvalidParams("growth exponent must be positive and finite")
     radii = space.pairwise_distances()
+    try:
+        powers = np.array([r ** m for r in radii])
+    except OverflowError:
+        powers = np.zeros(1)
+    least = float(powers.min(initial=np.inf))
+    if not (least > 0 and float(wm.mu.sum()) / least < np.inf):
+        raise InvalidParams(
+            f"growth exponent {m} takes some r**m, or mu(X) / r**m, out of float range")
     best, w_center, w_radius = 0.0, -1, 0.0
-    for center in range(len(space)):
-        row = space.d[center]
-        for r in radii:
-            value = float(wm.mu[row <= r].sum() / r ** m)
-            if value > best:
-                best, w_center, w_radius = value, center, r
+    for center, (balls, (mass,)) in enumerate(_ball_sums(space, (wm.mu,))):
+        values = mass[np.searchsorted(balls, radii, side="right") - 1] / powers
+        if values.max(initial=0.0) > best:
+            i = int(values.argmax())
+            best, w_center, w_radius = float(values[i]), center, radii[i]
     return GrowthReport(m=m, c_min=best, witness_center=w_center,
                         witness_radius=w_radius)
 
@@ -149,15 +165,11 @@ def measure_doubling_constant(space: FiniteMetricSpace, wm: WeightedMeasure) -> 
     constant is 1 (balls cannot grow).
     """
     _require_measure_of(space, wm)
-    mu = wm.mu
     radii = space.pairwise_distances()
+    both = [radii, [2 * r for r in radii]]
     best = 1.0
-    for center in range(len(space)):
-        row = space.d[center]
-        for r in radii:
-            inner = mu[row <= r].sum()
-            if inner <= 0:
-                continue
-            outer = mu[row <= 2 * r].sum()
-            best = max(best, float(outer / inner))
+    for balls, (mass,) in _ball_sums(space, (wm.mu,)):
+        inner, outer = mass[np.searchsorted(balls, both, side="right") - 1]
+        charged = inner > 0
+        best = max([best, *(outer[charged] / inner[charged]).tolist()])
     return best

@@ -354,13 +354,18 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
      "config error: the report holds a non-finite number"),
     (["a2", "--input", "{elbow}", "--m-exponent", "nan"], 2,
      "error: growth exponent must be positive"),
+    (["a2", "--input", "{two}", "--m-exponent", "2000"], 2, "error: growth exponent 2000"),
+    (["a2", "--input", "{elbow}", "--m-exponent", "400"], 2, "error: growth exponent 400"),
 ], ids=["dir-input", "dir-input-lattice", "no-input-lattice", "no-input-a2",
         "level-above", "level-below", "negative-seed", "overflowing-n0",
         "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above",
-        "infinite-bound", "nan-growth-exponent"])
+        "infinite-bound", "nan-growth-exponent", "overflowing-growth-power",
+        "vanishing-growth-power"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
-    argv = [a.format(elbow=elbow_json, dir=tmp_path) for a in argv]
+    two = tmp_path / "two.json"  # points 2 apart: 2.0 ** 2000 overflows
+    two.write_text(json.dumps({"points": ["p", "q"], "dist": [[0, 2], [2, 0]]}))
+    argv = [a.format(elbow=elbow_json, two=two, dir=tmp_path) for a in argv]
     assert main(argv) == code
     out, err = capsys.readouterr()
     # validate reports a bad input in its report; the others on stderr
@@ -476,7 +481,7 @@ OPTIONS = {
             st.sampled_from(["1e-6", "1e-6,1e-7"]),
             ["1e-7,1e-6", "nan", "-1", "x", "0.5", ","]))],
     "a2": [optional("--m-exponent", mostly(st.sampled_from(["0.5", "1", "2"]),
-                                           BAD_FLOATS))],
+                                           BAD_FLOATS + ["400", "1000"]))],
 }
 ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(lambda sub: st.tuples(
     st.just(sub),

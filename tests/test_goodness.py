@@ -1,7 +1,9 @@
 """Good/bad classification, boundary layers, Monte Carlo estimates, equalization."""
+import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -836,10 +838,10 @@ def test_trial_states_match_trial_rng():
 
     for seed in STATE_SEEDS:
         for t in STATE_TRIALS:
-            assert _trial_states(seed, t, t + 1) == want(seed, [t])
-        assert _trial_states(seed, 0, 12) == want(seed, range(12))
+            assert list(_trial_states(seed, t, t + 1)) == want(seed, [t])
+        assert list(_trial_states(seed, 0, 12)) == want(seed, range(12))
         for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2)):
-            assert _trial_states(seed, ts.start, ts.stop) == want(seed, ts)
+            assert list(_trial_states(seed, ts.start, ts.stop)) == want(seed, ts)
 
 
 def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
@@ -848,18 +850,32 @@ def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
     taken = []
     monkeypatch.setattr(mc, "trial_rng",
                         lambda seed, t: taken.append((seed, t)) or trial_rng(seed, t))
-    _trial_states(2**96 - 1, 2**32 - 3, 2**32)
+    list(_trial_states(2**96 - 1, 2**32 - 3, 2**32))
     assert taken == []
-    _trial_states(2**96, 0, 2)
-    _trial_states(5, 2**32 - 1, 2**32 + 1)
+    list(_trial_states(2**96, 0, 2))
+    list(_trial_states(5, 2**32 - 1, 2**32 + 1))
     assert taken == [(2**96, 0), (2**96, 1), (5, 2**32 - 1), (5, 2**32)]
+
+
+def test_trial_states_are_built_as_they_are_read():
+    """A chunk reads one state per trial, so reading the states one at a
+    time holds less than half the memory of holding them all."""
+    def peak(consume):
+        tracemalloc.start()
+        try:
+            consume(_trial_states(7, 0, 10**5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda states: collections.deque(states, maxlen=0)) < peak(list) / 2
 
 
 def test_trial_state_set_resets_the_buffered_half_word():
     rng = trial_rng(5, 0)
     rng.integers(10, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    rng.bit_generator.state, = _trial_states(5, 3, 4)
+    rng.bit_generator.state, = list(_trial_states(5, 3, 4))
     ref = trial_rng(5, 3)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert (rng.integers(10, size=5, dtype=np.uint32).tolist()

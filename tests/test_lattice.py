@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dyadiclab as dl
+from dyadiclab import lattice
 from dyadiclab.errors import (
     CoverViolation,
     DyadicLabError,
@@ -795,6 +796,43 @@ def test_verify_chain_rival_gate_is_strict():
     with pytest.raises(HypothesesNotMet, match="not within eps"):
         dl.verify_chain_separation(forest, x, [a], 0, eps=eps)
     assert dl.verify_chain_separation(forest, x, [a], 0, eps=np.nextafter(eps, 1.0))
+
+
+def test_chain_scan_verifies_only_chains_that_verify_admits(decay_probe, monkeypatch):
+    """At delta = 0.00095, 100 * (delta**m / 100) rounds above delta**m for
+    some spans m, so the closed test delta**m >= 100 * eps refuses that eps.
+    Each chain the scan counts as verified, paired with each point it was
+    verified for, passes verify_chain_separation with the eps the scan used."""
+    chains, used = set(), {}
+    chain_violations, widest_eps = lattice._chain_violations, lattice._widest_eps
+
+    def recording_chains(forest, chain, top_level):
+        chains.add((top_level, tuple(chain)))
+        return chain_violations(forest, chain, top_level)
+
+    def recording_eps(delta, m):
+        used[m] = widest_eps(delta, m)
+        return used[m]
+
+    monkeypatch.setattr(lattice, "_chain_violations", recording_chains)
+    monkeypatch.setattr(lattice, "_widest_eps", recording_eps)
+    delta = 0.00095
+    assert any(delta ** m < BALL_DIVISOR * (delta ** m / BALL_DIVISOR) for m in (1, 2))
+    verified = admitted = 0
+    for seed in range(300):
+        forest = shared_stream_forest(decay_probe, delta, 0, seed=seed)
+        chains.clear()
+        verified += dl.scan_chain_separation(forest).verified
+        for top, chain in list(chains):
+            rows, held = forest.cube_table[top]
+            for x in np.flatnonzero(held[rows[chain[0]]]).tolist():
+                try:
+                    dl.verify_chain_separation(forest, x, list(chain), top - len(chain) + 1,
+                                               used[len(chain) - 1])
+                    admitted += 1
+                except HypothesesNotMet:
+                    pass  # x is in the top cube but outside the layer
+    assert verified == admitted > 0
 
 
 # the cover and chain checks before the per-level membership matrix, kept as
