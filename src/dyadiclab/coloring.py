@@ -4,6 +4,13 @@ A coloring is proper when red points are pairwise at distance >= 1 and every
 green point has a red point strictly within distance 1; the red set is then a
 maximal 1-separated subset.  All probabilities here are exact rationals over
 the complete enumeration; nothing in this module is sampled.
+
+Every unit-distance test of the recoloring reads one table, built once per
+universe by ``enumerate_proper_colorings``: ``balls[y]`` holds the points
+strictly closer than 1 to y, the open unit ball of ``metric.ball``.  The
+largest ball's size is d, the shadow of a set S is the union of the balls of
+its points outside the ball of v, and a point y has a red neighbor when
+``balls[y]`` meets the red set.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, _is_maximal,
                     enumerate_maximal_separated)
-from .metric import FiniteMetricSpace, ball, make_space, max_ball_occupancy
+from .metric import FiniteMetricSpace, ball, make_space
 
 __all__ = [
     "ProperColoring",
@@ -43,10 +50,16 @@ class ProperColoring:
 
 @dataclass(frozen=True)
 class ColoringUniverse:
-    """Complete list of proper colorings of a space, at unit threshold."""
+    """Complete list of proper colorings of a space, at unit threshold, with
+    the open unit ball of every point."""
     space: FiniteMetricSpace
     colorings: tuple[ProperColoring, ...]
-    d: int  # largest open-unit-ball occupancy
+    balls: tuple[frozenset[int], ...]
+
+    @property
+    def d(self) -> int:
+        """Largest open-unit-ball occupancy."""
+        return max(map(len, self.balls))
 
     def __len__(self) -> int:
         return len(self.colorings)
@@ -61,9 +74,9 @@ def enumerate_proper_colorings(space: FiniteMetricSpace,
                                limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> ColoringUniverse:
     """All proper colorings; red sets are exactly the maximal 1-separated subsets."""
     grids = enumerate_maximal_separated(space, range(len(space)), 1.0, limit=limit)
-    colorings = tuple(ProperColoring(red=g.members) for g in grids)
-    return ColoringUniverse(space=space, colorings=colorings,
-                            d=max_ball_occupancy(space, 1.0))
+    return ColoringUniverse(space=space,
+                            colorings=tuple(ProperColoring(red=g.members) for g in grids),
+                            balls=tuple(ball(space, y, 1.0) for y in range(len(space))))
 
 
 def membership_probability(universe: ColoringUniverse, v: int | str) -> Fraction:
@@ -88,18 +101,6 @@ def close_membership_probability(universe: ColoringUniverse, v: int | str,
     return Fraction(hits, len(universe.colorings))
 
 
-def _tilde_set(space: FiniteMetricSpace, ball_v: frozenset[int],
-               subset_s: frozenset[int]) -> frozenset[int]:
-    """Points outside the unit ball of v but within distance < 1 of the set S."""
-    out = set()
-    for y in range(len(space)):
-        if y in ball_v:
-            continue
-        if any(space.d[y, s] < 1.0 for s in subset_s):
-            out.add(y)
-    return frozenset(out)
-
-
 def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
             subset_s: Iterable[int]) -> ProperColoring:
     """Turn a coloring with v green into one with v red, by the six-step procedure.
@@ -111,10 +112,10 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     ascending index order, recoloring each to red unless it is within distance
     < 1 of an already recolored one; remaining yellow points stay green.
     """
-    space = universe.space
+    space, balls = universe.space, universe.balls
     v = space.resolve(v)
     s_set = frozenset(space.resolve(p) for p in subset_s)
-    ball_v = ball(space, v, 1.0, mode="open")
+    ball_v = balls[v]
 
     if not s_set <= ball_v - {v}:
         raise PreconditionNotWS("S must be a subset of the open unit ball minus v")
@@ -125,10 +126,9 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     if (ball_v - {v} - s_set) & coloring.red:
         raise PreconditionNotWS("the rest of the unit ball of v must be green")
 
-    tilde = _tilde_set(space, ball_v, s_set)
     red = (set(coloring.red) - s_set) | {v}
-    yellow = [y for y in sorted(tilde)
-              if not any(space.d[y, r] < 1.0 for r in red)]
+    shadow = frozenset().union(*(balls[s] for s in s_set)) - ball_v
+    yellow = [y for y in sorted(shadow) if not balls[y] & red]
     # the ascending scan is the greedy 1-separated grid of the yellow points
     red.update(_greedy_members(space, yellow, 1.0))
     return ProperColoring(red=frozenset(red))
@@ -158,7 +158,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
     """
     space = universe.space
     v = space.resolve(v)
-    ball_v = ball(space, v, 1.0, mode="open")
+    ball_v = universe.balls[v]
     b_class = [c for c in universe.colorings if v in c.red]
     rep = RecoloringReport(card_b=len(b_class))
 
@@ -166,7 +166,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
     for col in universe.colorings:
         if v in col.red:
             continue
-        s_set = frozenset(col.red & (ball_v - {v}))
+        s_set = col.red & ball_v  # v is green here
         classes.setdefault(s_set, []).append(col)
 
     for s_set, members in sorted(classes.items(), key=lambda kv: sorted(kv[0])):
@@ -175,8 +175,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
             raise InjectivityViolation(
                 f"class of S={sorted(s_set)} has {len(members)} colorings "
                 f"but only {rep.card_b} have v red")
-        tilde = _tilde_set(space, ball_v, s_set)
-        allowed = ball_v | tilde
+        allowed = ball_v.union(*(universe.balls[s] for s in s_set))
         seen: dict[frozenset, ProperColoring] = {}
         for col in members:
             out = recolor(universe, col, v, s_set)

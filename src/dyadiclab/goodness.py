@@ -59,8 +59,8 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (DEFAULT_MAX_OUTCOMES, Cube, LatticeForest, _balls,
                       _outcome_frames, _unite_children, build_forest)
-from .mc import (_master_seed, _trial_count, _trial_states, loglog_slope, run_chunked,
-                 trial_rng, wilson_interval)
+from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, loglog_slope,
+                 run_chunked, trial_rng, wilson_interval)
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
@@ -93,8 +93,10 @@ class GoodnessParams:
             raise InvalidParams("delta must lie in (0, 1)")
         if not 0 < self.gamma < 1:
             raise InvalidParams("gamma must lie in (0, 1)")
-        if self.r < 1 or int(self.r) != self.r:
+        r = _integer_at_least(self.r, 1)
+        if r is None:
             raise InvalidParams("r must be a positive integer")
+        object.__setattr__(self, "r", r)
         if self.delta ** (self.r * (1 - self.gamma)) >= 0.5:
             raise InvalidParams(
                 "need delta**(r*(1-gamma)) < 1/2; increase r or decrease delta")
@@ -426,7 +428,12 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     """
     trials = _trial_count(trials)
     seed = _master_seed(seed)
-    eps = [float(e) for e in eps_schedule]
+    if isinstance(eps_schedule, str):
+        raise ScheduleInvalid(f"eps schedule must be a sequence, got {eps_schedule!r}")
+    try:
+        eps = [float(e) for e in eps_schedule]
+    except (TypeError, ValueError):
+        raise ScheduleInvalid(f"eps values must be numbers, got {eps_schedule!r}") from None
     if not eps or any(not e > 0 for e in eps):
         raise ScheduleInvalid("eps values must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):

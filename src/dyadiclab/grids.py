@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParams, TooLargeForExhaustive
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _integer
 
 __all__ = [
     "Grid",
@@ -47,6 +47,13 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 _FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
 _FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> {key: families}
+
+
+def _require_integer_level(level) -> None:
+    """Raise InvalidParams unless the level is an integer by the rule of
+    ``metric._integer``; levels may be negative, so there is no lower bound."""
+    if _integer(level) is None:
+        raise InvalidParams(f"level must be an integer, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,9 @@ class GridHierarchy:
         return self.grids[level]
 
     def _require_level(self, level: int) -> None:
-        """Raise InvalidParams unless the level is one of the hierarchy's."""
+        """Raise InvalidParams unless the level is one of the hierarchy's: 2.0
+        or True would compare equal to a level."""
+        _require_integer_level(level)
         if level not in self.levels:
             raise InvalidParams(f"level {level} not present in the hierarchy")
 
@@ -279,12 +288,14 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     At that scale the whole space is the unique maximal grid.  A singleton has
     no constraint and the hierarchy collapses to the coarsest level.  Every
     hierarchy, sampled or enumerated, is framed by this call, so it also
-    refuses an empty space and a coarsest level finer than M.
+    refuses an empty space, a coarsest level that is no integer and one finer
+    than M.
     """
     if len(space) == 0:
         raise InvalidParams("space must be nonempty")
     if not 0 < delta < 1:
         raise InvalidParams("delta must lie in (0, 1)")
+    _require_integer_level(coarsest_level)
     if _scale_or_inf(delta, coarsest_level) == math.inf:
         raise InvalidParams(f"the coarsest scale {delta}**{coarsest_level} overflows")
     md = space.min_distance

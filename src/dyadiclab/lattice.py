@@ -64,7 +64,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_integer_level,
                     enumerate_maximal_separated, finest_level)
 from .metric import FiniteMetricSpace
 
@@ -144,6 +144,9 @@ class LatticeForest:
     def _require_chain_levels(self, from_level: int | None, to_level: int) -> None:
         """Raise InvalidParams unless a chain can run from ``from_level`` down to
         ``to_level``.  An empty chain has no top level: pass None."""
+        if from_level is not None:
+            _require_integer_level(from_level)
+        _require_integer_level(to_level)
         if from_level not in self.levels or to_level not in self.levels:
             raise InvalidParams("chain levels must lie inside the hierarchy")
         if to_level > from_level:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
@@ -25,6 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, InvalidParams, InvalidTrials
+from .metric import _integer
 
 __all__ = ["wilson_interval", "trial_rng"]
 
@@ -33,15 +33,10 @@ Z95 = 1.959963984540054
 
 
 def _integer_at_least(value, least: int):
-    """The value as an int when it is an integer >= least, else None.  A bool
-    is no count or seed, though ``operator.index(True)`` is 1."""
-    if isinstance(value, bool):
-        return None
-    try:
-        value = operator.index(value)
-    except TypeError:
-        return None
-    return value if value >= least else None
+    """The value as an int when it is an integer >= least, by the rule of
+    ``metric._integer``, else None."""
+    value = _integer(value)
+    return value if value is not None and value >= least else None
 
 
 def _trial_count(trials) -> int:

@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +44,18 @@ __all__ = [
     "load_space",
     "save_space",
 ]
+
+
+def _integer(value) -> int | None:
+    """The value as an int when it is an int or a NumPy integer, else None.
+    A bool is refused, though ``operator.index(True)`` is 1: it is no index,
+    level or count."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class FiniteMetricSpace:
@@ -73,10 +86,13 @@ class FiniteMetricSpace:
             raise UnknownPoint(f"no point named {name!r}") from None
 
     def resolve(self, point: int | str) -> int:
-        """Normalize a point given by index or name to its index."""
+        """Normalize a point given by index or name to its index.  An index is
+        an int or a NumPy integer: ``int`` would truncate 1.5, or True, to 1."""
         if isinstance(point, str):
             return self.index(point)
-        i = int(point)
+        i = _integer(point)
+        if i is None:
+            raise UnknownPoint(f"point {point!r} is neither a name nor an integer index")
         if not 0 <= i < len(self):
             raise UnknownPoint(f"index {point} out of range for n={len(self)}")
         return i

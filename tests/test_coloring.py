@@ -8,10 +8,11 @@ import pytest
 import dyadiclab as dl
 from dyadiclab import coloring
 from dyadiclab.cli import main
-from dyadiclab.coloring import RecoloringReport, is_proper
-from dyadiclab.errors import InvalidParams, PreconditionNotWS, TooLargeForExhaustive
-from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, enumerate_maximal_separated
-from dyadiclab.metric import make_space
+from dyadiclab.coloring import ColoringUniverse, ProperColoring, RecoloringReport, is_proper
+from dyadiclab.errors import (InjectivityViolation, InvalidParams, PreconditionNotWS,
+                              TooLargeForExhaustive)
+from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, enumerate_maximal_separated
+from dyadiclab.metric import FiniteMetricSpace, ball, make_space, max_ball_occupancy
 
 
 def brute_force_colorings(space):
@@ -158,6 +159,129 @@ def test_recoloring_injective_cloud():
     # every coloring with v green belongs to exactly one class of v
     green_count = sum(1 for v in range(8) for c in u.colorings if v not in c.red)
     assert total == green_count
+
+
+# the shadow, the yellow test and the audit as they were before they read the
+# universe's table of open unit balls, kept verbatim as their oracles: each
+# recomputes every unit-distance test from the distance matrix
+def reference_tilde_set(space: FiniteMetricSpace, ball_v: frozenset[int],
+                        subset_s: frozenset[int]) -> frozenset[int]:
+    """Points outside the unit ball of v but within distance < 1 of the set S."""
+    out = set()
+    for y in range(len(space)):
+        if y in ball_v:
+            continue
+        if any(space.d[y, s] < 1.0 for s in subset_s):
+            out.add(y)
+    return frozenset(out)
+
+
+def reference_recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
+                      subset_s) -> ProperColoring:
+    """Turn a coloring with v green into one with v red, by the six-step procedure."""
+    space = universe.space
+    v = space.resolve(v)
+    s_set = frozenset(space.resolve(p) for p in subset_s)
+    ball_v = ball(space, v, 1.0, mode="open")
+
+    if not s_set <= ball_v - {v}:
+        raise PreconditionNotWS("S must be a subset of the open unit ball minus v")
+    if v in coloring.red:
+        raise PreconditionNotWS("v must be green in the input coloring")
+    if not s_set <= coloring.red:
+        raise PreconditionNotWS("every point of S must be red in the input")
+    if (ball_v - {v} - s_set) & coloring.red:
+        raise PreconditionNotWS("the rest of the unit ball of v must be green")
+
+    tilde = reference_tilde_set(space, ball_v, s_set)
+    red = (set(coloring.red) - s_set) | {v}
+    yellow = [y for y in sorted(tilde)
+              if not any(space.d[y, r] < 1.0 for r in red)]
+    # the ascending scan is the greedy 1-separated grid of the yellow points
+    red.update(_greedy_members(space, yellow, 1.0))
+    return ProperColoring(red=frozenset(red))
+
+
+def reference_verify_recoloring_injective(universe: ColoringUniverse,
+                                          v: int | str) -> RecoloringReport:
+    """Apply the recoloring to every coloring of every class of v and check it."""
+    space = universe.space
+    v = space.resolve(v)
+    ball_v = ball(space, v, 1.0, mode="open")
+    b_class = [c for c in universe.colorings if v in c.red]
+    rep = RecoloringReport(card_b=len(b_class))
+
+    classes: dict[frozenset, list[ProperColoring]] = {}
+    for col in universe.colorings:
+        if v in col.red:
+            continue
+        s_set = frozenset(col.red & (ball_v - {v}))
+        classes.setdefault(s_set, []).append(col)
+
+    for s_set, members in sorted(classes.items(), key=lambda kv: sorted(kv[0])):
+        rep.class_sizes[s_set] = len(members)
+        if len(members) > rep.card_b:
+            raise InjectivityViolation(
+                f"class of S={sorted(s_set)} has {len(members)} colorings "
+                f"but only {rep.card_b} have v red")
+        tilde = reference_tilde_set(space, ball_v, s_set)
+        allowed = ball_v | tilde
+        seen: dict[frozenset, ProperColoring] = {}
+        for col in members:
+            out = reference_recolor(universe, col, v, s_set)
+            rep.checked += 1
+            if v not in out.red or not is_proper(space, out.red):
+                rep.improper_outputs.append(out.red)
+            changed = (col.red ^ out.red)
+            if not changed <= allowed:
+                rep.touched_outside.append((sorted(s_set), sorted(changed - allowed)))
+            if out.red in seen:
+                raise InjectivityViolation(
+                    f"colorings {sorted(seen[out.red].red)} and {sorted(col.red)} "
+                    f"in class S={sorted(s_set)} map to the same output",
+                    first=seen[out.red], second=col)
+            seen[out.red] = col
+    return rep
+
+
+def pinned_spaces(small_family, l3, elbow):
+    """The criterion-1 family and a few more: the hand-checked spaces, clouds
+    in one and two dimensions, and a cloud at half the unit scale."""
+    more = [("l3", l3), ("elbow", elbow),
+            ("cloud3", make_space("random_cloud", seed=3, n=9, dim=2)),
+            ("cloud7", make_space("random_cloud", seed=7, n=11, dim=1)),
+            ("cloud7x2", make_space("random_cloud", seed=7, n=9, dim=2).rescale(0.5))]
+    return list(small_family) + more
+
+
+def test_recolor_matches_reference(small_family, l3, elbow):
+    """The recoloring of every class input (v, S, coloring) of every pinned
+    space equals the oracle's, and so does the largest ball occupancy d."""
+    inputs = 0
+    for label, space in pinned_spaces(small_family, l3, elbow):
+        u = dl.enumerate_proper_colorings(space)
+        assert u.d == max_ball_occupancy(space, 1.0), label
+        for v in range(len(space)):
+            rest = ball(space, v, 1.0, mode="open") - {v}
+            for col in u.colorings:
+                if v in col.red:
+                    continue
+                s_set = col.red & rest
+                assert dl.recolor(u, col, v, s_set) == \
+                    reference_recolor(u, col, v, s_set), (label, v, sorted(col.red))
+                inputs += 1
+    assert inputs > 1000
+
+
+def test_recoloring_audit_matches_reference(small_family, l3, elbow):
+    """The whole audit report of every point of every pinned space equals the
+    oracle's: class sizes, recolorings checked, improper outputs and changes
+    outside the allowed zone."""
+    for label, space in pinned_spaces(small_family, l3, elbow):
+        u = dl.enumerate_proper_colorings(space)
+        for v in range(len(space)):
+            assert dl.verify_recoloring_injective(u, v) == \
+                reference_verify_recoloring_injective(u, v), (label, v)
 
 
 # --- tree probabilities -------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dyadiclab.errors import (
     InvalidProbabilities,
     InvalidTrials,
     ScheduleInvalid,
+    UnknownPoint,
 )
 from dyadiclab import goodness, mc
 from dyadiclab.goodness import (
@@ -57,13 +58,36 @@ def test_params_validation():
         GoodnessParams(delta=1.5, gamma=0.1, r=1)
     with pytest.raises(InvalidParams):
         GoodnessParams(delta=0.1, gamma=0.0, r=1)
-    with pytest.raises(InvalidParams):
-        GoodnessParams(delta=0.1, gamma=0.1, r=0)
+    # r follows the integer rule of counts: a string, a bool or a float is
+    # refused, not compared with 1 or kept as it came
+    for bad in (0, "2", True, 2.0, None):
+        with pytest.raises(InvalidParams, match="^r must be a positive integer$"):
+            GoodnessParams(delta=0.001, gamma=0.1, r=bad)
+    params = GoodnessParams(delta=0.1, gamma=0.1, r=np.int64(2))
+    assert params.r == 2 and type(params.r) is int
     with pytest.raises(InvalidParams):
         # 0.9**0.9 wildly exceeds 1/2
         GoodnessParams(delta=0.9, gamma=0.1, r=1)
     assert GoodnessParams(delta=0.9, gamma=0.1, r=8).threshold(8, 0) \
         == pytest.approx(0.9 ** 0.8)
+
+
+def test_estimators_refuse_a_level_or_center_that_is_no_integer(elbow):
+    """A float level is refused by value, where ``range`` would raise a bare
+    TypeError and the exact count would answer at level 2; a float center is
+    refused, where ``int`` would truncate it to point 0."""
+    with pytest.raises(UnknownPoint, match=r"^point 0\.7 is neither"):
+        estimate_bad_probability(elbow, 2, 0.7, PARAMS, trials=10, seed=0)
+    two = "^level must be an integer, got 2.0$"
+    with pytest.raises(InvalidParams, match=two):
+        estimate_bad_probability(elbow, 2.0, "x", PARAMS, trials=10, seed=0)
+    with pytest.raises(InvalidParams, match=two):
+        estimate_really_good(elbow, "x", 2.0, PARAMS, 0.25, 0.75, trials=10, seed=0)
+    with pytest.raises(InvalidParams, match=two):
+        exact_good_probability(elbow, "x", 2.0, PARAMS)
+    with pytest.raises(InvalidParams, match="^level must be an integer, got 0.0$"):
+        estimate_boundary_decay(elbow, "x", 0.0, (1e-4,), trials=10, seed=0,
+                                params=PARAMS)
 
 
 # --- classification --------------------------------------------------------------
@@ -573,6 +597,11 @@ def test_decay_schedule_validation(decay_probe):
     with pytest.raises(ScheduleInvalid):
         estimate_boundary_decay(decay_probe, 0, 0, (), trials=10,
                                 seed=0, params=DECAY_PARAMS)
+    # a string is no schedule of its characters, and None is no eps
+    for bad in ("2e-6", [None], ["x"], 2e-6):
+        with pytest.raises(ScheduleInvalid):
+            estimate_boundary_decay(decay_probe, 0, 0, bad, trials=10,
+                                    seed=0, params=DECAY_PARAMS)
 
 
 def test_decay_layer_is_closed_at_its_width():

@@ -335,6 +335,18 @@ def test_nested_coarsest_beyond_finest(singleton):
         dl.build_nested_grids(space, 0.5, 5, rng=0)
 
 
+def test_coarsest_level_must_be_an_integer(elbow):
+    """A level is an int or a NumPy integer, of either sign: ``range`` would
+    refuse 0.5 with a bare TypeError, and True would frame a hierarchy from
+    level 1."""
+    with pytest.raises(InvalidParams, match="^level must be an integer, got True$"):
+        dl.finest_level(elbow, 0.1, True)
+    with pytest.raises(InvalidParams, match="^level must be an integer, got 0.5$"):
+        dl.build_nested_grids(elbow, 0.1, 0.5, 1)
+    assert dl.finest_level(elbow, 0.1, np.int64(0)) == dl.finest_level(elbow, 0.1, -1) == 2
+    assert dl.build_nested_grids(elbow, 0.1, -1, 1).levels == (-1, 0, 1, 2)
+
+
 @pytest.mark.parametrize("md, delta, finest", [(1e308, 0.001, -102),
                                                (1.7e308, 0.5, -1023)])
 def test_finest_level_near_the_float_maximum(md, delta, finest):

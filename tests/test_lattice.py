@@ -1075,6 +1075,20 @@ def test_chain_from_point_outside_grid():
                 walk(point, level, 0)
 
 
+def test_levels_that_are_no_integers_are_refused(elbow):
+    """2.0 and True compare equal to levels of the hierarchy, so the level
+    guard refuses them by value: ``range`` would raise a bare TypeError in the
+    chain, and the cube cover check would report on level 1.0."""
+    forest = shared_stream_forest(elbow, 0.1, 0, seed=0)
+    with pytest.raises(InvalidParams, match="^level must be an integer, got 2.0$"):
+        forest.chain(0, 2.0, 0)
+    with pytest.raises(InvalidParams, match="^level must be an integer, got 1.0$"):
+        dl.check_cube_cover(forest, 1.0)
+    with pytest.raises(InvalidParams, match="^level must be an integer, got True$"):
+        dl.build_cubes(forest, True)
+    assert forest.chain(0, np.int64(2), np.int64(0)) == forest.chain(0, 2, 0)
+
+
 def test_chain_level_guard_messages(l3):
     """Chains and the chain check share one level guard: a level outside the
     hierarchy, a chain asked to climb, and an empty chain, even one whose

@@ -1,6 +1,7 @@
 """Metric space validation, queries, doubling bounds, and generators."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ def test_ball_unknown_point(l3):
         dl.ball(l3, "z", 1.0)
     with pytest.raises(UnknownPoint):
         dl.ball(l3, 7, 1.0)
+
+
+def test_resolve_refuses_a_non_integer_index():
+    """An index is an int or a NumPy integer: ``int`` would truncate 1.5 and
+    True to point 1, and 2.9 to point 2.  Each refusal names the value."""
+    space = dl.make_space("grid_points", shape=(3,))
+    for bad in (1.5, True, False, np.float64(2.9), np.bool_(True), 2.0, None):
+        with pytest.raises(UnknownPoint, match=f"^point {re.escape(repr(bad))} is neither"):
+            space.resolve(bad)
+    assert space.resolve(np.int64(2)) == 2 and type(space.resolve(np.int64(2))) is int
+    assert space.resolve(1) == 1 and space.resolve(space.name(2)) == 2
 
 
 def test_max_ball_occupancy_examples(l3, singleton, two_far):
