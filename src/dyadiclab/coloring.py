@@ -34,7 +34,6 @@ __all__ = [
     "is_proper",
     "enumerate_proper_colorings",
     "membership_probability",
-    "close_membership_probability",
     "recolor",
     "verify_recoloring_injective",
     "RecoloringReport",
@@ -83,21 +82,6 @@ def membership_probability(universe: ColoringUniverse, v: int | str) -> Fraction
     """Exact probability that a point is red under a uniform proper coloring."""
     v = universe.space.resolve(v)
     hits = sum(1 for c in universe.colorings if v in c.red)
-    return Fraction(hits, len(universe.colorings))
-
-
-def close_membership_probability(universe: ColoringUniverse, v: int | str,
-                                 tol: float) -> Fraction:
-    """Probability that some red point lies strictly within ``tol`` of v.
-
-    With ``tol`` below the minimum pairwise distance this reduces to
-    membership of v itself; it is never smaller than the membership
-    probability.
-    """
-    v = universe.space.resolve(v)
-    d = universe.space.d
-    hits = sum(1 for c in universe.colorings
-               if any(d[v, r] < tol for r in c.red))
     return Fraction(hits, len(universe.colorings))
 
 
@@ -194,12 +178,13 @@ def verify_recoloring_injective(universe: ColoringUniverse,
     return rep
 
 
-def tree_experiment(branching: int, height: int, vertex: int | str | None = None,
+def tree_experiment(branching: int, height: int,
                     limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Fraction:
-    """Exact probability that a tree vertex joins a uniform maximal 2-separated set.
+    """Exact probability that the root of a tree joins a uniform maximal
+    2-separated set.
 
     The tree has unit edge lengths, so the conflict graph at threshold 2 is
-    the tree's own adjacency.  Defaults to the root.
+    the tree's own adjacency.
     """
     if branching < 1 or height < 0:
         raise InvalidParams("need branching >= 1 and height >= 0")
@@ -215,4 +200,4 @@ def tree_experiment(branching: int, height: int, vertex: int | str | None = None
     tree = make_space("tree", branching=branching, height=height)
     # integer distances: d/2 < 1 exactly when d < 2
     universe = enumerate_proper_colorings(tree.rescale(2.0), limit=limit)
-    return membership_probability(universe, vertex if vertex is not None else "r")
+    return membership_probability(universe, "r")

@@ -64,10 +64,6 @@ class CoverViolation(DyadicLabError):
         super().__init__(message)
 
 
-class HypothesesNotMet(DyadicLabError):
-    """Chain-separation check invoked outside its hypotheses (vacuous case)."""
-
-
 class UnknownCenter(DyadicLabError):
     """Requested cube center is not among the given cubes."""
 

@@ -34,7 +34,6 @@ __all__ = [
     "GridHierarchy",
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "MODES",
-    "greedy_grid",
     "is_maximal_separated",
     "enumerate_maximal_separated",
     "sample_maximal_separated",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+MAX_LEVELS = 1000  # the most levels a hierarchy may have; finest_level refuses more
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 _FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
 _FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> {key: families}
@@ -164,19 +164,9 @@ def _component_families(space, base, k, limit) -> tuple[tuple[frozenset[int], ..
 
 # --- operations ---------------------------------------------------------------
 
-def greedy_grid(space: FiniteMetricSpace, base: Sequence[int], k: float,
-                order: Sequence[int]) -> Grid:
-    """Scan ``base`` in the given order, admitting points >= k from all admitted."""
-    _require_scale(k)
-    base_set = set(space.resolve(p) for p in base)
-    order = [space.resolve(p) for p in order]
-    if set(order) != base_set or len(order) != len(base_set):
-        raise InvalidParams("order must be a permutation of the base set")
-    return Grid(scale=k, members=_greedy_members(space, order, k))
-
-
 def _greedy_members(space: FiniteMetricSpace, order: list[int], k: float) -> frozenset[int]:
-    """The points that the greedy scan of ``order`` admits."""
+    """The points that the greedy scan of ``order`` admits: each point at
+    distance >= k from every point admitted before it."""
     chosen: list[int] = []
     for p in order:
         if all(space.d[p, q] >= k for q in chosen):
@@ -288,8 +278,9 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     At that scale the whole space is the unique maximal grid.  A singleton has
     no constraint and the hierarchy collapses to the coarsest level.  Every
     hierarchy, sampled or enumerated, is framed by this call, so it also
-    refuses an empty space, a coarsest level that is no integer and one finer
-    than M.
+    refuses an empty space, a coarsest level that is no integer, one finer
+    than M, and a hierarchy of more than ``MAX_LEVELS`` levels, before any is
+    built.
     """
     if len(space) == 0:
         raise InvalidParams("space must be nonempty")
@@ -310,6 +301,10 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     if coarsest_level > m:
         raise InvalidParams(
             f"coarsest level {coarsest_level} is finer than the finest level {m}")
+    if m - coarsest_level + 1 > MAX_LEVELS:
+        raise InvalidParams(
+            f"levels {coarsest_level} to {m} make {m - coarsest_level + 1} levels, "
+            f"more than the {MAX_LEVELS} a hierarchy may have")
     return m
 
 

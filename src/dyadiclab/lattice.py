@@ -35,11 +35,12 @@ Each threshold rule takes one side, stated here:
   bounds are closed; a point more than 3 * scale from the grid, a descendant
   more than 10 * scale(k) from its level-k ancestor, or a cube of diameter
   more than 21 * scale is a violation, and one exactly on the bound is not.
-- ``MAX_CHAIN_DELTA``: chain separation assumes delta <= 1/1000 and
-  delta**m >= 100 * eps, both closed, and a point within the layer, strictly
-  closer than eps * scale to a rival cube.  The scan takes, per span m, the
-  widest eps that closed test admits: delta**m / 100, or the float below it
-  where 100 times that quotient rounds above delta**m.
+- ``MAX_CHAIN_DELTA``: chain separation assumes delta <= 1/1000 and, for a
+  chain of span m, a layer width eps with delta**m >= 100 * eps, both closed,
+  and a point within the layer, strictly closer than eps * scale to a rival
+  cube.  The scan takes, per span m, the widest eps that closed rule admits:
+  delta**m / 100, or the float below it where 100 times that quotient rounds
+  above delta**m.
 
 On a finite space closures are trivial, so covering statements are checked as
 plain covers and the "interior" of a cube is the space minus all sibling
@@ -58,7 +59,6 @@ import numpy as np
 
 from .errors import (
     CoverViolation,
-    HypothesesNotMet,
     InvalidParams,
     NoCandidateParent,
     TooLargeForExhaustive,
@@ -66,7 +66,7 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_integer_level,
                     enumerate_maximal_separated, finest_level)
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _integer
 
 __all__ = [
     "Cube",
@@ -79,11 +79,9 @@ __all__ = [
     "check_grid_cover",
     "check_cube_cover",
     "check_forest_invariants",
-    "verify_chain_separation",
     "scan_chain_separation",
     "enumerate_forest_outcomes",
     "forest_to_json",
-    "cube_to_json",
 ]
 
 BALL_DIVISOR = 100          # descendant ball radius = scale / 100
@@ -141,20 +139,14 @@ class LatticeForest:
         """Walk the parent chain from ``from_level`` down to ``to_level``."""
         return self.chain(point, from_level, to_level)[-1]
 
-    def _require_chain_levels(self, from_level: int | None, to_level: int) -> None:
-        """Raise InvalidParams unless a chain can run from ``from_level`` down to
-        ``to_level``.  An empty chain has no top level: pass None."""
-        if from_level is not None:
-            _require_integer_level(from_level)
+    def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
+        """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
+        _require_integer_level(from_level)
         _require_integer_level(to_level)
         if from_level not in self.levels or to_level not in self.levels:
             raise InvalidParams("chain levels must lie inside the hierarchy")
         if to_level > from_level:
             raise InvalidParams("ancestor level must be at most the point's level")
-
-    def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
-        """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
-        self._require_chain_levels(from_level, to_level)
         if point not in self.hierarchy.grid(from_level).members:
             raise UnknownCenter(f"point {point} is not in the level-{from_level} grid")
         out = [point]
@@ -183,16 +175,21 @@ class LatticeForest:
             table[lev] = (rows, held)
         return table
 
+    def _level_table(self, level: int) -> tuple[dict[int, int], np.ndarray]:
+        """``cube_table[level]``, once the level passes the hierarchy's rule."""
+        self.hierarchy._require_level(level)
+        return self.cube_table[level]
+
     def cube(self, level: int, center: int) -> Cube:
-        """The cube of one grid point at one level."""
-        try:
-            rows, held = self.cube_table[level]
-            row = held[rows[center]]
-        except KeyError:
-            raise UnknownCenter(
-                f"no cube centered at {center} at level {level}") from None
+        """The cube of one grid point at one level.  A level or center that is
+        no integer is refused: 1.0 or True would find a row of the table."""
+        rows, held = self._level_table(level)
+        if _integer(center) is None:
+            raise InvalidParams(f"center must be an integer, got {center!r}")
+        if center not in rows:
+            raise UnknownCenter(f"no cube centered at {center} at level {level}")
         return Cube(center=int(center), level=level, scale=self.hierarchy.scale(level),
-                    members=frozenset(np.flatnonzero(row).tolist()))
+                    members=frozenset(np.flatnonzero(held[rows[center]]).tolist()))
 
 
 def _balls(hierarchy: GridHierarchy, level: int) -> tuple[list[int], np.ndarray]:
@@ -285,8 +282,7 @@ def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
     Each cube is read from its row of the forest's cube table, which is built
     once, on first use, for every level, from the finest up: cube(y, k) =
     B(y, scale(k)/100) united with the level-(k+1) cubes of y's children."""
-    forest.hierarchy._require_level(level)
-    return [forest.cube(level, y) for y in forest.cube_table[level][0]]
+    return [forest.cube(level, y) for y in forest._level_table(level)[0]]
 
 
 def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> TildeCube:
@@ -343,8 +339,7 @@ class CubeCoverReport:
 
 def check_cube_cover(forest: LatticeForest, level: int) -> CubeCoverReport:
     """Every point must belong to at least one cube of the level."""
-    forest.hierarchy._require_level(level)
-    rows, held = forest.cube_table[level]
+    rows, held = forest._level_table(level)
     cover = held.sum(axis=0)
     missing = np.flatnonzero(cover == 0).tolist()
     if missing:
@@ -470,46 +465,10 @@ def _chain_violations(forest: LatticeForest, chain: Sequence[int],
     return out
 
 
-def verify_chain_separation(forest: LatticeForest, x: int, chain: Sequence[int],
-                            base_level: int, eps: float) -> bool:
-    """Check pairwise separation along a parent chain under the boundary hypotheses.
-
-    ``chain`` lists points from the finest level ``base_level + len(chain) - 1``
-    down to ``base_level``, one per level.  Hypotheses: the hierarchy scale
-    ratio is at most 1/1000, delta**m >= 100*eps for the chain span m, x lies
-    in the finest chain point's cube, and x lies in some level-``base_level``
-    cube whose interior boundary is closer to x than eps * scale.  When they
-    fail, HypothesesNotMet is raised (a vacuous case, not a verdict).
-
-    Returns True iff every pair (z_i at level i, z_j at level j < i) in the
-    chain satisfies dist(z_i, z_j) >= scale(j) / 100.
-    """
-    h = forest.hierarchy
-    delta = h.delta
-    m = len(chain) - 1
-    top_level = base_level + m
-    forest._require_chain_levels(top_level if m >= 0 else None, base_level)
-    if delta > MAX_CHAIN_DELTA:
-        raise HypothesesNotMet(f"scale ratio {delta} exceeds 1/1000")
-    if eps <= 0 or delta ** m < BALL_DIVISOR * eps:
-        raise HypothesesNotMet(
-            f"need delta**m >= 100*eps, got {delta**m} < {BALL_DIVISOR * eps}")
-
-    rows, held = forest.cube_table[top_level]
-    if (chain[0] not in rows or x not in range(len(h.space))
-            or not held[rows[chain[0]], x]):
-        raise HypothesesNotMet(
-            f"point {x} not in the cube of {chain[0]} at level {top_level}")
-    if not _rival_depth(forest, base_level)[x] < eps * h.scale(base_level):
-        raise HypothesesNotMet(
-            f"point {x} is not within eps*scale of any rival cube at level {base_level}")
-    return not _chain_violations(forest, chain, top_level)
-
-
 def _widest_eps(delta: float, m: int) -> float:
-    """The widest layer width that ``verify_chain_separation`` admits for a
-    chain of span m: delta**m / 100, or the float below it where 100 times
-    the quotient rounds above delta**m."""
+    """The widest layer width eps that the closed rule delta**m >= 100 * eps
+    admits for a chain of span m: delta**m / 100, or the float below it where
+    100 times the quotient rounds above delta**m."""
     eps = delta ** m / BALL_DIVISOR
     return eps if delta ** m >= BALL_DIVISOR * eps else math.nextafter(eps, 0.0)
 
@@ -528,10 +487,13 @@ class ChainScanReport:
 def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
     """Exhaustively test every chain whose boundary hypotheses can be met.
 
-    For each base level k and span m >= 1 the widest layer width eps that
-    ``verify_chain_separation`` admits is used (``_widest_eps``); a point
-    activates the hypotheses exactly when some rival cube at level k comes
-    within eps * scale(k) of it.
+    The hypotheses: the scale ratio delta is at most 1/1000, and, for a base
+    level k and span m >= 1, a layer width eps with delta**m >= 100 * eps.
+    The widest such eps is used (``_widest_eps``); a point activates the
+    hypotheses exactly when some rival cube at level k comes strictly within
+    eps * scale(k) of it.  Each level-(k+m) cube holding such a point gives
+    one verified chain down to level k, and each pair (z_i at level i, z_j at
+    level j < i) of it closer than scale(j) / 100 one violation.
     """
     h = forest.hierarchy
     rep = ChainScanReport()
@@ -633,15 +595,6 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
 
 
 # --- serialization --------------------------------------------------------------
-
-def cube_to_json(space: FiniteMetricSpace, cube: Cube) -> dict:
-    return {
-        "center": space.name(cube.center),
-        "level": cube.level,
-        "scale": cube.scale,
-        "members": [space.name(i) for i in sorted(cube.members)],
-    }
-
 
 def forest_to_json(forest: LatticeForest) -> dict:
     space = forest.space

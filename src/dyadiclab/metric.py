@@ -126,13 +126,6 @@ class FiniteMetricSpace:
             raise InvalidParams("rescale factor must be positive and finite")
         return FiniteMetricSpace(self.points, self.d / factor)
 
-    def subspace(self, indices: Iterable[int | str]) -> "FiniteMetricSpace":
-        """The space on the given points, by index or name; a point given
-        twice is taken once."""
-        idx = sorted({self.resolve(i) for i in indices})
-        sub = self.d[np.ix_(idx, idx)]
-        return FiniteMetricSpace([self.points[i] for i in idx], sub)
-
     def to_json(self) -> dict:
         return {"points": list(self.points), "dist": self.d.tolist()}
 

@@ -342,6 +342,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["grids", "--input", "{elbow}", "--seed", "-1"], 2, "seed must be nonnegative"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--n0", "-400"], 2,
      "error: the coarsest scale"),
+    (["lattice", "--input", "{elbow}", "--seed", "0", "--delta", "0.9999999"], 2,
+     "error: levels 0 to 28134106 make 28134107 levels"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--out", "{dir}/no/r.json"], 2,
      "config error: cannot write the report"),
     (GOODNESS + ["--seed", "0", "--eps-schedule", "nan"], 2, "error: eps values"),
@@ -357,7 +359,7 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["a2", "--input", "{two}", "--m-exponent", "2000"], 2, "error: growth exponent 2000"),
     (["a2", "--input", "{elbow}", "--m-exponent", "400"], 2, "error: growth exponent 400"),
 ], ids=["dir-input", "dir-input-lattice", "no-input-lattice", "no-input-a2",
-        "level-above", "level-below", "negative-seed", "overflowing-n0",
+        "level-above", "level-below", "negative-seed", "overflowing-n0", "too-many-levels",
         "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above",
         "infinite-bound", "nan-growth-exponent", "overflowing-growth-power",
         "vanishing-growth-power"])

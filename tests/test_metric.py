@@ -354,23 +354,10 @@ def test_csv_first_row_is_a_header_only_when_it_cannot_be_data(tmp_path, text, p
     assert dl.load_space(str(path)).points == points
 
 
-def test_rescale_and_subspace(l3):
+def test_rescale(l3):
     half = l3.rescale(0.5)
     assert half.distance("a", "c") == 2.0
-    sub = l3.subspace([0, 2])
-    assert sub.points == ("a", "c")
-    assert sub.distance(0, 1) == 1.0
-
-
-def test_subspace_takes_a_repeated_point_once(l3):
-    """A point given twice, by index or by name, is one point of the
-    subspace, which is then a metric space the grids can be drawn on."""
-    sub = l3.subspace([0, 0, 2])
-    assert sub.points == ("a", "c")
-    assert sub.d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert l3.subspace(["a", 0]).points == ("a",)
-    dl.validate_metric(sub.d, points=sub.points)
-    assert dl.build_nested_grids(sub, 0.5, 0, rng=0).finest_level == 1
+    assert half.points == l3.points
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf")])

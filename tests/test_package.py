@@ -1,5 +1,6 @@
 """The package namespace: each module's ``__all__`` is what the package exports."""
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -25,6 +26,27 @@ def test_package_exports_each_modules_public_names():
                          [n for n in vars(module) if not n.startswith("_")])
         for attr in public:
             assert getattr(dyadiclab, attr, None) is getattr(module, attr), (info.name, attr)
+
+
+# (module, name) of public names deleted because nothing outside their own
+# tests read them
+REMOVED = (("lattice", "verify_chain_separation"), ("lattice", "cube_to_json"),
+           ("errors", "HypothesesNotMet"), ("grids", "greedy_grid"),
+           ("coloring", "close_membership_probability"))
+
+
+def test_removed_names_are_gone():
+    """Each removed name is absent from its module, from the module's
+    ``__all__`` and from the package; so are ``FiniteMetricSpace.subspace``
+    and the ``vertex`` parameter of ``tree_experiment``."""
+    for module_name, attr in REMOVED:
+        module = importlib.import_module(f"dyadiclab.{module_name}")
+        assert not hasattr(module, attr), (module_name, attr)
+        assert attr not in getattr(module, "__all__", ()), (module_name, attr)
+        assert not hasattr(dyadiclab, attr), attr
+    assert not hasattr(dyadiclab.FiniteMetricSpace, "subspace")
+    assert list(inspect.signature(dyadiclab.tree_experiment).parameters) == [
+        "branching", "height", "limit"]
 
 
 def test_mc_exports_only_the_trial_streams_and_intervals():

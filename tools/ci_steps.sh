@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# The shell steps of the tier-1 CI job, one definition for the workflow and
+# for a local run.  Run from the repository root:
+#
+#   tools/ci_steps.sh console   # the installed console script
+#   tools/ci_steps.sh workers   # the CLI and acceptance tests through the process pool
+#   tools/ci_steps.sh smoke     # every benchmark workload, untraced and traced
+#
+# The console step runs the `dyadiclab` entry point, which needs the package
+# installed; set DYADICLAB to another command to run the same checks without
+# it, for example DYADICLAB="python3 -m dyadiclab.cli" with PYTHONPATH=src.
+set -euo pipefail
+
+cli() {
+  ${DYADICLAB:-dyadiclab} "$@"
+}
+
+console() {
+  local code
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  cli --version
+  printf 'a,0,0\nb,3,4\n' > "$tmp/named.csv"
+  cli validate --input "$tmp/named.csv" |
+    python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["data"]); sys.exit(r["data"]["points"] != ["a", "b"])'
+  code=0
+  cli validate --input "$tmp/missing.csv" || code=$?
+  test "$code" -eq 3
+  cli a2 --input "$tmp/named.csv" |
+    python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["data"]); sys.exit(r["data"]["a2_characteristic"] != 1.0)'
+  # the points are 5 apart and 5.0 ** 1000 overflows: a refusal, exit 2
+  code=0
+  cli a2 --input "$tmp/named.csv" --m-exponent 1000 || code=$?
+  test "$code" -eq 2
+  # two points 5 apart: each unit ball holds its center alone, one coloring
+  cli coloring --input "$tmp/named.csv" |
+    python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["data"]); sys.exit(r["data"]["d"] != 1 or r["data"]["colorings"] != 1)'
+  code=0
+  cli coloring --input "$tmp/missing.csv" || code=$?
+  test "$code" -eq 3
+}
+
+workers() {
+  # the CLI reads DYADICLAB_WORKERS, so every report it writes here goes
+  # through run_chunked's worker pool
+  DYADICLAB_WORKERS=2 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python -m pytest -q tests/test_cli.py tests/test_acceptance.py -W error
+}
+
+smoke() {
+  # run.py exits 0 even when its correctness gate fails, so read its last
+  # line; the traced runs also check that the tracer still wraps the
+  # library's functions by name
+  local w trace
+  for w in mc-cascade60 cli-goodness-elbow cli-lattice-deep exact-small; do
+    for trace in 0 1; do
+      python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace "$trace" |
+        tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); print(*sys.argv[1:], r["correct"], r["failed"]); sys.exit(r["correct"] is not True or r["failed"] != 0)' "$w" "trace=$trace"
+    done
+  done
+}
+
+case "${1:-}" in
+  console) console ;;
+  workers) workers ;;
+  smoke) smoke ;;
+  *) echo "usage: $0 console|workers|smoke" >&2; exit 2 ;;
+esac
