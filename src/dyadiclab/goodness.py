@@ -8,21 +8,24 @@ probabilities are summed over all coarser scales.  Set distances are min over
 member pairs and the distance to an empty set is +inf, so a coarse cube that
 swallows the whole space never hurts.
 
-Each threshold rule takes one side, stated here: a cube straddles a coarse
-cube, and is bad, when it lies strictly closer than the threshold to both
-that cube and its complement, so a distance equal to the threshold is far;
-the deep-inside step makes its claim only where the center lies strictly
-deeper than twice the threshold; and a boundary layer is closed, the points
-at most eps * scale from both sides, for widths with eps <= delta /
-``EPS_DIVISOR``, also closed.
+Each threshold rule takes one side, stated here as a test on the points
+near the cube: a cube straddles a coarse cube, and is bad, when some point
+strictly closer than the threshold to the cube lies inside the coarse cube
+and some lies outside it, so a distance equal to the threshold is far; the
+deep-inside step makes its claim only where no point outside the ancestor's
+cube lies within twice the threshold of the center, a closed side; and a
+boundary layer is closed, the points at most eps * scale from both sides, for
+widths with eps <= delta / ``EPS_DIVISOR``, also closed.
 
-The straddle test of one coarse level is written once, on distance rows and
-cube matrices with any leading batch axes.  One straddle mask per tested
-level, of the coarse cubes that the cube straddles, serves goodness (no mask
-has a true entry) and the deep-inside step (the mask's entry at the center's
-ancestor, with the center's depth in that ancestor read only where the entry
-is true).  The exact P(good) applies the same test to every parent map of a
-level at once, in a pruned walk over the outcomes that builds no forest.
+The straddle test of one coarse level is written once, on one distance row
+and cube matrices with any leading batch axes: it counts the near points
+inside each coarse cube against all near points.  One straddle mask per
+tested level, of the coarse cubes that the cube straddles, serves goodness
+(no mask has a true entry) and the deep-inside step (the mask's entry at the
+center's ancestor, with the points near the center tested only where the
+entry is true).  The exact P(good) applies the same test to every parent
+map of a level at once, in a pruned walk over the outcomes that builds no
+forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
@@ -57,8 +60,8 @@ from .errors import (
     ScheduleInvalid,
 )
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
-from .lattice import (DEFAULT_MAX_OUTCOMES, Cube, LatticeForest, _balls,
-                      _outcome_frames, _unite_children, build_forest)
+from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
+                      build_forest)
 from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, loglog_slope,
                  run_chunked, trial_rng, wilson_interval)
 from .metric import FiniteMetricSpace, max_ball_occupancy
@@ -126,18 +129,15 @@ def _distance_row(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
     return np.where(inside[..., None], space.d, np.inf).min(axis=-2)
 
 
-def _split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
-    """Least entry of a distance row inside and outside a member mask, per row
-    of the mask; +inf for an empty side."""
-    return (np.where(inside, row, np.inf).min(axis=-1),
-            np.where(inside, np.inf, row).min(axis=-1))
-
-
 def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
     """The bad test, per row of the mask: the point set of the distance row
-    lies closer than the threshold to both the cube and its complement."""
-    to_cube, to_rest = _split_min(row, inside)
-    return (to_cube < threshold) & (to_rest < threshold)
+    lies closer than the threshold to both the cube and its complement.
+    ``row`` is one 1-D distance row, from that set to each point; the near
+    points are those strictly closer than the threshold, and the cube is
+    straddled when some near point lies inside it and some outside it."""
+    near = row < threshold
+    hits = (inside & near).sum(axis=-1)
+    return (hits > 0) & (hits < near.sum())
 
 
 def _straddle_masks(forest: LatticeForest, k: int, row: np.ndarray,
@@ -164,18 +164,18 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
 def _step_violations(forest: LatticeForest, x: int, k: int,
                      masks: dict[int, np.ndarray], params: GoodnessParams) -> list[int]:
     """The levels n of ``masks`` at which the level-k cube of center x
-    straddles the cube of x's level-n ancestor while x lies deeper than twice
-    the threshold in it.  Walks x's chain once when some level is tested, and
-    measures the depth only where the ancestor's mask entry is true."""
+    straddles the cube of x's level-n ancestor while no point outside that
+    cube lies within twice the threshold of x (closed: a point at exactly
+    twice the threshold keeps the step's claim off).  Walks x's chain once
+    when some level is tested, and tests the points near x only where the
+    ancestor's mask entry is true."""
     chain = forest.chain(x, k, forest.levels[0]) if masks else []
     bad_levels = []
     for n, mask in masks.items():
         rows, held = forest.cube_table[n]
         anc = rows[chain[k - n]]
-        if mask[anc]:
-            _, depth = _split_min(forest.space.d[x], held[anc])
-            if depth > 2 * params.threshold(k, n):
-                bad_levels.append(n)
+        if mask[anc] and not (~held[anc] & (forest.space.d[x] <= 2 * params.threshold(k, n))).any():
+            bad_levels.append(n)
     return bad_levels
 
 
@@ -403,7 +403,7 @@ def _decay_row(forest: LatticeForest, params: GoodnessParams, x: int,
                level: int, eps_schedule: tuple[float, ...]) -> tuple[int, ...]:
     owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
     rows, held = forest.cube_table[level]
-    _, depth = _split_min(forest.space.d[x], held[rows[owner]])
+    depth = np.where(held[rows[owner]], np.inf, forest.space.d[x]).min()
     scale = params.delta ** level
     # x is inside its own cube, so layer membership is depth alone
     return tuple(int(depth <= eps * scale) for eps in eps_schedule)
@@ -484,26 +484,25 @@ def equalize(p_q: float, a: float, xi: float) -> bool:
 
 def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: int,
                            params: GoodnessParams, coarsest_level: int = 0,
-                           limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                           max_outcomes: int = DEFAULT_MAX_OUTCOMES) -> Fraction:
+                           limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Fraction:
     """Exact rational P(cube of the fixed center is good), over every outcome
     of the construction.
 
     The cap is that of ``enumerate_forest_outcomes``: every grid outcome and
     its count of forests is listed first, and the same TooLargeForExhaustive
-    is raised when the unpruned count exceeds ``max_outcomes``.  No forest is
-    built.  Each grid outcome is walked depth-first from the finest level to
-    the coarsest: one step builds the cube matrices of the next coarser level
-    for all of its parent choices at once, tests them against the center's
-    cube when the level is coarser by at least r, and walks on only from the
-    good ones, since a bad cube stays bad whatever the coarser choices.  The
-    good leaves of a grid outcome, counted at the coarsest level, each carry
-    its forests' weight.
+    is raised when the unpruned count exceeds ``lattice.MAX_OUTCOMES``.  No
+    forest is built.  Each grid outcome is walked depth-first from the finest
+    level to the coarsest: one step builds the cube matrices of the next
+    coarser level for all of its parent choices at once, tests them against
+    the center's cube when the level is coarser by at least r, and walks on
+    only from the good ones, since a bad cube stays bad whatever the coarser
+    choices.  The good leaves of a grid outcome, counted at the coarsest
+    level, each carry its forests' weight.
     """
     center = space.resolve(center)
     total = Fraction(0)
-    for hierarchy, children, weight in _outcome_frames(
-            space, params.delta, coarsest_level, limit, max_outcomes):
+    for hierarchy, children, weight in _outcome_frames(space, params.delta,
+                                                       coarsest_level, limit):
         _require_center(hierarchy, level, center)
         total += weight * _good_leaves(hierarchy, children, level, center, params)
     return total

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParams, TooLargeForExhaustive
-from .metric import FiniteMetricSpace, _integer
+from .metric import FiniteMetricSpace, _generator, _integer
 
 __all__ = [
     "Grid",
@@ -323,7 +323,7 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
     """
     _require_mode(mode)
     m = finest_level(space, delta, coarsest_level)
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     levels = list(range(coarsest_level, m + 1))
     grids: dict[int, Grid] = {m: Grid(scale=delta ** m, members=frozenset(range(len(space))))}
     for k in range(m - 1, coarsest_level - 1, -1):

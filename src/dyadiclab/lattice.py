@@ -66,7 +66,7 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_integer_level,
                     enumerate_maximal_separated, finest_level)
-from .metric import FiniteMetricSpace, _integer
+from .metric import FiniteMetricSpace, _generator, _integer
 
 __all__ = [
     "Cube",
@@ -91,7 +91,7 @@ DIAMETER_FACTOR = 21.0      # asserted cube diameter bound, in units of the scal
 ANCESTOR_FACTOR = 10.0      # asserted ancestor proximity bound
 COVER_FACTOR = 3.0          # asserted grid covering radius
 MAX_CHAIN_DELTA = 1.0 / 1000.0  # largest scale ratio the chain separation assumes
-DEFAULT_MAX_OUTCOMES = 100_000  # cap on the forests of every exact enumeration
+MAX_OUTCOMES = 100_000  # the most forests an exact enumeration may list; more are refused
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class LatticeForest:
 
     ``parents[l]`` maps every member of the level-l grid to its parent in the
     level-(l-1) grid, for every level l above the coarsest.  ``seed`` records
-    the seed used to draw the forest when one was given.
+    the integer seed used to draw the forest, as an int, when one was given.
     """
     hierarchy: GridHierarchy
     parents: Mapping[int, Mapping[int, int]]
@@ -242,7 +242,7 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
     """
     if not parents.members <= children.members:
         raise InvalidParams("parent grid must be a subset of the child grid")
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     kids = sorted(children.members)
     cols, captured, options = _link_rule(space, kids, parents)
     counts = options.sum(axis=1)
@@ -265,9 +265,10 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
 
 def build_forest(hierarchy: GridHierarchy,
                  rng: np.random.Generator | int | None) -> LatticeForest:
-    """Assign parents between every consecutive pair of levels, coarse to fine."""
-    seed = rng if isinstance(rng, int) else None
-    rng = np.random.default_rng(rng)
+    """Assign parents between every consecutive pair of levels, coarse to fine.
+    A bool ``rng`` is refused before any draw."""
+    seed = _integer(rng)
+    rng = _generator(rng)
     parents: dict[int, dict[int, int]] = {}
     levels = hierarchy.levels
     for lev in levels[1:]:
@@ -333,22 +334,18 @@ def check_grid_cover(hierarchy: GridHierarchy, level: int) -> GridCoverReport:
 @dataclass(frozen=True)
 class CubeCoverReport:
     level: int
-    witness: dict[int, int]  # point -> covering cube center
     multi_covered: tuple[int, ...]
 
 
 def check_cube_cover(forest: LatticeForest, level: int) -> CubeCoverReport:
     """Every point must belong to at least one cube of the level."""
-    rows, held = forest._level_table(level)
-    cover = held.sum(axis=0)
+    cover = forest._level_table(level)[1].sum(axis=0)
     missing = np.flatnonzero(cover == 0).tolist()
     if missing:
         raise CoverViolation(
             f"point {missing[0]} is in no level-{level} cube", witness=missing[0])
-    centers = list(rows)
-    witness = {x: centers[row] for x, row in enumerate(held.argmax(axis=0).tolist())}
     multi = tuple(np.flatnonzero(cover > 1).tolist())
-    return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
+    return CubeCoverReport(level=level, multi_covered=multi)
 
 
 @dataclass
@@ -520,7 +517,7 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 # --- exact enumeration of the whole random construction -------------------------
 
 def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
-                    limit: int, max_outcomes: int) -> list[tuple]:
+                    limit: int) -> list[tuple]:
     """Per grid outcome of the construction, in enumeration order: its
     hierarchy, (level, sorted children, ``cols`` of ``_link_rule``, parent
     maps) for every level above the coarsest, and the weight prob / count
@@ -529,7 +526,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
     child's option, in ``itertools.product`` order, holding each child's
     parent as a column of ``cols``, which is also its ball row.  Raises
     TooLargeForExhaustive, before returning any outcome, when the grid
-    outcomes or the forests exceed ``max_outcomes``; a grid outcome's maps
+    outcomes or the forests exceed ``MAX_OUTCOMES``; a grid outcome's maps
     are listed only once its forests have passed that cap.
     """
     m = finest_level(space, delta, coarsest_level)
@@ -546,7 +543,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
                 grids[k] = g
                 nxt.append((grids, prob / len(options)))
         grid_outcomes = nxt
-        if len(grid_outcomes) > max_outcomes:
+        if len(grid_outcomes) > MAX_OUTCOMES:
             raise TooLargeForExhaustive("too many grid outcomes")
 
     total = 0
@@ -561,7 +558,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
             cols, _, options = _link_rule(space, kids, grids[lev - 1])
             links.append((lev, kids, cols, [row.nonzero()[0].tolist() for row in options]))
         count = math.prod(len(opts) for *_, per_kid in links for opts in per_kid)
-        if total + count > max_outcomes:
+        if total + count > MAX_OUTCOMES:
             raise TooLargeForExhaustive("too many parent outcomes")
         total += count
         children = [(lev, kids, cols, np.array(list(itertools.product(*per_kid))))
@@ -573,7 +570,6 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
 def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
                               coarsest_level: int,
                               limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-                              max_outcomes: int = DEFAULT_MAX_OUTCOMES,
                               ) -> list[tuple[LatticeForest, Fraction]]:
     """All (forest, probability) outcomes of the construction on a small space.
 
@@ -581,11 +577,11 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
     (conditioned on the finer levels), and parent choices are uniform over the
     candidate lists; probabilities are exact rationals and sum to one.  The
     forests of a grid outcome, all of equal weight, are the product of its
-    levels' parent maps; the cap is checked on its size before any is built.
+    levels' parent maps; more than ``MAX_OUTCOMES`` forests in all raise
+    TooLargeForExhaustive before any is built.
     """
     results: list[tuple[LatticeForest, Fraction]] = []
-    for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level,
-                                                       limit, max_outcomes):
+    for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level, limit):
         per_level = [cols[maps].tolist() for *_, cols, maps in children]
         for choice in itertools.product(*per_level):
             parents = {lev: dict(zip(kids, row))

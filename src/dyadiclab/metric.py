@@ -58,6 +58,13 @@ def _integer(value) -> int | None:
         return None
 
 
+def _generator(rng) -> np.random.Generator:
+    """``np.random.default_rng(rng)``, refusing a bool as ``_integer`` does."""
+    if isinstance(rng, (bool, np.bool_)):
+        raise InvalidParams("rng must be a Generator, an integer seed or None, not a bool")
+    return np.random.default_rng(rng)
+
+
 class FiniteMetricSpace:
     """A finite point set with a validated distance matrix.
 
@@ -296,28 +303,17 @@ def _tree_space(branching: int, height: int) -> FiniteMetricSpace:
     """Rooted tree with unit edges; distance is the shortest path through the LCA."""
     if branching < 1 or height < 0:
         raise InvalidParams("tree needs branching >= 1 and height >= 0")
-    paths: list[tuple[int, ...]] = [()]
-    frontier = [()]
-    for _ in range(height):
-        nxt = []
-        for p in frontier:
-            for c in range(branching):
-                nxt.append(p + (c,))
-        paths.extend(nxt)
-        frontier = nxt
-    n = len(paths)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = paths[i], paths[j]
-            lca = 0
-            for x, y in zip(a, b):
-                if x != y:
-                    break
-                lca += 1
-            d[i, j] = d[j, i] = (len(a) - lca) + (len(b) - lca)
+    # the root-to-node paths, depth by depth, each depth in lexicographic order
+    paths = [p for depth in range(height + 1)
+             for p in itertools.product(range(branching), repeat=depth)]
+
+    def distance(a: tuple, b: tuple) -> int:
+        """Edges from a up to the paths' common prefix, then down to b."""
+        common = next((m for m, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        return len(a) + len(b) - 2 * common
+
     names = ["r" + "".join(f".{c}" for c in p) for p in paths]
-    return FiniteMetricSpace(names, d)
+    return FiniteMetricSpace(names, [[distance(a, b) for b in paths] for a in paths])
 
 
 def _grid_space(shape: Sequence[int], spacing: float = 1.0) -> FiniteMetricSpace:

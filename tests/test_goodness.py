@@ -20,10 +20,9 @@ from dyadiclab.errors import (
     ScheduleInvalid,
     UnknownPoint,
 )
-from dyadiclab import goodness, mc
+from dyadiclab import goodness, lattice, mc
 from dyadiclab.goodness import (
     GoodnessParams,
-    _split_min,
     equalize,
     estimate_bad_probability,
     estimate_boundary_decay,
@@ -262,13 +261,12 @@ def reference_center_cube(forest: dl.LatticeForest, level: int, center: int) -> 
 
 def reference_exact_good_probability(space: dl.FiniteMetricSpace, center: int | str,
                                      level: int, params: GoodnessParams,
-                                     coarsest_level: int = 0, limit: int = 20,
-                                     max_outcomes: int = 100_000) -> Fraction:
+                                     coarsest_level: int = 0, limit: int = 20) -> Fraction:
     """Exact rational P(cube of the fixed center is good), by full enumeration."""
     center = space.resolve(center)
     total = Fraction(0)
     outcomes = dl.enumerate_forest_outcomes(space, params.delta, coarsest_level,
-                                            limit=limit, max_outcomes=max_outcomes)
+                                            limit=limit)
     # pop each outcome once classified, so its cube table can be freed
     while outcomes:
         forest, prob = outcomes.pop()
@@ -337,23 +335,24 @@ def test_exact_good_probability_matches_reference(small_family, elbow, ladder,
     assert min(kinds.values()) > 0
 
 
-def test_exact_good_probability_errors_match_reference(elbow):
+def test_exact_good_probability_errors_match_reference(monkeypatch, elbow):
     """A level outside the hierarchy, a center some grid outcome drops, an
     11-point cloud past the default cap, and a cap one below the count."""
     cloud11 = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
                             min_sep=0.05)
     count = len(dl.enumerate_forest_outcomes(elbow, 0.1, 0))
-    cases = [((elbow, "x", 5, PARAMS), {}, "InvalidParams"),
-             ((elbow, "u", 1, PARAMS), {}, "CenterNotInGrid"),
-             ((cloud11, 0, 2, PARAMS), {}, "TooLargeForExhaustive"),
-             ((elbow, "x", 2, PARAMS), {"max_outcomes": count - 1},
-              "TooLargeForExhaustive")]
-    for args, kwargs, kind in cases:
-        got = exact_outcome(exact_good_probability, *args, **kwargs)
-        assert got == exact_outcome(reference_exact_good_probability, *args, **kwargs)
+    default = lattice.MAX_OUTCOMES
+    cases = [((elbow, "x", 5, PARAMS), default, "InvalidParams"),
+             ((elbow, "u", 1, PARAMS), default, "CenterNotInGrid"),
+             ((cloud11, 0, 2, PARAMS), default, "TooLargeForExhaustive"),
+             ((elbow, "x", 2, PARAMS), count - 1, "TooLargeForExhaustive")]
+    for args, cap, kind in cases:
+        monkeypatch.setattr(lattice, "MAX_OUTCOMES", cap)
+        got = exact_outcome(exact_good_probability, *args)
+        assert got == exact_outcome(reference_exact_good_probability, *args)
         assert got[0] == kind
-    assert exact_good_probability(elbow, "x", 2, PARAMS, max_outcomes=count) \
-        == Fraction(3, 4)
+    monkeypatch.setattr(lattice, "MAX_OUTCOMES", count)
+    assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
 
 
 def test_exact_small_benchmark_reference():
@@ -725,10 +724,17 @@ def reference_bad_row(forest, rng, params, level, center):
             len(reference_theorem_step_violations(forest, cube, params)))
 
 
+def split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
+    """Least entry of a distance row inside and outside a member mask, per row
+    of the mask; +inf for an empty side."""
+    return (np.where(inside, row, np.inf).min(axis=-1),
+            np.where(inside, np.inf, row).min(axis=-1))
+
+
 def reference_decay_row(forest, rng, params, x, level, eps_schedule):
     owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
     rows, held = forest.cube_table[level]
-    _, depth = _split_min(forest.space.d[x], held[rows[owner]])
+    _, depth = split_min(forest.space.d[x], held[rows[owner]])
     scale = params.delta ** level
     # x is inside its own cube, so layer membership is depth alone
     return [int(depth <= eps * scale) for eps in eps_schedule]

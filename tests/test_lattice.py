@@ -259,6 +259,24 @@ def test_forest_deterministic(l3):
     assert a.parents == b.parents
 
 
+def test_forest_seed_follows_the_integer_rule(l3):
+    """A NumPy integer seed draws the forest of the same int and is recorded
+    as that int; a bool is no seed, and each sampler refuses it before it
+    draws."""
+    h = dl.build_nested_grids(l3, 0.1, 0, rng=0)
+    forest = dl.build_forest(h, np.int64(7))
+    assert forest.seed == 7 and type(forest.seed) is int
+    assert forest.parents == dl.build_forest(h, 7).parents
+    assert dl.forest_to_json(forest)["seed"] == 7
+    for rng in (True, False, np.True_):
+        with pytest.raises(InvalidParams, match="not a bool"):
+            dl.build_forest(h, rng)
+        with pytest.raises(InvalidParams, match="not a bool"):
+            dl.assign_parents(l3, h.grid(1), h.grid(0), rng)
+        with pytest.raises(InvalidParams, match="not a bool"):
+            dl.build_nested_grids(l3, 0.1, 0, rng=rng)
+
+
 # --- cubes -----------------------------------------------------------------------
 
 def test_cubes_singleton(singleton):
@@ -413,10 +431,12 @@ def test_cube_lookup_unknown_center(two_far):
 
 
 def test_cube_cover_l3_seed0(l3):
+    """Every point of l3 lies in a cube of each level, and the cover check
+    reports the level without raising."""
     forest = shared_stream_forest(l3, 0.1, 0, seed=0)
     for level in forest.levels:
-        rep = dl.check_cube_cover(forest, level)
-        assert set(rep.witness) == {0, 1, 2}
+        assert dl.check_cube_cover(forest, level).level == level
+        assert set().union(*(c.members for c in dl.build_cubes(forest, level))) == {0, 1, 2}
 
 
 def test_grid_cover_reports(l3, singleton):
@@ -878,7 +898,7 @@ def reference_check_cube_cover(forest: dl.LatticeForest, level: int) -> CubeCove
         raise CoverViolation(
             f"point {missing[0]} is in no level-{level} cube", witness=missing[0])
     multi = tuple(sorted(x for x, c in counts.items() if c > 1))
-    return CubeCoverReport(level=level, witness=witness, multi_covered=multi)
+    return CubeCoverReport(level=level, multi_covered=multi)
 
 
 class HypothesesNotMet(DyadicLabError):
@@ -1242,24 +1262,26 @@ def test_enumeration_and_sampler_share_the_frame_checks(elbow):
             assert str(exc.value) == message
 
 
-def test_max_outcomes_caps_the_total():
+def test_max_outcomes_caps_the_total(monkeypatch):
     """The cap counts forests over all grid outcomes, not within each one:
     this 11-point cloud has 124,548 forests over 36 grid outcomes, at most
-    4096 in each."""
+    4096 in each.  The enumeration reads the cap when it is called."""
     cloud = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
                           min_sep=0.05)
     for cap in (5000, 124_547):
+        monkeypatch.setattr(lattice, "MAX_OUTCOMES", cap)
         with pytest.raises(TooLargeForExhaustive, match="too many parent outcomes"):
-            dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=cap)
-    assert len(dl.enumerate_forest_outcomes(cloud, 0.1, 0, max_outcomes=124_548)) \
-        == 124_548
+            dl.enumerate_forest_outcomes(cloud, 0.1, 0)
+    monkeypatch.setattr(lattice, "MAX_OUTCOMES", 124_548)
+    assert len(dl.enumerate_forest_outcomes(cloud, 0.1, 0)) == 124_548
 
 
-def test_max_outcomes_caps_the_grid_outcomes(elbow):
+def test_max_outcomes_caps_the_grid_outcomes(monkeypatch, elbow):
     """The elbow has two grid outcomes, so a cap of one refuses them before
     any parent map is counted."""
+    monkeypatch.setattr(lattice, "MAX_OUTCOMES", 1)
     with pytest.raises(TooLargeForExhaustive, match="too many grid outcomes"):
-        dl.enumerate_forest_outcomes(elbow, 0.1, 0, max_outcomes=1)
+        dl.enumerate_forest_outcomes(elbow, 0.1, 0)
 
 
 def test_outcome_enumeration_matches_sampling_support(elbow):

@@ -216,6 +216,44 @@ def test_tree_star():
     assert star.distance(leaves[0], leaves[1]) == 2.0
 
 
+# the tree builder before the path product, kept as its oracle: it grows the
+# paths breadth first and walks each pair's common prefix by hand
+def reference_tree_space(branching: int, height: int) -> dl.FiniteMetricSpace:
+    paths: list[tuple[int, ...]] = [()]
+    frontier = [()]
+    for _ in range(height):
+        nxt = []
+        for p in frontier:
+            for c in range(branching):
+                nxt.append(p + (c,))
+        paths.extend(nxt)
+        frontier = nxt
+    n = len(paths)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = paths[i], paths[j]
+            lca = 0
+            for x, y in zip(a, b):
+                if x != y:
+                    break
+                lca += 1
+            d[i, j] = d[j, i] = (len(a) - lca) + (len(b) - lca)
+    names = ["r" + "".join(f".{c}" for c in p) for p in paths]
+    return dl.FiniteMetricSpace(names, d)
+
+
+def test_tree_space_matches_reference():
+    """Names, their order and the distance matrix, for branching 1-4 and
+    height 0-4."""
+    for branching in range(1, 5):
+        for height in range(5):
+            got = dl.make_space("tree", branching=branching, height=height)
+            want = reference_tree_space(branching, height)
+            assert got.points == want.points
+            assert np.array_equal(got.d, want.d)
+
+
 def test_snowflake_two_points():
     base = dl.validate_metric([[0, 4], [4, 0]])
     snow = dl.make_space("snowflake", base=base, alpha=0.5)

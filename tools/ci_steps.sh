@@ -5,6 +5,7 @@
 #   tools/ci_steps.sh console   # the installed console script
 #   tools/ci_steps.sh workers   # the CLI and acceptance tests through the process pool
 #   tools/ci_steps.sh smoke     # every benchmark workload, untraced and traced
+#   tools/ci_steps.sh mutants   # each pinned threshold rule, flipped, must fail its tests
 #
 # The console step runs the `dyadiclab` entry point, which needs the package
 # installed; set DYADICLAB to another command to run the same checks without
@@ -60,9 +61,15 @@ smoke() {
   done
 }
 
+mutants() {
+  # tools/mutants.py flips each rule in a temporary copy of src/ and tests/
+  python3 tools/mutants.py
+}
+
 case "${1:-}" in
   console) console ;;
   workers) workers ;;
   smoke) smoke ;;
-  *) echo "usage: $0 console|workers|smoke" >&2; exit 2 ;;
+  mutants) mutants ;;
+  *) echo "usage: $0 console|workers|smoke|mutants" >&2; exit 2 ;;
 esac
