@@ -1,4 +1,4 @@
-"""Good/bad cube classification, boundary layers, and their Monte Carlo estimates.
+"""Good/bad cube classification, boundary-layer decay, and their Monte Carlo estimates.
 
 A cube at level k is good when, for every cube at every level n that is
 coarser by at least r levels, it is either far from that cube or far from its
@@ -14,8 +14,9 @@ strictly closer than the threshold to the cube lies inside the coarse cube
 and some lies outside it, so a distance equal to the threshold is far; the
 deep-inside step makes its claim only where no point outside the ancestor's
 cube lies within twice the threshold of the center, a closed side; and a
-boundary layer is closed, the points at most eps * scale from both sides, for
-widths with eps <= delta / ``EPS_DIVISOR``, also closed.
+point x lies in its cube's boundary layer of width eps when its distance to
+the cube's complement is at most eps * scale, also closed, as is the bound
+eps <= delta / ``EPS_DIVISOR`` on the widths.
 
 The straddle test of one coarse level is written once, on one distance row
 and cube matrices with any leading batch axes: it counts the near points
@@ -62,18 +63,16 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
                       build_forest)
-from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, loglog_slope,
-                 run_chunked, trial_rng, wilson_interval)
+from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, run_chunked,
+                 trial_rng, wilson_interval)
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
     "GoodnessParams",
-    "BoundaryLayer",
     "BadProbabilityEstimate",
     "DecayFit",
     "is_good",
     "theorem_step_violations",
-    "boundary_layer",
     "estimate_bad_probability",
     "estimate_boundary_decay",
     "equalize",
@@ -106,14 +105,6 @@ class GoodnessParams:
 
     def threshold(self, k: int, n: int) -> float:
         return self.delta ** (k * self.gamma + n * (1 - self.gamma))
-
-
-@dataclass(frozen=True)
-class BoundaryLayer:
-    """Points within eps*scale of both a cube and its complement."""
-    cube: Cube
-    eps: float
-    members: frozenset[int]
 
 
 def _mask(space: FiniteMetricSpace, members) -> np.ndarray:
@@ -189,18 +180,6 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     row = _distance_row(forest.space, _mask(forest.space, cube.members))
     masks = _straddle_masks(forest, cube.level, row, params)
     return _step_violations(forest, cube.center, cube.level, masks, params)
-
-
-def boundary_layer(space: FiniteMetricSpace, cube: Cube, eps: float) -> BoundaryLayer:
-    """Exact member set of the layer around the cube's boundary."""
-    if not eps > 0:  # NaN too
-        raise InvalidParams("eps must be positive")
-    width = eps * cube.scale
-    inside = _mask(space, cube.members)
-    near_inside = _distance_row(space, inside) <= width
-    near_outside = _distance_row(space, ~inside) <= width
-    members = np.flatnonzero(near_inside & near_outside)
-    return BoundaryLayer(cube=cube, eps=eps, members=frozenset(int(x) for x in members))
 
 
 # --- Monte Carlo estimators -----------------------------------------------------
@@ -312,10 +291,11 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     trial first replays its draws while ``calls`` knows the next one, an
     integers call with few bounds above 1 as scalar draws; one whose path is
     in ``parts`` builds nothing.  Any other sets its state again, builds the
-    forest through the recorder, and enters its path while the chunk has had
-    fewer than ``_MISS_BUDGET`` misses.  So a chunk builds each distinct
-    forest about once, and every stream is drawn as if each trial built its
-    own.
+    forest through the recorder, and enters its path while ``parts`` holds
+    fewer than ``_MISS_BUDGET`` paths; each such miss enters a new one, since
+    a trial whose whole path is entered replays it to the end.  So a chunk
+    builds each distinct forest about once, and every stream is drawn as if
+    each trial built its own.
     """
     space, params, coarsest_level, mode, limit, seed, row, finish = payload
     rng = trial_rng(seed, lo)
@@ -326,7 +306,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(bit_generator)
-    calls, parts, misses = {}, {}, 0
+    calls, parts = {}, {}
     rows = []
     for state in itertools.chain([first], states):
         bit_generator.state = state
@@ -337,13 +317,12 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
             hierarchy = build_nested_grids(space, params.delta, coarsest_level,
                                            recorder, mode=mode, limit=limit)
             part = row(build_forest(hierarchy, recorder))
-            if misses < _MISS_BUDGET:
+            if len(parts) < _MISS_BUDGET:
                 prefix = ()
                 for call, values in recorder.path:
                     calls[prefix] = call
                     prefix += (values,)
                 parts[prefix] = part
-            misses += 1
         rows.append(part if finish is None else finish(part, rng))
     return np.array(rows, dtype=np.int64)
 
@@ -451,8 +430,9 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
 
     positive = [(e, p) for e, p in zip(eps, estimates) if p > 0]
     eta_hat = None
-    if len({e for e, _ in positive}) >= 2:
-        eta_hat = loglog_slope([e for e, _ in positive], [p for _, p in positive])
+    if len(positive) >= 2:  # least-squares slope of log(estimate) against log(eps)
+        log_eps, log_p = np.log(positive).T
+        eta_hat = float(np.polyfit(log_eps, log_p, 1)[0])
 
     eta_reference = None
     if level < finest_level(space, params.delta, coarsest_level):

@@ -175,13 +175,6 @@ def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[dict]:
             for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo))
 
 
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 def worker_count() -> int:
     """Worker count from DYADICLAB_WORKERS; 1 (serial) when unset or empty.
     Raises ConfigError for any other value that is not an integer >= 1."""

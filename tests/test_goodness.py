@@ -1,6 +1,7 @@
 """Good/bad classification, boundary layers, Monte Carlo estimates, equalization."""
 import collections
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -396,37 +397,56 @@ def test_goodness_monotone_in_r(elbow):
 
 # --- boundary layers ---------------------------------------------------------------
 
-def test_boundary_layer_whole_space_is_empty(singleton):
-    forest = forest_for(singleton, 0.1, 0)
-    cube = dl.build_cubes(forest, forest.levels[-1])[0]
-    assert dl.boundary_layer(singleton, cube, 10.0).members == frozenset()
-
-
-def test_boundary_layer_monotone_and_oracle(ladder):
-    rng = np.random.default_rng(48)
-    h = dl.build_nested_grids(ladder, 0.1, 0, rng=rng)
-    forest = dl.build_forest(h, rng)
-    cube = dl.build_cubes(forest, 0)[0]
-    small = dl.boundary_layer(ladder, cube, 0.05)
-    big = dl.boundary_layer(ladder, cube, 0.5)
-    assert small.members <= big.members
-    # naive double scan oracle
-    width = 0.5 * cube.scale
+def reference_boundary_layer(space: dl.FiniteMetricSpace, cube: dl.Cube,
+                             eps: float) -> set[int]:
+    """The layer as the paper defines it, by a double scan: the points at most
+    eps * scale from both the cube and its complement (the distance to an
+    empty set is +inf, so a cube that holds the whole space has no layer)."""
+    width = eps * cube.scale
     inside = sorted(cube.members)
-    outside = _complement(ladder, cube.members)
-    want = {x for x in range(len(ladder))
-            if dl.set_distance(ladder, [x], inside) <= width
-            and dl.set_distance(ladder, [x], outside) <= width}
-    assert big.members == want
+    outside = _complement(space, cube.members)
+    return {x for x in range(len(space))
+            if dl.set_distance(space, [x], inside) <= width
+            and dl.set_distance(space, [x], outside) <= width}
 
 
-def test_boundary_layer_requires_positive_eps(two_far):
-    forest = forest_for(two_far, 0.5, 0)
-    cube = dl.build_cubes(forest, forest.levels[-1])[0]
-    with pytest.raises(InvalidParams):
-        dl.boundary_layer(two_far, cube, 0.0)
-    with pytest.raises(InvalidParams, match="eps must be positive"):
-        dl.boundary_layer(two_far, cube, float("nan"))  # NaN compares false
+def exact_eps(distance: float, scale: float) -> float | None:
+    """A width eps with eps * scale == distance in floating point, if one of
+    the three floats nearest distance / scale gives it."""
+    eps = distance / scale
+    for e in (eps, np.nextafter(eps, np.inf), np.nextafter(eps, 0)):
+        if e * scale == distance:
+            return float(e)
+    return None
+
+
+def test_decay_row_matches_reference_layer_on_every_outcome(elbow, ladder, decay_probe):
+    """On every forest outcome, at every level and for every point x, the
+    decay row is x's membership in the two-sided layer of its cube.  Each
+    width sits exactly at a distance from x or one float below it, so the
+    closed side is seen wherever x's depth is that distance."""
+    closed = 0
+    for space, params in ((elbow, PARAMS), (ladder, PARAMS), (decay_probe, DECAY_PARAMS)):
+        outcomes = lattice.enumerate_forest_outcomes(space, params.delta, 0)
+        hierarchy = outcomes[0][0].hierarchy
+        schedules = {}
+        for level, x in itertools.product(hierarchy.levels, range(len(space))):
+            at = {e for y in range(len(space)) if y != x
+                  if (e := exact_eps(space.d[x, y], hierarchy.scale(level))) is not None}
+            schedules[level, x] = tuple(w for e in sorted(at, reverse=True)
+                                        for w in (e, float(np.nextafter(e, 0))))
+        want = {}  # cubes repeat across outcomes
+        for forest, _ in outcomes:
+            for (level, x), schedule in schedules.items():
+                cube = forest.cube(level, forest.ancestor(x, hierarchy.finest_level, level))
+                key = level, cube.members, x
+                if key not in want:
+                    want[key] = tuple(int(x in reference_boundary_layer(space, cube, eps))
+                                      for eps in schedule)
+                    closed += sum(want[key][::2]) - sum(want[key][1::2])
+                assert goodness._decay_row(forest, params, x, level, schedule) \
+                    == want[key], (forest.parents, level, x)
+    assert closed > 0
 
 
 # --- bad-probability estimator --------------------------------------------------------
@@ -596,6 +616,10 @@ def test_decay_schedule_validation(decay_probe):
     with pytest.raises(ScheduleInvalid):
         estimate_boundary_decay(decay_probe, 0, 0, (), trials=10,
                                 seed=0, params=DECAY_PARAMS)
+    for bad in ((2e-6, 0.0), (-2e-6,), (float("nan"),)):  # NaN compares false
+        with pytest.raises(ScheduleInvalid, match="^eps values must be positive$"):
+            estimate_boundary_decay(decay_probe, 0, 0, bad, trials=10,
+                                    seed=0, params=DECAY_PARAMS)
     # a string is no schedule of its characters, and None is no eps
     for bad in ("2e-6", [None], ["x"], 2e-6):
         with pytest.raises(ScheduleInvalid):
@@ -724,20 +748,11 @@ def reference_bad_row(forest, rng, params, level, center):
             len(reference_theorem_step_violations(forest, cube, params)))
 
 
-def split_min(row: np.ndarray, inside: np.ndarray) -> tuple:
-    """Least entry of a distance row inside and outside a member mask, per row
-    of the mask; +inf for an empty side."""
-    return (np.where(inside, row, np.inf).min(axis=-1),
-            np.where(inside, np.inf, row).min(axis=-1))
-
-
 def reference_decay_row(forest, rng, params, x, level, eps_schedule):
     owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
-    rows, held = forest.cube_table[level]
-    _, depth = split_min(forest.space.d[x], held[rows[owner]])
-    scale = params.delta ** level
-    # x is inside its own cube, so layer membership is depth alone
-    return [int(depth <= eps * scale) for eps in eps_schedule]
+    cube = forest.cube(level, owner)
+    return [int(x in reference_boundary_layer(forest.space, cube, eps))
+            for eps in eps_schedule]
 
 
 def reference_really_good_row(forest, rng, params, level, center, a, p_q):

@@ -32,7 +32,8 @@ def test_package_exports_each_modules_public_names():
 # tests read them
 REMOVED = (("lattice", "verify_chain_separation"), ("lattice", "cube_to_json"),
            ("errors", "HypothesesNotMet"), ("grids", "greedy_grid"),
-           ("coloring", "close_membership_probability"))
+           ("coloring", "close_membership_probability"),
+           ("goodness", "boundary_layer"), ("goodness", "BoundaryLayer"))
 
 
 def test_removed_names_are_gone():

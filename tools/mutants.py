@@ -49,6 +49,12 @@ MUTANTS = [
     ("decay layer", GOODNESS,
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_layer_is_closed_at_its_width"]),
+    ("decay layer on every outcome", GOODNESS,
+     "int(depth <= eps * scale)", "int(depth < eps * scale)",
+     [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
+    ("miss budget", GOODNESS,
+     "if len(parts) < _MISS_BUDGET:", "if len(parts) <= _MISS_BUDGET:",
+     [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
     ("conflict", GRIDS,
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
