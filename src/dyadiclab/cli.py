@@ -409,10 +409,10 @@ def _render_csv(report: dict) -> str:
         for eps, est, (lo, hi) in zip(decay["eps"], decay["estimates"],
                                       decay["intervals"]):
             writer.writerow([eps, est, lo, hi])
-    else:
-        writer.writerow(["check", "pass", "detail"])
-        for c in report["checks"]:
-            writer.writerow([c["name"], c["pass"], c["detail"]])
+        writer.writerow([])
+    writer.writerow(["check", "pass", "detail"])
+    for c in report["checks"]:
+        writer.writerow([c["name"], c["pass"], c["detail"]])
     return buf.getvalue()
 
 

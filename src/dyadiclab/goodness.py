@@ -20,13 +20,14 @@ eps <= delta / ``EPS_DIVISOR`` on the widths.
 
 The straddle test of one coarse level is written once, on one distance row
 and cube matrices with any leading batch axes: it counts the near points
-inside each coarse cube against all near points.  One straddle mask per
-tested level, of the coarse cubes that the cube straddles, serves goodness
-(no mask has a true entry) and the deep-inside step (the mask's entry at the
-center's ancestor, with the points near the center tested only where the
-entry is true).  The exact P(good) applies the same test to every parent
-map of a level at once, in a pruned walk over the outcomes that builds no
-forest.
+inside each coarse cube against all near points.  One core classifies a
+center's cube in one pass over its tested levels, coarsest first, from one
+distance row: at each level the straddle mask of the coarse cubes gives
+goodness (bad when some entry is true) and the deep-inside step (the entry
+at the center's ancestor, with the points near the center tested only where
+it is true).  The trial row, ``is_good`` and ``theorem_step_violations`` all
+read that core.  The exact P(good) applies the same test to every parent map
+of a level at once, in a pruned walk over the outcomes that builds no forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
@@ -107,13 +108,6 @@ class GoodnessParams:
         return self.delta ** (k * self.gamma + n * (1 - self.gamma))
 
 
-def _mask(space: FiniteMetricSpace, members) -> np.ndarray:
-    """The boolean point mask of a member set."""
-    inside = np.zeros(len(space), dtype=bool)
-    inside[list(members)] = True
-    return inside
-
-
 def _distance_row(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
     """Distance from the point set of a mask to each point of the space, per
     row of the mask; +inf where the set is empty."""
@@ -131,43 +125,15 @@ def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
     return (hits > 0) & (hits < near.sum())
 
 
-def _straddle_masks(forest: LatticeForest, k: int, row: np.ndarray,
-                    params: GoodnessParams) -> dict[int, np.ndarray]:
-    """Per level n coarser than k by at least r, the mask of the level-n
-    cubes that the level-k cube with distance row ``row`` straddles.  Raises
-    InvalidParams unless k is one of the hierarchy's levels."""
-    forest.hierarchy._require_level(k)
-    return {n: _straddles(row, forest.cube_table[n][1], params.threshold(k, n))
-            for n in forest.levels if k >= n + params.r}
-
-
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     """Universal goodness test against every cube coarser by at least r levels.
 
-    Levels with no grid coarser by r are vacuously fine (empty quantifier);
-    a cube whose level is not the hierarchy's is refused with InvalidParams.
+    Levels with no grid coarser by r are vacuously fine (empty quantifier).
+    The cube must be the forest's own: the verdict is that of the forest's
+    cube at ``(cube.level, cube.center)``, and a level that is not the
+    hierarchy's is refused with InvalidParams.
     """
-    row = _distance_row(forest.space, _mask(forest.space, cube.members))
-    masks = _straddle_masks(forest, cube.level, row, params)
-    return not any(m.any() for m in masks.values())
-
-
-def _step_violations(forest: LatticeForest, x: int, k: int,
-                     masks: dict[int, np.ndarray], params: GoodnessParams) -> list[int]:
-    """The levels n of ``masks`` at which the level-k cube of center x
-    straddles the cube of x's level-n ancestor while no point outside that
-    cube lies within twice the threshold of x (closed: a point at exactly
-    twice the threshold keeps the step's claim off).  Walks x's chain once
-    when some level is tested, and tests the points near x only where the
-    ancestor's mask entry is true."""
-    chain = forest.chain(x, k, forest.levels[0]) if masks else []
-    bad_levels = []
-    for n, mask in masks.items():
-        rows, held = forest.cube_table[n]
-        anc = rows[chain[k - n]]
-        if mask[anc] and not (~held[anc] & (forest.space.d[x] <= 2 * params.threshold(k, n))).any():
-            bad_levels.append(n)
-    return bad_levels
+    return not _verdicts(forest, cube.level, cube.center, params)[0]
 
 
 def theorem_step_violations(forest: LatticeForest, cube: Cube,
@@ -175,11 +141,10 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     """Check the deep-inside step: an ancestor holding the center deeper than
     twice the threshold must pass that ancestor's goodness test.
 
-    Returns the levels at which the implication failed (expected empty).
+    Returns the levels at which the implication failed (expected empty).  The
+    cube must be the forest's own, as for ``is_good``.
     """
-    row = _distance_row(forest.space, _mask(forest.space, cube.members))
-    masks = _straddle_masks(forest, cube.level, row, params)
-    return _step_violations(forest, cube.center, cube.level, masks, params)
+    return _verdicts(forest, cube.level, cube.center, params)[1]
 
 
 # --- Monte Carlo estimators -----------------------------------------------------
@@ -337,16 +302,40 @@ def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
             f"fix the center at the deterministic finest level")
 
 
-def _bad_row(forest: LatticeForest, params: GoodnessParams, level: int,
-             center: int) -> tuple[int, int]:
-    """Whether the fixed center's cube is bad, and its count of step
-    violations, from one straddle mask per tested level."""
+def _verdicts(forest: LatticeForest, level: int, center: int,
+              params: GoodnessParams) -> tuple[bool, list[int]]:
+    """Whether the center's cube at ``level`` is bad, and the levels at which
+    the deep-inside step fails for it, in one pass over the levels n coarser
+    by at least r, in ascending order.  At each, the cube is bad when it
+    straddles some level-n cube, and the step fails when it straddles the
+    cube of the center's level-n ancestor while no point outside that cube
+    lies within twice the threshold of the center (closed: a point at exactly
+    twice the threshold keeps the step's claim off).  The center's chain is
+    walked once, at the first tested level."""
     _require_center(forest.hierarchy, level, center)
     rows, held = forest.cube_table[level]
     row = _distance_row(forest.space, held[rows[center]])
-    masks = _straddle_masks(forest, level, row, params)
-    return (int(any(m.any() for m in masks.values())),
-            len(_step_violations(forest, center, level, masks, params)))
+    bad, step_levels, chain = False, [], None
+    for n in forest.levels:
+        if n > level - params.r:
+            break
+        threshold = params.threshold(level, n)
+        rows, held = forest.cube_table[n]
+        straddled = _straddles(row, held, threshold)
+        bad |= straddled.any()
+        chain = chain or forest.chain(center, level, forest.levels[0])
+        anc = rows[chain[level - n]]
+        if straddled[anc] and not (~held[anc] & (forest.space.d[center] <= 2 * threshold)).any():
+            step_levels.append(n)
+    return bad, step_levels
+
+
+def _bad_row(forest: LatticeForest, params: GoodnessParams, level: int,
+             center: int) -> tuple[int, int]:
+    """Whether the fixed center's cube is bad, and its count of step
+    violations."""
+    bad, step_levels = _verdicts(forest, level, center, params)
+    return int(bad), len(step_levels)
 
 
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,

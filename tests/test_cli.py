@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -154,6 +155,25 @@ def test_goodness_csv_decay_rows(tmp_path, elbow_json):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "eps,estimate,ci_low,ci_high"
     assert len(lines) > 1
+
+
+def test_goodness_csv_keeps_the_failed_checks(tmp_path, elbow_json):
+    """One trial leaves the Wilson upper bound at 0.79 > 1/2, so the run
+    exits 1; its CSV holds the decay rows, one blank row, and then every
+    check with its verdict and detail."""
+    code, out = run_to_file(tmp_path, [
+        "goodness", "--input", elbow_json, "--delta", "0.1", "--trials", "1",
+        "--seed", "0", "--format", "csv"], "report.csv")
+    assert code == 1
+    rows = list(csv.reader(out.read_text().splitlines()))
+    blank = rows.index([])
+    assert rows[0] == ["eps", "estimate", "ci_low", "ci_high"] and blank > 1
+    assert rows[blank + 1] == ["check", "pass", "detail"]
+    checks = {name: (verdict, detail) for name, verdict, detail in rows[blank + 2:]}
+    assert list(checks) == ["bad_probability_upper_half", "theorem_step",
+                            "boundary_decay_monotone", "equalization_frequency"]
+    verdict, detail = checks["bad_probability_upper_half"]
+    assert verdict == "False" and detail.endswith("wilson=(0.000000,0.793451)")
 
 
 def test_goodness_falls_back_when_exact_is_refused(tmp_path):
@@ -522,3 +542,7 @@ def test_cli_fuzz_exit_codes(argv, space, weights, as_csv):
                                 parse_constant=reject_constant)
             if code == 1:
                 assert any(not c["pass"] for c in report["checks"])
+        if code == 1 and "csv" in args:
+            rows = list(csv.reader((tmp / "report").read_text().splitlines()))
+            checks = rows[rows.index(["check", "pass", "detail"]) + 1:]
+            assert any(verdict == "False" for _, verdict, _ in checks)

@@ -353,6 +353,33 @@ def test_finest_level_near_the_float_maximum(md, delta, finest):
     assert dl.finest_level(space, delta, finest) == finest
 
 
+def reference_finest_level(md: float, delta: float) -> int:
+    """The least integer M with delta**M below md, by a walk from 0."""
+    m = 0
+    while delta ** m >= md:
+        m += 1
+    while delta ** (m - 1) < md:
+        m -= 1
+    return m
+
+
+def test_finest_level_corrects_its_logarithm_guess():
+    """The guess floor(log(md)/log(delta)) + 1 is one short at md = 0.3**4,
+    where 0.3**4 is not below md, and one too high at md = 0.1 plus one ulp,
+    where 0.1 already is; both correction loops are needed.  Powers of delta
+    and their float neighbours are checked against the definition too."""
+    assert reference_finest_level(0.3 ** 4, 0.3) == 5
+    assert reference_finest_level(0.10000000000000002, 0.1) == 1
+    cases = [(0.3 ** 4, 0.3), (0.10000000000000002, 0.1)]
+    for delta in (0.1, 0.3, 0.5, 0.7):
+        for j in range(-3, 9):
+            p = delta ** j
+            cases += [(float(md), delta) for md in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))]
+    for md, delta in cases:
+        space = dl.validate_metric([[0, md], [md, 0]])
+        assert dl.finest_level(space, delta, -30) == reference_finest_level(md, delta), (md, delta)
+
+
 def test_finest_level_refuses_more_levels_than_the_cap(elbow):
     """At delta = 0.9999999 the elbow's least distance, 0.06, lies 28,134,106
     levels down, and a hierarchy that deep grows past 3 GB as it is built;

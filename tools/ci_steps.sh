@@ -3,6 +3,7 @@
 # for a local run.  Run from the repository root:
 #
 #   tools/ci_steps.sh console   # the installed console script
+#   tools/ci_steps.sh tier1     # the tier-1 suite, with every warning an error
 #   tools/ci_steps.sh workers   # the CLI and acceptance tests through the process pool
 #   tools/ci_steps.sh smoke     # every benchmark workload, untraced and traced
 #   tools/ci_steps.sh mutants   # each pinned threshold rule, flipped, must fail its tests
@@ -41,6 +42,14 @@ console() {
   test "$code" -eq 3
 }
 
+tier1() {
+  # -W error: a deprecation in the trial pipeline fails the step, on the
+  # current numpy; PYTHONWARNINGS puts the subprocesses of test_demos.py and
+  # test_package.py under the same filter
+  PYTHONWARNINGS=error PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python -m pytest -q --continue-on-collection-errors --durations=15 -W error
+}
+
 workers() {
   # the CLI reads DYADICLAB_WORKERS, so every report it writes here goes
   # through run_chunked's worker pool
@@ -68,8 +77,9 @@ mutants() {
 
 case "${1:-}" in
   console) console ;;
+  tier1) tier1 ;;
   workers) workers ;;
   smoke) smoke ;;
   mutants) mutants ;;
-  *) echo "usage: $0 console|workers|smoke|mutants" >&2; exit 2 ;;
+  *) echo "usage: $0 console|tier1|workers|smoke|mutants" >&2; exit 2 ;;
 esac

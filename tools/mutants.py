@@ -43,9 +43,23 @@ MUTANTS = [
      "(hits > 0) & (hits < near.sum())", "(hits > 0) & (hits <= near.sum())",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("deep-inside gate", GOODNESS,
-     "(forest.space.d[x] <= 2 * params.threshold(k, n))",
-     "(forest.space.d[x] < 2 * params.threshold(k, n))",
+     "(forest.space.d[center] <= 2 * threshold)",
+     "(forest.space.d[center] < 2 * threshold)",
      [T_GOODNESS + "test_theorem_step_depth_gate"]),
+    # the levels tested are those coarser by at least r: the bound moved one
+    # level finer, then one level coarser, in the trial core and in the exact walk
+    ("r gap in the trial core, finer", GOODNESS,
+     "if n > level - params.r:", "if n > level - params.r + 1:",
+     [T_GOODNESS + "test_classifiers_match_reference"]),
+    ("r gap in the trial core, coarser", GOODNESS,
+     "if n > level - params.r:", "if n > level - params.r - 1:",
+     [T_GOODNESS + "test_elbow_badness_matches_hand_analysis"]),
+    ("r gap in the exact walk, finer", GOODNESS,
+     "if lev - 1 <= level - params.r:", "if lev - 1 <= level - params.r + 1:",
+     [T_GOODNESS + "test_exact_good_probability_matches_reference"]),
+    ("r gap in the exact walk, coarser", GOODNESS,
+     "if lev - 1 <= level - params.r:", "if lev - 1 <= level - params.r - 1:",
+     [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("decay layer", GOODNESS,
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_layer_is_closed_at_its_width"]),
