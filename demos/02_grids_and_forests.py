@@ -51,7 +51,7 @@ print("multi-covered points at the top level:",
       [ladder.name(i) for i in rep.multi_covered])
 cubes = build_cubes(fl, 0)
 for cube in cubes:
-    interior = tilde_cube(ladder, cubes, cube.center)
+    interior = tilde_cube(fl, 0, cube.center)
     print(f"cube {ladder.name(cube.center)}:"
           f" members {sorted(ladder.name(i) for i in cube.members)},"
           f" interior {sorted(ladder.name(i) for i in interior.members)}")

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParams, TooLargeForExhaustive
-from .metric import FiniteMetricSpace, _generator, _integer
+from .metric import FiniteMetricSpace, _generator, _require_integer
 
 __all__ = [
     "Grid",
@@ -47,13 +47,6 @@ MAX_LEVELS = 1000  # the most levels a hierarchy may have; finest_level refuses 
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 _FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
 _FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> {key: families}
-
-
-def _require_integer_level(level) -> None:
-    """Raise InvalidParams unless the level is an integer by the rule of
-    ``metric._integer``; levels may be negative, so there is no lower bound."""
-    if _integer(level) is None:
-        raise InvalidParams(f"level must be an integer, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class GridHierarchy:
     def _require_level(self, level: int) -> None:
         """Raise InvalidParams unless the level is one of the hierarchy's: 2.0
         or True would compare equal to a level."""
-        _require_integer_level(level)
+        _require_integer("level", level)  # levels may be negative: no lower bound
         if level not in self.levels:
             raise InvalidParams(f"level {level} not present in the hierarchy")
 
@@ -286,7 +279,7 @@ def finest_level(space: FiniteMetricSpace, delta: float,
         raise InvalidParams("space must be nonempty")
     if not 0 < delta < 1:
         raise InvalidParams("delta must lie in (0, 1)")
-    _require_integer_level(coarsest_level)
+    _require_integer("level", coarsest_level)
     if _scale_or_inf(delta, coarsest_level) == math.inf:
         raise InvalidParams(f"the coarsest scale {delta}**{coarsest_level} overflows")
     md = space.min_distance

@@ -43,8 +43,10 @@ Each threshold rule takes one side, stated here:
   above delta**m.
 
 On a finite space closures are trivial, so covering statements are checked as
-plain covers and the "interior" of a cube is the space minus all sibling
-cubes' member sets.
+plain covers and the "interior" of a cube is the set of points no other cube
+of its level holds: those whose cover count, the column sum of the level's
+cube table that the chain scan reads, is 0 once the cube's own row is taken
+away.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_integer_level,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy,
                     enumerate_maximal_separated, finest_level)
 from .metric import FiniteMetricSpace, _generator, _integer
 
@@ -140,13 +142,15 @@ class LatticeForest:
         return self.chain(point, from_level, to_level)[-1]
 
     def chain(self, point: int, from_level: int, to_level: int) -> list[int]:
-        """Ancestors [point, parent, ...] from fine to coarse, inclusive."""
-        _require_integer_level(from_level)
-        _require_integer_level(to_level)
-        if from_level not in self.levels or to_level not in self.levels:
-            raise InvalidParams("chain levels must lie inside the hierarchy")
+        """Ancestors [point, parent, ...] from fine to coarse, inclusive.  Levels
+        pass the hierarchy's rule; a point that is no integer is refused, as
+        ``cube`` refuses such a center."""
+        self.hierarchy._require_level(from_level)
+        self.hierarchy._require_level(to_level)
         if to_level > from_level:
             raise InvalidParams("ancestor level must be at most the point's level")
+        if _integer(point) is None:
+            raise InvalidParams(f"point must be an integer, got {point!r}")
         if point not in self.hierarchy.grid(from_level).members:
             raise UnknownCenter(f"point {point} is not in the level-{from_level} grid")
         out = [point]
@@ -286,18 +290,15 @@ def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
     return [forest.cube(level, y) for y in forest._level_table(level)[0]]
 
 
-def tilde_cube(space: FiniteMetricSpace, cubes: Sequence[Cube], center: int) -> TildeCube:
-    """Space minus all other cubes of the level (closures are trivial here)."""
-    own, others = None, set()
-    for c in cubes:
-        if c.center == center:
-            own = c
-        else:
-            others |= c.members
-    if own is None:
-        raise UnknownCenter(f"no cube centered at {center}")
-    return TildeCube(center=center, level=own.level,
-                     members=frozenset(range(len(space))) - others)
+def tilde_cube(forest: LatticeForest, level: int, center: int) -> TildeCube:
+    """The points no other cube of the level holds (closures are trivial here):
+    those whose cover count in the level's cube table is 0 once the center's
+    own row is subtracted.  Level and center are checked by ``forest.cube``."""
+    cube = forest.cube(level, center)
+    rows, held = forest.cube_table[level]
+    others = held.sum(axis=0) - held[rows[cube.center]]
+    return TildeCube(center=cube.center, level=cube.level,
+                     members=frozenset(np.flatnonzero(others == 0).tolist()))
 
 
 # --- covering and structural checks -------------------------------------------

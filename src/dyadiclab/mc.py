@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams, InvalidTrials
-from .metric import _integer
+from .errors import ConfigError, InvalidTrials
+from .metric import _integer, _require_integer
 
 __all__ = ["wilson_interval", "trial_rng"]
 
@@ -52,10 +52,7 @@ def _master_seed(seed, name: str = "seed") -> int:
     """The master seed (or, by ``name``, a trial index) as an int, refused
     with InvalidParams unless it is an integer >= 0: ``int`` would draw seed
     2's streams for 2.5."""
-    index = _integer_at_least(seed, 0)
-    if index is None:
-        raise InvalidParams(f"{name} must be an integer >= 0, got {seed!r}")
-    return index
+    return _require_integer(name, seed, 0)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -194,10 +191,7 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
     Refuses a trial count or a worker count that is not an integer >= 1.
     """
     trials = _trial_count(trials)
-    count = _integer_at_least(workers, 1)
-    if count is None:
-        raise InvalidParams(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(count, trials)
+    workers = min(_require_integer("workers", workers, 1), trials)
     if workers <= 1:
         return np.asarray(worker(payload, 0, trials))
     # workers <= trials, so every chunk holds at least one trial

@@ -58,6 +58,16 @@ def _integer(value) -> int | None:
         return None
 
 
+def _require_integer(name: str, value, least: int | None = None) -> int:
+    """The value as an int by the rule of ``_integer``, and at least ``least``
+    when one is given; else InvalidParams naming the parameter."""
+    i = _integer(value)
+    if i is None or (least is not None and i < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidParams(f"{name} must be an integer{bound}, got {value!r}")
+    return i
+
+
 def _generator(rng) -> np.random.Generator:
     """``np.random.default_rng(rng)``, refusing a bool as ``_integer`` does."""
     if isinstance(rng, (bool, np.bool_)):
@@ -140,15 +150,18 @@ class FiniteMetricSpace:
 def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetricSpace:
     """Validate a square matrix against the metric axioms.
 
-    Checks, in order: shape, nonnegativity, zero diagonal, symmetry, absence
-    of duplicate points, and the triangle inequality.  The first violation
-    found is raised with its witness indices; the triangle check reports the
-    lexicographically smallest violating triple (i, j, k) with
-    dist(i,k) > dist(i,j) + dist(j,k), and by how much dist(i,k) exceeds that
-    floating sum: always positive, and as small as one ulp when rounding alone
-    breaks the inequality.
+    Checks, in order: that the entries are integers or floats, shape,
+    nonnegativity, zero diagonal, symmetry, absence of duplicate points, and
+    the triangle inequality.  The first violation found is raised with its
+    witness indices; the triangle check reports the lexicographically
+    smallest violating triple (i, j, k) with dist(i,k) > dist(i,j) + dist(j,k),
+    and by how much dist(i,k) exceeds that floating sum: always positive, and
+    as small as one ulp when rounding alone breaks the inequality.
     """
-    d = np.asarray(matrix, dtype=float)
+    d = np.asarray(matrix)
+    if d.dtype.kind not in "iuf":  # strings, bools, objects; bools among numbers become ints
+        raise InvalidParams(f"distances must be numbers, got entries of dtype {d.dtype}")
+    d = d.astype(float, copy=False)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidParams(f"matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -192,9 +205,12 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
 def space_from_coords(coords, names: Sequence[str] | None = None) -> FiniteMetricSpace:
     """Euclidean space on explicit coordinates (one row per point)."""
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
-    d = (d + d.T) / 2.0  # exact symmetry despite rounding
+    # an infinite or overflowing coordinate gives an inf or NaN distance,
+    # which validate_metric refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt((diff ** 2).sum(axis=-1))
+        d = (d + d.T) / 2.0  # exact symmetry despite rounding
     np.fill_diagonal(d, 0.0)
     if names is None:
         names = [f"p{i}" for i in range(len(pts))]
@@ -388,26 +404,28 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
                    for a hierarchical cascade cloud; requires a seed
     snowflake:     base (a FiniteMetricSpace), alpha in (0, 1]
 
-    Deterministic for a fixed seed.  A key the kind does not take is refused.
+    Deterministic for a fixed seed.  A key the kind does not take is refused,
+    and so is a seed, count or extent that is no integer (or a negative seed).
     """
     try:
         if kind == "tree":
-            build = partial(_tree_space, int(params.pop("branching")),
-                            int(params.pop("height")))
+            build = partial(_tree_space, _require_integer("branching", params.pop("branching")),
+                            _require_integer("height", params.pop("height")))
         elif kind == "grid_points":
-            build = partial(_grid_space, params.pop("shape"), params.pop("spacing", 1.0))
+            shape = tuple(_require_integer("shape extent", s) for s in params.pop("shape"))
+            build = partial(_grid_space, shape, params.pop("spacing", 1.0))
         elif kind == "random_cloud":
             if seed is None:
                 raise InvalidParams("random_cloud requires a seed")
             build = partial(
                 _cloud_space,
-                np.random.default_rng(seed),
-                n=int(params.pop("n")),
-                dim=int(params.pop("dim", 2)),
+                np.random.default_rng(_require_integer("seed", seed, 0)),
+                n=_require_integer("n", params.pop("n")),
+                dim=_require_integer("dim", params.pop("dim", 2)),
                 scale=float(params.pop("scale", 1.0)),
                 min_sep=float(params.pop("min_sep", 0.0)),
-                levels=int(params.pop("levels", 0)),
-                branching=int(params.pop("branching", 3)),
+                levels=_require_integer("levels", params.pop("levels", 0)),
+                branching=_require_integer("branching", params.pop("branching", 3)),
                 ratio=float(params.pop("ratio", 0.1)),
                 spread=tuple(params.pop("spread", (0.25, 0.45))),
             )
@@ -431,6 +449,7 @@ def load_space(path: str) -> FiniteMetricSpace:
     CSV rows are coordinate vectors; an optional leading non-numeric field per
     row names the point.  The first row is a header only when it cannot be a
     data row, that is, unless it is all numbers or a name and then numbers.
+    Every data row needs as many coordinates as data row 0, and at least one.
     """
     if str(path).endswith(".json"):
         with open(path) as fh:
@@ -464,6 +483,11 @@ def load_space(path: str) -> FiniteMetricSpace:
         else:
             names.append(row[0])
             coords.append([float(c) for c in row[1:]])
+        if not coords[i]:
+            raise InvalidParams(f"{path}: row {i} has no coordinates")
+        if len(coords[i]) != len(coords[0]):
+            raise InvalidParams(f"{path}: row {i} has {len(coords[i])} coordinates, "
+                                f"row 0 has {len(coords[0])}")
     return space_from_coords(coords, names)
 
 

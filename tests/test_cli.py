@@ -2,6 +2,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,28 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
     code, out = run_to_file(tmp_path, ["a2", "--input", str(src)])
     assert code == 0
     assert json.loads(out.read_text())["data"]["a2_characteristic"] == 1.0
+
+
+@pytest.mark.parametrize("name, text, needle", [
+    ("strings.json", '{"dist": [[0, "1"], ["1", 0]]}', "distances must be numbers"),
+    ("bools.json", '{"dist": [[false, true], [true, false]]}', "distances must be numbers"),
+    ("header.csv", "a\nb\n", "row 0 has no coordinates"),
+    ("ragged.csv", "1,2\n3\n", "row 1 has 1 coordinates, row 0 has 2"),
+    ("infinite.csv", "1,inf\n2,3\n", "distances must be finite"),
+    ("overflow.csv", "1e200,0\n-1e200,0\n", "distances must be finite"),
+], ids=["string-distances", "bool-distances", "no-coordinates", "unequal-rows",
+        "infinite-coordinate", "overflowing-distance"])
+def test_validate_refuses_malformed_space_files(tmp_path, capsys, name, text, needle):
+    """Each of these files once loaded as some other space, or was refused
+    through a NumPy warning or message; each is refused with its own reason."""
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert needle in json.loads(out)["checks"][0]["detail"]
 
 
 GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"]

@@ -1,5 +1,6 @@
 """Parent forests, cubes, covering lemmas, interiors, chain separation."""
 import copy
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,6 +33,7 @@ from dyadiclab.lattice import (
     CubeCoverReport,
     DIAMETER_FACTOR,
     ForestInvariantReport,
+    TildeCube,
     _balls,
     _link_rule,
     _rival_depth,
@@ -473,24 +475,51 @@ def test_grid_cover_seeded_cloud_bound():
 
 # --- interiors -----------------------------------------------------------------------
 
+# the set-union interior that the cover count replaced, kept verbatim as its
+# oracle and as the oracle's interior in the chain checks below
+def reference_tilde_cube(space: dl.FiniteMetricSpace, cubes: Sequence[Cube],
+                         center: int) -> TildeCube:
+    """Space minus all other cubes of the level (closures are trivial here)."""
+    own, others = None, set()
+    for c in cubes:
+        if c.center == center:
+            own = c
+        else:
+            others |= c.members
+    if own is None:
+        raise UnknownCenter(f"no cube centered at {center}")
+    return TildeCube(center=center, level=own.level,
+                     members=frozenset(range(len(space))) - others)
+
+
 def test_tilde_single_cube_is_space(singleton):
     forest = shared_stream_forest(singleton, 0.5, 0, seed=0)
-    cubes = dl.build_cubes(forest, 0)
-    assert dl.tilde_cube(singleton, cubes, 0).members == {0}
+    assert dl.tilde_cube(forest, 0, 0).members == {0}
 
 
 def test_tilde_disjoint_cover(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=0)
-    cubes = dl.build_cubes(forest, 0)
-    for cube in cubes:
-        assert dl.tilde_cube(two_far, cubes, cube.center).members == cube.members
+    for cube in dl.build_cubes(forest, 0):
+        assert dl.tilde_cube(forest, 0, cube.center).members == cube.members
 
 
 def test_tilde_unknown_center(two_far):
     forest = shared_stream_forest(two_far, 0.5, 0, seed=0)
-    cubes = dl.build_cubes(forest, 0)
-    with pytest.raises(UnknownCenter):
-        dl.tilde_cube(two_far, cubes, 99)
+    with pytest.raises(UnknownCenter, match="^no cube centered at 99 at level 0$"):
+        dl.tilde_cube(forest, 0, 99)
+
+
+def test_tilde_checks_its_inputs_as_cube_does(two_far):
+    """A level outside the hierarchy, and a level or center that is no
+    integer, are refused with the cube lookup's errors."""
+    forest = shared_stream_forest(two_far, 0.5, 0, seed=0)
+    for level, center, message in ((0, 1.0, "center must be an integer, got 1.0"),
+                                   (0, True, "center must be an integer, got True"),
+                                   (0.0, 1, "level must be an integer, got 0.0"),
+                                   (99, 1, "level 99 not present in the hierarchy")):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            dl.tilde_cube(forest, level, center)
+    assert dl.tilde_cube(forest, np.int64(0), np.int64(1)) == dl.tilde_cube(forest, 0, 1)
 
 
 def test_ladder_multi_cover_and_tilde(ladder):
@@ -499,7 +528,7 @@ def test_ladder_multi_cover_and_tilde(ladder):
     rep = dl.check_cube_cover(forest, 0)
     assert rep.multi_covered == (1,)  # the point w
     cubes = dl.build_cubes(forest, 0)
-    tildes = [dl.tilde_cube(ladder, cubes, c.center) for c in cubes]
+    tildes = [dl.tilde_cube(forest, 0, c.center) for c in cubes]
     for cube, tilde in zip(cubes, tildes):
         assert tilde.members <= cube.members
     # interiors are pairwise disjoint; together with shared points they tile
@@ -509,6 +538,25 @@ def test_ladder_multi_cover_and_tilde(ladder):
         seen |= tilde.members
     assert seen | set(rep.multi_covered) == set(range(len(ladder)))
     assert dl.check_forest_invariants(forest).ok
+
+
+def test_tilde_matches_reference_on_every_level(ladder, decay_probe):
+    """The cover-count interior equals the set-union one for every level and
+    center: on the ladder at seed 48, where w lies in two cubes, on the decay
+    probe at ratio 1/1000, and on the 60-point criterion-7 cloud."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    forests = [shared_stream_forest(ladder, 0.1, 0, seed=48)]
+    forests += [shared_stream_forest(decay_probe, 0.001, 0, seed=s) for s in range(4)]
+    forests += [shared_stream_forest(cloud, 0.1, 0, seed=s) for s in range(2)]
+    assert dl.check_cube_cover(forests[0], 0).multi_covered == (1,)
+    for forest in forests:
+        for level in forest.levels:
+            cubes = dl.build_cubes(forest, level)
+            for cube in cubes:
+                got = dl.tilde_cube(forest, level, cube.center)
+                assert got == reference_tilde_cube(forest.space, cubes, cube.center)
+                assert type(got.center) is int
 
 
 # --- structural invariants ------------------------------------------------------------
@@ -941,7 +989,7 @@ def reference_verify_chain_separation(forest, x, chain, base_level, eps):
     for cube in base_cubes:
         if x not in cube.members:
             continue
-        rival = everything - dl.tilde_cube(space, base_cubes, cube.center).members
+        rival = everything - reference_tilde_cube(space, base_cubes, cube.center).members
         if dl.set_distance(space, [x], rival) < eps * scale_k:
             hypothesis = True
             break
@@ -967,7 +1015,7 @@ def reference_rival_depth(forest: dl.LatticeForest, level: int) -> dict[int, flo
     cubes = dl.build_cubes(forest, level)
     depth: dict[int, float] = {}
     for cube in cubes:
-        rival = sorted(everything - dl.tilde_cube(space, cubes, cube.center).members)
+        rival = sorted(everything - reference_tilde_cube(space, cubes, cube.center).members)
         members = sorted(cube.members)
         if rival:
             mins = space.d[np.ix_(members, rival)].min(axis=1)
@@ -1152,13 +1200,27 @@ def test_cube_refuses_a_level_or_center_that_is_no_integer(elbow):
     assert cube == forest.cube(1, 1) and type(cube.center) is int
 
 
+def test_chain_refuses_a_point_that_is_no_integer(elbow):
+    """1.0, True and a NumPy float compare equal to the point 1, which the
+    chain would walk and return; the chain refuses them, as the cube lookup
+    refuses such a center.  A NumPy integer is an integer."""
+    forest = shared_stream_forest(elbow, 0.1, 0, seed=0)
+    top = forest.hierarchy.finest_level
+    for point in (1.0, True, np.float64(1)):
+        message = re.escape(f"point must be an integer, got {point!r}")
+        for walk in (forest.chain, forest.ancestor):
+            with pytest.raises(InvalidParams, match=f"^{message}$"):
+                walk(point, top, 0)
+    assert forest.chain(np.int64(1), top, 0) == forest.chain(1, top, 0)
+
+
 def test_chain_level_guard_messages(l3):
-    """The chain's level guard: a level outside the hierarchy, and a chain
-    asked to climb."""
+    """The chain's level guard: a level outside the hierarchy, refused by the
+    hierarchy's own rule, and a chain asked to climb."""
     forest = shared_stream_forest(l3, 0.1, 0, seed=0)
     top = forest.hierarchy.finest_level
     assert top >= 1
-    outside = "^chain levels must lie inside the hierarchy$"
+    outside = f"^level {top + 1} not present in the hierarchy$"
     with pytest.raises(InvalidParams, match=outside):
         forest.chain(0, top + 1, 0)
     with pytest.raises(InvalidParams, match="^ancestor level must be at most the point's level$"):

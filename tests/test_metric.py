@@ -296,6 +296,32 @@ def test_make_space_refuses_unknown_keys():
             dl.make_space(kind, **params)
 
 
+def test_make_space_refuses_counts_that_are_no_integers():
+    """Seeds, counts and extents follow one integer rule: ``int`` built
+    branching 2 for 2.7 and 4 points for 4.9, True drew the seed-1 cloud, and
+    NumPy refused 2.5 and -1 with bare errors.  NumPy integers are integers."""
+    for kind, params, message in [
+            ("tree", dict(branching=2.7, height=1), "branching must be an integer, got 2.7"),
+            ("tree", dict(branching=2, height=1.0), "height must be an integer, got 1.0"),
+            ("grid_points", dict(shape=(2, 2.5)), "shape extent must be an integer, got 2.5"),
+            ("random_cloud", dict(seed=True, n=5), "seed must be an integer >= 0, got True"),
+            ("random_cloud", dict(seed=2.5, n=5), "seed must be an integer >= 0, got 2.5"),
+            ("random_cloud", dict(seed=-1, n=5), "seed must be an integer >= 0, got -1"),
+            ("random_cloud", dict(seed=1, n=4.9), "n must be an integer, got 4.9"),
+            ("random_cloud", dict(seed=1, n=5, dim="2"), "dim must be an integer, got '2'"),
+            ("random_cloud", dict(seed=1, n=5, levels=2.0), "levels must be an integer, got 2.0"),
+            ("random_cloud", dict(seed=1, n=5, levels=2, branching=2.7),
+             "branching must be an integer, got 2.7")]:
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            dl.make_space(kind, **params)
+    with pytest.raises(InvalidParams, match="^branching must be an integer, got 3.5$"):
+        dl.tree_experiment(3.5, 1)
+    same = dl.make_space("random_cloud", seed=np.int64(1), n=np.int64(5), dim=np.int64(2))
+    assert np.array_equal(same.d, dl.make_space("random_cloud", seed=1, n=5, dim=2).d)
+    tree = dl.make_space("tree", branching=np.int64(2), height=np.int64(1))
+    assert tree.points == dl.make_space("tree", branching=2, height=1).points
+
+
 def test_rounding_cloud_is_redrawn():
     """The first draw of this cascade breaks the exact triangle check by one
     ulp; it is redrawn, and the result is a metric."""

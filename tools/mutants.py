@@ -96,6 +96,13 @@ MUTANTS = [
      "near = depth < _widest_eps(h.delta, m) * h.scale(base_level)",
      "near = depth <= _widest_eps(h.delta, m) * h.scale(base_level)",
      [T_LATTICE + "test_chain_scan_rival_gate_is_strict"]),
+    # a cube's interior: the points no other cube of its level holds
+    ("interior cover count", LATTICE,
+     "others == 0", "others <= 1",
+     [T_LATTICE + "test_ladder_multi_cover_and_tilde"]),
+    ("interior without the own row", LATTICE,
+     "others = held.sum(axis=0) - held[rows[cube.center]]", "others = held.sum(axis=0)",
+     [T_LATTICE + "test_tilde_single_cube_is_space"]),
     ("occupancy", METRIC,
      "counts = (space.d < radius).sum(axis=1)", "counts = (space.d <= radius).sum(axis=1)",
      [T_METRIC + "test_max_ball_occupancy_examples"]),
