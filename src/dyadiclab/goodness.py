@@ -36,13 +36,16 @@ The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow ``mc``'s rules, checked before any trial runs.  A
-chunk of trials draws from one reused generator: it reads each trial's
-state from ``mc._trial_states`` as the trial starts, checks the first against
-``trial_rng``, and sets each state in turn.  A trial first replays its draws
-along the draw paths of the earlier trials of its chunk, kept in two maps
-keyed by the values drawn, making an integers call with few bounds above 1 as
-scalar draws, so a chunk builds and classifies each distinct forest once; the
-streams are drawn as if every trial built its own forest.
+chunk of trials reads each trial's PCG64 state from ``mc._trial_states`` as
+the trial starts, and checks the first against ``trial_rng``.  A forest is a
+function of its drawn values, so the chunk keeps the draw paths of its earlier
+trials in two maps keyed by the values drawn, and a trial walks them on the
+draws its state's words make, computed in plain ints as NumPy computes them
+(``mc._walk``), with no generator call; a trial whose path is known builds
+nothing and takes its coin from the same words.  Any other sets its state on
+one reused generator and builds, so a chunk builds and classifies each
+distinct forest once, and the streams are drawn as if every trial built its
+own forest.
 """
 from __future__ import annotations
 
@@ -64,8 +67,8 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
                       build_forest)
-from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, run_chunked,
-                 trial_rng, wilson_interval)
+from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, _random,
+                 _walk, run_chunked, trial_rng, wilson_interval)
 from .metric import FiniteMetricSpace, max_ball_occupancy
 
 __all__ = [
@@ -174,27 +177,8 @@ class DecayFit:
 
 
 _MISS_BUDGET = 256  # draw paths one trial chunk enters in its maps; later misses only build
-# an integers call with at most this many bounds above 1 is replayed as scalar
-# draws: about 3 us each, against about 14 us for the array call (timeit,
-# numpy 2.4 on an Intel Xeon); every call on the 3-point elbow falls below, and
-# the criterion-7 cloud's first call, with 21 bounds above 1, above
-_SCALAR_DRAWS = 4
-
-
-def _scalar_draws(rng: np.random.Generator, bounds: tuple) -> tuple:
-    """The values of ``rng.integers(bounds)`` as one scalar draw per bound
-    above 1 and a 0 per bound of 1: the same values, and the stream left in
-    the same state (tests/test_grids.py pins this), without the array call's
-    fixed cost of bounds checks."""
-    return tuple([int(rng.integers(b)) if b > 1 else 0 for b in bounds])
-
-
-def _array_draw(rng: np.random.Generator, bounds: tuple) -> tuple:
-    return tuple(rng.integers(bounds).tolist())
-
-
-def _permutation(rng: np.random.Generator, n: int) -> tuple:
-    return tuple(rng.permutation(n).tolist())
+# the run-time guard's draws: they mix bounds of 1 and the swaps of a permutation
+_PROBE = (("integers", (1, 3, 2, 1, 6, 5)), ("permutation", 7))
 
 
 @cache
@@ -204,9 +188,8 @@ def _recorder_type() -> type:
 
     class Recorder(np.random.Generator):
         """A generator on a shared bit generator that logs the draw calls a
-        forest's build makes, as ((replay, argument), drawn values) pairs:
-        ``replay(rng, argument)`` makes the same draws and returns the values.
-        An integers call's argument is its bounds as a tuple of ints."""
+        forest's build makes, as ((method name, argument), drawn values)
+        pairs.  An integers call's argument is its bounds as a tuple of ints."""
 
         def __init__(self, bit_generator):
             super().__init__(bit_generator)
@@ -218,49 +201,52 @@ def _recorder_type() -> type:
 
         def integers(self, bounds):
             logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
-            few = len(logged) - logged.count(1) <= _SCALAR_DRAWS  # every bound is >= 1
-            return self._logged((_scalar_draws if few else _array_draw, logged),
-                                super().integers(bounds))
+            return self._logged(("integers", logged), super().integers(bounds))
 
         def permutation(self, n):
-            return self._logged((_permutation, n), super().permutation(n))
+            return self._logged(("permutation", n), super().permutation(n))
 
     return Recorder
 
 
-def _replay(calls: dict, rng: np.random.Generator) -> tuple:
-    """Make the trial's draws while ``calls`` knows the next draw call after
-    the values drawn so far; the values drawn, one tuple per call."""
-    prefix = ()
-    while (call := calls.get(prefix)) is not None:
-        replay, arg = call
-        prefix += (replay(rng, arg),)
-    return prefix
+def _words_match(rng: np.random.Generator, state: dict) -> bool:
+    """Whether a walk on the words of a state makes the draws of ``_PROBE``,
+    and the coin after them, as the generator does from that state."""
+    rng.bit_generator.state = state
+    drawn = tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in _PROBE)
+    inc = state["state"]["inc"]
+    prefix, after, half = _walk({drawn[:i]: call for i, call in enumerate(_PROBE)},
+                                state["state"]["state"], inc)
+    return prefix == drawn and _random(after, inc, half)[0] == rng.random()
 
 
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
     ``trial_rng(seed, t)``, its part ``row(forest)``, and the row
-    ``finish(part, rng)``, whose own draws come after the forest's (the row is
-    the part itself when ``finish`` is None).
+    ``finish(part, xi)``, with xi the stream's ``random()`` after the
+    forest's draws (the row is the part itself when ``finish`` is None).
 
-    The chunk draws every trial from one generator: it reads each trial's
-    state from ``_trial_states`` as the trial starts, checks the first against
-    ``trial_rng(seed, lo)``, and sets each state in turn on that generator's
-    bit generator, which the recorder shares.
+    The chunk reads each trial's PCG64 state from ``_trial_states`` as the
+    trial starts, and checks the first against ``trial_rng(seed, lo)``.
 
     A forest is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the chunk keeps, for the
     length of the call, the next draw call after each prefix of drawn values
     (``calls``) and the part at the end of each complete path (``parts``).  A
-    trial first replays its draws while ``calls`` knows the next one, an
-    integers call with few bounds above 1 as scalar draws; one whose path is
-    in ``parts`` builds nothing.  Any other sets its state again, builds the
-    forest through the recorder, and enters its path while ``parts`` holds
+    trial first walks ``calls`` on the draws that the words of its state, its
+    LCG (state, inc), make (``mc._walk``); one whose path is in ``parts``
+    builds nothing, sets no state, and takes xi from the words that follow.
+    Any other, and any trial whose walk meets a rejected integers draw or a
+    bound above 2**32, sets its state on one reused generator, builds the
+    forest through the recorder that shares the generator's bit generator,
+    takes xi from the generator, and enters its path while ``parts`` holds
     fewer than ``_MISS_BUDGET`` paths; each such miss enters a new one, since
-    a trial whose whole path is entered replays it to the end.  So a chunk
+    a trial whose whole path is entered walks it to the end.  So a chunk
     builds each distinct forest about once, and every stream is drawn as if
-    each trial built its own.
+    each trial built its own.  The walk is used only when a walk on the
+    first trial's words makes the draws of ``_PROBE``, and the coin after
+    them, as the generator does; else every trial builds, so a NumPy whose
+    draws move costs speed, not correctness.
     """
     space, params, coarsest_level, mode, limit, seed, row, finish = payload
     rng = trial_rng(seed, lo)
@@ -270,13 +256,17 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     if bit_generator.state != first:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
+    served = _words_match(rng, first)
     recorder = _recorder_type()(bit_generator)
     calls, parts = {}, {}
     rows = []
     for state in itertools.chain([first], states):
-        bit_generator.state = state
-        part = parts.get(_replay(calls, rng))
-        if part is None:
+        inc = state["state"]["inc"]
+        prefix, after, half = (_walk(calls, state["state"]["state"], inc) if served
+                               else (None, 0, None))
+        part = parts.get(prefix)
+        hit = part is not None
+        if not hit:
             bit_generator.state = state
             recorder.path.clear()
             hierarchy = build_nested_grids(space, params.delta, coarsest_level,
@@ -288,7 +278,9 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                     calls[prefix] = call
                     prefix += (values,)
                 parts[prefix] = part
-        rows.append(part if finish is None else finish(part, rng))
+        if finish is not None:
+            part = finish(part, _random(after, inc, half)[0] if hit else rng.random())
+        rows.append(part)
     return np.array(rows, dtype=np.int64)
 
 
@@ -511,9 +503,8 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _equalized_row(part: tuple[int, int], rng, a: float, p_q: float) -> tuple[int]:
-    """The really-good verdict of a ``_bad_row`` part, with its own coin."""
-    xi = float(rng.random())
+def _equalized_row(part: tuple[int, int], xi: float, a: float, p_q: float) -> tuple[int]:
+    """The really-good verdict of a ``_bad_row`` part, with its own coin xi."""
     return (int(not part[0] and equalize(p_q, a, xi)),)
 
 

@@ -12,6 +12,8 @@ Trial t of a run with master seed s draws from its own stream,
 when the entropy fits the hash's pool (s below 2**96 and t below 2**32, the
 shape of every ordinary run), and from ``trial_rng`` itself otherwise; either
 way each trial's state is built when that trial starts, not all at once.
+``_walk`` computes the draws a Generator makes from such a state in plain
+ints, with no generator, for the trial chunks' known draw paths.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
 # words, then the PCG64 seeding step; their constants, and the hash constants
 # of the pool's mixing and of generate_state, which do not depend on the data.
 _POOL = 4
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -148,6 +150,78 @@ def _pcg64_state(initstate: int, initseq: int) -> dict:
     state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+# The draws a NumPy Generator on PCG64 makes from a state just set, computed
+# in plain ints from its 128-bit LCG (state, inc) as NumPy computes them.  A
+# 32-bit draw takes an output's low half, then its buffered high half, kept
+# as ``half`` (None when empty, as a state set leaves it).  Each draw takes
+# the stream where the last left it, as (state, inc, half), and returns its
+# values and the (state, half) after them.  tests/test_goodness.py pins every
+# draw, and the state left, to NumPy's.
+
+def _next64(state: int, inc: int) -> tuple[int, int]:
+    """One output: the LCG steps, and XSL-RR maps the new state to 64 bits."""
+    state = (state * _PCG_MULT + inc) & _MASK128
+    word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+    return state, (word >> rot | word << (64 - rot)) & _MASK64
+
+
+def _walk(calls: dict, state: int, inc: int):
+    """The values drawn, one tuple per call, while ``calls`` maps the values
+    drawn so far to the next call, ``("integers", bounds)`` or
+    ``("permutation", n)``, and the (state, half) after them.  ``integers``
+    is Lemire's method on 32-bit draws, a bound of 1 drawing nothing; the
+    values are None where one of its draws would be rejected and drawn again,
+    or a bound exceeds 2**32."""
+    prefix, half = (), None
+    while (call := calls.get(prefix)) is not None:
+        name, arg = call
+        if name == "permutation":
+            values, state, half = _permutation(arg, state, inc, half)
+        else:
+            values = []
+            for bound in arg:
+                if bound == 1:
+                    values.append(0)
+                    continue
+                if half is None:
+                    state, word = _next64(state, inc)
+                    draw, half = word & _MASK32, word >> 32
+                else:
+                    draw, half = half, None
+                m = draw * bound
+                if bound > 1 << 32 or m & _MASK32 < ((1 << 32) - bound) % bound:
+                    return None, state, half
+                values.append(m >> 32)
+            values = tuple(values)
+        prefix += (values,)
+    return prefix, state, half
+
+
+def _permutation(n: int, state: int, inc: int, half):
+    """``permutation(n)``: Fisher-Yates from the last place down to place 1,
+    each swap index a 32-bit draw under the place's bit mask, drawn again
+    while above the place."""
+    values = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if half is None:
+                state, word = _next64(state, inc)
+                draw, half = word & _MASK32, word >> 32
+            else:
+                draw, half = half, None
+            if (j := draw & mask) <= i:
+                break
+        values[i], values[j] = values[j], values[i]
+    return tuple(values), state, half
+
+
+def _random(state: int, inc: int, half):
+    """``random()``, from a fresh output: the buffered half stays buffered."""
+    state, word = _next64(state, inc)
+    return (word >> 11) * 2.0 ** -53, state, half
 
 
 def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[dict]:

@@ -158,7 +158,14 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
     and by how much dist(i,k) exceeds that floating sum: always positive, and
     as small as one ulp when rounding alone breaks the inequality.
     """
-    d = np.asarray(matrix)
+    try:
+        d = np.asarray(matrix)
+    except ValueError:  # a ragged matrix: name the first row whose length is not row 0's
+        lengths = [len(row) if isinstance(row, (list, tuple)) else None for row in matrix]
+        i = next((i for i, n in enumerate(lengths) if n != lengths[0]), None)
+        if i is None or None in (lengths[0], lengths[i]):
+            raise
+        raise InvalidParams(f"row {i} has {lengths[i]} entries, row 0 has {lengths[0]}") from None
     if d.dtype.kind not in "iuf":  # strings, bools, objects; bools among numbers become ints
         raise InvalidParams(f"distances must be numbers, got entries of dtype {d.dtype}")
     d = d.astype(float, copy=False)
@@ -412,7 +419,10 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
             build = partial(_tree_space, _require_integer("branching", params.pop("branching")),
                             _require_integer("height", params.pop("height")))
         elif kind == "grid_points":
-            shape = tuple(_require_integer("shape extent", s) for s in params.pop("shape"))
+            shape = params.pop("shape")
+            if not isinstance(shape, Iterable):
+                raise InvalidParams(f"shape must be a sequence of extents, got {shape!r}")
+            shape = tuple(_require_integer("shape extent", s) for s in shape)
             build = partial(_grid_space, shape, params.pop("spacing", 1.0))
         elif kind == "random_cloud":
             if seed is None:

@@ -355,9 +355,11 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
     ("bools.json", '{"dist": [[false, true], [true, false]]}', "distances must be numbers"),
     ("header.csv", "a\nb\n", "row 0 has no coordinates"),
     ("ragged.csv", "1,2\n3\n", "row 1 has 1 coordinates, row 0 has 2"),
+    ("ragged.json", '{"dist": [[0, 1], [1]]}', "row 1 has 1 entries, row 0 has 2"),
     ("infinite.csv", "1,inf\n2,3\n", "distances must be finite"),
     ("overflow.csv", "1e200,0\n-1e200,0\n", "distances must be finite"),
 ], ids=["string-distances", "bool-distances", "no-coordinates", "unequal-rows",
+        "unequal-distance-rows",
         "infinite-coordinate", "overflowing-distance"])
 def test_validate_refuses_malformed_space_files(tmp_path, capsys, name, text, needle):
     """Each of these files once loaded as some other space, or was refused

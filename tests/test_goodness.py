@@ -831,23 +831,67 @@ def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
         assert_rows_match_reference(monkeypatch, *case)
 
 
-@pytest.mark.parametrize("budget, builds", [(0, 1500), (goodness._MISS_BUDGET, 6)])
-def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
-    """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
-    once, unless its miss budget is spent."""
+def count_builds(monkeypatch) -> list:
+    """The hierarchies the trial chunks build forests from, from now on."""
     built = []
 
     def counting_build_forest(hierarchy, rng):
         built.append(hierarchy)
         return build_forest(hierarchy, rng)
 
-    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
     monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
+    return built
+
+
+@pytest.mark.parametrize("budget, builds", [(0, 1500), (goodness._MISS_BUDGET, 6)])
+def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
+    """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
+    once, unless its miss budget is spent."""
+    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
+    built = count_builds(monkeypatch)
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
     assert len(built) == builds
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+
+
+def test_trial_chunk_serves_permutations_from_the_words(monkeypatch, elbow):
+    """Greedy grids draw a permutation per level: the elbow's 1500
+    greedy-mode trials still build only their 18 distinct forests."""
+    built = count_builds(monkeypatch)
+    est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5,
+                                   mode="greedy_permutation")
+    assert len(built) <= 18
+    assert est.bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "greedy_permutation", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+         reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+
+
+def off_by_one_bit(next64):
+    def shifted(state, inc):
+        state, word = next64(state, inc)
+        return state, word ^ 1
+    return shifted
+
+
+@pytest.mark.parametrize("disagree", ["guard", "words"])
+def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, disagree,
+                                                                elbow, ladder, decay_probe):
+    """A chunk whose first trial's words do not make the probe's draws as
+    the generator does builds every trial, with the reference's rows: with
+    the guard forced to fail, and with words whose outputs are one bit off."""
+    if disagree == "guard":
+        monkeypatch.setattr(goodness, "_words_match", lambda rng, state: False)
+    else:
+        monkeypatch.setattr(mc, "_next64", off_by_one_bit(mc._next64))
+        assert not goodness._words_match(trial_rng(5, 0), next(_trial_states(5, 0, 1)))
+    cases = pipeline_cases(elbow, ladder, decay_probe)
+    for case in (cases[0], cases[4]):
+        assert_rows_match_reference(monkeypatch, *case)
+    built = count_builds(monkeypatch)
+    estimate_bad_probability(elbow, 2, "x", PARAMS, trials=300, seed=5)
+    assert len(built) == 300
 
 
 def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):
@@ -930,6 +974,83 @@ def test_trial_state_set_resets_the_buffered_half_word():
     assert rng.bit_generator.state == ref.bit_generator.state
     assert (rng.integers(10, size=5, dtype=np.uint32).tolist()
             == ref.integers(10, size=5, dtype=np.uint32).tolist())
+
+
+# --- the draws a trial chunk computes from PCG64's words ----------------------------------
+
+class Script:
+    """A map of draw calls that gives call i after any i values drawn."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def get(self, prefix):
+        return self.calls[len(prefix)] if len(prefix) < len(self.calls) else None
+
+
+# about half of the 32-bit draws for 2**31 + 1 are rejected; bounds of 1 draw
+# nothing, and 2**32 takes the draw itself
+WORD_SCRIPTS = [
+    [("integers", (1, 2, 3))],
+    [("integers", (3,))],
+    [("integers", (2, 1, 2**32, 3)), ("permutation", 5)],
+    [("permutation", 6), ("integers", (1, 1))],
+    [("permutation", 1), ("permutation", 2), ("integers", (3, 3, 3))],
+    [("integers", (2**31 + 1, 2))],
+    [("integers", (1, 3, 2**31 + 1)), ("permutation", 3)],
+]
+
+
+def halves_drawn(state: int, inc: int, left: dict) -> int:
+    """The 32-bit halves a generator drew from a state just set, to where it
+    left ``left``: two per LCG step, less the one it still buffers."""
+    steps = 0
+    while state != left["state"]["state"]:
+        state = (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        steps += 1
+    return 2 * steps - left["has_uint32"]
+
+
+def assert_stream_at(rng, state: int, half):
+    """The generator's stream is at the LCG state, buffering the half word."""
+    left = rng.bit_generator.state
+    assert (state, half is not None) == (left["state"]["state"], left["has_uint32"])
+    assert half is None or half == left["uinteger"]
+
+
+def test_words_make_the_generators_draws():
+    """From 240 trial states, a walk on the words makes the values of
+    Generator.integers and permutation, and the coin of random() after them,
+    and leaves the stream where the generator does, its buffered half word
+    too, for even and odd counts of 32-bit draws before the coin; a walk
+    ends with no values exactly where an integers draw is rejected, and at a
+    bound above 2**32."""
+    rng = np.random.Generator(np.random.PCG64())
+    outcomes = collections.Counter()
+    for t, state in enumerate(_trial_states(9, 0, 240)):
+        words = state["state"]
+        calls = WORD_SCRIPTS[t % len(WORD_SCRIPTS)]
+        prefix, after, half = mc._walk(Script(calls), words["state"], words["inc"])
+        rng.bit_generator.state = state
+        if prefix is None:  # the scripts' bounds of 2**31 + 1 are in their first call
+            _, bounds = calls[0]
+            rng.integers(bounds)
+            assert halves_drawn(words["state"], words["inc"], rng.bit_generator.state) > \
+                len(bounds) - bounds.count(1)
+            outcomes["rejected"] += 1
+            continue
+        assert prefix == tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in calls)
+        assert_stream_at(rng, after, half)
+        outcomes["odd" if half is not None else "even"] += 1
+        coin, after, half = mc._random(after, words["inc"], half)
+        assert coin == rng.random()
+        assert_stream_at(rng, after, half)
+    assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
+    for state in itertools.islice(_trial_states(9, 0, 240), 20):
+        words = state["state"]
+        for bounds in [(2**32 + 1,), (1, 2**40)]:
+            calls = Script([("integers", bounds)])
+            assert mc._walk(calls, words["state"], words["inc"])[0] is None
 
 
 # --- Wilson intervals ---------------------------------------------------------------------

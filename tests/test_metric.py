@@ -299,11 +299,13 @@ def test_make_space_refuses_unknown_keys():
 def test_make_space_refuses_counts_that_are_no_integers():
     """Seeds, counts and extents follow one integer rule: ``int`` built
     branching 2 for 2.7 and 4 points for 4.9, True drew the seed-1 cloud, and
-    NumPy refused 2.5 and -1 with bare errors.  NumPy integers are integers."""
+    NumPy refused 2.5 and -1 with bare errors, as iterating refused a shape
+    of one int.  NumPy integers are integers."""
     for kind, params, message in [
             ("tree", dict(branching=2.7, height=1), "branching must be an integer, got 2.7"),
             ("tree", dict(branching=2, height=1.0), "height must be an integer, got 1.0"),
             ("grid_points", dict(shape=(2, 2.5)), "shape extent must be an integer, got 2.5"),
+            ("grid_points", dict(shape=3), "shape must be a sequence of extents, got 3"),
             ("random_cloud", dict(seed=True, n=5), "seed must be an integer >= 0, got True"),
             ("random_cloud", dict(seed=2.5, n=5), "seed must be an integer >= 0, got 2.5"),
             ("random_cloud", dict(seed=-1, n=5), "seed must be an integer >= 0, got -1"),

@@ -26,6 +26,7 @@ GOODNESS = "src/dyadiclab/goodness.py"
 LATTICE = "src/dyadiclab/lattice.py"
 GRIDS = "src/dyadiclab/grids.py"
 METRIC = "src/dyadiclab/metric.py"
+MC = "src/dyadiclab/mc.py"
 T_GOODNESS = "tests/test_goodness.py::"
 T_LATTICE = "tests/test_lattice.py::"
 T_GRIDS = "tests/test_grids.py::"
@@ -69,6 +70,24 @@ MUTANTS = [
     ("miss budget", GOODNESS,
      "if len(parts) < _MISS_BUDGET:", "if len(parts) <= _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
+    # the draws computed from PCG64's words: the buffered high half of an
+    # output (in integers, then in permutation), the swap draw's bit mask, and
+    # a coin that must come from a fresh output
+    ("integers without the half-word buffer", MC,
+     "                    draw, half = word & _MASK32, word >> 32",
+     "                    draw, half = word & _MASK32, None",
+     [T_GOODNESS + "test_words_make_the_generators_draws"]),
+    ("permutation without the half-word buffer", MC,
+     "\n                draw, half = word & _MASK32, word >> 32",
+     "\n                draw, half = word & _MASK32, None",
+     [T_GOODNESS + "test_words_make_the_generators_draws"]),
+    ("permutation mask one bit wider", MC,
+     "mask = (1 << i.bit_length()) - 1", "mask = (1 << i.bit_length() + 1) - 1",
+     [T_GOODNESS + "test_words_make_the_generators_draws"]),
+    ("coin from the buffered half", MC,
+     "return (word >> 11) * 2.0 ** -53, state, half",
+     "return ((word if half is None else half << 32) >> 11) * 2.0 ** -53, state, half",
+     [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("conflict", GRIDS,
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
