@@ -61,7 +61,7 @@ from .measures import (
     measure_doubling_constant,
     weighted_measure_from_maps,
 )
-from .metric import load_space, max_ball_occupancy
+from .metric import _require_integer, load_space, max_ball_occupancy
 
 SCHEMA = "dyadiclab-report/1"
 
@@ -85,10 +85,7 @@ def _load(path: str):
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
-    return seed
+    return _require_integer("seed", int(text), 0, argparse.ArgumentTypeError)
 
 
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:

@@ -20,13 +20,12 @@ from typing import Iterable
 
 from .errors import (
     InjectivityViolation,
-    InvalidParams,
     PreconditionNotWS,
     TooLargeForExhaustive,
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, _is_maximal,
                     enumerate_maximal_separated)
-from .metric import FiniteMetricSpace, ball, make_space
+from .metric import FiniteMetricSpace, _require_integer, ball, make_space
 
 __all__ = [
     "ProperColoring",
@@ -186,8 +185,8 @@ def tree_experiment(branching: int, height: int,
     The tree has unit edge lengths, so the conflict graph at threshold 2 is
     the tree's own adjacency.
     """
-    if branching < 1 or height < 0:
-        raise InvalidParams("need branching >= 1 and height >= 0")
+    branching = _require_integer("branching", branching, 1)
+    height = _require_integer("height", height, 0)
     vertices = layer = 1
     for _ in range(height):
         layer *= branching

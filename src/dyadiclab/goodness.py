@@ -35,17 +35,17 @@ the estimator's own draws (the equalization coin of ``estimate_really_good``).
 The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
-and the master seed follow ``mc``'s rules, checked before any trial runs.  A
-chunk of trials reads each trial's PCG64 state from ``mc._trial_states`` as
-the trial starts, and checks the first against ``trial_rng``.  A forest is a
-function of its drawn values, so the chunk keeps the draw paths of its earlier
-trials in two maps keyed by the values drawn, and a trial walks them on the
-draws its state's words make, computed in plain ints as NumPy computes them
-(``mc._walk``), with no generator call; a trial whose path is known builds
-nothing and takes its coin from the same words.  Any other sets its state on
-one reused generator and builds, so a chunk builds and classifies each
-distinct forest once, and the streams are drawn as if every trial built its
-own forest.
+and the master seed follow the integer rule of ``metric``, checked before any
+trial runs.  A chunk of trials reads each trial's PCG64 state, its LCG
+(state, inc) pair, from ``mc._trial_states`` as the trial starts, and checks
+the first against ``trial_rng``.  A forest is a function of its drawn values,
+so the chunk keeps the draw paths of its earlier trials in two maps keyed by
+the values drawn, and a trial walks them on the draws its pair's words make,
+computed in plain ints as NumPy computes them (``mc._walk``), with no
+generator call; a trial whose path is known builds nothing and takes its coin
+from the same words.  Any other sets its state on one reused generator and
+builds, so a chunk builds and classifies each distinct forest once, and the
+streams are drawn as if every trial built its own forest.
 """
 from __future__ import annotations
 
@@ -67,9 +67,9 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
                       build_forest)
-from .mc import (_integer_at_least, _master_seed, _trial_count, _trial_states, _random,
-                 _walk, run_chunked, trial_rng, wilson_interval)
-from .metric import FiniteMetricSpace, max_ball_occupancy
+from .mc import (_lcg, _master_seed, _trial_count, _trial_states, _random, _walk,
+                 run_chunked, trial_rng, wilson_interval)
+from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
 __all__ = [
     "GoodnessParams",
@@ -99,10 +99,7 @@ class GoodnessParams:
             raise InvalidParams("delta must lie in (0, 1)")
         if not 0 < self.gamma < 1:
             raise InvalidParams("gamma must lie in (0, 1)")
-        r = _integer_at_least(self.r, 1)
-        if r is None:
-            raise InvalidParams("r must be a positive integer")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _require_integer("r", self.r, 1))
         if self.delta ** (self.r * (1 - self.gamma)) >= 0.5:
             raise InvalidParams(
                 "need delta**(r*(1-gamma)) < 1/2; increase r or decrease delta")
@@ -209,15 +206,13 @@ def _recorder_type() -> type:
     return Recorder
 
 
-def _words_match(rng: np.random.Generator, state: dict) -> bool:
-    """Whether a walk on the words of a state makes the draws of ``_PROBE``,
-    and the coin after them, as the generator does from that state."""
-    rng.bit_generator.state = state
+def _words_match(rng: np.random.Generator, state: tuple[int, int]) -> bool:
+    """Whether a walk on the words of an LCG (state, inc) makes the draws of
+    ``_PROBE``, and the coin after them, as ``rng`` does, a generator just
+    seeded at that state."""
     drawn = tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in _PROBE)
-    inc = state["state"]["inc"]
-    prefix, after, half = _walk({drawn[:i]: call for i, call in enumerate(_PROBE)},
-                                state["state"]["state"], inc)
-    return prefix == drawn and _random(after, inc, half)[0] == rng.random()
+    prefix, after, half = _walk({drawn[:i]: call for i, call in enumerate(_PROBE)}, *state)
+    return prefix == drawn and _random(after, state[1], half)[0] == rng.random()
 
 
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
@@ -226,48 +221,48 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     ``finish(part, xi)``, with xi the stream's ``random()`` after the
     forest's draws (the row is the part itself when ``finish`` is None).
 
-    The chunk reads each trial's PCG64 state from ``_trial_states`` as the
-    trial starts, and checks the first against ``trial_rng(seed, lo)``.
+    The chunk reads each trial's PCG64 state, the int pair (state, inc) of
+    its LCG, from ``_trial_states`` as the trial starts, and checks the first
+    against ``trial_rng(seed, lo)``.
 
     A forest is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the chunk keeps, for the
     length of the call, the next draw call after each prefix of drawn values
     (``calls``) and the part at the end of each complete path (``parts``).  A
-    trial first walks ``calls`` on the draws that the words of its state, its
-    LCG (state, inc), make (``mc._walk``); one whose path is in ``parts``
-    builds nothing, sets no state, and takes xi from the words that follow.
-    Any other, and any trial whose walk meets a rejected integers draw or a
-    bound above 2**32, sets its state on one reused generator, builds the
-    forest through the recorder that shares the generator's bit generator,
-    takes xi from the generator, and enters its path while ``parts`` holds
-    fewer than ``_MISS_BUDGET`` paths; each such miss enters a new one, since
-    a trial whose whole path is entered walks it to the end.  So a chunk
-    builds each distinct forest about once, and every stream is drawn as if
-    each trial built its own.  The walk is used only when a walk on the
-    first trial's words makes the draws of ``_PROBE``, and the coin after
-    them, as the generator does; else every trial builds, so a NumPy whose
-    draws move costs speed, not correctness.
+    trial first walks ``calls`` on the draws that the words of its pair make
+    (``mc._walk``); one whose path is in ``parts`` builds nothing, sets no
+    state, and takes xi from the words that follow.  Any other, and any trial
+    whose walk meets a rejected integers draw or a bound above 2**32, sets
+    the generator state its pair stands for, with no buffered half word, on
+    one reused generator, builds the forest through the recorder that shares
+    the generator's bit generator, takes xi from the generator, and enters
+    its path while ``parts`` holds fewer than ``_MISS_BUDGET`` paths; each
+    such miss enters a new one, since a trial whose whole path is entered
+    walks it to the end.  So a chunk builds each distinct forest about once,
+    and every stream is drawn as if each trial built its own.  The walk is
+    used only when a walk on the first trial's words makes the draws of
+    ``_PROBE``, and the coin after them, as the generator does; else every
+    trial builds, so a NumPy whose draws move costs speed, not correctness.
     """
     space, params, coarsest_level, mode, limit, seed, row, finish = payload
     rng = trial_rng(seed, lo)
     bit_generator = rng.bit_generator
     states = _trial_states(seed, lo, hi)
     first = next(states)
-    if bit_generator.state != first:
+    if _lcg(rng) != first:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     served = _words_match(rng, first)
     recorder = _recorder_type()(bit_generator)
     calls, parts = {}, {}
     rows = []
-    for state in itertools.chain([first], states):
-        inc = state["state"]["inc"]
-        prefix, after, half = (_walk(calls, state["state"]["state"], inc) if served
-                               else (None, 0, None))
+    for state, inc in itertools.chain([first], states):
+        prefix, after, half = _walk(calls, state, inc) if served else (None, 0, None)
         part = parts.get(prefix)
         hit = part is not None
         if not hit:
-            bit_generator.state = state
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
             recorder.path.clear()
             hierarchy = build_nested_grids(space, params.delta, coarsest_level,
                                            recorder, mode=mode, limit=limit)

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy,
                     enumerate_maximal_separated, finest_level)
-from .metric import FiniteMetricSpace, _generator, _integer
+from .metric import FiniteMetricSpace, _generator, _integer, _require_integer
 
 __all__ = [
     "Cube",
@@ -149,8 +149,7 @@ class LatticeForest:
         self.hierarchy._require_level(to_level)
         if to_level > from_level:
             raise InvalidParams("ancestor level must be at most the point's level")
-        if _integer(point) is None:
-            raise InvalidParams(f"point must be an integer, got {point!r}")
+        _require_integer("point", point)
         if point not in self.hierarchy.grid(from_level).members:
             raise UnknownCenter(f"point {point} is not in the level-{from_level} grid")
         out = [point]
@@ -188,8 +187,7 @@ class LatticeForest:
         """The cube of one grid point at one level.  A level or center that is
         no integer is refused: 1.0 or True would find a row of the table."""
         rows, held = self._level_table(level)
-        if _integer(center) is None:
-            raise InvalidParams(f"center must be an integer, got {center!r}")
+        _require_integer("center", center)
         if center not in rows:
             raise UnknownCenter(f"no cube centered at {center} at level {level}")
         return Cube(center=int(center), level=level, scale=self.hierarchy.scale(level),

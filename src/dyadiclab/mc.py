@@ -1,17 +1,20 @@
 """Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out.
 
-The rules for a seeded run's inputs live here, and every entry point and
-estimator applies them before any trial runs: a trial count must be an
-integer >= 1 (else ``InvalidTrials``), a master seed and a trial index
-integers >= 0, and a worker count an integer >= 1 (else ``InvalidParams``).
-NumPy integers pass; floats, strings and bools are refused, not truncated.
+Every entry point and estimator reads a seeded run's inputs before any trial
+runs, by the package's one integer rule, ``metric._require_integer``: a
+trial count must be an integer >= 1 (else ``InvalidTrials``), a master seed
+and a trial index integers >= 0, and a worker count an integer >= 1 (else
+``InvalidParams``).  NumPy integers pass; floats, strings and bools are
+refused, not truncated.
 
 Trial t of a run with master seed s draws from its own stream,
-``trial_rng(s, t)``.  A chunk of trials takes its streams' states from
-``_trial_states``: its hash words in one array pass of NumPy's seeding hash
-when the entropy fits the hash's pool (s below 2**96 and t below 2**32, the
-shape of every ordinary run), and from ``trial_rng`` itself otherwise; either
-way each trial's state is built when that trial starts, not all at once.
+``trial_rng(s, t)``.  A chunk of trials takes each stream's state, its PCG64
+LCG words as an int pair (state, inc), from ``_trial_states``: the hash
+words come from array passes of NumPy's seeding hash over blocks of 4096
+trials when the entropy fits the hash's pool (s below 2**96 and t below
+2**32, the shape of every ordinary run), and from ``trial_rng`` itself
+otherwise; either way each trial's pair is built as the chunk reads it, and
+no more than one block is held at once.
 ``_walk`` computes the draws a Generator makes from such a state in plain
 ints, with no generator, for the trial chunks' known draw paths.
 """
@@ -34,20 +37,10 @@ __all__ = ["wilson_interval", "trial_rng"]
 Z95 = 1.959963984540054
 
 
-def _integer_at_least(value, least: int):
-    """The value as an int when it is an integer >= least, by the rule of
-    ``metric._integer``, else None."""
-    value = _integer(value)
-    return value if value is not None and value >= least else None
-
-
 def _trial_count(trials) -> int:
     """The trial count as an int, refused with InvalidTrials unless it is an
     integer >= 1: ``range`` would refuse 10.0 with a bare TypeError."""
-    count = _integer_at_least(trials, 1)
-    if count is None:
-        raise InvalidTrials("trials must be a positive integer")
-    return count
+    return _require_integer("trials", trials, 1, InvalidTrials)
 
 
 def _master_seed(seed, name: str = "seed") -> int:
@@ -60,8 +53,8 @@ def _master_seed(seed, name: str = "seed") -> int:
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     trials = _trial_count(trials)
-    successes = _integer_at_least(successes, 0)
-    if successes is None or successes > trials:
+    successes = _integer(successes)
+    if successes is None or not 0 <= successes <= trials:
         raise InvalidTrials("successes must lie in [0, trials]")
     z = Z95
     phat = successes / trials
@@ -94,6 +87,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 4096  # the trials of one array pass of ``_trial_states``
 
 
 def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +137,17 @@ def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _pcg64_state(initstate: int, initseq: int) -> dict:
-    """The state PCG64 seeds from a 128-bit (initstate, initseq): state 0,
-    inc = initseq << 1 | 1, one step, add initstate, one step."""
+def _pcg64_state(initstate: int, initseq: int) -> tuple[int, int]:
+    """The LCG (state, inc) PCG64 seeds from a 128-bit (initstate, initseq):
+    state 0, inc = initseq << 1 | 1, one step, add initstate, one step."""
     inc = (initseq << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _lcg(rng: np.random.Generator) -> tuple[int, int]:
+    """The LCG (state, inc) of a generator on PCG64."""
+    words = rng.bit_generator.state["state"]
+    return words["state"], words["inc"]
 
 
 # The draws a NumPy Generator on PCG64 makes from a state just set, computed
@@ -224,17 +222,25 @@ def _random(state: int, inc: int, half):
     return (word >> 11) * 2.0 ** -53, state, half
 
 
-def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[dict]:
-    """An iterator over ``trial_rng(master_seed, t).bit_generator.state`` for
-    each t in [lo, hi), which builds each state when it is read; the seed and
-    the indices are ints >= 0.
+def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """An iterator over the LCG (state, inc) of ``trial_rng(master_seed, t)``
+    for each t in [lo, hi), which builds each state when it is read; the seed
+    and the indices are ints >= 0.
 
     When the entropy fits SeedSequence's pool of 4 words, that is the seed is
-    below 2**96 and every t below 2**32, the states come from one pass of
-    uint32 array math over the range; otherwise from ``trial_rng`` itself."""
+    below 2**96 and every t below 2**32, the states come from passes of
+    uint32 array math over blocks of ``_BLOCK`` trials, each made when the
+    one before is read out; otherwise from ``trial_rng`` itself."""
     seed_words = _words(master_seed)
     if len(seed_words) >= _POOL or hi > 1 << 32:
-        return (trial_rng(master_seed, t).bit_generator.state for t in range(lo, hi))
+        return (_lcg(trial_rng(master_seed, t)) for t in range(lo, hi))
+    return itertools.chain.from_iterable(
+        _state_block(seed_words, t, min(t + _BLOCK, hi)) for t in range(lo, hi, _BLOCK))
+
+
+def _state_block(seed_words: list[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The states of trials [lo, hi) of the seed with these words, from one
+    array pass."""
     entropy = np.array([[word] * (hi - lo) for word in seed_words] + [list(range(lo, hi))],
                        dtype=np.uint32)
     pool = _seed_pool(entropy)

@@ -58,13 +58,15 @@ def _integer(value) -> int | None:
         return None
 
 
-def _require_integer(name: str, value, least: int | None = None) -> int:
+def _require_integer(name: str, value, least: int | None = None, error=InvalidParams) -> int:
     """The value as an int by the rule of ``_integer``, and at least ``least``
-    when one is given; else InvalidParams naming the parameter."""
+    when one is given; else ``error`` naming the parameter.  The package's
+    integer inputs are read here, so their refusals read alike:
+    ``<name> must be an integer[ >= least], got <repr>``."""
     i = _integer(value)
     if i is None or (least is not None and i < least):
         bound = "" if least is None else f" >= {least}"
-        raise InvalidParams(f"{name} must be an integer{bound}, got {value!r}")
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return i
 
 
@@ -160,12 +162,15 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
     """
     try:
         d = np.asarray(matrix)
-    except ValueError:  # a ragged matrix: name the first row whose length is not row 0's
-        lengths = [len(row) if isinstance(row, (list, tuple)) else None for row in matrix]
-        i = next((i for i, n in enumerate(lengths) if n != lengths[0]), None)
-        if i is None or None in (lengths[0], lengths[i]):
-            raise
-        raise InvalidParams(f"row {i} has {lengths[i]} entries, row 0 has {lengths[0]}") from None
+    except ValueError:  # a ragged matrix: name the first row that is no list or
+        # whose length is not row 0's
+        for i, row in enumerate(matrix):
+            if not isinstance(row, (list, tuple)):
+                raise InvalidParams(f"row {i} must be a list, got {row!r}") from None
+            if len(row) != len(matrix[0]):
+                raise InvalidParams(
+                    f"row {i} has {len(row)} entries, row 0 has {len(matrix[0])}") from None
+        raise
     if d.dtype.kind not in "iuf":  # strings, bools, objects; bools among numbers become ints
         raise InvalidParams(f"distances must be numbers, got entries of dtype {d.dtype}")
     d = d.astype(float, copy=False)

@@ -356,10 +356,12 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
     ("header.csv", "a\nb\n", "row 0 has no coordinates"),
     ("ragged.csv", "1,2\n3\n", "row 1 has 1 coordinates, row 0 has 2"),
     ("ragged.json", '{"dist": [[0, 1], [1]]}', "row 1 has 1 entries, row 0 has 2"),
+    ("scalar-row.json", '{"dist": [[0, 1], 1]}', ": row 1 must be a list, got 1"),
+    ("scalar-first-row.json", '{"dist": [1, [0, 1]]}', ": row 0 must be a list, got 1"),
     ("infinite.csv", "1,inf\n2,3\n", "distances must be finite"),
     ("overflow.csv", "1e200,0\n-1e200,0\n", "distances must be finite"),
 ], ids=["string-distances", "bool-distances", "no-coordinates", "unequal-rows",
-        "unequal-distance-rows",
+        "unequal-distance-rows", "non-list-row", "non-list-first-row",
         "infinite-coordinate", "overflowing-distance"])
 def test_validate_refuses_malformed_space_files(tmp_path, capsys, name, text, needle):
     """Each of these files once loaded as some other space, or was refused
@@ -384,7 +386,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["a2"], 2, "the following arguments are required: --input"),
     (GOODNESS + ["--seed", "0", "--level", "99"], 2, "error: level 99"),
     (GOODNESS + ["--seed", "0", "--level", "-5"], 2, "error: level -5"),
-    (["grids", "--input", "{elbow}", "--seed", "-1"], 2, "seed must be nonnegative"),
+    (["grids", "--input", "{elbow}", "--seed", "-1"], 2,
+     "error: argument --seed: seed must be an integer >= 0, got -1\n"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--n0", "-400"], 2,
      "error: the coarsest scale"),
     (["lattice", "--input", "{elbow}", "--seed", "0", "--delta", "0.9999999"], 2,

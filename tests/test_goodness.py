@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -61,7 +62,8 @@ def test_params_validation():
     # r follows the integer rule of counts: a string, a bool or a float is
     # refused, not compared with 1 or kept as it came
     for bad in (0, "2", True, 2.0, None):
-        with pytest.raises(InvalidParams, match="^r must be a positive integer$"):
+        with pytest.raises(InvalidParams,
+                           match=f"^r must be an integer >= 1, got {re.escape(repr(bad))}$"):
             GoodnessParams(delta=0.001, gamma=0.1, r=bad)
     params = GoodnessParams(delta=0.1, gamma=0.1, r=np.int64(2))
     assert params.r == 2 and type(params.r) is int
@@ -495,7 +497,7 @@ def test_estimate_rejects_zero_trials(elbow):
 def test_estimators_refuse_a_trial_count_that_is_not_an_integer(monkeypatch, elbow,
                                                                 trials):
     monkeypatch.setattr(goodness, "run_chunked", None)
-    refused = "trials must be a positive integer"
+    refused = f"^trials must be an integer >= 1, got {re.escape(repr(trials))}$"
     with pytest.raises(InvalidTrials, match=refused):
         estimate_bad_probability(elbow, 2, 0, PARAMS, trials=trials, seed=0)
     with pytest.raises(InvalidTrials, match=refused):
@@ -922,20 +924,38 @@ STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)
 STATE_TRIALS = (0, 1, 7, 499, 500, 2**32 - 1, 2**32)
 
 
+def pcg64_state(state: int, inc: int) -> dict:
+    """The NumPy state of a PCG64 generator at an LCG (state, inc) with no
+    buffered half word, as a trial chunk's miss sets it."""
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
+
+
+def lcg_pairs(seed, ts) -> list[tuple[int, int]]:
+    """The LCG (state, inc) of ``trial_rng(seed, t)`` for each t, each from a
+    generator that has drawn nothing."""
+    states = [trial_rng(seed, t).bit_generator.state for t in ts]
+    assert all(state == pcg64_state(**state["state"]) for state in states)
+    return [(state["state"]["state"], state["state"]["inc"]) for state in states]
+
+
 def test_trial_states_match_trial_rng():
     """The states are trial_rng's, for seeds and trial indices of more than
     one 32-bit word, on both sides of the entropy that fits the hash's pool of
     4 words (a seed below 2**96, indices below 2**32), one at a time and over
-    ranges that end at 2**32 and that cross it."""
-    def want(seed, ts):
-        return [trial_rng(seed, t).bit_generator.state for t in ts]
-
+    ranges that end at 2**32 and that cross it, and over ranges that cross
+    the edges of the array passes' blocks."""
     for seed in STATE_SEEDS:
         for t in STATE_TRIALS:
-            assert list(_trial_states(seed, t, t + 1)) == want(seed, [t])
-        assert list(_trial_states(seed, 0, 12)) == want(seed, range(12))
-        for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2)):
-            assert list(_trial_states(seed, ts.start, ts.stop)) == want(seed, ts)
+            assert list(_trial_states(seed, t, t + 1)) == lcg_pairs(seed, [t])
+        assert list(_trial_states(seed, 0, 12)) == lcg_pairs(seed, range(12))
+        edge = mc._BLOCK
+        for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2),
+                   range(edge - 3, edge + 2), range(5 * edge - 1, 5 * edge + 1)):
+            assert list(_trial_states(seed, ts.start, ts.stop)) == lcg_pairs(seed, ts)
+    # two whole blocks and a part of a third, from a start that is no block edge
+    ts = range(7, 2 * mc._BLOCK + 30)
+    assert list(_trial_states(2**40 + 3, ts.start, ts.stop)) == lcg_pairs(2**40 + 3, ts)
 
 
 def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
@@ -965,11 +985,24 @@ def test_trial_states_are_built_as_they_are_read():
     assert peak(lambda states: collections.deque(states, maxlen=0)) < peak(list) / 2
 
 
+def test_trial_states_hold_one_block_at_the_first_read():
+    """The first state of a million-trial range is read with about one
+    block's arrays built, not the whole range's (which held 167 MB)."""
+    tracemalloc.start()
+    try:
+        states = _trial_states(7, 0, 10**6)
+        assert next(states) == lcg_pairs(7, [0])[0]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2**20 and peak < 8 * 2**20
+
+
 def test_trial_state_set_resets_the_buffered_half_word():
     rng = trial_rng(5, 0)
     rng.integers(10, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    rng.bit_generator.state, = list(_trial_states(5, 3, 4))
+    rng.bit_generator.state = pcg64_state(*next(_trial_states(5, 3, 4)))
     ref = trial_rng(5, 3)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert (rng.integers(10, size=5, dtype=np.uint32).tolist()
@@ -1027,30 +1060,28 @@ def test_words_make_the_generators_draws():
     bound above 2**32."""
     rng = np.random.Generator(np.random.PCG64())
     outcomes = collections.Counter()
-    for t, state in enumerate(_trial_states(9, 0, 240)):
-        words = state["state"]
+    for t, (state, inc) in enumerate(_trial_states(9, 0, 240)):
         calls = WORD_SCRIPTS[t % len(WORD_SCRIPTS)]
-        prefix, after, half = mc._walk(Script(calls), words["state"], words["inc"])
-        rng.bit_generator.state = state
+        prefix, after, half = mc._walk(Script(calls), state, inc)
+        rng.bit_generator.state = pcg64_state(state, inc)
         if prefix is None:  # the scripts' bounds of 2**31 + 1 are in their first call
             _, bounds = calls[0]
             rng.integers(bounds)
-            assert halves_drawn(words["state"], words["inc"], rng.bit_generator.state) > \
+            assert halves_drawn(state, inc, rng.bit_generator.state) > \
                 len(bounds) - bounds.count(1)
             outcomes["rejected"] += 1
             continue
         assert prefix == tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in calls)
         assert_stream_at(rng, after, half)
         outcomes["odd" if half is not None else "even"] += 1
-        coin, after, half = mc._random(after, words["inc"], half)
+        coin, after, half = mc._random(after, inc, half)
         assert coin == rng.random()
         assert_stream_at(rng, after, half)
     assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
-    for state in itertools.islice(_trial_states(9, 0, 240), 20):
-        words = state["state"]
+    for state, inc in itertools.islice(_trial_states(9, 0, 240), 20):
         for bounds in [(2**32 + 1,), (1, 2**40)]:
             calls = Script([("integers", bounds)])
-            assert mc._walk(calls, words["state"], words["inc"])[0] is None
+            assert mc._walk(calls, state, inc)[0] is None
 
 
 # --- Wilson intervals ---------------------------------------------------------------------
@@ -1073,7 +1104,8 @@ def test_wilson_rejects_bad_counts():
     with pytest.raises(InvalidTrials):
         wilson_interval(5, 3)
     for trials in ("5", 2.5, True):
-        with pytest.raises(InvalidTrials, match="^trials must be a positive integer$"):
+        refused = f"^trials must be an integer >= 1, got {re.escape(repr(trials))}$"
+        with pytest.raises(InvalidTrials, match=refused):
             wilson_interval(1, trials)
     for successes in (1.5, True):
         with pytest.raises(InvalidTrials, match=r"^successes must lie in \[0, trials\]$"):

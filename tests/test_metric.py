@@ -1,4 +1,5 @@
 """Metric space validation, queries, doubling bounds, and generators."""
+import argparse
 import json
 import math
 import re
@@ -12,12 +13,16 @@ from dyadiclab.errors import (
     AsymmetricMatrix,
     DuplicatePoint,
     InvalidParams,
+    InvalidTrials,
     MetricValidationError,
     NonzeroDiagonal,
     TriangleViolation,
     UnknownPoint,
 )
-from dyadiclab.metric import _greedy_cover_count
+from dyadiclab import cli
+from dyadiclab.goodness import GoodnessParams
+from dyadiclab.mc import run_chunked
+from dyadiclab.metric import _greedy_cover_count, _require_integer
 
 
 # --- validation ----------------------------------------------------------------
@@ -316,12 +321,90 @@ def test_make_space_refuses_counts_that_are_no_integers():
              "branching must be an integer, got 2.7")]:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             dl.make_space(kind, **params)
-    with pytest.raises(InvalidParams, match="^branching must be an integer, got 3.5$"):
+    with pytest.raises(InvalidParams, match="^branching must be an integer >= 1, got 3.5$"):
         dl.tree_experiment(3.5, 1)
     same = dl.make_space("random_cloud", seed=np.int64(1), n=np.int64(5), dim=np.int64(2))
     assert np.array_equal(same.d, dl.make_space("random_cloud", seed=1, n=5, dim=2).d)
     tree = dl.make_space("tree", branching=np.int64(2), height=np.int64(1))
     assert tree.points == dl.make_space("tree", branching=2, height=1).points
+
+
+def elbow_forest(elbow):
+    rng = np.random.default_rng(0)
+    return dl.build_forest(dl.build_nested_grids(elbow, 0.1, 0, rng=rng), rng)
+
+
+def params():
+    """Made at call time: a rule that refused r = 1 must fail a test, not the
+    module's collection."""
+    return GoodnessParams(delta=0.1, gamma=0.1, r=1)
+
+
+# (error, name, least, value, a call that refuses the value for the name)
+REFUSALS = {
+    "trials-bad": (InvalidTrials, "trials", 1, 2.5, lambda elbow: dl.estimate_bad_probability(
+        elbow, 2, 0, params(), trials=2.5, seed=0)),
+    "trials-decay": (InvalidTrials, "trials", 1, 0, lambda elbow: dl.estimate_boundary_decay(
+        elbow, "x", 0, (2e-4,), trials=0, seed=0, params=params())),
+    "trials-really-good": (InvalidTrials, "trials", 1, "5",
+                           lambda elbow: dl.estimate_really_good(
+                               elbow, "x", 2, params(), 0.25, 0.75, trials="5", seed=0)),
+    "trials-wilson": (InvalidTrials, "trials", 1, True, lambda elbow: dl.wilson_interval(1, True)),
+    "trials-chunked": (InvalidTrials, "trials", 1, 10.0,
+                       lambda elbow: run_chunked(None, None, 10.0)),
+    "r": (InvalidParams, "r", 1, 0, lambda elbow: GoodnessParams(delta=0.001, gamma=0.1, r=0)),
+    "seed-trial-rng": (InvalidParams, "seed", 0, -1, lambda elbow: dl.trial_rng(-1, 0)),
+    "trial-index": (InvalidParams, "trial index", 0, 1.5, lambda elbow: dl.trial_rng(0, 1.5)),
+    "seed-bad": (InvalidParams, "seed", 0, 2.5, lambda elbow: dl.estimate_bad_probability(
+        elbow, 2, 0, params(), trials=10, seed=2.5)),
+    "seed-decay": (InvalidParams, "seed", 0, -1, lambda elbow: dl.estimate_boundary_decay(
+        elbow, "x", 0, (2e-4,), trials=10, seed=-1, params=params())),
+    "seed-really-good": (InvalidParams, "seed", 0, False, lambda elbow: dl.estimate_really_good(
+        elbow, "x", 2, params(), 0.25, 0.75, trials=10, seed=False)),
+    "seed-make-space": (InvalidParams, "seed", 0, -1,
+                        lambda elbow: dl.make_space("random_cloud", seed=-1, n=5)),
+    "seed-cli": (argparse.ArgumentTypeError, "seed", 0, -1, lambda elbow: cli._seed("-1")),
+    "level-estimator": (InvalidParams, "level", None, 2.0,
+                        lambda elbow: dl.estimate_bad_probability(
+                            elbow, 2.0, "x", params(), trials=10, seed=0)),
+    "level-cube": (InvalidParams, "level", None, 1.0,
+                   lambda elbow: elbow_forest(elbow).cube(1.0, 1)),
+    "center": (InvalidParams, "center", None, True,
+               lambda elbow: elbow_forest(elbow).cube(1, True)),
+    "point": (InvalidParams, "point", None, 1.0,
+              lambda elbow: elbow_forest(elbow).chain(1.0, 2, 0)),
+    # a float height reached ``range`` as a bare TypeError, and a float
+    # branching was refused as a tree too large to enumerate
+    "tree-branching": (InvalidParams, "branching", 1, 2.5,
+                       lambda elbow: dl.tree_experiment(2.5, 9)),
+    "tree-height": (InvalidParams, "height", 0, 1.5, lambda elbow: dl.tree_experiment(3, 1.5)),
+    "tree-no-branch": (InvalidParams, "branching", 1, 0, lambda elbow: dl.tree_experiment(0, 2)),
+}
+
+
+@pytest.mark.parametrize("error, name, least, value, call", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_integer_refusals_read_one_shape(elbow, error, name, least, value, call):
+    """Every integer input is read by one rule, so each refusal reads
+    ``<name> must be an integer[ >= least], got <repr>``, in its site's own
+    exception class."""
+    bound = "" if least is None else f" >= {least}"
+    with pytest.raises(error) as refused:
+        call(elbow)
+    assert type(refused.value) is error
+    assert str(refused.value) == f"{name} must be an integer{bound}, got {value!r}"
+
+
+def test_integer_rule_admits_its_bound():
+    """Each bound is inclusive: one trial, seed 0, trial index 0, r = 1, and
+    a tree of one branch and height 0 are taken."""
+    assert _require_integer("k", -3, -3) == -3
+    assert dl.wilson_interval(1, 1)[1] == 1.0
+    assert run_chunked(lambda payload, lo, hi: [[lo, hi]], None, 1).tolist() == [[0, 1]]
+    assert dl.trial_rng(0, 0).random() == np.random.default_rng([0, 0]).random()
+    assert GoodnessParams(delta=0.001, gamma=0.1, r=1).r == 1
+    assert dl.tree_experiment(1, 0) == 1
+    assert cli._seed("0") == 0
 
 
 def test_rounding_cloud_is_redrawn():

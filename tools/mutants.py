@@ -125,6 +125,10 @@ MUTANTS = [
     ("occupancy", METRIC,
      "counts = (space.d < radius).sum(axis=1)", "counts = (space.d <= radius).sum(axis=1)",
      [T_METRIC + "test_max_ball_occupancy_examples"]),
+    # every integer input's bound is inclusive
+    ("integer rule bound", METRIC,
+     "i < least", "i <= least",
+     [T_METRIC + "test_integer_rule_admits_its_bound"]),
     ("_is_maximal pair", GRIDS,
      "if space.d[a, b] < k:", "if space.d[a, b] <= k:",
      [T_GRIDS + "test_is_maximal_separated_trio"]),
