@@ -36,16 +36,9 @@ The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow the integer rule of ``metric``, checked before any
-trial runs.  A chunk of trials reads each trial's PCG64 state, its LCG
-(state, inc) pair, from ``mc._trial_states`` as the trial starts, and checks
-the first against ``trial_rng``.  A forest is a function of its drawn values,
-so the chunk keeps the draw paths of its earlier trials in two maps keyed by
-the values drawn, and a trial walks them on the draws its pair's words make,
-computed in plain ints as NumPy computes them (``mc._walk``), with no
-generator call; a trial whose path is known builds nothing and takes its coin
-from the same words.  Any other sets its state on one reused generator and
-builds, so a chunk builds and classifies each distinct forest once, and the
-streams are drawn as if every trial built its own forest.
+trial runs.  This module supplies what a trial computes (``_trial_part``);
+``mc._trial_chunk`` runs the trials, drawing each stream as if every trial
+built its own forest while building each distinct forest of a chunk once.
 """
 from __future__ import annotations
 
@@ -53,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -67,8 +60,7 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
                       build_forest)
-from .mc import (_lcg, _master_seed, _trial_count, _trial_states, _random, _walk,
-                 run_chunked, trial_rng, wilson_interval)
+from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
 __all__ = [
@@ -173,110 +165,14 @@ class DecayFit:
     seed: int
 
 
-_MISS_BUDGET = 256  # draw paths one trial chunk enters in its maps; later misses only build
-# the run-time guard's draws: they mix bounds of 1 and the swaps of a permutation
-_PROBE = (("integers", (1, 3, 2, 1, 6, 5)), ("permutation", 7))
-
-
-@cache
-def _recorder_type() -> type:
-    """The recorder class, made on first use: naming ``np.random`` at import
-    would load numpy.random with this module."""
-
-    class Recorder(np.random.Generator):
-        """A generator on a shared bit generator that logs the draw calls a
-        forest's build makes, as ((method name, argument), drawn values)
-        pairs.  An integers call's argument is its bounds as a tuple of ints."""
-
-        def __init__(self, bit_generator):
-            super().__init__(bit_generator)
-            self.path: list = []
-
-        def _logged(self, call: tuple, values: np.ndarray) -> np.ndarray:
-            self.path.append((call, tuple(values.tolist())))
-            return values
-
-        def integers(self, bounds):
-            logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
-            return self._logged(("integers", logged), super().integers(bounds))
-
-        def permutation(self, n):
-            return self._logged(("permutation", n), super().permutation(n))
-
-    return Recorder
-
-
-def _words_match(rng: np.random.Generator, state: tuple[int, int]) -> bool:
-    """Whether a walk on the words of an LCG (state, inc) makes the draws of
-    ``_PROBE``, and the coin after them, as ``rng`` does, a generator just
-    seeded at that state."""
-    drawn = tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in _PROBE)
-    prefix, after, half = _walk({drawn[:i]: call for i, call in enumerate(_PROBE)}, *state)
-    return prefix == drawn and _random(after, state[1], half)[0] == rng.random()
-
-
-def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
-    ``trial_rng(seed, t)``, its part ``row(forest)``, and the row
-    ``finish(part, xi)``, with xi the stream's ``random()`` after the
-    forest's draws (the row is the part itself when ``finish`` is None).
-
-    The chunk reads each trial's PCG64 state, the int pair (state, inc) of
-    its LCG, from ``_trial_states`` as the trial starts, and checks the first
-    against ``trial_rng(seed, lo)``.
-
-    A forest is a function of its drawn values, and the bounds of each draw
-    call are a function of the values before it.  So the chunk keeps, for the
-    length of the call, the next draw call after each prefix of drawn values
-    (``calls``) and the part at the end of each complete path (``parts``).  A
-    trial first walks ``calls`` on the draws that the words of its pair make
-    (``mc._walk``); one whose path is in ``parts`` builds nothing, sets no
-    state, and takes xi from the words that follow.  Any other, and any trial
-    whose walk meets a rejected integers draw or a bound above 2**32, sets
-    the generator state its pair stands for, with no buffered half word, on
-    one reused generator, builds the forest through the recorder that shares
-    the generator's bit generator, takes xi from the generator, and enters
-    its path while ``parts`` holds fewer than ``_MISS_BUDGET`` paths; each
-    such miss enters a new one, since a trial whose whole path is entered
-    walks it to the end.  So a chunk builds each distinct forest about once,
-    and every stream is drawn as if each trial built its own.  The walk is
-    used only when a walk on the first trial's words makes the draws of
-    ``_PROBE``, and the coin after them, as the generator does; else every
-    trial builds, so a NumPy whose draws move costs speed, not correctness.
-    """
-    space, params, coarsest_level, mode, limit, seed, row, finish = payload
-    rng = trial_rng(seed, lo)
-    bit_generator = rng.bit_generator
-    states = _trial_states(seed, lo, hi)
-    first = next(states)
-    if _lcg(rng) != first:
-        raise RuntimeError("the batched trial states differ from trial_rng: "
-                           "numpy's SeedSequence or PCG64 seeding has changed")
-    served = _words_match(rng, first)
-    recorder = _recorder_type()(bit_generator)
-    calls, parts = {}, {}
-    rows = []
-    for state, inc in itertools.chain([first], states):
-        prefix, after, half = _walk(calls, state, inc) if served else (None, 0, None)
-        part = parts.get(prefix)
-        hit = part is not None
-        if not hit:
-            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-            recorder.path.clear()
-            hierarchy = build_nested_grids(space, params.delta, coarsest_level,
-                                           recorder, mode=mode, limit=limit)
-            part = row(build_forest(hierarchy, recorder))
-            if len(parts) < _MISS_BUDGET:
-                prefix = ()
-                for call, values in recorder.path:
-                    calls[prefix] = call
-                    prefix += (values,)
-                parts[prefix] = part
-        if finish is not None:
-            part = finish(part, _random(after, inc, half)[0] if hit else rng.random())
-        rows.append(part)
-    return np.array(rows, dtype=np.int64)
+def _trial_part(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
+                mode: str, limit: int, row, rng: np.random.Generator):
+    """One trial's part: the grids, then the parents, drawn from ``rng``, and
+    ``row`` of the forest.  Module-level, so that its partials pickle into the
+    worker pool."""
+    hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
+                                   mode=mode, limit=limit)
+    return row(build_forest(hierarchy, rng))
 
 
 def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
@@ -343,8 +239,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
-    payload = (space, params, coarsest_level, mode, limit, seed, row, None)
-    rows = run_chunked(_trial_chunk, payload, trials, workers)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
+    rows = run_chunked(_trial_chunk, (seed, build, None), trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
     return BadProbabilityEstimate(trials=trials, bad_count=bad,
@@ -398,8 +294,8 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     x = space.resolve(x)
     row = partial(_decay_row, params=params, x=x, level=level,
                   eps_schedule=tuple(eps))
-    payload = (space, params, coarsest_level, mode, limit, seed, row, None)
-    rows = run_chunked(_trial_chunk, payload, trials, workers)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
+    rows = run_chunked(_trial_chunk, (seed, build, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
     intervals = [wilson_interval(c, trials) for c in counts]
@@ -498,9 +394,11 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _equalized_row(part: tuple[int, int], xi: float, a: float, p_q: float) -> tuple[int]:
-    """The really-good verdict of a ``_bad_row`` part, with its own coin xi."""
-    return (int(not part[0] and equalize(p_q, a, xi)),)
+def _equalized_row(part: tuple[int, int], xi: float, cutoff: float) -> tuple[int]:
+    """The really-good verdict of a ``_bad_row`` part, with its own coin xi:
+    the comparison of ``equalize`` at cutoff a / p_q, whose checks
+    ``estimate_really_good`` makes once, before the first trial."""
+    return (int(not part[0] and xi <= cutoff),)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -515,8 +413,8 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     center = space.resolve(center)
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
-    payload = (space, params, coarsest_level, mode, limit, seed,
-               partial(_bad_row, params=params, level=level, center=center),
-               partial(_equalized_row, a=a, p_q=p_q))
-    rows = run_chunked(_trial_chunk, payload, trials, workers)
+    row = partial(_bad_row, params=params, level=level, center=center)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
+    finish = partial(_equalized_row, cutoff=a / p_q)
+    rows = run_chunked(_trial_chunk, (seed, build, finish), trials, workers)
     return float(rows[:, 0].sum() / trials)

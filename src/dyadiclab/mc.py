@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo plumbing: per-trial streams, Wilson intervals, worker fan-out.
+"""Seeded Monte Carlo plumbing: per-trial streams, the trial chunk, Wilson intervals,
+worker fan-out.
 
 Every entry point and estimator reads a seeded run's inputs before any trial
 runs, by the package's one integer rule, ``metric._require_integer``: a
@@ -15,8 +16,15 @@ trials when the entropy fits the hash's pool (s below 2**96 and t below
 2**32, the shape of every ordinary run), and from ``trial_rng`` itself
 otherwise; either way each trial's pair is built as the chunk reads it, and
 no more than one block is held at once.
-``_walk`` computes the draws a Generator makes from such a state in plain
-ints, with no generator, for the trial chunks' known draw paths.
+
+``_trial_chunk`` runs the trials of one chunk for an estimator, which
+supplies what a trial computes from its stream (``build``) and from one coin
+drawn after it (``finish``).  A trial's part is a function of its drawn
+values, so the chunk keeps a memo of the draw paths of its earlier trials,
+keyed by the values drawn, and a trial walks it on the draws its pair's
+words make, computed in plain ints as NumPy computes them (``_walk``), with
+no generator call.  This module alone knows how NumPy turns a PCG64 state
+into draws.
 """
 from __future__ import annotations
 
@@ -24,6 +32,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -250,6 +259,110 @@ def _state_block(seed_words: list[int], lo: int, hi: int) -> Iterator[tuple[int,
     seed_hi, seed_lo, inc_hi, inc_lo = uint64s.tolist()
     return (_pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
             for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo))
+
+
+_MISS_BUDGET = 256  # draw paths one trial chunk enters in its memo; later misses only build
+# the run-time guard's draws: they mix bounds of 1 and the swaps of a permutation
+_PROBE = (("integers", (1, 3, 2, 1, 6, 5)), ("permutation", 7))
+
+
+@cache
+def _recorder_type() -> type:
+    """The recorder class, made on first use: naming ``np.random`` at import
+    would load numpy.random with this module."""
+
+    class Recorder(np.random.Generator):
+        """A generator on a shared bit generator that logs the draw calls a
+        build makes, as ((method name, argument), drawn values) pairs.  An
+        integers call's argument is its bounds as a tuple of ints."""
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.path: list = []
+
+        def _logged(self, call: tuple, values: np.ndarray) -> np.ndarray:
+            self.path.append((call, tuple(values.tolist())))
+            return values
+
+        def integers(self, bounds):
+            logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
+            return self._logged(("integers", logged), super().integers(bounds))
+
+        def permutation(self, n):
+            return self._logged(("permutation", n), super().permutation(n))
+
+    return Recorder
+
+
+def _words_match(rng: np.random.Generator, state: tuple[int, int]) -> bool:
+    """Whether a walk on the words of an LCG (state, inc) makes the draws of
+    ``_PROBE``, and the coin after them, as ``rng`` does, a generator just
+    seeded at that state."""
+    drawn = tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in _PROBE)
+    prefix, after, half = _walk({drawn[:i]: call for i, call in enumerate(_PROBE)}, *state)
+    return prefix == drawn and _random(after, state[1], half)[0] == rng.random()
+
+
+def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a seeded estimator, with payload (seed, build,
+    finish): per trial t, the part ``build(rng)`` of a generator on the
+    stream of ``trial_rng(seed, t)``, and the row ``finish(part, xi)``, with
+    xi the stream's ``random()`` after the build's draws (the row is the part
+    itself when ``finish`` is None).  ``build`` may draw only through the
+    generator's ``integers(bounds)`` and ``permutation(n)``.
+
+    The chunk reads each trial's PCG64 state, the int pair (state, inc) of
+    its LCG, from ``_trial_states`` as the trial starts, and checks the first
+    against ``trial_rng(seed, lo)``.
+
+    A part is a function of its drawn values, and the bounds of each draw
+    call are a function of the values before it.  So the chunk keeps, for the
+    length of the call, the next draw call after each prefix of drawn values
+    (``calls``) and the part at the end of each complete path (``parts``).  A
+    trial first walks ``calls`` on the draws that the words of its pair make
+    (``_walk``); one whose path is in ``parts`` builds nothing, sets no
+    state, and takes xi from the words that follow.  Any other, and any trial
+    whose walk meets a rejected integers draw or a bound above 2**32, sets
+    the generator state its pair stands for, with no buffered half word, on
+    one reused generator, builds through the recorder that shares the
+    generator's bit generator, takes xi from the generator, and enters its
+    path while ``parts`` holds fewer than ``_MISS_BUDGET`` paths; each such
+    miss enters a new one, since a trial whose whole path is entered walks it
+    to the end.  So a chunk builds each distinct part about once, and every
+    stream is drawn as if each trial built its own.  The walk is used only
+    when a walk on the first trial's words makes the draws of ``_PROBE``, and
+    the coin after them, as the generator does; else every trial builds, so a
+    NumPy whose draws move costs speed, not correctness.
+    """
+    seed, build, finish = payload
+    rng = trial_rng(seed, lo)
+    states = _trial_states(seed, lo, hi)
+    first = next(states)
+    if _lcg(rng) != first:
+        raise RuntimeError("the batched trial states differ from trial_rng: "
+                           "numpy's SeedSequence or PCG64 seeding has changed")
+    served = _words_match(rng, first)
+    recorder = _recorder_type()(rng.bit_generator)
+    calls, parts, rows = {}, {}, []
+    for state, inc in itertools.chain([first], states):
+        prefix, after, half = _walk(calls, state, inc) if served else (None, 0, None)
+        part = parts.get(prefix)
+        hit = part is not None
+        if not hit:
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+            recorder.path.clear()
+            part = build(recorder)
+            if len(parts) < _MISS_BUDGET:
+                prefix = ()
+                for call, values in recorder.path:
+                    calls[prefix] = call
+                    prefix += (values,)
+                parts[prefix] = part
+        if finish is not None:
+            part = finish(part, _random(after, inc, half)[0] if hit else rng.random())
+        rows.append(part)
+    return np.array(rows, dtype=np.int64)
 
 
 def worker_count() -> int:

@@ -163,14 +163,17 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
     try:
         d = np.asarray(matrix)
     except ValueError:  # a ragged matrix: name the first row that is no list or
-        # whose length is not row 0's
+        # whose length is not row 0's, or the first entry that is no scalar
         for i, row in enumerate(matrix):
             if not isinstance(row, (list, tuple)):
                 raise InvalidParams(f"row {i} must be a list, got {row!r}") from None
             if len(row) != len(matrix[0]):
                 raise InvalidParams(
                     f"row {i} has {len(row)} entries, row 0 has {len(matrix[0])}") from None
-        raise
+            for j, entry in enumerate(row):
+                if not np.isscalar(entry):
+                    raise InvalidParams(
+                        f"row {i} entry {j} must be a number, got {entry!r}") from None
     if d.dtype.kind not in "iuf":  # strings, bools, objects; bools among numbers become ints
         raise InvalidParams(f"distances must be numbers, got entries of dtype {d.dtype}")
     d = d.astype(float, copy=False)
@@ -329,8 +332,6 @@ def min_cover_doubling(space: FiniteMetricSpace) -> int:
 
 def _tree_space(branching: int, height: int) -> FiniteMetricSpace:
     """Rooted tree with unit edges; distance is the shortest path through the LCA."""
-    if branching < 1 or height < 0:
-        raise InvalidParams("tree needs branching >= 1 and height >= 0")
     # the root-to-node paths, depth by depth, each depth in lexicographic order
     paths = [p for depth in range(height + 1)
              for p in itertools.product(range(branching), repeat=depth)]
@@ -345,8 +346,8 @@ def _tree_space(branching: int, height: int) -> FiniteMetricSpace:
 
 
 def _grid_space(shape: Sequence[int], spacing: float = 1.0) -> FiniteMetricSpace:
-    if not shape or any(s < 1 for s in shape):
-        raise InvalidParams("grid shape must have positive extents")
+    if not shape:
+        raise InvalidParams("grid shape must have at least one extent")
     coords = np.indices(shape).reshape(len(shape), -1).T
     return space_from_coords(coords * float(spacing))
 
@@ -354,8 +355,6 @@ def _grid_space(shape: Sequence[int], spacing: float = 1.0) -> FiniteMetricSpace
 def _cloud_space(rng: np.random.Generator, n: int, dim: int, scale: float,
                  min_sep: float, levels: int, branching: int, ratio: float,
                  spread: tuple[float, float]) -> FiniteMetricSpace:
-    if n < 1 or dim < 1:
-        raise InvalidParams("cloud needs n >= 1 and dim >= 1")
     rounding = None  # the triangle failure of the last draw, if it had one
     for _ in range(200):
         if levels <= 0:
@@ -421,13 +420,13 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
     """
     try:
         if kind == "tree":
-            build = partial(_tree_space, _require_integer("branching", params.pop("branching")),
-                            _require_integer("height", params.pop("height")))
+            build = partial(_tree_space, _require_integer("branching", params.pop("branching"), 1),
+                            _require_integer("height", params.pop("height"), 0))
         elif kind == "grid_points":
             shape = params.pop("shape")
             if not isinstance(shape, Iterable):
                 raise InvalidParams(f"shape must be a sequence of extents, got {shape!r}")
-            shape = tuple(_require_integer("shape extent", s) for s in shape)
+            shape = tuple(_require_integer("shape extent", s, 1) for s in shape)
             build = partial(_grid_space, shape, params.pop("spacing", 1.0))
         elif kind == "random_cloud":
             if seed is None:
@@ -435,12 +434,12 @@ def make_space(kind: str, seed: int | None = None, **params) -> FiniteMetricSpac
             build = partial(
                 _cloud_space,
                 np.random.default_rng(_require_integer("seed", seed, 0)),
-                n=_require_integer("n", params.pop("n")),
-                dim=_require_integer("dim", params.pop("dim", 2)),
+                n=_require_integer("n", params.pop("n"), 1),
+                dim=_require_integer("dim", params.pop("dim", 2), 1),
                 scale=float(params.pop("scale", 1.0)),
                 min_sep=float(params.pop("min_sep", 0.0)),
                 levels=_require_integer("levels", params.pop("levels", 0)),
-                branching=_require_integer("branching", params.pop("branching", 3)),
+                branching=_require_integer("branching", params.pop("branching", 3), 1),
                 ratio=float(params.pop("ratio", 0.1)),
                 spread=tuple(params.pop("spread", (0.25, 0.45))),
             )

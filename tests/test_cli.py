@@ -358,10 +358,12 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
     ("ragged.json", '{"dist": [[0, 1], [1]]}', "row 1 has 1 entries, row 0 has 2"),
     ("scalar-row.json", '{"dist": [[0, 1], 1]}', ": row 1 must be a list, got 1"),
     ("scalar-first-row.json", '{"dist": [1, [0, 1]]}', ": row 0 must be a list, got 1"),
+    ("nested-rows.json", '{"dist": [[[0], [0, 1]], [[0], [1]]]}',
+     ": row 0 entry 0 must be a number, got [0]"),
     ("infinite.csv", "1,inf\n2,3\n", "distances must be finite"),
     ("overflow.csv", "1e200,0\n-1e200,0\n", "distances must be finite"),
 ], ids=["string-distances", "bool-distances", "no-coordinates", "unequal-rows",
-        "unequal-distance-rows", "non-list-row", "non-list-first-row",
+        "unequal-distance-rows", "non-list-row", "non-list-first-row", "nested-rows",
         "infinite-coordinate", "overflowing-distance"])
 def test_validate_refuses_malformed_space_files(tmp_path, capsys, name, text, needle):
     """Each of these files once loaded as some other space, or was refused

@@ -825,10 +825,10 @@ def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe):
         assert_rows_match_reference(monkeypatch, *cases[0], seed=2**64 + 5, lo=lo)
 
 
-@pytest.mark.parametrize("budget", [0, 1, goodness._MISS_BUDGET])
+@pytest.mark.parametrize("budget", [0, 1, mc._MISS_BUDGET])
 def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
                                              decay_probe):
-    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
+    monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
     for case in pipeline_cases(elbow, ladder, decay_probe)[:3]:
         assert_rows_match_reference(monkeypatch, *case)
 
@@ -845,11 +845,11 @@ def count_builds(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("budget, builds", [(0, 1500), (goodness._MISS_BUDGET, 6)])
+@pytest.mark.parametrize("budget, builds", [(0, 1500), (mc._MISS_BUDGET, 6)])
 def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
     """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
     once, unless its miss budget is spent."""
-    monkeypatch.setattr(goodness, "_MISS_BUDGET", budget)
+    monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
     built = count_builds(monkeypatch)
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
     assert len(built) == builds
@@ -884,10 +884,10 @@ def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, dis
     the generator does builds every trial, with the reference's rows: with
     the guard forced to fail, and with words whose outputs are one bit off."""
     if disagree == "guard":
-        monkeypatch.setattr(goodness, "_words_match", lambda rng, state: False)
+        monkeypatch.setattr(mc, "_words_match", lambda rng, state: False)
     else:
         monkeypatch.setattr(mc, "_next64", off_by_one_bit(mc._next64))
-        assert not goodness._words_match(trial_rng(5, 0), next(_trial_states(5, 0, 1)))
+        assert not mc._words_match(trial_rng(5, 0), next(_trial_states(5, 0, 1)))
     cases = pipeline_cases(elbow, ladder, decay_probe)
     for case in (cases[0], cases[4]):
         assert_rows_match_reference(monkeypatch, *case)
@@ -914,7 +914,7 @@ def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):
 
 
 def test_trial_chunk_refuses_states_that_differ_from_trial_rng(monkeypatch, elbow):
-    monkeypatch.setattr(goodness, "_trial_states",
+    monkeypatch.setattr(mc, "_trial_states",
                         lambda seed, lo, hi: _trial_states(seed + 1, lo, hi))
     with pytest.raises(RuntimeError, match="differ from trial_rng"):
         estimate_bad_probability(elbow, 2, "x", PARAMS, trials=10, seed=5)

@@ -83,6 +83,15 @@ def test_negative_and_nonsquare_rejected():
         dl.validate_metric([[0, 1, 2], [1, 0, 1]])
 
 
+def test_nested_ragged_matrix_names_its_first_listed_entry():
+    """NumPy refuses a matrix ragged below its rows with a bare ValueError
+    whose text depends on its version; the refusal names the entry."""
+    with pytest.raises(InvalidParams, match=r"^row 0 entry 0 must be a number, got \[0\]$"):
+        dl.validate_metric([[[0], [0, 1]], [[0], [1]]])
+    with pytest.raises(InvalidParams, match=r"^row 1 entry 0 must be a number, got \[0, 1\]$"):
+        dl.validate_metric([[0, 1], [[0, 1], 0]])
+
+
 @st.composite
 def valid_spaces(draw):
     """Random Euclidean clouds are always valid metrics."""
@@ -305,20 +314,32 @@ def test_make_space_refuses_counts_that_are_no_integers():
     """Seeds, counts and extents follow one integer rule: ``int`` built
     branching 2 for 2.7 and 4 points for 4.9, True drew the seed-1 cloud, and
     NumPy refused 2.5 and -1 with bare errors, as iterating refused a shape
-    of one int.  NumPy integers are integers."""
+    of one int.  A count or an extent is at least 1 and a height at least 0,
+    read by the same rule.  NumPy integers are integers."""
     for kind, params, message in [
-            ("tree", dict(branching=2.7, height=1), "branching must be an integer, got 2.7"),
-            ("tree", dict(branching=2, height=1.0), "height must be an integer, got 1.0"),
-            ("grid_points", dict(shape=(2, 2.5)), "shape extent must be an integer, got 2.5"),
+            ("tree", dict(branching=2.7, height=1), "branching must be an integer >= 1, got 2.7"),
+            ("tree", dict(branching=2, height=1.0), "height must be an integer >= 0, got 1.0"),
+            ("tree", dict(branching=0, height=1), "branching must be an integer >= 1, got 0"),
+            ("tree", dict(branching=2, height=-1), "height must be an integer >= 0, got -1"),
+            ("grid_points", dict(shape=(2, 2.5)),
+             "shape extent must be an integer >= 1, got 2.5"),
+            ("grid_points", dict(shape=(2, 0)), "shape extent must be an integer >= 1, got 0"),
+            ("grid_points", dict(shape=(-1,)), "shape extent must be an integer >= 1, got -1"),
+            ("grid_points", dict(shape=()), "grid shape must have at least one extent"),
             ("grid_points", dict(shape=3), "shape must be a sequence of extents, got 3"),
             ("random_cloud", dict(seed=True, n=5), "seed must be an integer >= 0, got True"),
             ("random_cloud", dict(seed=2.5, n=5), "seed must be an integer >= 0, got 2.5"),
             ("random_cloud", dict(seed=-1, n=5), "seed must be an integer >= 0, got -1"),
-            ("random_cloud", dict(seed=1, n=4.9), "n must be an integer, got 4.9"),
-            ("random_cloud", dict(seed=1, n=5, dim="2"), "dim must be an integer, got '2'"),
+            ("random_cloud", dict(seed=1, n=4.9), "n must be an integer >= 1, got 4.9"),
+            ("random_cloud", dict(seed=1, n=0), "n must be an integer >= 1, got 0"),
+            ("random_cloud", dict(seed=1, n=5, dim="2"), "dim must be an integer >= 1, got '2'"),
+            ("random_cloud", dict(seed=1, n=5, dim=0), "dim must be an integer >= 1, got 0"),
+            ("random_cloud", dict(seed=1, n=5, dim=-1), "dim must be an integer >= 1, got -1"),
             ("random_cloud", dict(seed=1, n=5, levels=2.0), "levels must be an integer, got 2.0"),
             ("random_cloud", dict(seed=1, n=5, levels=2, branching=2.7),
-             "branching must be an integer, got 2.7")]:
+             "branching must be an integer >= 1, got 2.7"),
+            ("random_cloud", dict(seed=1, n=5, levels=2, branching=0),
+             "branching must be an integer >= 1, got 0")]:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             dl.make_space(kind, **params)
     with pytest.raises(InvalidParams, match="^branching must be an integer >= 1, got 3.5$"):

@@ -1,4 +1,5 @@
 """The package namespace: each module's ``__all__`` is what the package exports."""
+import ast
 import importlib
 import inspect
 import os
@@ -64,9 +65,32 @@ def loads_numpy_random(code: str) -> bool:
 
 
 def test_importing_the_package_loads_no_numpy_random():
-    """``goodness._recorder_type`` makes its Generator subclass on first use,
+    """``mc._recorder_type`` makes its Generator subclass on first use,
     so the package and its CLI load ``numpy.random`` no sooner than numpy
     does."""
     if loads_numpy_random("import numpy"):
         pytest.skip("import numpy loads numpy.random on its own (numpy 1.24)")
     assert not loads_numpy_random("import dyadiclab, dyadiclab.cli")
+
+
+# names of NumPy's PCG64 stream and of the trial chunk's draw memo, the
+# memo's logged call names, and mc's helpers that compute draws from words
+STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
+LOGGED_CALLS = {"integers", "permutation"}
+STREAM_HELPERS = {"_lcg", "_walk", "_random", "_trial_states"}
+
+
+def test_only_mc_knows_the_pcg64_stream():
+    """The draw memo is ``mc``'s: no other module names the generator's bit
+    generator, the recorder, the probe or a logged call name (as a string),
+    or imports mc's stream helpers."""
+    for path in sorted(Path(dyadiclab.__file__).parent.glob("*.py")):
+        if path.name == "mc.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert name not in STREAM_NAMES, (path.name, name)
+            assert getattr(node, "value", None) not in LOGGED_CALLS, (path.name, node.value)
+            if isinstance(node, ast.ImportFrom) and node.module == "mc":
+                imported = {alias.name for alias in node.names}
+                assert not imported & STREAM_HELPERS, (path.name, imported)

@@ -67,9 +67,17 @@ MUTANTS = [
     ("decay layer on every outcome", GOODNESS,
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
-    ("miss budget", GOODNESS,
+    # the trial chunk's guards: the memo's budget, the check of the batched
+    # states against trial_rng, and the probe that turns the walk off
+    ("miss budget", MC,
      "if len(parts) < _MISS_BUDGET:", "if len(parts) <= _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
+    ("trial states unchecked", MC,
+     "if _lcg(rng) != first:", "if False:",
+     [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
+    ("walk always trusted", MC,
+     "served = _words_match(rng, first)", "served = True",
+     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"]),
     # the draws computed from PCG64's words: the buffered high half of an
     # output (in integers, then in permutation), the swap draw's bit mask, and
     # a coin that must come from a fresh output
