@@ -36,9 +36,12 @@ The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow the integer rule of ``metric``, checked before any
-trial runs.  This module supplies what a trial computes (``_trial_part``);
-``mc._trial_chunk`` runs the trials, drawing each stream as if every trial
-built its own forest while building each distinct forest of a chunk once.
+trial runs.  This module supplies what a trial computes (``_trial_part``)
+and, for the really-good estimator, the rows of a chunk's matrix of parts
+and vector of coins (``_equalized_rows``); ``mc._trial_chunk`` runs the
+trials, drawing each stream as if every trial built its own forest while
+building each distinct forest of a chunk once, and reads the draws of the
+trials it does not build from their streams' words in array math.
 """
 from __future__ import annotations
 
@@ -394,11 +397,12 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _equalized_row(part: tuple[int, int], xi: float, cutoff: float) -> tuple[int]:
-    """The really-good verdict of a ``_bad_row`` part, with its own coin xi:
-    the comparison of ``equalize`` at cutoff a / p_q, whose checks
-    ``estimate_really_good`` makes once, before the first trial."""
-    return (int(not part[0] and xi <= cutoff),)
+def _equalized_rows(parts: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:
+    """The really-good verdicts of a chunk's ``_bad_row`` parts, one row per
+    trial, each with its own coin xi: the comparison of ``equalize`` at cutoff
+    a / p_q, whose checks ``estimate_really_good`` makes once, before the
+    first trial."""
+    return ((parts[:, :1] == 0) & (xi[:, None] <= cutoff)).astype(np.int64)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -415,6 +419,6 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     row = partial(_bad_row, params=params, level=level, center=center)
     build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
-    finish = partial(_equalized_row, cutoff=a / p_q)
+    finish = partial(_equalized_rows, cutoff=a / p_q)
     rows = run_chunked(_trial_chunk, (seed, build, finish), trials, workers)
     return float(rows[:, 0].sum() / trials)

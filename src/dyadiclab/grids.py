@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+# the most maximal sets one component's family may hold; a component of n points has at most
+# 3**(n/3) (Moon-Moser), 1458 at the default limit of 20, so only a larger --limit meets it
+MAX_FAMILY = 5000
 MAX_LEVELS = 1000  # the most levels a hierarchy may have; finest_level refuses more
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 _FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
@@ -111,6 +114,7 @@ def _component_mis(adj: list[list[int]], comp: list[int]) -> list[frozenset[int]
 
     Bron-Kerbosch with pivoting, run on the complement graph (maximal
     independent sets are exactly the maximal cliques of the complement).
+    Raises TooLargeForExhaustive as it emits set ``MAX_FAMILY`` + 1.
     """
     comp_set = set(comp)
     # complement adjacency: compatible pairs are those at distance >= k; at
@@ -120,6 +124,9 @@ def _component_mis(adj: list[list[int]], comp: list[int]) -> list[frozenset[int]
 
     def bk(chosen: set[int], cand: set[int], excl: set[int]) -> None:
         if not cand and not excl:
+            if len(out) == MAX_FAMILY:
+                raise TooLargeForExhaustive(
+                    f"a component of {len(comp)} points has more than {MAX_FAMILY} maximal sets")
             out.append(frozenset(chosen))
             return
         pivot = max(cand | excl, key=lambda u: len(compat[u] & cand))

@@ -126,6 +126,19 @@ def test_coloring_limit_reaches_tree_experiment(tmp_path, elbow_json):
     assert report["data"]["tree_probability"] == {"num": 512, "den": 681}
 
 
+def test_coloring_family_budget_exits_2(tmp_path, capsys):
+    """Coloring at unit scale on a 40-point cloud with distances doubled is
+    one component whose family passes the maximal-set budget: exit 2 with
+    no traceback."""
+    cloud = dl.make_space("random_cloud", seed=1, n=40, scale=2.2, min_sep=0.05)
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({"points": list(cloud.points), "dist": (cloud.d * 2).tolist()}))
+    code, _ = run_to_file(tmp_path, ["coloring", "--input", str(path), "--limit", "40"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "maximal sets" in err and "Traceback" not in err
+
+
 def test_goodness_subcommand(tmp_path, elbow_json):
     code, out = run_to_file(tmp_path, [
         "goodness", "--input", elbow_json, "--delta", "0.1", "--gamma", "0.1",

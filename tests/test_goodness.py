@@ -870,13 +870,6 @@ def test_trial_chunk_serves_permutations_from_the_words(monkeypatch, elbow):
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
-def off_by_one_bit(next64):
-    def shifted(state, inc):
-        state, word = next64(state, inc)
-        return state, word ^ 1
-    return shifted
-
-
 @pytest.mark.parametrize("disagree", ["guard", "words"])
 def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, disagree,
                                                                 elbow, ladder, decay_probe):
@@ -884,10 +877,11 @@ def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, dis
     the generator does builds every trial, with the reference's rows: with
     the guard forced to fail, and with words whose outputs are one bit off."""
     if disagree == "guard":
-        monkeypatch.setattr(mc, "_words_match", lambda rng, state: False)
+        monkeypatch.setattr(mc, "_words_match", lambda rng, outputs: False)
     else:
-        monkeypatch.setattr(mc, "_next64", off_by_one_bit(mc._next64))
-        assert not mc._words_match(trial_rng(5, 0), next(_trial_states(5, 0, 1)))
+        xsl_rr = mc._xsl_rr
+        monkeypatch.setattr(mc, "_xsl_rr", lambda hi, lo: xsl_rr(hi, lo) ^ mc._U1)
+        assert not mc._words_match(trial_rng(5, 0), mc._Outputs(next(_trial_states(5, 0, 1))))
     cases = pipeline_cases(elbow, ladder, decay_probe)
     for case in (cases[0], cases[4]):
         assert_rows_match_reference(monkeypatch, *case)
@@ -920,6 +914,52 @@ def test_trial_chunk_refuses_states_that_differ_from_trial_rng(monkeypatch, elbo
         estimate_bad_probability(elbow, 2, "x", PARAMS, trials=10, seed=5)
 
 
+def chunk_payload(monkeypatch, estimate, *args, **kwargs):
+    """The (worker, payload) of the trial chunk that an estimator runs,
+    captured without running it."""
+    captured = []
+
+    def capture(worker, payload, trials, workers=1):
+        captured.append((worker, payload))
+        return np.zeros((trials, 2), dtype=np.int64)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(goodness, "run_chunked", capture)
+        estimate(*args, **kwargs)
+    (worker, payload), = captured
+    return worker, payload
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, lo, hi", [(2**96, 0, 6), (5, 2**32 - 3, 2**32 + 2),
+                                          (5, 7, 8), (2**96, 3, 4), (5, 2**32, 2**32 + 1)])
+def test_trial_chunk_edges_match_reference(monkeypatch, elbow, seed, lo, hi):
+    """The rows of chunks whose states come from trial_rng (a seed of 2**96,
+    indices across 2**32) and of one-trial chunks, whose length-1 arrays
+    must not overflow as scalars, with and without the coin."""
+    cases = [(estimate_bad_probability, (elbow, 2, 0, PARAMS), reference_bad_row, (2, 0)),
+             (estimate_really_good, (elbow, 0, 2, PARAMS, 0.25, 0.75),
+              reference_really_good_row, (2, 0, 0.25, 0.75))]
+    for estimate, args, row, row_args in cases:
+        worker, payload = chunk_payload(monkeypatch, estimate, *args, trials=1, seed=seed)
+        want = reference_trial_chunk((elbow, PARAMS, 0, "exhaustive_uniform",
+                                      DEFAULT_EXHAUSTIVE_LIMIT, seed, row, row_args), lo, hi)
+        assert np.array_equal(worker(payload, lo, hi), want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trial_chunk_memo_carries_across_blocks(monkeypatch, elbow, ladder, decay_probe):
+    """With blocks of 7 trials, rows still equal the reference's, and the
+    elbow's 1500 trials still build only their 6 distinct forests."""
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    cases = pipeline_cases(elbow, ladder, decay_probe)
+    for case in (cases[0], cases[4]):
+        assert_rows_match_reference(monkeypatch, *case, lo=3)
+    built = count_builds(monkeypatch)
+    estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+    assert len(built) == 6
+
+
 STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)
 STATE_TRIALS = (0, 1, 7, 499, 500, 2**32 - 1, 2**32)
 
@@ -929,6 +969,17 @@ def pcg64_state(state: int, inc: int) -> dict:
     buffered half word, as a trial chunk's miss sets it."""
     return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
             "state": {"state": state, "inc": inc}}
+
+
+def state_pairs(blocks) -> list[tuple[int, int]]:
+    """The LCG (state, inc) int pairs of blocks of states, checking that
+    each block holds at most ``mc._BLOCK`` trials."""
+    pairs = []
+    for states in blocks:
+        assert states.dtype == np.uint64 and states.shape[0] == 4
+        assert 1 <= states.shape[1] <= mc._BLOCK
+        pairs += [mc._pair(states, t) for t in range(states.shape[1])]
+    return pairs
 
 
 def lcg_pairs(seed, ts) -> list[tuple[int, int]]:
@@ -947,15 +998,15 @@ def test_trial_states_match_trial_rng():
     the edges of the array passes' blocks."""
     for seed in STATE_SEEDS:
         for t in STATE_TRIALS:
-            assert list(_trial_states(seed, t, t + 1)) == lcg_pairs(seed, [t])
-        assert list(_trial_states(seed, 0, 12)) == lcg_pairs(seed, range(12))
+            assert state_pairs(_trial_states(seed, t, t + 1)) == lcg_pairs(seed, [t])
+        assert state_pairs(_trial_states(seed, 0, 12)) == lcg_pairs(seed, range(12))
         edge = mc._BLOCK
         for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2),
                    range(edge - 3, edge + 2), range(5 * edge - 1, 5 * edge + 1)):
-            assert list(_trial_states(seed, ts.start, ts.stop)) == lcg_pairs(seed, ts)
+            assert state_pairs(_trial_states(seed, ts.start, ts.stop)) == lcg_pairs(seed, ts)
     # two whole blocks and a part of a third, from a start that is no block edge
     ts = range(7, 2 * mc._BLOCK + 30)
-    assert list(_trial_states(2**40 + 3, ts.start, ts.stop)) == lcg_pairs(2**40 + 3, ts)
+    assert state_pairs(_trial_states(2**40 + 3, ts.start, ts.stop)) == lcg_pairs(2**40 + 3, ts)
 
 
 def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
@@ -972,8 +1023,8 @@ def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
 
 
 def test_trial_states_are_built_as_they_are_read():
-    """A chunk reads one state per trial, so reading the states one at a
-    time holds less than half the memory of holding them all."""
+    """A chunk reads one block of states at a time, so reading the blocks
+    one at a time holds less than half the memory of holding them all."""
     def peak(consume):
         tracemalloc.start()
         try:
@@ -991,7 +1042,7 @@ def test_trial_states_hold_one_block_at_the_first_read():
     tracemalloc.start()
     try:
         states = _trial_states(7, 0, 10**6)
-        assert next(states) == lcg_pairs(7, [0])[0]
+        assert mc._pair(next(states), 0) == lcg_pairs(7, [0])[0]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1002,7 +1053,7 @@ def test_trial_state_set_resets_the_buffered_half_word():
     rng = trial_rng(5, 0)
     rng.integers(10, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    rng.bit_generator.state = pcg64_state(*next(_trial_states(5, 3, 4)))
+    rng.bit_generator.state = pcg64_state(*mc._pair(next(_trial_states(5, 3, 4)), 0))
     ref = trial_rng(5, 3)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert (rng.integers(10, size=5, dtype=np.uint32).tolist()
@@ -1010,16 +1061,6 @@ def test_trial_state_set_resets_the_buffered_half_word():
 
 
 # --- the draws a trial chunk computes from PCG64's words ----------------------------------
-
-class Script:
-    """A map of draw calls that gives call i after any i values drawn."""
-
-    def __init__(self, calls):
-        self.calls = calls
-
-    def get(self, prefix):
-        return self.calls[len(prefix)] if len(prefix) < len(self.calls) else None
-
 
 # about half of the 32-bit draws for 2**31 + 1 are rejected; bounds of 1 draw
 # nothing, and 2**32 takes the draw itself
@@ -1032,6 +1073,77 @@ WORD_SCRIPTS = [
     [("integers", (2**31 + 1, 2))],
     [("integers", (1, 3, 2**31 + 1)), ("permutation", 3)],
 ]
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def lcg_steps(state: int, inc: int, steps: int) -> list[tuple[int, int]]:
+    """The oracle: the LCG state after each of ``steps`` steps, and the
+    XSL-RR output of that state, in Python ints."""
+    out = []
+    for _ in range(steps):
+        state = (state * PCG_MULT + inc) % 2**128
+        word, rot = (state >> 64 ^ state) % 2**64, state >> 122
+        out.append((state, (word >> rot | word << (64 - rot)) % 2**64))
+    return out
+
+
+def assert_stream_at(rng, state: int, inc: int, drawn: int):
+    """The generator's stream is where ``drawn`` 32-bit draws from a state
+    just set leave it: (drawn + 1) // 2 LCG steps on, buffering the last
+    output's high half when ``drawn`` is odd."""
+    left = rng.bit_generator.state
+    steps = lcg_steps(state, inc, (drawn + 1) // 2)
+    assert left["state"]["state"] == (steps[-1][0] if steps else state)
+    assert left["has_uint32"] == drawn % 2
+    if drawn % 2:
+        assert left["uinteger"] == steps[-1][1] >> 32
+
+
+def test_words_make_the_generators_draws():
+    """The 240 trial states of seed 9, walked as one batch, each script's
+    trials a group: the array draws make the values of Generator.integers
+    and permutation, and the coin of random() after them, and leave the
+    stream where the generator does, its buffered half word too, for even
+    and odd counts of 32-bit draws before the coin; a trial is not served
+    exactly where one of its integers draws is rejected, and no trial where
+    a bound exceeds 2**32."""
+    states = next(_trial_states(9, 0, 240))
+    outputs = mc._Outputs(states)
+    pos = np.zeros(240, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64())
+    outcomes = collections.Counter()
+    for first, calls in enumerate(WORD_SCRIPTS):
+        trials = np.arange(first, 240, len(WORD_SCRIPTS))
+        drawn, served = [], np.ones(len(trials), dtype=bool)
+        for call in calls:
+            values, kept = mc._draw(call, outputs, trials, pos)
+            drawn.append(values)
+            served &= kept
+        coins = outputs.coins(trials, pos[trials])
+        for col, t in enumerate(trials.tolist()):
+            state, inc = mc._pair(states, t)
+            rng.bit_generator.state = pcg64_state(state, inc)
+            if not served[col]:  # the scripts' bounds of 2**31 + 1 are in their first call
+                _, bounds = calls[0]
+                rng.integers(bounds)
+                assert halves_drawn(state, inc, rng.bit_generator.state) > \
+                    len(bounds) - bounds.count(1)
+                outcomes["rejected"] += 1
+                continue
+            assert [tuple(values[:, col].tolist()) for values in drawn] == \
+                [tuple(getattr(rng, name)(arg).tolist()) for name, arg in calls]
+            assert_stream_at(rng, state, inc, int(pos[t]))
+            outcomes["odd" if pos[t] % 2 else "even"] += 1
+            assert coins[col] == rng.random()
+            # the coin takes a fresh output and leaves the buffered half
+            left = rng.bit_generator.state
+            assert left["state"]["state"] == lcg_steps(state, inc, (int(pos[t]) + 1) // 2 + 1)[-1][0]
+            assert left["has_uint32"] == pos[t] % 2
+    assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
+    trials = np.arange(20)
+    for bounds in [(2**32 + 1,), (1, 2**40)]:
+        values, kept = mc._draw(("integers", bounds), outputs, trials, pos)
+        assert not kept.any()
 
 
 def halves_drawn(state: int, inc: int, left: dict) -> int:
@@ -1039,49 +1151,27 @@ def halves_drawn(state: int, inc: int, left: dict) -> int:
     left ``left``: two per LCG step, less the one it still buffers."""
     steps = 0
     while state != left["state"]["state"]:
-        state = (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        state = (state * PCG_MULT + inc) % 2**128
         steps += 1
     return 2 * steps - left["has_uint32"]
 
 
-def assert_stream_at(rng, state: int, half):
-    """The generator's stream is at the LCG state, buffering the half word."""
-    left = rng.bit_generator.state
-    assert (state, half is not None) == (left["state"]["state"], left["has_uint32"])
-    assert half is None or half == left["uinteger"]
-
-
-def test_words_make_the_generators_draws():
-    """From 240 trial states, a walk on the words makes the values of
-    Generator.integers and permutation, and the coin of random() after them,
-    and leaves the stream where the generator does, its buffered half word
-    too, for even and odd counts of 32-bit draws before the coin; a walk
-    ends with no values exactly where an integers draw is rejected, and at a
-    bound above 2**32."""
-    rng = np.random.Generator(np.random.PCG64())
-    outcomes = collections.Counter()
-    for t, (state, inc) in enumerate(_trial_states(9, 0, 240)):
-        calls = WORD_SCRIPTS[t % len(WORD_SCRIPTS)]
-        prefix, after, half = mc._walk(Script(calls), state, inc)
-        rng.bit_generator.state = pcg64_state(state, inc)
-        if prefix is None:  # the scripts' bounds of 2**31 + 1 are in their first call
-            _, bounds = calls[0]
-            rng.integers(bounds)
-            assert halves_drawn(state, inc, rng.bit_generator.state) > \
-                len(bounds) - bounds.count(1)
-            outcomes["rejected"] += 1
-            continue
-        assert prefix == tuple(tuple(getattr(rng, name)(arg).tolist()) for name, arg in calls)
-        assert_stream_at(rng, after, half)
-        outcomes["odd" if half is not None else "even"] += 1
-        coin, after, half = mc._random(after, inc, half)
-        assert coin == rng.random()
-        assert_stream_at(rng, after, half)
-    assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
-    for state, inc in itertools.islice(_trial_states(9, 0, 240), 20):
-        for bounds in [(2**32 + 1,), (1, 2**40)]:
-            calls = Script([("integers", bounds)])
-            assert mc._walk(calls, state, inc)[0] is None
+def test_outputs_match_the_lcg_past_any_table():
+    """Outputs 0..300 of 3 streams, read one at a time, so that the table of
+    outputs and the jump constants grow past their first sizes, equal a
+    Python-int LCG's, low half then high half."""
+    states = next(_trial_states(9, 0, 3))
+    outputs = mc._Outputs(states)
+    trials = np.arange(3)
+    got = []
+    for k in range(301):
+        low = outputs.halves(trials, np.full(3, 2 * k))
+        high = outputs.halves(trials, np.full(3, 2 * k + 1))
+        got.append((low | high << mc._U32).tolist())
+    assert outputs.table.shape[1] >= 301
+    for t in range(3):
+        want = [word for _, word in lcg_steps(*mc._pair(states, t), 301)]
+        assert [row[t] for row in got] == want
 
 
 # --- Wilson intervals ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Maximal separated subsets: greedy, exhaustive enumeration, sampling, nesting."""
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ def test_enumerate_cap():
     # raising the cap makes the same call legal
     grids = dl.enumerate_maximal_separated(space, range(21), 1.0, limit=25)
     assert len(grids) == 1
+
+
+def test_family_budget_refuses_a_large_family_fast(monkeypatch):
+    """--limit caps a component's size, not its family: one 40-point
+    component at scale 0.5 has 32,162 maximal sets.  Bron-Kerbosch is
+    stopped as it emits set MAX_FAMILY + 1, well under a second, and nothing
+    is memoized for the refused key."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    cloud = dl.make_space("random_cloud", seed=1, n=40, scale=2.2, min_sep=0.05)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeForExhaustive, match=f"more than {grids.MAX_FAMILY} maximal sets"):
+        dl.enumerate_maximal_separated(cloud, range(40), 0.5, limit=40)
+    assert time.perf_counter() - start < 1.0
+    assert not grids._FAMILIES.get(cloud)
+    # Moon-Moser: no component within the default limit can reach the budget
+    assert grids.MAX_FAMILY >= 2 * 3 ** 6
 
 
 def test_sampler_caps_each_component(monkeypatch):

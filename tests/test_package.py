@@ -77,7 +77,7 @@ def test_importing_the_package_loads_no_numpy_random():
 # memo's logged call names, and mc's helpers that compute draws from words
 STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
 LOGGED_CALLS = {"integers", "permutation"}
-STREAM_HELPERS = {"_lcg", "_walk", "_random", "_trial_states"}
+STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Memo", "_walk"}
 
 
 def test_only_mc_knows_the_pcg64_stream():

@@ -70,32 +70,34 @@ MUTANTS = [
     # the trial chunk's guards: the memo's budget, the check of the batched
     # states against trial_rng, and the probe that turns the walk off
     ("miss budget", MC,
-     "if len(parts) < _MISS_BUDGET:", "if len(parts) <= _MISS_BUDGET:",
+     "if paths < _MISS_BUDGET:", "if paths <= _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
     ("trial states unchecked", MC,
-     "if _lcg(rng) != first:", "if False:",
+     "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk always trusted", MC,
-     "served = _words_match(rng, first)", "served = True",
+     "trust = _words_match(rng, _Outputs(first[:, :1]))", "trust = True",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"]),
     # the draws computed from PCG64's words: the buffered high half of an
-    # output (in integers, then in permutation), the swap draw's bit mask, and
-    # a coin that must come from a fresh output
+    # output (in integers, then in permutation, each 32-bit draw taken as a
+    # fresh output's low half), the swap draw's bit mask, a coin that must
+    # come from a fresh output, and the carry of the jump-ahead's 128-bit sum
     ("integers without the half-word buffer", MC,
-     "                    draw, half = word & _MASK32, word >> 32",
-     "                    draw, half = word & _MASK32, None",
+     "pos[trials] + np.arange(len(rows))[:, None])",
+     "2 * (pos[trials] + np.arange(len(rows))[:, None]))",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("permutation without the half-word buffer", MC,
-     "\n                draw, half = word & _MASK32, word >> 32",
-     "\n                draw, half = word & _MASK32, None",
+     "outputs.halves(trials[todo], at[todo])", "outputs.halves(trials[todo], 2 * at[todo])",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("permutation mask one bit wider", MC,
-     "mask = (1 << i.bit_length()) - 1", "mask = (1 << i.bit_length() + 1) - 1",
+     "_u64((1 << i.bit_length()) - 1)", "_u64((1 << i.bit_length() + 1) - 1)",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("coin from the buffered half", MC,
-     "return (word >> 11) * 2.0 ** -53, state, half",
-     "return ((word if half is None else half << 32) >> 11) * 2.0 ** -53, state, half",
+     "k = (h + 1) >> 1", "k = h >> 1",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
+    ("128-bit sum without its carry", MC,
+     "return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo", "return a_hi + b_hi, lo",
+     [T_GOODNESS + "test_outputs_match_the_lcg_past_any_table"]),
     ("conflict", GRIDS,
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
