@@ -10,7 +10,9 @@ universe by ``enumerate_proper_colorings``: ``balls[y]`` holds the points
 strictly closer than 1 to y, the open unit ball of ``metric.ball``.  The
 largest ball's size is d, the shadow of a set S is the union of the balls of
 its points outside the ball of v, and a point y has a red neighbor when
-``balls[y]`` meets the red set.
+``balls[y]`` meets the red set.  The audit's properness test of each output
+reads the same table: a red point's ball holds no other red point, and a
+green point's ball holds some red point.
 """
 from __future__ import annotations
 
@@ -95,9 +97,15 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     ascending index order, recoloring each to red unless it is within distance
     < 1 of an already recolored one; remaining yellow points stay green.
     """
-    space, balls = universe.space, universe.balls
-    v = space.resolve(v)
-    s_set = frozenset(space.resolve(p) for p in subset_s)
+    space = universe.space
+    return _recolor(universe, coloring, space.resolve(v),
+                    frozenset(space.resolve(p) for p in subset_s))
+
+
+def _recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int,
+             s_set: frozenset[int]) -> ProperColoring:
+    """``recolor`` on a resolved point v and set S of point indices."""
+    balls = universe.balls
     ball_v = balls[v]
 
     if not s_set <= ball_v - {v}:
@@ -113,8 +121,15 @@ def recolor(universe: ColoringUniverse, coloring: ProperColoring, v: int | str,
     shadow = frozenset().union(*(balls[s] for s in s_set)) - ball_v
     yellow = [y for y in sorted(shadow) if not balls[y] & red]
     # the ascending scan is the greedy 1-separated grid of the yellow points
-    red.update(_greedy_members(space, yellow, 1.0))
+    red.update(_greedy_members(universe.space, yellow, 1.0))
     return ProperColoring(red=frozenset(red))
+
+
+def _proper_on_balls(balls: tuple[frozenset[int], ...], red: frozenset[int]) -> bool:
+    """``is_proper`` read from the open unit balls: a red point's ball holds
+    no other red point, and a green point's ball holds some red point."""
+    return all(len(b & red) == 1 if y in red else bool(b & red)
+               for y, b in enumerate(balls))
 
 
 @dataclass
@@ -139,8 +154,7 @@ def verify_recoloring_injective(universe: ColoringUniverse,
     records, rather than repairing, any improper output or any color change
     outside the unit ball of v and the shadow of S.
     """
-    space = universe.space
-    v = space.resolve(v)
+    v = universe.space.resolve(v)
     ball_v = universe.balls[v]
     b_class = [c for c in universe.colorings if v in c.red]
     rep = RecoloringReport(card_b=len(b_class))
@@ -161,9 +175,9 @@ def verify_recoloring_injective(universe: ColoringUniverse,
         allowed = ball_v.union(*(universe.balls[s] for s in s_set))
         seen: dict[frozenset, ProperColoring] = {}
         for col in members:
-            out = recolor(universe, col, v, s_set)
+            out = _recolor(universe, col, v, s_set)
             rep.checked += 1
-            if v not in out.red or not is_proper(space, out.red):
+            if v not in out.red or not _proper_on_balls(universe.balls, out.red):
                 rep.improper_outputs.append(out.red)
             changed = (col.red ^ out.red)
             if not changed <= allowed:

@@ -522,11 +522,13 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
     maps) for every level above the coarsest, and the weight prob / count
     that each of its count forests carries, count being the product of the
     levels' map counts.  A level's maps are one row per choice of every
-    child's option, in ``itertools.product`` order, holding each child's
-    parent as a column of ``cols``, which is also its ball row.  Raises
-    TooLargeForExhaustive, before returning any outcome, when the grid
-    outcomes or the forests exceed ``MAX_OUTCOMES``; a grid outcome's maps
-    are listed only once its forests have passed that cap.
+    child's option, in ``itertools.product`` order (the last child's choice
+    varies fastest), holding each child's parent as a column of ``cols``,
+    which is also its ball row.  Raises TooLargeForExhaustive, before
+    returning any outcome, when the grid outcomes or the forests exceed
+    ``MAX_OUTCOMES``; the forest count is the product of the children's
+    option counts, as Python ints, and a grid outcome's maps are built only
+    once its forests have passed that cap, by ``_parent_maps``.
     """
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
@@ -555,15 +557,27 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
         for lev in levels[1:]:
             kids = sorted(grids[lev].members)
             cols, _, options = _link_rule(space, kids, grids[lev - 1])
-            links.append((lev, kids, cols, [row.nonzero()[0].tolist() for row in options]))
-        count = math.prod(len(opts) for *_, per_kid in links for opts in per_kid)
+            links.append((lev, kids, cols, options, options.sum(axis=1).tolist()))
+        count = math.prod(math.prod(sizes) for *_, sizes in links)
         if total + count > MAX_OUTCOMES:
             raise TooLargeForExhaustive("too many parent outcomes")
         total += count
-        children = [(lev, kids, cols, np.array(list(itertools.product(*per_kid))))
-                    for lev, kids, cols, per_kid in links]
+        children = [(lev, kids, cols, _parent_maps(options, sizes))
+                    for lev, kids, cols, options, sizes in links]
         frames.append((hierarchy, children, prob / count))
     return frames
+
+
+def _parent_maps(options: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The parent maps of one level, from its child-by-``cols`` ``options``
+    matrix and each child's option count: one int64 row per choice of every
+    child's option, the last child's choice varying fastest, each entry the
+    column of the chosen option.  A stable sort puts each child's option
+    columns first, in ascending order; the rows of the ``np.indices`` grid of
+    the counts pick from them in one gather."""
+    padded = (~options).argsort(axis=1, kind="stable")
+    choice = np.indices(sizes).reshape(len(sizes), -1)
+    return padded[np.arange(len(sizes))[:, None], choice].T.copy()
 
 
 def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,

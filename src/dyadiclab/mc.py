@@ -436,18 +436,21 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
     is the lowest trial of a class with no child, or of the trials at a node
     with no call yet; if it entered its path, the rest walk on along it, and
     else each is passed to ``miss`` in turn.  Trials reach a leaf, and are
-    served its part, only while ``trusted()``; else each is passed to
-    ``miss``."""
+    served its part, only while ``trusted()``; once it has said no, every
+    trial at a leaf or still to walk is passed to ``miss``, with no further
+    draw."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
-    served, groups = [], [(0, trials)]
+    served, groups, distrusted = [], [(0, trials)], False
     while groups:
         node, trials = groups.pop()
-        if memo.parts[node] is not None:
+        if memo.parts[node] is not None and not distrusted:
             if trusted():
                 served.append((node, trials))
-            else:
-                for t in trials.tolist():
-                    miss(t)
+                continue
+            distrusted = True
+        if distrusted:
+            for t in trials.tolist():
+                miss(t)
             continue
         call = memo.calls[node]
         if call is None:

@@ -1,4 +1,5 @@
 """Exhaustive proper colorings, membership probabilities, and the recoloring map."""
+import collections
 import itertools
 from fractions import Fraction
 
@@ -29,6 +30,23 @@ def brute_force_colorings(space):
 def test_is_proper_ignores_a_repeated_red_point(l3):
     assert is_proper(l3, [0, 2, 0]) and is_proper(l3, [1, 1])
     assert not is_proper(l3, [0, 0])  # 2 is green with no red point within 1
+
+
+def test_ball_table_properness_matches_is_proper(small_family, l3, elbow):
+    """The audit's properness test, read from a universe's ball table, gives
+    ``is_proper``'s verdict on every red set of the criterion-1 spaces of at
+    most 7 points and of two hand-checked ones; both verdicts occur."""
+    spaces = [s for _, s in small_family if len(s) <= 7] + [l3, elbow]
+    verdicts = collections.Counter()
+    for space in spaces:
+        balls = dl.enumerate_proper_colorings(space).balls
+        n = len(space)
+        for red in itertools.chain.from_iterable(
+                itertools.combinations(range(n), r) for r in range(n + 1)):
+            verdict = is_proper(space, red)
+            assert coloring._proper_on_balls(balls, frozenset(red)) == verdict, red
+            verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 1000
 
 
 # --- enumeration ------------------------------------------------------------------

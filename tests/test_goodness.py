@@ -875,7 +875,8 @@ def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, dis
                                                                 elbow, ladder, decay_probe):
     """A chunk whose first trial's words do not make the probe's draws as
     the generator does builds every trial, with the reference's rows: with
-    the guard forced to fail, and with words whose outputs are one bit off."""
+    the guard forced to fail, and with words whose outputs are one bit off.
+    Either way the walk makes no draw once the probe has failed."""
     if disagree == "guard":
         monkeypatch.setattr(mc, "_words_match", lambda rng, outputs: False)
     else:
@@ -886,8 +887,25 @@ def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, dis
     for case in (cases[0], cases[4]):
         assert_rows_match_reference(monkeypatch, *case)
     built = count_builds(monkeypatch)
+    events = []
+    draw, words_match = mc._draw, mc._words_match
+
+    def logged_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    def logged_words_match(rng, outputs):
+        match = words_match(rng, outputs)
+        events.append(("probe", match))
+        return match
+
+    monkeypatch.setattr(mc, "_draw", logged_draw)
+    monkeypatch.setattr(mc, "_words_match", logged_words_match)
     estimate_bad_probability(elbow, 2, "x", PARAMS, trials=300, seed=5)
     assert len(built) == 300
+    assert events.count(("probe", False)) == 1
+    failed = events.index(("probe", False))
+    assert "draw" in events[:failed] and "draw" not in events[failed + 1:]
 
 
 def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):

@@ -1,5 +1,6 @@
 """Parent forests, cubes, covering lemmas, interiors, chain separation."""
 import copy
+import itertools
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -18,6 +19,7 @@ from dyadiclab.errors import (
     UnknownCenter,
 )
 from dyadiclab.grids import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     Grid,
     GridHierarchy,
     enumerate_maximal_separated,
@@ -1300,6 +1302,32 @@ def test_outcomes_match_reference(elbow, ladder, small_family):
     for space in spaces:
         want = outcome_list(space, 0.1, reference_enumerate_forest_outcomes)
         assert outcome_list(space, 0.1, dl.enumerate_forest_outcomes) == want
+
+
+def reference_parent_maps(options: np.ndarray) -> np.ndarray:
+    """A level's parent maps as the ``itertools.product`` of each child's
+    option columns, one row per map."""
+    per_kid = [row.nonzero()[0].tolist() for row in options]
+    return np.array(list(itertools.product(*per_kid)))
+
+
+def test_parent_maps_match_product_order(elbow, ladder, small_family):
+    """Every level's table of parent maps, in every grid outcome of the
+    criterion-1 spaces of at most 9 points and of two hand-built ones, is
+    the product of its children's option columns: the same values in the
+    same row order, dtype and shape."""
+    spaces = [elbow, ladder] + [s for _, s in small_family if len(s) <= 9]
+    rows = 0
+    for space in spaces:
+        for hierarchy, children, _ in lattice._outcome_frames(space, 0.1, 0,
+                                                              DEFAULT_EXHAUSTIVE_LIMIT):
+            for lev, kids, _, maps in children:
+                _, _, options = _link_rule(space, kids, hierarchy.grids[lev - 1])
+                want = reference_parent_maps(options)
+                assert (maps.dtype, maps.shape) == (want.dtype, want.shape)
+                assert np.array_equal(maps, want) and maps.flags.c_contiguous
+                rows += len(maps)
+    assert rows > 40_000
 
 
 def test_outcome_probabilities_sum_to_one(elbow):

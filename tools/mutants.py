@@ -27,10 +27,12 @@ LATTICE = "src/dyadiclab/lattice.py"
 GRIDS = "src/dyadiclab/grids.py"
 METRIC = "src/dyadiclab/metric.py"
 MC = "src/dyadiclab/mc.py"
+COLORING = "src/dyadiclab/coloring.py"
 T_GOODNESS = "tests/test_goodness.py::"
 T_LATTICE = "tests/test_lattice.py::"
 T_GRIDS = "tests/test_grids.py::"
 T_METRIC = "tests/test_metric.py::"
+T_COLORING = "tests/test_coloring.py::"
 
 # (name, file, source text, flipped text, node ids expected to fail)
 MUTANTS = [
@@ -98,6 +100,16 @@ MUTANTS = [
     ("128-bit sum without its carry", MC,
      "return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo", "return a_hi + b_hi, lo",
      [T_GOODNESS + "test_outputs_match_the_lcg_past_any_table"]),
+    # the exact walk's parent maps: the last child's choice varies fastest
+    ("parent maps, first child fastest", LATTICE,
+     "choice = np.indices(sizes).reshape(len(sizes), -1)",
+     "choice = np.indices(sizes[::-1])[::-1].reshape(len(sizes), -1)",
+     [T_LATTICE + "test_parent_maps_match_product_order"]),
+    # the audit's properness test on the ball table: a red point's ball holds
+    # no other red point
+    ("red ball", COLORING,
+     "len(b & red) == 1", "len(b & red) >= 1",
+     [T_COLORING + "test_ball_table_properness_matches_is_proper"]),
     ("conflict", GRIDS,
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
