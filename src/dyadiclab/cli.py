@@ -54,7 +54,7 @@ from .lattice import (
     forest_to_json,
     scan_chain_separation,
 )
-from .mc import worker_count
+from .mc import trial_session, worker_count
 from .measures import (
     a2_characteristic,
     growth_constant,
@@ -230,6 +230,7 @@ def _cmd_coloring(args) -> tuple[dict, int]:
     return _verdict(checks, data)
 
 
+@trial_session()  # the three estimators share their forests and their process pool
 def _cmd_goodness(args) -> tuple[dict, int]:
     if args.freeze_above is not None:
         raise ConfigError("--freeze-above applies to grids and lattice only")

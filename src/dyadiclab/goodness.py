@@ -36,12 +36,18 @@ The trial rows classify the center's cube from its row of the forest's cube
 table, without building a ``Cube``; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow the integer rule of ``metric``, checked before any
-trial runs.  This module supplies what a trial computes (``_trial_part``)
-and, for the really-good estimator, the rows of a chunk's matrix of parts
-and vector of coins (``_equalized_rows``); ``mc._trial_chunk`` runs the
-trials, drawing each stream as if every trial built its own forest while
-building each distinct forest of a chunk once, and reads the draws of the
+trial runs.  This module supplies the build of a trial's forest
+(``_trial_part``), each estimator's row of a forest and, for the really-good
+estimator, the rows of a chunk's matrix of rows and vector of coins
+(``_equalized_rows``); ``mc._trial_chunk`` runs the trials in the trial
+session of the build, drawing each stream as if every trial built its own
+forest while building each distinct forest of the session once and
+computing each distinct row once per distinct forest (the bad-probability
+and really-good estimators' rows are one), and reads the draws of the
 trials it does not build from their streams' words in array math.
+A session lives for one estimator call, or for one ``mc.trial_session()``
+context, such as a ``goodness`` command's, whose three estimators then share
+its forests.
 """
 from __future__ import annotations
 
@@ -63,7 +69,8 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
                       build_forest)
-from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
+from .mc import (_master_seed, _session, _trial_chunk, _trial_count, run_chunked,
+                 wilson_interval)
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
 __all__ = [
@@ -169,13 +176,12 @@ class DecayFit:
 
 
 def _trial_part(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
-                mode: str, limit: int, row, rng: np.random.Generator):
-    """One trial's part: the grids, then the parents, drawn from ``rng``, and
-    ``row`` of the forest.  Module-level, so that its partials pickle into the
-    worker pool."""
+                mode: str, limit: int, rng: np.random.Generator) -> LatticeForest:
+    """One trial's forest: the grids, then the parents, drawn from ``rng``.
+    Module-level, so that its partials pickle into the worker pool."""
     hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
                                    mode=mode, limit=limit)
-    return row(build_forest(hierarchy, rng))
+    return build_forest(hierarchy, rng)
 
 
 def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
@@ -242,8 +248,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
-    rows = run_chunked(_trial_chunk, (seed, build, None), trials, workers)
+    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
+    rows = run_chunked(_trial_chunk, (session, seed, row, None), trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
     return BadProbabilityEstimate(trials=trials, bad_count=bad,
@@ -297,8 +303,8 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     x = space.resolve(x)
     row = partial(_decay_row, params=params, x=x, level=level,
                   eps_schedule=tuple(eps))
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
-    rows = run_chunked(_trial_chunk, (seed, build, None), trials, workers)
+    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
+    rows = run_chunked(_trial_chunk, (session, seed, row, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
     intervals = [wilson_interval(c, trials) for c in counts]
@@ -397,12 +403,12 @@ def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
                 if finest == level else None)
 
 
-def _equalized_rows(parts: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:
-    """The really-good verdicts of a chunk's ``_bad_row`` parts, one row per
+def _equalized_rows(rows: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:
+    """The really-good verdicts of a chunk's ``_bad_row`` rows, one row per
     trial, each with its own coin xi: the comparison of ``equalize`` at cutoff
     a / p_q, whose checks ``estimate_really_good`` makes once, before the
     first trial."""
-    return ((parts[:, :1] == 0) & (xi[:, None] <= cutoff)).astype(np.int64)
+    return ((rows[:, :1] == 0) & (xi[:, None] <= cutoff)).astype(np.int64)
 
 
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
@@ -418,7 +424,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     row = partial(_bad_row, params=params, level=level, center=center)
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit, row)
     finish = partial(_equalized_rows, cutoff=a / p_q)
-    rows = run_chunked(_trial_chunk, (seed, build, finish), trials, workers)
+    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
+    rows = run_chunked(_trial_chunk, (session, seed, row, finish), trials, workers)
     return float(rows[:, 0].sum() / trials)

@@ -1,5 +1,5 @@
-"""Seeded Monte Carlo plumbing: per-trial streams, the trial chunk, Wilson intervals,
-worker fan-out.
+"""Seeded Monte Carlo plumbing: per-trial streams, trial sessions and chunks,
+Wilson intervals, worker fan-out.
 
 Every entry point and estimator reads a seeded run's inputs before any trial
 runs, by the package's one integer rule, ``metric._require_integer``: a
@@ -18,12 +18,18 @@ below 2**32, the shape of every ordinary run), and from ``trial_rng``
 itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
-``_trial_chunk`` runs the trials of one chunk for an estimator, which
-supplies what a trial computes from its stream (``build``) and what its rows
-are, given one coin per trial drawn after it (``finish``).  A trial's part
-is a function of its drawn values, so the chunk keeps a memo of the draw
-paths of its earlier trials, keyed by the values drawn.  Each block's trials
-walk it together (``_walk``), group by group, on the draws their words make,
+``_trial_chunk`` runs the trials of one chunk for an estimator, in a trial
+session (``_Session``) made from the build that draws a trial's forest from
+its stream; the estimator supplies its row of a forest and what its rows
+are, given one coin per trial drawn after the build (``finish``).  A forest
+is a function of its drawn values, so the session keeps a memo of the draw
+paths of the trials built in it, keyed by the values drawn, and each
+path's row.  A session lives for one estimator call, or, inside a
+``trial_session()`` context (one per ``goodness`` command), for the
+context: the session then keeps the forest at the end of each path, the
+estimators called in it on the same build share those forests, and their
+runs with workers share one process pool.  Each block's trials walk the
+memo together (``_walk``), group by group, on the draws their words make,
 computed in uint64 array math as NumPy computes them (``_Outputs``,
 ``_draw``): the outputs by jump-ahead from each state, Lemire's
 ``integers`` on buffered 32-bit halves, Fisher-Yates ``permutation``, and
@@ -42,7 +48,9 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache, lru_cache
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
+from functools import cache, lru_cache, partial
 from typing import Iterator
 
 import numpy as np
@@ -360,21 +368,22 @@ def _permutation(n: int, outputs: _Outputs, trials: np.ndarray, pos: np.ndarray)
 
 
 class _Memo:
-    """A trial chunk's draw memo: the draw paths of the trials it built, as a
-    tree whose nodes are numbered from the root, 0.  ``calls[v]`` is the
-    draw call made after the values that lead to node v (None until a build
-    makes one), ``parts[v]`` the part at the end of a complete path (None
-    elsewhere), and ``children[v, values]`` the node that those values of
-    v's call lead to."""
+    """A draw memo: the draw paths of the trials built on it, as a tree
+    whose nodes are numbered from the root, 0.  ``calls[v]`` is the draw
+    call made after the values that lead to node v (None until a build makes
+    one), ``builds[v]`` what the build made at the end of a complete path
+    (None elsewhere), and ``children[v, values]`` the node that those values
+    of v's call lead to."""
 
     def __init__(self):
         self.calls: list = [None]
-        self.parts: list = [None]
+        self.builds: list = [None]
         self.children: dict = {}
 
-    def enter(self, path: list, part) -> bool:
-        """Enter a recorder's path, with its part at the end; whether the
-        path is new."""
+    def enter(self, path: list, built) -> tuple[int, bool]:
+        """Enter a recorder's path, with what the build made at its end; the
+        path's leaf, and whether the path is new.  A leaf keeps what it was
+        first given: the same values make the same build."""
         node = 0
         for call, values in path:
             self.calls[node] = call
@@ -382,10 +391,12 @@ class _Memo:
             if child is None:
                 child = self.children[node, values] = len(self.calls)
                 self.calls.append(None)
-                self.parts.append(None)
+                self.builds.append(None)
             node = child
-        new, self.parts[node] = self.parts[node] is None, part
-        return new
+        new = self.builds[node] is None
+        if new:
+            self.builds[node] = built
+        return node, new
 
 
 @lru_cache(maxsize=1024)
@@ -436,14 +447,14 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
     is the lowest trial of a class with no child, or of the trials at a node
     with no call yet; if it entered its path, the rest walk on along it, and
     else each is passed to ``miss`` in turn.  Trials reach a leaf, and are
-    served its part, only while ``trusted()``; once it has said no, every
+    served its build, only while ``trusted()``; once it has said no, every
     trial at a leaf or still to walk is passed to ``miss``, with no further
     draw."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
     served, groups, distrusted = [], [(0, trials)], False
     while groups:
         node, trials = groups.pop()
-        if memo.parts[node] is not None and not distrusted:
+        if memo.builds[node] is not None and not distrusted:
             if trusted():
                 served.append((node, trials))
                 continue
@@ -527,44 +538,129 @@ def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
                                "state": {"state": state, "inc": inc}}
 
 
+class _Session:
+    """A trial session: the draw memo of every trial chunk run on one build,
+    the count of paths entered in it, at most ``_MISS_BUDGET``, the verdict
+    of the ``_PROBE`` check (None until a trial first reaches a leaf), and,
+    per row function and its arguments, the row of each leaf's forest
+    (``leaf_rows``).
+
+    A session lives for one estimator call, or for the ``trial_session()``
+    context that made it.  Only the latter keeps each leaf's forest, for the
+    rows of the other estimators in the context; a session of one call
+    needs no row but its own and keeps its rows alone, since held forests
+    cost the collector time.  Sent to a worker process, a session arrives as
+    its build alone, with an empty memo, for the one chunk it runs there."""
+
+    def __init__(self, build, keep: bool = False):
+        self.build, self.keep = build, keep
+        self.memo, self.paths, self.trust, self.leaf_rows = _Memo(), 0, None, {}
+
+    def __reduce__(self):
+        return _Session, (self.build,)
+
+    def enter(self, path: list, forest) -> int | None:
+        """Enter a build's path, with its forest if the session keeps them,
+        while the memo holds fewer than ``_MISS_BUDGET`` paths: the path's
+        leaf, or None once the budget is spent."""
+        if self.paths < _MISS_BUDGET:
+            leaf, new = self.memo.enter(path, forest if self.keep else ())
+            self.paths += new
+            return leaf
+        return None
+
+
+class _Scope:
+    """An open ``trial_session()`` context: a session per build, and the
+    process pool of its runs with workers, made on first use."""
+
+    def __init__(self):
+        self.sessions: dict = {}
+        self.pool: ProcessPoolExecutor | None = None
+
+
+_SCOPE: ContextVar[_Scope | None] = ContextVar("dyadiclab_trial_session", default=None)
+
+
+@contextmanager
+def trial_session() -> Iterator[None]:
+    """A context in which the estimators' trial chunks share one
+    ``_Session`` per build, so a forest built for one estimator serves every
+    trial of the others that draws the same values, and their runs with
+    workers share one process pool, shut down when the context ends.  Rows
+    and draws are the same as outside it, and the memo dies with it.  Also a
+    decorator, which opens a new context for each call."""
+    scope = _Scope()
+    token = _SCOPE.set(scope)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        if scope.pool is not None:
+            scope.pool.shutdown()
+
+
+def _key(f: partial) -> tuple:
+    """The function and arguments of a partial of hashable arguments, by
+    which sessions match builds and ``leaf_rows`` match row functions."""
+    return f.func, f.args, tuple(f.keywords.items())
+
+
+def _session(build: partial) -> _Session:
+    """The session of a build: that of the open ``trial_session()`` context,
+    shared by every call with the same function and arguments, or a fresh
+    one outside any context."""
+    scope, key = _SCOPE.get(), _key(build)
+    if scope is None:
+        return _Session(build)
+    if key not in scope.sessions:
+        scope.sessions[key] = _Session(build, keep=True)
+    return scope.sessions[key]
+
+
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a seeded estimator, with payload (seed, build,
-    finish): per trial t, the part ``build(rng)`` of a generator on the
-    stream of ``trial_rng(seed, t)``, and the rows ``finish(parts, xi)`` of
-    the matrix of parts and the vector of coins xi, each the stream's
-    ``random()`` after the build's draws (the rows are the parts themselves
-    when ``finish`` is None).  ``build`` may draw only through the
-    generator's ``integers(bounds)`` and ``permutation(n)``.
+    """Rows lo..hi-1 of a seeded estimator, with payload (session, seed,
+    row, finish): per trial t, the row ``row(forest)`` of the forest that
+    the session's build makes from a generator on the stream of
+    ``trial_rng(seed, t)``, and the rows ``finish(rows, xi)`` of the matrix
+    of those rows and the vector of coins xi, each the stream's ``random()``
+    after the build's draws (the rows themselves when ``finish`` is None).
+    The build may draw only through the generator's ``integers(bounds)``
+    and ``permutation(n)``.
 
     The chunk reads its trials' PCG64 states, the words of their LCGs, from
     ``_trial_states`` a block at a time, and checks the first against
     ``trial_rng(seed, lo)``.
 
-    A part is a function of its drawn values, and the bounds of each draw
-    call are a function of the values before it.  So the chunk keeps, for the
-    length of the call, a memo of its trials' draw paths (``_Memo``): a tree
-    whose nodes hold the next draw call after a prefix of drawn values, and
-    the part at the end of each complete path.  Each block's trials walk it
-    together, group by group, on the draws their words make (``_walk``); a
-    trial that reaches a part builds nothing, sets no state, and takes xi
-    from the words that follow.  Any other, and any trial whose walk meets a
-    rejected integers draw or a bound above 2**32, sets the generator state
-    its words stand for, with no buffered half word, on one reused
-    generator, builds through the recorder that shares the generator's bit
-    generator, takes xi from the generator, and enters its path while the
-    memo holds fewer than ``_MISS_BUDGET`` paths; the trials that drew the
-    values it drew then walk on along that path.  So a chunk builds each
-    distinct part about once, and every stream is drawn as if each trial
-    built its own.
+    A build is a function of its drawn values, and the bounds of each draw
+    call are a function of the values before it.  So the session keeps a
+    memo of its trials' draw paths (``_Memo``), for every chunk run on it: a
+    tree whose nodes hold the next draw call after a prefix of drawn values,
+    and a leaf at the end of each complete path, which holds the path's
+    forest when the session keeps forests; the session keeps each leaf's
+    row, per row function and its arguments.  Each block's trials walk the
+    memo together, group by group, on the draws their words make
+    (``_walk``); a trial that reaches a leaf builds nothing, sets no state,
+    takes the leaf's row, and takes xi from the words that follow.  Any other, and any trial whose
+    walk meets a rejected integers draw or a bound above 2**32, sets the
+    generator state its words stand for, with no buffered half word, on one
+    reused generator, builds through the recorder that shares the
+    generator's bit generator, takes xi from the generator, and enters its
+    path while the memo holds fewer than ``_MISS_BUDGET`` paths; the trials
+    that drew the values it drew then walk on along that path.  So a
+    session builds each distinct forest about once, whichever of its chunks
+    meets it first, computes each ``row`` once per distinct leaf, and draws
+    every stream as if each trial built its own forest.
 
-    No trial is served a part before a walk on the first trial's words makes
-    the draws of ``_PROBE``, and the coin after them, as the generator does;
-    the probe runs when a trial first reaches a part, so a chunk whose
-    trials share no path never runs it.  If it fails, every trial not yet
-    built builds, so a NumPy whose draws move costs speed, not correctness:
-    a walk that groups trials wrongly only sends them to builds.
+    No trial is served a forest before a walk on the first trial's words of
+    a chunk makes the draws of ``_PROBE``, and the coin after them, as the
+    generator does; the probe runs when a trial first reaches a leaf, once
+    per session, so a session whose trials share no path never runs it.  If
+    it fails, every trial not yet built builds, so a NumPy whose draws move
+    costs speed, not correctness: a walk that groups trials wrongly only
+    sends them to builds.
     """
-    seed, build, finish = payload
+    session, seed, row, finish = payload
     rng = trial_rng(seed, lo)
     blocks = _trial_states(seed, lo, hi)
     first = next(blocks)
@@ -572,45 +668,48 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(rng.bit_generator)
-    memo, paths, rows, trust = _Memo(), 0, [], None
+    memo, leaf_rows, rows = session.memo, session.leaf_rows.setdefault(_key(row), {}), []
 
     def trusted() -> bool:
-        nonlocal trust
-        if trust is None:
+        if session.trust is None:
             _set_state(rng, first, 0)
-            trust = _words_match(rng, _Outputs(first[:, :1]))
-        return trust
+            session.trust = _words_match(rng, _Outputs(first[:, :1]))
+        return session.trust
+
+    def leaf_row(leaf: int, forest=None):
+        if leaf not in leaf_rows:
+            leaf_rows[leaf] = row(memo.builds[leaf] if forest is None else forest)
+        return leaf_rows[leaf]
 
     for states in itertools.chain([first], blocks):
         built, n = {}, states.shape[1]
 
         def miss(t: int) -> bool:
-            nonlocal paths
             _set_state(rng, states, t)
             recorder.path.clear()
-            part = build(recorder)
-            built[t] = part, rng.random() if finish is not None else 0.0
-            if paths < _MISS_BUDGET:
-                paths += memo.enter(recorder.path, part)
-                return True
-            return False
+            forest = session.build(recorder)
+            leaf = session.enter(recorder.path, forest)
+            built[t] = (row(forest) if leaf is None else leaf_row(leaf, forest),
+                        rng.random() if finish is not None else 0.0)
+            return leaf is not None
 
         leaves, pos = [], None
-        if trust is not False:
+        if session.trust is not False:
             outputs = _Outputs(states)
             leaves, pos = _walk(memo, outputs, np.arange(n), miss, trusted)
         else:
             for t in range(n):
                 miss(t)
-        width = len(memo.parts[leaves[0][0]] if leaves else next(iter(built.values()))[0])
-        parts, xi = np.empty((n, width), dtype=np.int64), np.empty(n)
-        for leaf, trials in leaves:
-            parts[trials] = memo.parts[leaf]
+        served = [(leaf_row(leaf), trials) for leaf, trials in leaves]
+        width = len(served[0][0] if served else next(iter(built.values()))[0])
+        matrix, xi = np.empty((n, width), dtype=np.int64), np.empty(n)
+        for values, trials in served:
+            matrix[trials] = values
             if finish is not None:
                 xi[trials] = outputs.coins(trials, pos[trials])
-        for t, (part, coin) in built.items():
-            parts[t], xi[t] = part, coin
-        rows.append(parts if finish is None else finish(parts, xi))
+        for t, (values, coin) in built.items():
+            matrix[t], xi[t] = values, coin
+        rows.append(matrix if finish is None else finish(matrix, xi))
     return np.concatenate(rows)
 
 
@@ -630,6 +729,7 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
 
     The worker must return one row per trial; rows are concatenated in trial
     order, so results do not depend on the number of workers or on scheduling.
+    Inside a ``trial_session()`` context, the runs with workers share one pool.
     Refuses a trial count or a worker count that is not an integer >= 1.
     """
     trials = _trial_count(trials)
@@ -638,6 +738,10 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
         return np.asarray(worker(payload, 0, trials))
     # workers <= trials, so every chunk holds at least one trial
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    scope = _SCOPE.get()
+    if scope is not None and scope.pool is None:
+        scope.pool = ProcessPoolExecutor(max_workers=workers)
+    # the open trial session's pool, or a pool of this run alone
+    with nullcontext(scope.pool) if scope else ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(worker, itertools.repeat(payload), bounds[:-1], bounds[1:]))
     return np.concatenate(parts, axis=0)

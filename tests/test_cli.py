@@ -3,14 +3,16 @@ import csv
 import json
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dyadiclab as dl
-from dyadiclab import cli
+from dyadiclab import cli, goodness, mc
 from dyadiclab.cli import main
+from dyadiclab.grids import MODES
 
 
 @pytest.fixture()
@@ -487,6 +489,108 @@ def test_goodness_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, elbow_js
         assert code == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+# --- one trial session per goodness command ---------------------------------------
+
+def elbow_goodness(elbow_json, seed) -> list[str]:
+    """The goodness command of the cli-goodness-elbow benchmark workload."""
+    return ["goodness", "--input", elbow_json, "--delta", "0.1", "--gamma", "0.1",
+            "--r", "1", "--trials", "500", "--seed", str(seed)]
+
+
+def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path,
+                                                           elbow_json):
+    """The elbow's trials hold 6 distinct forests.  The command's three
+    estimators share one trial session, so it builds 6 forests in all, not 6
+    per estimator, and classifies each once: the bad-probability and
+    really-good estimators share their rows.  A second command opens a new
+    session and builds its 6 again."""
+    monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
+    built, classified = [], []
+    build_forest, bad_row = goodness.build_forest, goodness._bad_row
+
+    def counting_build_forest(hierarchy, rng):
+        built.append(hierarchy)
+        return build_forest(hierarchy, rng)
+
+    def counting_bad_row(forest, *args, **kwargs):
+        classified.append(forest)
+        return bad_row(forest, *args, **kwargs)
+
+    monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
+    monkeypatch.setattr(goodness, "_bad_row", counting_bad_row)
+    for _ in range(2):
+        built.clear()
+        classified.clear()
+        code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, 0))
+        assert code == 0
+        assert len(built) == 6 and len(classified) == 6
+
+
+def test_goodness_command_starts_one_process_pool(monkeypatch, tmp_path, elbow_json):
+    """With workers, the command's three estimators share one process pool,
+    shut down when the command ends."""
+    monkeypatch.setenv("DYADICLAB_WORKERS", "2")
+    started, shut = [], []
+
+    class CountingPool(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    code, _ = run_to_file(tmp_path, ["goodness", "--input", elbow_json, "--delta", "0.1",
+                                     "--trials", "50", "--seed", "3"])
+    assert code == 0
+    assert len(started) == 1 and shut == started
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_goodness_report_matches_the_estimators_one_by_one(monkeypatch, tmp_path, elbow,
+                                                           ladder, mode):
+    """The command's shared session changes no field: each equals that of
+    the public estimator called alone, in its own session.  On the ladder the
+    miss budget is cut to 2 paths, below its count of distinct forests, so
+    most of its trials take the build-only branch."""
+    params = dl.GoodnessParams(delta=0.1, gamma=0.1, r=1)
+    for space, budget in ((elbow, mc._MISS_BUDGET), (ladder, 2)):
+        monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
+        path = tmp_path / "space.json"
+        dl.save_space(space, str(path))
+        level, center = dl.finest_level(space, 0.1, 0), space.name(0)
+        for seed in (3, 8):
+            code, out = run_to_file(tmp_path, [
+                "goodness", "--input", str(path), "--delta", "0.1", "--gamma", "0.1",
+                "--r", "1", "--trials", "300", "--seed", str(seed), "--mode", mode])
+            assert code in (0, 1)
+            data = json.loads(out.read_text())["data"]
+            est = dl.estimate_bad_probability(space, level, center, params, trials=300,
+                                              seed=seed, mode=mode)
+            assert data["bad_probability"] == {
+                "fraction": est.fraction, "bad": est.bad_count, "trials": est.trials,
+                "wilson": [est.wilson_low, est.wilson_high]}
+            fit = dl.estimate_boundary_decay(space, center, level, data["decay"]["eps"],
+                                             trials=300, seed=seed + 1, params=params,
+                                             mode=mode)
+            assert data["decay"] == {
+                "eps": list(fit.eps), "counts": list(fit.counts),
+                "estimates": list(fit.estimates),
+                "intervals": [list(iv) for iv in fit.intervals],
+                "eta_hat": fit.eta_hat, "eta_reference": fit.eta_reference}
+            equalization = data["equalization"]
+            if mode == MODES[0]:
+                p_q, a = (Fraction(equalization[k]["num"], equalization[k]["den"])
+                          for k in ("p_q", "a"))
+                assert equalization["frequency"] == dl.estimate_really_good(
+                    space, center, level, params, float(a), float(p_q), trials=300,
+                    seed=seed + 2, mode=mode)
+            else:
+                assert equalization["p_q_plugin"] == max(1.0 - est.fraction, 1 / 300)
 
 
 # --- fuzzing -----------------------------------------------------------------------

@@ -33,6 +33,7 @@ T_LATTICE = "tests/test_lattice.py::"
 T_GRIDS = "tests/test_grids.py::"
 T_METRIC = "tests/test_metric.py::"
 T_COLORING = "tests/test_coloring.py::"
+T_CLI = "tests/test_cli.py::"
 
 # (name, file, source text, flipped text, node ids expected to fail)
 MUTANTS = [
@@ -69,17 +70,26 @@ MUTANTS = [
     ("decay layer on every outcome", GOODNESS,
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
-    # the trial chunk's guards: the memo's budget, the check of the batched
-    # states against trial_rng, and the probe that turns the walk off
+    # the trial session's and the trial chunk's guards: the memo's budget,
+    # the check of the batched states against trial_rng, and the probe that
+    # turns the walk off
     ("miss budget", MC,
-     "if paths < _MISS_BUDGET:", "if paths <= _MISS_BUDGET:",
+     "if self.paths < _MISS_BUDGET:", "if self.paths <= _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
     ("trial states unchecked", MC,
      "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk always trusted", MC,
-     "trust = _words_match(rng, _Outputs(first[:, :1]))", "trust = True",
+     "session.trust = _words_match(rng, _Outputs(first[:, :1]))", "session.trust = True",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"]),
+    # a goodness command's estimators share one session, and equal row
+    # functions share their rows: each its own
+    ("a session per estimator", MC,
+     "if key not in scope.sessions:", "if True:",
+     [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
+    ("rows per estimator", MC,
+     "session.leaf_rows.setdefault(_key(row), {})", "session.leaf_rows.setdefault(row, {})",
+     [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
     # the draws computed from PCG64's words: the buffered high half of an
     # output (in integers, then in permutation, each 32-bit draw taken as a
     # fresh output's low half), the swap draw's bit mask, a coin that must
