@@ -358,25 +358,34 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     the center's cube when the level is coarser by at least r, and walks on
     only from the good ones, since a bad cube stays bad whatever the coarser
     choices.  The good leaves of a grid outcome, counted at the coarsest
-    level, each carry its forests' weight.
+    level, each carry its forests' weight.  Grid outcomes share grids, so the
+    ball matrix of each distinct (level, grid) is built once per call.
     """
     center = space.resolve(center)
     total = Fraction(0)
+    ball_memo: dict = {}
     for hierarchy, children, weight in _outcome_frames(space, params.delta,
                                                        coarsest_level, limit):
         _require_center(hierarchy, level, center)
-        total += weight * _good_leaves(hierarchy, children, level, center, params)
+        total += weight * _good_leaves(hierarchy, children, level, center, params,
+                                       ball_memo)
     return total
 
 
 def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
-                 params: GoodnessParams) -> int:
+                 params: GoodnessParams, ball_memo: dict) -> int:
     """The number of parent maps of one grid outcome under which the cube of
     the center at ``level`` is good; ``children`` is the grid outcome's link
     rule from ``_outcome_frames``, whose parent maps of a level hold each
-    child's parent as its ball row one level down."""
+    child's parent as its ball row one level down.  ``ball_memo`` keeps
+    ``_balls`` per (level, grid members), across the outcomes of one walk."""
     levels = hierarchy.levels
-    balls = {lev: _balls(hierarchy, lev) for lev in levels}
+    balls = {}
+    for lev in levels:
+        key = (lev, hierarchy.grid(lev).members)
+        if key not in ball_memo:
+            ball_memo[key] = _balls(hierarchy, lev)
+        balls[lev] = ball_memo[key]
     maps = {lev: table for lev, *_, table in children}
     center_row = balls[level][0].index(center)
 

@@ -11,17 +11,24 @@ scale) pair is one comparison on the base-by-base distance slice, read by
 position in the sorted base, so components come in order of least point.
 
 The component families of a (base, scale) pair are a function of the space
-alone, so they are computed once per space: ``_FAMILIES`` keeps them, weakly
-keyed by the space, so they die with it, and are never pickled with it into a
-worker.  Each space keeps the first ``_FAMILY_BUDGET`` (base, scale, cap)
-keys it meets; later ones are computed on every call.  Sampling, enumeration,
-the exact forest walk and the coloring enumerator all read through it.
+alone, and so is the family of one component: it depends only on the
+component's points and the scale, whatever base holds it.  So they are
+computed once per space, in two tables of the space's ``_FAMILIES`` entry,
+which is weakly keyed by the space, so it dies with it, and is never pickled
+with it into a worker.  The first table keeps the first ``_FAMILY_BUDGET``
+(base, scale, cap) keys a space meets; on a miss there the conflict graph and
+its components are built, and each component of two or more points takes its
+family from the second table, keyed by (component, scale), which keeps the
+first ``_PIECE_BUDGET`` such keys.  Bron-Kerbosch runs only on a miss in both,
+and a one-point component is its own family, with no run and no entry.
+Sampling, enumeration, the exact forest walk and the coloring enumerator all
+read through it.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,7 +56,8 @@ MAX_FAMILY = 5000
 MAX_LEVELS = 1000  # the most levels a hierarchy may have; finest_level refuses more
 MODES = ("exhaustive_uniform", "greedy_permutation")  # sampling modes, default first
 _FAMILY_BUDGET = 256  # (base, scale, cap) keys one space keeps in _FAMILIES; later ones only compute
-_FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> {key: families}
+_PIECE_BUDGET = 4096  # (component, scale) keys one space keeps; later ones run Bron-Kerbosch each time
+_FAMILIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # space -> _FamilyMemo
 
 
 @dataclass(frozen=True)
@@ -139,26 +147,51 @@ def _component_mis(adj: list[list[int]], comp: list[int]) -> list[frozenset[int]
     return sorted(out, key=sorted)
 
 
+@dataclass
+class _FamilyMemo:
+    """One space's ``_FAMILIES`` entry: the families per (base, scale, cap)
+    key, and the family per (component points, scale) key."""
+    bases: dict = field(default_factory=dict)
+    pieces: dict = field(default_factory=dict)
+
+
 def _component_families(space, base, k, limit) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Per-component maximal-set families; each component must fit the cap.
-    Kept in the space's ``_FAMILIES`` entry while it has room."""
+    """Per-component maximal-set families; each component must fit the cap,
+    checked for all of them before any family is looked up.  The families of
+    a base are kept in the space's ``_FAMILIES`` entry while it has room, and
+    so is the family of each component of two or more points, for any base
+    that holds it at the same scale.  Bron-Kerbosch reads only the
+    component's own edges, and positions in the base map to points in
+    ascending order, so a family and its order are the same whichever base it
+    was first met in."""
     base = tuple(sorted(base))
-    memo = _FAMILIES.setdefault(space, {})
+    memo = _FAMILIES.get(space)
+    if memo is None:
+        memo = _FAMILIES[space] = _FamilyMemo()
     key = (base, k, limit)
-    families = memo.get(key)
+    families = memo.bases.get(key)
     if families is None:
         # the conflict graph by position in base: edges at distance < k
         adj = [row.nonzero()[0].tolist() for row in space.d.take(base, 0).take(base, 1) < k]
-        families = []
-        for comp in _components(adj):
+        comps = _components(adj)
+        for comp in comps:
             if len(comp) > limit:
                 raise TooLargeForExhaustive(
                     f"component of size {len(comp)} exceeds the cap {limit}")
-            families.append(tuple(frozenset(base[i] for i in mis)
-                                  for mis in _component_mis(adj, comp)))
+        families = []
+        for comp in comps:
+            points = tuple(base[i] for i in comp)
+            piece = (points, k)
+            family = (frozenset(points),) if len(points) == 1 else memo.pieces.get(piece)
+            if family is None:
+                family = tuple(frozenset(base[i] for i in mis)
+                               for mis in _component_mis(adj, comp))
+                if len(memo.pieces) < _PIECE_BUDGET:
+                    memo.pieces[piece] = family
+            families.append(family)
         families = tuple(families)
-        if len(memo) < _FAMILY_BUDGET:
-            memo[key] = families
+        if len(memo.bases) < _FAMILY_BUDGET:
+            memo.bases[key] = families
     return families
 
 

@@ -249,6 +249,31 @@ def test_exact_good_probability_elbow(elbow):
     assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
 
 
+def test_exact_walk_builds_each_ball_matrix_once(small_family, monkeypatch):
+    """One ``exact_good_probability`` call builds the ball matrix of each
+    distinct (level, grid) of its grid outcomes once, though the outcomes
+    share their finer grids, on each criterion-1 space of at most 9 points."""
+    calls = []
+    real = goodness._balls
+
+    def counted(hierarchy, level):
+        calls.append((level, hierarchy.grid(level).members))
+        return real(hierarchy, level)
+
+    monkeypatch.setattr(goodness, "_balls", counted)
+    shared = 0
+    for _, space in small_family:
+        if len(space) > 9:
+            continue
+        frames = lattice._outcome_frames(space, PARAMS.delta, 0, DEFAULT_EXHAUSTIVE_LIMIT)
+        pairs = {(lev, h.grid(lev).members) for h, *_ in frames for lev in h.levels}
+        calls.clear()
+        exact_good_probability(space, 0, finest_level(space, PARAMS.delta, 0), PARAMS)
+        assert sorted(calls, key=repr) == sorted(pairs, key=repr)
+        shared += sum(len(h.levels) for h, *_ in frames) - len(pairs)
+    assert shared > 0
+
+
 # exact_good_probability as it was before the pruned level walk, kept verbatim
 # with the center check it called as its oracle: it classifies the center's
 # cube in every enumerated forest

@@ -141,6 +141,50 @@ def test_component_families_match_definition_oracle(monkeypatch):
         frozenset({0, 1, 2})]
 
 
+def counting_bron_kerbosch(monkeypatch) -> list:
+    """Replace ``_component_mis`` with a wrapper that records the size of
+    each component it runs on; returns the record."""
+    runs = []
+    real = grids._component_mis
+
+    def counted(adj, comp):
+        runs.append(len(comp))
+        return real(adj, comp)
+
+    monkeypatch.setattr(grids, "_component_mis", counted)
+    return runs
+
+
+def test_component_families_match_the_oracle_on_every_memo_path(monkeypatch):
+    """The families are the definition's on a full miss (Bron-Kerbosch on
+    each component of two or more points), on a base hit (no run), and on a
+    piece hit: a second base that holds the same component at the same scale
+    runs only on its new components.  The points a, b, c at 0, 0.5 and 1.0
+    are a path a-b-c at scale 0.8 and a triangle at scale 1.5, an isolated
+    component at both, so a piece keyed without its scale would give the
+    path's family at 1.5."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    runs = counting_bron_kerbosch(monkeypatch)
+    space = dl.space_from_coords([[0.0], [0.5], [1.0], [10.0], [10.5], [20.0], [30.0]])
+    limit = DEFAULT_EXHAUSTIVE_LIMIT
+
+    def check(base, k, want_runs):
+        runs.clear()
+        assert _component_families(space, base, k, limit) == brute_force_families(space, base, k)
+        assert runs == want_runs
+
+    check(range(6), 0.8, [3, 2])                 # full miss: {a, b, c}, {10, 10.5}; {20} alone
+    check(range(6), 0.8, [])                     # base hit
+    check([0, 1, 2, 5, 6], 0.8, [])              # piece hit on {a, b, c}, singletons
+    check([0, 1, 2, 3, 4, 6], 0.8, [])           # piece hits on both components
+    check([0, 1, 2, 4, 5], 1.5, [3])             # the same points at another scale: a miss
+    a, b, c = (frozenset({p}) for p in range(3))
+    assert _component_families(space, range(3), 0.8, limit) == ((a | c, b),)
+    assert _component_families(space, range(3), 1.5, limit) == ((a, b, c),)
+    assert set(grids._FAMILIES[space].pieces) == {
+        ((0, 1, 2), 0.8), ((3, 4), 0.8), ((0, 1, 2), 1.5)}
+
+
 def test_enumerate_takes_a_repeated_base_point_once(l3):
     def members(base):
         return [sorted(g.members) for g in dl.enumerate_maximal_separated(l3, base, 1.0)]
@@ -169,7 +213,8 @@ def test_family_budget_refuses_a_large_family_fast(monkeypatch):
     with pytest.raises(TooLargeForExhaustive, match=f"more than {grids.MAX_FAMILY} maximal sets"):
         dl.enumerate_maximal_separated(cloud, range(40), 0.5, limit=40)
     assert time.perf_counter() - start < 1.0
-    assert not grids._FAMILIES.get(cloud)
+    memo = grids._FAMILIES[cloud]
+    assert not memo.bases and not memo.pieces
     # Moon-Moser: no component within the default limit can reach the budget
     assert grids.MAX_FAMILY >= 2 * 3 ** 6
 
@@ -178,21 +223,30 @@ def test_sampler_caps_each_component(monkeypatch):
     """On the line 0, 1, 2, 3, 50, 51 the conflict graph at scale 1.5 has
     components {0, 1, 2, 3} and {50, 51}: a cap of 3 refuses the first and
     memoizes nothing for it, and a cap of 4 samples.  The nested sampler
-    refuses the same component at scale 2, the level-(-1) scale of ratio 1/2."""
+    refuses the same component at scale 2, the level-(-1) scale of ratio 1/2.
+    A refusal keeps no family, not even of the components that fit; and the
+    cap is checked before the piece table, so a piece kept under a cap of 4
+    does not let a cap of 3 through."""
     monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
     line = dl.space_from_coords([[0.0], [1.0], [2.0], [3.0], [50.0], [51.0]])
     base, rng = tuple(range(6)), np.random.default_rng(0)
     with pytest.raises(TooLargeForExhaustive,
                        match="component of size 4 exceeds the cap 3"):
         dl.sample_maximal_separated(line, base, 1.5, rng, limit=3)
-    assert (base, 1.5, 3) not in grids._FAMILIES[line]
+    assert (base, 1.5, 3) not in grids._FAMILIES[line].bases
+    assert not grids._FAMILIES[line].pieces
     grid = dl.sample_maximal_separated(line, base, 1.5, rng, limit=4)
     assert dl.is_maximal_separated(line, base, grid.members, 1.5)
-    assert (base, 1.5, 4) in grids._FAMILIES[line]
+    assert (base, 1.5, 4) in grids._FAMILIES[line].bases
+    assert set(grids._FAMILIES[line].pieces) == {((0, 1, 2, 3), 1.5), ((4, 5), 1.5)}
+    with pytest.raises(TooLargeForExhaustive,
+                       match="component of size 4 exceeds the cap 3"):
+        dl.sample_maximal_separated(line, base[:4], 1.5, rng, limit=3)
     with pytest.raises(TooLargeForExhaustive,
                        match="component of size 4 exceeds the cap 3"):
         dl.build_nested_grids(line, 0.5, -1, rng=0, limit=3)
-    assert (base, 2.0, 3) not in grids._FAMILIES[line]
+    assert (base, 2.0, 3) not in grids._FAMILIES[line].bases
+    assert ((0, 1, 2, 3), 2.0) not in grids._FAMILIES[line].pieces
     assert dl.build_nested_grids(line, 0.5, -1, rng=0, limit=4).levels == (-1, 0, 1)
 
 
@@ -444,15 +498,19 @@ def test_nan_scale_is_refused_before_any_draw(l3, call):
 # --- the per-space family memo ----------------------------------------------------------
 
 def test_family_memo_dies_with_its_space(monkeypatch):
+    """Both tables of a space's entry, the bases and the pieces, go with it."""
     monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
     space = dl.space_from_coords([[0.0], [0.5], [1.0], [3.0]])
     dl.build_nested_grids(space, 0.5, -2, rng=0)
     dl.enumerate_maximal_separated(space, range(4), 1.0)
     assert len(grids._FAMILIES) == 1
-    ref = weakref.ref(space)
-    del space
+    memo = grids._FAMILIES[space]
+    assert memo.bases and memo.pieces
+    ref, memo_ref = weakref.ref(space), weakref.ref(memo)
+    del space, memo
     gc.collect()
     assert ref() is None
+    assert memo_ref() is None
     assert len(grids._FAMILIES) == 0
 
 
@@ -467,7 +525,29 @@ def test_family_memo_keeps_at_most_its_budget(monkeypatch):
         want = reference_sample_maximal_separated(space, base, 1.0,
                                                   np.random.default_rng(seed))
         assert got == want
-    assert len(grids._FAMILIES[space]) == 2
+    assert len(grids._FAMILIES[space].bases) == 2
+
+
+def test_piece_memo_keeps_at_most_its_budget(monkeypatch):
+    """Past the piece budget the table stops growing, later components run
+    Bron-Kerbosch on every call, and the families and the draws are still
+    the definition's and the reference sampler's."""
+    monkeypatch.setattr(grids, "_FAMILIES", type(grids._FAMILIES)())
+    monkeypatch.setattr(grids, "_PIECE_BUDGET", 2)
+    runs = counting_bron_kerbosch(monkeypatch)
+    space = dl.space_from_coords([[0.0], [0.5], [1.0], [5.0], [5.5], [10.0], [10.6], [11.2]])
+    bases = [range(8), [0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 1, 5, 6, 7], range(8)]
+    for seed, base in enumerate(bases):
+        assert _component_families(space, base, 0.8, DEFAULT_EXHAUSTIVE_LIMIT) == \
+            brute_force_families(space, base, 0.8)
+        got = dl.sample_maximal_separated(space, base, 0.8, np.random.default_rng(seed))
+        want = reference_sample_maximal_separated(space, base, 0.8,
+                                                  np.random.default_rng(seed))
+        assert got == want
+    assert set(grids._FAMILIES[space].pieces) == {((0, 1, 2), 0.8), ((3, 4), 0.8)}
+    # {10, 10.6, 11.2} is met in the first base, past the budget, so it runs
+    # again in the third; {0, 0.5} is new in the fourth; the fifth is a base hit
+    assert runs == [3, 2, 3, 3, 2, 3]
 
 
 def test_hierarchy_serialization(l3):

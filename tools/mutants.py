@@ -120,6 +120,14 @@ MUTANTS = [
     ("red ball", COLORING,
      "len(b & red) == 1", "len(b & red) >= 1",
      [T_COLORING + "test_ball_table_properness_matches_is_proper"]),
+    # the per-space piece table: a component's family is keyed by its points
+    # and the scale, and the table keeps at most its budget
+    ("piece key without its scale", GRIDS,
+     "piece = (points, k)", "piece = (points,)",
+     [T_GRIDS + "test_component_families_match_the_oracle_on_every_memo_path"]),
+    ("piece table past its budget", GRIDS,
+     "if len(memo.pieces) < _PIECE_BUDGET:", "if True:",
+     [T_GRIDS + "test_piece_memo_keeps_at_most_its_budget"]),
     ("conflict", GRIDS,
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
