@@ -17,13 +17,17 @@ child's parent row, every point the child's level-(k+1) cube holds, a boolean
 assignment that is exact by construction.  A forest applies it to its own map,
 the exact goodness walk to every parent map of a level at once, and the forest
 check to each level's ancestor rows when it unites descendant balls.
-The link rule is, per level pair, two boolean child-by-coarse-point matrices,
-captured points and parent options, read by the sampler, the checks and the
-exact enumeration.  That enumeration is split the same way: one helper lists
-each grid outcome, with one table of parent maps per level, built once the
-forest count has passed the cap, and the weight of each of its forests;
-``enumerate_forest_outcomes`` takes the product of the levels' tables, and
-the exact goodness walk reads them without building a forest.
+The link rule is two boolean child-by-point matrices, captured points and
+parent options, computed by one function on a stack of children.  The
+sampler stacks every child of every level pair of a forest, coarse pairs
+first, takes their distance rows in one gather and draws every random
+parent in one call; the checks and the exact enumeration pass one level pair
+at a time, on the columns of its coarse grid.  That enumeration is split in
+two: one helper lists each grid outcome, with one table of parent maps per
+level, built once the forest count has passed the cap, and the weight of
+each of its forests; ``enumerate_forest_outcomes`` takes the product of the
+levels' tables, and the exact goodness walk reads them without building a
+forest.
 
 Each threshold rule takes one side, stated here:
 
@@ -219,64 +223,100 @@ def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> n
     return held.reshape(maps.shape[:-1] + balls.shape)
 
 
-def _link_rule(space: FiniteMetricSpace, children: Sequence[int],
-               coarse: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coarse grid's sorted points ``cols`` and, from one distance slice,
-    two boolean child-by-``cols`` matrices, children in the given order:
-    ``captured``, the points within a quarter of the coarse scale, and
-    ``options``, those when there are any, else every point within 3 * scale."""
-    cols = np.array(sorted(coarse.members), dtype=np.intp)
-    d = space.d.take(children, 0).take(cols, 1)
-    captured = d <= coarse.scale / CAPTURE_DIVISOR
+def _link_rule(d: np.ndarray, scale, coarse=True) -> tuple[np.ndarray, np.ndarray]:
+    """The link rule on a stack of children, from their distance rows ``d``,
+    each row's coarse scale ``scale`` (a column, or one scale for all rows)
+    and which columns are the row's coarse points ``coarse`` (a boolean
+    matrix of ``d``'s shape, or True for all): two boolean matrices of that
+    shape, ``captured``, the coarse points within a quarter of the coarse
+    scale, and ``options``, those when there are any, else every coarse
+    point within 3 * scale."""
+    captured = (d <= scale / CAPTURE_DIVISOR) & coarse
     options = np.where(captured.any(axis=1, keepdims=True), captured,
-                       d <= CANDIDATE_FACTOR * coarse.scale)
-    return cols, captured, options
+                       (d <= CANDIDATE_FACTOR * scale) & coarse)
+    return captured, options
+
+
+def _link_pair(space: FiniteMetricSpace, children: Sequence[int],
+               coarse: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The link rule of one level pair: the coarse grid's sorted points
+    ``cols`` and the ``_link_rule`` matrices on the children's distance rows
+    to ``cols``, children in the given order, so a column is a ball row."""
+    cols = np.array(sorted(coarse.members), dtype=np.intp)
+    return (cols, *_link_rule(space.d.take(children, 0).take(cols, 1), coarse.scale))
+
+
+def _link(space: FiniteMetricSpace, pairs: Sequence[tuple[Grid, Grid]],
+          rng: np.random.Generator | int | None) -> list[dict[int, int]]:
+    """The parent maps of a stack of (children, coarse grid) level pairs, in
+    the given order, from one ``_link_rule`` call on the full distance rows of
+    every child, pairs in order and children ascending within a pair.
+
+    Every refusal comes before any draw: a coarse grid that is no subset of
+    its children, then the first child of the stack with two captured points
+    or none in reach.  One ``integers`` call then draws every child's pick (a
+    bound of 1 draws nothing), and none is made when no child has two
+    options; the pick indexes the child's options, which sit at its offset
+    in the flat nonzero of the option matrix."""
+    for children, coarse in pairs:
+        if not coarse.members <= children.members:
+            raise InvalidParams("parent grid must be a subset of the child grid")
+    rng = _generator(rng)
+    kids = [sorted(children.members) for children, _ in pairs]
+    child = np.fromiter(itertools.chain.from_iterable(kids), dtype=np.intp)
+    pair = np.repeat(np.arange(len(pairs)), [len(k) for k in kids])
+    grid = np.zeros((len(pairs), len(space)), dtype=bool)
+    for row, (_, coarse) in zip(grid, pairs):
+        row[list(coarse.members)] = True
+    scales = np.array([coarse.scale for _, coarse in pairs])[pair, None]
+    captured, options = _link_rule(space.d[child], scales, grid[pair])
+    counts = options.sum(axis=1)
+    twice = captured.sum(axis=1) > 1
+    failing = np.flatnonzero(twice | (counts == 0))
+    if failing.size:
+        first, scale = failing[0], pairs[pair[failing[0]]][1].scale
+        if twice[first]:
+            # impossible for a valid grid: two such parents would be within scale/2
+            raise InvalidParams(
+                f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
+                f"of child {child[first]}")
+        raise NoCandidateParent(
+            f"child {child[first]} has no parent within {CANDIDATE_FACTOR * scale}")
+    picks = rng.integers(counts) if counts.max(initial=0) > 1 else 0
+    parent = options.ravel().nonzero()[0][counts.cumsum() - counts + picks] % len(space)
+    links = iter(parent.tolist())  # zip stops at the end of a pair's kids
+    return [dict(zip(k, links)) for k in kids]
 
 
 def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
                    rng: np.random.Generator | int | None) -> dict[int, int]:
     """Link every child to one parent; random choices are uniform and independent.
 
-    Children are processed in index order; the first with two captured points
-    or none in reach raises before any draw.  One draw call covers them all (a
-    bound of 1 draws nothing), and none is made when no child has more than
-    one option, so the map is deterministic for a fixed generator state.
+    The one-pair case of ``build_forest``'s stacked pass: children are
+    processed in index order, the first with two captured points or none in
+    reach raises before any draw, and one draw call covers them all (none
+    when no child has more than one option), so the map is deterministic for
+    a fixed generator state.
     """
-    if not parents.members <= children.members:
-        raise InvalidParams("parent grid must be a subset of the child grid")
-    rng = _generator(rng)
-    kids = sorted(children.members)
-    cols, captured, options = _link_rule(space, kids, parents)
-    counts = options.sum(axis=1)
-    twice = captured.sum(axis=1) > 1
-    failing = np.flatnonzero(twice | (counts == 0))
-    if failing.size:
-        child, scale = kids[failing[0]], parents.scale
-        if twice[failing[0]]:
-            # impossible for a valid grid: two such parents would be within scale/2
-            raise InvalidParams(
-                f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
-                f"of child {child}")
-        raise NoCandidateParent(
-            f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
-    picks = rng.integers(counts) if counts.max(initial=0) > 1 else np.zeros_like(counts)
-    # the first column whose running count passes the pick; argmax fails on (0, 0)
-    col = (options.cumsum(axis=1) <= picks[:, None]).sum(axis=1)
-    return dict(zip(kids, cols[col].tolist()))
+    return _link(space, [(children, parents)], rng)[0]
 
 
 def build_forest(hierarchy: GridHierarchy,
                  rng: np.random.Generator | int | None) -> LatticeForest:
-    """Assign parents between every consecutive pair of levels, coarse to fine.
-    A bool ``rng`` is refused before any draw."""
+    """Assign parents between every consecutive pair of levels in one stacked
+    pass, coarse pairs first: the parents and the generator's state after it
+    are those of ``assign_parents`` called level by level, coarse to fine,
+    but with one draw call per forest, and none when no child has two
+    options.  Every refusal comes before any draw and leaves the generator's
+    state as it was: a bool ``rng``, a coarse grid that is no subset of the
+    finer one, and the first child, in stack order, captured twice or with no
+    candidate, with ``assign_parents``'s exception type and message."""
     seed = _integer(rng)
     rng = _generator(rng)
-    parents: dict[int, dict[int, int]] = {}
-    levels = hierarchy.levels
-    for lev in levels[1:]:
-        parents[lev] = assign_parents(
-            hierarchy.space, hierarchy.grid(lev), hierarchy.grid(lev - 1), rng)
-    return LatticeForest(hierarchy=hierarchy, parents=parents, seed=seed)
+    levels = hierarchy.levels[1:]
+    maps = _link(hierarchy.space,
+                 [(hierarchy.grid(lev), hierarchy.grid(lev - 1)) for lev in levels], rng)
+    return LatticeForest(hierarchy=hierarchy, parents=dict(zip(levels, maps)), seed=seed)
 
 
 def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:
@@ -372,7 +412,7 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     for lev in h.levels[1:]:
         children = sorted(h.grid(lev).members)
         links = forest.parents.get(lev, {})
-        cols, captured, options = _link_rule(space, children, h.grid(lev - 1))
+        cols, captured, options = _link_pair(space, children, h.grid(lev - 1))
         col_of = {p: j for j, p in enumerate(cols.tolist())}
         twice = (captured.sum(axis=1) > 1).tolist()
         for i, child in enumerate(children):
@@ -518,7 +558,7 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
                     limit: int) -> list[tuple]:
     """Per grid outcome of the construction, in enumeration order: its
-    hierarchy, (level, sorted children, ``cols`` of ``_link_rule``, parent
+    hierarchy, (level, sorted children, ``cols`` of ``_link_pair``, parent
     maps) for every level above the coarsest, and the weight prob / count
     that each of its count forests carries, count being the product of the
     levels' map counts.  A level's maps are one row per choice of every
@@ -556,7 +596,7 @@ def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
         links = []
         for lev in levels[1:]:
             kids = sorted(grids[lev].members)
-            cols, _, options = _link_rule(space, kids, grids[lev - 1])
+            cols, _, options = _link_pair(space, kids, grids[lev - 1])
             links.append((lev, kids, cols, options, options.sum(axis=1).tolist()))
         count = math.prod(math.prod(sizes) for *_, sizes in links)
         if total + count > MAX_OUTCOMES:

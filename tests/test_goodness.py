@@ -33,8 +33,9 @@ from dyadiclab.goodness import (
     theorem_step_violations,
 )
 from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
-from dyadiclab.lattice import build_forest
+from dyadiclab.lattice import LatticeForest, build_forest
 from dyadiclab.mc import _trial_states, run_chunked, trial_rng, wilson_interval
+from oracles import reference_assign_parents
 
 
 PARAMS = GoodnessParams(delta=0.1, gamma=0.1, r=1)
@@ -751,21 +752,27 @@ def test_really_good_frequency_elbow(elbow):
 
 
 # --- the trial pipeline ------------------------------------------------------------------
-# The trial chunk as it was when every trial built its own forest (kept
-# verbatim), and rows that classify the center's cube with the
-# definition-level classifiers above: the oracle for the chunk's draw-path
-# trie and for the rows it caches.
+# The trial chunk as it was when every trial built its own forest, with
+# each trial's parents drawn by the per-child oracle, level by level, coarse
+# first, and rows that classify the center's cube with the definition-level
+# classifiers above: the oracle for the chunk's draw-path trie, for the rows
+# it caches and for the one draw call per forest of the stacked linker.
 
 def reference_trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a seeded estimator: per trial, a forest drawn from
-    ``trial_rng(seed, t)``, then ``row(forest, rng, params, *args)``."""
+    """Rows lo..hi-1 of a seeded estimator: per trial, a hierarchy and then
+    its parents drawn from ``trial_rng(seed, t)``, then ``row(forest, rng,
+    params, *args)``."""
     space, params, coarsest_level, mode, limit, seed, row, args = payload
     rows = []
     for t in range(lo, hi):
         rng = trial_rng(seed, t)
         hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
                                        mode=mode, limit=limit)
-        rows.append(row(build_forest(hierarchy, rng), rng, params, *args))
+        parents = {lev: reference_assign_parents(space, hierarchy.grid(lev),
+                                                 hierarchy.grid(lev - 1), rng)
+                   for lev in hierarchy.levels[1:]}
+        forest = LatticeForest(hierarchy=hierarchy, parents=parents)
+        rows.append(row(forest, rng, params, *args))
     return np.array(rows, dtype=np.int64)
 
 

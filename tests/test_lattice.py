@@ -37,12 +37,13 @@ from dyadiclab.lattice import (
     ForestInvariantReport,
     TildeCube,
     _balls,
-    _link_rule,
+    _link_pair,
     _rival_depth,
     _unite_children,
     _widest_eps,
     forest_to_json,
 )
+from oracles import reference_assign_parents, reference_parent_options
 
 
 def shared_stream_forest(space, delta, n0, seed, **kw):
@@ -100,29 +101,8 @@ def test_assign_parent_requires_nested(l3):
         dl.assign_parents(l3, children, parents, rng=0)
 
 
-# the per-child option list and the sampler that the per-level link rule
-# replaced, and the per-child lists of that rule that the option matrices
-# replaced, kept verbatim as their oracles
-def reference_parent_options(space: dl.FiniteMetricSpace, child: int,
-                             parents: Grid) -> list[int]:
-    """Possible parents of a child: the captured one, or all within reach."""
-    scale = parents.scale
-    members = sorted(parents.members)
-    captured = [p for p in members if space.d[child, p] <= scale / CAPTURE_DIVISOR]
-    if len(captured) > 1:
-        # impossible for a valid grid: two such parents would be within scale/2
-        raise InvalidParams(
-            f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
-            f"of child {child}")
-    if captured:
-        return captured
-    cands = [p for p in members if space.d[child, p] <= CANDIDATE_FACTOR * scale]
-    if not cands:
-        raise NoCandidateParent(
-            f"child {child} has no parent within {CANDIDATE_FACTOR * scale}")
-    return cands
-
-
+# the per-child lists of the link rule that the option matrices replaced,
+# kept verbatim as their oracle
 def reference_link_rule(space: dl.FiniteMetricSpace, children: Sequence[int],
                         coarse: Grid) -> list[tuple[list[int], list[int]]]:
     """Per child, in the given order: the coarse points within a quarter of
@@ -136,26 +116,6 @@ def reference_link_rule(space: dl.FiniteMetricSpace, children: Sequence[int],
     for row in space.d.take(children, 0).take(cols, 1).tolist():
         captured = [p for p, x in zip(cols, row) if x <= capture]
         out.append((captured, captured or [p for p, x in zip(cols, row) if x <= reach]))
-    return out
-
-
-def reference_assign_parents(space: dl.FiniteMetricSpace, children: Grid, parents: Grid,
-                             rng: np.random.Generator | int | None) -> dict[int, int]:
-    """Link every child to one parent; random choices are uniform and independent.
-
-    Children are processed in index order, consuming one draw per child that
-    is not captured, so the map is deterministic for a fixed generator state.
-    """
-    if not parents.members <= children.members:
-        raise InvalidParams("parent grid must be a subset of the child grid")
-    rng = np.random.default_rng(rng)
-    out: dict[int, int] = {}
-    for child in sorted(children.members):
-        options = reference_parent_options(space, child, parents)
-        if len(options) == 1:
-            out[child] = options[0]
-        else:
-            out[child] = options[int(rng.integers(len(options)))]
     return out
 
 
@@ -184,7 +144,7 @@ def test_parent_options_match_reference(decay_probe, elbow, ladder):
     for space, h in seeded_hierarchies(decay_probe, elbow, ladder):
         for lev in h.levels[1:]:
             kids, coarse = sorted(h.grid(lev).members), h.grid(lev - 1)
-            cols, captured, options = _link_rule(space, kids, coarse)
+            cols, captured, options = _link_pair(space, kids, coarse)
             assert cols.dtype == np.intp and cols.tolist() == sorted(coarse.members)
             for child, caught, row in zip(kids, captured, options):
                 want = reference_parent_options(space, child, coarse)
@@ -233,6 +193,65 @@ def test_build_forest_matches_reference_stream(decay_probe, elbow, ladder):
             lev: reference_assign_parents(space, h.grid(lev), h.grid(lev - 1), ref_rng)
             for lev in h.levels[1:]}
         assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator on a shared bit generator that counts its integers calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def test_build_forest_draws_once_per_forest(elbow, two_far):
+    """One integers call per forest when some child has two or more options
+    (by the per-child oracle), and none otherwise, with the parents and the
+    stream's next draw of a plain generator on the same seed: on the
+    criterion-7 cloud, the elbow, and a hierarchy where every child is
+    captured."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    for space, delta, coarsest, want in ((cloud, 0.1, 0, {1}), (elbow, 0.1, 0, {0, 1}),
+                                         (two_far, 0.1, -1, {0})):
+        seen = set()
+        for seed in range(12):
+            h = dl.build_nested_grids(space, delta, coarsest, rng=seed)
+            random = any(len(reference_parent_options(space, c, h.grid(lev - 1))) > 1
+                         for lev in h.levels[1:] for c in h.grid(lev).members)
+            counting = CountingGenerator(np.random.PCG64(seed))
+            plain = np.random.default_rng(seed)
+            assert dl.build_forest(h, counting).parents == dl.build_forest(h, plain).parents
+            assert counting.calls == int(random)
+            assert counting.random() == plain.random()
+            seen.add(counting.calls)
+        assert seen == want
+
+
+def test_build_forest_refuses_before_any_draw():
+    """A hand-built hierarchy whose first level pair draws and whose second
+    fails, once with a child that has no candidate (5, at 10) and once with
+    a child captured twice (4, within an eighth of 2 and 3): build_forest
+    raises the per-pair exception type and message, and the generator's
+    state is unchanged."""
+    space = dl.space_from_coords([[0.0], [2.0], [1.0], [1.2], [1.1], [10.0]])
+    for level_one, level_two, error in (({0, 1, 2}, {0, 1, 2, 5}, NoCandidateParent),
+                                        ({0, 1, 2, 3}, {0, 1, 2, 3, 4}, InvalidParams)):
+        grids = {lev: Grid(scale=0.5 ** lev, members=frozenset(members))
+                 for lev, members in enumerate(({0, 1}, level_one, level_two))}
+        h = GridHierarchy(space=space, delta=0.5, levels=(0, 1, 2), grids=grids)
+        drawn = np.random.default_rng(3)
+        dl.assign_parents(space, grids[1], grids[0], drawn)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert drawn.bit_generator.state != state  # the first pair draws
+        want = outcome(reference_assign_parents, space, grids[2], grids[1], 0)
+        assert want[0] is error
+        assert outcome(dl.build_forest, h, rng) == want
+        assert rng.bit_generator.state == state
 
 
 # --- forest construction -----------------------------------------------------------
@@ -1322,7 +1341,7 @@ def test_parent_maps_match_product_order(elbow, ladder, small_family):
         for hierarchy, children, _ in lattice._outcome_frames(space, 0.1, 0,
                                                               DEFAULT_EXHAUSTIVE_LIMIT):
             for lev, kids, _, maps in children:
-                _, _, options = _link_rule(space, kids, hierarchy.grids[lev - 1])
+                _, _, options = _link_pair(space, kids, hierarchy.grids[lev - 1])
                 want = reference_parent_maps(options)
                 assert (maps.dtype, maps.shape) == (want.dtype, want.shape)
                 assert np.array_equal(maps, want) and maps.flags.c_contiguous

@@ -132,12 +132,20 @@ MUTANTS = [
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
     ("capture", LATTICE,
-     "captured = d <= coarse.scale / CAPTURE_DIVISOR",
-     "captured = d < coarse.scale / CAPTURE_DIVISOR",
+     "captured = (d <= scale / CAPTURE_DIVISOR) & coarse",
+     "captured = (d < scale / CAPTURE_DIVISOR) & coarse",
      [T_LATTICE + "test_parent_options_match_reference"]),
     ("candidate", LATTICE,
-     "d <= CANDIDATE_FACTOR * coarse.scale)", "d < CANDIDATE_FACTOR * coarse.scale)",
+     "(d <= CANDIDATE_FACTOR * scale) & coarse", "(d < CANDIDATE_FACTOR * scale) & coarse",
      [T_LATTICE + "test_outcomes_match_reference"]),
+    # the stacked linker: each pick read at its child's offset, and the level
+    # pairs stacked coarse first, the order the per-level draws were made in
+    ("pick offset", LATTICE,
+     "counts.cumsum() - counts + picks", "counts.cumsum() - counts",
+     [T_LATTICE + "test_build_forest_matches_reference_stream"]),
+    ("level pairs fine first", LATTICE,
+     "levels = hierarchy.levels[1:]", "levels = hierarchy.levels[:0:-1]",
+     [T_LATTICE + "test_build_forest_matches_reference_stream"]),
     ("ball", LATTICE,
      "hierarchy.space.d[centers] < hierarchy.scale(level) / BALL_DIVISOR",
      "hierarchy.space.d[centers] <= hierarchy.scale(level) / BALL_DIVISOR",
