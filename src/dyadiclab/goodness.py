@@ -27,7 +27,8 @@ goodness (bad when some entry is true) and the deep-inside step (the entry
 at the center's ancestor, with the points near the center tested only where
 it is true).  The trial row, ``is_good`` and ``theorem_step_violations`` all
 read that core.  The exact P(good) applies the same test to every parent map
-of a level at once, in a pruned walk over the outcomes that builds no forest.
+of a level pair at once, in its step of ``lattice``'s one exact recursion,
+pruning bad maps and building no forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
@@ -65,9 +66,10 @@ from .errors import (
     InvalidParams,
     InvalidProbabilities,
     ScheduleInvalid,
+    TooLargeForExhaustive,
 )
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
-from .lattice import (Cube, LatticeForest, _balls, _outcome_frames, _unite_children,
+from .lattice import (Cube, LatticeForest, _balls, _grid_paths, _unite_children,
                       build_forest)
 from .mc import (_master_seed, _session, _trial_chunk, _trial_count, run_chunked,
                  wilson_interval)
@@ -87,6 +89,7 @@ __all__ = [
 ]
 
 EPS_DIVISOR = 500           # every boundary layer width eps satisfies eps <= delta / 500
+MAX_UNITED_ROWS = 3_000_000  # finer cube rows, once per parent map, one exact walk may unite
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,10 @@ def _trial_part(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level
     return build_forest(hierarchy, rng)
 
 
-def _require_center(hierarchy: GridHierarchy, level: int, center: int) -> None:
-    """Raise unless the level is the hierarchy's and its grid holds the fixed
+def _require_center(members, level: int, center: int) -> None:
+    """Raise unless the level's grid points, ``members``, hold the fixed
     center, which a sampled grid may have dropped."""
-    hierarchy._require_level(level)
-    if center not in hierarchy.grid(level).members:
+    if center not in members:
         raise CenterNotInGrid(
             f"fixed center {center} absent from the level-{level} grid; "
             f"fix the center at the deterministic finest level")
@@ -204,8 +206,8 @@ def _verdicts(forest: LatticeForest, level: int, center: int,
     lies within twice the threshold of the center (closed: a point at exactly
     twice the threshold keeps the step's claim off).  The center's chain is
     walked once, at the first tested level."""
-    _require_center(forest.hierarchy, level, center)
-    rows, held = forest.cube_table[level]
+    rows, held = forest._level_table(level)
+    _require_center(rows, level, center)
     row = _distance_row(forest.space, held[rows[center]])
     bad, step_levels, chain = False, [], None
     for n in forest.levels:
@@ -349,67 +351,55 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     """Exact rational P(cube of the fixed center is good), over every outcome
     of the construction.
 
-    The cap is that of ``enumerate_forest_outcomes``: every grid outcome and
-    its count of forests is listed first, and the same TooLargeForExhaustive
-    is raised when the unpruned count exceeds ``lattice.MAX_OUTCOMES``.  No
-    forest is built.  Each grid outcome is walked depth-first from the finest
-    level to the coarsest: one step builds the cube matrices of the next
-    coarser level for all of its parent choices at once, tests them against
-    the center's cube when the level is coarser by at least r, and walks on
-    only from the good ones, since a bad cube stays bad whatever the coarser
-    choices.  The good leaves of a grid outcome, counted at the coarsest
-    level, each carry its forests' weight.  Grid outcomes share grids, so the
-    ball matrix of each distinct (level, grid) is built once per call.
+    No forest is built.  The construction's one recursion, ``_grid_paths``,
+    walks the grid outcomes from the finest level to the coarsest, and at
+    each level pair this step unites every cube matrix that reached it with
+    every parent map of the pair at once.  Past ``level`` it tests the united
+    matrices against the center's cube at each level coarser by at least r,
+    and walks on only from the good ones, since a bad cube stays bad whatever
+    the coarser choices.  Each good leaf of a grid outcome carries its
+    probability over its count of forests.  The cap is on that work, not on
+    the forests, whose unpruned count the walk never learns: more than
+    ``MAX_UNITED_ROWS`` cube-matrix rows to unite in all, each finer cube's
+    row counted once per parent map, raise TooLargeForExhaustive before the
+    pair that passes the cap is united.
     """
     center = space.resolve(center)
-    total = Fraction(0)
-    ball_memo: dict = {}
-    for hierarchy, children, weight in _outcome_frames(space, params.delta,
-                                                       coarsest_level, limit):
-        _require_center(hierarchy, level, center)
-        total += weight * _good_leaves(hierarchy, children, level, center, params,
-                                       ball_memo)
-    return total
+    levels = tuple(range(coarsest_level, finest_level(space, params.delta, coarsest_level) + 1))
+    GridHierarchy(space, params.delta, levels, {})._require_level(level)
+    united = 0
 
+    def step(state, pair):
+        """The state below a level pair from the state above it: the path's
+        count of forests, and each good cube matrix that reached the pair with
+        the center's distance row, None above ``level``.  None when no good
+        cube is left."""
+        nonlocal united
+        count, cubes = state
+        k = pair.level - 1
+        united += len(cubes) * pair.count * len(pair.kids)
+        if united > MAX_UNITED_ROWS:
+            raise TooLargeForExhaustive(f"more than {MAX_UNITED_ROWS} cube-matrix rows to unite")
+        _, balls = _balls(space, pair.cols, params.delta ** k)
+        if k == level:
+            _require_center(pair.cols, level, center)
+            center_row = pair.cols.tolist().index(center)
+        good = []
+        for held, row in cubes:
+            batch = _unite_children(balls, pair.maps, held)
+            if k == level:
+                rows = _distance_row(space, batch[:, center_row])
+            else:
+                rows = itertools.repeat(row)
+                if k <= level - params.r:
+                    batch = batch[~_straddles(row, batch, params.threshold(level, k)).any(axis=-1)]
+            good.extend(zip(batch, rows))
+        return (count * pair.count, good) if good else None
 
-def _good_leaves(hierarchy: GridHierarchy, children, level: int, center: int,
-                 params: GoodnessParams, ball_memo: dict) -> int:
-    """The number of parent maps of one grid outcome under which the cube of
-    the center at ``level`` is good; ``children`` is the grid outcome's link
-    rule from ``_outcome_frames``, whose parent maps of a level hold each
-    child's parent as its ball row one level down.  ``ball_memo`` keeps
-    ``_balls`` per (level, grid members), across the outcomes of one walk."""
-    levels = hierarchy.levels
-    balls = {}
-    for lev in levels:
-        key = (lev, hierarchy.grid(lev).members)
-        if key not in ball_memo:
-            ball_memo[key] = _balls(hierarchy, lev)
-        balls[lev] = ball_memo[key]
-    maps = {lev: table for lev, *_, table in children}
-    center_row = balls[level][0].index(center)
-
-    def walk(lev: int, held: np.ndarray, row: np.ndarray | None) -> int:
-        """Good leaves below one level-lev cube matrix; ``row`` is the center's
-        distance row on its path once the walk has passed ``level``."""
-        if lev == levels[0]:
-            return 1
-        batch = _unite_children(balls[lev - 1][1], maps[lev], held)
-        if lev - 1 == level:
-            rows = _distance_row(hierarchy.space, batch[:, center_row])
-        else:
-            rows = itertools.repeat(row)
-            if lev - 1 <= level - params.r:
-                threshold = params.threshold(level, lev - 1)
-                batch = batch[~_straddles(row, batch, threshold).any(axis=-1)]
-        if lev - 1 == levels[0]:
-            return len(batch)
-        return sum(walk(lev - 1, cubes, r) for cubes, r in zip(batch, rows))
-
-    finest = levels[-1]
-    held = balls[finest][1]
-    return walk(finest, held, _distance_row(hierarchy.space, held[center_row])
-                if finest == level else None)
+    _, held = _balls(space, range(len(space)), params.delta ** levels[-1])
+    row = _distance_row(space, held[center]) if level == levels[-1] else None
+    paths = _grid_paths(space, params.delta, coarsest_level, limit, step, (1, [(held, row)]))
+    return sum((prob / count * len(cubes) for _, prob, (count, cubes) in paths), Fraction(0))
 
 
 def _equalized_rows(rows: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:

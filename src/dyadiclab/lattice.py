@@ -22,12 +22,17 @@ parent options, computed by one function on a stack of children.  The
 sampler stacks every child of every level pair of a forest, coarse pairs
 first, takes their distance rows in one gather and draws every random
 parent in one call; the checks and the exact enumeration pass one level pair
-at a time, on the columns of its coarse grid.  That enumeration is split in
-two: one helper lists each grid outcome, with one table of parent maps per
-level, built once the forest count has passed the cap, and the weight of
-each of its forests; ``enumerate_forest_outcomes`` takes the product of the
-levels' tables, and the exact goodness walk reads them without building a
-forest.
+at a time, on the columns of its coarse grid.
+
+The exact law of a forest is one product in the construction's own order:
+grids drawn from fine to coarse, each by the grid law from the next finer
+grid, then independent uniform parents.  One recursion walks it depth first
+from the finest level, builds each level pair's link tables once per grid
+path and hands them to its caller's step, holding only the current path's
+tables itself.  ``enumerate_forest_outcomes`` keeps each grid outcome's
+tables and builds its forests from them, under a cap on forests; the exact
+goodness walk unites cube matrices from them and builds no forest, under
+its own cap on that work.
 
 Each threshold rule takes one side, stated here:
 
@@ -97,7 +102,7 @@ DIAMETER_FACTOR = 21.0      # asserted cube diameter bound, in units of the scal
 ANCESTOR_FACTOR = 10.0      # asserted ancestor proximity bound
 COVER_FACTOR = 3.0          # asserted grid covering radius
 MAX_CHAIN_DELTA = 1.0 / 1000.0  # largest scale ratio the chain separation assumes
-MAX_OUTCOMES = 100_000  # the most forests an exact enumeration may list; more are refused
+MAX_OUTCOMES = 100_000  # the most forests enumerate_forest_outcomes may build; more are refused
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ class LatticeForest:
         h = self.hierarchy
         table: dict[int, tuple[dict[int, int], np.ndarray]] = {}
         for lev in reversed(h.levels):
-            centers, held = _balls(h, lev)
+            centers, held = _balls(h.space, h.grid(lev).members, h.scale(lev))
             rows = {y: i for i, y in enumerate(centers)}
             if lev + 1 in table:
                 finer_rows, finer_held = table[lev + 1]
@@ -198,11 +203,11 @@ class LatticeForest:
                     members=frozenset(np.flatnonzero(held[rows[center]]).tolist()))
 
 
-def _balls(hierarchy: GridHierarchy, level: int) -> tuple[list[int], np.ndarray]:
-    """The level's grid points in ascending order, and the boolean
-    center-by-point matrix of their balls B(y, scale(level)/100)."""
-    centers = sorted(hierarchy.grid(level).members)
-    return centers, hierarchy.space.d[centers] < hierarchy.scale(level) / BALL_DIVISOR
+def _balls(space: FiniteMetricSpace, members, scale: float) -> tuple[list[int], np.ndarray]:
+    """The grid points in ascending order, and the boolean center-by-point
+    matrix of their balls B(y, scale/100)."""
+    centers = sorted(members)
+    return centers, space.d[centers] < scale / BALL_DIVISOR
 
 
 def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> np.ndarray:
@@ -440,7 +445,7 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     # that level's union of descendant balls, which each cube must equal
     unions = {k: np.zeros_like(forest.cube_table[k][1]) for k in h.levels}
     for lev in h.levels:
-        points, balls = _balls(h, lev)
+        points, balls = _balls(space, h.grid(lev).members, h.scale(lev))
         chains = np.array([forest.chain(z, lev, h.levels[0]) for z in points])
         coarser = range(lev, h.levels[0] - 1, -1)  # the level of each chain column
         scales = np.array([h.scale(k) for k in coarser[1:]])
@@ -555,66 +560,69 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
 
 # --- exact enumeration of the whole random construction -------------------------
 
-def _outcome_frames(space: FiniteMetricSpace, delta: float, coarsest_level: int,
-                    limit: int) -> list[tuple]:
-    """Per grid outcome of the construction, in enumeration order: its
-    hierarchy, (level, sorted children, ``cols`` of ``_link_pair``, parent
-    maps) for every level above the coarsest, and the weight prob / count
-    that each of its count forests carries, count being the product of the
-    levels' map counts.  A level's maps are one row per choice of every
-    child's option, in ``itertools.product`` order (the last child's choice
-    varies fastest), holding each child's parent as a column of ``cols``,
-    which is also its ball row.  Raises TooLargeForExhaustive, before
-    returning any outcome, when the grid outcomes or the forests exceed
-    ``MAX_OUTCOMES``; the forest count is the product of the children's
-    option counts, as Python ints, and a grid outcome's maps are built only
-    once its forests have passed that cap, by ``_parent_maps``.
-    """
+def _uniform_law(space: FiniteMetricSpace, finer: Grid, scale: float,
+                 limit: int) -> list[tuple[Grid, Fraction]]:
+    """The construction's grid law: every maximal ``scale``-separated subset
+    of the finer grid, each with the same probability."""
+    options = enumerate_maximal_separated(space, sorted(finer.members), scale, limit=limit)
+    return [(grid, Fraction(1, len(options))) for grid in options]
+
+
+@dataclass(frozen=True)
+class _LevelPair:
+    """The link tables of one level pair on a grid path: the finer level, its
+    sorted children ``kids``, ``cols``, the coarse grid's sorted points, the
+    child-by-``cols`` ``options`` of ``_link_pair``, and ``count``, the number
+    of parent maps as a Python int.  ``maps``, their table, is built by
+    ``_parent_maps`` on first read, so a caller can refuse too many first."""
+    level: int
+    kids: list[int]
+    cols: np.ndarray
+    options: np.ndarray
+    count: int
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        return _parent_maps(self.options)
+
+
+def _grid_paths(space: FiniteMetricSpace, delta: float, coarsest_level: int,
+                limit: int, step, state, law=_uniform_law):
+    """The construction's one exact recursion, depth first in its own order:
+    from the finest level, whose grid is the whole space, to the coarsest,
+    each grid of a level is drawn by ``law`` from the next finer grid.  At
+    each (grid path, coarse grid) node the level pair's link tables are built
+    once, as a ``_LevelPair``, and ``step(state, pair)`` gives the state below
+    the node, or None to prune every outcome below it.  Yields (hierarchy,
+    prob, state) for each grid outcome reached, finer grids' choices varying
+    slowest; only the current path's tables are held."""
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
+
+    def descend(k: int, grids: dict[int, Grid], prob: Fraction, state):
+        if k < coarsest_level:
+            yield GridHierarchy(space=space, delta=delta, levels=levels, grids=grids), prob, state
+            return
+        kids = sorted(grids[k + 1].members)
+        for grid, p in law(space, grids[k + 1], delta ** k, limit):
+            cols, _, options = _link_pair(space, kids, grid)
+            count = math.prod(options.sum(axis=1).tolist())
+            below = step(state, _LevelPair(k + 1, kids, cols, options, count))
+            if below is not None:
+                yield from descend(k - 1, {**grids, k: grid}, prob * p, below)
+
     full = Grid(scale=delta ** m, members=frozenset(range(len(space))))
-    grid_outcomes: list[tuple[dict[int, Grid], Fraction]] = [({m: full}, Fraction(1))]
-    for k in range(m - 1, coarsest_level - 1, -1):
-        nxt = []
-        for partial, prob in grid_outcomes:
-            options = enumerate_maximal_separated(
-                space, sorted(partial[k + 1].members), delta ** k, limit=limit)
-            for g in options:
-                grids = dict(partial)
-                grids[k] = g
-                nxt.append((grids, prob / len(options)))
-        grid_outcomes = nxt
-        if len(grid_outcomes) > MAX_OUTCOMES:
-            raise TooLargeForExhaustive("too many grid outcomes")
-
-    total = 0
-    frames = []
-    for grids, prob in grid_outcomes:
-        hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
-        # maximal separated grids give each child an option and no two captured
-        # points; Python ints keep the count from overflowing before the cap test
-        links = []
-        for lev in levels[1:]:
-            kids = sorted(grids[lev].members)
-            cols, _, options = _link_pair(space, kids, grids[lev - 1])
-            links.append((lev, kids, cols, options, options.sum(axis=1).tolist()))
-        count = math.prod(math.prod(sizes) for *_, sizes in links)
-        if total + count > MAX_OUTCOMES:
-            raise TooLargeForExhaustive("too many parent outcomes")
-        total += count
-        children = [(lev, kids, cols, _parent_maps(options, sizes))
-                    for lev, kids, cols, options, sizes in links]
-        frames.append((hierarchy, children, prob / count))
-    return frames
+    yield from descend(m - 1, {m: full}, Fraction(1), state)
 
 
-def _parent_maps(options: np.ndarray, sizes: list[int]) -> np.ndarray:
+def _parent_maps(options: np.ndarray) -> np.ndarray:
     """The parent maps of one level, from its child-by-``cols`` ``options``
-    matrix and each child's option count: one int64 row per choice of every
-    child's option, the last child's choice varying fastest, each entry the
-    column of the chosen option.  A stable sort puts each child's option
-    columns first, in ascending order; the rows of the ``np.indices`` grid of
-    the counts pick from them in one gather."""
+    matrix: one int64 row per choice of every child's option, the last
+    child's choice varying fastest, each entry the column of the chosen
+    option.  A stable sort puts each child's option columns first, in
+    ascending order; the rows of the ``np.indices`` grid of the option counts
+    pick from them in one gather."""
+    sizes = options.sum(axis=1).tolist()
     padded = (~options).argsort(axis=1, kind="stable")
     choice = np.indices(sizes).reshape(len(sizes), -1)
     return padded[np.arange(len(sizes))[:, None], choice].T.copy()
@@ -628,17 +636,33 @@ def enumerate_forest_outcomes(space: FiniteMetricSpace, delta: float,
 
     Grid choices are uniform over the maximal-set family at each level
     (conditioned on the finer levels), and parent choices are uniform over the
-    candidate lists; probabilities are exact rationals and sum to one.  The
-    forests of a grid outcome, all of equal weight, are the product of its
-    levels' parent maps; more than ``MAX_OUTCOMES`` forests in all raise
-    TooLargeForExhaustive before any is built.
+    candidate lists; probabilities are exact rationals and sum to one.  Grid
+    outcomes come from ``_grid_paths``; the forests of one, all of equal
+    weight, are the product of its levels' parent maps, coarse pair first, so
+    the finest level's map varies fastest.  More than ``MAX_OUTCOMES`` forests
+    in all raise TooLargeForExhaustive before any forest is built, and before
+    the maps of the level pair that passes the cap are.
     """
+    outcomes, total = [], 0
+
+    def step(state, pair: _LevelPair):
+        count, path = state
+        count *= pair.count  # each grid outcome below holds at least this many forests
+        if total + count > MAX_OUTCOMES:
+            raise TooLargeForExhaustive("too many parent outcomes")
+        return count, (pair, *path)
+
+    # every grid outcome is listed before any forest is built: forests built
+    # between the recursion's steps left the heap fragmented, and raised the
+    # peak RSS of enumerating the 40 criterion-1 spaces of at most 9 points
+    # from 47 to 54 MB
+    for h, prob, (count, path) in _grid_paths(space, delta, coarsest_level, limit, step, (1, ())):
+        total += count
+        outcomes.append((h, prob / count, path))
     results: list[tuple[LatticeForest, Fraction]] = []
-    for hierarchy, children, weight in _outcome_frames(space, delta, coarsest_level, limit):
-        per_level = [cols[maps].tolist() for *_, cols, maps in children]
-        for choice in itertools.product(*per_level):
-            parents = {lev: dict(zip(kids, row))
-                       for (lev, kids, *_), row in zip(children, choice)}
+    for hierarchy, weight, path in outcomes:
+        for choice in itertools.product(*[pair.cols[pair.maps].tolist() for pair in path]):
+            parents = {p.level: dict(zip(p.kids, row)) for p, row in zip(path, choice)}
             results.append((LatticeForest(hierarchy=hierarchy, parents=parents), weight))
     return results
 

@@ -192,21 +192,38 @@ def test_goodness_csv_keeps_the_failed_checks(tmp_path, elbow_json):
     assert verdict == "False" and detail.endswith("wilson=(0.000000,0.793451)")
 
 
-def test_goodness_falls_back_when_exact_is_refused(tmp_path):
-    """An 11-point space within --limit whose parent outcomes exceed the exact
-    enumerator's cap gets the plugin estimate, not a configuration error."""
-    src = tmp_path / "cloud16.json"
-    dl.save_space(dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
-                                min_sep=0.05), str(src))
+def criterion1_cloud_report(tmp_path, seed: int) -> tuple[int, dict]:
+    """The goodness report of cloud ``seed`` of the criterion-1 family."""
+    src = tmp_path / f"cloud{seed}.json"
+    dl.save_space(dl.make_space("random_cloud", seed=seed, n=4 + seed % 9,
+                                dim=1 + seed % 3, scale=2.2, min_sep=0.05), str(src))
     code, out = run_to_file(tmp_path, [
         "goodness", "--input", str(src), "--delta", "0.1", "--gamma", "0.1",
         "--r", "1", "--trials", "50", "--seed", "0"])
+    return code, json.loads(out.read_text())
+
+
+def test_goodness_is_exact_on_an_11_point_cloud(tmp_path):
+    """The 11-point cloud16 has 124,548 forests, more than the enumerator's
+    cap, but the exact walk's row budget admits it: its P(good) is 17/216,
+    and the equalization check runs."""
+    code, report = criterion1_cloud_report(tmp_path, 16)
     assert code in (0, 1)
-    report = json.loads(out.read_text())
+    assert report["data"]["equalization"]["p_q"] == {"num": 17, "den": 216}
+    assert "equalization_frequency" in {c["name"] for c in report["checks"]}
+
+
+def test_goodness_falls_back_when_exact_is_refused(tmp_path):
+    """A 12-point space within --limit that unites more cube-matrix rows than
+    the exact walk's budget gets the plugin estimate, not a configuration
+    error."""
+    code, report = criterion1_cloud_report(tmp_path, 17)
+    assert code in (0, 1)
     equalization = report["data"]["equalization"]
     assert set(equalization) == {"p_q_plugin", "note"}
-    assert equalization["note"] == ("plugin estimate, exact enumeration refused: "
-                                    "too many parent outcomes")
+    assert equalization["note"] == (
+        "plugin estimate, exact enumeration refused: "
+        f"more than {goodness.MAX_UNITED_ROWS} cube-matrix rows to unite")
     fraction = report["data"]["bad_probability"]["fraction"]
     assert equalization["p_q_plugin"] == max(1.0 - fraction, 1.0 / 50)
 

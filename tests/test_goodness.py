@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from dyadiclab.errors import (
     InvalidProbabilities,
     InvalidTrials,
     ScheduleInvalid,
+    TooLargeForExhaustive,
     UnknownPoint,
 )
 from dyadiclab import goodness, lattice, mc
@@ -35,7 +37,7 @@ from dyadiclab.goodness import (
 from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
 from dyadiclab.lattice import LatticeForest, build_forest
 from dyadiclab.mc import _trial_states, run_chunked, trial_rng, wilson_interval
-from oracles import reference_assign_parents
+from oracles import reference_assign_parents, reference_enumerate_forest_outcomes
 
 
 PARAMS = GoodnessParams(delta=0.1, gamma=0.1, r=1)
@@ -250,28 +252,51 @@ def test_exact_good_probability_elbow(elbow):
     assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
 
 
-def test_exact_walk_builds_each_ball_matrix_once(small_family, monkeypatch):
-    """One ``exact_good_probability`` call builds the ball matrix of each
-    distinct (level, grid) of its grid outcomes once, though the outcomes
-    share their finer grids, on each criterion-1 space of at most 9 points."""
+def grid_nodes(space: dl.FiniteMetricSpace) -> tuple[list[tuple], int]:
+    """The (sorted finer grid, coarse grid) of every (grid path, coarse grid)
+    node of the construction at delta 0.1, in depth-first order, read from
+    the oracle's outcomes, where a node is a grid outcome's run of grids from
+    the finest level down to a coarser one; and the level pairs of all grid
+    outcomes, counted once per outcome."""
+    seen, nodes, pairs = set(), [], 0
+    runs = {tuple(f.hierarchy.grids[lev].members for lev in f.levels): len(f.levels)
+            for f, _ in reference_enumerate_forest_outcomes(space, 0.1, 0)}
+    for run, depth in runs.items():
+        pairs += depth - 1
+        for j in range(depth - 2, -1, -1):
+            if run[j:] not in seen:
+                seen.add(run[j:])
+                nodes.append((sorted(run[j + 1]), run[j]))
+    return nodes, pairs
+
+
+def test_exact_walk_builds_each_link_table_once(small_family, monkeypatch):
+    """The exact walk and the enumerator build the link tables of each (grid
+    path, coarse grid) node once, in depth-first order, though grid outcomes
+    share their finer grids, on each criterion-1 space of at most 9 points.
+    With r past every level the walk prunes nothing, so its ``_link_pair``
+    calls are every node's."""
     calls = []
-    real = goodness._balls
+    real = lattice._link_pair
 
-    def counted(hierarchy, level):
-        calls.append((level, hierarchy.grid(level).members))
-        return real(hierarchy, level)
+    def counted(space, kids, coarse):
+        calls.append((kids, coarse.members))
+        return real(space, kids, coarse)
 
-    monkeypatch.setattr(goodness, "_balls", counted)
+    monkeypatch.setattr(lattice, "_link_pair", counted)
+    unpruned = GoodnessParams(delta=0.1, gamma=0.5, r=50)
     shared = 0
     for _, space in small_family:
         if len(space) > 9:
             continue
-        frames = lattice._outcome_frames(space, PARAMS.delta, 0, DEFAULT_EXHAUSTIVE_LIMIT)
-        pairs = {(lev, h.grid(lev).members) for h, *_ in frames for lev in h.levels}
-        calls.clear()
-        exact_good_probability(space, 0, finest_level(space, PARAMS.delta, 0), PARAMS)
-        assert sorted(calls, key=repr) == sorted(pairs, key=repr)
-        shared += sum(len(h.levels) for h, *_ in frames) - len(pairs)
+        nodes, pairs = grid_nodes(space)
+        finest = finest_level(space, 0.1, 0)
+        for run in (lambda: exact_good_probability(space, 0, finest, unpruned),
+                    lambda: dl.enumerate_forest_outcomes(space, 0.1, 0)):
+            calls.clear()
+            run()
+            assert calls == nodes
+        shared += pairs - len(nodes)
     assert shared > 0
 
 
@@ -294,8 +319,8 @@ def reference_exact_good_probability(space: dl.FiniteMetricSpace, center: int | 
     """Exact rational P(cube of the fixed center is good), by full enumeration."""
     center = space.resolve(center)
     total = Fraction(0)
-    outcomes = dl.enumerate_forest_outcomes(space, params.delta, coarsest_level,
-                                            limit=limit)
+    outcomes = reference_enumerate_forest_outcomes(space, params.delta, coarsest_level,
+                                                   limit=limit)
     # pop each outcome once classified, so its cube table can be freed
     while outcomes:
         forest, prob = outcomes.pop()
@@ -331,7 +356,7 @@ def test_exact_good_probability_matches_reference(small_family, elbow, ladder,
               for center in range(len(space))]
     # the reference enumerates each space once and reuses the forests, and so
     # their cube tables, for every case on that space
-    enumerate_outcomes = dl.enumerate_forest_outcomes
+    enumerate_outcomes = reference_enumerate_forest_outcomes
     memo = {}
 
     def enumerate_once(space, *args, **kwargs):
@@ -341,7 +366,7 @@ def test_exact_good_probability_matches_reference(small_family, elbow, ladder,
             memo[key] = enumerate_outcomes(space, *args, **kwargs)
         return list(memo[key])
 
-    monkeypatch.setattr(dl, "enumerate_forest_outcomes", enumerate_once)
+    monkeypatch.setitem(globals(), "reference_enumerate_forest_outcomes", enumerate_once)
     kinds = {"P = 1": 0, "P < 1": 0, "CenterNotInGrid": 0,
              "CenterNotInGrid after the first grid outcome": 0}
     for space, center, n0 in cases:
@@ -365,23 +390,46 @@ def test_exact_good_probability_matches_reference(small_family, elbow, ladder,
 
 
 def test_exact_good_probability_errors_match_reference(monkeypatch, elbow):
-    """A level outside the hierarchy, a center some grid outcome drops, an
-    11-point cloud past the default cap, and a cap one below the count."""
-    cloud11 = dl.make_space("random_cloud", seed=16, n=11, dim=2, scale=2.2,
-                            min_sep=0.05)
-    count = len(dl.enumerate_forest_outcomes(elbow, 0.1, 0))
-    default = lattice.MAX_OUTCOMES
-    cases = [((elbow, "x", 5, PARAMS), default, "InvalidParams"),
-             ((elbow, "u", 1, PARAMS), default, "CenterNotInGrid"),
-             ((cloud11, 0, 2, PARAMS), default, "TooLargeForExhaustive"),
-             ((elbow, "x", 2, PARAMS), count - 1, "TooLargeForExhaustive")]
-    for args, cap, kind in cases:
-        monkeypatch.setattr(lattice, "MAX_OUTCOMES", cap)
+    """A level outside the hierarchy and a center some grid outcome drops
+    raise the reference's error.  The forest cap is the enumerator's alone:
+    one below the elbow's count of forests refuses the enumeration, and the
+    walk still gives 3/4."""
+    cases = [((elbow, "x", 5, PARAMS), "InvalidParams"),
+             ((elbow, "u", 1, PARAMS), "CenterNotInGrid")]
+    for args, kind in cases:
         got = exact_outcome(exact_good_probability, *args)
         assert got == exact_outcome(reference_exact_good_probability, *args)
         assert got[0] == kind
-    monkeypatch.setattr(lattice, "MAX_OUTCOMES", count)
+    count = len(reference_enumerate_forest_outcomes(elbow, 0.1, 0))
+    monkeypatch.setattr(lattice, "MAX_OUTCOMES", count - 1)
+    with pytest.raises(TooLargeForExhaustive, match="too many parent outcomes"):
+        dl.enumerate_forest_outcomes(elbow, 0.1, 0)
     assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
+
+
+def test_exact_walk_refuses_past_its_row_budget(monkeypatch, small_family, elbow):
+    """The walk counts the cube-matrix rows it unites, each child's row once
+    per parent map, reads its budget when called, and refuses the level pair
+    that passes it.  On the elbow, the three finest cubes are united under 2
+    maps into the first level-1 grid and under 1 into the second: 9 rows.
+    One cube of each grid passes the test at level 1, and its two rows are
+    united under each of the four grid outcomes: 8 more, 17 in all.  A budget
+    of 17 gives 3/4, one of 16 refuses.  At the default budget, each 12-point
+    space of the criterion-1 family is refused within seconds."""
+    monkeypatch.setattr(goodness, "MAX_UNITED_ROWS", 17)
+    assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
+    monkeypatch.setattr(goodness, "MAX_UNITED_ROWS", 16)
+    with pytest.raises(TooLargeForExhaustive, match="^more than 16 cube-matrix rows to unite$"):
+        exact_good_probability(elbow, "x", 2, PARAMS)
+    monkeypatch.undo()
+    large = [space for _, space in small_family if len(space) == 12]
+    assert len(large) == 3
+    for space in large:
+        start = time.perf_counter()
+        with pytest.raises(TooLargeForExhaustive,
+                           match=f"^more than {goodness.MAX_UNITED_ROWS} cube-matrix rows"):
+            exact_good_probability(space, 0, finest_level(space, 0.1, 0), PARAMS)
+        assert time.perf_counter() - start < 5
 
 
 def test_exact_small_benchmark_reference():

@@ -1,6 +1,5 @@
 """Parent forests, cubes, covering lemmas, interiors, chain separation."""
 import copy
-import itertools
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -18,13 +17,7 @@ from dyadiclab.errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from dyadiclab.grids import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    Grid,
-    GridHierarchy,
-    enumerate_maximal_separated,
-    finest_level,
-)
+from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy
 from dyadiclab.lattice import (
     ANCESTOR_FACTOR,
     BALL_DIVISOR,
@@ -43,7 +36,8 @@ from dyadiclab.lattice import (
     _widest_eps,
     forest_to_json,
 )
-from oracles import reference_assign_parents, reference_parent_options
+from oracles import (reference_assign_parents, reference_enumerate_forest_outcomes,
+                     reference_parent_maps, reference_parent_options)
 
 
 def shared_stream_forest(space, delta, n0, seed, **kw):
@@ -351,7 +345,8 @@ def assert_table_unites_per_child(forest):
     for lev in forest.levels[1:]:
         rows, held = forest.cube_table[lev - 1]
         finer_rows, finer_held = forest.cube_table[lev]
-        _, balls = _balls(forest.hierarchy, lev - 1)
+        h = forest.hierarchy
+        _, balls = _balls(h.space, h.grid(lev - 1).members, h.scale(lev - 1))
         parent_rows = [rows[forest.parents[lev][c]] for c in finer_rows]
         assert (held == reference_unite_children(balls, parent_rows, finer_held)).all()
 
@@ -1250,63 +1245,6 @@ def test_chain_level_guard_messages(l3):
 
 # --- exact outcome enumeration ------------------------------------------------------------
 
-# the enumeration that the product of parent choices replaced, kept verbatim
-# as its oracle: it extends partial parent maps one child at a time
-def reference_enumerate_forest_outcomes(space: dl.FiniteMetricSpace, delta: float,
-                                        coarsest_level: int,
-                                        limit: int = 20,
-                                        max_outcomes: int = 100_000,
-                                        ) -> list[tuple[dl.LatticeForest, Fraction]]:
-    """All (forest, probability) outcomes of the construction on a small space.
-
-    Grid choices are uniform over the maximal-set family at each level
-    (conditioned on the finer levels), and parent choices are uniform over the
-    candidate lists; probabilities are exact rationals and sum to one.
-    """
-    m = finest_level(space, delta, coarsest_level)
-    levels = tuple(range(coarsest_level, m + 1))
-    full = Grid(scale=delta ** m, members=frozenset(range(len(space))))
-    grid_outcomes: list[tuple[dict[int, Grid], Fraction]] = [({m: full}, Fraction(1))]
-    for k in range(m - 1, coarsest_level - 1, -1):
-        nxt = []
-        for partial, prob in grid_outcomes:
-            options = enumerate_maximal_separated(
-                space, sorted(partial[k + 1].members), delta ** k, limit=limit)
-            for g in options:
-                grids = dict(partial)
-                grids[k] = g
-                nxt.append((grids, prob / len(options)))
-        grid_outcomes = nxt
-        if len(grid_outcomes) > max_outcomes:
-            raise TooLargeForExhaustive("too many grid outcomes")
-
-    results: list[tuple[dl.LatticeForest, Fraction]] = []
-    for grids, prob in grid_outcomes:
-        hierarchy = GridHierarchy(space=space, delta=delta, levels=levels, grids=grids)
-        partial_parents: list[tuple[dict[int, dict[int, int]], Fraction]] = [({}, prob)]
-        for lev in levels[1:]:
-            children = sorted(grids[lev].members)
-            per_child = [(c, reference_parent_options(space, c, grids[lev - 1]))
-                         for c in children]
-            nxt = []
-            for pmap, p in partial_parents:
-                combos: list[tuple[dict[int, int], Fraction]] = [({}, p)]
-                for child, options in per_child:
-                    combos = [
-                        ({**cmap, child: opt}, cp / len(options))
-                        for cmap, cp in combos for opt in options
-                    ]
-                    if (len(results) + len(combos) * len(partial_parents)
-                            > max_outcomes):
-                        raise TooLargeForExhaustive("too many parent outcomes")
-                for cmap, cp in combos:
-                    nxt.append(({**pmap, lev: cmap}, cp))
-            partial_parents = nxt
-        for pmap, p in partial_parents:
-            results.append((dl.LatticeForest(hierarchy=hierarchy, parents=pmap), p))
-    return results
-
-
 def outcome_list(space, delta, enumerate_outcomes):
     """Grids, parent maps in insertion order, and Fractions of every outcome."""
     got = outcome(enumerate_outcomes, space, delta, 0)
@@ -1323,30 +1261,27 @@ def test_outcomes_match_reference(elbow, ladder, small_family):
         assert outcome_list(space, 0.1, dl.enumerate_forest_outcomes) == want
 
 
-def reference_parent_maps(options: np.ndarray) -> np.ndarray:
-    """A level's parent maps as the ``itertools.product`` of each child's
-    option columns, one row per map."""
-    per_kid = [row.nonzero()[0].tolist() for row in options]
-    return np.array(list(itertools.product(*per_kid)))
-
-
 def test_parent_maps_match_product_order(elbow, ladder, small_family):
-    """Every level's table of parent maps, in every grid outcome of the
-    criterion-1 spaces of at most 9 points and of two hand-built ones, is
-    the product of its children's option columns: the same values in the
-    same row order, dtype and shape."""
+    """Every level pair's table of parent maps that the exact recursion hands
+    its step, over the criterion-1 spaces of at most 9 points and two
+    hand-built ones, is the product of its children's option columns: the
+    same values in the same row order, dtype and shape."""
     spaces = [elbow, ladder] + [s for _, s in small_family if len(s) <= 9]
-    rows = 0
+    pairs = []
+
+    def collect(state, pair):
+        pairs.append(pair)
+        return state
+
     for space in spaces:
-        for hierarchy, children, _ in lattice._outcome_frames(space, 0.1, 0,
-                                                              DEFAULT_EXHAUSTIVE_LIMIT):
-            for lev, kids, _, maps in children:
-                _, _, options = _link_pair(space, kids, hierarchy.grids[lev - 1])
-                want = reference_parent_maps(options)
-                assert (maps.dtype, maps.shape) == (want.dtype, want.shape)
-                assert np.array_equal(maps, want) and maps.flags.c_contiguous
-                rows += len(maps)
-    assert rows > 40_000
+        for _ in lattice._grid_paths(space, 0.1, 0, DEFAULT_EXHAUSTIVE_LIMIT, collect, ()):
+            pass
+    for pair in pairs:
+        want = reference_parent_maps(pair.options)
+        assert (pair.maps.dtype, pair.maps.shape) == (want.dtype, want.shape)
+        assert np.array_equal(pair.maps, want) and pair.maps.flags.c_contiguous
+        assert pair.count == len(want)
+    assert sum(len(pair.maps) for pair in pairs) > 40_000
 
 
 def test_outcome_probabilities_sum_to_one(elbow):
@@ -1386,11 +1321,21 @@ def test_max_outcomes_caps_the_total(monkeypatch):
 
 
 def test_max_outcomes_caps_the_grid_outcomes(monkeypatch, elbow):
-    """The elbow has two grid outcomes, so a cap of one refuses them before
-    any parent map is counted."""
+    """Every grid outcome holds at least one forest, so the forest cap bounds
+    the grid outcomes too, and the recursion stops at the first (grid path,
+    coarse grid) node whose forests pass it.  The elbow's first level pair
+    has two parent maps, so a cap of one refuses it before any table of
+    parent maps is built and before any coarser grid is enumerated."""
+    built, families = [], []
+    parent_maps, family = lattice._parent_maps, lattice.enumerate_maximal_separated
+    monkeypatch.setattr(lattice, "_parent_maps",
+                        lambda options: built.append(1) or parent_maps(options))
+    monkeypatch.setattr(lattice, "enumerate_maximal_separated",
+                        lambda *args, **kw: families.append(1) or family(*args, **kw))
     monkeypatch.setattr(lattice, "MAX_OUTCOMES", 1)
-    with pytest.raises(TooLargeForExhaustive, match="too many grid outcomes"):
+    with pytest.raises(TooLargeForExhaustive, match="too many parent outcomes"):
         dl.enumerate_forest_outcomes(elbow, 0.1, 0)
+    assert built == [] and families == [1]
 
 
 def test_outcome_enumeration_matches_sampling_support(elbow):

@@ -59,11 +59,18 @@ MUTANTS = [
      "if n > level - params.r:", "if n > level - params.r - 1:",
      [T_GOODNESS + "test_elbow_badness_matches_hand_analysis"]),
     ("r gap in the exact walk, finer", GOODNESS,
-     "if lev - 1 <= level - params.r:", "if lev - 1 <= level - params.r + 1:",
+     "if k <= level - params.r:", "if k <= level - params.r + 1:",
      [T_GOODNESS + "test_exact_good_probability_matches_reference"]),
     ("r gap in the exact walk, coarser", GOODNESS,
-     "if lev - 1 <= level - params.r:", "if lev - 1 <= level - params.r - 1:",
+     "if k <= level - params.r:", "if k <= level - params.r - 1:",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
+    # the exact walk's leaf weight and its budget of united cube-matrix rows
+    ("leaf weight without its parent-map count", GOODNESS,
+     "prob / count * len(cubes)", "prob * len(cubes)",
+     [T_GOODNESS + "test_exact_good_probability_elbow"]),
+    ("row budget one row early", GOODNESS,
+     "if united > MAX_UNITED_ROWS:", "if united >= MAX_UNITED_ROWS:",
+     [T_GOODNESS + "test_exact_walk_refuses_past_its_row_budget"]),
     ("decay layer", GOODNESS,
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_layer_is_closed_at_its_width"]),
@@ -110,7 +117,8 @@ MUTANTS = [
     ("128-bit sum without its carry", MC,
      "return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo", "return a_hi + b_hi, lo",
      [T_GOODNESS + "test_outputs_match_the_lcg_past_any_table"]),
-    # the exact walk's parent maps: the last child's choice varies fastest
+    # the parent maps the exact recursion hands its steps: the last child's
+    # choice varies fastest
     ("parent maps, first child fastest", LATTICE,
      "choice = np.indices(sizes).reshape(len(sizes), -1)",
      "choice = np.indices(sizes[::-1])[::-1].reshape(len(sizes), -1)",
@@ -147,8 +155,8 @@ MUTANTS = [
      "levels = hierarchy.levels[1:]", "levels = hierarchy.levels[:0:-1]",
      [T_LATTICE + "test_build_forest_matches_reference_stream"]),
     ("ball", LATTICE,
-     "hierarchy.space.d[centers] < hierarchy.scale(level) / BALL_DIVISOR",
-     "hierarchy.space.d[centers] <= hierarchy.scale(level) / BALL_DIVISOR",
+     "space.d[centers] < scale / BALL_DIVISOR",
+     "space.d[centers] <= scale / BALL_DIVISOR",
      [T_LATTICE + "test_cube_ball_is_open_at_its_radius"]),
     ("cover", LATTICE,
      "if dist[worst] > bound:", "if dist[worst] >= bound:",
