@@ -40,15 +40,15 @@ and the master seed follow the integer rule of ``metric``, checked before any
 trial runs.  This module supplies the build of a trial's forest
 (``_trial_part``), each estimator's row of a forest and, for the really-good
 estimator, the rows of a chunk's matrix of rows and vector of coins
-(``_equalized_rows``); ``mc._trial_chunk`` runs the trials in the trial
-session of the build, drawing each stream as if every trial built its own
-forest while building each distinct forest of the session once and
-computing each distinct row once per distinct forest (the bad-probability
-and really-good estimators' rows are one), and reads the draws of the
-trials it does not build from their streams' words in array math.
-A session lives for one estimator call, or for one ``mc.trial_session()``
-context, such as a ``goodness`` command's, whose three estimators then share
-its forests.
+(``_equalized_rows``), and hands them to ``mc._trial_chunk``, which finds
+the trial session of the build itself: it draws each stream as if every
+trial built its own forest while building each distinct forest of the
+session once and computing each distinct row once per distinct forest (the
+bad-probability and really-good estimators' rows are one), and reads the
+draws of the trials it does not build from their streams' words in array
+math.  A session lives for one estimator call, or for one
+``mc.trial_session()`` context, such as a ``goodness`` command's, whose
+three estimators then share its forests; this module never names one.
 """
 from __future__ import annotations
 
@@ -71,8 +71,7 @@ from .errors import (
 from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
 from .lattice import (Cube, LatticeForest, _balls, _grid_paths, _unite_children,
                       build_forest)
-from .mc import (_master_seed, _session, _trial_chunk, _trial_count, run_chunked,
-                 wilson_interval)
+from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
 __all__ = [
@@ -250,8 +249,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
-    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
-    rows = run_chunked(_trial_chunk, (session, seed, row, None), trials, workers)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
     return BadProbabilityEstimate(trials=trials, bad_count=bad,
@@ -305,8 +304,8 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     x = space.resolve(x)
     row = partial(_decay_row, params=params, x=x, level=level,
                   eps_schedule=tuple(eps))
-    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
-    rows = run_chunked(_trial_chunk, (session, seed, row, None), trials, workers)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
     intervals = [wilson_interval(c, trials) for c in counts]
@@ -424,6 +423,6 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     row = partial(_bad_row, params=params, level=level, center=center)
     finish = partial(_equalized_rows, cutoff=a / p_q)
-    session = _session(partial(_trial_part, space, params, coarsest_level, mode, limit))
-    rows = run_chunked(_trial_chunk, (session, seed, row, finish), trials, workers)
+    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    rows = run_chunked(_trial_chunk, (build, seed, row, finish), trials, workers)
     return float(rows[:, 0].sum() / trials)

@@ -18,23 +18,25 @@ below 2**32, the shape of every ordinary run), and from ``trial_rng``
 itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
-``_trial_chunk`` runs the trials of one chunk for an estimator, in a trial
-session (``_Session``) made from the build that draws a trial's forest from
-its stream; the estimator supplies its row of a forest and what its rows
-are, given one coin per trial drawn after the build (``finish``).  A forest
-is a function of its drawn values, so the session keeps a memo of the draw
-paths of the trials built in it, keyed by the values drawn, and each
-path's row.  A session lives for one estimator call, or, inside a
-``trial_session()`` context (one per ``goodness`` command), for the
-context: the session then keeps the forest at the end of each path, the
-estimators called in it on the same build share those forests, and their
-runs with workers share one process pool.  Each block's trials walk the
-memo together (``_walk``), group by group, on the draws their words make,
-computed in uint64 array math as NumPy computes them (``_Outputs``,
-``_draw``): the outputs by jump-ahead from each state, Lemire's
-``integers`` on buffered 32-bit halves, Fisher-Yates ``permutation``, and
-the coin from a fresh output; no generator is called.  This module alone
-knows how NumPy turns a PCG64 state into draws.
+``_trial_chunk`` runs the trials of one chunk for an estimator, which
+supplies the build that draws a trial's forest from its stream, its row of
+a forest, and what its rows are, given one coin per trial drawn after the
+build (``finish``).  The chunk looks up the build's trial session
+(``_Session``, by ``_session``) in the process that runs it; no session is
+ever sent to another process.  A forest is a function of its drawn values,
+so the session keeps a memo of the draw paths of the trials built in it,
+keyed by the values drawn, and each path's row.  A session lives for one
+estimator call, or, inside a ``trial_session()`` context (one per
+``goodness`` command), for the context: the session then keeps the forest
+at the end of each path, the estimators called in it on the same build
+share those forests, and their runs with workers share one process pool,
+whose workers each look up a fresh session per chunk.  Each block's trials
+walk the memo together (``_walk``), group by group, on the draws their
+words make, computed in uint64 array math as NumPy computes them
+(``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
+Lemire's ``integers`` on buffered 32-bit halves, Fisher-Yates
+``permutation``, and the coin from a fresh output; no generator is called.
+This module alone knows how NumPy turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -367,38 +369,6 @@ def _permutation(n: int, outputs: _Outputs, trials: np.ndarray, pos: np.ndarray)
     return values
 
 
-class _Memo:
-    """A draw memo: the draw paths of the trials built on it, as a tree
-    whose nodes are numbered from the root, 0.  ``calls[v]`` is the draw
-    call made after the values that lead to node v (None until a build makes
-    one), ``builds[v]`` what the build made at the end of a complete path
-    (None elsewhere), and ``children[v, values]`` the node that those values
-    of v's call lead to."""
-
-    def __init__(self):
-        self.calls: list = [None]
-        self.builds: list = [None]
-        self.children: dict = {}
-
-    def enter(self, path: list, built) -> tuple[int, bool]:
-        """Enter a recorder's path, with what the build made at its end; the
-        path's leaf, and whether the path is new.  A leaf keeps what it was
-        first given: the same values make the same build."""
-        node = 0
-        for call, values in path:
-            self.calls[node] = call
-            child = self.children.get((node, values))
-            if child is None:
-                child = self.children[node, values] = len(self.calls)
-                self.calls.append(None)
-                self.builds.append(None)
-            node = child
-        new = self.builds[node] is None
-        if new:
-            self.builds[node] = built
-        return node, new
-
-
 @lru_cache(maxsize=1024)
 def _radix(call: tuple) -> np.ndarray:
     """A matrix that packs a column of a call's values into int64 keys,
@@ -434,10 +404,10 @@ def _classes(trials: np.ndarray, values: np.ndarray,
     return sorted(classes, key=lambda c: c[1][0])
 
 
-def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
+def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
           trusted) -> tuple[list, np.ndarray]:
-    """Walk trials of a block down the memo from its root, group by group,
-    and return the (leaf, trials) pairs of the trials served and each
+    """Walk trials of a block down a session's memo from its root, group by
+    group, and return the (leaf, trials) pairs of the trials served and each
     trial's count of draws.
 
     The trials at a node have drawn the same values, so they make the same
@@ -447,14 +417,14 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
     is the lowest trial of a class with no child, or of the trials at a node
     with no call yet; if it entered its path, the rest walk on along it, and
     else each is passed to ``miss`` in turn.  Trials reach a leaf, and are
-    served its build, only while ``trusted()``; once it has said no, every
-    trial at a leaf or still to walk is passed to ``miss``, with no further
-    draw."""
+    served its build, only while ``trusted()``; once it has said no, or
+    from the start when the session's probe has failed, every trial at a
+    leaf or still to walk is passed to ``miss``, with no further draw."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
-    served, groups, distrusted = [], [(0, trials)], False
+    served, groups, distrusted = [], [(0, trials)], session.trust is False
     while groups:
         node, trials = groups.pop()
-        if memo.builds[node] is not None and not distrusted:
+        if session.builds[node] is not None and not distrusted:
             if trusted():
                 served.append((node, trials))
                 continue
@@ -463,7 +433,7 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
             for t in trials.tolist():
                 miss(t)
             continue
-        call = memo.calls[node]
+        call = session.calls[node]
         if call is None:
             classes = [(None, trials)]
         else:
@@ -474,10 +444,10 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
                 trials, values = trials[kept], values[:, kept]
             classes = _classes(trials, values, _radix(call))
         for row, members in classes:
-            after = memo.children.get((node, row))
+            after = session.children.get((node, row))
             if after is None:
                 entered, members = miss(int(members[0])), members[1:]
-                after = node if row is None else memo.children.get((node, row))
+                after = node if row is None else session.children.get((node, row))
                 if not entered or after is None:
                     for t in members.tolist():
                         miss(t)
@@ -487,7 +457,7 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray, miss,
     return served, pos
 
 
-_MISS_BUDGET = 256  # draw paths one trial chunk enters in its memo; later misses only build
+_MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses only build
 # the run-time guard's draws: they mix bounds of 1 and the swaps of a permutation
 _PROBE = (("integers", (1, 3, 2, 1, 6, 5)), ("permutation", 7))
 
@@ -524,7 +494,7 @@ def _words_match(rng: np.random.Generator, outputs: _Outputs) -> bool:
     """Whether a walk on the words of the first trial of a block's outputs
     makes the draws of ``_PROBE``, and the coin after them, as ``rng`` does,
     a generator just seeded at that trial's state."""
-    probe = _Memo()
+    probe = _Session()
     probe.enter([(call, tuple(getattr(rng, call[0])(call[1]).tolist())) for call in _PROBE], ())
     served, pos = _walk(probe, outputs, np.zeros(1, dtype=np.int64), lambda t: False, lambda: True)
     return bool(served) and outputs.coins(served[0][1], pos[:1])[0] == rng.random()
@@ -540,41 +510,57 @@ def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
 
 class _Session:
     """A trial session: the draw memo of every trial chunk run on one build,
-    the count of paths entered in it, at most ``_MISS_BUDGET``, the verdict
-    of the ``_PROBE`` check (None until a trial first reaches a leaf), and,
-    per row function and its arguments, the row of each leaf's forest
-    (``leaf_rows``).
+    as a tree of the draw paths of the trials built in it, whose nodes are
+    numbered from the root, 0.  ``calls[v]`` is the draw call made after the
+    values that lead to node v (None until a build makes one), ``builds[v]``
+    what the build made at the end of a complete path (None elsewhere), and
+    ``children[v, values]`` the node that those values of v's call lead to.
+    It also holds the count of paths entered, at most ``_MISS_BUDGET``, the
+    verdict of the ``_PROBE`` check (None until a trial first reaches a
+    leaf), and, per row function and its arguments, the row of each leaf's
+    forest (``leaf_rows``).
 
     A session lives for one estimator call, or for the ``trial_session()``
-    context that made it.  Only the latter keeps each leaf's forest, for the
-    rows of the other estimators in the context; a session of one call
-    needs no row but its own and keeps its rows alone, since held forests
-    cost the collector time.  Sent to a worker process, a session arrives as
-    its build alone, with an empty memo, for the one chunk it runs there."""
+    context that made it, in the process that made it: a chunk run by a
+    worker process looks up a fresh session there.  Only a context's session
+    keeps each leaf's forest, for the rows of the other estimators in the
+    context; a session of one call needs no row but its own and keeps its
+    rows alone, since held forests cost the collector time."""
 
-    def __init__(self, build, keep: bool = False):
-        self.build, self.keep = build, keep
-        self.memo, self.paths, self.trust, self.leaf_rows = _Memo(), 0, None, {}
-
-    def __reduce__(self):
-        return _Session, (self.build,)
+    def __init__(self, keep: bool = False):
+        self.calls, self.builds, self.children = [None], [None], {}
+        self.keep, self.paths, self.trust, self.leaf_rows = keep, 0, None, {}
 
     def enter(self, path: list, forest) -> int | None:
         """Enter a build's path, with its forest if the session keeps them,
         while the memo holds fewer than ``_MISS_BUDGET`` paths: the path's
-        leaf, or None once the budget is spent."""
-        if self.paths < _MISS_BUDGET:
-            leaf, new = self.memo.enter(path, forest if self.keep else ())
-            self.paths += new
-            return leaf
-        return None
+        leaf, or None once the budget is spent.  A leaf keeps what it was
+        first given: the same values make the same build."""
+        if self.paths >= _MISS_BUDGET:
+            return None
+        node = 0
+        for call, values in path:
+            self.calls[node] = call
+            child = self.children.get((node, values))
+            if child is None:
+                child = self.children[node, values] = len(self.calls)
+                self.calls.append(None)
+                self.builds.append(None)
+            node = child
+        if self.builds[node] is None:
+            self.builds[node] = forest if self.keep else ()
+            self.paths += 1
+        return node
 
 
 class _Scope:
     """An open ``trial_session()`` context: a session per build, and the
-    process pool of its runs with workers, made on first use."""
+    process pool of its runs with workers, made on first use, both for the
+    process that opened it alone (``pid``): a forked worker inherits the
+    context variable, and must not share them."""
 
     def __init__(self):
+        self.pid = os.getpid()
         self.sessions: dict = {}
         self.pool: ProcessPoolExecutor | None = None
 
@@ -600,6 +586,12 @@ def trial_session() -> Iterator[None]:
             scope.pool.shutdown()
 
 
+def _own_scope() -> _Scope | None:
+    """The open ``trial_session()`` context's scope, if this process opened it."""
+    scope = _SCOPE.get()
+    return scope if scope is not None and scope.pid == os.getpid() else None
+
+
 def _key(f: partial) -> tuple:
     """The function and arguments of a partial of hashable arguments, by
     which sessions match builds and ``leaf_rows`` match row functions."""
@@ -609,39 +601,40 @@ def _key(f: partial) -> tuple:
 def _session(build: partial) -> _Session:
     """The session of a build: that of the open ``trial_session()`` context,
     shared by every call with the same function and arguments, or a fresh
-    one outside any context."""
-    scope, key = _SCOPE.get(), _key(build)
+    one outside any context and in a worker process."""
+    scope, key = _own_scope(), _key(build)
     if scope is None:
-        return _Session(build)
+        return _Session()
     if key not in scope.sessions:
-        scope.sessions[key] = _Session(build, keep=True)
+        scope.sessions[key] = _Session(keep=True)
     return scope.sessions[key]
 
 
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a seeded estimator, with payload (session, seed,
-    row, finish): per trial t, the row ``row(forest)`` of the forest that
-    the session's build makes from a generator on the stream of
-    ``trial_rng(seed, t)``, and the rows ``finish(rows, xi)`` of the matrix
-    of those rows and the vector of coins xi, each the stream's ``random()``
-    after the build's draws (the rows themselves when ``finish`` is None).
-    The build may draw only through the generator's ``integers(bounds)``
-    and ``permutation(n)``.
+    """Rows lo..hi-1 of a seeded estimator, with payload (build, seed, row,
+    finish): per trial t, the row ``row(forest)`` of the forest that
+    ``build`` makes from a generator on the stream of ``trial_rng(seed,
+    t)``, and the rows ``finish(rows, xi)`` of the matrix of those rows and
+    the vector of coins xi, each the stream's ``random()`` after the build's
+    draws (the rows themselves when ``finish`` is None).  The build, a
+    partial of hashable arguments, may draw only through the generator's
+    ``integers(bounds)`` and ``permutation(n)``.
 
-    The chunk reads its trials' PCG64 states, the words of their LCGs, from
-    ``_trial_states`` a block at a time, and checks the first against
-    ``trial_rng(seed, lo)``.
+    The chunk runs in the build's session (``_session``), looked up in the
+    process that runs the chunk, and reads its trials' PCG64 states, the
+    words of their LCGs, from ``_trial_states`` a block at a time, checking
+    the first against ``trial_rng(seed, lo)``.
 
     A build is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the session keeps a
-    memo of its trials' draw paths (``_Memo``), for every chunk run on it: a
-    tree whose nodes hold the next draw call after a prefix of drawn values,
-    and a leaf at the end of each complete path, which holds the path's
-    forest when the session keeps forests; the session keeps each leaf's
-    row, per row function and its arguments.  Each block's trials walk the
-    memo together, group by group, on the draws their words make
-    (``_walk``); a trial that reaches a leaf builds nothing, sets no state,
-    takes the leaf's row, and takes xi from the words that follow.  Any other, and any trial whose
+    memo of its trials' draw paths, for every chunk run on it: a tree whose
+    nodes hold the next draw call after a prefix of drawn values, and a leaf
+    at the end of each complete path, which holds the path's forest when the
+    session keeps forests; the session keeps each leaf's row, per row
+    function and its arguments.  Each block's trials walk the memo together,
+    group by group, on the draws their words make (``_walk``); a trial that
+    reaches a leaf builds nothing, sets no state, takes the leaf's row, and
+    takes xi from the words that follow.  Any other, and any trial whose
     walk meets a rejected integers draw or a bound above 2**32, sets the
     generator state its words stand for, with no buffered half word, on one
     reused generator, builds through the recorder that shares the
@@ -656,11 +649,12 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     a chunk makes the draws of ``_PROBE``, and the coin after them, as the
     generator does; the probe runs when a trial first reaches a leaf, once
     per session, so a session whose trials share no path never runs it.  If
-    it fails, every trial not yet built builds, so a NumPy whose draws move
-    costs speed, not correctness: a walk that groups trials wrongly only
-    sends them to builds.
+    it fails, every trial not yet built builds, and every later walk of the
+    session starts distrusted, so a NumPy whose draws move costs speed, not
+    correctness: a walk that groups trials wrongly only sends them to builds.
     """
-    session, seed, row, finish = payload
+    build, seed, row, finish = payload
+    session = _session(build)
     rng = trial_rng(seed, lo)
     blocks = _trial_states(seed, lo, hi)
     first = next(blocks)
@@ -668,7 +662,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(rng.bit_generator)
-    memo, leaf_rows, rows = session.memo, session.leaf_rows.setdefault(_key(row), {}), []
+    leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
 
     def trusted() -> bool:
         if session.trust is None:
@@ -678,37 +672,28 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
 
     def leaf_row(leaf: int, forest=None):
         if leaf not in leaf_rows:
-            leaf_rows[leaf] = row(memo.builds[leaf] if forest is None else forest)
+            leaf_rows[leaf] = row(session.builds[leaf] if forest is None else forest)
         return leaf_rows[leaf]
 
     for states in itertools.chain([first], blocks):
-        built, n = {}, states.shape[1]
+        n, outputs = states.shape[1], _Outputs(states)
+        filled = []  # (row, trials, coins) of each trial built and each group served
 
         def miss(t: int) -> bool:
             _set_state(rng, states, t)
             recorder.path.clear()
-            forest = session.build(recorder)
+            forest = build(recorder)
             leaf = session.enter(recorder.path, forest)
-            built[t] = (row(forest) if leaf is None else leaf_row(leaf, forest),
-                        rng.random() if finish is not None else 0.0)
+            filled.append((row(forest) if leaf is None else leaf_row(leaf, forest), t,
+                           rng.random() if finish is not None else 0.0))
             return leaf is not None
 
-        leaves, pos = [], None
-        if session.trust is not False:
-            outputs = _Outputs(states)
-            leaves, pos = _walk(memo, outputs, np.arange(n), miss, trusted)
-        else:
-            for t in range(n):
-                miss(t)
-        served = [(leaf_row(leaf), trials) for leaf, trials in leaves]
-        width = len(served[0][0] if served else next(iter(built.values()))[0])
-        matrix, xi = np.empty((n, width), dtype=np.int64), np.empty(n)
-        for values, trials in served:
-            matrix[trials] = values
-            if finish is not None:
-                xi[trials] = outputs.coins(trials, pos[trials])
-        for t, (values, coin) in built.items():
-            matrix[t], xi[t] = values, coin
+        served, pos = _walk(session, outputs, np.arange(n), miss, trusted)
+        filled += [(leaf_row(leaf), trials, 0.0 if finish is None
+                    else outputs.coins(trials, pos[trials])) for leaf, trials in served]
+        matrix, xi = np.empty((n, len(filled[0][0])), dtype=np.int64), np.empty(n)
+        for values, trials, coins in filled:
+            matrix[trials], xi[trials] = values, coins
         rows.append(matrix if finish is None else finish(matrix, xi))
     return np.concatenate(rows)
 
@@ -738,7 +723,7 @@ def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
         return np.asarray(worker(payload, 0, trials))
     # workers <= trials, so every chunk holds at least one trial
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    scope = _SCOPE.get()
+    scope = _own_scope()
     if scope is not None and scope.pool is None:
         scope.pool = ProcessPoolExecutor(max_workers=workers)
     # the open trial session's pool, or a pool of this run alone

@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -950,13 +951,18 @@ def test_trial_chunk_serves_permutations_from_the_words(monkeypatch, elbow):
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
-@pytest.mark.parametrize("disagree", ["guard", "words"])
-def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, disagree,
+@pytest.mark.parametrize("disagree, block", [("guard", mc._BLOCK), ("words", mc._BLOCK),
+                                             ("guard", 50), ("words", 50)],
+                         ids=["guard", "words", "guard-blocks-of-50", "words-blocks-of-50"])
+def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, disagree, block,
                                                                 elbow, ladder, decay_probe):
     """A chunk whose first trial's words do not make the probe's draws as
     the generator does builds every trial, with the reference's rows: with
     the guard forced to fail, and with words whose outputs are one bit off.
-    Either way the walk makes no draw once the probe has failed."""
+    Either way the walk makes no draw once the probe has failed, also in
+    blocks of 50 trials, where 5 of the 6 blocks of 300 trials start after
+    it failed."""
+    monkeypatch.setattr(mc, "_BLOCK", block)
     if disagree == "guard":
         monkeypatch.setattr(mc, "_words_match", lambda rng, outputs: False)
     else:
@@ -1056,6 +1062,23 @@ def test_trial_chunk_memo_carries_across_blocks(monkeypatch, elbow, ladder, deca
     built = count_builds(monkeypatch)
     estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
     assert len(built) == 6
+
+
+def session_kept(build, lo: int, hi: int) -> np.ndarray:
+    """A chunk's rows: whether the session it looks up for ``build`` keeps
+    forests, as only an open context's session does."""
+    return np.full((hi - lo, 1), mc._session(build).keep)
+
+
+def test_a_worker_process_looks_up_a_fresh_session():
+    """In a ``trial_session()`` context a chunk run in this process gets the
+    context's session, and a chunk run by a worker process a fresh one,
+    although a forked worker inherits the context variable."""
+    build = partial(abs, 1)
+    with mc.trial_session():
+        assert run_chunked(session_kept, build, 2).all()
+        assert not run_chunked(session_kept, build, 2, workers=2).any()
+    assert not run_chunked(session_kept, build, 2).any()
 
 
 STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)

@@ -74,16 +74,19 @@ def test_importing_the_package_loads_no_numpy_random():
 
 
 # names of NumPy's PCG64 stream and of the trial chunk's draw memo, the
-# memo's logged call names, and mc's helpers that compute draws from words
+# memo's logged call names, mc's helpers that compute draws from words, and
+# the trial session and its lookup
 STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
 LOGGED_CALLS = {"integers", "permutation"}
-STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Memo", "_walk"}
+STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Session",
+                  "_session", "_walk"}
 
 
 def test_only_mc_knows_the_pcg64_stream():
     """The draw memo is ``mc``'s: no other module names the generator's bit
     generator, the recorder, the probe or a logged call name (as a string),
-    or imports mc's stream helpers."""
+    or imports mc's stream helpers, its trial session or the session's
+    lookup: a chunk finds its own session."""
     for path in sorted(Path(dyadiclab.__file__).parent.glob("*.py")):
         if path.name == "mc.py":
             continue

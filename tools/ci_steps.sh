@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The shell steps of the tier-1 CI job, one definition for the workflow and
+# The shell steps of the CI jobs, one definition for both workflow jobs and
 # for a local run.  Run from the repository root:
 #
 #   tools/ci_steps.sh console   # the installed console script

@@ -78,10 +78,10 @@ MUTANTS = [
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
     # the trial session's and the trial chunk's guards: the memo's budget,
-    # the check of the batched states against trial_rng, and the probe that
-    # turns the walk off
+    # the check of the batched states against trial_rng, the probe that
+    # turns the walk off, and a walk that starts distrusted once it failed
     ("miss budget", MC,
-     "if self.paths < _MISS_BUDGET:", "if self.paths <= _MISS_BUDGET:",
+     "if self.paths >= _MISS_BUDGET:", "if self.paths > _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
     ("trial states unchecked", MC,
      "if _lcg(rng) != _pair(first, 0):", "if False:",
@@ -89,14 +89,21 @@ MUTANTS = [
     ("walk always trusted", MC,
      "session.trust = _words_match(rng, _Outputs(first[:, :1]))", "session.trust = True",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"]),
+    ("walk draws after a failed probe", MC,
+     "[(0, trials)], session.trust is False", "[(0, trials)], False",
+     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[guard-blocks-of-50]"]),
     # a goodness command's estimators share one session, and equal row
-    # functions share their rows: each its own
+    # functions share their rows, while a worker process looks up its own:
+    # each its own, and the worker the opener's
     ("a session per estimator", MC,
      "if key not in scope.sessions:", "if True:",
      [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
     ("rows per estimator", MC,
      "session.leaf_rows.setdefault(_key(row), {})", "session.leaf_rows.setdefault(row, {})",
      [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
+    ("worker shares the opener's session", MC,
+     "scope.pid == os.getpid()", "True",
+     [T_GOODNESS + "test_a_worker_process_looks_up_a_fresh_session"]),
     # the draws computed from PCG64's words: the buffered high half of an
     # output (in integers, then in permutation, each 32-bit draw taken as a
     # fresh output's low half), the swap draw's bit mask, a coin that must
