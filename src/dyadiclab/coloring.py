@@ -25,7 +25,7 @@ from .errors import (
     PreconditionNotWS,
     TooLargeForExhaustive,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, _is_maximal,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, _greedy_members, _is_maximal, _require_limit,
                     enumerate_maximal_separated)
 from .metric import FiniteMetricSpace, _require_integer, ball, make_space
 
@@ -201,6 +201,7 @@ def tree_experiment(branching: int, height: int,
     """
     branching = _require_integer("branching", branching, 1)
     height = _require_integer("height", height, 0)
+    limit = _require_limit(limit)
     vertices = layer = 1
     for _ in range(height):
         layer *= branching

@@ -68,7 +68,8 @@ from .errors import (
     ScheduleInvalid,
     TooLargeForExhaustive,
 )
-from .grids import DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, build_nested_grids, finest_level
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _require_limit, build_nested_grids,
+                    finest_level)
 from .lattice import (Cube, LatticeForest, _balls, _grid_paths, _unite_children,
                       build_forest)
 from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
@@ -249,7 +250,7 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     seed = _master_seed(seed)
     center = space.resolve(center)
     row = partial(_bad_row, params=params, level=level, center=center)
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     bad = int(rows[:, 0].sum())
     low, high = wilson_interval(bad, trials)
@@ -304,7 +305,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     x = space.resolve(x)
     row = partial(_decay_row, params=params, x=x, level=level,
                   eps_schedule=tuple(eps))
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
     estimates = [c / trials for c in counts]
@@ -423,6 +424,6 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
     row = partial(_bad_row, params=params, level=level, center=center)
     finish = partial(_equalized_rows, cutoff=a / p_q)
-    build = partial(_trial_part, space, params, coarsest_level, mode, limit)
+    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, finish), trials, workers)
     return float(rows[:, 0].sum() / trials)

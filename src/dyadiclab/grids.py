@@ -236,6 +236,7 @@ def enumerate_maximal_separated(space: FiniteMetricSpace, base: Sequence[int],
     """Complete duplicate-free list of maximal k-separated subsets of ``base``;
     a point repeated in ``base`` counts once."""
     _require_scale(k)
+    limit = _require_limit(limit)
     base = sorted({space.resolve(p) for p in base})
     if len(base) > limit:
         raise TooLargeForExhaustive(f"|base|={len(base)} exceeds the cap {limit}")
@@ -251,6 +252,12 @@ def _require_mode(mode: str) -> None:
     """Raise InvalidParams unless the mode is one of ``MODES``."""
     if mode not in MODES:
         raise InvalidParams(f"unknown sampling mode {mode!r}")
+
+
+def _require_limit(limit) -> int:
+    """The exhaustive cap as an int, refused with InvalidParams unless it is
+    an integer >= 1: a NaN cap would refuse no component."""
+    return _require_integer("limit", limit, 1)
 
 
 def _require_scale(k: float) -> None:
@@ -272,12 +279,14 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     the product of the component families), all drawn in one call, in
     component order.  The enumeration cap applies per component.
 
-    greedy_permutation: greedy scan of a uniformly random permutation.  Works
+    greedy_permutation: greedy scan of a uniformly random order, drawn in one
+    call as its Lehmer code: place j picks among the n - j points left.  Works
     for arbitrarily large bases but its distribution over maximal subsets is
     not uniform; probabilistic verdicts should use exhaustive_uniform.
     """
     _require_mode(mode)
     _require_scale(k)
+    limit = _require_limit(limit)
     base = sorted({space.resolve(p) for p in base})
     return _sample_grid(space, base, k, rng, mode, limit)
 
@@ -286,7 +295,8 @@ def _sample_grid(space: FiniteMetricSpace, base: list[int], k: float,
                  rng: np.random.Generator, mode: str, limit: int) -> Grid:
     """``sample_maximal_separated`` on sorted point indices and a known mode."""
     if mode == "greedy_permutation":
-        order = [base[i] for i in rng.permutation(len(base))]
+        left = list(base)
+        order = [left.pop(i) for i in rng.integers(np.arange(len(base), 0, -1)).tolist()]
         return Grid(scale=k, members=_greedy_members(space, order, k))
     families = _component_families(space, base, k, limit)
     members: set[int] = set()
@@ -352,9 +362,12 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
     grid is drawn inside the next finer one, independently per level, walking
     from fine to coarse.  ``freeze_above`` optionally pins all levels >= that
     index to the deterministic greedy grid in index order, leaving only the
-    coarser choices random.
+    coarser choices random; it is an integer level or None.
     """
     _require_mode(mode)
+    limit = _require_limit(limit)
+    if freeze_above is not None:
+        freeze_above = _require_integer("freeze_above", freeze_above)
     m = finest_level(space, delta, coarsest_level)
     rng = _generator(rng)
     levels = list(range(coarsest_level, m + 1))

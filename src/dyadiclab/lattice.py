@@ -75,7 +75,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_limit,
                     enumerate_maximal_separated, finest_level)
 from .metric import FiniteMetricSpace, _generator, _integer, _require_integer
 
@@ -596,6 +596,7 @@ def _grid_paths(space: FiniteMetricSpace, delta: float, coarsest_level: int,
     the node, or None to prune every outcome below it.  Yields (hierarchy,
     prob, state) for each grid outcome reached, finer grids' choices varying
     slowest; only the current path's tables are held."""
+    limit = _require_limit(limit)
     m = finest_level(space, delta, coarsest_level)
     levels = tuple(range(coarsest_level, m + 1))
 

@@ -34,9 +34,9 @@ whose workers each look up a fresh session per chunk.  Each block's trials
 walk the memo together (``_walk``), group by group, on the draws their
 words make, computed in uint64 array math as NumPy computes them
 (``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
-Lemire's ``integers`` on buffered 32-bit halves, Fisher-Yates
-``permutation``, and the coin from a fresh output; no generator is called.
-This module alone knows how NumPy turns a PCG64 state into draws.
+Lemire's ``integers`` on buffered 32-bit halves, the one draw a build may
+make, and the coin from a fresh output; no generator is called.  This
+module alone knows how NumPy turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -326,61 +326,34 @@ def _lemire(bounds: tuple) -> tuple | None:
     return rows, drawn, (_TWO32 - drawn) % drawn
 
 
-def _draw(call: tuple, outputs: _Outputs, trials: np.ndarray,
+def _draw(bounds: tuple, outputs: _Outputs, trials: np.ndarray,
           pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values that one draw call, ``("integers", bounds)`` or
-    ``("permutation", n)``, draws for each of the trials, as a matrix with a
-    column per trial, and whether each trial is served; moves each trial's
-    count of draws in ``pos`` past the call.  ``integers`` is Lemire's method
-    on 32-bit draws, a bound of 1 drawing nothing; a trial is not served
-    where one of its draws is rejected and drawn again, nor any where a bound
-    exceeds 2**32."""
-    name, arg = call
-    if name == "permutation":
-        return _permutation(arg, outputs, trials, pos), np.ones(len(trials), dtype=bool)
-    values = np.zeros((len(arg), len(trials)), dtype=np.int64)
-    if (plan := _lemire(arg)) is None:
+    """The values that one draw call, ``integers(bounds)``, draws for each of
+    the trials, as a matrix with a column per trial, and whether each trial
+    is served; moves each trial's count of draws in ``pos`` past the call.
+    It is Lemire's method on 32-bit draws, a bound of 1 drawing nothing; a
+    trial is not served where one of its draws is rejected and drawn again,
+    nor any where a bound exceeds 2**32."""
+    values = np.zeros((len(bounds), len(trials)), dtype=np.int64)
+    if (plan := _lemire(bounds)) is None:
         return values, np.zeros(len(trials), dtype=bool)
-    rows, bounds, floors = plan
-    m = outputs.halves(trials, pos[trials] + np.arange(len(rows))[:, None]) * bounds
+    rows, drawn, floors = plan
+    m = outputs.halves(trials, pos[trials] + np.arange(len(rows))[:, None]) * drawn
     values[rows] = (m >> _U32).astype(np.int64)
     pos[trials] += len(rows)
     return values, ((m & _LOW) >= floors).all(axis=0)
 
 
-def _permutation(n: int, outputs: _Outputs, trials: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``permutation(n)``: Fisher-Yates from the last place down to place 1,
-    each swap index a 32-bit draw under the place's bit mask, drawn again
-    while above the place, so each trial's count of draws moves on its own."""
-    values = np.repeat(np.arange(n, dtype=np.int64)[:, None], len(trials), axis=1)
-    cols, at = np.arange(len(trials)), pos[trials]
-    for i in range(n - 1, 0, -1):
-        mask, place = _u64((1 << i.bit_length()) - 1), _u64(i)
-        swap, todo = np.empty(len(trials), dtype=np.uint64), cols
-        while todo.size:
-            swap[todo] = outputs.halves(trials[todo], at[todo]) & mask
-            at[todo] += 1
-            todo = todo[swap[todo] > place]
-        swap = swap.astype(np.int64)
-        held = values[swap, cols]
-        values[swap, cols] = values[i]
-        values[i] = held
-    pos[trials] = at
-    return values
-
-
 @lru_cache(maxsize=1024)
-def _radix(call: tuple) -> np.ndarray:
+def _radix(bounds: tuple) -> np.ndarray:
     """A matrix that packs a column of a call's values into int64 keys,
-    exactly: value j, below its bound b_j (n, in each place of a
-    permutation), is a digit of base b_j in one key, which takes digits while
-    the product of their bases stays within 2**62."""
-    name, arg = call
-    bases = [arg] * arg if name == "permutation" else arg
-    keys, span = [[0] * len(bases)], 1
-    for j, base in enumerate(bases):
+    exactly: value j, below its bound b_j, is a digit of base b_j in one
+    key, which takes digits while the product of their bases stays within
+    2**62."""
+    keys, span = [[0] * len(bounds)], 1
+    for j, base in enumerate(bounds):
         if span * base > 1 << 62:
-            keys.append([0] * len(bases))
+            keys.append([0] * len(bounds))
             span = 1
         keys[-1][j] = span
         span *= base
@@ -433,16 +406,16 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
             for t in trials.tolist():
                 miss(t)
             continue
-        call = session.calls[node]
-        if call is None:
+        bounds = session.calls[node]
+        if bounds is None:
             classes = [(None, trials)]
         else:
-            values, kept = _draw(call, outputs, trials, pos)
+            values, kept = _draw(bounds, outputs, trials, pos)
             if not kept.all():
                 for t in trials[~kept].tolist():
                     miss(t)
                 trials, values = trials[kept], values[:, kept]
-            classes = _classes(trials, values, _radix(call))
+            classes = _classes(trials, values, _radix(bounds))
         for row, members in classes:
             after = session.children.get((node, row))
             if after is None:
@@ -458,8 +431,9 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
 
 
 _MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses only build
-# the run-time guard's draws: they mix bounds of 1 and the swaps of a permutation
-_PROBE = (("integers", (1, 3, 2, 1, 6, 5)), ("permutation", 7))
+# the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
+# 9 draws, an odd count, so the coin after them steps over a buffered half word
+_PROBE = ((1, 3, 2, 1, 6, 5), (6, 5, 4, 3, 2, 1))
 
 
 @cache
@@ -468,34 +442,37 @@ def _recorder_type() -> type:
     would load numpy.random with this module."""
 
     class Recorder(np.random.Generator):
-        """A generator on a shared bit generator that logs the draw calls a
-        build makes, as ((method name, argument), drawn values) pairs.  An
-        integers call's argument is its bounds as a tuple of ints."""
+        """A generator on a shared bit generator that logs the integers
+        calls a build makes, as (bounds, drawn values) pairs of int tuples."""
 
         def __init__(self, bit_generator):
             super().__init__(bit_generator)
             self.path: list = []
 
-        def _logged(self, call: tuple, values: np.ndarray) -> np.ndarray:
-            self.path.append((call, tuple(values.tolist())))
-            return values
-
         def integers(self, bounds):
+            values = super().integers(bounds)
             logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
-            return self._logged(("integers", logged), super().integers(bounds))
-
-        def permutation(self, n):
-            return self._logged(("permutation", n), super().permutation(n))
+            self.path.append((logged, tuple(values.tolist())))
+            return values
 
     return Recorder
 
 
 def _words_match(rng: np.random.Generator, outputs: _Outputs) -> bool:
-    """Whether a walk on the words of the first trial of a block's outputs
-    makes the draws of ``_PROBE``, and the coin after them, as ``rng`` does,
-    a generator just seeded at that trial's state."""
+    """Whether the first trial of a block's outputs holds the first 8
+    outputs of ``rng``, a generator just seeded at that trial's state, and a
+    walk on its words makes the draws of ``_PROBE``, and the coin after
+    them, as ``rng`` does.  The outputs are compared whole, since the draws
+    read no output's low bits: Lemire's value keeps the high half of its
+    product and the coin drops the low 11 bits."""
+    start = rng.bit_generator.state
+    raw = rng.bit_generator.random_raw(8)
+    rng.bit_generator.state = start
+    outputs._cover(7)
+    if not np.array_equal(outputs.table[0, :8], raw):
+        return False
     probe = _Session()
-    probe.enter([(call, tuple(getattr(rng, call[0])(call[1]).tolist())) for call in _PROBE], ())
+    probe.enter([(bounds, tuple(rng.integers(bounds).tolist())) for bounds in _PROBE], ())
     served, pos = _walk(probe, outputs, np.zeros(1, dtype=np.int64), lambda t: False, lambda: True)
     return bool(served) and outputs.coins(served[0][1], pos[:1])[0] == rng.random()
 
@@ -511,10 +488,11 @@ def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
 class _Session:
     """A trial session: the draw memo of every trial chunk run on one build,
     as a tree of the draw paths of the trials built in it, whose nodes are
-    numbered from the root, 0.  ``calls[v]`` is the draw call made after the
-    values that lead to node v (None until a build makes one), ``builds[v]``
-    what the build made at the end of a complete path (None elsewhere), and
-    ``children[v, values]`` the node that those values of v's call lead to.
+    numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
+    call made after the values that lead to node v (None until a build makes
+    one), ``builds[v]`` what the build made at the end of a complete path
+    (None elsewhere), and ``children[v, values]`` the node that those values
+    of v's call lead to.
     It also holds the count of paths entered, at most ``_MISS_BUDGET``, the
     verdict of the ``_PROBE`` check (None until a trial first reaches a
     leaf), and, per row function and its arguments, the row of each leaf's
@@ -539,8 +517,8 @@ class _Session:
         if self.paths >= _MISS_BUDGET:
             return None
         node = 0
-        for call, values in path:
-            self.calls[node] = call
+        for bounds, values in path:
+            self.calls[node] = bounds
             child = self.children.get((node, values))
             if child is None:
                 child = self.children[node, values] = len(self.calls)
@@ -618,7 +596,8 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     the vector of coins xi, each the stream's ``random()`` after the build's
     draws (the rows themselves when ``finish`` is None).  The build, a
     partial of hashable arguments, may draw only through the generator's
-    ``integers(bounds)`` and ``permutation(n)``.
+    ``integers(bounds)``: the recorder logs no other draw, so a build that
+    drew otherwise would share memo leaves between trials that drew apart.
 
     The chunk runs in the build's session (``_session``), looked up in the
     process that runs the chunk, and reads its trials' PCG64 states, the
@@ -645,13 +624,15 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     meets it first, computes each ``row`` once per distinct leaf, and draws
     every stream as if each trial built its own forest.
 
-    No trial is served a forest before a walk on the first trial's words of
-    a chunk makes the draws of ``_PROBE``, and the coin after them, as the
-    generator does; the probe runs when a trial first reaches a leaf, once
-    per session, so a session whose trials share no path never runs it.  If
-    it fails, every trial not yet built builds, and every later walk of the
-    session starts distrusted, so a NumPy whose draws move costs speed, not
-    correctness: a walk that groups trials wrongly only sends them to builds.
+    No trial is served a forest before the first trial's words of a chunk
+    make the generator's first 8 outputs, and a walk on them makes the draws
+    of ``_PROBE``, and the coin after them, as the generator does
+    (``_words_match``); the probe runs when a trial first reaches a leaf,
+    once per session, so a session whose trials share no path never runs
+    it.  If it fails, every trial not yet built builds, and every later walk
+    of the session starts distrusted, so a NumPy whose draws move costs
+    speed, not correctness: a walk that groups trials wrongly only sends
+    them to builds.
     """
     build, seed, row, finish = payload
     session = _session(build)

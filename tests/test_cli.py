@@ -433,6 +433,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
      "config error: bad --eps-schedule"),
     (GOODNESS + ["--seed", "0", "--freeze-above", "0"], 2,
      "config error: --freeze-above applies to grids and lattice only"),
+    (["grids", "--input", "{elbow}", "--seed", "0", "--mode", "greedy_permutation",
+      "--limit", "0"], 2, "error: limit must be an integer >= 1, got 0\n"),
     (["grids", "--input", "{elbow}", "--seed", "0", "--delta", "0.1", "--n0", "-308",
       "--out", "{dir}/r.json"], 2,
      "config error: the report holds a non-finite number"),
@@ -442,7 +444,7 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
     (["a2", "--input", "{elbow}", "--m-exponent", "400"], 2, "error: growth exponent 400"),
 ], ids=["dir-input", "dir-input-lattice", "no-input-lattice", "no-input-a2",
         "level-above", "level-below", "negative-seed", "overflowing-n0", "too-many-levels",
-        "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above",
+        "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above", "greedy-zero-limit",
         "infinite-bound", "nan-growth-exponent", "overflowing-growth-power",
         "vanishing-growth-power"])
 def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,

@@ -603,6 +603,26 @@ def test_estimators_refuse_a_worker_count_that_is_not_a_positive_integer(
                              seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), "20", None, True, 0])
+def test_estimators_refuse_a_limit_that_is_no_integer_of_at_least_one(monkeypatch, elbow,
+                                                                      limit):
+    """Refused before any trial runs, and by the exact walk before any grid
+    is enumerated."""
+    monkeypatch.setattr(goodness, "run_chunked", None)
+    monkeypatch.setattr(lattice, "enumerate_maximal_separated", None)
+    refused = f"^limit must be an integer >= 1, got {re.escape(repr(limit))}$"
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_bad_probability(elbow, 2, 0, PARAMS, trials=10, seed=0, limit=limit)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_boundary_decay(elbow, "x", 0, (2e-4,), trials=10, seed=0,
+                                params=PARAMS, limit=limit)
+    with pytest.raises(InvalidParams, match=refused):
+        estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=10,
+                             seed=0, limit=limit)
+    with pytest.raises(InvalidParams, match=refused):
+        exact_good_probability(elbow, "x", 2, PARAMS, limit=limit)
+
+
 def test_estimators_take_a_numpy_integer_trial_count(elbow):
     est = estimate_bad_probability(elbow, 2, 0, PARAMS, trials=np.int64(50), seed=3)
     assert est == estimate_bad_probability(elbow, 2, 0, PARAMS, trials=50, seed=3)
@@ -939,9 +959,9 @@ def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds)
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
-def test_trial_chunk_serves_permutations_from_the_words(monkeypatch, elbow):
-    """Greedy grids draw a permutation per level: the elbow's 1500
-    greedy-mode trials still build only their 18 distinct forests."""
+def test_trial_chunk_serves_greedy_orders_from_the_words(monkeypatch, elbow):
+    """Greedy grids draw a scan order per level, as its Lehmer code: the
+    elbow's 1500 greedy-mode trials still build at most 18 forests."""
     built = count_builds(monkeypatch)
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5,
                                    mode="greedy_permutation")
@@ -1183,16 +1203,18 @@ def test_trial_state_set_resets_the_buffered_half_word():
 
 # --- the draws a trial chunk computes from PCG64's words ----------------------------------
 
-# about half of the 32-bit draws for 2**31 + 1 are rejected; bounds of 1 draw
-# nothing, and 2**32 takes the draw itself
+# scripts of integers calls, each call its bounds: about half of the 32-bit
+# draws for 2**31 + 1 are rejected, bounds of 1 draw nothing, 2**32 takes the
+# draw itself, and (6, 5, 4, 3, 2, 1) is a greedy scan order's Lehmer code;
+# the scripts make odd and even counts of draws before the coin
 WORD_SCRIPTS = [
-    [("integers", (1, 2, 3))],
-    [("integers", (3,))],
-    [("integers", (2, 1, 2**32, 3)), ("permutation", 5)],
-    [("permutation", 6), ("integers", (1, 1))],
-    [("permutation", 1), ("permutation", 2), ("integers", (3, 3, 3))],
-    [("integers", (2**31 + 1, 2))],
-    [("integers", (1, 3, 2**31 + 1)), ("permutation", 3)],
+    [(1, 2, 3)],
+    [(3,)],
+    [(2, 1, 2**32, 3), (5, 4)],
+    [(6, 5, 4, 3, 2, 1), (1, 1)],
+    [(1,), (2, 1), (3, 3, 3)],
+    [(2**31 + 1, 2)],
+    [(1, 3, 2**31 + 1), (3, 2, 1)],
 ]
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -1223,11 +1245,11 @@ def assert_stream_at(rng, state: int, inc: int, drawn: int):
 def test_words_make_the_generators_draws():
     """The 240 trial states of seed 9, walked as one batch, each script's
     trials a group: the array draws make the values of Generator.integers
-    and permutation, and the coin of random() after them, and leave the
-    stream where the generator does, its buffered half word too, for even
-    and odd counts of 32-bit draws before the coin; a trial is not served
-    exactly where one of its integers draws is rejected, and no trial where
-    a bound exceeds 2**32."""
+    and the coin of random() after them, and leave the stream where the
+    generator does, its buffered half word too, for even and odd counts of
+    32-bit draws before the coin; a trial is not served exactly where one
+    of its integers draws is rejected, and no trial where a bound exceeds
+    2**32."""
     states = next(_trial_states(9, 0, 240))
     outputs = mc._Outputs(states)
     pos = np.zeros(240, dtype=np.int64)
@@ -1236,8 +1258,8 @@ def test_words_make_the_generators_draws():
     for first, calls in enumerate(WORD_SCRIPTS):
         trials = np.arange(first, 240, len(WORD_SCRIPTS))
         drawn, served = [], np.ones(len(trials), dtype=bool)
-        for call in calls:
-            values, kept = mc._draw(call, outputs, trials, pos)
+        for bounds in calls:
+            values, kept = mc._draw(bounds, outputs, trials, pos)
             drawn.append(values)
             served &= kept
         coins = outputs.coins(trials, pos[trials])
@@ -1245,14 +1267,14 @@ def test_words_make_the_generators_draws():
             state, inc = mc._pair(states, t)
             rng.bit_generator.state = pcg64_state(state, inc)
             if not served[col]:  # the scripts' bounds of 2**31 + 1 are in their first call
-                _, bounds = calls[0]
+                bounds = calls[0]
                 rng.integers(bounds)
                 assert halves_drawn(state, inc, rng.bit_generator.state) > \
                     len(bounds) - bounds.count(1)
                 outcomes["rejected"] += 1
                 continue
             assert [tuple(values[:, col].tolist()) for values in drawn] == \
-                [tuple(getattr(rng, name)(arg).tolist()) for name, arg in calls]
+                [tuple(rng.integers(bounds).tolist()) for bounds in calls]
             assert_stream_at(rng, state, inc, int(pos[t]))
             outcomes["odd" if pos[t] % 2 else "even"] += 1
             assert coins[col] == rng.random()
@@ -1263,7 +1285,7 @@ def test_words_make_the_generators_draws():
     assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
     trials = np.arange(20)
     for bounds in [(2**32 + 1,), (1, 2**40)]:
-        values, kept = mc._draw(("integers", bounds), outputs, trials, pos)
+        values, kept = mc._draw(bounds, outputs, trials, pos)
         assert not kept.any()
 
 

@@ -1,5 +1,7 @@
 """Maximal separated subsets: greedy, exhaustive enumeration, sampling, nesting."""
 import itertools
+import math
+import re
 import time
 
 import numpy as np
@@ -292,20 +294,68 @@ def test_sample_greedy_permutation_valid(l3):
         assert dl.is_maximal_separated(l3, [0, 1, 2], g.members, 1.0)
 
 
+def lehmer_rank(code) -> int:
+    """A scan order's Lehmer code read as a factorial-base number, most
+    significant digit first: digit j of an n-digit code has base n - j."""
+    rank = 0
+    for digit, base in zip(code, range(len(code), 0, -1)):
+        rank = rank * base + digit
+    return rank
+
+
+def permutation_at(base, rank: int) -> list:
+    """Element ``rank`` of ``itertools.permutations(base)``, found without
+    listing the orders before it: they come in blocks of (n - 1)! orders,
+    one block per first point in the order of ``base``, and so on within a
+    block."""
+    order = []
+    for left in range(len(base), 0, -1):
+        block = math.factorial(left - 1)
+        order.append([p for p in base if p not in order][rank // block])
+        rank %= block
+    return order
+
+
 def reference_sample_maximal_separated(space, base, k, rng,
                                        mode="exhaustive_uniform",
                                        limit=DEFAULT_EXHAUSTIVE_LIMIT) -> Grid:
-    """The sampler as it was with one scalar draw per component (kept verbatim)."""
+    """The sampler with one scalar draw per component, and a greedy scan
+    order decoded from its Lehmer code by its factorial-base rank."""
     _require_mode(mode)
     base = sorted(space.resolve(p) for p in base)
     if mode == "greedy_permutation":
-        order = [base[i] for i in rng.permutation(len(base))]
+        code = rng.integers([len(base) - j for j in range(len(base))]).tolist()
+        order = permutation_at(base, lehmer_rank(code))
         return Grid(scale=k, members=_greedy_members(space, order, k))
     families = _component_families(space, base, k, limit)
     members: set[int] = set()
     for fam in families:
         members.update(fam[int(rng.integers(len(fam)))])
     return Grid(scale=k, members=frozenset(members))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_greedy_sampler_decodes_every_lehmer_code(monkeypatch, n):
+    """The greedy sampler draws its scan order in one integers call over the
+    bounds n, n - 1, ..., 1, and its decode maps the n! codes onto the n!
+    orders of the base: in the codes' order, the orders of
+    ``itertools.permutations``, each the oracle's decode."""
+    space = dl.space_from_coords([[float(i)] for i in range(2 * n)])
+    base = [2 * i + 1 for i in reversed(range(n))]  # the sampler sorts it
+    codes = list(itertools.product(*map(range, range(n, 0, -1))))
+    orders = []
+    monkeypatch.setattr(grids, "_greedy_members",
+                        lambda space, order, k: orders.append(order) or frozenset(order))
+
+    class Scripted:
+        def integers(self, bounds):
+            assert bounds.tolist() == list(range(n, 0, -1))
+            return np.array(code)
+
+    for code in codes:
+        dl.sample_maximal_separated(space, base, 1.0, Scripted(), mode="greedy_permutation")
+    assert orders == [list(order) for order in itertools.permutations(sorted(base))]
+    assert orders == [permutation_at(sorted(base), lehmer_rank(code)) for code in codes]
 
 
 def test_array_draw_equals_scalar_draws_in_order():
@@ -475,6 +525,38 @@ def test_unknown_mode_is_refused_before_any_draw(singleton, l3):
         dl.build_nested_grids(singleton, 0.1, 0, 1, mode="bogus")
     with pytest.raises(InvalidParams, match="unknown sampling mode 'bogus'"):
         dl.build_nested_grids(l3, 0.1, 0, 1, mode="bogus", freeze_above=0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), "20", None, True, 0, 20.0])
+def test_a_limit_that_is_no_integer_of_at_least_one_is_refused(l3, limit):
+    """The exhaustive cap follows the integer rule at every entry point that
+    takes one, before any draw: NaN turned the cap off, "20" and None raised
+    a bare TypeError, and True acted as 1; the greedy sampler, which reads
+    no cap, refuses it too."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    refused = f"^limit must be an integer >= 1, got {re.escape(repr(limit))}$"
+    for call in [lambda: dl.enumerate_maximal_separated(l3, [0, 1, 2], 1.0, limit=limit),
+                 lambda: dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, rng, limit=limit),
+                 lambda: dl.sample_maximal_separated(l3, [0, 1, 2], 1.0, rng,
+                                                     mode="greedy_permutation", limit=limit),
+                 lambda: dl.build_nested_grids(l3, 0.1, 0, rng, limit=limit),
+                 lambda: dl.enumerate_forest_outcomes(l3, 0.1, 0, limit=limit),
+                 lambda: dl.enumerate_proper_colorings(l3, limit=limit),
+                 lambda: dl.tree_experiment(3, 1, limit=limit)]:
+        with pytest.raises(InvalidParams, match=refused):
+            call()
+    assert rng.bit_generator.state == state
+
+
+def test_freeze_above_is_an_integer_or_none(l3):
+    """NaN froze nothing and "1" raised a bare TypeError; a NumPy integer
+    freezes as the int does."""
+    for freeze_above in [float("nan"), "1", 1.0, True]:
+        with pytest.raises(InvalidParams, match="^freeze_above must be an integer, got "):
+            dl.build_nested_grids(l3, 0.1, 0, 0, freeze_above=freeze_above)
+    assert (dl.build_nested_grids(l3, 0.1, 0, 3, freeze_above=np.int64(1))
+            == dl.build_nested_grids(l3, 0.1, 0, 3, freeze_above=1))
 
 
 @pytest.mark.parametrize("call", [

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dyadiclab
@@ -73,27 +74,38 @@ def test_importing_the_package_loads_no_numpy_random():
     assert not loads_numpy_random("import dyadiclab, dyadiclab.cli")
 
 
-# names of NumPy's PCG64 stream and of the trial chunk's draw memo, the
-# memo's logged call names, mc's helpers that compute draws from words, and
-# the trial session and its lookup
+# names of NumPy's PCG64 stream and of the trial chunk's draw memo, mc's
+# helpers that compute draws from words, and the trial session and its lookup
 STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
-LOGGED_CALLS = {"integers", "permutation"}
 STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Session",
                   "_session", "_walk"}
 
 
 def test_only_mc_knows_the_pcg64_stream():
     """The draw memo is ``mc``'s: no other module names the generator's bit
-    generator, the recorder, the probe or a logged call name (as a string),
-    or imports mc's stream helpers, its trial session or the session's
-    lookup: a chunk finds its own session."""
+    generator, the recorder or the probe, or imports mc's stream helpers,
+    its trial session or the session's lookup: a chunk finds its own
+    session."""
     for path in sorted(Path(dyadiclab.__file__).parent.glob("*.py")):
         if path.name == "mc.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             assert name not in STREAM_NAMES, (path.name, name)
-            assert getattr(node, "value", None) not in LOGGED_CALLS, (path.name, node.value)
             if isinstance(node, ast.ImportFrom) and node.module == "mc":
                 imported = {alias.name for alias in node.names}
                 assert not imported & STREAM_HELPERS, (path.name, imported)
+
+
+def test_trial_builds_draw_only_through_integers():
+    """The draw memo logs a build's ``integers`` calls alone, so ``grids``
+    and ``lattice``, which a trial's build runs, call no other method of a
+    generator (no ``permutation``, ``shuffle``, ``choice`` or ``random``):
+    an unlogged draw would let two trials that drew apart share a memo
+    leaf."""
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    for name in ("grids.py", "lattice.py"):
+        tree = ast.parse((Path(dyadiclab.__file__).parent / name).read_text())
+        called = {node.func.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+        assert called & methods == {"integers"}, (name, called & methods)

@@ -92,6 +92,13 @@ MUTANTS = [
     ("walk draws after a failed probe", MC,
      "[(0, trials)], session.trust is False", "[(0, trials)], False",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[guard-blocks-of-50]"]),
+    # the draws read no output's low bits, so only the probe's comparison of
+    # whole outputs sees words that are one bit off
+    ("probe skips the raw outputs", MC,
+     "if not np.array_equal(outputs.table[0, :8], raw):", "if False:",
+     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
+      T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
+      "[words-blocks-of-50]"]),
     # a goodness command's estimators share one session, and equal row
     # functions share their rows, while a worker process looks up its own:
     # each its own, and the worker the opener's
@@ -105,18 +112,12 @@ MUTANTS = [
      "scope.pid == os.getpid()", "True",
      [T_GOODNESS + "test_a_worker_process_looks_up_a_fresh_session"]),
     # the draws computed from PCG64's words: the buffered high half of an
-    # output (in integers, then in permutation, each 32-bit draw taken as a
-    # fresh output's low half), the swap draw's bit mask, a coin that must
-    # come from a fresh output, and the carry of the jump-ahead's 128-bit sum
+    # output (each 32-bit draw taken as a fresh output's low half), a coin
+    # that must come from a fresh output, and the carry of the jump-ahead's
+    # 128-bit sum
     ("integers without the half-word buffer", MC,
      "pos[trials] + np.arange(len(rows))[:, None])",
      "2 * (pos[trials] + np.arange(len(rows))[:, None]))",
-     [T_GOODNESS + "test_words_make_the_generators_draws"]),
-    ("permutation without the half-word buffer", MC,
-     "outputs.halves(trials[todo], at[todo])", "outputs.halves(trials[todo], 2 * at[todo])",
-     [T_GOODNESS + "test_words_make_the_generators_draws"]),
-    ("permutation mask one bit wider", MC,
-     "_u64((1 << i.bit_length()) - 1)", "_u64((1 << i.bit_length() + 1) - 1)",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("coin from the buffered half", MC,
      "k = (h + 1) >> 1", "k = h >> 1",
@@ -198,6 +199,10 @@ MUTANTS = [
     ("_is_maximal addable", GRIDS,
      "if all(space.d[p, q] >= k for q in sub):", "if all(space.d[p, q] > k for q in sub):",
      [T_GRIDS + "test_is_maximal_separated_trio"]),
+    # the greedy scan order's Lehmer code: place j draws among the n - j points left
+    ("Lehmer bounds shifted up", GRIDS,
+     "rng.integers(np.arange(len(base), 0, -1))", "rng.integers(np.arange(len(base) + 1, 1, -1))",
+     [T_GRIDS + "test_greedy_sampler_decodes_every_lehmer_code"]),
     ("_greedy_members", GRIDS,
      "if all(space.d[p, q] >= k for q in chosen):", "if all(space.d[p, q] > k for q in chosen):",
      [T_GRIDS + "test_greedy_orders"]),
