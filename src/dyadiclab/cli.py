@@ -39,6 +39,7 @@ from .coloring import (
 from .goodness import (
     EPS_DIVISOR,
     GoodnessParams,
+    _eps_schedule,
     estimate_bad_probability,
     estimate_boundary_decay,
     estimate_really_good,
@@ -240,6 +241,8 @@ def _cmd_goodness(args) -> tuple[dict, int]:
         params = GoodnessParams(delta=args.delta, gamma=args.gamma, r=args.r)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
+    # the schedule is read before any trial runs
+    eps = _eps_schedule(_parse_eps(args.eps_schedule, args.delta, args.gamma), params.delta)
     level = args.level if args.level is not None else finest_level(
         space, args.delta, args.n0)
     center = args.center if args.center is not None else space.name(0)
@@ -254,7 +257,6 @@ def _cmd_goodness(args) -> tuple[dict, int]:
     _check(checks, "theorem_step", est.step_violations == 0,
            f"violations={est.step_violations}")
 
-    eps = _parse_eps(args.eps_schedule, args.delta, args.gamma)
     fit = estimate_boundary_decay(space, center, level, eps,
                                   trials=args.trials, seed=args.seed + 1,
                                   params=params, coarsest_level=args.n0,

@@ -271,6 +271,25 @@ def _decay_row(forest: LatticeForest, params: GoodnessParams, x: int,
     return tuple(int(depth <= eps * scale) for eps in eps_schedule)
 
 
+def _eps_schedule(eps_schedule, delta: float) -> tuple[float, ...]:
+    """A decay estimate's eps schedule as a tuple of floats, refused with
+    ScheduleInvalid unless it is a sequence of numbers, positive, strictly
+    decreasing, and each at most delta / 500."""
+    if isinstance(eps_schedule, str):
+        raise ScheduleInvalid(f"eps schedule must be a sequence, got {eps_schedule!r}")
+    try:
+        eps = tuple(float(e) for e in eps_schedule)
+    except (TypeError, ValueError):
+        raise ScheduleInvalid(f"eps values must be numbers, got {eps_schedule!r}") from None
+    if not eps or any(not e > 0 for e in eps):
+        raise ScheduleInvalid("eps values must be positive")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ScheduleInvalid("eps values must be strictly decreasing")
+    if any(e > delta / EPS_DIVISOR for e in eps):
+        raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
+    return eps
+
+
 def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
                             eps_schedule: Sequence[float], trials: int, seed: int,
                             params: GoodnessParams,
@@ -290,21 +309,9 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     """
     trials = _trial_count(trials)
     seed = _master_seed(seed)
-    if isinstance(eps_schedule, str):
-        raise ScheduleInvalid(f"eps schedule must be a sequence, got {eps_schedule!r}")
-    try:
-        eps = [float(e) for e in eps_schedule]
-    except (TypeError, ValueError):
-        raise ScheduleInvalid(f"eps values must be numbers, got {eps_schedule!r}") from None
-    if not eps or any(not e > 0 for e in eps):
-        raise ScheduleInvalid("eps values must be positive")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ScheduleInvalid("eps values must be strictly decreasing")
-    if any(e > params.delta / EPS_DIVISOR for e in eps):
-        raise ScheduleInvalid("every eps must satisfy 500*eps <= delta")
+    eps = _eps_schedule(eps_schedule, params.delta)
     x = space.resolve(x)
-    row = partial(_decay_row, params=params, x=x, level=level,
-                  eps_schedule=tuple(eps))
+    row = partial(_decay_row, params=params, x=x, level=level, eps_schedule=eps)
     build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
@@ -322,7 +329,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
         a_ref = 0.5 ** max_ball_occupancy(space, params.delta ** level)
         if 0 < a_ref < 1:  # 2**-d underflows to 0 past d = 1074
             eta_reference = math.log(1 - a_ref) / math.log(params.delta)
-    return DecayFit(eps=tuple(eps), counts=tuple(counts),
+    return DecayFit(eps=eps, counts=tuple(counts),
                     estimates=tuple(estimates),
                     intervals=tuple(intervals), trials=trials,
                     eta_hat=eta_hat, eta_reference=eta_reference, seed=seed)

@@ -35,8 +35,11 @@ walk the memo together (``_walk``), group by group, on the draws their
 words make, computed in uint64 array math as NumPy computes them
 (``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
 Lemire's ``integers`` on buffered 32-bit halves, the one draw a build may
-make, and the coin from a fresh output; no generator is called.  This
-module alone knows how NumPy turns a PCG64 state into draws.
+make, and the coin from a fresh output; no generator is called.  Whether
+NumPy draws as that math does is a fact of the process's NumPy, checked once
+per process (``_words_match``, on first use, not at import): if not, no
+block walks and every trial builds.  This module alone knows how NumPy turns
+a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -377,8 +380,8 @@ def _classes(trials: np.ndarray, values: np.ndarray,
     return sorted(classes, key=lambda c: c[1][0])
 
 
-def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
-          trusted) -> tuple[list, np.ndarray]:
+def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray,
+          miss) -> tuple[list, np.ndarray]:
     """Walk trials of a block down a session's memo from its root, group by
     group, and return the (leaf, trials) pairs of the trials served and each
     trial's count of draws.
@@ -389,22 +392,14 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
     ``miss(t)``, which builds it and says whether it entered its path.  So
     is the lowest trial of a class with no child, or of the trials at a node
     with no call yet; if it entered its path, the rest walk on along it, and
-    else each is passed to ``miss`` in turn.  Trials reach a leaf, and are
-    served its build, only while ``trusted()``; once it has said no, or
-    from the start when the session's probe has failed, every trial at a
-    leaf or still to walk is passed to ``miss``, with no further draw."""
+    else each is passed to ``miss`` in turn.  Trials that reach a leaf are
+    served its build."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
-    served, groups, distrusted = [], [(0, trials)], session.trust is False
+    served, groups = [], [(0, trials)]
     while groups:
         node, trials = groups.pop()
-        if session.builds[node] is not None and not distrusted:
-            if trusted():
-                served.append((node, trials))
-                continue
-            distrusted = True
-        if distrusted:
-            for t in trials.tolist():
-                miss(t)
+        if session.builds[node] is not None:
+            served.append((node, trials))
             continue
         bounds = session.calls[node]
         if bounds is None:
@@ -458,22 +453,23 @@ def _recorder_type() -> type:
     return Recorder
 
 
-def _words_match(rng: np.random.Generator, outputs: _Outputs) -> bool:
-    """Whether the first trial of a block's outputs holds the first 8
-    outputs of ``rng``, a generator just seeded at that trial's state, and a
-    walk on its words makes the draws of ``_PROBE``, and the coin after
-    them, as ``rng`` does.  The outputs are compared whole, since the draws
-    read no output's low bits: Lemire's value keeps the high half of its
-    product and the coin drops the low 11 bits."""
-    start = rng.bit_generator.state
-    raw = rng.bit_generator.random_raw(8)
-    rng.bit_generator.state = start
+@cache
+def _words_match() -> bool:
+    """Whether this process's NumPy draws as the word math does: the words
+    of a fixed stream, ``trial_rng(0, 0)``, make its first 8 outputs, and a
+    walk on them makes the draws of ``_PROBE``, and the coin after them, as
+    its generator does.  The outputs are compared whole, since the draws read
+    no output's low bits: Lemire's value keeps the high half of its product
+    and the coin drops the low 11 bits.  Computed on first call, once per
+    process; a forked worker inherits a verdict already computed."""
+    rng = trial_rng(0, 0)
+    outputs = _Outputs(_pack([_lcg(rng)]))
     outputs._cover(7)
-    if not np.array_equal(outputs.table[0, :8], raw):
+    if not np.array_equal(outputs.table[0, :8], trial_rng(0, 0).bit_generator.random_raw(8)):
         return False
     probe = _Session()
     probe.enter([(bounds, tuple(rng.integers(bounds).tolist())) for bounds in _PROBE], ())
-    served, pos = _walk(probe, outputs, np.zeros(1, dtype=np.int64), lambda t: False, lambda: True)
+    served, pos = _walk(probe, outputs, np.zeros(1, dtype=np.int64), lambda t: False)
     return bool(served) and outputs.coins(served[0][1], pos[:1])[0] == rng.random()
 
 
@@ -493,10 +489,9 @@ class _Session:
     one), ``builds[v]`` what the build made at the end of a complete path
     (None elsewhere), and ``children[v, values]`` the node that those values
     of v's call lead to.
-    It also holds the count of paths entered, at most ``_MISS_BUDGET``, the
-    verdict of the ``_PROBE`` check (None until a trial first reaches a
-    leaf), and, per row function and its arguments, the row of each leaf's
-    forest (``leaf_rows``).
+    It also holds the count of paths entered, at most ``_MISS_BUDGET``, and,
+    per row function and its arguments, the row of each leaf's forest
+    (``leaf_rows``).
 
     A session lives for one estimator call, or for the ``trial_session()``
     context that made it, in the process that made it: a chunk run by a
@@ -507,7 +502,7 @@ class _Session:
 
     def __init__(self, keep: bool = False):
         self.calls, self.builds, self.children = [None], [None], {}
-        self.keep, self.paths, self.trust, self.leaf_rows = keep, 0, None, {}
+        self.keep, self.paths, self.leaf_rows = keep, 0, {}
 
     def enter(self, path: list, forest) -> int | None:
         """Enter a build's path, with its forest if the session keeps them,
@@ -624,15 +619,10 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     meets it first, computes each ``row`` once per distinct leaf, and draws
     every stream as if each trial built its own forest.
 
-    No trial is served a forest before the first trial's words of a chunk
-    make the generator's first 8 outputs, and a walk on them makes the draws
-    of ``_PROBE``, and the coin after them, as the generator does
-    (``_words_match``); the probe runs when a trial first reaches a leaf,
-    once per session, so a session whose trials share no path never runs
-    it.  If it fails, every trial not yet built builds, and every later walk
-    of the session starts distrusted, so a NumPy whose draws move costs
-    speed, not correctness: a walk that groups trials wrongly only sends
-    them to builds.
+    A block walks only if the process's NumPy draws as the word math does
+    (``_words_match``, read before each block's walk and computed once per
+    process); if not, every trial of the block builds and no word is read,
+    so a NumPy whose draws move costs speed, not correctness.
     """
     build, seed, row, finish = payload
     session = _session(build)
@@ -644,12 +634,6 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(rng.bit_generator)
     leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
-
-    def trusted() -> bool:
-        if session.trust is None:
-            _set_state(rng, first, 0)
-            session.trust = _words_match(rng, _Outputs(first[:, :1]))
-        return session.trust
 
     def leaf_row(leaf: int, forest=None):
         if leaf not in leaf_rows:
@@ -669,7 +653,12 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                            rng.random() if finish is not None else 0.0))
             return leaf is not None
 
-        served, pos = _walk(session, outputs, np.arange(n), miss, trusted)
+        served, pos = [], None
+        if _words_match():
+            served, pos = _walk(session, outputs, np.arange(n), miss)
+        else:
+            for t in range(n):
+                miss(t)
         filled += [(leaf_row(leaf), trials, 0.0 if finish is None
                     else outputs.coins(trials, pos[trials])) for leaf, trials in served]
         matrix, xi = np.empty((n, len(filled[0][0])), dtype=np.int64), np.empty(n)

@@ -1,8 +1,9 @@
-"""Shared fixtures: small hand-checked spaces used across the suite."""
+"""Shared fixtures: small hand-checked spaces used across the suite, and
+``mc``'s probe verdict, cleared around a test."""
 import numpy as np
 import pytest
 
-from dyadiclab import make_space, space_from_coords, validate_metric
+from dyadiclab import make_space, mc, space_from_coords, validate_metric
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +97,14 @@ def small_family():
     assert len(spaces) >= 50
     assert all(len(s) <= 12 for _, s in spaces)
     return spaces
+
+
+@pytest.fixture()
+def fresh_verdict():
+    """``mc._words_match`` with its cached verdict cleared before and after
+    the test: a cached False would leak into later tests and make them build
+    every trial."""
+    words_match = mc._words_match
+    words_match.cache_clear()
+    yield words_match
+    words_match.cache_clear()

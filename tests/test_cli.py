@@ -460,6 +460,24 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     assert not (tmp_path / "r.json").exists()  # no partial report
 
 
+@pytest.mark.parametrize("schedule, needle", [
+    ("abc", "config error: bad --eps-schedule"),
+    ("1e-1", "error: every eps must satisfy 500*eps <= delta"),
+    (",", "error: eps values must be positive"),
+], ids=["unparsed", "too-wide", "empty"])
+def test_goodness_refuses_a_bad_eps_schedule_before_any_trial(monkeypatch, tmp_path, capsys,
+                                                              elbow_json, schedule, needle):
+    calls, estimate = [], cli.estimate_bad_probability
+    monkeypatch.setattr(cli, "estimate_bad_probability",
+                        lambda *args, **kwargs: calls.append(args) or estimate(*args, **kwargs))
+    argv = [a.format(elbow=elbow_json) for a in GOODNESS]
+    assert main(argv + ["--seed", "0", "--eps-schedule", schedule,
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert needle in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["grids"], ["lattice"], ["goodness", "--trials", "5"]])
 def test_distances_near_the_float_maximum(tmp_path, capsys, argv):
     """delta**(M - 1) overflows past the finest level M = -102; the coarsest
@@ -545,6 +563,21 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
         code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, 0))
         assert code == 0
         assert len(built) == 6 and len(classified) == 6
+
+
+def test_words_are_checked_once_per_process(monkeypatch, tmp_path, elbow_json, elbow,
+                                            fresh_verdict):
+    """Whether NumPy draws as ``mc``'s word math does is a fact of the
+    process: two goodness commands and two estimator calls in one process
+    compute the probe once."""
+    monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
+    for seed in (0, 1):
+        code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, seed))
+        assert code == 0
+    params = dl.GoodnessParams(delta=0.1, gamma=0.1, r=1)
+    for seed in (0, 1):
+        dl.estimate_bad_probability(elbow, 2, "x", params, trials=300, seed=seed)
+    assert fresh_verdict.cache_info().misses == 1
 
 
 def test_goodness_command_starts_one_process_pool(monkeypatch, tmp_path, elbow_json):

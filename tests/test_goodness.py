@@ -974,50 +974,37 @@ def test_trial_chunk_serves_greedy_orders_from_the_words(monkeypatch, elbow):
 @pytest.mark.parametrize("disagree, block", [("guard", mc._BLOCK), ("words", mc._BLOCK),
                                              ("guard", 50), ("words", 50)],
                          ids=["guard", "words", "guard-blocks-of-50", "words-blocks-of-50"])
-def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, disagree, block,
+def test_trial_chunk_builds_every_trial_when_the_words_disagree(monkeypatch, fresh_verdict,
+                                                                disagree, block,
                                                                 elbow, ladder, decay_probe):
-    """A chunk whose first trial's words do not make the probe's draws as
-    the generator does builds every trial, with the reference's rows: with
-    the guard forced to fail, and with words whose outputs are one bit off.
-    Either way the walk makes no draw once the probe has failed, also in
-    blocks of 50 trials, where 5 of the 6 blocks of 300 trials start after
-    it failed."""
+    """When the process's NumPy does not draw as the word math does, every
+    trial builds, with the reference's rows: with the verdict forced to
+    False, and with words whose outputs are one bit off, which the probe
+    finds.  Either way no block walks, so no draw is computed from words,
+    also in blocks of 50 trials, 6 blocks per 300 trials."""
     monkeypatch.setattr(mc, "_BLOCK", block)
     if disagree == "guard":
-        monkeypatch.setattr(mc, "_words_match", lambda rng, outputs: False)
+        monkeypatch.setattr(mc, "_words_match", lambda: False)
     else:
         xsl_rr = mc._xsl_rr
         monkeypatch.setattr(mc, "_xsl_rr", lambda hi, lo: xsl_rr(hi, lo) ^ mc._U1)
-        assert not mc._words_match(trial_rng(5, 0), mc._Outputs(next(_trial_states(5, 0, 1))))
+        assert not mc._words_match()
+    draws, draw = [], mc._draw
+    monkeypatch.setattr(mc, "_draw", lambda *args: draws.append(args) or draw(*args))
     cases = pipeline_cases(elbow, ladder, decay_probe)
     for case in (cases[0], cases[4]):
         assert_rows_match_reference(monkeypatch, *case)
     built = count_builds(monkeypatch)
-    events = []
-    draw, words_match = mc._draw, mc._words_match
-
-    def logged_draw(*args):
-        events.append("draw")
-        return draw(*args)
-
-    def logged_words_match(rng, outputs):
-        match = words_match(rng, outputs)
-        events.append(("probe", match))
-        return match
-
-    monkeypatch.setattr(mc, "_draw", logged_draw)
-    monkeypatch.setattr(mc, "_words_match", logged_words_match)
     estimate_bad_probability(elbow, 2, "x", PARAMS, trials=300, seed=5)
     assert len(built) == 300
-    assert events.count(("probe", False)) == 1
-    failed = events.index(("probe", False))
-    assert "draw" in events[:failed] and "draw" not in events[failed + 1:]
+    assert draws == []
 
 
 def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):
     """A chunk sets its trials' states from one batched pass, so the elbow's
     1500 trials seed a stream with default_rng at most once: for the check
     against trial_rng.  (A call on a Generator only passes it through.)"""
+    mc._words_match()  # the process's probe seeds a fixed stream of its own, once
     made = []
     default_rng = np.random.default_rng
 

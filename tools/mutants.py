@@ -78,24 +78,27 @@ MUTANTS = [
      "int(depth <= eps * scale)", "int(depth < eps * scale)",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
     # the trial session's and the trial chunk's guards: the memo's budget,
-    # the check of the batched states against trial_rng, the probe that
-    # turns the walk off, and a walk that starts distrusted once it failed
+    # the check of the batched states against trial_rng, the process's probe
+    # that turns the walk off, and its verdict kept for the process
     ("miss budget", MC,
      "if self.paths >= _MISS_BUDGET:", "if self.paths > _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
     ("trial states unchecked", MC,
      "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
-    ("walk always trusted", MC,
-     "session.trust = _words_match(rng, _Outputs(first[:, :1]))", "session.trust = True",
-     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"]),
-    ("walk draws after a failed probe", MC,
-     "[(0, trials)], session.trust is False", "[(0, trials)], False",
-     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[guard-blocks-of-50]"]),
+    ("walk whatever the probe says", MC,
+     "if _words_match():", "if True:",
+     [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
+      T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
+      "[words-blocks-of-50]"]),
+    ("probe run per call", MC,
+     "@cache\ndef _words_match()", "def _words_match()",
+     [T_CLI + "test_words_are_checked_once_per_process"]),
     # the draws read no output's low bits, so only the probe's comparison of
     # whole outputs sees words that are one bit off
     ("probe skips the raw outputs", MC,
-     "if not np.array_equal(outputs.table[0, :8], raw):", "if False:",
+     "if not np.array_equal(outputs.table[0, :8], trial_rng(0, 0).bit_generator.random_raw(8)):",
+     "if False:",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
