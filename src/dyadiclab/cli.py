@@ -109,12 +109,17 @@ def _hierarchy(args, space):
 
 
 def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
+    """The --eps-schedule values, or the default schedule when none is given.
+    Every comma-separated value must be a number: an empty one is refused,
+    not dropped."""
     if raw:
+        tokens = raw.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise ConfigError(f"bad --eps-schedule: empty value in {raw!r}")
         try:
-            eps = [float(tok) for tok in raw.split(",") if tok.strip()]
+            return [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ConfigError(f"bad --eps-schedule: {exc}") from exc
-        return eps
     base = delta / EPS_DIVISOR
     ratio = delta ** gamma
     return [base * ratio ** j for j in range(6)]

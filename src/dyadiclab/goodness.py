@@ -18,37 +18,44 @@ point x lies in its cube's boundary layer of width eps when its distance to
 the cube's complement is at most eps * scale, also closed, as is the bound
 eps <= delta / ``EPS_DIVISOR`` on the widths.
 
-The straddle test of one coarse level is written once, on one distance row
+The straddle test of one coarse level is written once, on distance rows
 and cube matrices with any leading batch axes: it counts the near points
-inside each coarse cube against all near points.  One core classifies a
-center's cube in one pass over its tested levels, coarsest first, from one
-distance row: at each level the straddle mask of the coarse cubes gives
-goodness (bad when some entry is true) and the deep-inside step (the entry
-at the center's ancestor, with the points near the center tested only where
-it is true).  The trial row, ``is_good`` and ``theorem_step_violations`` all
-read that core.  The exact P(good) applies the same test to every parent map
-of a level pair at once, in its step of ``lattice``'s one exact recursion,
+inside each coarse cube against all near points.  One core classifies the
+center's cube in each forest of a stack on one space, in one pass over the
+tested levels, coarsest first.  It takes each forest's distance row from
+the member rows of its center cube, and at each level runs the straddle
+test on every forest's coarse cubes at once, each cube reading the near
+mask of its own forest.  Per forest, the straddle mask gives goodness (bad
+when some entry is true, counted per forest) and the deep-inside step (the
+entry at the center's ancestor, with the points near the center tested
+only where it is true).  The trial rows, ``is_good`` and
+``theorem_step_violations`` all read that core, the last two on a stack of
+one forest.  The exact P(good) applies the same test to every parent map of
+a level pair at once, in its step of ``lattice``'s one exact recursion,
 pruning bad maps and building no forest.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
-the estimator's own draws (the equalization coin of ``estimate_really_good``).
-The trial rows classify the center's cube from its row of the forest's cube
-table, without building a ``Cube``; the bad-probability and really-good
+the estimator's own draws (the equalization coin of
+``estimate_really_good``).  The trial rows classify the center's cube from
+its row of the forest's cube table, without building a ``Cube``, for a list
+of forests at once, one row per forest; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow the integer rule of ``metric``, checked before any
 trial runs.  This module supplies the build of a trial's forest
-(``_trial_part``), each estimator's row of a forest and, for the really-good
-estimator, the rows of a chunk's matrix of rows and vector of coins
-(``_equalized_rows``), and hands them to ``mc._trial_chunk``, which finds
-the trial session of the build itself: it draws each stream as if every
-trial built its own forest while building each distinct forest of the
-session once and computing each distinct row once per distinct forest (the
-bad-probability and really-good estimators' rows are one), and reads the
-draws of the trials it does not build from their streams' words in array
-math.  A session lives for one estimator call, or for one
-``mc.trial_session()`` context, such as a ``goodness`` command's, whose
-three estimators then share its forests; this module never names one.
+(``_trial_part``), each estimator's rows of a list of forests (``_bad_rows``,
+``_decay_rows``) and, for the really-good estimator, the rows of a chunk's
+matrix of rows and vector of coins (``_equalized_rows``), and hands them to
+``mc._trial_chunk``, which finds the trial session of the build itself: it
+draws each stream as if every trial built its own forest while building each
+distinct forest of the session once and computing each distinct row once per
+distinct forest (the bad-probability and really-good estimators' rows are
+one), in one call on the forests a block of trials builds, whose cube tables
+``lattice`` then builds as one stack, and reads the draws of the trials it
+does not build from their streams' words in array math.  A session lives for
+one estimator call, or for one ``mc.trial_session()`` context, such as a
+``goodness`` command's, whose three estimators then share its forests; this
+module never names one.
 """
 from __future__ import annotations
 
@@ -70,8 +77,8 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _require_limit, build_nested_grids,
                     finest_level)
-from .lattice import (Cube, LatticeForest, _balls, _grid_paths, _unite_children,
-                      build_forest)
+from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _grid_paths,
+                      _unite_children, build_forest)
 from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
@@ -113,21 +120,25 @@ class GoodnessParams:
         return self.delta ** (k * self.gamma + n * (1 - self.gamma))
 
 
-def _distance_row(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
-    """Distance from the point set of a mask to each point of the space, per
-    row of the mask; +inf where the set is empty."""
-    return np.where(inside[..., None], space.d, np.inf).min(axis=-2)
+def _distance_rows(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
+    """Distance from the point set of each row of a boolean matrix, which
+    holds at least one point, to each point of the space: the least of its
+    members' distance rows, one ``np.minimum.reduceat`` over them all."""
+    row, member = inside.nonzero()
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return np.minimum.reduceat(space.d[member], starts, axis=0)
 
 
-def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float):
+def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float, of=...):
     """The bad test, per row of the mask: the point set of the distance row
     lies closer than the threshold to both the cube and its complement.
-    ``row`` is one 1-D distance row, from that set to each point; the near
-    points are those strictly closer than the threshold, and the cube is
-    straddled when some near point lies inside it and some outside it."""
+    ``row`` is a distance row from that set to each point; the near points
+    are those strictly closer than the threshold, and the cube is straddled
+    when some near point lies inside it and some outside it.  With ``row``
+    a matrix, ``of`` gives the row of it that each row of the mask reads."""
     near = row < threshold
-    hits = (inside & near).sum(axis=-1)
-    return (hits > 0) & (hits < near.sum())
+    hits = (inside & near[of]).sum(axis=-1)
+    return (hits > 0) & (hits < near.sum(axis=-1)[of])
 
 
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
@@ -138,7 +149,7 @@ def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
     cube at ``(cube.level, cube.center)``, and a level that is not the
     hierarchy's is refused with InvalidParams.
     """
-    return not _verdicts(forest, cube.level, cube.center, params)[0]
+    return not _verdicts([forest], cube.level, cube.center, params)[0][0]
 
 
 def theorem_step_violations(forest: LatticeForest, cube: Cube,
@@ -149,7 +160,8 @@ def theorem_step_violations(forest: LatticeForest, cube: Cube,
     Returns the levels at which the implication failed (expected empty).  The
     cube must be the forest's own, as for ``is_good``.
     """
-    return _verdicts(forest, cube.level, cube.center, params)[1]
+    steps = _verdicts([forest], cube.level, cube.center, params)[1][0]
+    return [n for n, failed in zip(forest.levels, steps.tolist()) if failed]
 
 
 # --- Monte Carlo estimators -----------------------------------------------------
@@ -196,40 +208,54 @@ def _require_center(members, level: int, center: int) -> None:
             f"fix the center at the deterministic finest level")
 
 
-def _verdicts(forest: LatticeForest, level: int, center: int,
-              params: GoodnessParams) -> tuple[bool, list[int]]:
-    """Whether the center's cube at ``level`` is bad, and the levels at which
-    the deep-inside step fails for it, in one pass over the levels n coarser
-    by at least r, in ascending order.  At each, the cube is bad when it
-    straddles some level-n cube, and the step fails when it straddles the
-    cube of the center's level-n ancestor while no point outside that cube
-    lies within twice the threshold of the center (closed: a point at exactly
-    twice the threshold keeps the step's claim off).  The center's chain is
-    walked once, at the first tested level."""
-    rows, held = forest._level_table(level)
-    _require_center(rows, level, center)
-    row = _distance_row(forest.space, held[rows[center]])
-    bad, step_levels, chain = False, [], None
-    for n in forest.levels:
-        if n > level - params.r:
-            break
+def _verdicts(forests: Sequence[LatticeForest], level: int, center: int,
+              params: GoodnessParams) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of forests on one space (see ``_cube_tables``), whether
+    each one's cube of the center at ``level`` is bad, and whether its
+    deep-inside step fails at each level n coarser by at least r, the
+    columns in ascending order of n, which are the first of the levels.
+
+    At each tested level, the cube is bad when it straddles some level-n
+    cube, and the step fails when it straddles the cube of the center's
+    level-n ancestor while no point outside that cube lies within twice the
+    threshold of the center (closed: a point at exactly twice the threshold
+    keeps the step's claim off).  Each level is one pass over every forest's
+    cubes at once, each cube reading the distance row of its own forest's
+    center cube; each forest's chain is walked once, at the first tested
+    level.  The level is checked first, then the center in every forest, in
+    order."""
+    space = forests[0].space
+    forests[0].hierarchy._require_level(level)
+    tables = _cube_tables(forests)
+    for table in tables:
+        _require_center(table[level][0], level, center)
+    dist = _distance_rows(space, np.stack([held[rows[center]] for rows, held
+                                           in (table[level] for table in tables)]))
+    tested = [n for n in forests[0].levels if n <= level - params.r]
+    bad = np.zeros(len(forests), dtype=bool)
+    steps = np.zeros((len(forests), len(tested)), dtype=bool)
+    chains = [f.chain(center, level, f.levels[0]) for f in forests] if tested else []
+    for j, n in enumerate(tested):
         threshold = params.threshold(level, n)
-        rows, held = forest.cube_table[n]
-        straddled = _straddles(row, held, threshold)
-        bad |= straddled.any()
-        chain = chain or forest.chain(center, level, forest.levels[0])
-        anc = rows[chain[level - n]]
-        if straddled[anc] and not (~held[anc] & (forest.space.d[center] <= 2 * threshold)).any():
-            step_levels.append(n)
-    return bad, step_levels
+        level_rows = [table[n][0] for table in tables]
+        sizes = [len(rows) for rows in level_rows]
+        held = np.concatenate([table[n][1] for table in tables])
+        forest = np.repeat(np.arange(len(forests)), sizes)  # the forest of each cube
+        straddled = _straddles(dist, held, threshold, forest)
+        bad |= np.bincount(forest, straddled, len(forests)) > 0
+        anc = np.cumsum(sizes) - sizes + [rows[chain[level - n]]
+                                          for rows, chain in zip(level_rows, chains)]
+        outside = ~held[anc] & (space.d[center] <= 2 * threshold)
+        steps[:, j] = straddled[anc] & ~outside.any(axis=1)
+    return bad, steps
 
 
-def _bad_row(forest: LatticeForest, params: GoodnessParams, level: int,
-             center: int) -> tuple[int, int]:
-    """Whether the fixed center's cube is bad, and its count of step
-    violations."""
-    bad, step_levels = _verdicts(forest, level, center, params)
-    return int(bad), len(step_levels)
+def _bad_rows(forests: Sequence[LatticeForest], params: GoodnessParams, level: int,
+              center: int) -> np.ndarray:
+    """Per forest, whether the fixed center's cube is bad, and its count of
+    step violations."""
+    bad, steps = _verdicts(forests, level, center, params)
+    return np.column_stack([bad, steps.sum(axis=1)]).astype(np.int64)
 
 
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,
@@ -249,7 +275,7 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     trials = _trial_count(trials)
     seed = _master_seed(seed)
     center = space.resolve(center)
-    row = partial(_bad_row, params=params, level=level, center=center)
+    row = partial(_bad_rows, params=params, level=level, center=center)
     build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     bad = int(rows[:, 0].sum())
@@ -261,14 +287,17 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
                                   seed=seed)
 
 
-def _decay_row(forest: LatticeForest, params: GoodnessParams, x: int,
-               level: int, eps_schedule: tuple[float, ...]) -> tuple[int, ...]:
-    owner = forest.ancestor(x, forest.hierarchy.finest_level, level)
-    rows, held = forest.cube_table[level]
-    depth = np.where(held[rows[owner]], np.inf, forest.space.d[x]).min()
+def _decay_rows(forests: Sequence[LatticeForest], params: GoodnessParams, x: int,
+                level: int, eps_schedule: tuple[float, ...]) -> np.ndarray:
+    """Per forest, whether x lies in its level-``level`` cube's boundary
+    layer of each width of the schedule: x is inside its own cube, so that
+    is x's depth, its distance to the cube's complement, at most eps * scale."""
+    owners = [f.ancestor(x, f.hierarchy.finest_level, level) for f in forests]
+    inside = np.stack([held[rows[owner]] for (rows, held), owner
+                       in zip((table[level] for table in _cube_tables(forests)), owners)])
+    depth = np.where(inside, np.inf, forests[0].space.d[x]).min(axis=1)
     scale = params.delta ** level
-    # x is inside its own cube, so layer membership is depth alone
-    return tuple(int(depth <= eps * scale) for eps in eps_schedule)
+    return (depth[:, None] <= np.array(eps_schedule) * scale).astype(np.int64)
 
 
 def _eps_schedule(eps_schedule, delta: float) -> tuple[float, ...]:
@@ -311,7 +340,7 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     seed = _master_seed(seed)
     eps = _eps_schedule(eps_schedule, params.delta)
     x = space.resolve(x)
-    row = partial(_decay_row, params=params, x=x, level=level, eps_schedule=eps)
+    row = partial(_decay_rows, params=params, x=x, level=level, eps_schedule=eps)
     build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
     counts = [int(c) for c in rows.sum(axis=0)]
@@ -387,7 +416,7 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
         united += len(cubes) * pair.count * len(pair.kids)
         if united > MAX_UNITED_ROWS:
             raise TooLargeForExhaustive(f"more than {MAX_UNITED_ROWS} cube-matrix rows to unite")
-        _, balls = _balls(space, pair.cols, params.delta ** k)
+        balls = _balls(space, pair.cols, params.delta ** k)
         if k == level:
             _require_center(pair.cols, level, center)
             center_row = pair.cols.tolist().index(center)
@@ -395,7 +424,7 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
         for held, row in cubes:
             batch = _unite_children(balls, pair.maps, held)
             if k == level:
-                rows = _distance_row(space, batch[:, center_row])
+                rows = _distance_rows(space, batch[:, center_row])
             else:
                 rows = itertools.repeat(row)
                 if k <= level - params.r:
@@ -403,14 +432,14 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
             good.extend(zip(batch, rows))
         return (count * pair.count, good) if good else None
 
-    _, held = _balls(space, range(len(space)), params.delta ** levels[-1])
-    row = _distance_row(space, held[center]) if level == levels[-1] else None
+    held = _balls(space, range(len(space)), params.delta ** levels[-1])
+    row = _distance_rows(space, held[[center]])[0] if level == levels[-1] else None
     paths = _grid_paths(space, params.delta, coarsest_level, limit, step, (1, [(held, row)]))
     return sum((prob / count * len(cubes) for _, prob, (count, cubes) in paths), Fraction(0))
 
 
 def _equalized_rows(rows: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:
-    """The really-good verdicts of a chunk's ``_bad_row`` rows, one row per
+    """The really-good verdicts of a chunk's ``_bad_rows`` rows, one row per
     trial, each with its own coin xi: the comparison of ``equalize`` at cutoff
     a / p_q, whose checks ``estimate_really_good`` makes once, before the
     first trial."""
@@ -429,7 +458,7 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
     center = space.resolve(center)
     a, p_q = float(a), float(p_q)
     equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
-    row = partial(_bad_row, params=params, level=level, center=center)
+    row = partial(_bad_rows, params=params, level=level, center=center)
     finish = partial(_equalized_rows, cutoff=a / p_q)
     build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
     rows = run_chunked(_trial_chunk, (build, seed, row, finish), trials, workers)

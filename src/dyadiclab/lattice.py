@@ -6,17 +6,22 @@ uniformly random choice among the coarser points in its candidate radius.  The
 cube of a coarse point is the union, over all of its descendants z at finer
 levels l, of the balls B(z, scale(l)/100) intersected with the space.
 Equivalently, cube(y, k) is B(y, scale(k)/100) united with the level-(k+1)
-cubes of y's children, so a forest builds the cubes of every level once, in
-one pass from the finest level up, and keeps them in its ``cube_table`` as,
-per level, a map from center to row and one read-only boolean cube-by-point
-membership matrix, which every check reads.
+cubes of y's children, so the cubes of every level are built once, in one
+pass from the finest level up, and each forest keeps them in its
+``cube_table`` as, per level, a map from center to row and one read-only
+boolean cube-by-point membership matrix, which every check reads.  One
+builder, ``_cube_tables``, makes that pass for a stack of forests on one
+space at once, each level's rows of every forest in one matrix, and gives
+each forest read-only views of its rows; a forest's own table is the
+one-forest case, and the trial pipeline builds a block's forests together.
 
 That union is one pure function, for one parent map of a level pair or for a
 batch of them: it copies the level-k balls once per map and sets True, in each
 child's parent row, every point the child's level-(k+1) cube holds, a boolean
-assignment that is exact by construction.  A forest applies it to its own map,
-the exact goodness walk to every parent map of a level at once, and the forest
-check to each level's ancestor rows when it unites descendant balls.
+assignment that is exact by construction.  The cube builder applies it to the
+stacked parent rows of its forests, the exact goodness walk to every parent
+map of a level at once, and the forest check to each level's ancestor rows
+when it unites descendant balls.
 The link rule is two boolean child-by-point matrices, captured points and
 parent options, computed by one function on a stack of children.  The
 sampler stacks every child of every level pair of a forest, coarse pairs
@@ -172,20 +177,8 @@ class LatticeForest:
     def cube_table(self) -> dict[int, tuple[dict[int, int], np.ndarray]]:
         """Level -> (rows, held): ``rows`` maps each center, in ascending order,
         to its row of ``held``, a read-only boolean cube-by-point matrix; built
-        on first use, finest level first, as cube(y, k) = B(y, scale(k)/100)
-        united with cube(c, k+1) over the children c of y."""
-        h = self.hierarchy
-        table: dict[int, tuple[dict[int, int], np.ndarray]] = {}
-        for lev in reversed(h.levels):
-            centers, held = _balls(h.space, h.grid(lev).members, h.scale(lev))
-            rows = {y: i for i, y in enumerate(centers)}
-            if lev + 1 in table:
-                finer_rows, finer_held = table[lev + 1]
-                held = _unite_children(
-                    held, [rows[self.parents[lev + 1][c]] for c in finer_rows], finer_held)
-            held.setflags(write=False)
-            table[lev] = (rows, held)
-        return table
+        on first use by ``_cube_tables``, as the one-forest case of a stack."""
+        return _cube_tables([self])[0]
 
     def _level_table(self, level: int) -> tuple[dict[int, int], np.ndarray]:
         """``cube_table[level]``, once the level passes the hierarchy's rule."""
@@ -203,11 +196,56 @@ class LatticeForest:
                     members=frozenset(np.flatnonzero(held[rows[center]]).tolist()))
 
 
-def _balls(space: FiniteMetricSpace, members, scale: float) -> tuple[list[int], np.ndarray]:
-    """The grid points in ascending order, and the boolean center-by-point
-    matrix of their balls B(y, scale/100)."""
-    centers = sorted(members)
-    return centers, space.d[centers] < scale / BALL_DIVISOR
+def _balls(space: FiniteMetricSpace, centers, scale: float) -> np.ndarray:
+    """The boolean center-by-point matrix of the balls B(y, scale/100) of the
+    centers, in the given order: rows of the space's ball matrix, so that a
+    stack of many centers gathers booleans, not distances."""
+    return (space.d < scale / BALL_DIVISOR)[centers]
+
+
+def _cube_tables(forests: Sequence[LatticeForest]) -> list[dict]:
+    """The cube tables of a stack of forests on one space, with one delta and
+    one set of levels, in order: each forest's ``cube_table``, built here for
+    every forest that has none yet, so that no table is built twice.
+
+    The stack is built one level at a time, finest first, as cube(y, k) =
+    B(y, scale(k)/100) united with cube(c, k+1) over the children c of y: one
+    gather of the ball rows of every forest's centers, forests in order and
+    centers ascending within a forest, the parent row of every finer row
+    from one ``searchsorted`` over the keys forest index * n + center, which
+    that order sorts, and one ``_unite_children`` call.  Each forest's
+    ``held`` is a read-only view of its rows of the level's stacked matrix.
+    A parent outside its coarser grid is refused with UnknownCenter."""
+    todo = list({id(f): f for f in forests if "cube_table" not in f.__dict__}.values())
+    if todo:
+        h = todo[0].hierarchy
+        n, tables, finer = len(h.space), [{} for _ in todo], None
+        for lev in reversed(h.levels):
+            grids = [sorted(f.hierarchy.grid(lev).members) for f in todo]
+            sizes = [len(g) for g in grids]
+            centers = np.fromiter(itertools.chain.from_iterable(grids), np.intp, sum(sizes))
+            offset = np.repeat(np.arange(len(todo)) * n, sizes)  # the forest index * n of each row
+            keys, held = offset + centers, _balls(h.space, centers, h.scale(lev))
+            if finer is not None:
+                finer_grids, finer_offset, finer_held = finer
+                parents = np.fromiter(itertools.chain.from_iterable(
+                    map(f.parents[lev + 1].__getitem__, g) for f, g in zip(todo, finer_grids)),
+                    np.intp, len(finer_offset))
+                parent_keys = finer_offset + parents
+                parent_rows = np.searchsorted(keys, parent_keys)
+                if not np.array_equal(keys.take(parent_rows, mode="clip"), parent_keys):
+                    raise UnknownCenter(f"a level-{lev + 1} parent is not in the level-{lev} grid")
+                held = _unite_children(held, parent_rows, finer_held)
+            if held.base is not None:  # a view of a writable array could be made writable
+                held.base.setflags(write=False)
+            held.setflags(write=False)
+            ends = itertools.accumulate(sizes)
+            for table, g, end in zip(tables, grids, ends):
+                table[lev] = (dict(zip(g, range(len(g)))), held[end - len(g):end])
+            finer = grids, offset, held
+        for f, table in zip(todo, tables):
+            f.__dict__["cube_table"] = table
+    return [f.cube_table for f in forests]
 
 
 def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> np.ndarray:
@@ -445,7 +483,8 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     # that level's union of descendant balls, which each cube must equal
     unions = {k: np.zeros_like(forest.cube_table[k][1]) for k in h.levels}
     for lev in h.levels:
-        points, balls = _balls(space, h.grid(lev).members, h.scale(lev))
+        points = sorted(h.grid(lev).members)
+        balls = _balls(space, points, h.scale(lev))
         chains = np.array([forest.chain(z, lev, h.levels[0]) for z in points])
         coarser = range(lev, h.levels[0] - 1, -1)  # the level of each chain column
         scales = np.array([h.scale(k) for k in coarser[1:]])

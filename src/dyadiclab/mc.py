@@ -19,20 +19,22 @@ itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
 ``_trial_chunk`` runs the trials of one chunk for an estimator, which
-supplies the build that draws a trial's forest from its stream, its row of
-a forest, and what its rows are, given one coin per trial drawn after the
-build (``finish``).  The chunk looks up the build's trial session
-(``_Session``, by ``_session``) in the process that runs it; no session is
-ever sent to another process.  A forest is a function of its drawn values,
-so the session keeps a memo of the draw paths of the trials built in it,
-keyed by the values drawn, and each path's row.  A session lives for one
-estimator call, or, inside a ``trial_session()`` context (one per
-``goodness`` command), for the context: the session then keeps the forest
-at the end of each path, the estimators called in it on the same build
-share those forests, and their runs with workers share one process pool,
-whose workers each look up a fresh session per chunk.  Each block's trials
-walk the memo together (``_walk``), group by group, on the draws their
-words make, computed in uint64 array math as NumPy computes them
+supplies the build that draws a trial's forest from its stream, its rows of
+a list of forests, one per forest, and what its rows are, given one coin per
+trial drawn after the build (``finish``).  The chunk looks up the build's
+trial session (``_Session``, by ``_session``) in the process that runs it;
+no session is ever sent to another process.  A forest is a function of its
+drawn values, so the session keeps a memo of the draw paths of the trials
+built in it, keyed by the values drawn, and each path's row.  A session
+lives for one estimator call, or, inside a ``trial_session()`` context (one
+per ``goodness`` command), for the context: the session then keeps the
+forest at the end of each path, the estimators called in it on the same
+build share those forests, and their runs with workers share one process
+pool, whose workers each look up a fresh session per chunk.  A block
+classifies the forests it builds together, in one row call after its walk,
+so the estimator's cube tables and verdicts run on the stack of them.  Each
+block's trials walk the memo together (``_walk``), group by group, on the
+draws their words make, computed in uint64 array math as NumPy computes them
 (``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
 Lemire's ``integers`` on buffered 32-bit halves, the one draw a build may
 make, and the coin from a fresh output; no generator is called.  Whether
@@ -426,6 +428,7 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray,
 
 
 _MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses only build
+_ROW_BATCH = 16  # the most forests a trial chunk classifies in one row call
 # the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
 # 9 draws, an odd count, so the coin after them steps over a buffered half word
 _PROBE = ((1, 3, 2, 1, 6, 5), (6, 5, 4, 3, 2, 1))
@@ -585,9 +588,10 @@ def _session(build: partial) -> _Session:
 
 def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a seeded estimator, with payload (build, seed, row,
-    finish): per trial t, the row ``row(forest)`` of the forest that
-    ``build`` makes from a generator on the stream of ``trial_rng(seed,
-    t)``, and the rows ``finish(rows, xi)`` of the matrix of those rows and
+    finish): per trial t, the row of the forest that ``build`` makes from a
+    generator on the stream of ``trial_rng(seed, t)``, where ``row(forests)``
+    gives one int row per forest of a list of forests on the build's space,
+    and the rows ``finish(rows, xi)`` of the matrix of those rows and
     the vector of coins xi, each the stream's ``random()`` after the build's
     draws (the rows themselves when ``finish`` is None).  The build, a
     partial of hashable arguments, may draw only through the generator's
@@ -614,10 +618,16 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     reused generator, builds through the recorder that shares the
     generator's bit generator, takes xi from the generator, and enters its
     path while the memo holds fewer than ``_MISS_BUDGET`` paths; the trials
-    that drew the values it drew then walk on along that path.  So a
-    session builds each distinct forest about once, whichever of its chunks
-    meets it first, computes each ``row`` once per distinct leaf, and draws
-    every stream as if each trial built its own forest.
+    that drew the values it drew then walk on along that path.  A build
+    computes no row: after the block's walk, one ``row`` call takes every
+    forest the block built that needs one, each new leaf's once and each
+    unentered build's, and the kept forest of any leaf served whose row the
+    session lacks.  A call takes at most ``_ROW_BATCH`` forests, so a block
+    that builds more makes a call each time that many wait, which bounds
+    what a call holds.  So a session builds each distinct forest about once,
+    whichever of its chunks meets it first, computes each row once per
+    distinct leaf, in one call per block, and draws every stream as if each
+    trial built its own forest.
 
     A block walks only if the process's NumPy draws as the word math does
     (``_words_match``, read before each block's walk and computed once per
@@ -635,22 +645,36 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     recorder = _recorder_type()(rng.bit_generator)
     leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
 
-    def leaf_row(leaf: int, forest=None):
-        if leaf not in leaf_rows:
-            leaf_rows[leaf] = row(session.builds[leaf] if forest is None else forest)
-        return leaf_rows[leaf]
-
     for states in itertools.chain([first], blocks):
         n, outputs = states.shape[1], _Outputs(states)
-        filled = []  # (row, trials, coins) of each trial built and each group served
+        fresh, loose = {}, []  # each new leaf's forest; (forest, t, xi) per unentered build
+        entered, filled = [], []  # (leaf, t, xi) per entered build; (row, trials, coins)
+
+        def classify():
+            """The rows of the forests built since the last call, in one call:
+            each new leaf's once, and each unentered build's."""
+            forests = [*fresh.values(), *(forest for forest, _, _ in loose)]
+            if forests:
+                values = row(forests).tolist()
+                leaf_rows.update(zip(fresh, values))
+                filled.extend((v, t, xi) for v, (_, t, xi) in zip(values[len(fresh):], loose))
+                fresh.clear()
+                loose.clear()
 
         def miss(t: int) -> bool:
             _set_state(rng, states, t)
             recorder.path.clear()
             forest = build(recorder)
             leaf = session.enter(recorder.path, forest)
-            filled.append((row(forest) if leaf is None else leaf_row(leaf, forest), t,
-                           rng.random() if finish is not None else 0.0))
+            xi = rng.random() if finish is not None else 0.0
+            if leaf is None:
+                loose.append((forest, t, xi))
+            else:
+                entered.append((leaf, t, xi))
+                if leaf not in leaf_rows:
+                    fresh.setdefault(leaf, forest)
+            if len(fresh) + len(loose) >= _ROW_BATCH:
+                classify()
             return leaf is not None
 
         served, pos = [], None
@@ -659,7 +683,12 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         else:
             for t in range(n):
                 miss(t)
-        filled += [(leaf_row(leaf), trials, 0.0 if finish is None
+        for leaf, _ in served:  # a leaf another estimator of the session built
+            if leaf not in leaf_rows:
+                fresh.setdefault(leaf, session.builds[leaf])
+        classify()
+        filled += [(leaf_rows[leaf], t, xi) for leaf, t, xi in entered]
+        filled += [(leaf_rows[leaf], trials, 0.0 if finish is None
                     else outputs.coins(trials, pos[trials])) for leaf, trials in served]
         matrix, xi = np.empty((n, len(filled[0][0])), dtype=np.int64), np.empty(n)
         for values, trials, coins in filled:

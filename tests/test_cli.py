@@ -463,8 +463,9 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
 @pytest.mark.parametrize("schedule, needle", [
     ("abc", "config error: bad --eps-schedule"),
     ("1e-1", "error: every eps must satisfy 500*eps <= delta"),
-    (",", "error: eps values must be positive"),
-], ids=["unparsed", "too-wide", "empty"])
+    (",", "config error: bad --eps-schedule: empty value in ','"),
+    ("1e-4,,5e-5", "config error: bad --eps-schedule: empty value in '1e-4,,5e-5'"),
+], ids=["unparsed", "too-wide", "empty", "double-comma"])
 def test_goodness_refuses_a_bad_eps_schedule_before_any_trial(monkeypatch, tmp_path, capsys,
                                                               elbow_json, schedule, needle):
     calls, estimate = [], cli.estimate_bad_probability
@@ -542,21 +543,22 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
     estimators share one trial session, so it builds 6 forests in all, not 6
     per estimator, and classifies each once: the bad-probability and
     really-good estimators share their rows.  A second command opens a new
-    session and builds its 6 again."""
+    session and builds its 6 again.  The forests classified are counted
+    over every batch the row function is called on."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
     built, classified = [], []
-    build_forest, bad_row = goodness.build_forest, goodness._bad_row
+    build_forest, bad_rows = goodness.build_forest, goodness._bad_rows
 
     def counting_build_forest(hierarchy, rng):
         built.append(hierarchy)
         return build_forest(hierarchy, rng)
 
-    def counting_bad_row(forest, *args, **kwargs):
-        classified.append(forest)
-        return bad_row(forest, *args, **kwargs)
+    def counting_bad_rows(forests, *args, **kwargs):
+        classified.extend(forests)
+        return bad_rows(forests, *args, **kwargs)
 
     monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
-    monkeypatch.setattr(goodness, "_bad_row", counting_bad_row)
+    monkeypatch.setattr(goodness, "_bad_rows", counting_bad_rows)
     for _ in range(2):
         built.clear()
         classified.clear()

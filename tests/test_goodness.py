@@ -232,6 +232,67 @@ def test_theorem_step_depth_gate():
         assert not dl.is_good(forest, cube, PARAMS)
 
 
+def step_gate_stack() -> list[dl.LatticeForest]:
+    """The forest of ``test_theorem_step_depth_gate`` whose level-1 cube of
+    x, {x, q}, fails the deep-inside step at level 0, then two forests on
+    its hierarchy that hang q under p instead, where that cube is {x}."""
+    space = line_space({"x": 0.0, "q": 1.7, "p": 2.3})
+    coarse = frozenset({0, 2})
+    hierarchy = dl.GridHierarchy(space=space, delta=0.1, levels=(0, 1, 2), grids={
+        0: dl.Grid(scale=1.0, members=coarse),
+        1: dl.Grid(scale=0.1, members=coarse),
+        2: dl.Grid(scale=0.01, members=frozenset({0, 1, 2}))})
+    return [dl.LatticeForest(hierarchy=hierarchy, parents={1: {0: 0, 2: 2}, 2: {0: 0, 1: q, 2: 2}})
+            for q in (0, 2, 2)]
+
+
+def test_batched_verdicts_match_the_oracle_per_forest(ladder, elbow):
+    """One ``_bad_rows`` call on a stack equals the definition-level
+    classifiers on each forest, at every level and for every center that all
+    the stack's grids hold there: stacks of 24 criterion-7 trials, of every
+    exact outcome of the elbow and of the ladder, and the step-gate stack,
+    which holds a step violation of a cube of two points."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    gate = step_gate_stack()
+    stacks = [[forest_for(cloud, 0.1, trial_rng(5, t)) for t in range(24)],
+              [f for f, _ in dl.enumerate_forest_outcomes(elbow, 0.1, 0)],
+              [f for f, _ in dl.enumerate_forest_outcomes(ladder, 0.1, 0)], gate]
+    seen = collections.Counter()
+    for stack in stacks:
+        for level in stack[0].levels:
+            shared = frozenset.intersection(*(f.hierarchy.grid(level).members for f in stack))
+            for center in sorted(shared)[:4]:
+                got = goodness._bad_rows(stack, PARAMS, level, center)
+                assert got.dtype == np.int64 and got.shape == (len(stack), 2)
+                want = []
+                for forest in stack:
+                    cube = forest.cube(level, center)
+                    want.append([int(not reference_is_good(forest, cube, PARAMS)),
+                                 len(reference_theorem_step_violations(forest, cube, PARAMS))])
+                    seen["multi-point", len(cube.members) > 1] += 1
+                assert got.tolist() == want, (level, center)
+                seen["bad", *sorted({row[0] for row in want})] += 1
+                seen["steps"] += sum(row[1] for row in want)
+    assert goodness._bad_rows(gate, PARAMS, 1, 0).tolist() == [[1, 1], [0, 0], [0, 0]]
+    assert seen["bad", 0, 1] > 0 and seen["steps"] > 0
+    assert seen["multi-point", True] > 0
+
+
+def test_batched_verdicts_refuse_a_center_one_forest_lacks(elbow):
+    """A stack in which some forest's level-1 grid lacks the center is
+    refused with the message of a single forest."""
+    outcomes = [f for f, _ in dl.enumerate_forest_outcomes(elbow, 0.1, 0)]
+    lacking = [f for f in outcomes if 0 not in f.hierarchy.grid(1).members]
+    holding = [f for f in outcomes if 0 in f.hierarchy.grid(1).members]
+    assert lacking and holding
+    absent = ("^fixed center 0 absent from the level-1 grid; "
+              "fix the center at the deterministic finest level$")
+    for stack in ([*holding, lacking[0]], lacking[:1]):
+        with pytest.raises(CenterNotInGrid, match=absent):
+            goodness._bad_rows(stack, PARAMS, 1, 0)
+
+
 def test_straddle_is_strict_at_the_threshold():
     """p lies exactly the threshold delta**gamma from x, w on the other side.
     Every forest of the construction leaves x or p alone in its level-0 cube,
@@ -499,30 +560,31 @@ def exact_eps(distance: float, scale: float) -> float | None:
 
 def test_decay_row_matches_reference_layer_on_every_outcome(elbow, ladder, decay_probe):
     """On every forest outcome, at every level and for every point x, the
-    decay row is x's membership in the two-sided layer of its cube.  Each
-    width sits exactly at a distance from x or one float below it, so the
-    closed side is seen wherever x's depth is that distance."""
+    decay row is x's membership in the two-sided layer of its cube, from one
+    call on the stack of every outcome.  Each width sits exactly at a
+    distance from x or one float below it, so the closed side is seen
+    wherever x's depth is that distance."""
     closed = 0
     for space, params in ((elbow, PARAMS), (ladder, PARAMS), (decay_probe, DECAY_PARAMS)):
         outcomes = lattice.enumerate_forest_outcomes(space, params.delta, 0)
-        hierarchy = outcomes[0][0].hierarchy
-        schedules = {}
+        forests = [forest for forest, _ in outcomes]
+        hierarchy = forests[0].hierarchy
+        want = {}  # cubes repeat across outcomes
         for level, x in itertools.product(hierarchy.levels, range(len(space))):
             at = {e for y in range(len(space)) if y != x
                   if (e := exact_eps(space.d[x, y], hierarchy.scale(level))) is not None}
-            schedules[level, x] = tuple(w for e in sorted(at, reverse=True)
-                                        for w in (e, float(np.nextafter(e, 0))))
-        want = {}  # cubes repeat across outcomes
-        for forest, _ in outcomes:
-            for (level, x), schedule in schedules.items():
+            schedule = tuple(w for e in sorted(at, reverse=True)
+                             for w in (e, float(np.nextafter(e, 0))))
+            rows = goodness._decay_rows(forests, params, x, level, schedule)
+            assert rows.shape == (len(forests), len(schedule))
+            for forest, got in zip(forests, rows.tolist()):
                 cube = forest.cube(level, forest.ancestor(x, hierarchy.finest_level, level))
                 key = level, cube.members, x
                 if key not in want:
-                    want[key] = tuple(int(x in reference_boundary_layer(space, cube, eps))
-                                      for eps in schedule)
+                    want[key] = [int(x in reference_boundary_layer(space, cube, eps))
+                                 for eps in schedule]
                     closed += sum(want[key][::2]) - sum(want[key][1::2])
-                assert goodness._decay_row(forest, params, x, level, schedule) \
-                    == want[key], (forest.parents, level, x)
+                assert got == want[key], (forest.parents, level, x)
     assert closed > 0
 
 
@@ -667,7 +729,8 @@ def test_estimators_take_a_numpy_integer_seed(elbow):
 
 def test_estimate_center_not_in_grid(elbow):
     """At a random coarse level the fixed center is sometimes absent."""
-    with pytest.raises(CenterNotInGrid):
+    with pytest.raises(CenterNotInGrid, match="^fixed center 1 absent from the level-1 grid; "
+                                              "fix the center at the deterministic finest level$"):
         estimate_bad_probability(elbow, 1, "u", PARAMS, trials=50, seed=0)
 
 
@@ -957,6 +1020,48 @@ def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds)
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+
+
+def count_row_calls(monkeypatch) -> list:
+    """The length of each stack the bad-probability rows are computed on,
+    from now on."""
+    lengths, bad_rows = [], goodness._bad_rows
+
+    def counting_bad_rows(forests, *args, **kwargs):
+        lengths.append(len(forests))
+        return bad_rows(forests, *args, **kwargs)
+
+    monkeypatch.setattr(goodness, "_bad_rows", counting_bad_rows)
+    return lengths
+
+
+def test_trial_chunk_classifies_a_block_in_one_call(monkeypatch, elbow):
+    """A chunk classifies the forests it builds together, after its block's
+    walk: 16 criterion-7 trials, every one a new forest, in one call, and
+    the elbow's 1500 trials, one block, their 6 distinct forests in one
+    call, in blocks of 500 one call per block that meets a new forest.
+    With no memo, every trial's forest is classified, in calls of at most
+    ``mc._ROW_BATCH`` forests."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    lengths = count_row_calls(monkeypatch)
+    estimate_bad_probability(cloud, finest_level(cloud, 0.1, 0), 0, PARAMS, trials=16, seed=0)
+    assert lengths == [16]
+    lengths.clear()
+    estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+    assert lengths == [6]
+    monkeypatch.setattr(mc, "_BLOCK", 500)
+    lengths.clear()
+    estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+    assert len(lengths) <= 3 and sum(lengths) == 6
+    monkeypatch.setattr(mc, "_MISS_BUDGET", 0)
+    lengths.clear()
+    est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=300, seed=5)
+    assert sum(lengths) == 300 and set(lengths[:-1]) == {mc._ROW_BATCH}
+    assert 0 < lengths[-1] <= mc._ROW_BATCH
+    assert est.bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+         reference_bad_row, (2, 0)), 0, 300)[:, 0].sum())
 
 
 def test_trial_chunk_serves_greedy_orders_from_the_words(monkeypatch, elbow):

@@ -30,6 +30,7 @@ from dyadiclab.lattice import (
     ForestInvariantReport,
     TildeCube,
     _balls,
+    _cube_tables,
     _link_pair,
     _rival_depth,
     _unite_children,
@@ -346,7 +347,7 @@ def assert_table_unites_per_child(forest):
         rows, held = forest.cube_table[lev - 1]
         finer_rows, finer_held = forest.cube_table[lev]
         h = forest.hierarchy
-        _, balls = _balls(h.space, h.grid(lev - 1).members, h.scale(lev - 1))
+        balls = _balls(h.space, sorted(h.grid(lev - 1).members), h.scale(lev - 1))
         parent_rows = [rows[forest.parents[lev][c]] for c in finer_rows]
         assert (held == reference_unite_children(balls, parent_rows, finer_held)).all()
 
@@ -390,6 +391,78 @@ def test_cube_table_is_read_only(l3):
         assert list(rows) == sorted(rows)
         with pytest.raises(ValueError):
             held[0, 0] = not held[0, 0]
+
+
+def fresh_copy(forest: dl.LatticeForest) -> dl.LatticeForest:
+    """The same forest with no cube table built yet."""
+    return dl.LatticeForest(hierarchy=forest.hierarchy, parents=forest.parents,
+                            seed=forest.seed)
+
+
+def criterion7_forests(count: int) -> list[dl.LatticeForest]:
+    """Forests of the criterion-7 cloud's first trials, as the estimators
+    draw them (seed 5, delta 0.1)."""
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    return [shared_stream_forest(cloud, 0.1, 0, seed=dl.trial_rng(5, t)) for t in range(count)]
+
+
+def test_stacked_cube_tables_match_each_forests_own(elbow, ladder):
+    """Stacks of every exact outcome of the elbow and of the ladder, whose
+    grids differ, and of 24 criterion-7 trials, whose grids also differ in
+    size.  Each stacked table equals the forest's one-forest table and the
+    per-child union, and its matrices are read-only views of the stack's
+    rows."""
+    stacks = [[f for f, _ in dl.enumerate_forest_outcomes(space, 0.1, 0)]
+              for space in (elbow, ladder)] + [criterion7_forests(24)]
+    assert len({tuple(len(f.hierarchy.grid(lev).members) for lev in f.levels)
+                for f in stacks[2]}) > 1
+    for stack in stacks:
+        tables = _cube_tables(stack)
+        for forest, table in zip(stack, tables):
+            assert forest.cube_table is table
+            own = fresh_copy(forest).cube_table
+            assert list(table) == list(own) == list(reversed(forest.levels))
+            for level, (rows, held) in table.items():
+                assert rows == own[level][0] and list(rows) == sorted(rows)
+                assert np.array_equal(held, own[level][1])
+                assert held.base is not None and not held.flags.writeable
+                with pytest.raises(ValueError):
+                    held[0, 0] = not held[0, 0]
+                with pytest.raises(ValueError):
+                    held.setflags(write=True)
+            assert_table_unites_per_child(forest)
+
+
+def test_stacked_cube_tables_build_each_table_once(elbow):
+    """A forest with a table keeps it: a stack builds only the tables that
+    are missing, once for a forest that it holds twice, and a second call
+    builds none."""
+    first, second, third = [f for f, _ in dl.enumerate_forest_outcomes(elbow, 0.1, 0)][:3]
+    kept = first.cube_table
+    tables = _cube_tables([first, second, third])
+    assert tables[0] is kept
+    assert tables[1][0][1].base is tables[2][0][1].base  # built in one stack
+    assert all(a is b for a, b in zip(_cube_tables([third, second]), tables[:0:-1]))
+    twice = fresh_copy(second)
+    again, table = _cube_tables([twice, twice])
+    assert again is table
+    assert all(held.base.size == held.size for _, held in table.values())  # one copy stacked
+
+
+def test_stacked_cube_tables_refuse_a_parent_outside_its_grid(elbow):
+    """A parent outside the coarser grid has no row, in a stack as for a
+    forest alone."""
+    forest = dl.enumerate_forest_outcomes(elbow, 0.1, 0)[0][0]
+    h = forest.hierarchy
+    outside = next(p for p in range(len(elbow)) if p not in h.grid(h.levels[0]).members)
+    finer = h.levels[1]
+    broken = dict(forest.parents)
+    broken[finer] = dict.fromkeys(forest.parents[finer], outside)
+    for stack in ([fresh_copy(forest), dl.LatticeForest(h, broken)], [dl.LatticeForest(h, broken)]):
+        with pytest.raises(UnknownCenter, match=f"^a level-{finer} parent is not in the "
+                                                f"level-{h.levels[0]} grid$"):
+            _cube_tables(stack)
 
 
 def test_cube_ball_is_open_at_its_radius():

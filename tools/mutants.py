@@ -41,23 +41,30 @@ MUTANTS = [
      "near = row < threshold", "near = row <= threshold",
      [T_GOODNESS + "test_straddle_is_strict_at_the_threshold"]),
     ("straddle near point inside", GOODNESS,
-     "(hits > 0) & (hits < near.sum())", "(hits >= 0) & (hits < near.sum())",
+     "(hits > 0) & (hits < near.sum(axis=-1)[of])",
+     "(hits >= 0) & (hits < near.sum(axis=-1)[of])",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("straddle near point outside", GOODNESS,
-     "(hits > 0) & (hits < near.sum())", "(hits > 0) & (hits <= near.sum())",
+     "(hits > 0) & (hits < near.sum(axis=-1)[of])",
+     "(hits > 0) & (hits <= near.sum(axis=-1)[of])",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("deep-inside gate", GOODNESS,
-     "(forest.space.d[center] <= 2 * threshold)",
-     "(forest.space.d[center] < 2 * threshold)",
+     "(space.d[center] <= 2 * threshold)", "(space.d[center] < 2 * threshold)",
      [T_GOODNESS + "test_theorem_step_depth_gate"]),
     # the levels tested are those coarser by at least r: the bound moved one
     # level finer, then one level coarser, in the trial core and in the exact walk
     ("r gap in the trial core, finer", GOODNESS,
-     "if n > level - params.r:", "if n > level - params.r + 1:",
+     "if n <= level - params.r]", "if n <= level - params.r + 1]",
      [T_GOODNESS + "test_classifiers_match_reference"]),
     ("r gap in the trial core, coarser", GOODNESS,
-     "if n > level - params.r:", "if n > level - params.r - 1:",
+     "if n <= level - params.r]", "if n <= level - params.r - 1]",
      [T_GOODNESS + "test_elbow_badness_matches_hand_analysis"]),
+    # the verdict core classifies a stack of forests at once: each cube reads
+    # the near mask of its own forest's center cube
+    ("near mask of the wrong forest", GOODNESS,
+     "_straddles(dist, held, threshold, forest)",
+     "_straddles(dist, held, threshold, forest[::-1])",
+     [T_GOODNESS + "test_batched_verdicts_match_the_oracle_per_forest"]),
     ("r gap in the exact walk, finer", GOODNESS,
      "if k <= level - params.r:", "if k <= level - params.r + 1:",
      [T_GOODNESS + "test_exact_good_probability_matches_reference"]),
@@ -72,17 +79,27 @@ MUTANTS = [
      "if united > MAX_UNITED_ROWS:", "if united >= MAX_UNITED_ROWS:",
      [T_GOODNESS + "test_exact_walk_refuses_past_its_row_budget"]),
     ("decay layer", GOODNESS,
-     "int(depth <= eps * scale)", "int(depth < eps * scale)",
+     "(depth[:, None] <= np.array(eps_schedule) * scale)",
+     "(depth[:, None] < np.array(eps_schedule) * scale)",
      [T_GOODNESS + "test_decay_layer_is_closed_at_its_width"]),
     ("decay layer on every outcome", GOODNESS,
-     "int(depth <= eps * scale)", "int(depth < eps * scale)",
+     "(depth[:, None] <= np.array(eps_schedule) * scale)",
+     "(depth[:, None] < np.array(eps_schedule) * scale)",
+     [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
+    ("decay depth from the wrong forest", GOODNESS,
+     "np.where(inside, np.inf, forests[0].space.d[x])",
+     "np.where(inside[:1], np.inf, forests[0].space.d[x])",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
     # the trial session's and the trial chunk's guards: the memo's budget,
-    # the check of the batched states against trial_rng, the process's probe
-    # that turns the walk off, and its verdict kept for the process
+    # the cap on the forests classified in one call, the check of the
+    # batched states against trial_rng, the process's probe that turns the
+    # walk off, and its verdict kept for the process
     ("miss budget", MC,
      "if self.paths >= _MISS_BUDGET:", "if self.paths > _MISS_BUDGET:",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
+    ("rows past their batch cap", MC,
+     "if len(fresh) + len(loose) >= _ROW_BATCH:", "if False:",
+     [T_GOODNESS + "test_trial_chunk_classifies_a_block_in_one_call"]),
     ("trial states unchecked", MC,
      "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
@@ -157,6 +174,14 @@ MUTANTS = [
     ("candidate", LATTICE,
      "(d <= CANDIDATE_FACTOR * scale) & coarse", "(d < CANDIDATE_FACTOR * scale) & coarse",
      [T_LATTICE + "test_outcomes_match_reference"]),
+    # the stacked cube builder: each finer row's parent looked up among its
+    # own forest's rows, and the stack locked so that no view is made writable
+    ("stacked parent row without its forest offset", LATTICE,
+     "parent_keys = finer_offset + parents", "parent_keys = parents",
+     [T_LATTICE + "test_stacked_cube_tables_match_each_forests_own"]),
+    ("stack left writable under its views", LATTICE,
+     "if held.base is not None:", "if False:",
+     [T_LATTICE + "test_stacked_cube_tables_match_each_forests_own"]),
     # the stacked linker: each pick read at its child's offset, and the level
     # pairs stacked coarse first, the order the per-level draws were made in
     ("pick offset", LATTICE,
@@ -166,8 +191,8 @@ MUTANTS = [
      "levels = hierarchy.levels[1:]", "levels = hierarchy.levels[:0:-1]",
      [T_LATTICE + "test_build_forest_matches_reference_stream"]),
     ("ball", LATTICE,
-     "space.d[centers] < scale / BALL_DIVISOR",
-     "space.d[centers] <= scale / BALL_DIVISOR",
+     "(space.d < scale / BALL_DIVISOR)[centers]",
+     "(space.d <= scale / BALL_DIVISOR)[centers]",
      [T_LATTICE + "test_cube_ball_is_open_at_its_radius"]),
     ("cover", LATTICE,
      "if dist[worst] > bound:", "if dist[worst] >= bound:",
