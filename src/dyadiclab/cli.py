@@ -111,7 +111,8 @@ def _hierarchy(args, space):
 def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
     """The --eps-schedule values, or the default schedule when none is given.
     Every comma-separated value must be a number: an empty one is refused,
-    not dropped."""
+    not dropped.  A default schedule that underflows to 0, at a tiny delta
+    or a large gamma, is refused as the default's, not as a value given."""
     if raw:
         tokens = raw.split(",")
         if not all(tok.strip() for tok in tokens):
@@ -122,7 +123,11 @@ def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
             raise ConfigError(f"bad --eps-schedule: {exc}") from exc
     base = delta / EPS_DIVISOR
     ratio = delta ** gamma
-    return [base * ratio ** j for j in range(6)]
+    schedule = [base * ratio ** j for j in range(6)]
+    if not min(schedule) > 0:
+        raise ConfigError(f"the default eps schedule underflows to 0 at delta={delta!r} and "
+                          f"gamma={gamma!r}; give --eps-schedule")
+    return schedule
 
 
 # --- subcommands -----------------------------------------------------------------

@@ -19,29 +19,36 @@ itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
 ``_trial_chunk`` runs the trials of one chunk for an estimator, which
-supplies the build that draws a trial's forest from its stream, its rows of
-a list of forests, one per forest, and what its rows are, given one coin per
+supplies the build that draws a trial's forest from its stream, its rows of a
+list of forests, one per forest, and what its rows are, given one coin per
 trial drawn after the build (``finish``).  The chunk looks up the build's
-trial session (``_Session``, by ``_session``) in the process that runs it;
-no session is ever sent to another process.  A forest is a function of its
-drawn values, so the session keeps a memo of the draw paths of the trials
-built in it, keyed by the values drawn, and each path's row.  A session
-lives for one estimator call, or, inside a ``trial_session()`` context (one
-per ``goodness`` command), for the context: the session then keeps the
-forest at the end of each path, the estimators called in it on the same
-build share those forests, and their runs with workers share one process
-pool, whose workers each look up a fresh session per chunk.  A block
-classifies the forests it builds together, in one row call after its walk,
-so the estimator's cube tables and verdicts run on the stack of them.  Each
-block's trials walk the memo together (``_walk``), group by group, on the
-draws their words make, computed in uint64 array math as NumPy computes them
+trial session (``_Session``, by ``_session``) in the process that runs it; no
+session is ever sent to another process.  A forest is a function of its drawn
+values, so the session keeps a memo of the draw paths of the trials built in
+it, keyed by the values drawn, and each path's row.  A session lives for one
+estimator call, or, inside a ``trial_session()`` context (one per
+``goodness`` command), for the context: the session then keeps the forest at
+the end of each path, the estimators called in it on the same build share
+those forests, and their runs with workers share one process pool, whose
+workers each look up a fresh session per chunk.  The memo pays only where draw
+paths repeat: a session records the probability of each path it enters, and
+while it has served no trial from the memo, a chunk stops its memo work once
+its trials left cannot expect one hit, or the memo's budget of paths is spent
+(``_expects_no_hit``), and builds each trial left straight from the
+generator, recording, entering and keeping nothing.  On the criterion-7
+cascade cloud a path has probability about 1e-19, and a chunk stops after its
+first build; on the 3-point elbow no session stops.  A block classifies the
+forests it builds together, in one row call after its walk, so the
+estimator's cube tables and verdicts run on the stack of them.  Each block's
+trials walk the memo together (``_walk``), group by group, on the draws their
+words make, computed in uint64 array math as NumPy computes them
 (``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
 Lemire's ``integers`` on buffered 32-bit halves, the one draw a build may
-make, and the coin from a fresh output; no generator is called.  Whether
-NumPy draws as that math does is a fact of the process's NumPy, checked once
-per process (``_words_match``, on first use, not at import): if not, no
-block walks and every trial builds.  This module alone knows how NumPy turns
-a PCG64 state into draws.
+make, and the coin from a fresh output; no generator is called.  Whether NumPy
+draws as that math does is a fact of the process's NumPy, checked once per
+process (``_words_match``, on first use, not at import): if not, no block
+walks and every trial builds.  This module alone knows how NumPy turns a PCG64
+state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -382,8 +389,8 @@ def _classes(trials: np.ndarray, values: np.ndarray,
     return sorted(classes, key=lambda c: c[1][0])
 
 
-def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray,
-          miss) -> tuple[list, np.ndarray]:
+def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
+          stopped=lambda: False) -> tuple[list, np.ndarray]:
     """Walk trials of a block down a session's memo from its root, group by
     group, and return the (leaf, trials) pairs of the trials served and each
     trial's count of draws.
@@ -395,12 +402,19 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray,
     is the lowest trial of a class with no child, or of the trials at a node
     with no call yet; if it entered its path, the rest walk on along it, and
     else each is passed to ``miss`` in turn.  Trials that reach a leaf are
-    served its build."""
+    served its build, and mark the session as one that has served a trial.
+    Once ``stopped()``, every trial still on the walk is passed to ``miss``,
+    with no further draw."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
     served, groups = [], [(0, trials)]
     while groups:
         node, trials = groups.pop()
+        if stopped():
+            for t in trials.tolist():
+                miss(t)
+            continue
         if session.builds[node] is not None:
+            session.served = True
             served.append((node, trials))
             continue
         bounds = session.calls[node]
@@ -427,7 +441,7 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray,
     return served, pos
 
 
-_MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses only build
+_MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses build unrecorded
 _ROW_BATCH = 16  # the most forests a trial chunk classifies in one row call
 # the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
 # 9 draws, an odd count, so the coin after them steps over a buffered half word
@@ -492,9 +506,12 @@ class _Session:
     one), ``builds[v]`` what the build made at the end of a complete path
     (None elsewhere), and ``children[v, values]`` the node that those values
     of v's call lead to.
-    It also holds the count of paths entered, at most ``_MISS_BUDGET``, and,
-    per row function and its arguments, the row of each leaf's forest
-    (``leaf_rows``).
+    It also holds the count of paths entered, at most ``_MISS_BUDGET``, their
+    probability mass (the sum over paths of the product of 1/b over their
+    integers bounds b: each value is a uniform, independent draw of Lemire's
+    method, so this is the chance that a trial follows one of them), whether
+    a walk has served a trial from the memo, and, per row function and its
+    arguments, the row of each leaf's forest (``leaf_rows``).
 
     A session lives for one estimator call, or for the ``trial_session()``
     context that made it, in the process that made it: a chunk run by a
@@ -505,15 +522,23 @@ class _Session:
 
     def __init__(self, keep: bool = False):
         self.calls, self.builds, self.children = [None], [None], {}
-        self.keep, self.paths, self.leaf_rows = keep, 0, {}
+        self.keep, self.paths, self.mass, self.served = keep, 0, 0.0, False
+        self.leaf_rows = {}
 
-    def enter(self, path: list, forest) -> int | None:
+    def full(self) -> bool:
+        """Whether the memo holds its budget of paths, ``_MISS_BUDGET``."""
+        return self.paths >= _MISS_BUDGET
+
+    def stops(self, left: int) -> bool:
+        """Whether a chunk with ``left`` trials still to build stops its
+        memo work: never once the session has served a trial, and else once
+        ``_expects_no_hit``."""
+        return not self.served and _expects_no_hit(self, left)
+
+    def enter(self, path: list, forest) -> int:
         """Enter a build's path, with its forest if the session keeps them,
-        while the memo holds fewer than ``_MISS_BUDGET`` paths: the path's
-        leaf, or None once the budget is spent.  A leaf keeps what it was
-        first given: the same values make the same build."""
-        if self.paths >= _MISS_BUDGET:
-            return None
+        and return the path's leaf.  A leaf keeps what it was first given:
+        the same values make the same build."""
         node = 0
         for bounds, values in path:
             self.calls[node] = bounds
@@ -526,7 +551,21 @@ class _Session:
         if self.builds[node] is None:
             self.builds[node] = forest if self.keep else ()
             self.paths += 1
+            self.mass += 1 / math.prod(b for bounds, _ in path for b in bounds)
         return node
+
+
+def _expects_no_hit(session: _Session, left: int) -> bool:
+    """Whether ``left`` more trials of a chunk cannot expect one memo hit in
+    a session that has served none: its budget is spent, or, with mass m on
+    its paths, the ``left * m`` hits expected on them and the
+    ``C(left, 2) * m / paths`` among the trials themselves (the mean mass of
+    a path entered estimates the chance that two trials draw alike) sum
+    below 1.  A session with no path has no estimate, and expects a hit."""
+    if session.full():
+        return True
+    m = session.mass
+    return session.paths > 0 and left * m + left * (left - 1) / 2 * m / session.paths < 1
 
 
 class _Scope:
@@ -615,12 +654,23 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     takes xi from the words that follow.  Any other, and any trial whose
     walk meets a rejected integers draw or a bound above 2**32, sets the
     generator state its words stand for, with no buffered half word, on one
-    reused generator, builds through the recorder that shares the
-    generator's bit generator, takes xi from the generator, and enters its
-    path while the memo holds fewer than ``_MISS_BUDGET`` paths; the trials
-    that drew the values it drew then walk on along that path.  A build
-    computes no row: after the block's walk, one ``row`` call takes every
-    forest the block built that needs one, each new leaf's once and each
+    reused generator, builds, and takes xi from the generator.  While the
+    memo holds fewer than ``_MISS_BUDGET`` paths it builds through the
+    recorder that shares the generator's bit generator and enters its path,
+    and the trials that drew the values it drew then walk on along that
+    path; later misses build on the generator itself.
+
+    The chunk stops its memo work, at its start or after a path entered,
+    while the session has served no trial, once ``_expects_no_hit`` for the
+    trials it has still to build (``_Session.stops``): its budget is spent,
+    or the paths entered make less than one hit expected.  A stopped chunk
+    walks no more, nor makes another block walk, and builds each trial left
+    on the plain generator, taking xi from it: it records no draw, enters no
+    path and keeps no forest, and its builds are unentered.  A session that
+    has served a trial never stops.
+
+    A build computes no row: after the block's walk, one ``row`` call takes
+    every forest the block built that needs one, each new leaf's once and each
     unentered build's, and the kept forest of any leaf served whose row the
     session lacks.  A call takes at most ``_ROW_BATCH`` forests, so a block
     that builds more makes a call each time that many wait, which bounds
@@ -644,9 +694,11 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(rng.bit_generator)
     leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
+    left = hi - lo  # the chunk's trials not yet built, while no trial is served
+    stopped = session.stops(left)
 
     for states in itertools.chain([first], blocks):
-        n, outputs = states.shape[1], _Outputs(states)
+        n = states.shape[1]
         fresh, loose = {}, []  # each new leaf's forest; (forest, t, xi) per unentered build
         entered, filled = [], []  # (leaf, t, xi) per entered build; (row, trials, coins)
 
@@ -662,10 +714,16 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                 loose.clear()
 
         def miss(t: int) -> bool:
+            nonlocal left, stopped
             _set_state(rng, states, t)
-            recorder.path.clear()
-            forest = build(recorder)
-            leaf = session.enter(recorder.path, forest)
+            left -= 1
+            if stopped or session.full():
+                forest, leaf = build(rng), None
+            else:
+                recorder.path.clear()
+                forest = build(recorder)
+                leaf = session.enter(recorder.path, forest)
+                stopped = session.stops(left)
             xi = rng.random() if finish is not None else 0.0
             if leaf is None:
                 loose.append((forest, t, xi))
@@ -675,11 +733,12 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                     fresh.setdefault(leaf, forest)
             if len(fresh) + len(loose) >= _ROW_BATCH:
                 classify()
-            return leaf is not None
+            return leaf is not None and not stopped
 
         served, pos = [], None
-        if _words_match():
-            served, pos = _walk(session, outputs, np.arange(n), miss)
+        if not stopped and _words_match():
+            outputs = _Outputs(states)
+            served, pos = _walk(session, outputs, np.arange(n), miss, lambda: stopped)
         else:
             for t in range(n):
                 miss(t)

@@ -460,20 +460,23 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     assert not (tmp_path / "r.json").exists()  # no partial report
 
 
-@pytest.mark.parametrize("schedule, needle", [
-    ("abc", "config error: bad --eps-schedule"),
-    ("1e-1", "error: every eps must satisfy 500*eps <= delta"),
-    (",", "config error: bad --eps-schedule: empty value in ','"),
-    ("1e-4,,5e-5", "config error: bad --eps-schedule: empty value in '1e-4,,5e-5'"),
-], ids=["unparsed", "too-wide", "empty", "double-comma"])
+@pytest.mark.parametrize("extra, needle", [
+    (["--eps-schedule", "abc"], "config error: bad --eps-schedule"),
+    (["--eps-schedule", "1e-1"], "error: every eps must satisfy 500*eps <= delta"),
+    (["--eps-schedule", ","], "config error: bad --eps-schedule: empty value in ','"),
+    (["--eps-schedule", "1e-4,,5e-5"],
+     "config error: bad --eps-schedule: empty value in '1e-4,,5e-5'"),
+    # the default's second value, (delta / 500) * delta ** gamma, is 0.0
+    (["--delta", "1e-300"], "config error: the default eps schedule underflows to 0 at "
+                            "delta=1e-300 and gamma=0.1; give --eps-schedule"),
+], ids=["unparsed", "too-wide", "empty", "double-comma", "default-underflows"])
 def test_goodness_refuses_a_bad_eps_schedule_before_any_trial(monkeypatch, tmp_path, capsys,
-                                                              elbow_json, schedule, needle):
+                                                              elbow_json, extra, needle):
     calls, estimate = [], cli.estimate_bad_probability
     monkeypatch.setattr(cli, "estimate_bad_probability",
                         lambda *args, **kwargs: calls.append(args) or estimate(*args, **kwargs))
     argv = [a.format(elbow=elbow_json) for a in GOODNESS]
-    assert main(argv + ["--seed", "0", "--eps-schedule", schedule,
-                        "--out", str(tmp_path / "r.json")]) == 2
+    assert main(argv + ["--seed", "0", *extra, "--out", str(tmp_path / "r.json")]) == 2
     assert needle in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.json").exists()
@@ -565,6 +568,38 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
         code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, 0))
         assert code == 0
         assert len(built) == 6 and len(classified) == 6
+
+
+def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path):
+    """On the criterion-7 cloud a trial's draw path has probability about
+    1e-19, so no trial of a command can expect a memo hit.  Its shared
+    session enters its first trial's path, keeps that one forest, and stops;
+    the next estimator's chunk stops before it builds.  With the stop never
+    firing, the session enters and keeps all 120 forests of the two
+    estimators run (exact enumeration is refused), and the report bytes are
+    the same."""
+    monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
+    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    path = tmp_path / "cloud.json"
+    dl.save_space(cloud, str(path))
+    sessions, session = [], mc._session
+    monkeypatch.setattr(mc, "_session", lambda build: sessions.append(session(build))
+                        or sessions[-1])
+    reports = {}
+    for stop in ("rule", "never"):
+        if stop == "never":
+            monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: False)
+        sessions.clear()
+        code, out = run_to_file(tmp_path, ["goodness", "--input", str(path), "--delta", "0.1",
+                                           "--trials", "60", "--seed", "0"], f"{stop}.json")
+        assert code in (0, 1)
+        reports[stop] = out.read_bytes()
+        shared, = set(sessions)
+        kept = sum(build is not None for build in shared.builds)
+        assert shared.keep and kept == shared.paths
+        assert kept <= 1 if stop == "rule" else kept == 120
+    assert reports["rule"] == reports["never"]
 
 
 def test_words_are_checked_once_per_process(monkeypatch, tmp_path, elbow_json, elbow,

@@ -942,12 +942,17 @@ def chunk_rows(monkeypatch, estimate, *args, lo=0, **kwargs):
     return worker(payload, lo, trials)
 
 
+def criterion7_cloud():
+    """The 60-point cascade cloud of acceptance criterion 7."""
+    return dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                         branching=3, ratio=0.1, spread=(0.25, 0.45))
+
+
 def pipeline_cases(elbow, ladder, decay_probe):
     """(space, params, mode, trials, decay level, eps schedule): the elbow,
     the ladder, the decay probe and the criterion-7 cloud, and two
     greedy-mode cases."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion7_cloud()
     wide = (2e-4, 2e-5)
     return [(elbow, PARAMS, "exhaustive_uniform", 400, 0, wide),
             (ladder, PARAMS, "exhaustive_uniform", 400, 0, wide),
@@ -997,28 +1002,110 @@ def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
         assert_rows_match_reference(monkeypatch, *case)
 
 
+# the stop rule of a chunk's memo work, forced: at the first path entered, and never
+FORCED_STOPS = {"first-miss": lambda session, left: session.paths > 0,
+                "never": lambda session, left: False}
+
+
+@pytest.mark.parametrize("block", [mc._BLOCK, 50], ids=["one-block", "blocks-of-50"])
+@pytest.mark.parametrize("stop", list(FORCED_STOPS))
+def test_trial_rows_whatever_the_stop(monkeypatch, stop, block, elbow, ladder, decay_probe):
+    """Equal rows for all three estimators with the memo work stopped at the
+    first miss, and with it never stopped, also in blocks of 50 trials.
+    Stopped at the first miss, each chunk records its first build alone:
+    every other build draws from the plain generator, whose ``random()``
+    then gives the coin."""
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    monkeypatch.setattr(mc, "_expects_no_hit", FORCED_STOPS[stop])
+    built = count_builds(monkeypatch)
+    for case in pipeline_cases(elbow, ladder, decay_probe)[:3]:
+        assert_rows_match_reference(monkeypatch, *case)
+    # three estimators per case, each run twice by ``chunk_rows``: 18 chunks
+    recorded = sum(kind is not np.random.Generator for kind in built)
+    assert recorded == 18 if stop == "first-miss" else recorded > 18
+
+
 def count_builds(monkeypatch) -> list:
-    """The hierarchies the trial chunks build forests from, from now on."""
+    """One entry per forest the trial chunks build, from now on: the class
+    of the generator it draws its parents from, the recorder's or a plain
+    ``np.random.Generator``."""
     built = []
 
     def counting_build_forest(hierarchy, rng):
-        built.append(hierarchy)
+        built.append(type(rng))
         return build_forest(hierarchy, rng)
 
     monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
     return built
 
 
+def count_entries(monkeypatch) -> list:
+    """The session of each path a trial chunk enters in its memo, from now
+    on; the process's probe, which enters one of its own, is run first."""
+    mc._words_match()
+    sessions, enter = [], mc._Session.enter
+
+    def counting_enter(self, path, forest):
+        sessions.append(self)
+        return enter(self, path, forest)
+
+    monkeypatch.setattr(mc._Session, "enter", counting_enter)
+    return sessions
+
+
 @pytest.mark.parametrize("budget, builds", [(0, 1500), (mc._MISS_BUDGET, 6)])
 def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
     """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
-    once, unless its miss budget is spent."""
+    once, and enters its path, unless its miss budget is spent."""
     monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
-    built = count_builds(monkeypatch)
+    built, entries = count_builds(monkeypatch), count_entries(monkeypatch)
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
     assert len(built) == builds
+    assert len(entries) == min(budget, 6)
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+         reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+
+
+def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
+    """On the criterion-7 cloud a trial's draw path has probability about
+    1e-19, so after its first build a 16-trial chunk expects no hit: it
+    enters that one path, and builds the other 15 trials from the plain
+    generator, with no draw computed from words."""
+    cloud = criterion7_cloud()
+    level = finest_level(cloud, 0.1, 0)
+    entries, built = count_entries(monkeypatch), count_builds(monkeypatch)
+    draws, draw = [], mc._draw
+    monkeypatch.setattr(mc, "_draw", lambda *args: draws.append(args) or draw(*args))
+    est = estimate_bad_probability(cloud, level, 0, PARAMS, trials=16, seed=0)
+    (session,) = entries
+    assert session.paths == 1 and 0 < session.mass < 1e-12 and not session.served
+    assert draws == []
+    assert built[0] is not np.random.Generator
+    assert built[1:] == [np.random.Generator] * 15
+    assert est.bad_count == int(reference_trial_chunk(
+        (cloud, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 0,
+         reference_bad_row, (level, 0)), 0, 16)[:, 0].sum())
+
+
+def test_a_session_that_has_served_a_trial_never_stops(monkeypatch, elbow):
+    """The elbow's 1500 trials hold 6 distinct forests, whose paths carry
+    all the probability, so its session never stops and builds 6.  Once a
+    session has served a trial it walks whatever its rule says: a second
+    call in the same context, on the same build, with the rule forced to
+    expect no hit, builds nothing."""
+    built = count_builds(monkeypatch)
+    verdicts, rule = [], mc._expects_no_hit
+    monkeypatch.setattr(mc, "_expects_no_hit",
+                        lambda *args: verdicts.append(rule(*args)) or verdicts[-1])
+    with mc.trial_session():
+        estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
+        assert len(built) == 6 and verdicts and not any(verdicts)
+        monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: True)
+        est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=6)
+    assert len(built) == 6
+    assert est.bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 6,
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
@@ -1042,8 +1129,7 @@ def test_trial_chunk_classifies_a_block_in_one_call(monkeypatch, elbow):
     call, in blocks of 500 one call per block that meets a new forest.
     With no memo, every trial's forest is classified, in calls of at most
     ``mc._ROW_BATCH`` forests."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion7_cloud()
     lengths = count_row_calls(monkeypatch)
     estimate_bad_probability(cloud, finest_level(cloud, 0.1, 0), 0, PARAMS, trials=16, seed=0)
     assert lengths == [16]

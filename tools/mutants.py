@@ -95,8 +95,20 @@ MUTANTS = [
     # batched states against trial_rng, the process's probe that turns the
     # walk off, and its verdict kept for the process
     ("miss budget", MC,
-     "if self.paths >= _MISS_BUDGET:", "if self.paths > _MISS_BUDGET:",
+     "return self.paths >= _MISS_BUDGET", "return self.paths > _MISS_BUDGET",
      [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
+    # a chunk stops its memo work once its session, having served no trial,
+    # expects no hit; a stopped chunk builds from the plain generator
+    ("the stop never fires", MC,
+     "return not self.served and _expects_no_hit(self, left)", "return False",
+     [T_GOODNESS + "test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected"]),
+    ("the stop fires although a trial was served", MC,
+     "return not self.served and _expects_no_hit(self, left)",
+     "return _expects_no_hit(self, left)",
+     [T_GOODNESS + "test_a_session_that_has_served_a_trial_never_stops"]),
+    ("a stopped chunk still records through the recorder", MC,
+     "forest, leaf = build(rng), None", "forest, leaf = build(recorder), None",
+     [T_GOODNESS + "test_trial_rows_whatever_the_stop[first-miss-one-block]"]),
     ("rows past their batch cap", MC,
      "if len(fresh) + len(loose) >= _ROW_BATCH:", "if False:",
      [T_GOODNESS + "test_trial_chunk_classifies_a_block_in_one_call"]),
@@ -104,7 +116,7 @@ MUTANTS = [
      "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk whatever the probe says", MC,
-     "if _words_match():", "if True:",
+     "if not stopped and _words_match():", "if not stopped:",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
