@@ -112,7 +112,8 @@ def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
     """The --eps-schedule values, or the default schedule when none is given.
     Every comma-separated value must be a number: an empty one is refused,
     not dropped.  A default schedule that underflows to 0, at a tiny delta
-    or a large gamma, is refused as the default's, not as a value given."""
+    or a large gamma, or whose values are not strictly decreasing, at a tiny
+    gamma, is refused as the default's, not as a value given."""
     if raw:
         tokens = raw.split(",")
         if not all(tok.strip() for tok in tokens):
@@ -127,6 +128,9 @@ def _parse_eps(raw: str | None, delta: float, gamma: float) -> list[float]:
     if not min(schedule) > 0:
         raise ConfigError(f"the default eps schedule underflows to 0 at delta={delta!r} and "
                           f"gamma={gamma!r}; give --eps-schedule")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError(f"the default eps schedule is not strictly decreasing at "
+                          f"delta={delta!r} and gamma={gamma!r}; give --eps-schedule")
     return schedule
 
 

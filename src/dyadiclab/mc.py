@@ -18,37 +18,36 @@ below 2**32, the shape of every ordinary run), and from ``trial_rng``
 itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
-``_trial_chunk`` runs the trials of one chunk for an estimator, which
-supplies the build that draws a trial's forest from its stream, its rows of a
-list of forests, one per forest, and what its rows are, given one coin per
-trial drawn after the build (``finish``).  The chunk looks up the build's
-trial session (``_Session``, by ``_session``) in the process that runs it; no
-session is ever sent to another process.  A forest is a function of its drawn
-values, so the session keeps a memo of the draw paths of the trials built in
-it, keyed by the values drawn, and each path's row.  A session lives for one
-estimator call, or, inside a ``trial_session()`` context (one per
-``goodness`` command), for the context: the session then keeps the forest at
-the end of each path, the estimators called in it on the same build share
-those forests, and their runs with workers share one process pool, whose
-workers each look up a fresh session per chunk.  The memo pays only where draw
-paths repeat: a session records the probability of each path it enters, and
-while it has served no trial from the memo, a chunk stops its memo work once
-its trials left cannot expect one hit, or the memo's budget of paths is spent
-(``_expects_no_hit``), and builds each trial left straight from the
-generator, recording, entering and keeping nothing.  On the criterion-7
-cascade cloud a path has probability about 1e-19, and a chunk stops after its
-first build; on the 3-point elbow no session stops.  A block classifies the
-forests it builds together, in one row call after its walk, so the
-estimator's cube tables and verdicts run on the stack of them.  Each block's
-trials walk the memo together (``_walk``), group by group, on the draws their
-words make, computed in uint64 array math as NumPy computes them
-(``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
-Lemire's ``integers`` on buffered 32-bit halves, the one draw a build may
-make, and the coin from a fresh output; no generator is called.  Whether NumPy
-draws as that math does is a fact of the process's NumPy, checked once per
-process (``_words_match``, on first use, not at import): if not, no block
-walks and every trial builds.  This module alone knows how NumPy turns a PCG64
-state into draws.
+``_trial_chunk`` runs the trials of one chunk for an estimator, which supplies
+the build that draws a trial's forest from its stream, its rows of a list of
+forests, one per forest, and what its rows are, given one coin per trial drawn
+after the build (``finish``).  The chunk looks up the build's trial session
+(``_Session``, by ``_session``) in the process that runs it; no session is
+ever sent to another process.  A forest is a function of its drawn values, so
+the session keeps a memo of the draw paths of the trials built in it, keyed by
+the values drawn, with the forest at the end of each path and its row.  A
+session lives for one estimator call, or, inside a ``trial_session()`` context
+(one per ``goodness`` command), for the context: the estimators called in it
+on the same build then share its forests, and their runs with workers share
+one process pool, whose workers each look up a fresh session per chunk.  The
+memo pays only where draw paths repeat: a session records the probability of
+each path it enters, and while it has served no trial from the memo, a chunk
+stops its memo work once its trials left cannot expect one hit, or the memo's
+budget of paths is spent (``_expects_no_hit``), and builds each trial left
+straight from the generator, recording, entering and keeping nothing.  On the
+criterion-7 cascade cloud a path has probability about 1e-19, and a chunk
+stops after its first build; on the 3-point elbow no session stops.  A block
+classifies the forests it builds together, in one row call after its walk, so
+the estimator's cube tables and verdicts run on the stack of them.  Each
+block's trials walk the memo together (``_walk``), group by group, on the
+draws their words make, computed in uint64 array math as NumPy computes them
+(``_Outputs``, ``_draw``): the outputs by jump-ahead from each state, Lemire's
+``integers`` on buffered 32-bit halves, the one draw a build may make, and the
+coin from a fresh output; no generator is called.  Whether NumPy draws as that
+math does is a fact of the process's NumPy, checked once per process
+(``_words_match``, on first use, not at import): if not, every block's walk
+stops at its root and every trial builds.  This module alone knows how NumPy
+turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -404,7 +403,8 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
     else each is passed to ``miss`` in turn.  Trials that reach a leaf are
     served its build, and mark the session as one that has served a trial.
     Once ``stopped()``, every trial still on the walk is passed to ``miss``,
-    with no further draw."""
+    with no further draw: stopped at the root, the walk misses every trial
+    in ascending order, and reads no word."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
     served, groups = [], [(0, trials)]
     while groups:
@@ -503,9 +503,9 @@ class _Session:
     as a tree of the draw paths of the trials built in it, whose nodes are
     numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
     call made after the values that lead to node v (None until a build makes
-    one), ``builds[v]`` what the build made at the end of a complete path
-    (None elsewhere), and ``children[v, values]`` the node that those values
-    of v's call lead to.
+    one), ``builds[v]`` the forest the build made at the end of a complete
+    path (None elsewhere), and ``children[v, values]`` the node that those
+    values of v's call lead to.
     It also holds the count of paths entered, at most ``_MISS_BUDGET``, their
     probability mass (the sum over paths of the product of 1/b over their
     integers bounds b: each value is a uniform, independent draw of Lemire's
@@ -515,14 +515,13 @@ class _Session:
 
     A session lives for one estimator call, or for the ``trial_session()``
     context that made it, in the process that made it: a chunk run by a
-    worker process looks up a fresh session there.  Only a context's session
-    keeps each leaf's forest, for the rows of the other estimators in the
-    context; a session of one call needs no row but its own and keeps its
-    rows alone, since held forests cost the collector time."""
+    worker process looks up a fresh session there.  ``_MISS_BUDGET`` bounds
+    the forests a session holds, and a chunk that stops its memo work after
+    its first build adds one."""
 
-    def __init__(self, keep: bool = False):
+    def __init__(self):
         self.calls, self.builds, self.children = [None], [None], {}
-        self.keep, self.paths, self.mass, self.served = keep, 0, 0.0, False
+        self.paths, self.mass, self.served = 0, 0.0, False
         self.leaf_rows = {}
 
     def full(self) -> bool:
@@ -536,9 +535,9 @@ class _Session:
         return not self.served and _expects_no_hit(self, left)
 
     def enter(self, path: list, forest) -> int:
-        """Enter a build's path, with its forest if the session keeps them,
-        and return the path's leaf.  A leaf keeps what it was first given:
-        the same values make the same build."""
+        """Enter a build's path, with its forest, and return the path's
+        leaf.  A leaf keeps the forest it was first given: the same values
+        make the same build."""
         node = 0
         for bounds, values in path:
             self.calls[node] = bounds
@@ -549,7 +548,7 @@ class _Session:
                 self.builds.append(None)
             node = child
         if self.builds[node] is None:
-            self.builds[node] = forest if self.keep else ()
+            self.builds[node] = forest
             self.paths += 1
             self.mass += 1 / math.prod(b for bounds, _ in path for b in bounds)
         return node
@@ -621,7 +620,7 @@ def _session(build: partial) -> _Session:
     if scope is None:
         return _Session()
     if key not in scope.sessions:
-        scope.sessions[key] = _Session(keep=True)
+        scope.sessions[key] = _Session()
     return scope.sessions[key]
 
 
@@ -646,9 +645,8 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     call are a function of the values before it.  So the session keeps a
     memo of its trials' draw paths, for every chunk run on it: a tree whose
     nodes hold the next draw call after a prefix of drawn values, and a leaf
-    at the end of each complete path, which holds the path's forest when the
-    session keeps forests; the session keeps each leaf's row, per row
-    function and its arguments.  Each block's trials walk the memo together,
+    at the end of each complete path, which holds the path's forest; the
+    session keeps each leaf's row, per row function and its arguments.  Each block's trials walk the memo together,
     group by group, on the draws their words make (``_walk``); a trial that
     reaches a leaf builds nothing, sets no state, takes the leaf's row, and
     takes xi from the words that follow.  Any other, and any trial whose
@@ -663,15 +661,15 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     The chunk stops its memo work, at its start or after a path entered,
     while the session has served no trial, once ``_expects_no_hit`` for the
     trials it has still to build (``_Session.stops``): its budget is spent,
-    or the paths entered make less than one hit expected.  A stopped chunk
-    walks no more, nor makes another block walk, and builds each trial left
-    on the plain generator, taking xi from it: it records no draw, enters no
-    path and keeps no forest, and its builds are unentered.  A session that
-    has served a trial never stops.
+    or the paths entered make less than one hit expected.  A stopped chunk's
+    walks draw no more, and it builds each trial left on the plain
+    generator, taking xi from it: it records no draw, enters no path and
+    keeps no forest, and its builds are unentered.  A session that has
+    served a trial never stops.
 
     A build computes no row: after the block's walk, one ``row`` call takes
     every forest the block built that needs one, each new leaf's once and each
-    unentered build's, and the kept forest of any leaf served whose row the
+    unentered build's, and the forest of any leaf served whose row the
     session lacks.  A call takes at most ``_ROW_BATCH`` forests, so a block
     that builds more makes a call each time that many wait, which bounds
     what a call holds.  So a session builds each distinct forest about once,
@@ -679,10 +677,11 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     distinct leaf, in one call per block, and draws every stream as if each
     trial built its own forest.
 
-    A block walks only if the process's NumPy draws as the word math does
-    (``_words_match``, read before each block's walk and computed once per
-    process); if not, every trial of the block builds and no word is read,
-    so a NumPy whose draws move costs speed, not correctness.
+    Every block hands its trials to ``miss`` through one ``_walk``, which
+    is stopped, and so builds every trial in ascending order and reads no
+    word, while the chunk is stopped or the process's NumPy does not draw as
+    the word math does (``_words_match``, computed once per process): a
+    NumPy whose draws move costs speed, not correctness.
     """
     build, seed, row, finish = payload
     session = _session(build)
@@ -699,54 +698,43 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
 
     for states in itertools.chain([first], blocks):
         n = states.shape[1]
-        fresh, loose = {}, []  # each new leaf's forest; (forest, t, xi) per unentered build
-        entered, filled = [], []  # (leaf, t, xi) per entered build; (row, trials, coins)
+        # the forest of each row to compute, keyed by its leaf, or by ~t for trial t's
+        # unentered build; the unentered builds' rows, by key; (key, t, xi) per trial built
+        todo, loose, built = {}, {}, []
 
         def classify():
-            """The rows of the forests built since the last call, in one call:
-            each new leaf's once, and each unentered build's."""
-            forests = [*fresh.values(), *(forest for forest, _, _ in loose)]
-            if forests:
-                values = row(forests).tolist()
-                leaf_rows.update(zip(fresh, values))
-                filled.extend((v, t, xi) for v, (_, t, xi) in zip(values[len(fresh):], loose))
-                fresh.clear()
-                loose.clear()
+            """The rows of the forests in ``todo``, in one call."""
+            if todo:
+                for key, values in zip(todo, row(list(todo.values())).tolist()):
+                    (leaf_rows if key >= 0 else loose)[key] = values
+                todo.clear()
 
         def miss(t: int) -> bool:
             nonlocal left, stopped
             _set_state(rng, states, t)
             left -= 1
             if stopped or session.full():
-                forest, leaf = build(rng), None
+                forest, key = build(rng), ~t
             else:
                 recorder.path.clear()
                 forest = build(recorder)
-                leaf = session.enter(recorder.path, forest)
+                key = session.enter(recorder.path, forest)
                 stopped = session.stops(left)
-            xi = rng.random() if finish is not None else 0.0
-            if leaf is None:
-                loose.append((forest, t, xi))
-            else:
-                entered.append((leaf, t, xi))
-                if leaf not in leaf_rows:
-                    fresh.setdefault(leaf, forest)
-            if len(fresh) + len(loose) >= _ROW_BATCH:
+            built.append((key, t, rng.random() if finish is not None else 0.0))
+            if key not in leaf_rows:
+                todo.setdefault(key, forest)
+            if len(todo) >= _ROW_BATCH:
                 classify()
-            return leaf is not None and not stopped
+            return key >= 0 and not stopped
 
-        served, pos = [], None
-        if not stopped and _words_match():
-            outputs = _Outputs(states)
-            served, pos = _walk(session, outputs, np.arange(n), miss, lambda: stopped)
-        else:
-            for t in range(n):
-                miss(t)
+        outputs = _Outputs(states)
+        served, pos = _walk(session, outputs, np.arange(n), miss,
+                            lambda: stopped or not _words_match())
         for leaf, _ in served:  # a leaf another estimator of the session built
             if leaf not in leaf_rows:
-                fresh.setdefault(leaf, session.builds[leaf])
+                todo.setdefault(leaf, session.builds[leaf])
         classify()
-        filled += [(leaf_rows[leaf], t, xi) for leaf, t, xi in entered]
+        filled = [(loose[key] if key < 0 else leaf_rows[key], t, xi) for key, t, xi in built]
         filled += [(leaf_rows[leaf], trials, 0.0 if finish is None
                     else outputs.coins(trials, pos[trials])) for leaf, trials in served]
         matrix, xi = np.empty((n, len(filled[0][0])), dtype=np.int64), np.empty(n)

@@ -469,7 +469,11 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
     # the default's second value, (delta / 500) * delta ** gamma, is 0.0
     (["--delta", "1e-300"], "config error: the default eps schedule underflows to 0 at "
                             "delta=1e-300 and gamma=0.1; give --eps-schedule"),
-], ids=["unparsed", "too-wide", "empty", "double-comma", "default-underflows"])
+    # the default's ratio, delta ** gamma, rounds to 1.0, so its values are all equal
+    (["--gamma", "1e-17"], "config error: the default eps schedule is not strictly "
+                           "decreasing at delta=0.1 and gamma=1e-17; give --eps-schedule"),
+], ids=["unparsed", "too-wide", "empty", "double-comma", "default-underflows",
+        "default-stalls"])
 def test_goodness_refuses_a_bad_eps_schedule_before_any_trial(monkeypatch, tmp_path, capsys,
                                                               elbow_json, extra, needle):
     calls, estimate = [], cli.estimate_bad_probability
@@ -597,7 +601,7 @@ def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path)
         reports[stop] = out.read_bytes()
         shared, = set(sessions)
         kept = sum(build is not None for build in shared.builds)
-        assert shared.keep and kept == shared.paths
+        assert kept == shared.paths
         assert kept <= 1 if stop == "rule" else kept == 120
     assert reports["rule"] == reports["never"]
 

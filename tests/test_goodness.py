@@ -983,10 +983,13 @@ def assert_rows_match_reference(monkeypatch, space, params, mode, trials,
     assert np.array_equal(got, want)
 
 
-def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe):
+def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe, singleton):
     """Equal rows for all three estimators, from the first trial and from
-    one inside the chunk, and for a seed of three 32-bit words."""
+    one inside the chunk, and for a seed of three 32-bit words; also on the
+    one-point space, whose build draws nothing, so that its leaf is the
+    memo's root."""
     cases = pipeline_cases(elbow, ladder, decay_probe)
+    cases.append((singleton, PARAMS, "exhaustive_uniform", 40, 0, (2e-4, 2e-5)))
     for case in cases:
         for lo in (0, 7):
             assert_rows_match_reference(monkeypatch, *case, lo=lo)
@@ -1070,8 +1073,8 @@ def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds)
 def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
     """On the criterion-7 cloud a trial's draw path has probability about
     1e-19, so after its first build a 16-trial chunk expects no hit: it
-    enters that one path, and builds the other 15 trials from the plain
-    generator, with no draw computed from words."""
+    enters that one path, whose leaf holds its forest, and builds the other
+    15 trials from the plain generator, with no draw computed from words."""
     cloud = criterion7_cloud()
     level = finest_level(cloud, 0.1, 0)
     entries, built = count_entries(monkeypatch), count_builds(monkeypatch)
@@ -1080,6 +1083,8 @@ def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
     est = estimate_bad_probability(cloud, level, 0, PARAMS, trials=16, seed=0)
     (session,) = entries
     assert session.paths == 1 and 0 < session.mass < 1e-12 and not session.served
+    (kept,) = [forest for forest in session.builds if forest is not None]
+    assert isinstance(kept, LatticeForest)
     assert draws == []
     assert built[0] is not np.random.Generator
     assert built[1:] == [np.random.Generator] * 15
@@ -1262,21 +1267,21 @@ def test_trial_chunk_memo_carries_across_blocks(monkeypatch, elbow, ladder, deca
     assert len(built) == 6
 
 
-def session_kept(build, lo: int, hi: int) -> np.ndarray:
-    """A chunk's rows: whether the session it looks up for ``build`` keeps
-    forests, as only an open context's session does."""
-    return np.full((hi - lo, 1), mc._session(build).keep)
+def session_shared(build, lo: int, hi: int) -> np.ndarray:
+    """A chunk's rows: whether two lookups of the session for ``build`` give
+    one session, as only an open context's lookups do."""
+    return np.full((hi - lo, 1), mc._session(build) is mc._session(build))
 
 
 def test_a_worker_process_looks_up_a_fresh_session():
     """In a ``trial_session()`` context a chunk run in this process gets the
-    context's session, and a chunk run by a worker process a fresh one,
-    although a forked worker inherits the context variable."""
+    context's session, and a chunk run by a worker process a fresh one per
+    lookup, although a forked worker inherits the context variable."""
     build = partial(abs, 1)
     with mc.trial_session():
-        assert run_chunked(session_kept, build, 2).all()
-        assert not run_chunked(session_kept, build, 2, workers=2).any()
-    assert not run_chunked(session_kept, build, 2).any()
+        assert run_chunked(session_shared, build, 2).all()
+        assert not run_chunked(session_shared, build, 2, workers=2).any()
+    assert not run_chunked(session_shared, build, 2).any()
 
 
 STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)

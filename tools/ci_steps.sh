@@ -40,6 +40,14 @@ console() {
   code=0
   cli coloring --input "$tmp/missing.csv" || code=$?
   test "$code" -eq 3
+  # gamma 1e-17 makes the default eps schedule's ratio 1.0: a refusal that
+  # names --eps-schedule, exit 2, and no traceback
+  code=0
+  cli goodness --input "$tmp/named.csv" --seed 0 --gamma 1e-17 2> "$tmp/err" || code=$?
+  cat "$tmp/err"
+  test "$code" -eq 2
+  grep -q -- --eps-schedule "$tmp/err"
+  if grep -q Traceback "$tmp/err"; then exit 1; fi
 }
 
 tier1() {

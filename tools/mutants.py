@@ -107,16 +107,21 @@ MUTANTS = [
      "return _expects_no_hit(self, left)",
      [T_GOODNESS + "test_a_session_that_has_served_a_trial_never_stops"]),
     ("a stopped chunk still records through the recorder", MC,
-     "forest, leaf = build(rng), None", "forest, leaf = build(recorder), None",
+     "forest, key = build(rng), ~t", "forest, key = build(recorder), ~t",
      [T_GOODNESS + "test_trial_rows_whatever_the_stop[first-miss-one-block]"]),
     ("rows past their batch cap", MC,
-     "if len(fresh) + len(loose) >= _ROW_BATCH:", "if False:",
+     "if len(todo) >= _ROW_BATCH:", "if False:",
      [T_GOODNESS + "test_trial_chunk_classifies_a_block_in_one_call"]),
+    # a build's row is keyed by its leaf, node 0 included, or by ~t when unentered
+    ("root leaf read as an unentered build", MC,
+     "(leaf_rows if key >= 0 else loose)[key] = values",
+     "(leaf_rows if key > 0 else loose)[key] = values",
+     [T_GOODNESS + "test_trial_rows_match_reference"]),
     ("trial states unchecked", MC,
      "if _lcg(rng) != _pair(first, 0):", "if False:",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk whatever the probe says", MC,
-     "if not stopped and _words_match():", "if not stopped:",
+     "lambda: stopped or not _words_match())", "lambda: stopped)",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
