@@ -39,10 +39,11 @@ from .coloring import (
 from .goodness import (
     EPS_DIVISOR,
     GoodnessParams,
+    _bad_probability_job,
+    _decay_job,
     _eps_schedule,
-    estimate_bad_probability,
-    estimate_boundary_decay,
-    estimate_really_good,
+    _really_good_job,
+    _run,
     exact_good_probability,
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, MODES, _scale_or_inf, build_nested_grids,
@@ -55,7 +56,7 @@ from .lattice import (
     forest_to_json,
     scan_chain_separation,
 )
-from .mc import trial_session, worker_count
+from .mc import worker_count
 from .measures import (
     a2_characteristic,
     growth_constant,
@@ -245,7 +246,6 @@ def _cmd_coloring(args) -> tuple[dict, int]:
     return _verdict(checks, data)
 
 
-@trial_session()  # the three estimators share their forests and their process pool
 def _cmd_goodness(args) -> tuple[dict, int]:
     if args.freeze_above is not None:
         raise ConfigError("--freeze-above applies to grids and lattice only")
@@ -261,43 +261,42 @@ def _cmd_goodness(args) -> tuple[dict, int]:
         space, args.delta, args.n0)
     center = args.center if args.center is not None else space.name(0)
     workers = worker_count()
+    # one run of the estimators' jobs, each on its own stream
+    jobs = [_bad_probability_job(space, level, center, params, args.trials, args.seed),
+            _decay_job(space, center, level, eps, args.trials, args.seed + 1, params, args.n0)]
 
-    est = estimate_bad_probability(space, level, center, params,
-                                   trials=args.trials, seed=args.seed,
-                                   coarsest_level=args.n0, mode=args.mode,
-                                   limit=args.limit, workers=workers)
-    _check(checks, "bad_probability_upper_half", est.wilson_high <= 0.5,
-           f"fraction={est.fraction:.6f} wilson=({est.wilson_low:.6f},{est.wilson_high:.6f})")
-    _check(checks, "theorem_step", est.step_violations == 0,
-           f"violations={est.step_violations}")
-
-    fit = estimate_boundary_decay(space, center, level, eps,
-                                  trials=args.trials, seed=args.seed + 1,
-                                  params=params, coarsest_level=args.n0,
-                                  mode=args.mode, limit=args.limit,
-                                  workers=workers)
-    monotone = all(a >= b for a, b in zip(fit.estimates, fit.estimates[1:]))
-    _check(checks, "boundary_decay_monotone", monotone)
-
-    p_q, note = None, f"plugin estimate, the exact identity needs {MODES[0]}, not {args.mode}"
+    p_q, refusal = None, None
+    note = f"plugin estimate, the exact identity needs {MODES[0]}, not {args.mode}"
     if args.mode == MODES[0]:  # the exact law is that of uniform grids
         try:
             p_q = exact_good_probability(space, center, level, params,
                                          coarsest_level=args.n0, limit=args.limit)
         except TooLargeForExhaustive as exc:
             note = f"plugin estimate, exact enumeration refused: {exc}"
+        except DyadicLabError as exc:  # raised after the trials, which may refuse first
+            refusal = exc
+    if p_q:
+        d = max_ball_occupancy(space, _scale_or_inf(args.delta, level - 1))
+        a = min(Fraction(1, 2 ** d), p_q)
+        jobs.append(_really_good_job(space, center, level, params, float(a), float(p_q),
+                                     args.trials, args.seed + 2))
+    est, fit, *really_good = _run(jobs, space, params, args.n0, args.mode, args.limit,
+                                  args.trials, workers)
+    if refusal is not None:
+        raise refusal
+    _check(checks, "bad_probability_upper_half", est.wilson_high <= 0.5,
+           f"fraction={est.fraction:.6f} wilson=({est.wilson_low:.6f},{est.wilson_high:.6f})")
+    _check(checks, "theorem_step", est.step_violations == 0,
+           f"violations={est.step_violations}")
+    monotone = all(x >= y for x, y in zip(fit.estimates, fit.estimates[1:]))
+    _check(checks, "boundary_decay_monotone", monotone)
+
     if p_q is None:
         # plugin estimate; biased, reported without a verdict
         p_hat = max(1.0 - est.fraction, 1.0 / args.trials)
         equalization = {"p_q_plugin": p_hat, "note": note}
     elif p_q > 0:
-        d = max_ball_occupancy(space, _scale_or_inf(args.delta, level - 1))
-        a = min(Fraction(1, 2 ** d), p_q)
-        freq = estimate_really_good(space, center, level, params,
-                                    float(a), float(p_q),
-                                    trials=args.trials, seed=args.seed + 2,
-                                    coarsest_level=args.n0, mode=args.mode,
-                                    limit=args.limit, workers=workers)
+        freq, = really_good
         sigma = (float(a) * (1 - float(a)) / args.trials) ** 0.5
         _check(checks, "equalization_frequency",
                abs(freq - float(a)) <= 4 * sigma,

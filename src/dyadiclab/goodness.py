@@ -42,20 +42,22 @@ its row of the forest's cube table, without building a ``Cube``, for a list
 of forests at once, one row per forest; the bad-probability and really-good
 estimators share one row, whose bad verdict the coin reads.  The trial count
 and the master seed follow the integer rule of ``metric``, checked before any
-trial runs.  This module supplies the build of a trial's forest
-(``_trial_part``), each estimator's rows of a list of forests (``_bad_rows``,
-``_decay_rows``) and, for the really-good estimator, the rows of a chunk's
-matrix of rows and vector of coins (``_equalized_rows``), and hands them to
-``mc._trial_chunk``, which finds the trial session of the build itself: it
-draws each stream as if every trial built its own forest while building each
-distinct forest of the session once and computing each distinct row once per
-distinct forest (the bad-probability and really-good estimators' rows are
-one), in one call on the forests a block of trials builds, whose cube tables
-``lattice`` then builds as one stack, and reads the draws of the trials it
-does not build from their streams' words in array math.  A session lives for
-one estimator call, or for one ``mc.trial_session()`` context, such as a
-``goodness`` command's, whose three estimators then share its forests; this
-module never names one.
+trial runs.  Each estimator is a job: a private builder
+(``_bad_probability_job``, ``_decay_job``, ``_really_good_job``) checks its
+inputs and gives its (seed, row, finish) and the result of its rows, where
+the row is ``_bad_rows`` or ``_decay_rows`` and, for the really-good
+estimator, ``finish`` makes the rows of a chunk's matrix of rows and vector
+of coins (``_equalized_rows``).  ``_run`` runs jobs on one build, that of a
+trial's forest (``_trial_part``), in one ``mc.run_chunked`` call of
+``mc._trial_chunk``: a public estimator runs its own job, and a ``goodness``
+command the jobs of its estimators, each on its own stream.  A chunk runs
+its jobs in one trial session: it draws each stream as if every trial built
+its own forest while building each distinct forest of the session once and
+computing each distinct row once per distinct forest (the bad-probability
+and really-good estimators' rows are one), in one call on the forests a
+block of trials builds, whose cube tables ``lattice`` then builds as one
+stack, and reads the draws of the trials it does not build from their
+streams' words in array math.  This module never names a session.
 """
 from __future__ import annotations
 
@@ -258,6 +260,30 @@ def _bad_rows(forests: Sequence[LatticeForest], params: GoodnessParams, level: i
     return np.column_stack([bad, steps.sum(axis=1)]).astype(np.int64)
 
 
+def _run(jobs: list, space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
+         mode: str, limit: int, trials: int, workers: int) -> list:
+    """Each job's result, from one ``run_chunked`` call on one build: a job
+    is a pair of its (seed, row, finish) and its result of its rows."""
+    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
+    rows = run_chunked(_trial_chunk, (build, [job for job, _ in jobs]), trials, workers)
+    return [result(part) for (_, result), part in zip(jobs, rows)]
+
+
+def _bad_probability_job(space: FiniteMetricSpace, level: int, center: int | str,
+                         params: GoodnessParams, trials: int, seed: int) -> tuple:
+    """The bad-probability estimate's job, its inputs checked before any trial."""
+    trials, seed = _trial_count(trials), _master_seed(seed)
+    row = partial(_bad_rows, params=params, level=level, center=space.resolve(center))
+
+    def result(rows: np.ndarray) -> BadProbabilityEstimate:
+        bad = int(rows[:, 0].sum())
+        low, high = wilson_interval(bad, trials)
+        return BadProbabilityEstimate(trials=trials, bad_count=bad, fraction=bad / trials,
+                                      wilson_low=low, wilson_high=high,
+                                      step_violations=int(rows[:, 1].sum()), seed=seed)
+    return (seed, row, None), result
+
+
 def estimate_bad_probability(space: FiniteMetricSpace, level: int,
                              center: int | str, params: GoodnessParams,
                              trials: int, seed: int,
@@ -272,19 +298,8 @@ def estimate_bad_probability(space: FiniteMetricSpace, level: int,
     bad fraction with its 95% Wilson interval.  Deterministic for a fixed
     master seed, independent of the worker count.
     """
-    trials = _trial_count(trials)
-    seed = _master_seed(seed)
-    center = space.resolve(center)
-    row = partial(_bad_rows, params=params, level=level, center=center)
-    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
-    rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
-    bad = int(rows[:, 0].sum())
-    low, high = wilson_interval(bad, trials)
-    return BadProbabilityEstimate(trials=trials, bad_count=bad,
-                                  fraction=bad / trials,
-                                  wilson_low=low, wilson_high=high,
-                                  step_violations=int(rows[:, 1].sum()),
-                                  seed=seed)
+    job = _bad_probability_job(space, level, center, params, trials, seed)
+    return _run([job], space, params, coarsest_level, mode, limit, trials, workers)[0]
 
 
 def _decay_rows(forests: Sequence[LatticeForest], params: GoodnessParams, x: int,
@@ -319,6 +334,37 @@ def _eps_schedule(eps_schedule, delta: float) -> tuple[float, ...]:
     return eps
 
 
+def _decay_job(space: FiniteMetricSpace, x: int | str, level: int,
+               eps_schedule: Sequence[float], trials: int, seed: int,
+               params: GoodnessParams, coarsest_level: int) -> tuple:
+    """The boundary-decay fit's job, its inputs checked before any trial."""
+    trials, seed = _trial_count(trials), _master_seed(seed)
+    eps = _eps_schedule(eps_schedule, params.delta)
+    row = partial(_decay_rows, params=params, x=space.resolve(x), level=level, eps_schedule=eps)
+
+    def result(rows: np.ndarray) -> DecayFit:
+        counts = [int(c) for c in rows.sum(axis=0)]
+        estimates = [c / trials for c in counts]
+        intervals = [wilson_interval(c, trials) for c in counts]
+
+        positive = [(e, p) for e, p in zip(eps, estimates) if p > 0]
+        eta_hat = None
+        if len(positive) >= 2:  # least-squares slope of log(estimate) against log(eps)
+            log_eps, log_p = np.log(positive).T
+            eta_hat = float(np.polyfit(log_eps, log_p, 1)[0])
+
+        eta_reference = None
+        if level < finest_level(space, params.delta, coarsest_level):
+            a_ref = 0.5 ** max_ball_occupancy(space, params.delta ** level)
+            if 0 < a_ref < 1:  # 2**-d underflows to 0 past d = 1074
+                eta_reference = math.log(1 - a_ref) / math.log(params.delta)
+        return DecayFit(eps=eps, counts=tuple(counts),
+                        estimates=tuple(estimates),
+                        intervals=tuple(intervals), trials=trials,
+                        eta_hat=eta_hat, eta_reference=eta_reference, seed=seed)
+    return (seed, row, None), result
+
+
 def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
                             eps_schedule: Sequence[float], trials: int, seed: int,
                             params: GoodnessParams,
@@ -336,32 +382,8 @@ def estimate_boundary_decay(space: FiniteMetricSpace, x: int | str, level: int,
     radius of the finer levels (None if there are none).  The whole space can
     only overcount a sampled grid, so this is a lower reference, not a fit.
     """
-    trials = _trial_count(trials)
-    seed = _master_seed(seed)
-    eps = _eps_schedule(eps_schedule, params.delta)
-    x = space.resolve(x)
-    row = partial(_decay_rows, params=params, x=x, level=level, eps_schedule=eps)
-    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
-    rows = run_chunked(_trial_chunk, (build, seed, row, None), trials, workers)
-    counts = [int(c) for c in rows.sum(axis=0)]
-    estimates = [c / trials for c in counts]
-    intervals = [wilson_interval(c, trials) for c in counts]
-
-    positive = [(e, p) for e, p in zip(eps, estimates) if p > 0]
-    eta_hat = None
-    if len(positive) >= 2:  # least-squares slope of log(estimate) against log(eps)
-        log_eps, log_p = np.log(positive).T
-        eta_hat = float(np.polyfit(log_eps, log_p, 1)[0])
-
-    eta_reference = None
-    if level < finest_level(space, params.delta, coarsest_level):
-        a_ref = 0.5 ** max_ball_occupancy(space, params.delta ** level)
-        if 0 < a_ref < 1:  # 2**-d underflows to 0 past d = 1074
-            eta_reference = math.log(1 - a_ref) / math.log(params.delta)
-    return DecayFit(eps=eps, counts=tuple(counts),
-                    estimates=tuple(estimates),
-                    intervals=tuple(intervals), trials=trials,
-                    eta_hat=eta_hat, eta_reference=eta_reference, seed=seed)
+    job = _decay_job(space, x, level, eps_schedule, trials, seed, params, coarsest_level)
+    return _run([job], space, params, coarsest_level, mode, limit, trials, workers)[0]
 
 
 # --- equalization -----------------------------------------------------------------
@@ -446,6 +468,18 @@ def _equalized_rows(rows: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarr
     return ((rows[:, :1] == 0) & (xi[:, None] <= cutoff)).astype(np.int64)
 
 
+def _really_good_job(space: FiniteMetricSpace, center: int | str, level: int,
+                     params: GoodnessParams, a: float, p_q: float, trials: int,
+                     seed: int) -> tuple:
+    """The really-good frequency's job, its inputs checked before any trial."""
+    trials, seed = _trial_count(trials), _master_seed(seed)
+    center, a, p_q = space.resolve(center), float(a), float(p_q)
+    equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
+    row = partial(_bad_rows, params=params, level=level, center=center)
+    finish = partial(_equalized_rows, cutoff=a / p_q)
+    return (seed, row, finish), lambda rows: float(rows[:, 0].sum() / trials)
+
+
 def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int,
                          params: GoodnessParams, a: float, p_q: float,
                          trials: int, seed: int, coarsest_level: int = 0,
@@ -453,13 +487,5 @@ def estimate_really_good(space: FiniteMetricSpace, center: int | str, level: int
                          limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
                          workers: int = 1) -> float:
     """Empirical frequency of the really-good event; expected to match ``a``."""
-    trials = _trial_count(trials)
-    seed = _master_seed(seed)
-    center = space.resolve(center)
-    a, p_q = float(a), float(p_q)
-    equalize(p_q, a, 0.0)  # refuse a bad pair whatever the draws
-    row = partial(_bad_rows, params=params, level=level, center=center)
-    finish = partial(_equalized_rows, cutoff=a / p_q)
-    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
-    rows = run_chunked(_trial_chunk, (build, seed, row, finish), trials, workers)
-    return float(rows[:, 0].sum() / trials)
+    job = _really_good_job(space, center, level, params, a, p_q, trials, seed)
+    return _run([job], space, params, coarsest_level, mode, limit, trials, workers)[0]

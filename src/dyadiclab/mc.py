@@ -18,29 +18,31 @@ below 2**32, the shape of every ordinary run), and from ``trial_rng``
 itself otherwise; each block is built as the chunk reads it, and no more
 than one is held at once.
 
-``_trial_chunk`` runs the trials of one chunk for an estimator, which supplies
-the build that draws a trial's forest from its stream, its rows of a list of
-forests, one per forest, and what its rows are, given one coin per trial drawn
-after the build (``finish``).  The chunk looks up the build's trial session
-(``_Session``, by ``_session``) in the process that runs it; no session is
-ever sent to another process.  A forest is a function of its drawn values, so
-the session keeps a memo of the draw paths of the trials built in it, keyed by
-the values drawn, with the forest at the end of each path and its row.  A
-session lives for one estimator call, or, inside a ``trial_session()`` context
-(one per ``goodness`` command), for the context: the estimators called in it
-on the same build then share its forests, and their runs with workers share
-one process pool, whose workers each look up a fresh session per chunk.  The
-memo pays only where draw paths repeat: a session records the probability of
-each path it enters, and while it has served no trial from the memo, a chunk
-stops its memo work once its trials left cannot expect one hit, or the memo's
-budget of paths is spent (``_expects_no_hit``), and builds each trial left
-straight from the generator, recording, entering and keeping nothing.  On the
-criterion-7 cascade cloud a path has probability about 1e-19, and a chunk
-stops after its first build; on the 3-point elbow no session stops.  A block
-classifies the forests it builds together, in one row call after its walk, so
-the estimator's cube tables and verdicts run on the stack of them.  Each
-block's trials walk the memo together (``_walk``), group by group, on the
-draws their words make, computed in uint64 array math as NumPy computes them
+A run of trials is one ``run_chunked`` call on one build, the function that
+draws a trial's forest from its stream, and a list of jobs, one per
+estimator: each job supplies its master seed, its rows of a list of forests,
+one per forest, and what its rows are, given one coin per trial drawn after
+the build (``finish``).  A ``goodness`` command makes one run of its three
+estimators' jobs, and a public estimator a run of its own job.  Each chunk
+of trials is one ``_trial_chunk`` call, which runs every job's trials in one
+trial session (``_Session``) made for that call, in the process that runs
+it; no session is ever sent to another process, and a run with workers has
+a process pool of its own.  A forest is a function of its drawn values, so
+the session keeps a memo of the draw paths of the trials built in it, keyed
+by the values drawn, with the forest at the end of each path and its row:
+the jobs of a chunk share its forests and, where their row functions are
+equal, their rows.  The memo pays only where draw paths repeat: a session
+records the probability of each path it enters, and while it has served no
+trial from the memo, a job stops its memo work once its trials left cannot
+expect one hit, or the memo's budget of paths is spent (``_expects_no_hit``),
+and builds each trial left straight from the generator, recording, entering
+and keeping nothing.  On the criterion-7 cascade cloud a path has
+probability about 1e-19, and a job stops after its first build; on the
+3-point elbow no session stops.  A block classifies the forests it builds
+together, in one row call after its walk, so the estimator's cube tables and
+verdicts run on the stack of them.  Each block's trials walk the memo
+together (``_walk``), group by group, on the draws their words make,
+computed in uint64 array math as NumPy computes them
 (``_Outputs``, ``_draw``): the outputs by jump-ahead from each state, Lemire's
 ``integers`` on buffered 32-bit halves, the one draw a build may make, and the
 coin from a fresh output; no generator is called.  Whether NumPy draws as that
@@ -61,14 +63,12 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
 from functools import cache, lru_cache, partial
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTrials
+from .errors import ConfigError, DyadicLabError, InvalidTrials
 from .metric import _integer, _require_integer
 
 __all__ = ["wilson_interval", "trial_rng"]
@@ -442,7 +442,7 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
 
 
 _MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses build unrecorded
-_ROW_BATCH = 16  # the most forests a trial chunk classifies in one row call
+_ROW_BATCH = 16  # the most forests a job classifies in one row call
 # the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
 # 9 draws, an odd count, so the coin after them steps over a buffered half word
 _PROBE = ((1, 3, 2, 1, 6, 5), (6, 5, 4, 3, 2, 1))
@@ -499,8 +499,8 @@ def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
 
 
 class _Session:
-    """A trial session: the draw memo of every trial chunk run on one build,
-    as a tree of the draw paths of the trials built in it, whose nodes are
+    """A trial session: the draw memo of the jobs of one trial chunk, as a
+    tree of the draw paths of the trials built in it, whose nodes are
     numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
     call made after the values that lead to node v (None until a build makes
     one), ``builds[v]`` the forest the build made at the end of a complete
@@ -513,11 +513,10 @@ class _Session:
     a walk has served a trial from the memo, and, per row function and its
     arguments, the row of each leaf's forest (``leaf_rows``).
 
-    A session lives for one estimator call, or for the ``trial_session()``
-    context that made it, in the process that made it: a chunk run by a
-    worker process looks up a fresh session there.  ``_MISS_BUDGET`` bounds
-    the forests a session holds, and a chunk that stops its memo work after
-    its first build adds one."""
+    A session lives for one trial chunk, whose jobs share it, in the
+    process that runs the chunk.  ``_MISS_BUDGET`` bounds the forests a
+    session holds, and a job that stops its memo work after its first build
+    adds one."""
 
     def __init__(self):
         self.calls, self.builds, self.children = [None], [None], {}
@@ -529,7 +528,7 @@ class _Session:
         return self.paths >= _MISS_BUDGET
 
     def stops(self, left: int) -> bool:
-        """Whether a chunk with ``left`` trials still to build stops its
+        """Whether a job with ``left`` trials still to build stops its
         memo work: never once the session has served a trial, and else once
         ``_expects_no_hit``."""
         return not self.served and _expects_no_hit(self, left)
@@ -555,7 +554,7 @@ class _Session:
 
 
 def _expects_no_hit(session: _Session, left: int) -> bool:
-    """Whether ``left`` more trials of a chunk cannot expect one memo hit in
+    """Whether ``left`` more trials of a job cannot expect one memo hit in
     a session that has served none: its budget is spent, or, with mass m on
     its paths, the ``left * m`` hits expected on them and the
     ``C(left, 2) * m / paths`` among the trials themselves (the mean mass of
@@ -567,101 +566,62 @@ def _expects_no_hit(session: _Session, left: int) -> bool:
     return session.paths > 0 and left * m + left * (left - 1) / 2 * m / session.paths < 1
 
 
-class _Scope:
-    """An open ``trial_session()`` context: a session per build, and the
-    process pool of its runs with workers, made on first use, both for the
-    process that opened it alone (``pid``): a forked worker inherits the
-    context variable, and must not share them."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self.sessions: dict = {}
-        self.pool: ProcessPoolExecutor | None = None
-
-
-_SCOPE: ContextVar[_Scope | None] = ContextVar("dyadiclab_trial_session", default=None)
-
-
-@contextmanager
-def trial_session() -> Iterator[None]:
-    """A context in which the estimators' trial chunks share one
-    ``_Session`` per build, so a forest built for one estimator serves every
-    trial of the others that draws the same values, and their runs with
-    workers share one process pool, shut down when the context ends.  Rows
-    and draws are the same as outside it, and the memo dies with it.  Also a
-    decorator, which opens a new context for each call."""
-    scope = _Scope()
-    token = _SCOPE.set(scope)
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-        if scope.pool is not None:
-            scope.pool.shutdown()
-
-
-def _own_scope() -> _Scope | None:
-    """The open ``trial_session()`` context's scope, if this process opened it."""
-    scope = _SCOPE.get()
-    return scope if scope is not None and scope.pid == os.getpid() else None
-
-
 def _key(f: partial) -> tuple:
     """The function and arguments of a partial of hashable arguments, by
-    which sessions match builds and ``leaf_rows`` match row functions."""
+    which a session's ``leaf_rows`` match row functions."""
     return f.func, f.args, tuple(f.keywords.items())
 
 
-def _session(build: partial) -> _Session:
-    """The session of a build: that of the open ``trial_session()`` context,
-    shared by every call with the same function and arguments, or a fresh
-    one outside any context and in a worker process."""
-    scope, key = _own_scope(), _key(build)
-    if scope is None:
-        return _Session()
-    if key not in scope.sessions:
-        scope.sessions[key] = _Session()
-    return scope.sessions[key]
+def _trial_chunk(payload, lo: int, hi: int) -> list[np.ndarray]:
+    """Rows lo..hi-1 of each job of a run, with payload (build, jobs): each
+    job (seed, row, finish) is one estimator's, and its rows are those of
+    ``_job_rows``.  The jobs run in turn, in one ``_Session`` made for this
+    call, in the process that runs it, so they share the forests their
+    trials draw alike and, with equal row functions, their rows; no session
+    is ever sent to another process."""
+    build, jobs = payload
+    session = _Session()
+    return [_job_rows(session, build, seed, row, finish, lo, hi) for seed, row, finish in jobs]
 
 
-def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a seeded estimator, with payload (build, seed, row,
-    finish): per trial t, the row of the forest that ``build`` makes from a
-    generator on the stream of ``trial_rng(seed, t)``, where ``row(forests)``
-    gives one int row per forest of a list of forests on the build's space,
-    and the rows ``finish(rows, xi)`` of the matrix of those rows and
-    the vector of coins xi, each the stream's ``random()`` after the build's
-    draws (the rows themselves when ``finish`` is None).  The build, a
-    partial of hashable arguments, may draw only through the generator's
-    ``integers(bounds)``: the recorder logs no other draw, so a build that
-    drew otherwise would share memo leaves between trials that drew apart.
+def _job_rows(session: _Session, build, seed: int, row, finish, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a job in a session: per trial t, the row of the
+    forest that ``build`` makes from a generator on the stream of
+    ``trial_rng(seed, t)``, where ``row(forests)`` gives one int row per
+    forest of a list of forests on the build's space, and the rows
+    ``finish(rows, xi)`` of the matrix of those rows and the vector of coins
+    xi, each the stream's ``random()`` after the build's draws (the rows
+    themselves when ``finish`` is None).  The build, a partial of hashable
+    arguments, may draw only through the generator's ``integers(bounds)``:
+    the recorder logs no other draw, so a build that drew otherwise would
+    share memo leaves between trials that drew apart.
 
-    The chunk runs in the build's session (``_session``), looked up in the
-    process that runs the chunk, and reads its trials' PCG64 states, the
-    words of their LCGs, from ``_trial_states`` a block at a time, checking
-    the first against ``trial_rng(seed, lo)``.
+    The job reads its trials' PCG64 states, the words of their LCGs, from
+    ``_trial_states`` a block at a time, checking the first against
+    ``trial_rng(seed, lo)``.
 
     A build is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the session keeps a
-    memo of its trials' draw paths, for every chunk run on it: a tree whose
+    memo of its trials' draw paths, for every job run in it: a tree whose
     nodes hold the next draw call after a prefix of drawn values, and a leaf
     at the end of each complete path, which holds the path's forest; the
-    session keeps each leaf's row, per row function and its arguments.  Each block's trials walk the memo together,
-    group by group, on the draws their words make (``_walk``); a trial that
-    reaches a leaf builds nothing, sets no state, takes the leaf's row, and
-    takes xi from the words that follow.  Any other, and any trial whose
-    walk meets a rejected integers draw or a bound above 2**32, sets the
-    generator state its words stand for, with no buffered half word, on one
-    reused generator, builds, and takes xi from the generator.  While the
+    session keeps each leaf's row, per row function and its arguments.  Each
+    block's trials walk the memo together, group by group, on the draws
+    their words make (``_walk``); a trial that reaches a leaf builds
+    nothing, sets no state, takes the leaf's row, and takes xi from the words
+    that follow.  Any other, and any trial whose walk meets a rejected
+    integers draw or a bound above 2**32, sets the generator state its words
+    stand for, with no buffered half word, on one reused generator, builds,
+    and takes xi from the generator.  While the
     memo holds fewer than ``_MISS_BUDGET`` paths it builds through the
     recorder that shares the generator's bit generator and enters its path,
     and the trials that drew the values it drew then walk on along that
     path; later misses build on the generator itself.
 
-    The chunk stops its memo work, at its start or after a path entered,
+    The job stops its memo work, at its start or after a path entered,
     while the session has served no trial, once ``_expects_no_hit`` for the
     trials it has still to build (``_Session.stops``): its budget is spent,
-    or the paths entered make less than one hit expected.  A stopped chunk's
+    or the paths entered make less than one hit expected.  A stopped job's
     walks draw no more, and it builds each trial left on the plain
     generator, taking xi from it: it records no draw, enters no path and
     keeps no forest, and its builds are unentered.  A session that has
@@ -673,18 +633,16 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
     session lacks.  A call takes at most ``_ROW_BATCH`` forests, so a block
     that builds more makes a call each time that many wait, which bounds
     what a call holds.  So a session builds each distinct forest about once,
-    whichever of its chunks meets it first, computes each row once per
+    whichever of its jobs meets it first, computes each row once per
     distinct leaf, in one call per block, and draws every stream as if each
     trial built its own forest.
 
     Every block hands its trials to ``miss`` through one ``_walk``, which
     is stopped, and so builds every trial in ascending order and reads no
-    word, while the chunk is stopped or the process's NumPy does not draw as
+    word, while the job is stopped or the process's NumPy does not draw as
     the word math does (``_words_match``, computed once per process): a
     NumPy whose draws move costs speed, not correctness.
     """
-    build, seed, row, finish = payload
-    session = _session(build)
     rng = trial_rng(seed, lo)
     blocks = _trial_states(seed, lo, hi)
     first = next(blocks)
@@ -693,7 +651,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
                            "numpy's SeedSequence or PCG64 seeding has changed")
     recorder = _recorder_type()(rng.bit_generator)
     leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
-    left = hi - lo  # the chunk's trials not yet built, while no trial is served
+    left = hi - lo  # the job's trials not yet built, while no trial is served
     stopped = session.stops(left)
 
     for states in itertools.chain([first], blocks):
@@ -730,7 +688,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> np.ndarray:
         outputs = _Outputs(states)
         served, pos = _walk(session, outputs, np.arange(n), miss,
                             lambda: stopped or not _words_match())
-        for leaf, _ in served:  # a leaf another estimator of the session built
+        for leaf, _ in served:  # a leaf another job of the session built
             if leaf not in leaf_rows:
                 todo.setdefault(leaf, session.builds[leaf])
         classify()
@@ -755,24 +713,26 @@ def worker_count() -> int:
     return int(raw)
 
 
-def run_chunked(worker, payload, trials: int, workers: int = 1) -> np.ndarray:
-    """Run ``worker(payload, lo, hi)`` over [0, trials) in contiguous chunks.
+def run_chunked(worker, payload, trials: int, workers: int = 1) -> list[np.ndarray]:
+    """Run ``worker(payload, lo, hi)`` over [0, trials) in contiguous chunks,
+    in this process or on a process pool of this run alone.
 
-    The worker must return one row per trial; rows are concatenated in trial
-    order, so results do not depend on the number of workers or on scheduling.
-    Inside a ``trial_session()`` context, the runs with workers share one pool.
+    The worker returns one matrix per job of the payload, a row per trial,
+    and each job's rows are concatenated in trial order, so results do not
+    depend on the number of workers or on scheduling.  A refusal raised in
+    a worker process is raised by the whole run in this process, which
+    meets first the refusal that a run of each job in turn meets first.
     Refuses a trial count or a worker count that is not an integer >= 1.
     """
     trials = _trial_count(trials)
     workers = min(_require_integer("workers", workers, 1), trials)
-    if workers <= 1:
-        return np.asarray(worker(payload, 0, trials))
-    # workers <= trials, so every chunk holds at least one trial
-    bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    scope = _own_scope()
-    if scope is not None and scope.pool is None:
-        scope.pool = ProcessPoolExecutor(max_workers=workers)
-    # the open trial session's pool, or a pool of this run alone
-    with nullcontext(scope.pool) if scope else ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(worker, itertools.repeat(payload), bounds[:-1], bounds[1:]))
-    return np.concatenate(parts, axis=0)
+    if workers > 1:
+        # workers <= trials, so every chunk holds at least one trial
+        bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = pool.map(worker, itertools.repeat(payload), bounds[:-1], bounds[1:])
+                return [np.concatenate(rows) for rows in zip(*parts)]
+        except DyadicLabError:
+            pass  # a later job may refuse in an earlier chunk: the run below raises in job order
+    return [np.asarray(rows) for rows in worker(payload, 0, trials)]

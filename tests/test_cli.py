@@ -476,9 +476,7 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
         "default-stalls"])
 def test_goodness_refuses_a_bad_eps_schedule_before_any_trial(monkeypatch, tmp_path, capsys,
                                                               elbow_json, extra, needle):
-    calls, estimate = [], cli.estimate_bad_probability
-    monkeypatch.setattr(cli, "estimate_bad_probability",
-                        lambda *args, **kwargs: calls.append(args) or estimate(*args, **kwargs))
+    calls = count_runs(monkeypatch)
     argv = [a.format(elbow=elbow_json) for a in GOODNESS]
     assert main(argv + ["--seed", "0", *extra, "--out", str(tmp_path / "r.json")]) == 2
     assert needle in capsys.readouterr().err
@@ -536,7 +534,7 @@ def test_goodness_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, elbow_js
     assert reports[0] == reports[1]
 
 
-# --- one trial session per goodness command ---------------------------------------
+# --- one trial run per goodness command --------------------------------------------
 
 def elbow_goodness(elbow_json, seed) -> list[str]:
     """The goodness command of the cli-goodness-elbow benchmark workload."""
@@ -544,14 +542,69 @@ def elbow_goodness(elbow_json, seed) -> list[str]:
             "--r", "1", "--trials", "500", "--seed", str(seed)]
 
 
+def count_runs(monkeypatch) -> list:
+    """The trial count of each run the estimators make, from now on."""
+    runs, run_chunked = [], goodness.run_chunked
+    monkeypatch.setattr(goodness, "run_chunked", lambda worker, payload, trials, workers=1:
+                        runs.append(trials) or run_chunked(worker, payload, trials, workers))
+    return runs
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_goodness_command_makes_one_run(monkeypatch, tmp_path, elbow_json, mode):
+    """The command's estimators run as jobs of one ``run_chunked`` call,
+    three in uniform mode and two in greedy mode."""
+    runs = count_runs(monkeypatch)
+    code, out = run_to_file(tmp_path, elbow_goodness(elbow_json, 0) + ["--mode", mode])
+    assert code == 0
+    assert runs == [500]
+    assert ("frequency" in json.loads(out.read_text())["data"]["equalization"]) == (
+        mode == MODES[0])
+
+
+@pytest.mark.parametrize("extra, err", [
+    (["--level", "0"], "error: fixed center 0 absent from the level-0 grid; "
+                       "fix the center at the deterministic finest level\n"),
+    (["--level", "99"], "error: level 99 not present in the hierarchy\n"),
+    (["--center", "y"], "error: no point named 'y'\n"),
+    (["--trials", "0"], "error: trials must be an integer >= 1, got 0\n"),
+    (["--limit", "0"], "error: limit must be an integer >= 1, got 0\n"),
+    (["cascade"], "error: component of size 26 exceeds the cap 20\n"),
+    # the exact walk refuses level 99 first, but the trials' refusal is the command's
+    (["cascade", "--level", "99"], "error: component of size 26 exceeds the cap 20\n"),
+], ids=["level-0", "level-99", "no-center", "zero-trials", "zero-limit", "cascade",
+        "cascade-level-99"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_goodness_refusals_keep_their_text(monkeypatch, tmp_path, capsys, elbow_json,
+                                           extra, err, workers):
+    """Refusals that the exact walk and the trials can both raise: the
+    command gives the text of the first one met when its estimators ran one
+    after another, the exact walk after the bad-probability and decay
+    trials, whatever the worker count.  The cascade is the 60-point cloud of
+    acceptance criterion 7, at the default delta."""
+    monkeypatch.setenv("DYADICLAB_WORKERS", workers)
+    argv = elbow_goodness(elbow_json, 0)
+    if extra[:1] == ["cascade"]:
+        cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
+                              branching=3, ratio=0.1, spread=(0.25, 0.45))
+        dl.save_space(cloud, str(tmp_path / "cloud.json"))
+        argv = ["goodness", "--input", str(tmp_path / "cloud.json"), "--trials", "500",
+                "--seed", "0", *extra[1:]]
+    else:
+        argv += extra
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path,
                                                            elbow_json):
     """The elbow's trials hold 6 distinct forests.  The command's three
-    estimators share one trial session, so it builds 6 forests in all, not 6
-    per estimator, and classifies each once: the bad-probability and
-    really-good estimators share their rows.  A second command opens a new
-    session and builds its 6 again.  The forests classified are counted
-    over every batch the row function is called on."""
+    estimators run as jobs of one trial chunk, in one session, so it builds
+    6 forests in all, not 6 per estimator, and classifies each once: the
+    bad-probability and really-good jobs share their rows.  A second command
+    makes a new session and builds its 6 again.  The forests classified are
+    counted over every batch the row function is called on."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
     built, classified = [], []
     build_forest, bad_rows = goodness.build_forest, goodness._bad_rows
@@ -576,29 +629,30 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
 
 def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path):
     """On the criterion-7 cloud a trial's draw path has probability about
-    1e-19, so no trial of a command can expect a memo hit.  Its shared
-    session enters its first trial's path, keeps that one forest, and stops;
-    the next estimator's chunk stops before it builds.  With the stop never
-    firing, the session enters and keeps all 120 forests of the two
-    estimators run (exact enumeration is refused), and the report bytes are
-    the same."""
+    1e-19, so no trial of a command can expect a memo hit.  The session of
+    its one run enters its first trial's path, keeps that one forest, and
+    stops; the next job stops before it builds.  With the stop never firing,
+    the session enters and keeps all 120 forests of the two jobs run (exact
+    enumeration is refused), and the report bytes are the same."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
     cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
                           branching=3, ratio=0.1, spread=(0.25, 0.45))
     path = tmp_path / "cloud.json"
     dl.save_space(cloud, str(path))
-    sessions, session = [], mc._session
-    monkeypatch.setattr(mc, "_session", lambda build: sessions.append(session(build))
-                        or sessions[-1])
+    runs, sessions, job_rows = count_runs(monkeypatch), [], mc._job_rows
+    monkeypatch.setattr(mc, "_job_rows", lambda session, *args: sessions.append(session)
+                        or job_rows(session, *args))
     reports = {}
     for stop in ("rule", "never"):
         if stop == "never":
             monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: False)
+        runs.clear()
         sessions.clear()
         code, out = run_to_file(tmp_path, ["goodness", "--input", str(path), "--delta", "0.1",
                                            "--trials", "60", "--seed", "0"], f"{stop}.json")
         assert code in (0, 1)
         reports[stop] = out.read_bytes()
+        assert runs == [60] and len(sessions) == 2
         shared, = set(sessions)
         kept = sum(build is not None for build in shared.builds)
         assert kept == shared.paths
@@ -622,8 +676,8 @@ def test_words_are_checked_once_per_process(monkeypatch, tmp_path, elbow_json, e
 
 
 def test_goodness_command_starts_one_process_pool(monkeypatch, tmp_path, elbow_json):
-    """With workers, the command's three estimators share one process pool,
-    shut down when the command ends."""
+    """With workers, the command's one run starts one process pool, shut
+    down when the run ends."""
     monkeypatch.setenv("DYADICLAB_WORKERS", "2")
     started, shut = [], []
 
@@ -646,8 +700,8 @@ def test_goodness_command_starts_one_process_pool(monkeypatch, tmp_path, elbow_j
 @pytest.mark.parametrize("mode", MODES)
 def test_goodness_report_matches_the_estimators_one_by_one(monkeypatch, tmp_path, elbow,
                                                            ladder, mode):
-    """The command's shared session changes no field: each equals that of
-    the public estimator called alone, in its own session.  On the ladder the
+    """The command's one run changes no field: each equals that of the
+    public estimator called alone, in a run of its own.  On the ladder the
     miss budget is cut to 2 paths, below its count of distinct forests, so
     most of its trials take the build-only branch."""
     params = dl.GoodnessParams(delta=0.1, gamma=0.1, r=1)

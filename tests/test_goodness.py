@@ -939,7 +939,8 @@ def chunk_rows(monkeypatch, estimate, *args, lo=0, **kwargs):
         patch.setattr(goodness, "run_chunked", capture)
         estimate(*args, **kwargs)
     (worker, payload, trials), = payloads
-    return worker(payload, lo, trials)
+    part, = worker(payload, lo, trials)
+    return part
 
 
 def criterion7_cloud():
@@ -1096,22 +1097,30 @@ def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
 def test_a_session_that_has_served_a_trial_never_stops(monkeypatch, elbow):
     """The elbow's 1500 trials hold 6 distinct forests, whose paths carry
     all the probability, so its session never stops and builds 6.  Once a
-    session has served a trial it walks whatever its rule says: a second
-    call in the same context, on the same build, with the rule forced to
-    expect no hit, builds nothing."""
+    session has served a trial it walks whatever its rule says: the second
+    job of the chunk, on seed 6, with the rule forced to expect no hit,
+    builds nothing."""
     built = count_builds(monkeypatch)
+    jobs_run, job_rows = [], mc._job_rows
+    monkeypatch.setattr(mc, "_job_rows",
+                        lambda *args: jobs_run.append(args[2]) or job_rows(*args))
     verdicts, rule = [], mc._expects_no_hit
-    monkeypatch.setattr(mc, "_expects_no_hit",
-                        lambda *args: verdicts.append(rule(*args)) or verdicts[-1])
-    with mc.trial_session():
-        estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
-        assert len(built) == 6 and verdicts and not any(verdicts)
-        monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: True)
-        est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=6)
-    assert len(built) == 6
-    assert est.bad_count == int(reference_trial_chunk(
+
+    def first_job_rule(*args):
+        """The rule as it is in the first job, in the second one expecting no hit."""
+        if len(jobs_run) > 1:
+            return True
+        verdicts.append(rule(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(mc, "_expects_no_hit", first_job_rule)
+    build, jobs = command_payload(elbow, 5)
+    parts = mc._trial_chunk((build, [jobs[0], (6, *jobs[0][1:])]), 0, 1500)
+    assert jobs_run == [5, 6]
+    assert len(built) == 6 and verdicts and not any(verdicts)
+    assert np.array_equal(parts[1], reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 6,
-         reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
+         reference_bad_row, (2, 0)), 0, 1500))
 
 
 def count_row_calls(monkeypatch) -> list:
@@ -1228,7 +1237,7 @@ def chunk_payload(monkeypatch, estimate, *args, **kwargs):
 
     def capture(worker, payload, trials, workers=1):
         captured.append((worker, payload))
-        return np.zeros((trials, 2), dtype=np.int64)
+        return [np.zeros((trials, 2), dtype=np.int64)]
 
     with monkeypatch.context() as patch:
         patch.setattr(goodness, "run_chunked", capture)
@@ -1251,7 +1260,7 @@ def test_trial_chunk_edges_match_reference(monkeypatch, elbow, seed, lo, hi):
         worker, payload = chunk_payload(monkeypatch, estimate, *args, trials=1, seed=seed)
         want = reference_trial_chunk((elbow, PARAMS, 0, "exhaustive_uniform",
                                       DEFAULT_EXHAUSTIVE_LIMIT, seed, row, row_args), lo, hi)
-        assert np.array_equal(worker(payload, lo, hi), want)
+        assert np.array_equal(worker(payload, lo, hi)[0], want)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1267,21 +1276,72 @@ def test_trial_chunk_memo_carries_across_blocks(monkeypatch, elbow, ladder, deca
     assert len(built) == 6
 
 
-def session_shared(build, lo: int, hi: int) -> np.ndarray:
-    """A chunk's rows: whether two lookups of the session for ``build`` give
-    one session, as only an open context's lookups do."""
-    return np.full((hi - lo, 1), mc._session(build) is mc._session(build))
+def command_payload(space, seed: int) -> tuple:
+    """The payload of a ``goodness`` command's run on a space, at its finest
+    level and center 0: the build, and the bad-probability, decay and
+    really-good jobs, on seeds seed, seed + 1 and seed + 2."""
+    level = finest_level(space, PARAMS.delta, 0)
+    build = partial(goodness._trial_part, space, PARAMS, 0, "exhaustive_uniform",
+                    DEFAULT_EXHAUSTIVE_LIMIT)
+    jobs = [goodness._bad_probability_job(space, level, 0, PARAMS, 1, seed),
+            goodness._decay_job(space, 0, level, (2e-4, 2e-5), 1, seed + 1, PARAMS, 0),
+            goodness._really_good_job(space, 0, level, PARAMS, 0.25, 0.75, 1, seed + 2)]
+    return build, [job for job, _ in jobs]
 
 
-def test_a_worker_process_looks_up_a_fresh_session():
-    """In a ``trial_session()`` context a chunk run in this process gets the
-    context's session, and a chunk run by a worker process a fresh one per
-    lookup, although a forked worker inherits the context variable."""
-    build = partial(abs, 1)
-    with mc.trial_session():
-        assert run_chunked(session_shared, build, 2).all()
-        assert not run_chunked(session_shared, build, 2, workers=2).any()
-    assert not run_chunked(session_shared, build, 2).any()
+def command_reference(space, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The reference rows lo..hi-1 of each job of ``command_payload``."""
+    level = finest_level(space, PARAMS.delta, 0)
+    common = (space, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT)
+    return [reference_trial_chunk(common + (seed, reference_bad_row, (level, 0)), lo, hi),
+            reference_trial_chunk(common + (seed + 1, reference_decay_row,
+                                            (0, level, (2e-4, 2e-5))), lo, hi),
+            reference_trial_chunk(common + (seed + 2, reference_really_good_row,
+                                            (level, 0, 0.25, 0.75)), lo, hi)]
+
+
+def test_a_trial_chunk_builds_each_distinct_forest_once_for_all_its_jobs(monkeypatch, elbow):
+    """A chunk runs the command's three jobs in one session: the elbow's
+    500 trials on three streams hold 6 distinct forests, and the chunk
+    builds 6, with each job's rows those of its own stream.  A second chunk
+    makes a session of its own and builds its 6 again."""
+    built = count_builds(monkeypatch)
+    payload = command_payload(elbow, 0)
+    for chunk in (1, 2):
+        parts = mc._trial_chunk(payload, 0, 500)
+        assert len(built) == 6 * chunk
+    want = command_reference(elbow, 0, 0, 500)
+    assert all(np.array_equal(part, rows) for part, rows in zip(parts, want, strict=True))
+
+
+def test_a_worker_process_looks_up_a_fresh_session(monkeypatch, elbow):
+    """A run with workers gives each job the rows of the serial run: each
+    worker's chunk runs every job in a session it makes itself, as a chunk
+    in this process does, and a forked worker inherits no session."""
+    payload = command_payload(elbow, 3)
+    serial = run_chunked(mc._trial_chunk, payload, 300)
+    pooled = run_chunked(mc._trial_chunk, payload, 300, workers=2)
+    want = command_reference(elbow, 3, 0, 300)
+    assert all(np.array_equal(a, b) and np.array_equal(a, rows)
+               for a, b, rows in zip(serial, pooled, want, strict=True))
+
+
+def refusing_jobs(payload, lo: int, hi: int) -> list:
+    """A chunk of two jobs run in turn, over its trials: the first refuses
+    at trial 3, the second at trial 0."""
+    for job, refused_at in enumerate((3, 0)):
+        if lo <= refused_at < hi:
+            raise TooLargeForExhaustive(f"job {job}")
+    return [np.zeros((hi - lo, 1))] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_raises_the_refusal_that_a_run_of_each_job_in_turn_meets_first(workers):
+    """The first job's refusal, although with 2 workers the second job
+    refuses in the first chunk, before the first job reaches trial 3 in
+    the second."""
+    with pytest.raises(TooLargeForExhaustive, match="^job 0$"):
+        run_chunked(refusing_jobs, None, 4, workers=workers)
 
 
 STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)

@@ -421,7 +421,7 @@ def test_integer_rule_admits_its_bound():
     a tree of one branch and height 0 are taken."""
     assert _require_integer("k", -3, -3) == -3
     assert dl.wilson_interval(1, 1)[1] == 1.0
-    assert run_chunked(lambda payload, lo, hi: [[lo, hi]], None, 1).tolist() == [[0, 1]]
+    assert run_chunked(lambda payload, lo, hi: [[[lo, hi]]], None, 1)[0].tolist() == [[0, 1]]
     assert dl.trial_rng(0, 0).random() == np.random.default_rng([0, 0]).random()
     assert GoodnessParams(delta=0.001, gamma=0.1, r=1).r == 1
     assert dl.tree_experiment(1, 0) == 1

@@ -35,7 +35,8 @@ def test_package_exports_each_modules_public_names():
 REMOVED = (("lattice", "verify_chain_separation"), ("lattice", "cube_to_json"),
            ("errors", "HypothesesNotMet"), ("grids", "greedy_grid"),
            ("coloring", "close_membership_probability"),
-           ("goodness", "boundary_layer"), ("goodness", "BoundaryLayer"))
+           ("goodness", "boundary_layer"), ("goodness", "BoundaryLayer"),
+           ("mc", "trial_session"))
 
 
 def test_removed_names_are_gone():
@@ -75,17 +76,15 @@ def test_importing_the_package_loads_no_numpy_random():
 
 
 # names of NumPy's PCG64 stream and of the trial chunk's draw memo, mc's
-# helpers that compute draws from words, and the trial session and its lookup
+# helpers that compute draws from words, and the trial session
 STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
-STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Session",
-                  "_session", "_walk"}
+STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Session", "_walk"}
 
 
 def test_only_mc_knows_the_pcg64_stream():
     """The draw memo is ``mc``'s: no other module names the generator's bit
-    generator, the recorder or the probe, or imports mc's stream helpers,
-    its trial session or the session's lookup: a chunk finds its own
-    session."""
+    generator, the recorder or the probe, or imports mc's stream helpers
+    or its trial session: a chunk makes its own session."""
     for path in sorted(Path(dyadiclab.__file__).parent.glob("*.py")):
         if path.name == "mc.py":
             continue

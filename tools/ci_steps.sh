@@ -48,6 +48,13 @@ console() {
   test "$code" -eq 2
   grep -q -- --eps-schedule "$tmp/err"
   if grep -q Traceback "$tmp/err"; then exit 1; fi
+  # a goodness command's one run, serial and on a pool of 2 workers: the same
+  # report bytes
+  (unset DYADICLAB_WORKERS; cli goodness --input "$tmp/named.csv" --seed 0 --trials 200 \
+    --out "$tmp/serial.json")
+  DYADICLAB_WORKERS=2 cli goodness --input "$tmp/named.csv" --seed 0 --trials 200 \
+    --out "$tmp/pooled.json"
+  cmp "$tmp/serial.json" "$tmp/pooled.json"
 }
 
 tier1() {

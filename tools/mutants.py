@@ -28,6 +28,7 @@ GRIDS = "src/dyadiclab/grids.py"
 METRIC = "src/dyadiclab/metric.py"
 MC = "src/dyadiclab/mc.py"
 COLORING = "src/dyadiclab/coloring.py"
+CLI = "src/dyadiclab/cli.py"
 T_GOODNESS = "tests/test_goodness.py::"
 T_LATTICE = "tests/test_lattice.py::"
 T_GRIDS = "tests/test_grids.py::"
@@ -136,18 +137,23 @@ MUTANTS = [
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
-    # a goodness command's estimators share one session, and equal row
-    # functions share their rows, while a worker process looks up its own:
-    # each its own, and the worker the opener's
-    ("a session per estimator", MC,
-     "if key not in scope.sessions:", "if True:",
+    # a goodness command's one run gives a chunk's jobs one session, and
+    # equal row functions share their rows: each job its own, each its rows;
+    # a refusal is the one a run of each job in turn meets first, also with
+    # workers, and also where the exact walk would refuse before the trials
+    ("a session per job", MC,
+     "_job_rows(session, build, seed", "_job_rows(_Session(), build, seed",
      [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
     ("rows per estimator", MC,
      "session.leaf_rows.setdefault(_key(row), {})", "session.leaf_rows.setdefault(row, {})",
      [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
-    ("worker shares the opener's session", MC,
-     "scope.pid == os.getpid()", "True",
-     [T_GOODNESS + "test_a_worker_process_looks_up_a_fresh_session"]),
+    ("refusal of the first chunk that refused", MC,
+     "except DyadicLabError:", "except ZeroDivisionError:",
+     [T_GOODNESS + "test_a_run_raises_the_refusal_that_a_run_of_each_job_in_turn_meets_first"
+      "[2]"]),
+    ("exact walk refuses before the trials", CLI,
+     "refusal = exc", "raise",
+     [T_CLI + "test_goodness_refusals_keep_their_text[1-cascade-level-99]"]),
     # the draws computed from PCG64's words: the buffered high half of an
     # output (each 32-bit draw taken as a fresh output's low half), a coin
     # that must come from a fresh output, and the carry of the jump-ahead's
