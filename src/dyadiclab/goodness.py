@@ -18,21 +18,23 @@ point x lies in its cube's boundary layer of width eps when its distance to
 the cube's complement is at most eps * scale, also closed, as is the bound
 eps <= delta / ``EPS_DIVISOR`` on the widths.
 
-The straddle test of one coarse level is written once, on distance rows
-and cube matrices with any leading batch axes: it counts the near points
-inside each coarse cube against all near points.  One core classifies the
-center's cube in each forest of a stack on one space, in one pass over the
-tested levels, coarsest first.  It takes each forest's distance row from
-the member rows of its center cube, and at each level runs the straddle
-test on every forest's coarse cubes at once, each cube reading the near
-mask of its own forest.  Per forest, the straddle mask gives goodness (bad
-when some entry is true, counted per forest) and the deep-inside step (the
-entry at the center's ancestor, with the points near the center tested
-only where it is true).  The trial rows, ``is_good`` and
+The straddle test of one coarse level is written once: ``_near`` takes the
+near points of a distance row, and ``_straddles`` counts those inside each
+coarse cube against all of them, with any leading batch axes.  One core
+classifies the center's cube in each forest of a stack on one space, in one
+pass over the tested levels, coarsest first.  It takes each forest's
+distance row from the member rows of its center cube, and at each level
+runs the straddle test on every forest's coarse cubes at once, each cube
+reading the near mask of its own forest.  Per forest, the straddle mask
+gives goodness (bad when some entry is true, counted per forest) and the
+deep-inside step (the entry at the center's ancestor, with the points near
+the center tested only where it is true).  The trial rows, ``is_good`` and
 ``theorem_step_violations`` all read that core, the last two on a stack of
 one forest.  The exact P(good) applies the same test to every parent map of
-a level pair at once, in its step of ``lattice``'s one exact recursion,
-pruning bad maps and building no forest.
+a level pair at once, in its step of ``lattice``'s one exact recursion, on
+the near columns, pruning bad maps and building no forest.  At the coarsest
+pair it counts the good maps instead, and its budget counts every map's
+rows, built or not.
 
 The three estimators share one trial pipeline: trial t draws the grids, then
 the parents, from its own stream ``trial_rng(seed, t)``, and only then makes
@@ -79,8 +81,8 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _require_limit, build_nested_grids,
                     finest_level)
-from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _grid_paths,
-                      _unite_children, build_forest)
+from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _grid_paths, _LevelPair,
+                      _parent_maps, _unite_children, build_forest)
 from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
@@ -131,16 +133,18 @@ def _distance_rows(space: FiniteMetricSpace, inside: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(space.d[member], starts, axis=0)
 
 
-def _straddles(row: np.ndarray, inside: np.ndarray, threshold: float, of=...):
-    """The bad test, per row of the mask: the point set of the distance row
-    lies closer than the threshold to both the cube and its complement.
-    ``row`` is a distance row from that set to each point; the near points
-    are those strictly closer than the threshold, and the cube is straddled
-    when some near point lies inside it and some outside it.  With ``row``
-    a matrix, ``of`` gives the row of it that each row of the mask reads."""
-    near = row < threshold
-    hits = (inside & near[of]).sum(axis=-1)
-    return (hits > 0) & (hits < near.sum(axis=-1)[of])
+def _near(row: np.ndarray, threshold: float) -> np.ndarray:
+    """The near points of a distance row: strictly closer than the threshold."""
+    return row < threshold
+
+
+def _straddles(inside: np.ndarray, near_count) -> np.ndarray:
+    """The bad test per cube: ``inside`` marks the near points each cube
+    holds, through a near mask or on the near columns alone, with any
+    leading batch axes, and ``near_count`` is their number.  A cube is
+    straddled when it holds some near point and misses another."""
+    hits = inside.sum(axis=-1)
+    return (hits > 0) & (hits < near_count)
 
 
 def is_good(forest: LatticeForest, cube: Cube, params: GoodnessParams) -> bool:
@@ -243,7 +247,8 @@ def _verdicts(forests: Sequence[LatticeForest], level: int, center: int,
         sizes = [len(rows) for rows in level_rows]
         held = np.concatenate([table[n][1] for table in tables])
         forest = np.repeat(np.arange(len(forests)), sizes)  # the forest of each cube
-        straddled = _straddles(dist, held, threshold, forest)
+        near = _near(dist, threshold)
+        straddled = _straddles(held & near[forest], near.sum(axis=1)[forest])
         bad |= np.bincount(forest, straddled, len(forests)) > 0
         anc = np.cumsum(sizes) - sizes + [rows[chain[level - n]]
                                           for rows, chain in zip(level_rows, chains)]
@@ -403,6 +408,32 @@ def equalize(p_q: float, a: float, xi: float) -> bool:
     return xi <= a / p_q
 
 
+def _good_maps(space: FiniteMetricSpace, pair: _LevelPair, cubes: list, threshold: float,
+               scale: float) -> int:
+    """The count of (cube, parent map) pairs of the coarsest level pair under
+    which no coarse cube straddles the cube's near set.  A map's verdict
+    reads only the children whose finer cube meets the near set, so the
+    cubes are grouped by near set and those children, each group is united
+    on the near columns with the maps of those children alone, in one call,
+    and each good map counts once per choice of the other children."""
+    balls = _balls(space, pair.cols, scale)
+    groups: dict[tuple[bytes, bytes], tuple] = {}
+    for held, row in cubes:
+        near = _near(row, threshold)
+        kids = held[:, near].any(axis=1)
+        groups.setdefault((near.tobytes(), kids.tobytes()), (near, kids, []))[2].append(held)
+    good = 0
+    for near, kids, group in groups.values():
+        maps = _parent_maps(pair.options[kids])
+        # the group's cubes side by side, each on its own copy of the near columns
+        held = _unite_children(np.concatenate([balls[:, near]] * len(group), axis=1), maps,
+                               np.concatenate([finer[kids][:, near] for finer in group], axis=1))
+        held = held.reshape(len(maps), len(pair.cols), len(group), -1)
+        bad = _straddles(held, held.shape[-1]).any(axis=1)
+        good += int((~bad).sum()) * (pair.count // len(maps))
+    return good
+
+
 def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: int,
                            params: GoodnessParams, coarsest_level: int = 0,
                            limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Fraction:
@@ -414,13 +445,17 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     each level pair this step unites every cube matrix that reached it with
     every parent map of the pair at once.  Past ``level`` it tests the united
     matrices against the center's cube at each level coarser by at least r,
-    and walks on only from the good ones, since a bad cube stays bad whatever
-    the coarser choices.  Each good leaf of a grid outcome carries its
-    probability over its count of forests.  The cap is on that work, not on
-    the forests, whose unpruned count the walk never learns: more than
+    on the points near that cube, and walks on only from the good ones,
+    since a bad cube stays bad whatever the coarser choices.  Every path
+    ends at the coarsest pair, where the step counts the good maps instead
+    (``_good_maps``), or takes every map where no level is tested.  A grid
+    outcome weighs its probability over its count of forests, times its
+    count of good ones.  The cap is on the work of the full walk, not on the
+    forests, whose unpruned count the walk never learns: more than
     ``MAX_UNITED_ROWS`` cube-matrix rows to unite in all, each finer cube's
-    row counted once per parent map, raise TooLargeForExhaustive before the
-    pair that passes the cap is united.
+    row counted once per parent map, the coarsest pair's maps included
+    though none is built, raise TooLargeForExhaustive before the pair that
+    passes the cap is united, so refusals are those of the full walk.
     """
     center = space.resolve(center)
     levels = tuple(range(coarsest_level, finest_level(space, params.delta, coarsest_level) + 1))
@@ -430,18 +465,23 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
     def step(state, pair):
         """The state below a level pair from the state above it: the path's
         count of forests, and each good cube matrix that reached the pair with
-        the center's distance row, None above ``level``.  None when no good
-        cube is left."""
+        the center's distance row, None above ``level``, or at the coarsest
+        pair the number of good forests.  None when no good cube is left."""
         nonlocal united
         count, cubes = state
         k = pair.level - 1
         united += len(cubes) * pair.count * len(pair.kids)
         if united > MAX_UNITED_ROWS:
             raise TooLargeForExhaustive(f"more than {MAX_UNITED_ROWS} cube-matrix rows to unite")
-        balls = _balls(space, pair.cols, params.delta ** k)
         if k == level:
             _require_center(pair.cols, level, center)
             center_row = pair.cols.tolist().index(center)
+        tested = k <= level - params.r
+        if k == coarsest_level:
+            good = (_good_maps(space, pair, cubes, params.threshold(level, k), params.delta ** k)
+                    if tested else len(cubes) * pair.count)
+            return (count * pair.count, good) if good else None
+        balls = _balls(space, pair.cols, params.delta ** k)
         good = []
         for held, row in cubes:
             batch = _unite_children(balls, pair.maps, held)
@@ -449,15 +489,18 @@ def exact_good_probability(space: FiniteMetricSpace, center: int | str, level: i
                 rows = _distance_rows(space, batch[:, center_row])
             else:
                 rows = itertools.repeat(row)
-                if k <= level - params.r:
-                    batch = batch[~_straddles(row, batch, params.threshold(level, k)).any(axis=-1)]
+                if tested:
+                    near = _near(row, params.threshold(level, k))
+                    batch = batch[~_straddles(batch[..., near], near.sum()).any(axis=-1)]
             good.extend(zip(batch, rows))
         return (count * pair.count, good) if good else None
 
     held = _balls(space, range(len(space)), params.delta ** levels[-1])
     row = _distance_rows(space, held[[center]])[0] if level == levels[-1] else None
-    paths = _grid_paths(space, params.delta, coarsest_level, limit, step, (1, [(held, row)]))
-    return sum((prob / count * len(cubes) for _, prob, (count, cubes) in paths), Fraction(0))
+    # a hierarchy of one level has no level pair: its one forest's cube is good
+    state = (1, [(held, row)]) if len(levels) > 1 else (1, 1)
+    paths = _grid_paths(space, params.delta, coarsest_level, limit, step, state)
+    return sum((prob / count * good for _, prob, (count, good) in paths), Fraction(0))
 
 
 def _equalized_rows(rows: np.ndarray, xi: np.ndarray, cutoff: float) -> np.ndarray:

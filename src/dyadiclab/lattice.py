@@ -20,8 +20,9 @@ batch of them: it copies the level-k balls once per map and sets True, in each
 child's parent row, every point the child's level-(k+1) cube holds, a boolean
 assignment that is exact by construction.  The cube builder applies it to the
 stacked parent rows of its forests, the exact goodness walk to every parent
-map of a level at once, and the forest check to each level's ancestor rows
-when it unites descendant balls.
+map of a level at once (at the coarsest pair, to the maps of the children
+its test reads, on the near columns), and the forest check to each level's
+ancestor rows when it unites descendant balls.
 The link rule is two boolean child-by-point matrices, captured points and
 parent options, computed by one function on a stack of children.  The
 sampler stacks every child of every level pair of a forest, coarse pairs

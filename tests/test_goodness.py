@@ -7,6 +7,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -492,6 +493,87 @@ def test_exact_walk_refuses_past_its_row_budget(monkeypatch, small_family, elbow
                            match=f"^more than {goodness.MAX_UNITED_ROWS} cube-matrix rows"):
             exact_good_probability(space, 0, finest_level(space, 0.1, 0), PARAMS)
         assert time.perf_counter() - start < 5
+
+
+def test_exact_good_probability_pinned_on_10_and_11_points(small_family):
+    """The walk on the 10- and 11-point criterion-1 spaces, which the
+    reference cannot enumerate in a test's time: every level, every point,
+    the three ``ORACLE_PARAMS``, against the P(good) or the refusal's type
+    and message recorded with the walk that built every parent map of the
+    coarsest level pair (commit 27f98bc).  Cubes grouped by their relevant
+    children alone, without their near set, give wrong values here (at
+    level 1: points 1 and 8 of cloud6, point 7 of cloud15) and on no space
+    of at most 9 points."""
+    pinned = json.loads((Path(__file__).resolve().parent / "exact_pinned.json").read_text())
+    seen, got = collections.Counter(), {}
+    for kind, space in small_family:
+        label = f"{kind}{seen[kind]}"  # a cloud's seed, a snowflake's base index
+        seen[kind] += 1
+        if len(space) not in (10, 11):
+            continue
+        for center in range(len(space)):
+            for level in range(finest_level(space, 0.1, 0) + 1):
+                for params in ORACLE_PARAMS:
+                    value = exact_outcome(exact_good_probability, space, center, level, params)
+                    got[f"{label} {center} {level} {params.gamma} {params.r}"] = (
+                        list(value) if isinstance(value, tuple) else str(value))
+    assert got == pinned
+    assert len(got) == 561
+
+
+def test_exact_walk_counts_the_coarsest_pair_without_building_it(small_family, elbow,
+                                                                 monkeypatch):
+    """Every path ends at the coarsest level pair, so there the walk counts
+    the good parent maps: it reads no table of the pair's maps and takes no
+    distance row, also where the cube's level is the coarsest one, on a
+    9-point space whose only level pair is the coarsest.  It enumerates the
+    maps of the children whose finer cube meets the near set alone, fewer
+    than the pair's children for some cube.  On the elbow, the finer pair's
+    maps are read as before."""
+    reads, distance_rows, pairs, enumerated = [], [], [], []
+    LevelPair, maps = lattice._LevelPair, lattice._LevelPair.maps
+
+    def read(pair):
+        reads.append(pair.level)
+        return maps.func(pair)
+
+    def level_pair(*args):
+        pairs.append(LevelPair(*args))
+        return pairs[-1]
+
+    def children_maps(options):
+        enumerated.append((pairs[-1], options))
+        return lattice._parent_maps(options)
+
+    def rows(space, inside):
+        distance_rows.append(len(inside))
+        return real_rows(space, inside)
+
+    real_rows = goodness._distance_rows
+    monkeypatch.setattr(LevelPair, "maps", property(read))
+    monkeypatch.setattr(lattice, "_LevelPair", level_pair)
+    monkeypatch.setattr(goodness, "_parent_maps", children_maps)
+    monkeypatch.setattr(goodness, "_distance_rows", rows)
+    space = small_family[5][1]
+    assert len(space) == 9 and finest_level(space, 0.1, 0) == 1
+    assert exact_good_probability(space, 4, 0, PARAMS) == 1
+    assert reads == distance_rows == enumerated == [] and pairs
+    assert exact_good_probability(space, 0, 1, PARAMS) == Fraction(43, 180)
+    assert reads == [] and distance_rows == [1]  # the finest cube's row, before the walk
+    assert enumerated and all(pair.level == 1 for pair, _ in enumerated)
+    assert any(len(options) < len(pair.kids) for pair, options in enumerated)
+    pairs.clear()
+    assert exact_good_probability(elbow, "x", 2, PARAMS) == Fraction(3, 4)
+    assert reads and set(reads) == {2} and {pair.level for pair in pairs} == {1, 2}
+
+
+def test_straddle_test_on_an_empty_near_set_warns_nothing():
+    """No near point: no cube straddles, and no warning is raised."""
+    inside = np.zeros((3, 4, 0), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not goodness._straddles(inside, 0).any()
+        assert not goodness._near(np.array([1.0, 2.0]), 0.5).any()
 
 
 def test_exact_small_benchmark_reference():

@@ -39,15 +39,13 @@ T_CLI = "tests/test_cli.py::"
 # (name, file, source text, flipped text, node ids expected to fail)
 MUTANTS = [
     ("straddle near side", GOODNESS,
-     "near = row < threshold", "near = row <= threshold",
+     "return row < threshold", "return row <= threshold",
      [T_GOODNESS + "test_straddle_is_strict_at_the_threshold"]),
     ("straddle near point inside", GOODNESS,
-     "(hits > 0) & (hits < near.sum(axis=-1)[of])",
-     "(hits >= 0) & (hits < near.sum(axis=-1)[of])",
+     "(hits > 0) & (hits < near_count)", "(hits >= 0) & (hits < near_count)",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("straddle near point outside", GOODNESS,
-     "(hits > 0) & (hits < near.sum(axis=-1)[of])",
-     "(hits > 0) & (hits <= near.sum(axis=-1)[of])",
+     "(hits > 0) & (hits < near_count)", "(hits > 0) & (hits <= near_count)",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("deep-inside gate", GOODNESS,
      "(space.d[center] <= 2 * threshold)", "(space.d[center] < 2 * threshold)",
@@ -63,22 +61,35 @@ MUTANTS = [
     # the verdict core classifies a stack of forests at once: each cube reads
     # the near mask of its own forest's center cube
     ("near mask of the wrong forest", GOODNESS,
-     "_straddles(dist, held, threshold, forest)",
-     "_straddles(dist, held, threshold, forest[::-1])",
+     "_straddles(held & near[forest], near.sum(axis=1)[forest])",
+     "_straddles(held & near[forest[::-1]], near.sum(axis=1)[forest[::-1]])",
      [T_GOODNESS + "test_batched_verdicts_match_the_oracle_per_forest"]),
     ("r gap in the exact walk, finer", GOODNESS,
-     "if k <= level - params.r:", "if k <= level - params.r + 1:",
+     "tested = k <= level - params.r", "tested = k <= level - params.r + 1",
      [T_GOODNESS + "test_exact_good_probability_matches_reference"]),
     ("r gap in the exact walk, coarser", GOODNESS,
-     "if k <= level - params.r:", "if k <= level - params.r - 1:",
+     "tested = k <= level - params.r", "tested = k <= level - params.r - 1",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     # the exact walk's leaf weight and its budget of united cube-matrix rows
     ("leaf weight without its parent-map count", GOODNESS,
-     "prob / count * len(cubes)", "prob * len(cubes)",
+     "prob / count * good", "prob * good",
      [T_GOODNESS + "test_exact_good_probability_elbow"]),
     ("row budget one row early", GOODNESS,
      "if united > MAX_UNITED_ROWS:", "if united >= MAX_UNITED_ROWS:",
      [T_GOODNESS + "test_exact_walk_refuses_past_its_row_budget"]),
+    # the coarsest pair's count: each good map of the enumerated children
+    # counts once per choice of the others, the cubes are grouped by near set
+    # and enumerated children, and those children are the ones whose finer
+    # cube meets the near set
+    ("free children's option count dropped", GOODNESS,
+     "good += int((~bad).sum()) * (pair.count // len(maps))", "good += int((~bad).sum())",
+     [T_GOODNESS + "test_exact_good_probability_pinned_on_10_and_11_points"]),
+    ("group key without the near set", GOODNESS,
+     "groups.setdefault((near.tobytes(), kids.tobytes())", "groups.setdefault((kids.tobytes(),)",
+     [T_GOODNESS + "test_exact_good_probability_pinned_on_10_and_11_points"]),
+    ("relevant children read from all columns", GOODNESS,
+     "kids = held[:, near].any(axis=1)", "kids = held.any(axis=1)",
+     [T_GOODNESS + "test_exact_walk_counts_the_coarsest_pair_without_building_it"]),
     ("decay layer", GOODNESS,
      "(depth[:, None] <= np.array(eps_schedule) * scale)",
      "(depth[:, None] < np.array(eps_schedule) * scale)",
