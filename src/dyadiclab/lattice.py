@@ -167,12 +167,17 @@ class LatticeForest:
         _require_integer("point", point)
         if point not in self.hierarchy.grid(from_level).members:
             raise UnknownCenter(f"point {point} is not in the level-{from_level} grid")
-        out = [point]
-        p = point
+        return [column[0] for column in self._walk([point], from_level, to_level)]
+
+    def _walk(self, points: Sequence[int], from_level: int, to_level: int) -> list[list[int]]:
+        """The package's one ancestor walker: the columns [points, parents,
+        ...] from ``from_level`` down to ``to_level``, inclusive, each the one
+        before it mapped through its level's parent map.  The arguments are
+        not checked; ``chain`` checks them for a single point."""
+        columns = [list(points)]
         for lev in range(from_level, to_level, -1):
-            p = self.parents[lev][p]
-            out.append(p)
-        return out
+            columns.append(list(map(self.parents[lev].__getitem__, columns[-1])))
+        return columns
 
     @cached_property
     def cube_table(self) -> dict[int, tuple[dict[int, int], np.ndarray]]:
@@ -445,7 +450,16 @@ class ForestInvariantReport:
 def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
     """Parent uniqueness and the link rule, ancestor proximity, each cube
     against its definition (the union of its descendants' balls), and
-    diameter bounds."""
+    diameter bounds.
+
+    Each rule is tested for a whole level at once, by array masks, and only
+    what a mask flags is visited to be reported: per level pair, the
+    children captured twice, with no parent, with a parent outside the
+    coarse grid or with one that is not an option; per level, the (point,
+    ancestor) pairs past the ancestor bound, from one ``_walk`` of the
+    level's points; and per level, the cubes that differ from that union or
+    hold two or more points.  Violations are listed level by level, each
+    level's in the order of its children or centers."""
     h = forest.hierarchy
     space = h.space
     rep = ForestInvariantReport()
@@ -457,64 +471,73 @@ def check_forest_invariants(forest: LatticeForest) -> ForestInvariantReport:
         children = sorted(h.grid(lev).members)
         links = forest.parents.get(lev, {})
         cols, captured, options = _link_pair(space, children, h.grid(lev - 1))
-        col_of = {p: j for j, p in enumerate(cols.tolist())}
-        twice = (captured.sum(axis=1) > 1).tolist()
-        for i, child in enumerate(children):
+        twice = captured.sum(axis=1) > 1
+        # -1, no column, stands for a missing parent
+        parent = np.fromiter(map(links.get, children, itertools.repeat(-1)), np.intp,
+                             len(children))
+        inside = np.isin(parent, cols)
+        ok = inside.copy()  # and the parent is one of the child's options
+        ok[inside] = options[inside, np.searchsorted(cols, parent[inside])]
+        for i in np.flatnonzero(twice | ~ok).tolist():
+            child = children[i]
             if twice[i]:
                 rep.violations.append(f"child {child} at level {lev} captured by "
                                       f"{cols[captured[i]].tolist()}")
-            parent = links.get(child)
-            if parent is None:
+            if child not in links:
                 broken = True
                 rep.violations.append(f"child {child} at level {lev} has no parent")
-            elif parent not in col_of:
+            elif not inside[i]:
                 broken = True
                 rep.violations.append(f"child {child} at level {lev} has parent "
-                                      f"{parent}, outside the level-{lev - 1} grid")
-            elif not options[i, col_of[parent]]:
+                                      f"{links[child]}, outside the level-{lev - 1} grid")
+            elif not ok[i]:
                 rep.violations.append(f"child {child} at level {lev} has parent "
-                                      f"{parent}, not one of its options "
+                                      f"{links[child]}, not one of its options "
                                       f"{cols[options[i]].tolist()}")
     if broken:
-        return rep  # the chains and the cube table index every link
+        return rep  # the walk and the cube table index every link
 
-    # each point's chain down to the coarsest level: every descendant stays
-    # within 10x its ancestor's scale, tested for all of a level's (point,
-    # ancestor) pairs at once, and its ball goes into the ancestor's row of
-    # that level's union of descendant balls, which each cube must equal
+    # each point's ancestors down to the coarsest level, one walk per level:
+    # every descendant stays within 10x its ancestor's scale, tested for all
+    # of a level's (point, ancestor) pairs at once, and its ball goes into
+    # the ancestor's row of that level's union of descendant balls, which
+    # each cube must equal
     unions = {k: np.zeros_like(forest.cube_table[k][1]) for k in h.levels}
     for lev in h.levels:
         points = sorted(h.grid(lev).members)
         balls = _balls(space, points, h.scale(lev))
-        chains = np.array([forest.chain(z, lev, h.levels[0]) for z in points])
-        coarser = range(lev, h.levels[0] - 1, -1)  # the level of each chain column
-        scales = np.array([h.scale(k) for k in coarser[1:]])
-        dist = space.d[np.array(points)[:, None], chains[:, 1:]]
+        walk = np.array(forest._walk(points, lev, h.levels[0]))  # a row per level
+        coarser = range(lev, h.levels[0] - 1, -1)  # the level of each walk row
+        scales = np.array([h.scale(k) for k in coarser[1:]])[:, None]
+        dist = space.d[walk[0], walk[1:]]
         rep.max_ancestor_ratio = float((dist / scales).max(initial=rep.max_ancestor_ratio))
-        for j, i in zip(*(dist > ANCESTOR_FACTOR * scales).T.nonzero()):
+        for j, i in zip(*(dist > ANCESTOR_FACTOR * scales).nonzero()):
             rep.violations.append(f"descendant {points[i]} (level {lev}) is "
-                                  f"{dist[i, j].item()} from ancestor "
-                                  f"{chains[i, j + 1].item()} (level {coarser[j + 1]})")
-        for k, ancestors in zip(coarser, chains.T.tolist()):
+                                  f"{dist[j, i].item()} from ancestor "
+                                  f"{walk[j + 1, i].item()} (level {coarser[j + 1]})")
+        for k, ancestors in zip(coarser, walk.tolist()):
             rows = forest.cube_table[k][0]
-            unions[k] = _unite_children(unions[k], [rows[a] for a in ancestors], balls)
+            unions[k] = _unite_children(unions[k], list(map(rows.__getitem__, ancestors)),
+                                        balls)
 
     # each cube is that union; diameters stay bounded
     for k in h.levels:
         rows, held = forest.cube_table[k]
         scale = h.scale(k)
-        differs = (held != unions[k]).any(axis=1).tolist()
-        for center, i in rows.items():
+        centers = list(rows)
+        differs = (held != unions[k]).any(axis=1)
+        wide = held.sum(axis=1) > 1  # a one-point cube has diameter 0
+        for i in np.flatnonzero(differs | wide).tolist():
             if differs[i]:
-                rep.violations.append(f"cube {center}@{k} differs from the "
+                rep.violations.append(f"cube {centers[i]}@{k} differs from the "
                                       f"union of its descendants' balls")
-            idx = np.flatnonzero(held[i])
-            if idx.size > 1:  # a one-point cube has diameter 0
+            if wide[i]:
+                idx = np.flatnonzero(held[i])
                 diam = float(space.d[np.ix_(idx, idx)].max())
                 rep.max_diameter_ratio = max(rep.max_diameter_ratio, diam / scale)
                 if diam > DIAMETER_FACTOR * scale:
                     rep.violations.append(
-                        f"cube {center}@{k} has diameter {diam} "
+                        f"cube {centers[i]}@{k} has diameter {diam} "
                         f"> {DIAMETER_FACTOR} * {scale}")
     return rep
 
@@ -588,13 +611,14 @@ def scan_chain_separation(forest: LatticeForest) -> ChainScanReport:
             rep.vacuous += int((~near).sum())
             rows, held = forest.cube_table[top]
             centers = list(rows)
-            for x in np.flatnonzero(near).tolist():
-                for row in np.flatnonzero(held[:, x]).tolist():
-                    chain = forest.chain(centers[row], top, base_level)
-                    rep.verified += 1
-                    rep.violations.extend(
-                        (x, base_level, m, finer, coarser)
-                        for finer, coarser in _chain_violations(forest, chain, top))
+            # each near point x with each top cube that holds it, x first
+            hit, row = held[:, near].T.nonzero()
+            walk = forest._walk([centers[r] for r in row.tolist()], top, base_level)
+            rep.verified += len(row)
+            for x, chain in zip(np.flatnonzero(near)[hit].tolist(), zip(*walk)):
+                rep.violations.extend(
+                    (x, base_level, m, finer, coarser)
+                    for finer, coarser in _chain_violations(forest, list(chain), top))
     return rep
 
 

@@ -205,12 +205,19 @@ def validate_metric(matrix, points: Sequence[str] | None = None) -> FiniteMetric
         raise DuplicatePoint(*divmod(int(dup[0]), n))
     # A violation (i, j, k) implies (k, j, i) on a symmetric matrix, so the
     # smallest one has i < k and only the columns k > i are tested.  j == i
-    # and k == j cannot fire on a zero diagonal.
+    # and k == j cannot fire on a zero diagonal.  Row c of sums holds
+    # dist(k, j) + dist(i, j), k = i + 1 + c, over every j: on a symmetric
+    # matrix, and as IEEE addition commutes, the very sums dist(i, j) +
+    # dist(j, k) of the definition, so row i fires on its least sum per k
+    # exactly when some triple (i, j, k) does, and only then is the
+    # element-wise matrix built to find the witness.
+    buf = np.empty((n, n))
     for i in range(n - 1):
-        tail = d[:, i + 1:]
-        # bad[j, c]: dist(i, k) > dist(i, j) + dist(j, k) with k = i + 1 + c
-        bad = tail[i] > d[i][:, None] + tail
-        if bad.any():
+        sums = np.add(d[i + 1:], d[i], out=buf[:n - 1 - i])
+        if (d[i, i + 1:] > sums.min(axis=1)).any():
+            tail = d[:, i + 1:]
+            # bad[j, c]: dist(i, k) > dist(i, j) + dist(j, k) with k = i + 1 + c
+            bad = tail[i] > d[i][:, None] + tail
             j, c = divmod(int(bad.argmax()), n - 1 - i)
             k = i + 1 + c
             raise TriangleViolation(i, j, k, float(d[i, k] - (d[i, j] + d[j, k])))

@@ -750,6 +750,42 @@ def test_forest_invariants_report_far_ancestor():
         want.violations, want.max_ancestor_ratio, want.max_diameter_ratio)
 
 
+def test_forest_invariants_report_every_kind_at_once():
+    """One hand-built three-level forest that breaks every rule the check
+    tests.  At level 1, point 3, 30 away, is linked to 0, which is no option
+    of it; it is then 30 from its level-0 ancestor at levels 1 and 2, and
+    makes cube 0@0 30 wide.  At level 2, point 2 sits within a quarter of
+    the level-1 scale of both 0 and 1.  The cube table is the forest's own
+    but for cube 1@1, which also holds point 2: it still holds its center
+    and nests in its parent's cube, so the reference check, which predates
+    the definition check, reports all but that line."""
+    space = dl.space_from_coords([[0.0], [1 / 32], [1 / 64], [30.0]])
+    hierarchy = GridHierarchy(space=space, delta=0.1, levels=(0, 1, 2), grids={
+        0: Grid(scale=1.0, members=frozenset({0})),
+        1: Grid(scale=0.1, members=frozenset({0, 1, 3})),
+        2: Grid(scale=0.01, members=frozenset({0, 1, 2, 3}))})
+    forest = dl.LatticeForest(hierarchy=hierarchy, parents={
+        1: {0: 0, 1: 0, 3: 0}, 2: {0: 0, 1: 1, 2: 0, 3: 3}})
+    rows, held = forest.cube_table[1]
+    held = held.copy()
+    held[rows[1], 2] = True
+    forest.__dict__["cube_table"] = {**forest.cube_table, 1: (rows, held)}
+    differs = "cube 1@1 differs from the union of its descendants' balls"
+    rep = dl.check_forest_invariants(forest)
+    assert rep.violations == [
+        "child 3 at level 1 has parent 0, not one of its options []",
+        "child 2 at level 2 captured by [0, 1]",
+        "descendant 3 (level 1) is 30.0 from ancestor 0 (level 0)",
+        "descendant 3 (level 2) is 30.0 from ancestor 0 (level 0)",
+        "cube 0@0 has diameter 30.0 > 21.0 * 1.0",
+        differs]
+    want = reference_check_forest_invariants(forest)
+    assert (want.violations, want.max_ancestor_ratio, want.max_diameter_ratio) == (
+        [v for v in rep.violations if v != differs], rep.max_ancestor_ratio,
+        rep.max_diameter_ratio)
+    assert rep.max_ancestor_ratio == rep.max_diameter_ratio == 30.0
+
+
 def test_forest_invariants_bounds_are_closed():
     """Point 1 linked, outside its options, to the level-0 point 0: exactly
     10 * scale(0) away it meets the ancestor bound, and exactly 21 * scale(0)
@@ -860,6 +896,30 @@ def test_forest_invariants_match_reference():
             want = reference_check_forest_invariants(forest)
             assert (got.violations, got.max_ancestor_ratio, got.max_diameter_ratio) == (
                 want.violations, want.max_ancestor_ratio, want.max_diameter_ratio)
+
+
+def test_invariants_and_chain_scan_walk_once_per_level(decay_probe, monkeypatch):
+    """The ancestors come from the one walker, a batch at a time: the
+    invariants check walks each level's points in one ``_walk`` call, not one
+    per point, and the chain scan walks the top cubes that hold its near
+    points once per (base level, span)."""
+    calls = []
+    walk = dl.LatticeForest._walk
+
+    def counting(forest, points, from_level, to_level):
+        calls.append((len(points), from_level, to_level))
+        return walk(forest, points, from_level, to_level)
+
+    monkeypatch.setattr(dl.LatticeForest, "_walk", counting)
+    forest = shared_stream_forest(decay_probe, 0.001, 0, seed=13)
+    h = forest.hierarchy
+    assert dl.check_forest_invariants(forest).ok
+    assert calls == [(len(h.grid(lev).members), lev, h.levels[0]) for lev in h.levels]
+    calls.clear()
+    scan = dl.scan_chain_separation(forest)
+    assert [call[1:] for call in calls] == [
+        (base + m, base) for base in h.levels for m in range(1, h.finest_level - base + 1)]
+    assert sum(call[0] for call in calls) == scan.verified > 0
 
 
 # --- chain separation -------------------------------------------------------------------
@@ -1310,10 +1370,12 @@ def test_chain_level_guard_messages(l3):
     top = forest.hierarchy.finest_level
     assert top >= 1
     outside = f"^level {top + 1} not present in the hierarchy$"
-    with pytest.raises(InvalidParams, match=outside):
-        forest.chain(0, top + 1, 0)
-    with pytest.raises(InvalidParams, match="^ancestor level must be at most the point's level$"):
-        forest.chain(0, 0, top)
+    for walk in (forest.chain, forest.ancestor):
+        with pytest.raises(InvalidParams, match=outside):
+            walk(0, top + 1, 0)
+        with pytest.raises(InvalidParams,
+                           match="^ancestor level must be at most the point's level$"):
+            walk(0, 0, top)
 
 
 # --- exact outcome enumeration ------------------------------------------------------------

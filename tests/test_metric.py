@@ -54,6 +54,37 @@ def test_triangle_violation_states_a_rounding_excess():
     assert 0.8 - (0.7 + 0.1) == np.spacing(0.7 + 0.1)
 
 
+def test_triangle_violation_only_in_the_last_row_pair():
+    """One pair (n - 2, n - 1) of a 12-point cloud stretched past its
+    shortest two-hop path and short of the next: (n - 2, j, n - 1) and its
+    mirror are the only violating triples, and the row scan reaches its last
+    row to report the first."""
+    d = dl.space_from_coords(np.random.default_rng(7).uniform(0, 10, size=(12, 2))).d.copy()
+    a, b = len(d) - 2, len(d) - 1
+    hops = d[a] + d[:, b]
+    hops[[a, b]] = np.inf
+    j = int(hops.argmin())
+    d[a, b] = d[b, a] = (hops[j] + np.sort(hops)[1]) / 2
+    assert triangle_violations(d).tolist() == [[a, j, b], [b, j, a]]
+    got = outcome(dl.validate_metric, d)
+    assert got == outcome(reference_validate_metric, d)
+    assert got == ("TriangleViolation",
+                   str(TriangleViolation(a, j, b, float(d[a, b] - (d[a, j] + d[j, b])))))
+
+
+def test_triangle_equalities_of_collinear_grid_points_pass():
+    """Collinear grid points make triangles that are equalities bit for bit,
+    dist(i, k) == dist(i, j) + dist(j, k) with i, j, k distinct; the strict
+    test passes them."""
+    for space in (dl.make_space("grid_points", shape=(8,)),
+                  dl.make_space("grid_points", shape=(4, 3), spacing=0.5)):
+        d = space.d
+        equal = d[:, None, :] == d[:, :, None] + d[None, :, :]
+        i, j, k = np.indices(equal.shape)
+        assert (equal & (i != j) & (j != k) & (i != k)).sum() > 0
+        assert outcome(dl.validate_metric, d) == ("ok", d.tolist())
+
+
 def test_asymmetric_matrix():
     with pytest.raises(AsymmetricMatrix):
         dl.validate_metric([[0, 1], [2, 0]])
@@ -671,14 +702,16 @@ def test_validate_metric_matches_reference():
                      "TriangleViolation"}
 
 
-def late_edit_matrix(rng: np.random.Generator, triangle_only: bool) -> np.ndarray:
-    """A Euclidean cloud of 30-80 points with one to four edits, each placed
-    in the later half of the rows, so that a scan must pass many valid rows
-    first.  With ``triangle_only``, two to four edits each stretch or shrink
-    one symmetric pair, which breaks the triangle inequality at several
-    triples: a stretched pair (i, j) only in rows i and j, a shrunk one in
-    rows anywhere."""
-    n = int(rng.integers(30, 81))
+def late_edit_matrix(rng: np.random.Generator, triangle_only: bool,
+                     sizes: tuple[int, int] = (30, 81)) -> np.ndarray:
+    """A Euclidean cloud of ``sizes`` points, a half-open range (30-80 by
+    default), with one to four edits, each placed in the later half of the
+    rows, so that a scan must pass many valid rows first.  With
+    ``triangle_only``, two to four edits each stretch or shrink one symmetric
+    pair, which breaks the triangle inequality at several triples: a
+    stretched pair (i, j) only in rows i and j, a shrunk one in rows
+    anywhere."""
+    n = int(rng.integers(*sizes))
     d = dl.space_from_coords(rng.uniform(0, 10, size=(n, 2))).d.copy()
     for _ in range(int(rng.integers(2, 5) if triangle_only else rng.integers(1, 5))):
         i, j = (int(x) for x in rng.integers(n // 2, n, size=2))
@@ -716,22 +749,27 @@ def test_validate_metric_matches_reference_on_late_edits():
 def test_triangle_witness_is_smallest_of_several_violations():
     """The witness is the lexicographically smallest of several violating
     triples, both when others share its first index and when they lie in
-    other rows."""
-    rng = np.random.default_rng(2026)
-    same_row = other_rows = late_row = 0
-    for _ in range(60):
-        d = late_edit_matrix(rng, triangle_only=True)
-        got = outcome(dl.validate_metric, d)
-        assert got == outcome(reference_validate_metric, d)
-        triples = triangle_violations(d)
-        if not len(triples):
-            assert got[0] == "ok"
-            continue
-        i, j, k = (int(x) for x in triples[0])
-        excess = float(d[i, k] - (d[i, j] + d[j, k]))
-        assert excess > 0
-        assert got == ("TriangleViolation", str(TriangleViolation(i, j, k, excess)))
-        same_row += int((triples[1:, 0] == i).any())
-        other_rows += int((triples[:, 0] != i).any())
-        late_row += int(i >= len(d) // 2)
-    assert same_row >= 20 and other_rows >= 40 and late_row >= 15
+    other rows: 60 clouds of 30-80 points, and 300 of 3-40 points from three
+    more seeds, where the last row pairs make up more of the matrix."""
+    for seed, sizes, draws, least in ((2026, (30, 81), 60, (20, 40, 15)),
+                                      (2027, (3, 41), 100, (35, 80, 30)),
+                                      (2028, (3, 41), 100, (35, 80, 30)),
+                                      (2029, (3, 41), 100, (35, 80, 30))):
+        rng = np.random.default_rng(seed)
+        same_row = other_rows = late_row = 0
+        for _ in range(draws):
+            d = late_edit_matrix(rng, triangle_only=True, sizes=sizes)
+            got = outcome(dl.validate_metric, d)
+            assert got == outcome(reference_validate_metric, d)
+            triples = triangle_violations(d)
+            if not len(triples):
+                assert got[0] == "ok"
+                continue
+            i, j, k = (int(x) for x in triples[0])
+            excess = float(d[i, k] - (d[i, j] + d[j, k]))
+            assert excess > 0
+            assert got == ("TriangleViolation", str(TriangleViolation(i, j, k, excess)))
+            same_row += int((triples[1:, 0] == i).any())
+            other_rows += int((triples[:, 0] != i).any())
+            late_row += int(i >= len(d) // 2)
+        assert all(c >= m for c, m in zip((same_row, other_rows, late_row), least))

@@ -48,6 +48,20 @@ console() {
   test "$code" -eq 2
   grep -q -- --eps-schedule "$tmp/err"
   if grep -q Traceback "$tmp/err"; then exit 1; fi
+  # a lattice on three levels: every check passes, exit 0
+  printf 'a,0,0\nb,0.05,0\nc,1,0\nd,1,0.3\n' > "$tmp/four.csv"
+  cli lattice --input "$tmp/four.csv" --delta 0.1 --seed 0 |
+    python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["data"]["invariants"]); sys.exit(not all(c["pass"] for c in r["checks"]))'
+  # dist(0,2) = 5 > 1 + 1: malformed input, exit 3, the triple named and no
+  # traceback
+  printf '{"points": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}\n' \
+    > "$tmp/triangle.json"
+  code=0
+  cli validate --input "$tmp/triangle.json" > "$tmp/out" 2> "$tmp/err" || code=$?
+  cat "$tmp/out" "$tmp/err"
+  test "$code" -eq 3
+  grep -qF 'dist(0,2) > dist(0,1) + dist(1,2) by 3.0' "$tmp/out"
+  if grep -q Traceback "$tmp/out" "$tmp/err"; then exit 1; fi
   # a goodness command's one run, serial and on a pool of 2 workers: the same
   # report bytes
   (unset DYADICLAB_WORKERS; cli goodness --input "$tmp/named.csv" --seed 0 --trials 200 \

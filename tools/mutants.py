@@ -237,6 +237,15 @@ MUTANTS = [
     ("diameter", LATTICE,
      "if diam > DIAMETER_FACTOR * scale:", "if diam >= DIAMETER_FACTOR * scale:",
      [T_LATTICE + "test_forest_invariants_bounds_are_closed"]),
+    # the invariants check visits only what its masks flag: a child captured
+    # twice whose parent is an option, and a one-point cube that differs
+    # from its union, must still be flagged
+    ("child mask without captured twice", LATTICE,
+     "np.flatnonzero(twice | ~ok)", "np.flatnonzero(~ok)",
+     [T_LATTICE + "test_forest_invariants_report_double_capture"]),
+    ("cube mask without differs", LATTICE,
+     "np.flatnonzero(differs | wide)", "np.flatnonzero(wide)",
+     [T_LATTICE + "test_forest_invariants_report_unnested_cube"]),
     ("rival gate", LATTICE,
      "near = depth < _widest_eps(h.delta, m) * h.scale(base_level)",
      "near = depth <= _widest_eps(h.delta, m) * h.scale(base_level)",
@@ -248,6 +257,11 @@ MUTANTS = [
     ("interior without the own row", LATTICE,
      "others = held.sum(axis=0) - held[rows[cube.center]]", "others = held.sum(axis=0)",
      [T_LATTICE + "test_tilde_single_cube_is_space"]),
+    # the triangle test by row minima is strict: the least two-hop sum per k
+    # includes dist(i, k) itself, through j == k
+    ("triangle row minimum", METRIC,
+     "d[i, i + 1:] > sums.min(axis=1)", "d[i, i + 1:] >= sums.min(axis=1)",
+     [T_METRIC + "test_triangle_equalities_of_collinear_grid_points_pass"]),
     ("occupancy", METRIC,
      "counts = (space.d < radius).sum(axis=1)", "counts = (space.d <= radius).sum(axis=1)",
      [T_METRIC + "test_max_ball_occupancy_examples"]),
