@@ -52,14 +52,18 @@ estimator, ``finish`` makes the rows of a chunk's matrix of rows and vector
 of coins (``_equalized_rows``).  ``_run`` runs jobs on one build, that of a
 trial's forest (``_trial_part``), in one ``mc.run_chunked`` call of
 ``mc._trial_chunk``: a public estimator runs its own job, and a ``goodness``
-command the jobs of its estimators, each on its own stream.  A chunk runs
-its jobs in one trial session: it draws each stream as if every trial built
-its own forest while building each distinct forest of the session once and
-computing each distinct row once per distinct forest (the bad-probability
-and really-good estimators' rows are one), in one call on the forests a
-block of trials builds, whose cube tables ``lattice`` then builds as one
-stack, and reads the draws of the trials it does not build from their
-streams' words in array math.  This module never names a session.
+command the jobs of its estimators, each on its own stream.  A chunk walks
+every job's trials together, in one trial session: it draws each stream as
+if every trial built its own forest while building each distinct forest of
+the session once, whichever job meets it first, and computing each distinct
+row once per distinct forest (the bad-probability and really-good
+estimators' rows are one), in one call per row function on the forests a
+block of trials needs, whose cube tables ``lattice`` then builds as one
+stack; it reads the draws of the trials it does not build from their
+streams' words in array math, one draw per memo node for every job.  This
+module never names a session.  The row cores walk a forest's ancestors with
+``LatticeForest._walk`` itself, once the level and the point have passed
+their checks.
 """
 from __future__ import annotations
 
@@ -240,7 +244,9 @@ def _verdicts(forests: Sequence[LatticeForest], level: int, center: int,
     tested = [n for n in forests[0].levels if n <= level - params.r]
     bad = np.zeros(len(forests), dtype=bool)
     steps = np.zeros((len(forests), len(tested)), dtype=bool)
-    chains = [f.chain(center, level, f.levels[0]) for f in forests] if tested else []
+    # the center's ancestors in each forest, from ``level`` down to the coarsest, unchecked:
+    # the level and the center have passed
+    chains = [f._walk([center], level, f.levels[0]) for f in forests] if tested else []
     for j, n in enumerate(tested):
         threshold = params.threshold(level, n)
         level_rows = [table[n][0] for table in tables]
@@ -250,7 +256,7 @@ def _verdicts(forests: Sequence[LatticeForest], level: int, center: int,
         near = _near(dist, threshold)
         straddled = _straddles(held & near[forest], near.sum(axis=1)[forest])
         bad |= np.bincount(forest, straddled, len(forests)) > 0
-        anc = np.cumsum(sizes) - sizes + [rows[chain[level - n]]
+        anc = np.cumsum(sizes) - sizes + [rows[chain[level - n][0]]
                                           for rows, chain in zip(level_rows, chains)]
         outside = ~held[anc] & (space.d[center] <= 2 * threshold)
         steps[:, j] = straddled[anc] & ~outside.any(axis=1)
@@ -311,8 +317,12 @@ def _decay_rows(forests: Sequence[LatticeForest], params: GoodnessParams, x: int
                 level: int, eps_schedule: tuple[float, ...]) -> np.ndarray:
     """Per forest, whether x lies in its level-``level`` cube's boundary
     layer of each width of the schedule: x is inside its own cube, so that
-    is x's depth, its distance to the cube's complement, at most eps * scale."""
-    owners = [f.ancestor(x, f.hierarchy.finest_level, level) for f in forests]
+    is x's depth, its distance to the cube's complement, at most eps * scale.
+    The level is checked first; x, a point of the space, lies in the finest
+    grid, so its ancestors are walked unchecked."""
+    hierarchy = forests[0].hierarchy
+    hierarchy._require_level(level)
+    owners = [f._walk([x], hierarchy.finest_level, level)[-1][0] for f in forests]
     inside = np.stack([held[rows[owner]] for (rows, held), owner
                        in zip((table[level] for table in _cube_tables(forests)), owners)])
     depth = np.where(inside, np.inf, forests[0].space.d[x]).min(axis=1)

@@ -10,13 +10,14 @@ refused, not truncated.
 
 Trial t of a run with master seed s draws from its own stream,
 ``trial_rng(s, t)``.  A chunk of trials takes its streams' states, the words
-of their PCG64 LCGs, from ``_trial_states`` in blocks of up to 4096 trials,
-each a (4, n) uint64 array of state and inc high and low words: a block
-comes from one pass of array math over NumPy's seeding hash and PCG64's
-seeding step when the entropy fits the hash's pool (s below 2**96 and t
-below 2**32, the shape of every ordinary run), and from ``trial_rng``
-itself otherwise; each block is built as the chunk reads it, and no more
-than one is held at once.
+of their PCG64 LCGs, from ``_trial_states`` in blocks of up to 4096
+columns, a span of trials of each job's seed in turn, each block a (4, n)
+uint64 array of state and inc high and low words.  The columns of every
+seed whose entropy fits the hash's pool (s below 2**96 and t below 2**32,
+the shape of every ordinary run) come from one pass of array math over
+NumPy's seeding hash and PCG64's seeding step, each column with its own
+seed's words; any other seed's come from ``trial_rng`` itself.  Each block
+is built as the chunk reads it, and no more than one is held at once.
 
 A run of trials is one ``run_chunked`` call on one build, the function that
 draws a trial's forest from its stream, and a list of jobs, one per
@@ -24,32 +25,39 @@ estimator: each job supplies its master seed, its rows of a list of forests,
 one per forest, and what its rows are, given one coin per trial drawn after
 the build (``finish``).  A ``goodness`` command makes one run of its three
 estimators' jobs, and a public estimator a run of its own job.  Each chunk
-of trials is one ``_trial_chunk`` call, which runs every job's trials in one
-trial session (``_Session``) made for that call, in the process that runs
-it; no session is ever sent to another process, and a run with workers has
-a process pool of its own.  A forest is a function of its drawn values, so
-the session keeps a memo of the draw paths of the trials built in it, keyed
-by the values drawn, with the forest at the end of each path and its row:
-the jobs of a chunk share its forests and, where their row functions are
-equal, their rows.  The memo pays only where draw paths repeat: a session
-records the probability of each path it enters, and while it has served no
-trial from the memo, a job stops its memo work once its trials left cannot
-expect one hit, or the memo's budget of paths is spent (``_expects_no_hit``),
-and builds each trial left straight from the generator, recording, entering
-and keeping nothing.  On the criterion-7 cascade cloud a path has
-probability about 1e-19, and a job stops after its first build; on the
-3-point elbow no session stops.  A block classifies the forests it builds
-together, in one row call after its walk, so the estimator's cube tables and
-verdicts run on the stack of them.  Each block's trials walk the memo
-together (``_walk``), group by group, on the draws their words make,
-computed in uint64 array math as NumPy computes them
-(``_Outputs``, ``_draw``): the outputs by jump-ahead from each state, Lemire's
-``integers`` on buffered 32-bit halves, the one draw a build may make, and the
-coin from a fresh output; no generator is called.  Whether NumPy draws as that
-math does is a fact of the process's NumPy, checked once per process
-(``_words_match``, on first use, not at import): if not, every block's walk
-stops at its root and every trial builds.  This module alone knows how NumPy
-turns a PCG64 state into draws.
+of trials is one ``_trial_chunk`` call, which walks every job's trials
+together in one trial session (``_Session``) made for that call, in the
+process that runs it; no session is ever sent to another process, and a
+run with workers has a process pool of its own.  A forest is a function of
+its drawn values, so the session keeps a memo of the draw paths of the
+trials built in it, keyed by the values drawn, with the forest at the end of
+each path, and the chunk keeps each leaf's row per row function: its jobs
+share its forests and, where their row functions are equal, their rows.
+Each block's trials, every job's at once, walk the memo together
+(``_walk``), group by group, on the draws their words make: one draw and
+one class split per memo node serve every job.  The draws are computed in
+uint64 array math as NumPy computes them (``_Outputs``, ``_draw``): the
+outputs by jump-ahead from each state, Lemire's ``integers`` on buffered
+32-bit halves, the one draw a build may make, and the coin from a fresh
+output, only for the jobs that draw one; no generator is called.  A refusal
+that the joint walk meets sends the chunk back to run its jobs one at a
+time, so a run raises the refusal that a run of each job in turn meets
+first.
+
+The memo pays only where draw paths repeat: a session records the
+probability of each path it enters, and while it has served no trial from
+the memo, a chunk stops its memo work once its trials left, of every job,
+cannot expect one hit, or the memo's budget of paths is spent
+(``_expects_no_hit``), and builds each trial left straight from the
+generator, recording, entering and keeping nothing.  On the criterion-7
+cascade cloud a path has probability about 1e-19, and a chunk stops after
+its first build; on the 3-point elbow no session stops.  A block classifies
+the forests it builds together, in one call per row function after its
+walk, so the estimator's cube tables and verdicts run on the stack of them.
+Whether NumPy draws as the word math does is a fact of the process's NumPy,
+checked once per process (``_words_match``, on first use, not at import): if
+not, every block's walk stops at its root and every trial builds.  This
+module alone knows how NumPy turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -226,21 +234,28 @@ def _pair(states: np.ndarray, t: int) -> tuple[int, int]:
     return s_hi << 64 | s_lo, i_hi << 64 | i_lo
 
 
-def _trial_states(master_seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """An iterator over blocks of up to ``_BLOCK`` trials of [lo, hi), each
-    the LCG words of ``trial_rng(master_seed, t)`` for its trials t, a (4, n)
-    uint64 array of rows state hi, state lo, inc hi, inc lo; a block is built
-    when it is read, and the seed and the indices are ints >= 0.
+def _trial_states(seeds: list[int], lo: int, hi: int) -> Iterator[np.ndarray]:
+    """An iterator over blocks of the trials [lo, hi) of each master seed:
+    a block holds a span of trials t of every seed in turn, at most
+    ``_BLOCK`` columns in all (one trial of each seed at least), each the
+    LCG words of ``trial_rng(seed, t)``, as a (4, n) uint64 array of rows
+    state hi, state lo, inc hi, inc lo; a block is built when it is read,
+    and the seeds and the indices are ints >= 0.
 
-    When the entropy fits SeedSequence's pool of 4 words, that is the seed is
-    below 2**96 and every t below 2**32, a block comes from one pass of array
-    math; otherwise from ``trial_rng`` itself."""
-    seed_words = _words(master_seed)
-    spans = ((t, min(t + _BLOCK, hi)) for t in range(lo, hi, _BLOCK))
-    if len(seed_words) >= _POOL or hi > 1 << 32:
-        return (_pack([_lcg(trial_rng(master_seed, t)) for t in range(*span)])
-                for span in spans)
-    return (_state_block(seed_words, *span) for span in spans)
+    The seeds whose entropy fits SeedSequence's pool of 4 words, a seed
+    below 2**96 with the span's indices below 2**32, take their columns from
+    one ``_state_block`` pass; any other seed's come from ``trial_rng``."""
+    span = max(1, _BLOCK // len(seeds))
+    for start in range(lo, hi, span):
+        end = min(start + span, hi)
+        batched = [seed for seed in seeds if len(_words(seed)) < _POOL and end <= 1 << 32]
+        block = _state_block(batched, start, end) if batched else None
+        if len(batched) < len(seeds):  # the other seeds' columns come from trial_rng
+            parts = iter(np.hsplit(block, len(batched)) if batched else [])
+            block = np.hstack([next(parts) if seed in batched else
+                               _pack([_lcg(trial_rng(seed, t)) for t in range(start, end)])
+                               for seed in seeds])
+        yield block
 
 
 def _pack(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -249,11 +264,18 @@ def _pack(pairs: list[tuple[int, int]]) -> np.ndarray:
                     dtype=np.uint64).T
 
 
-def _state_block(seed_words: list[int], lo: int, hi: int) -> np.ndarray:
-    """The states of trials [lo, hi) of the seed with these words, from one
-    array pass."""
-    entropy = np.array([[word] * (hi - lo) for word in seed_words] + [list(range(lo, hi))],
-                       dtype=np.uint32)
+def _state_block(seeds: list[int], lo: int, hi: int) -> np.ndarray:
+    """The states of trials [lo, hi) of each seed in turn, from one array
+    pass.  A column's entropy is its seed's words, then its trial's, padded
+    with zeros to the longest column: the pool reads a word past the end of
+    the entropy as a zero, so each column keeps its own stream whatever the
+    other seeds' word counts."""
+    n, words = hi - lo, [_words(seed) for seed in seeds]
+    entropy = np.zeros((max(map(len, words)) + 1, n * len(seeds)), dtype=np.uint32)
+    for j, seed_words in enumerate(words):
+        columns = slice(j * n, (j + 1) * n)
+        entropy[:len(seed_words), columns] = np.array(seed_words, dtype=np.uint32)[:, None]
+        entropy[len(seed_words), columns] = np.arange(lo, hi)
     pool = _seed_pool(entropy)
     # generate_state(4, uint64): 8 hashed words, cycling the pool
     words = _hash(np.tile(pool, (2, 1)), *_GENERATE_STEPS).astype(np.uint64)
@@ -290,12 +312,21 @@ class _Outputs:
     jumped to as A * state + C * inc, for every k of a read at once.  The
     table holds a row of outputs per trial, little-endian, so that its 32-bit
     view holds a row of draws per trial; a read past its end grows it to
-    twice the outputs read, at least twofold, and to ``_MIN_OUTPUTS`` or more."""
+    twice the outputs read, at least twofold, and to ``_MIN_OUTPUTS`` or more.
+    A coin reads one output of each of its trials, computed for them alone."""
 
     def __init__(self, states: np.ndarray):
-        self.states = states[:, None, :]
+        self.states = states
         self.table = np.empty((states.shape[1], 0), dtype="<u8")
         self.draws = self.table.view("<u4")
+
+    def _output(self, k: np.ndarray, trials) -> np.ndarray:
+        """Output k of each of the trials, an index into the block; ``k`` is
+        an int64 array that broadcasts against them."""
+        a_hi, a_lo, c_hi, c_lo = _jumps(1 << (int(k.max()) + 1).bit_length())[:, k + 1]
+        s_hi, s_lo, i_hi, i_lo = self.states[:, trials]
+        state = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(c_hi, c_lo, i_hi, i_lo))
+        return _xsl_rr(*state)
 
     def _cover(self, k: int) -> None:
         """Make the table hold output k."""
@@ -303,11 +334,8 @@ class _Outputs:
         if k >= have:
             size = max(2 * (k + 1), 2 * have, -(-_MIN_OUTPUTS // len(self.table)))
             # a row per output and a column per trial, so that the loops run along the trials
-            a_hi, a_lo, c_hi, c_lo = _jumps(1 << size.bit_length())[:, have + 1:size + 1, None]
-            s_hi, s_lo, i_hi, i_lo = self.states
-            state = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(c_hi, c_lo, i_hi, i_lo))
-            added = np.asarray(_xsl_rr(*state), dtype="<u8")
-            self.table = np.concatenate([self.table, added.T], axis=1)
+            added = self._output(np.arange(have, size)[:, None], slice(None))
+            self.table = np.concatenate([self.table, np.asarray(added, dtype="<u8").T], axis=1)
             self.draws = self.table.view("<u4")
 
     def halves(self, trials: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -320,9 +348,7 @@ class _Outputs:
     def coins(self, trials: np.ndarray, h: np.ndarray) -> np.ndarray:
         """``random()`` after h draws: from a fresh output, output (h + 1) // 2,
         with a buffered half left buffered."""
-        k = (h + 1) >> 1
-        self._cover(int(k.max()))
-        return (self.table[trials, k].astype(np.uint64) >> _U11).astype(np.float64) * 2.0 ** -53
+        return (self._output((h + 1) >> 1, trials) >> _U11).astype(np.float64) * 2.0 ** -53
 
 
 @lru_cache(maxsize=1024)
@@ -373,13 +399,14 @@ def _radix(bounds: tuple) -> np.ndarray:
 
 def _classes(trials: np.ndarray, values: np.ndarray,
              radix: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    """The trials by their column of values, as (values, trials) pairs, each
-    class ascending and the classes in order of their lowest trial;
-    ``radix`` packs a column into keys."""
+    """The trials, ascending, by their column of values, as (values, trials)
+    pairs, each class ascending and the classes in order of their lowest
+    trial; ``radix`` packs a column into keys, and a stable sort on them
+    keeps each class in the trials' order."""
     if len(trials) < 2:
         return [(tuple(values[:, 0].tolist()), trials)] if len(trials) else []
     keys = radix @ values
-    order = np.lexsort((trials, *keys))
+    order = np.lexsort(keys)
     keys, trials = keys[:, order], trials[order]
     starts = np.flatnonzero(np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)]))
     ends = [*starts[1:].tolist(), len(trials)]
@@ -442,7 +469,7 @@ def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
 
 
 _MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses build unrecorded
-_ROW_BATCH = 16  # the most forests a job classifies in one row call
+_ROW_BATCH = 16  # the most forests a row function classifies in one call while a block builds
 # the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
 # 9 draws, an odd count, so the coin after them steps over a buffered half word
 _PROBE = ((1, 3, 2, 1, 6, 5), (6, 5, 4, 3, 2, 1))
@@ -499,9 +526,9 @@ def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
 
 
 class _Session:
-    """A trial session: the draw memo of the jobs of one trial chunk, as a
-    tree of the draw paths of the trials built in it, whose nodes are
-    numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
+    """A trial session: the draw memo of one trial chunk, whose jobs walk it
+    together, as a tree of the draw paths of the trials built in it, whose
+    nodes are numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
     call made after the values that lead to node v (None until a build makes
     one), ``builds[v]`` the forest the build made at the end of a complete
     path (None elsewhere), and ``children[v, values]`` the node that those
@@ -509,28 +536,25 @@ class _Session:
     It also holds the count of paths entered, at most ``_MISS_BUDGET``, their
     probability mass (the sum over paths of the product of 1/b over their
     integers bounds b: each value is a uniform, independent draw of Lemire's
-    method, so this is the chance that a trial follows one of them), whether
-    a walk has served a trial from the memo, and, per row function and its
-    arguments, the row of each leaf's forest (``leaf_rows``).
+    method, so this is the chance that a trial follows one of them), and
+    whether a walk has served a trial from the memo.
 
-    A session lives for one trial chunk, whose jobs share it, in the
-    process that runs the chunk.  ``_MISS_BUDGET`` bounds the forests a
-    session holds, and a job that stops its memo work after its first build
-    adds one."""
+    A session lives for one trial chunk, in the process that runs the
+    chunk.  ``_MISS_BUDGET`` bounds the forests a session holds, and a
+    chunk that stops its memo work after its first build adds one."""
 
     def __init__(self):
         self.calls, self.builds, self.children = [None], [None], {}
         self.paths, self.mass, self.served = 0, 0.0, False
-        self.leaf_rows = {}
 
     def full(self) -> bool:
         """Whether the memo holds its budget of paths, ``_MISS_BUDGET``."""
         return self.paths >= _MISS_BUDGET
 
     def stops(self, left: int) -> bool:
-        """Whether a job with ``left`` trials still to build stops its
-        memo work: never once the session has served a trial, and else once
-        ``_expects_no_hit``."""
+        """Whether a chunk with ``left`` trials still to build, of all its
+        jobs, stops its memo work: never once the session has served a
+        trial, and else once ``_expects_no_hit``."""
         return not self.served and _expects_no_hit(self, left)
 
     def enter(self, path: list, forest) -> int:
@@ -554,9 +578,9 @@ class _Session:
 
 
 def _expects_no_hit(session: _Session, left: int) -> bool:
-    """Whether ``left`` more trials of a job cannot expect one memo hit in
-    a session that has served none: its budget is spent, or, with mass m on
-    its paths, the ``left * m`` hits expected on them and the
+    """Whether ``left`` more trials of a chunk cannot expect one memo hit
+    in a session that has served none: its budget is spent, or, with mass m
+    on its paths, the ``left * m`` hits expected on them and the
     ``C(left, 2) * m / paths`` among the trials themselves (the mean mass of
     a path entered estimates the chance that two trials draw alike) sum
     below 1.  A session with no path has no estimate, and expects a hit."""
@@ -568,104 +592,122 @@ def _expects_no_hit(session: _Session, left: int) -> bool:
 
 def _key(f: partial) -> tuple:
     """The function and arguments of a partial of hashable arguments, by
-    which a session's ``leaf_rows`` match row functions."""
+    which a chunk's jobs with equal row functions share their rows."""
     return f.func, f.args, tuple(f.keywords.items())
 
 
 def _trial_chunk(payload, lo: int, hi: int) -> list[np.ndarray]:
     """Rows lo..hi-1 of each job of a run, with payload (build, jobs): each
-    job (seed, row, finish) is one estimator's, and its rows are those of
-    ``_job_rows``.  The jobs run in turn, in one ``_Session`` made for this
-    call, in the process that runs it, so they share the forests their
-    trials draw alike and, with equal row functions, their rows; no session
-    is ever sent to another process."""
+    job (seed, row, finish) is one estimator's, and its rows are those that
+    ``_chunk_rows`` gives it in a ``_Session`` made for this call, in the
+    process that runs it; no session is ever sent to another process.
+
+    The jobs' trials walk the memo together, so the refusal that the joint
+    pass meets first need not be the one that a run of each job in turn
+    meets first: on a ``DyadicLabError`` the chunk runs its jobs again, one
+    at a time, each a chunk of its own, and so raises the refusal of the
+    first job that refuses."""
     build, jobs = payload
-    session = _Session()
-    return [_job_rows(session, build, seed, row, finish, lo, hi) for seed, row, finish in jobs]
+    try:
+        return _chunk_rows(_Session(), build, jobs, lo, hi)
+    except DyadicLabError:
+        if len(jobs) == 1:
+            raise
+        return [_trial_chunk((build, [job]), lo, hi)[0] for job in jobs]
 
 
-def _job_rows(session: _Session, build, seed: int, row, finish, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a job in a session: per trial t, the row of the
-    forest that ``build`` makes from a generator on the stream of
-    ``trial_rng(seed, t)``, where ``row(forests)`` gives one int row per
-    forest of a list of forests on the build's space, and the rows
-    ``finish(rows, xi)`` of the matrix of those rows and the vector of coins
-    xi, each the stream's ``random()`` after the build's draws (the rows
-    themselves when ``finish`` is None).  The build, a partial of hashable
-    arguments, may draw only through the generator's ``integers(bounds)``:
-    the recorder logs no other draw, so a build that drew otherwise would
-    share memo leaves between trials that drew apart.
+def _chunk_rows(session: _Session, build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
+    """Rows lo..hi-1 of each job in a session: per trial t of job (seed,
+    row, finish), the row of the forest that ``build`` makes from a
+    generator on the stream of ``trial_rng(seed, t)``, where ``row(forests)``
+    gives one int row per forest of a list of forests on the build's space,
+    and the rows ``finish(rows, xi)`` of the matrix of those rows and the
+    vector of coins xi, each the stream's ``random()`` after the build's
+    draws (the rows themselves when ``finish`` is None).  The build, a
+    partial of hashable arguments, may draw only through the generator's
+    ``integers(bounds)``: the recorder logs no other draw, so a build that
+    drew otherwise would share memo leaves between trials that drew apart.
 
-    The job reads its trials' PCG64 states, the words of their LCGs, from
-    ``_trial_states`` a block at a time, checking the first against
-    ``trial_rng(seed, lo)``.
+    The chunk reads its trials' PCG64 states, the words of their LCGs, from
+    ``_trial_states`` a block at a time: a block's columns are a span of
+    trials of each job in job order, and the first trial of each job is
+    checked against ``trial_rng(seed, lo)``.
 
     A build is a function of its drawn values, and the bounds of each draw
     call are a function of the values before it.  So the session keeps a
-    memo of its trials' draw paths, for every job run in it: a tree whose
-    nodes hold the next draw call after a prefix of drawn values, and a leaf
-    at the end of each complete path, which holds the path's forest; the
-    session keeps each leaf's row, per row function and its arguments.  Each
-    block's trials walk the memo together, group by group, on the draws
-    their words make (``_walk``); a trial that reaches a leaf builds
-    nothing, sets no state, takes the leaf's row, and takes xi from the words
-    that follow.  Any other, and any trial whose walk meets a rejected
-    integers draw or a bound above 2**32, sets the generator state its words
-    stand for, with no buffered half word, on one reused generator, builds,
-    and takes xi from the generator.  While the
-    memo holds fewer than ``_MISS_BUDGET`` paths it builds through the
-    recorder that shares the generator's bit generator and enters its path,
-    and the trials that drew the values it drew then walk on along that
+    memo of the draw paths of the trials built in it: a tree whose nodes
+    hold the next draw call after a prefix of drawn values, and a leaf at
+    the end of each complete path, which holds the path's forest.  The chunk
+    keeps each leaf's row, per row function and its arguments, so that jobs
+    with equal row functions share their rows.  Each block's trials, every
+    job's at once, walk the memo together, group by group, on the draws
+    their words make (``_walk``): one draw and one class split per memo node
+    serve every job.  A trial that reaches a leaf builds nothing, sets no state,
+    takes the leaf's row, and, where its job has a ``finish``, takes xi from
+    the words that follow.  Any other, and any trial whose walk meets a
+    rejected integers draw or a bound above 2**32, sets the generator state
+    its words stand for, with no buffered half word, on one reused
+    generator, builds, and takes xi from the generator.  While the memo
+    holds fewer than ``_MISS_BUDGET`` paths it builds through the recorder
+    that shares the generator's bit generator and enters its path, and the
+    trials that drew the values it drew, of any job, then walk on along that
     path; later misses build on the generator itself.
 
-    The job stops its memo work, at its start or after a path entered,
+    The chunk stops its memo work, at its start or after a path entered,
     while the session has served no trial, once ``_expects_no_hit`` for the
-    trials it has still to build (``_Session.stops``): its budget is spent,
-    or the paths entered make less than one hit expected.  A stopped job's
-    walks draw no more, and it builds each trial left on the plain
+    trials of every job it has still to build (``_Session.stops``): its
+    budget is spent, or the paths entered make less than one hit expected.
+    A stopped walk draws no more, and builds each trial left on the plain
     generator, taking xi from it: it records no draw, enters no path and
     keeps no forest, and its builds are unentered.  A session that has
     served a trial never stops.
 
-    A build computes no row: after the block's walk, one ``row`` call takes
-    every forest the block built that needs one, each new leaf's once and each
-    unentered build's, and the forest of any leaf served whose row the
-    session lacks.  A call takes at most ``_ROW_BATCH`` forests, so a block
-    that builds more makes a call each time that many wait, which bounds
-    what a call holds.  So a session builds each distinct forest about once,
-    whichever of its jobs meets it first, computes each row once per
-    distinct leaf, in one call per block, and draws every stream as if each
-    trial built its own forest.
+    A build computes no row: after the block's walk, one call of each
+    distinct row function, in job order, takes every forest the block built
+    that needs its row, each new leaf's once and each unentered build's, and
+    the forest of any leaf served to its jobs whose row it lacks, whichever
+    job built it.  While the block builds, a row function classifies its
+    forests each time ``_ROW_BATCH`` of them wait, which bounds what a call
+    holds of the unentered builds.  So a session builds each distinct forest
+    about once, whichever job meets it first, computes each row once per
+    distinct leaf and row function, and draws every stream as if each trial
+    built its own forest.
 
-    Every block hands its trials to ``miss`` through one ``_walk``, which
-    is stopped, and so builds every trial in ascending order and reads no
-    word, while the job is stopped or the process's NumPy does not draw as
-    the word math does (``_words_match``, computed once per process): a
-    NumPy whose draws move costs speed, not correctness.
+    The walk is stopped, and so builds every trial in ascending order and
+    reads no word, while the chunk is stopped or the process's NumPy does
+    not draw as the word math does (``_words_match``, computed once per
+    process): a NumPy whose draws move costs speed, not correctness.
     """
-    rng = trial_rng(seed, lo)
-    blocks = _trial_states(seed, lo, hi)
+    blocks = _trial_states([seed for seed, _, _ in jobs], lo, hi)
     first = next(blocks)
-    if _lcg(rng) != _pair(first, 0):
+    rngs = [trial_rng(seed, lo) for seed, _, _ in jobs]
+    if any(_lcg(rng) != _pair(first, j * (first.shape[1] // len(jobs)))
+           for j, rng in enumerate(rngs)):
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
+    rng = rngs[0]
     recorder = _recorder_type()(rng.bit_generator)
-    leaf_rows, rows = session.leaf_rows.setdefault(_key(row), {}), []
-    left = hi - lo  # the job's trials not yet built, while no trial is served
+    # each job's row function, as the first job's whose row function equals it, so that
+    # equal ones share their rows of the leaves
+    keys = [_key(row) for _, row, _ in jobs]
+    kinds, leaf_rows = [keys.index(key) for key in keys], [{} for _ in jobs]
+    parts, left = [[] for _ in jobs], len(jobs) * (hi - lo)  # left: trials not yet built
     stopped = session.stops(left)
 
     for states in itertools.chain([first], blocks):
-        n = states.shape[1]
-        # the forest of each row to compute, keyed by its leaf, or by ~t for trial t's
-        # unentered build; the unentered builds' rows, by key; (key, t, xi) per trial built
-        todo, loose, built = {}, {}, []
+        n = states.shape[1] // len(jobs)  # job j's trials are the columns j*n .. (j+1)*n - 1
+        coined = np.repeat([finish is not None for *_, finish in jobs], n)
+        # each column's leaf, or ~t for column t's unentered build, and its coin; per row
+        # function, the forests it has to classify, by key; the unentered builds' rows
+        leaves, xi = np.empty(states.shape[1], dtype=np.int64), np.zeros(states.shape[1])
+        todo, loose = [{} for _ in jobs], {}
 
-        def classify():
-            """The rows of the forests in ``todo``, in one call."""
-            if todo:
-                for key, values in zip(todo, row(list(todo.values())).tolist()):
-                    (leaf_rows if key >= 0 else loose)[key] = values
-                todo.clear()
+        def classify(r: int) -> None:
+            """The rows of the forests a row function has to classify, in one call."""
+            if todo[r]:
+                for key, values in zip(todo[r], jobs[r][1](list(todo[r].values())).tolist()):
+                    (leaf_rows[r] if key >= 0 else loose)[key] = values
+                todo[r].clear()
 
         def miss(t: int) -> bool:
             nonlocal left, stopped
@@ -678,28 +720,38 @@ def _job_rows(session: _Session, build, seed: int, row, finish, lo: int, hi: int
                 forest = build(recorder)
                 key = session.enter(recorder.path, forest)
                 stopped = session.stops(left)
-            built.append((key, t, rng.random() if finish is not None else 0.0))
-            if key not in leaf_rows:
-                todo.setdefault(key, forest)
-            if len(todo) >= _ROW_BATCH:
-                classify()
+            leaves[t] = key
+            if coined[t]:  # a coin from the generator, not from the words
+                xi[t], coined[t] = rng.random(), False
+            r = kinds[t // n]
+            if key not in leaf_rows[r]:
+                todo[r].setdefault(key, forest)
+            if len(todo[r]) >= _ROW_BATCH:
+                classify(r)
             return key >= 0 and not stopped
 
         outputs = _Outputs(states)
-        served, pos = _walk(session, outputs, np.arange(n), miss,
+        served, pos = _walk(session, outputs, np.arange(len(leaves)), miss,
                             lambda: stopped or not _words_match())
-        for leaf, _ in served:  # a leaf another job of the session built
-            if leaf not in leaf_rows:
-                todo.setdefault(leaf, session.builds[leaf])
-        classify()
-        filled = [(loose[key] if key < 0 else leaf_rows[key], t, xi) for key, t, xi in built]
-        filled += [(leaf_rows[leaf], trials, 0.0 if finish is None
-                    else outputs.coins(trials, pos[trials])) for leaf, trials in served]
-        matrix, xi = np.empty((n, len(filled[0][0])), dtype=np.int64), np.empty(n)
-        for values, trials, coins in filled:
-            matrix[trials], xi[trials] = values, coins
-        rows.append(matrix if finish is None else finish(matrix, xi))
-    return np.concatenate(rows)
+        for leaf, trials in served:
+            leaves[trials] = leaf
+        if (done := np.flatnonzero(coined)).size:  # the trials served whose job has a finish
+            xi[done] = outputs.coins(done, pos[done])
+        for j, (r, (*_, finish)) in enumerate(zip(kinds, jobs)):
+            # the job's distinct keys, ascending, and each column's index among them, from
+            # a mask over every key of the block: ~t shifted into [0, N), leaf v to N + v
+            keys = leaves[j * n:(j + 1) * n] + len(leaves)
+            present = np.zeros(len(leaves) + len(session.builds), dtype=bool)
+            present[keys] = True
+            seen, inverse = np.flatnonzero(present) - len(leaves), np.cumsum(present)[keys] - 1
+            # the leaves served whose rows the function lacks, built by any job
+            todo[r].update((leaf, session.builds[leaf]) for leaf in seen[seen >= 0].tolist()
+                           if leaf not in leaf_rows[r])
+            classify(r)
+            rows = [(leaf_rows[r] if key >= 0 else loose)[key] for key in seen.tolist()]
+            matrix = np.array(rows, dtype=np.int64)[inverse]
+            parts[j].append(matrix if finish is None else finish(matrix, xi[j * n:(j + 1) * n]))
+    return [np.concatenate(rows) for rows in parts]
 
 
 def worker_count() -> int:

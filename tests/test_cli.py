@@ -629,19 +629,20 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
 
 def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path):
     """On the criterion-7 cloud a trial's draw path has probability about
-    1e-19, so no trial of a command can expect a memo hit.  The session of
-    its one run enters its first trial's path, keeps that one forest, and
-    stops; the next job stops before it builds.  With the stop never firing,
-    the session enters and keeps all 120 forests of the two jobs run (exact
-    enumeration is refused), and the report bytes are the same."""
+    1e-19, so no trial of a command can expect a memo hit.  Its one run is
+    one chunk, whose two jobs (exact enumeration is refused) walk in one
+    session: it enters the first trial's path, keeps that one forest, and
+    stops before any other trial of either job builds.  With the stop never
+    firing, the session enters and keeps all 120 forests of the two jobs,
+    and the report bytes are the same."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
     cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
                           branching=3, ratio=0.1, spread=(0.25, 0.45))
     path = tmp_path / "cloud.json"
     dl.save_space(cloud, str(path))
-    runs, sessions, job_rows = count_runs(monkeypatch), [], mc._job_rows
-    monkeypatch.setattr(mc, "_job_rows", lambda session, *args: sessions.append(session)
-                        or job_rows(session, *args))
+    runs, sessions, chunk_rows = count_runs(monkeypatch), [], mc._chunk_rows
+    monkeypatch.setattr(mc, "_chunk_rows", lambda session, build, jobs, *args: sessions.append(
+        (session, len(jobs))) or chunk_rows(session, build, jobs, *args))
     reports = {}
     for stop in ("rule", "never"):
         if stop == "never":
@@ -652,12 +653,36 @@ def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path)
                                            "--trials", "60", "--seed", "0"], f"{stop}.json")
         assert code in (0, 1)
         reports[stop] = out.read_bytes()
-        assert runs == [60] and len(sessions) == 2
-        shared, = set(sessions)
+        assert runs == [60] and [jobs for _, jobs in sessions] == [2]
+        (shared, _), = sessions
         kept = sum(build is not None for build in shared.builds)
         assert kept == shared.paths
         assert kept <= 1 if stop == "rule" else kept == 120
     assert reports["rule"] == reports["never"]
+
+
+def test_goodness_command_walks_its_jobs_together(monkeypatch, tmp_path, elbow_json):
+    """A seed-0 elbow command's three jobs take their states from one array
+    pass and walk the memo together: 1 ``_walk``, 1 ``_state_block`` and one
+    ``_draw`` per memo node with a call, 5 in all, where a walk per job made
+    3, 3 and 15.  The decay rows, like the bad-probability rows, classify
+    the 6 distinct forests once."""
+    monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
+    mc._words_match()  # the process's probe walks once, on a stream of its own
+    counts, decayed = {}, []
+
+    def counting(name, f):
+        return lambda *args: counts.update({name: counts.get(name, 0) + 1}) or f(*args)
+
+    for name in ("_walk", "_state_block", "_draw"):
+        monkeypatch.setattr(mc, name, counting(name, getattr(mc, name)))
+    decay_rows = goodness._decay_rows
+    monkeypatch.setattr(goodness, "_decay_rows", lambda forests, *args, **kwargs:
+                        decayed.extend(forests) or decay_rows(forests, *args, **kwargs))
+    code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, 0))
+    assert code == 0
+    assert counts == {"_walk": 1, "_state_block": 1, "_draw": 5}
+    assert len(decayed) == 6
 
 
 def test_words_are_checked_once_per_process(monkeypatch, tmp_path, elbow_json, elbow,

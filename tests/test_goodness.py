@@ -1080,6 +1080,29 @@ def test_trial_rows_match_reference(monkeypatch, elbow, ladder, decay_probe, sin
         assert_rows_match_reference(monkeypatch, *cases[0], seed=2**64 + 5, lo=lo)
 
 
+def test_trial_rows_make_no_checked_chain_call(monkeypatch, elbow):
+    """The row cores read the ancestor walker, ``LatticeForest._walk``,
+    directly: no trial row of the three estimators makes a checked
+    ``chain`` call, and the decay rows still refuse a level that is not the
+    hierarchy's with the text that the checked call gave."""
+    calls, chain = [], LatticeForest.chain
+    monkeypatch.setattr(LatticeForest, "chain",
+                        lambda self, *args: calls.append(args) or chain(self, *args))
+    bad = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=200, seed=5)
+    fit = estimate_boundary_decay(elbow, "x", 1, (2e-4, 2e-5), trials=200, seed=6,
+                                  params=PARAMS)
+    estimate_really_good(elbow, "x", 2, PARAMS, 0.25, 0.75, trials=200, seed=7)
+    assert calls == []
+    assert bad.bad_count == int(reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+         reference_bad_row, (2, 0)), 0, 200)[:, 0].sum())
+    assert list(fit.counts) == reference_trial_chunk(
+        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 6,
+         reference_decay_row, (0, 1, (2e-4, 2e-5))), 0, 200).sum(axis=0).tolist()
+    with pytest.raises(InvalidParams, match="^level 99 not present in the hierarchy$"):
+        estimate_boundary_decay(elbow, "x", 99, (2e-4,), trials=5, seed=0, params=PARAMS)
+
+
 @pytest.mark.parametrize("budget", [0, 1, mc._MISS_BUDGET])
 def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
                                              decay_probe):
@@ -1179,27 +1202,32 @@ def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
 def test_a_session_that_has_served_a_trial_never_stops(monkeypatch, elbow):
     """The elbow's 1500 trials hold 6 distinct forests, whose paths carry
     all the probability, so its session never stops and builds 6.  Once a
-    session has served a trial it walks whatever its rule says: the second
-    job of the chunk, on seed 6, with the rule forced to expect no hit,
-    builds nothing."""
-    built = count_builds(monkeypatch)
-    jobs_run, job_rows = [], mc._job_rows
-    monkeypatch.setattr(mc, "_job_rows",
-                        lambda *args: jobs_run.append(args[2]) or job_rows(*args))
+    session has served a trial it walks whatever its rule says: a chunk of
+    two jobs, on seeds 5 and 6, walked together in one session, with the
+    rule forced to expect no hit once a trial is served, builds 6 forests,
+    each from a trial of the first job, so the second job builds nothing."""
+    built, starts = count_builds(monkeypatch), []
+    chunks, chunk_rows = [], mc._chunk_rows
+    monkeypatch.setattr(mc, "_chunk_rows", lambda session, build, jobs, *args: chunks.append(
+        [seed for seed, _, _ in jobs]) or chunk_rows(session, build, jobs, *args))
     verdicts, rule = [], mc._expects_no_hit
 
-    def first_job_rule(*args):
-        """The rule as it is in the first job, in the second one expecting no hit."""
-        if len(jobs_run) > 1:
+    def served_rule(session, left):
+        """The rule itself until the session has served a trial, and then no hit expected."""
+        if session.served:
             return True
-        verdicts.append(rule(*args))
+        verdicts.append(rule(session, left))
         return verdicts[-1]
 
-    monkeypatch.setattr(mc, "_expects_no_hit", first_job_rule)
+    monkeypatch.setattr(mc, "_expects_no_hit", served_rule)
     build, jobs = command_payload(elbow, 5)
-    parts = mc._trial_chunk((build, [jobs[0], (6, *jobs[0][1:])]), 0, 1500)
-    assert jobs_run == [5, 6]
+    payload = (lambda rng: starts.append(mc._lcg(rng)) or build(rng),
+               [jobs[0], (6, *jobs[0][1:])])
+    parts = mc._trial_chunk(payload, 0, 1500)
+    assert chunks == [[5, 6]]
     assert len(built) == 6 and verdicts and not any(verdicts)
+    first_job = {mc._lcg(trial_rng(5, t)) for t in range(1500)}
+    assert len(starts) == 6 and set(starts) <= first_job
     assert np.array_equal(parts[1], reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 6,
          reference_bad_row, (2, 0)), 0, 1500))
@@ -1307,7 +1335,7 @@ def test_trial_chunk_seeds_no_stream_per_trial(monkeypatch, elbow):
 
 def test_trial_chunk_refuses_states_that_differ_from_trial_rng(monkeypatch, elbow):
     monkeypatch.setattr(mc, "_trial_states",
-                        lambda seed, lo, hi: _trial_states(seed + 1, lo, hi))
+                        lambda seeds, lo, hi: _trial_states([s + 1 for s in seeds], lo, hi))
     with pytest.raises(RuntimeError, match="differ from trial_rng"):
         estimate_bad_probability(elbow, 2, "x", PARAMS, trials=10, seed=5)
 
@@ -1408,6 +1436,21 @@ def test_a_worker_process_looks_up_a_fresh_session(monkeypatch, elbow):
                for a, b, rows in zip(serial, pooled, want, strict=True))
 
 
+@pytest.mark.parametrize("seed", [2**32 - 1, 2**96 - 2])
+def test_a_command_run_matches_the_reference_across_word_boundaries(monkeypatch, elbow, seed):
+    """A command's jobs on seeds of mixed word counts, walked together: at
+    2**32 - 1 the decay and really-good jobs' seeds take two 32-bit words,
+    and at 2**96 - 2 the really-good job's seed, 2**96, takes its states
+    from trial_rng.  In blocks of 7 columns, 2 trials of each job, every
+    job's trials split across blocks.  Each job's rows are those of its own
+    stream, serially and with 2 workers."""
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    payload, want = command_payload(elbow, seed), command_reference(elbow, seed, 0, 40)
+    for workers in (1, 2):
+        got = run_chunked(mc._trial_chunk, payload, 40, workers)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 def refusing_jobs(payload, lo: int, hi: int) -> list:
     """A chunk of two jobs run in turn, over its trials: the first refuses
     at trial 3, the second at trial 0."""
@@ -1424,6 +1467,25 @@ def test_a_run_raises_the_refusal_that_a_run_of_each_job_in_turn_meets_first(wor
     the second."""
     with pytest.raises(TooLargeForExhaustive, match="^job 0$"):
         run_chunked(refusing_jobs, None, 4, workers=workers)
+
+
+def test_a_chunk_raises_the_refusal_that_its_jobs_in_turn_meet_first(monkeypatch, elbow):
+    """Jobs walked together meet their refusals block by block: with blocks
+    of one trial per job, the decay job at level 99 refuses in the first
+    block, and the bad-probability job at level 0 only in a later one, as
+    its center is in the level-0 grid of its first trial and not of every
+    trial.  The joint pass raises the decay job's refusal; the chunk raises
+    the first job's, as a run of each job in turn does."""
+    monkeypatch.setattr(mc, "_BLOCK", 2)
+    seed = next(s for s in range(50) if 0 in build_nested_grids(
+        elbow, PARAMS.delta, 0, trial_rng(s, 0)).grid(0).members)
+    build, _ = command_payload(elbow, seed)
+    jobs = [goodness._bad_probability_job(elbow, 0, 0, PARAMS, 40, seed)[0],
+            goodness._decay_job(elbow, 0, 99, (2e-4,), 40, seed + 1, PARAMS, 0)[0]]
+    with pytest.raises(InvalidParams, match="^level 99 not present in the hierarchy$"):
+        mc._chunk_rows(mc._Session(), build, jobs, 0, 40)
+    with pytest.raises(CenterNotInGrid, match="^fixed center 0 absent from the level-0 grid"):
+        mc._trial_chunk((build, jobs), 0, 40)
 
 
 STATE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**96 + 7)
@@ -1464,15 +1526,37 @@ def test_trial_states_match_trial_rng():
     the edges of the array passes' blocks."""
     for seed in STATE_SEEDS:
         for t in STATE_TRIALS:
-            assert state_pairs(_trial_states(seed, t, t + 1)) == lcg_pairs(seed, [t])
-        assert state_pairs(_trial_states(seed, 0, 12)) == lcg_pairs(seed, range(12))
+            assert state_pairs(_trial_states([seed], t, t + 1)) == lcg_pairs(seed, [t])
+        assert state_pairs(_trial_states([seed], 0, 12)) == lcg_pairs(seed, range(12))
         edge = mc._BLOCK
         for ts in (range(2**32 - 3, 2**32), range(2**32 - 3, 2**32 + 2),
                    range(edge - 3, edge + 2), range(5 * edge - 1, 5 * edge + 1)):
-            assert state_pairs(_trial_states(seed, ts.start, ts.stop)) == lcg_pairs(seed, ts)
+            assert state_pairs(_trial_states([seed], ts.start, ts.stop)) == lcg_pairs(seed, ts)
     # two whole blocks and a part of a third, from a start that is no block edge
     ts = range(7, 2 * mc._BLOCK + 30)
-    assert state_pairs(_trial_states(2**40 + 3, ts.start, ts.stop)) == lcg_pairs(2**40 + 3, ts)
+    assert state_pairs(_trial_states([2**40 + 3], ts.start, ts.stop)) == lcg_pairs(2**40 + 3, ts)
+
+
+def test_trial_states_of_several_seeds_match_trial_rng(monkeypatch):
+    """A block holds a span of trials of each seed in turn, each seed's
+    columns its own stream's whatever the other seeds' word counts: one
+    array pass per block for the seeds below 2**96, and trial_rng for the
+    rest.  In blocks of at most 10 columns, 2 trials of each of 5 seeds."""
+    seeds = [2**32 - 1, 2**32, 7, 2**64 + 5, 2**96]
+    passes, state_block = [], mc._state_block
+    monkeypatch.setattr(mc, "_state_block",
+                        lambda *args: passes.append(args) or state_block(*args))
+    for block, lo, hi in ((mc._BLOCK, 0, 12), (10, 3, 12)):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        passes.clear()
+        got = [[] for _ in seeds]
+        for states in _trial_states(seeds, lo, hi):
+            span = states.shape[1] // len(seeds)
+            assert states.shape[1] == span * len(seeds) <= block
+            for j in range(len(seeds)):
+                got[j] += state_pairs([states[:, j * span:(j + 1) * span]])
+        assert got == [lcg_pairs(seed, range(lo, hi)) for seed in seeds]
+        assert [args[0] for args in passes] == [seeds[:4]] * -(-(hi - lo) // (block // 5))
 
 
 def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
@@ -1481,10 +1565,10 @@ def test_trial_states_batch_only_the_entropy_that_fits_the_pool(monkeypatch):
     taken = []
     monkeypatch.setattr(mc, "trial_rng",
                         lambda seed, t: taken.append((seed, t)) or trial_rng(seed, t))
-    list(_trial_states(2**96 - 1, 2**32 - 3, 2**32))
+    list(_trial_states([2**96 - 1], 2**32 - 3, 2**32))
     assert taken == []
-    list(_trial_states(2**96, 0, 2))
-    list(_trial_states(5, 2**32 - 1, 2**32 + 1))
+    list(_trial_states([2**96], 0, 2))
+    list(_trial_states([5], 2**32 - 1, 2**32 + 1))
     assert taken == [(2**96, 0), (2**96, 1), (5, 2**32 - 1), (5, 2**32)]
 
 
@@ -1494,7 +1578,7 @@ def test_trial_states_are_built_as_they_are_read():
     def peak(consume):
         tracemalloc.start()
         try:
-            consume(_trial_states(7, 0, 10**5))
+            consume(_trial_states([7], 0, 10**5))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1507,7 +1591,7 @@ def test_trial_states_hold_one_block_at_the_first_read():
     block's arrays built, not the whole range's (which held 167 MB)."""
     tracemalloc.start()
     try:
-        states = _trial_states(7, 0, 10**6)
+        states = _trial_states([7], 0, 10**6)
         assert mc._pair(next(states), 0) == lcg_pairs(7, [0])[0]
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1519,7 +1603,7 @@ def test_trial_state_set_resets_the_buffered_half_word():
     rng = trial_rng(5, 0)
     rng.integers(10, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    rng.bit_generator.state = pcg64_state(*mc._pair(next(_trial_states(5, 3, 4)), 0))
+    rng.bit_generator.state = pcg64_state(*mc._pair(next(_trial_states([5], 3, 4)), 0))
     ref = trial_rng(5, 3)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert (rng.integers(10, size=5, dtype=np.uint32).tolist()
@@ -1575,7 +1659,7 @@ def test_words_make_the_generators_draws():
     32-bit draws before the coin; a trial is not served exactly where one
     of its integers draws is rejected, and no trial where a bound exceeds
     2**32."""
-    states = next(_trial_states(9, 0, 240))
+    states = next(_trial_states([9], 0, 240))
     outputs = mc._Outputs(states)
     pos = np.zeros(240, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64())
@@ -1628,7 +1712,7 @@ def test_outputs_match_the_lcg_past_any_table():
     """Outputs 0..300 of 3 streams, read one at a time, so that the table of
     outputs and the jump constants grow past their first sizes, equal a
     Python-int LCG's, low half then high half."""
-    states = next(_trial_states(9, 0, 3))
+    states = next(_trial_states([9], 0, 3))
     outputs = mc._Outputs(states)
     trials = np.arange(3)
     got = []

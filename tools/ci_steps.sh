@@ -69,6 +69,15 @@ console() {
   DYADICLAB_WORKERS=2 cli goodness --input "$tmp/named.csv" --seed 0 --trials 200 \
     --out "$tmp/pooled.json"
   cmp "$tmp/serial.json" "$tmp/pooled.json"
+  # the same on a 3-point elbow, where the memo serves trials, at a seed whose
+  # successors take two 32-bit words: the jobs' seeds have mixed word counts
+  printf '{"points": ["x", "u", "w"], "dist": [[0, 0.06, 0.31], [0.06, 0, 0.25], [0.31, 0.25, 0]]}\n' \
+    > "$tmp/elbow.json"
+  (unset DYADICLAB_WORKERS; cli goodness --input "$tmp/elbow.json" --delta 0.1 --gamma 0.1 \
+    --r 1 --trials 300 --seed 4294967295 --out "$tmp/serial.json")
+  DYADICLAB_WORKERS=2 cli goodness --input "$tmp/elbow.json" --delta 0.1 --gamma 0.1 \
+    --r 1 --trials 300 --seed 4294967295 --out "$tmp/pooled.json"
+  cmp "$tmp/serial.json" "$tmp/pooled.json"
 }
 
 tier1() {

@@ -122,15 +122,15 @@ MUTANTS = [
      "forest, key = build(rng), ~t", "forest, key = build(recorder), ~t",
      [T_GOODNESS + "test_trial_rows_whatever_the_stop[first-miss-one-block]"]),
     ("rows past their batch cap", MC,
-     "if len(todo) >= _ROW_BATCH:", "if False:",
+     "if len(todo[r]) >= _ROW_BATCH:", "if False:",
      [T_GOODNESS + "test_trial_chunk_classifies_a_block_in_one_call"]),
     # a build's row is keyed by its leaf, node 0 included, or by ~t when unentered
     ("root leaf read as an unentered build", MC,
-     "(leaf_rows if key >= 0 else loose)[key] = values",
-     "(leaf_rows if key > 0 else loose)[key] = values",
+     "(leaf_rows[r] if key >= 0 else loose)[key] = values",
+     "(leaf_rows[r] if key > 0 else loose)[key] = values",
      [T_GOODNESS + "test_trial_rows_match_reference"]),
     ("trial states unchecked", MC,
-     "if _lcg(rng) != _pair(first, 0):", "if False:",
+     "if any(_lcg(rng) != _pair(first,", "if False and any(_lcg(rng) != _pair(first,",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk whatever the probe says", MC,
      "lambda: stopped or not _words_match())", "lambda: stopped)",
@@ -148,18 +148,26 @@ MUTANTS = [
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
-    # a goodness command's one run gives a chunk's jobs one session, and
-    # equal row functions share their rows: each job its own, each its rows;
-    # a refusal is the one a run of each job in turn meets first, also with
-    # workers, and also where the exact walk would refuse before the trials
-    ("a session per job", MC,
-     "_job_rows(session, build, seed", "_job_rows(_Session(), build, seed",
-     [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
+    # a goodness command's jobs walk a chunk together: each job's columns
+    # its own stream's states, its coins its own, and equal row functions
+    # share their rows; a refusal is the one a run of each job in turn meets
+    # first, in a chunk, also with workers, and also where the exact walk
+    # would refuse before the trials
+    ("a column read from the neighbouring job's states", MC,
+     "_set_state(rng, states, t)", "_set_state(rng, states, t - n)",
+     [T_GOODNESS + "test_a_trial_chunk_builds_each_distinct_forest_once_for_all_its_jobs"]),
+    ("served coins read for the wrong job", MC,
+     "xi[done] = outputs.coins(done, pos[done])",
+     "xi[done] = outputs.coins(done - n, pos[done - n])",
+     [T_GOODNESS + "test_a_trial_chunk_builds_each_distinct_forest_once_for_all_its_jobs"]),
+    ("a joint refusal raised without the in-turn rerun", MC,
+     "        if len(jobs) == 1:\n            raise", "        if True:\n            raise",
+     [T_GOODNESS + "test_a_chunk_raises_the_refusal_that_its_jobs_in_turn_meet_first"]),
     ("rows per estimator", MC,
-     "session.leaf_rows.setdefault(_key(row), {})", "session.leaf_rows.setdefault(row, {})",
+     "keys = [_key(row) for _, row, _ in jobs]", "keys = [row for _, row, _ in jobs]",
      [T_CLI + "test_goodness_command_builds_each_distinct_forest_once"]),
     ("refusal of the first chunk that refused", MC,
-     "except DyadicLabError:", "except ZeroDivisionError:",
+     "except DyadicLabError:\n            pass", "except ZeroDivisionError:\n            pass",
      [T_GOODNESS + "test_a_run_raises_the_refusal_that_a_run_of_each_job_in_turn_meets_first"
       "[2]"]),
     ("exact walk refuses before the trials", CLI,
@@ -174,7 +182,7 @@ MUTANTS = [
      "2 * (pos[trials] + np.arange(len(rows))[:, None]))",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("coin from the buffered half", MC,
-     "k = (h + 1) >> 1", "k = h >> 1",
+     "self._output((h + 1) >> 1, trials)", "self._output(h >> 1, trials)",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("128-bit sum without its carry", MC,
      "return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo", "return a_hi + b_hi, lo",
