@@ -52,8 +52,7 @@ def _polar(r, deg):
     return [r * np.cos(a), r * np.sin(a)]
 
 
-@pytest.fixture(scope="session")
-def decay_probe():
+def decay_probe_space():
     """Nine-point self-similar star for boundary-layer decay at ratio 1/1000.
 
     x carries probes at two scales (w2, w3); each level has a deflector (y*)
@@ -73,6 +72,12 @@ def decay_probe():
         "E": _polar(1.65, 5),
     }
     return space_from_coords(list(pts.values()), names=list(pts))
+
+
+@pytest.fixture(scope="session")
+def decay_probe():
+    """The nine-point star of ``decay_probe_space``."""
+    return decay_probe_space()
 
 
 @pytest.fixture(scope="session")

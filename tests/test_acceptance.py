@@ -21,6 +21,7 @@ points, the exact P(bad) lies in the 95% Wilson interval of 400 trials on
 all but at most the 99.5th percentile of Binomial(#spaces, 0.05) of them.
 """
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -38,6 +39,7 @@ from dyadiclab.goodness import (
 )
 from dyadiclab.lattice import enumerate_forest_outcomes
 from dyadiclab.measures import WeightedMeasure
+from report_corpus import DIGESTS
 
 
 def report(criterion, ok, detail):
@@ -211,6 +213,9 @@ def test_criterion_7_bad_probability():
                                    trials=10_000, seed=42)
     elapsed = time.monotonic() - start
     assert est.step_violations == 0
+    # the byte-identical contract pins the draws: the bad count recorded
+    # with the report digests
+    assert est.bad_count == json.loads(DIGESTS.read_text())["criterion_7_bad_count"]
     report(7, est.wilson_high <= 0.5 and elapsed < 600.0,
            f"bad fraction {est.fraction:.4f}, Wilson upper {est.wilson_high:.4f}"
            f" <= 0.5, {elapsed:.0f}s")

@@ -13,6 +13,7 @@ import dyadiclab as dl
 from dyadiclab import cli, goodness, mc
 from dyadiclab.cli import main
 from dyadiclab.grids import MODES
+from report_corpus import DIGESTS, report_digests
 
 
 @pytest.fixture()
@@ -532,6 +533,16 @@ def test_goodness_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, elbow_js
         assert code == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_reports_match_their_recorded_digests(tmp_path):
+    """The byte-identical contract: every report and refusal text of the
+    corpus in ``report_corpus.py`` has the exit code and sha256 recorded in
+    ``report_digests.json``, whatever DYADICLAB_WORKERS says.  A change that
+    moves report bytes on purpose rewrites the file with
+    ``tools/report_digests.py --write`` and lists what it printed."""
+    recorded = json.loads(DIGESTS.read_text())["reports"]
+    assert report_digests(tmp_path) == recorded
 
 
 # --- one trial run per goodness command --------------------------------------------

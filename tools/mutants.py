@@ -173,6 +173,11 @@ MUTANTS = [
     ("exact walk refuses before the trials", CLI,
      "refusal = exc", "raise",
      [T_CLI + "test_goodness_refusals_keep_their_text[1-cascade-level-99]"]),
+    # the byte-identical contract: a job moved to another stream keeps every
+    # report well formed, and only the recorded digests see it
+    ("decay job on seed + 3", CLI,
+     "args.seed + 1", "args.seed + 3",
+     [T_CLI + "test_reports_match_their_recorded_digests"]),
     # the draws computed from PCG64's words: the buffered high half of an
     # output (each 32-bit draw taken as a fresh output's low half), a coin
     # that must come from a fresh output, and the carry of the jump-ahead's
