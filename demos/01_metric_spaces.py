@@ -2,8 +2,6 @@
 
 Run with:  python demos/01_metric_spaces.py
 """
-import numpy as np
-
 import dyadiclab as dl
 
 print("== validating distance matrices ==")
@@ -25,10 +23,6 @@ print("closed ball around 'a' of radius 1.0:",
       sorted(l3.name(i) for i in dl.ball(l3, "a", 1.0, "closed")))
 print("largest open unit ball holds", dl.max_ball_occupancy(l3, 1.0), "points")
 
-print()
-print("== doubling-type bounds ==")
-print("greedy covering bound:", dl.doubling_estimate(l3))
-print("exact minimum cover (small spaces only):", dl.min_cover_doubling(l3))
 
 print()
 print("== generators ==")

@@ -1,4 +1,4 @@
-"""Finite metric spaces: validation, balls, occupancy, doubling bounds, generators.
+"""Finite metric spaces: validation, balls, occupancy, generators.
 
 All geometry in the package runs against a validated distance matrix.  Points
 are addressed by integer index; every space also carries a tuple of opaque
@@ -38,8 +38,6 @@ __all__ = [
     "ball",
     "max_ball_occupancy",
     "set_distance",
-    "doubling_estimate",
-    "min_cover_doubling",
     "make_space",
     "load_space",
     "save_space",
@@ -271,68 +269,6 @@ def set_distance(space: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]) -
     if not ia or not ib:
         return math.inf
     return float(space.d[np.ix_(ia, ib)].min())
-
-
-# --- doubling-type bounds -----------------------------------------------------
-
-def _greedy_cover_count(space: FiniteMetricSpace, target: np.ndarray, r: float) -> int:
-    """Greedily cover the target index set with closed r-balls centered at its points."""
-    uncovered = np.unique(target)
-    count = 0
-    while uncovered.size:
-        # center whose ball covers the most remaining points; ties to lowest index
-        near = space.d[np.ix_(uncovered, uncovered)] <= r
-        uncovered = uncovered[~near[near.sum(axis=1).argmax()]]
-        count += 1
-    return count
-
-
-def doubling_estimate(space: FiniteMetricSpace) -> int:
-    """Upper bound on the doubling constant over the pairwise-distance radius family.
-
-    For every center x and radius r drawn from the pairwise distances, covers
-    the closed ball B(x, 2r) greedily by closed r-balls centered at its own
-    points, and reports the worst count.  Greedy covering over this finite
-    radius family yields a bound, not the exact constant; see
-    :func:`min_cover_doubling` for the exact value on small spaces.
-    """
-    if len(space) <= 1:
-        return 1
-    worst = 1
-    for r in space.pairwise_distances():
-        for x in range(len(space)):
-            target = np.flatnonzero(space.d[x] <= 2 * r)
-            worst = max(worst, _greedy_cover_count(space, target, r))
-    return worst
-
-
-def min_cover_doubling(space: FiniteMetricSpace) -> int:
-    """Exact doubling constant over the same radius family, by minimum set cover.
-
-    Exponential in |X|; intended for |X| <= 12 as an oracle for the greedy bound.
-    """
-    n = len(space)
-    if n <= 1:
-        return 1
-    if n > 12:
-        raise InvalidParams("exact covering is limited to |X| <= 12")
-    worst = 1
-    for r in space.pairwise_distances():
-        for x in range(n):
-            target = frozenset(int(i) for i in np.flatnonzero(space.d[x] <= 2 * r))
-            balls = {c: frozenset(int(i) for i in np.flatnonzero(space.d[c] <= r))
-                     for c in target}
-            found = None
-            for size in range(1, len(target) + 1):
-                for centers in itertools.combinations(sorted(target), size):
-                    covered = frozenset().union(*(balls[c] for c in centers))
-                    if target <= covered:
-                        found = size
-                        break
-                if found is not None:
-                    break
-            worst = max(worst, found)
-    return worst
 
 
 # --- generators -----------------------------------------------------------------

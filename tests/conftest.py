@@ -83,12 +83,14 @@ def decay_probe():
 @pytest.fixture(scope="session")
 def small_family():
     """The acceptance criterion-1 family: at least 50 spaces with <= 12
-    points, made of clouds, trees and snowflakes."""
+    points, made of clouds, trees and snowflakes, labelled as the benchmark
+    labels them: ``cloud{seed}``, ``tree{branching}{height}`` and
+    ``snow{i}``."""
     spaces = []
     for seed in range(25):
         n = 4 + seed % 9
         dim = 1 + seed % 3
-        spaces.append(("cloud", make_space(
+        spaces.append((f"cloud{seed}", make_space(
             "random_cloud", seed=seed, n=n, dim=dim, scale=2.2, min_sep=0.05)))
     for branching, height in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
                               (1, 7), (2, 1), (2, 2), (3, 1)]:
@@ -98,7 +100,7 @@ def small_family():
         base = make_space("random_cloud", seed=100 + i, n=4 + i % 9,
                           dim=2, scale=2.5, min_sep=0.05)
         alpha = 0.5 if i % 2 == 0 else 0.75
-        spaces.append(("snow", make_space("snowflake", base=base, alpha=alpha)))
+        spaces.append((f"snow{i}", make_space("snowflake", base=base, alpha=alpha)))
     assert len(spaces) >= 50
     assert all(len(s) <= 12 for _, s in spaces)
     return spaces

@@ -39,7 +39,7 @@ from dyadiclab.goodness import (
 )
 from dyadiclab.lattice import enumerate_forest_outcomes
 from dyadiclab.measures import WeightedMeasure
-from report_corpus import DIGESTS
+from report_corpus import DIGESTS, criterion_7_cloud
 
 
 def report(criterion, ok, detail):
@@ -204,8 +204,7 @@ def test_criterion_6_chain_separation(hundred_forests):
 
 
 def test_criterion_7_bad_probability():
-    space = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    space = criterion_7_cloud()
     params = GoodnessParams(delta=0.1, gamma=0.1, r=1)
     level = dl.finest_level(space, params.delta, 0)
     start = time.monotonic()

@@ -395,9 +395,12 @@ def test_a2_csv_input_uses_unit_weights(tmp_path):
      ": row 0 entry 0 must be a number, got [0]"),
     ("infinite.csv", "1,inf\n2,3\n", "distances must be finite"),
     ("overflow.csv", "1e200,0\n-1e200,0\n", "distances must be finite"),
+    ("empty.csv", "", "invalid space input: no rows in "),
+    ("short.json", '{"points": ["a"], "dist": [[0, 1], [1, 0]]}',
+     "invalid space input: points list length must match the matrix size"),
 ], ids=["string-distances", "bool-distances", "no-coordinates", "unequal-rows",
         "unequal-distance-rows", "non-list-row", "non-list-first-row", "nested-rows",
-        "infinite-coordinate", "overflowing-distance"])
+        "infinite-coordinate", "overflowing-distance", "empty-csv", "short-points-list"])
 def test_validate_refuses_malformed_space_files(tmp_path, capsys, name, text, needle):
     """Each of these files once loaded as some other space, or was refused
     through a NumPy warning or message; each is refused with its own reason."""
@@ -417,6 +420,10 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
 @pytest.mark.parametrize("argv, code, needle", [
     (["validate", "--input", "{dir}"], 3, "Is a directory"),
     (["lattice", "--input", "{dir}", "--seed", "0"], 3, "input error:"),
+    (["grids", "--input", "{empty}", "--seed", "0"], 3, "input error: invalid space input: "
+     "no rows in "),
+    (["grids", "--input", "{short}", "--seed", "0"], 3, "input error: invalid space input: "
+     "points list length must match the matrix size\n"),
     (["lattice", "--seed", "0"], 2, "the following arguments are required: --input"),
     (["a2"], 2, "the following arguments are required: --input"),
     (GOODNESS + ["--seed", "0", "--level", "99"], 2, "error: level 99"),
@@ -443,7 +450,8 @@ GOODNESS = ["goodness", "--input", "{elbow}", "--delta", "0.1", "--trials", "20"
      "error: growth exponent must be positive"),
     (["a2", "--input", "{two}", "--m-exponent", "2000"], 2, "error: growth exponent 2000"),
     (["a2", "--input", "{elbow}", "--m-exponent", "400"], 2, "error: growth exponent 400"),
-], ids=["dir-input", "dir-input-lattice", "no-input-lattice", "no-input-a2",
+], ids=["dir-input", "dir-input-lattice", "empty-csv", "short-points-list",
+        "no-input-lattice", "no-input-a2",
         "level-above", "level-below", "negative-seed", "overflowing-n0", "too-many-levels",
         "unwritable-out", "nan-eps", "unparsed-eps", "goodness-freeze-above", "greedy-zero-limit",
         "infinite-bound", "nan-growth-exponent", "overflowing-growth-power",
@@ -452,7 +460,11 @@ def test_bad_runs_exit_without_traceback(tmp_path, capsys, elbow_json, argv,
                                          code, needle):
     two = tmp_path / "two.json"  # points 2 apart: 2.0 ** 2000 overflows
     two.write_text(json.dumps({"points": ["p", "q"], "dist": [[0, 2], [2, 0]]}))
-    argv = [a.format(elbow=elbow_json, two=two, dir=tmp_path) for a in argv]
+    (tmp_path / "empty.csv").write_text("")
+    short = tmp_path / "short.json"  # a points list shorter than its matrix
+    short.write_text(json.dumps({"points": ["a"], "dist": [[0, 1], [1, 0]]}))
+    argv = [a.format(elbow=elbow_json, two=two, dir=tmp_path, empty=tmp_path / "empty.csv",
+                     short=short) for a in argv]
     assert main(argv) == code
     out, err = capsys.readouterr()
     # validate reports a bad input in its report; the others on stderr
@@ -605,6 +617,22 @@ def test_goodness_refusals_keep_their_text(monkeypatch, tmp_path, capsys, elbow_
         argv += extra
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_goodness_raises_the_exact_walks_refusal_after_trials_that_pass(tmp_path, capsys):
+    """Seed 1's one trial keeps a in the level-1 grid, so the trials refuse
+    nothing, but the exact walk meets a grid outcome without a: the command
+    raises the walk's refusal once its trials have run, exit 2, with no
+    report and no traceback."""
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({"points": ["a", "b", "c"],
+                               "dist": [[0, 0.05, 1], [0.05, 0, 0.96], [1, 0.96, 0]]}))
+    assert main(["goodness", "--input", str(src), "--delta", "0.1", "--level", "1",
+                 "--center", "a", "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == ("error: fixed center 0 absent from the level-1 grid; "
+                                       "fix the center at the deterministic finest level\n")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -505,10 +505,8 @@ def test_exact_good_probability_pinned_on_10_and_11_points(small_family):
     level 1: points 1 and 8 of cloud6, point 7 of cloud15) and on no space
     of at most 9 points."""
     pinned = json.loads((Path(__file__).resolve().parent / "exact_pinned.json").read_text())
-    seen, got = collections.Counter(), {}
-    for kind, space in small_family:
-        label = f"{kind}{seen[kind]}"  # a cloud's seed, a snowflake's base index
-        seen[kind] += 1
+    got = {}
+    for label, space in small_family:
         if len(space) not in (10, 11):
             continue
         for center in range(len(space)):
@@ -576,31 +574,16 @@ def test_straddle_test_on_an_empty_near_set_warns_nothing():
         assert not goodness._near(np.array([1.0, 2.0]), 0.5).any()
 
 
-def test_exact_small_benchmark_reference():
+def test_exact_small_benchmark_reference(small_family):
     """The seed-0 gate of the benchmark's exact-small workload: its recorded
     P(good) of the finest cube of point 0, per space of the criterion-1
     family with at most 9 points, recomputed with the library."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     with open(path) as fh:
         reference = json.load(fh)["exact-small"]
-    spaces = {}
-    for seed in range(25):
-        spaces[f"cloud{seed}"] = dl.make_space(
-            "random_cloud", seed=seed, n=4 + seed % 9, dim=1 + seed % 3,
-            scale=2.2, min_sep=0.05)
-    for branching, height in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-                              (1, 7), (2, 1), (2, 2), (3, 1)]:
-        spaces[f"tree{branching}{height}"] = dl.make_space(
-            "tree", branching=branching, height=height).rescale(2.0)
-    for i in range(15):
-        base = dl.make_space("random_cloud", seed=100 + i, n=4 + i % 9, dim=2,
-                             scale=2.5, min_sep=0.05)
-        spaces[f"snow{i}"] = dl.make_space("snowflake", base=base,
-                                           alpha=0.5 if i % 2 == 0 else 0.75)
-    small = {label for label, space in spaces.items() if len(space) <= 9}
-    assert set(reference) == small and len(small) == 40
-    for label in sorted(small):
-        space = spaces[label]
+    small = {label: space for label, space in small_family if len(space) <= 9}
+    assert set(reference) == set(small) and len(small) == 40
+    for label, space in sorted(small.items()):
         got = exact_good_probability(space, 0, dl.finest_level(space, 0.1, 0), PARAMS)
         assert str(got) == reference[label], label
 
@@ -1724,6 +1707,79 @@ def test_outputs_match_the_lcg_past_any_table():
     for t in range(3):
         want = [word for _, word in lcg_steps(*mc._pair(states, t), 301)]
         assert [row[t] for row in got] == want
+
+
+def test_walk_passes_a_rejected_draw_to_miss():
+    """One path, the value v of a bound of 2**31 + 1, and two trials whose
+    first 32-bit draws, 2v + 1 and 2v, both make v: Lemire's method keeps
+    trial 0's, and rejects trial 1's, whose low half falls below its floor
+    2**31 - 1, and draws again.  The walk serves trial 0 the path's leaf and
+    passes trial 1 to ``miss``."""
+    v, bound = 5, 2**31 + 1
+    floor = (2**32 - bound) % bound
+    assert [x * bound >> 32 for x in (2 * v + 1, 2 * v)] == [v, v]
+    assert 2 * v * bound % 2**32 < floor <= (2 * v + 1) * bound % 2**32
+    session = mc._Session()
+    leaf = session.enter([((bound,), (v,))], "forest")
+    outputs = mc._Outputs(np.zeros((4, 2), dtype=np.uint64))
+    # one output per trial, whose low half is the trial's first draw
+    outputs.table = np.array([[2 * v + 1], [2 * v]], dtype="<u8")
+    outputs.draws = outputs.table.view("<u4")
+    missed = []
+    served, _ = mc._walk(session, outputs, np.arange(2), lambda t: missed.append(t) or False)
+    assert [(node, trials.tolist()) for node, trials in served] == [(leaf, [0])]
+    assert missed == [1]
+
+
+def test_classes_of_a_call_whose_keys_take_two_rows():
+    """A call of 30 bounds of 5: 5**30 > 2**62, so ``_radix`` packs a column
+    of values into two keys, and the classes equal a plain grouping of the
+    columns, among them two columns that differ in one key alone."""
+    radix = mc._radix((5,) * 30)
+    assert radix.shape == (2, 30)
+    rng = np.random.default_rng(3)
+    distinct = rng.integers(0, 5, size=(30, 6))
+    distinct[:, 1:3] = distinct[:, :1]
+    distinct[0, 1] = (distinct[0, 0] + 1) % 5  # the first key differs
+    distinct[-1, 2] = (distinct[-1, 0] + 1) % 5  # the second key differs
+    values = distinct[:, rng.integers(0, 6, size=200)]
+    trials = np.arange(0, 600, 3)
+    want = {}
+    for t, column in zip(trials.tolist(), values.T.tolist()):
+        want.setdefault(tuple(column), []).append(t)
+    got = mc._classes(trials, values, radix)
+    assert [(row, members.tolist()) for row, members in got] == list(want.items())
+    assert len(got) == 6
+
+
+def draw_pair(rng) -> tuple:
+    """A build of one draw call, whose first bound, 2**31 + 1, Lemire's
+    method rejects about half the time."""
+    return tuple(rng.integers([2**31 + 1, 3]).tolist())
+
+
+def pair_rows(pairs: list) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64)
+
+
+def test_trial_chunk_rows_where_draws_are_rejected(monkeypatch):
+    """With the memo work never stopped, a chunk of ``draw_pair`` builds
+    walks trials whose first draw is rejected: each is built from the
+    generator, and every row equals a build on its own ``trial_rng(7, t)``."""
+    monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: False)
+    mc._words_match()  # the process's probe draws too; it runs first
+    rejected, draw = [], mc._draw
+
+    def counting_draw(*args):
+        values, kept = draw(*args)
+        rejected.append((len(kept), int((~kept).sum())))
+        return values, kept
+
+    monkeypatch.setattr(mc, "_draw", counting_draw)
+    (rows,) = mc._trial_chunk((draw_pair, [(7, partial(pair_rows), None)]), 0, 400)
+    assert rows.tolist() == [list(draw_pair(trial_rng(7, t))) for t in range(400)]
+    # the first trial builds the root's call; the root's draw then serves the other 399
+    assert rejected[0] == (399, 190)
 
 
 # --- Wilson intervals ---------------------------------------------------------------------

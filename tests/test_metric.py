@@ -1,4 +1,4 @@
-"""Metric space validation, queries, doubling bounds, and generators."""
+"""Metric space validation, queries, and generators."""
 import argparse
 import json
 import math
@@ -22,7 +22,7 @@ from dyadiclab.errors import (
 from dyadiclab import cli
 from dyadiclab.goodness import GoodnessParams
 from dyadiclab.mc import run_chunked
-from dyadiclab.metric import _greedy_cover_count, _require_integer
+from dyadiclab.metric import _require_integer
 
 
 # --- validation ----------------------------------------------------------------
@@ -223,31 +223,6 @@ def test_set_distance_empty_is_infinite(l3):
     assert dl.set_distance(l3, [0], []) == math.inf
     assert dl.set_distance(l3, [], [1]) == math.inf
     assert dl.set_distance(l3, [0], [2]) == 1.0
-
-
-# --- doubling bounds ----------------------------------------------------------------
-
-def test_doubling_singleton(singleton):
-    assert dl.doubling_estimate(singleton) == 1
-    assert dl.min_cover_doubling(singleton) == 1
-
-
-def test_doubling_two_points():
-    space = dl.validate_metric([[0, 1], [1, 0]])
-    assert dl.doubling_estimate(space) <= 2
-
-
-def test_doubling_greedy_bounds_exact(l3):
-    """Greedy covering can only overcount the exact minimum cover."""
-    greedy = dl.doubling_estimate(l3)
-    exact = dl.min_cover_doubling(l3)
-    assert exact <= greedy <= 3
-
-
-@settings(max_examples=15, deadline=None)
-@given(valid_spaces())
-def test_doubling_greedy_ge_exact(space):
-    assert dl.min_cover_doubling(space) <= dl.doubling_estimate(space)
 
 
 # --- generators ----------------------------------------------------------------------
@@ -581,39 +556,6 @@ def test_pairwise_distances_match_reference(singleton, l3, small_family):
         got = space.pairwise_distances()
         assert got == reference_pairwise_distances(space)
         assert all(type(r) is float for r in got)
-
-
-# the set loop that one distance slice per round replaced, kept verbatim as
-# its oracle
-def reference_greedy_cover_count(space: dl.FiniteMetricSpace, target: np.ndarray,
-                                 r: float) -> int:
-    """Greedily cover the target index set with closed r-balls centered at its points."""
-    uncovered = set(int(i) for i in target)
-    count = 0
-    while uncovered:
-        # center whose ball covers the most remaining points; ties to lowest index
-        best, best_gain = None, -1
-        for c in sorted(uncovered):
-            gain = sum(1 for x in uncovered if space.d[c, x] <= r)
-            if gain > best_gain:
-                best, best_gain = c, gain
-        uncovered -= {x for x in uncovered if space.d[best, x] <= r}
-        count += 1
-    return count
-
-
-def test_greedy_cover_count_matches_reference(l3):
-    """Every (r, x) target of doubling_estimate, on seeded clouds of up to 20
-    points and on a grid whose equal distances make ties."""
-    spaces = [l3, dl.make_space("grid_points", shape=(3, 4))]
-    spaces += [dl.make_space("random_cloud", seed=seed, n=n, dim=2)
-               for seed, n in enumerate((2, 5, 9, 14, 20))]
-    for space in spaces:
-        for r in space.pairwise_distances():
-            for x in range(len(space)):
-                target = np.flatnonzero(space.d[x] <= 2 * r)
-                assert (_greedy_cover_count(space, target, r)
-                        == reference_greedy_cover_count(space, target, r))
 
 
 # validate_metric before its dead exclusion filter was dropped, kept verbatim

@@ -36,7 +36,8 @@ REMOVED = (("lattice", "verify_chain_separation"), ("lattice", "cube_to_json"),
            ("errors", "HypothesesNotMet"), ("grids", "greedy_grid"),
            ("coloring", "close_membership_probability"),
            ("goodness", "boundary_layer"), ("goodness", "BoundaryLayer"),
-           ("mc", "trial_session"))
+           ("mc", "trial_session"), ("metric", "doubling_estimate"),
+           ("metric", "min_cover_doubling"))
 
 
 def test_removed_names_are_gone():

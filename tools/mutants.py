@@ -173,6 +173,9 @@ MUTANTS = [
     ("exact walk refuses before the trials", CLI,
      "refusal = exc", "raise",
      [T_CLI + "test_goodness_refusals_keep_their_text[1-cascade-level-99]"]),
+    ("deferred refusal dropped", CLI,
+     "raise refusal", "pass",
+     [T_CLI + "test_goodness_raises_the_exact_walks_refusal_after_trials_that_pass"]),
     # the byte-identical contract: a job moved to another stream keeps every
     # report well formed, and only the recorded digests see it
     ("decay job on seed + 3", CLI,
@@ -189,6 +192,19 @@ MUTANTS = [
     ("coin from the buffered half", MC,
      "self._output((h + 1) >> 1, trials)", "self._output(h >> 1, trials)",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
+    # a rejected draw, which no real build's bound makes likely, served by
+    # the draw or kept on the walk, and a call whose values take two radix keys
+    ("rejected draw served", MC,
+     "((m & _LOW) >= floors)", "((m & _LOW) >= 0)",
+     [T_GOODNESS + "test_walk_passes_a_rejected_draw_to_miss",
+      T_GOODNESS + "test_trial_chunk_rows_where_draws_are_rejected"]),
+    ("rejected draw walked on", MC,
+     "if not kept.all():", "if False:",
+     [T_GOODNESS + "test_walk_passes_a_rejected_draw_to_miss",
+      T_GOODNESS + "test_trial_chunk_rows_where_draws_are_rejected"]),
+    ("radix with one key", MC,
+     "if span * base > 1 << 62:", "if False:",
+     [T_GOODNESS + "test_classes_of_a_call_whose_keys_take_two_rows"]),
     ("128-bit sum without its carry", MC,
      "return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo", "return a_hi + b_hi, lo",
      [T_GOODNESS + "test_outputs_match_the_lcg_past_any_table"]),
