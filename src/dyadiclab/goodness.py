@@ -49,19 +49,20 @@ trial runs.  Each estimator is a job: a private builder
 inputs and gives its (seed, row, finish) and the result of its rows, where
 the row is ``_bad_rows`` or ``_decay_rows`` and, for the really-good
 estimator, ``finish`` makes the rows of a chunk's matrix of rows and vector
-of coins (``_equalized_rows``).  ``_run`` runs jobs on one build, that of a
-trial's forest (``_trial_part``), in one ``mc.run_chunked`` call of
+of coins (``_equalized_rows``).  ``_run`` runs jobs on one build, the draw
+steps of a trial's forest (``_trial_steps``: ``grids``' grid steps, then
+``lattice``'s link step), in one ``mc.run_chunked`` call of
 ``mc._trial_chunk``: a public estimator runs its own job, and a ``goodness``
 command the jobs of its estimators, each on its own stream.  A chunk walks
-every job's trials together, in one trial session: it draws each stream as
-if every trial built its own forest while building each distinct forest of
-the session once, whichever job meets it first, and computing each distinct
-row once per distinct forest (the bad-probability and really-good
-estimators' rows are one), in one call per row function on the forests a
-block of trials needs, whose cube tables ``lattice`` then builds as one
-stack; it reads the draws of the trials it does not build from their
-streams' words in array math, one draw per memo node for every job.  This
-module never names a session.  The row cores walk a forest's ancestors with
+every job's trials together down one draw memo, a step per draw call: it
+draws each stream as if every trial built its own forest while building
+each distinct forest of the memo once, whichever job meets it first, and
+computing each distinct row once per distinct forest (the bad-probability
+and really-good estimators' rows are one), in one call per row function on
+the new forests of a batch of the walk, whose cube tables ``lattice`` then
+builds as one stack; it reads every draw and every coin from the streams'
+words in array math, one draw per memo node for every job.  This
+module never names the memo.  The row cores walk a forest's ancestors with
 ``LatticeForest._walk`` itself, once the level and the point have passed
 their checks.
 """
@@ -83,10 +84,10 @@ from .errors import (
     ScheduleInvalid,
     TooLargeForExhaustive,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _require_limit, build_nested_grids,
-                    finest_level)
-from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _grid_paths, _LevelPair,
-                      _parent_maps, _unite_children, build_forest)
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _grid_steps, _require_limit,
+                    _require_mode, finest_level)
+from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _forest_steps, _grid_paths,
+                      _LevelPair, _parent_maps, _unite_children)
 from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
@@ -200,13 +201,12 @@ class DecayFit:
     seed: int
 
 
-def _trial_part(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
-                mode: str, limit: int, rng: np.random.Generator) -> LatticeForest:
-    """One trial's forest: the grids, then the parents, drawn from ``rng``.
-    Module-level, so that its partials pickle into the worker pool."""
-    hierarchy = build_nested_grids(space, params.delta, coarsest_level, rng,
-                                   mode=mode, limit=limit)
-    return build_forest(hierarchy, rng)
+def _trial_steps(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
+                 mode: str, limit: int):
+    """The first draw state of one trial's forest: the grids, then the
+    parents (see ``grids._grid_steps``).  Module-level, so that its partials
+    pickle into the worker pool."""
+    return _grid_steps(space, params.delta, coarsest_level, mode, limit, _forest_steps)
 
 
 def _require_center(members, level: int, center: int) -> None:
@@ -275,7 +275,9 @@ def _run(jobs: list, space: FiniteMetricSpace, params: GoodnessParams, coarsest_
          mode: str, limit: int, trials: int, workers: int) -> list:
     """Each job's result, from one ``run_chunked`` call on one build: a job
     is a pair of its (seed, row, finish) and its result of its rows."""
-    build = partial(_trial_part, space, params, coarsest_level, mode, _require_limit(limit))
+    limit = _require_limit(limit)
+    _require_mode(mode)
+    build = partial(_trial_steps, space, params, coarsest_level, mode, limit)
     rows = run_chunked(_trial_chunk, (build, [job for job, _ in jobs]), trials, workers)
     return [result(part) for (_, result), part in zip(jobs, rows)]
 

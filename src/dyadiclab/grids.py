@@ -287,23 +287,35 @@ def sample_maximal_separated(space: FiniteMetricSpace, base: Sequence[int], k: f
     _require_mode(mode)
     _require_scale(k)
     limit = _require_limit(limit)
-    base = sorted({space.resolve(p) for p in base})
-    return _sample_grid(space, base, k, rng, mode, limit)
+    bounds, pick = _grid_draw(space, sorted({space.resolve(p) for p in base}), k, mode, limit)
+    return pick(rng.integers(bounds).tolist())
 
 
-def _sample_grid(space: FiniteMetricSpace, base: list[int], k: float,
-                 rng: np.random.Generator, mode: str, limit: int) -> Grid:
-    """``sample_maximal_separated`` on sorted point indices and a known mode."""
+def _grid_draw(space: FiniteMetricSpace, base: list[int], k: float, mode: str, limit: int):
+    """One grid's draw: the bounds of its one ``integers`` call, each above
+    1 (a bound of 1 draws nothing, and so is left out), and the function
+    that picks the grid from the values drawn.  In greedy mode the values
+    are the scan order's Lehmer code, place j picking among the n - j points
+    left; else they pick one set per component family of two or more."""
     if mode == "greedy_permutation":
-        left = list(base)
-        order = [left.pop(i) for i in rng.integers(np.arange(len(base), 0, -1)).tolist()]
-        return Grid(scale=k, members=_greedy_members(space, order, k))
+        def pick(values) -> Grid:
+            left = list(base)
+            order = [left.pop(i) for i in values] + left
+            return Grid(scale=k, members=_greedy_members(space, order, k))
+        return tuple(range(len(base), 1, -1)), pick
     families = _component_families(space, base, k, limit)
-    members: set[int] = set()
-    picks = rng.integers([len(fam) for fam in families]).tolist()
-    for fam, pick in zip(families, picks):
-        members.update(fam[pick])
-    return Grid(scale=k, members=frozenset(members))
+    drawn = [fam for fam in families if len(fam) > 1]
+    fixed = frozenset().union(*(fam[0] for fam in families if len(fam) == 1))
+    return tuple(map(len, drawn)), lambda values: Grid(
+        scale=k, members=fixed.union(*(fam[i] for fam, i in zip(drawn, values))))
+
+
+def _drive(state, rng: np.random.Generator):
+    """The result of a build's draw states, each step's values drawn by one
+    ``integers`` call on the generator."""
+    while state[0] is not None:
+        state = state[1](tuple(rng.integers(state[0]).tolist()))
+    return state[1]
 
 
 def _scale_or_inf(delta: float, level: int) -> float:
@@ -351,6 +363,41 @@ def finest_level(space: FiniteMetricSpace, delta: float,
     return m
 
 
+def _grid_steps(space: FiniteMetricSpace, delta: float, coarsest_level: int, mode: str,
+                limit: int, done, freeze_above: int | None = None):
+    """The first draw state of a nested grid build, whose inputs have passed
+    their checks.  A draw state is a pair (bounds, then): the bounds of the
+    build's next ``integers`` call, and the function that gives the state
+    that the values drawn lead to; a build ends at a state (None, result).
+    Grids are drawn from fine to coarse, each inside the next finer one, and
+    a level that draws nothing (a frozen level, or one with no bound above
+    1) is built on the way to the next state.  ``done(hierarchy)`` gives the
+    state after the grids."""
+    m = finest_level(space, delta, coarsest_level)
+    build = (space, delta, coarsest_level, mode, limit, done, freeze_above)
+    return _grid_state(build, {m: Grid(scale=delta ** m, members=frozenset(range(len(space))))},
+                       m - 1)
+
+
+def _grid_state(build: tuple, grids: dict[int, Grid], k: int):
+    """The draw state of a grid build whose grids are drawn down to level
+    k + 1.  A module-level function, so that no state's step holds a cycle
+    of references that would keep its space alive past its last use."""
+    space, delta, coarsest_level, mode, limit, done, freeze_above = build
+    while k >= coarsest_level:
+        base, scale = sorted(grids[k + 1].members), delta ** k
+        if freeze_above is not None and k >= freeze_above:
+            grids[k] = Grid(scale=scale, members=_greedy_members(space, base, scale))
+        else:
+            bounds, pick = _grid_draw(space, base, scale, mode, limit)
+            if bounds:
+                return bounds, lambda values: _grid_state(build, {**grids, k: pick(values)}, k - 1)
+            grids[k] = pick(())
+        k -= 1
+    levels = tuple(range(coarsest_level, max(grids) + 1))
+    return done(GridHierarchy(space=space, delta=delta, levels=levels, grids=grids))
+
+
 def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: int,
                        rng: np.random.Generator | int | None,
                        mode: str = "exhaustive_uniform",
@@ -360,26 +407,20 @@ def build_nested_grids(space: FiniteMetricSpace, delta: float, coarsest_level: i
 
     The finest level M makes the whole space the (unique) grid; every coarser
     grid is drawn inside the next finer one, independently per level, walking
-    from fine to coarse.  ``freeze_above`` optionally pins all levels >= that
-    index to the deterministic greedy grid in index order, leaving only the
-    coarser choices random; it is an integer level or None.
+    from fine to coarse: the one-trial driver of ``_grid_steps``.
+    ``freeze_above`` optionally pins all levels >= that index to the
+    deterministic greedy grid in index order, leaving only the coarser
+    choices random; it is an integer level or None.
     """
     _require_mode(mode)
     limit = _require_limit(limit)
     if freeze_above is not None:
         freeze_above = _require_integer("freeze_above", freeze_above)
-    m = finest_level(space, delta, coarsest_level)
+    finest_level(space, delta, coarsest_level)  # refused before the generator is read
     rng = _generator(rng)
-    levels = list(range(coarsest_level, m + 1))
-    grids: dict[int, Grid] = {m: Grid(scale=delta ** m, members=frozenset(range(len(space))))}
-    for k in range(m - 1, coarsest_level - 1, -1):
-        base = sorted(grids[k + 1].members)
-        scale = delta ** k
-        if freeze_above is not None and k >= freeze_above:
-            grids[k] = Grid(scale=scale, members=_greedy_members(space, base, scale))
-        else:
-            grids[k] = _sample_grid(space, base, scale, rng, mode, limit)
-    return GridHierarchy(space=space, delta=delta, levels=tuple(levels), grids=grids)
+    steps = _grid_steps(space, delta, coarsest_level, mode, limit, lambda h: (None, h),
+                        freeze_above)
+    return _drive(steps, rng)
 
 
 # --- serialization --------------------------------------------------------------

@@ -81,7 +81,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnknownCenter,
 )
-from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _require_limit,
+from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, GridHierarchy, _drive, _require_limit,
                     enumerate_maximal_separated, finest_level)
 from .metric import FiniteMetricSpace, _generator, _integer, _require_integer
 
@@ -295,22 +295,22 @@ def _link_pair(space: FiniteMetricSpace, children: Sequence[int],
     return (cols, *_link_rule(space.d.take(children, 0).take(cols, 1), coarse.scale))
 
 
-def _link(space: FiniteMetricSpace, pairs: Sequence[tuple[Grid, Grid]],
-          rng: np.random.Generator | int | None) -> list[dict[int, int]]:
-    """The parent maps of a stack of (children, coarse grid) level pairs, in
-    the given order, from one ``_link_rule`` call on the full distance rows of
-    every child, pairs in order and children ascending within a pair.
+def _link_steps(space: FiniteMetricSpace, pairs: Sequence[tuple[Grid, Grid]], done):
+    """The draw state of the parent maps of a stack of (children, coarse
+    grid) level pairs, in the given order (see ``grids._grid_steps``), from
+    one ``_link_rule`` call on the full distance rows of every child, pairs
+    in order and children ascending within a pair; ``done(maps)`` gives the
+    state after it.
 
-    Every refusal comes before any draw: a coarse grid that is no subset of
+    Every refusal comes before the draw: a coarse grid that is no subset of
     its children, then the first child of the stack with two captured points
-    or none in reach.  One ``integers`` call then draws every child's pick (a
-    bound of 1 draws nothing), and none is made when no child has two
-    options; the pick indexes the child's options, which sit at its offset
-    in the flat nonzero of the option matrix."""
+    or none in reach.  One ``integers`` call then draws the pick of every
+    child with two options or more, and none is made when no child has two;
+    the pick indexes the child's options, which sit at its offset in the
+    flat nonzero of the option matrix."""
     for children, coarse in pairs:
         if not coarse.members <= children.members:
             raise InvalidParams("parent grid must be a subset of the child grid")
-    rng = _generator(rng)
     kids = [sorted(children.members) for children, _ in pairs]
     child = np.fromiter(itertools.chain.from_iterable(kids), dtype=np.intp)
     pair = np.repeat(np.arange(len(pairs)), [len(k) for k in kids])
@@ -331,10 +331,28 @@ def _link(space: FiniteMetricSpace, pairs: Sequence[tuple[Grid, Grid]],
                 f"of child {child[first]}")
         raise NoCandidateParent(
             f"child {child[first]} has no parent within {CANDIDATE_FACTOR * scale}")
-    picks = rng.integers(counts) if counts.max(initial=0) > 1 else 0
-    parent = options.ravel().nonzero()[0][counts.cumsum() - counts + picks] % len(space)
-    links = iter(parent.tolist())  # zip stops at the end of a pair's kids
-    return [dict(zip(k, links)) for k in kids]
+    flat, offsets, drawn = options.ravel().nonzero()[0], counts.cumsum() - counts, counts > 1
+
+    def then(picks):
+        chosen = offsets.copy()
+        chosen[drawn] += np.array(picks, dtype=np.intp)
+        links = iter((flat[chosen] % len(space)).tolist())  # zip stops at the end of a pair's kids
+        return done([dict(zip(k, links)) for k in kids])
+
+    bounds = tuple(counts[drawn].tolist())
+    return (bounds, then) if bounds else then(())
+
+
+def _forest_steps(hierarchy: GridHierarchy, seed=None):
+    """The draw state of a forest's parents on a hierarchy: one link step,
+    every consecutive pair of levels stacked coarse pairs first, which ends
+    at the forest."""
+    levels = hierarchy.levels[1:]
+    return _link_steps(hierarchy.space,
+                       [(hierarchy.grid(lev), hierarchy.grid(lev - 1)) for lev in levels],
+                       lambda maps: (None, LatticeForest(hierarchy=hierarchy,
+                                                         parents=dict(zip(levels, maps)),
+                                                         seed=seed)))
 
 
 def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
@@ -347,25 +365,24 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
     when no child has more than one option), so the map is deterministic for
     a fixed generator state.
     """
-    return _link(space, [(children, parents)], rng)[0]
+    rng = _generator(rng)
+    return _drive(_link_steps(space, [(children, parents)], lambda maps: (None, maps[0])), rng)
 
 
 def build_forest(hierarchy: GridHierarchy,
                  rng: np.random.Generator | int | None) -> LatticeForest:
     """Assign parents between every consecutive pair of levels in one stacked
-    pass, coarse pairs first: the parents and the generator's state after it
-    are those of ``assign_parents`` called level by level, coarse to fine,
-    but with one draw call per forest, and none when no child has two
-    options.  Every refusal comes before any draw and leaves the generator's
-    state as it was: a bool ``rng``, a coarse grid that is no subset of the
-    finer one, and the first child, in stack order, captured twice or with no
+    pass, coarse pairs first, the one-trial driver of ``_forest_steps``: the
+    parents and the generator's state after it are those of
+    ``assign_parents`` called level by level, coarse to fine, but with one
+    draw call per forest, and none when no child has two options.  Every
+    refusal comes before any draw and leaves the generator's state as it
+    was: a bool ``rng``, a coarse grid that is no subset of the finer one,
+    and the first child, in stack order, captured twice or with no
     candidate, with ``assign_parents``'s exception type and message."""
     seed = _integer(rng)
     rng = _generator(rng)
-    levels = hierarchy.levels[1:]
-    maps = _link(hierarchy.space,
-                 [(hierarchy.grid(lev), hierarchy.grid(lev - 1)) for lev in levels], rng)
-    return LatticeForest(hierarchy=hierarchy, parents=dict(zip(levels, maps)), seed=seed)
+    return _drive(_forest_steps(hierarchy, seed), rng)
 
 
 def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:

@@ -1,5 +1,5 @@
-"""Seeded Monte Carlo plumbing: per-trial streams, trial sessions and chunks,
-Wilson intervals, worker fan-out.
+"""Seeded Monte Carlo plumbing: per-trial streams, trial chunks and their draw
+memo, Wilson intervals, worker fan-out.
 
 Every entry point and estimator reads a seeded run's inputs before any trial
 runs, by the package's one integer rule, ``metric._require_integer``: a
@@ -19,44 +19,36 @@ NumPy's seeding hash and PCG64's seeding step, each column with its own
 seed's words; any other seed's come from ``trial_rng`` itself.  Each block
 is built as the chunk reads it, and no more than one is held at once.
 
-A run of trials is one ``run_chunked`` call on one build, the function that
-draws a trial's forest from its stream, and a list of jobs, one per
-estimator: each job supplies its master seed, its rows of a list of forests,
-one per forest, and what its rows are, given one coin per trial drawn after
-the build (``finish``).  A ``goodness`` command makes one run of its three
-estimators' jobs, and a public estimator a run of its own job.  Each chunk
-of trials is one ``_trial_chunk`` call, which walks every job's trials
-together in one trial session (``_Session``) made for that call, in the
-process that runs it; no session is ever sent to another process, and a
-run with workers has a process pool of its own.  A forest is a function of
-its drawn values, so the session keeps a memo of the draw paths of the
-trials built in it, keyed by the values drawn, with the forest at the end of
-each path, and the chunk keeps each leaf's row per row function: its jobs
-share its forests and, where their row functions are equal, their rows.
-Each block's trials, every job's at once, walk the memo together
-(``_walk``), group by group, on the draws their words make: one draw and
-one class split per memo node serve every job.  The draws are computed in
-uint64 array math as NumPy computes them (``_Outputs``, ``_draw``): the
-outputs by jump-ahead from each state, Lemire's ``integers`` on buffered
-32-bit halves, the one draw a build may make, and the coin from a fresh
-output, only for the jobs that draw one; no generator is called.  A refusal
-that the joint walk meets sends the chunk back to run its jobs one at a
-time, so a run raises the refusal that a run of each job in turn meets
-first.
-
-The memo pays only where draw paths repeat: a session records the
-probability of each path it enters, and while it has served no trial from
-the memo, a chunk stops its memo work once its trials left, of every job,
-cannot expect one hit, or the memo's budget of paths is spent
-(``_expects_no_hit``), and builds each trial left straight from the
-generator, recording, entering and keeping nothing.  On the criterion-7
-cascade cloud a path has probability about 1e-19, and a chunk stops after
-its first build; on the 3-point elbow no session stops.  A block classifies
-the forests it builds together, in one call per row function after its
-walk, so the estimator's cube tables and verdicts run on the stack of them.
-Whether NumPy draws as the word math does is a fact of the process's NumPy,
-checked once per process (``_words_match``, on first use, not at import): if
-not, every block's walk stops at its root and every trial builds.  This
+A run of trials is one ``run_chunked`` call on one build and a list of
+jobs, one per estimator.  The build gives the first of a trial's draw
+states (see ``grids._grid_steps``): each state gives the bounds of its one
+``integers`` call and leads, on the values drawn, to the next, and the last
+holds the forest.  Each job supplies its master seed, its rows of a
+list of forests, one per forest, and what its rows are, given one coin per
+trial drawn after the build (``finish``).  A ``goodness`` command makes one
+run of its three estimators' jobs, and a public estimator a run of its own
+job.  Each chunk of trials is one ``_trial_chunk`` call, which walks every
+job's trials together on one draw memo (``_Memo``) made for that call, in
+the process that runs it; no memo is ever sent to another process, and a
+run with workers has a process pool of its own.  The memo is a tree of the
+build's draw states: a node's child is made, by one step of its state,
+when a class of trials first reaches it, and kept while the memo keeps
+fewer than ``_MISS_BUDGET`` nodes.  Each block's trials, every job's at
+once, walk it together (``_walk``), depth first, in batches of nodes: one
+draw and one class split per node serve every job, a batch's nodes draw in
+one ragged call, and a batch's new leaves are classified together, one
+call per distinct row function, and then keep only their rows (a kept leaf
+also its forest).  The draws are computed in uint64 array math as NumPy
+computes them (``_Outputs``, ``_draw``): the outputs by jump-ahead from
+each state, Lemire's ``integers`` on buffered 32-bit halves, and the coin
+from a fresh output, only for the jobs that draw one; no generator is
+called.  A trial whose draw Lemire's method rejects, or whose call has a
+bound above 2**32, leaves the walk and builds on its own generator,
+``trial_rng(seed, t)``, one step per draw call; so does every trial when
+this process's NumPy does not draw as the word math does, checked once per
+process (``_words_match``, on first use, not at import).  A refusal that
+the joint walk meets sends the chunk back to run its jobs one at a time, so
+a run raises the refusal that a run of each job in turn meets first.  This
 module alone knows how NumPy turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
@@ -77,6 +69,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DyadicLabError, InvalidTrials
+from .grids import _drive
 from .metric import _integer, _require_integer
 
 __all__ = ["wilson_interval", "trial_rng"]
@@ -135,7 +128,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_BLOCK = 4096  # the trials of one array pass of ``_trial_states``
+_BLOCK = 4096  # the trials of one array pass of ``_trial_states``, and the outputs of one of ``_Outputs``
 _MIN_OUTPUTS = 512  # the fewest outputs a block's table grows by: fewer cost about as much
 
 
@@ -333,10 +326,15 @@ class _Outputs:
         have = self.table.shape[1]
         if k >= have:
             size = max(2 * (k + 1), 2 * have, -(-_MIN_OUTPUTS // len(self.table)))
-            # a row per output and a column per trial, so that the loops run along the trials
-            added = self._output(np.arange(have, size)[:, None], slice(None))
-            self.table = np.concatenate([self.table, np.asarray(added, dtype="<u8").T], axis=1)
-            self.draws = self.table.view("<u4")
+            table = np.empty((len(self.table), size), dtype="<u8")
+            table[:, :have] = self.table
+            # a row per output and a column per trial, so that the loops run along the
+            # trials, and about _BLOCK outputs per pass, so that a pass holds little
+            added = np.arange(have, size)[:, None]
+            span = max(1, _BLOCK // len(added))
+            for lo in range(0, len(table), span):
+                table[lo:lo + span, have:] = self._output(added, slice(lo, lo + span)).T
+            self.table, self.draws = table, table.view("<u4")
 
     def halves(self, trials: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The 32-bit draw h of each trial's stream, counted from 0: output
@@ -351,34 +349,27 @@ class _Outputs:
         return (self._output((h + 1) >> 1, trials) >> _U11).astype(np.float64) * 2.0 ** -53
 
 
-@lru_cache(maxsize=1024)
-def _lemire(bounds: tuple) -> tuple | None:
-    """For an integers call, the rows of its bounds above 1, those bounds and
-    the floors below which Lemire's method rejects a draw's low half, as
-    uint64 columns; None when a bound exceeds 2**32."""
-    if max(bounds, default=1) > 1 << 32:
-        return None
-    rows = [i for i, bound in enumerate(bounds) if bound != 1]
-    drawn = np.array([bounds[i] for i in rows], dtype=np.uint64)[:, None]
-    return rows, drawn, (_TWO32 - drawn) % drawn
-
-
-def _draw(bounds: tuple, outputs: _Outputs, trials: np.ndarray,
+def _draw(calls: list[tuple], outputs: _Outputs, groups: list[np.ndarray],
           pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values that one draw call, ``integers(bounds)``, draws for each of
-    the trials, as a matrix with a column per trial, and whether each trial
-    is served; moves each trial's count of draws in ``pos`` past the call.
-    It is Lemire's method on 32-bit draws, a bound of 1 drawing nothing; a
-    trial is not served where one of its draws is rejected and drawn again,
-    nor any where a bound exceeds 2**32."""
-    values = np.zeros((len(bounds), len(trials)), dtype=np.int64)
-    if (plan := _lemire(bounds)) is None:
-        return values, np.zeros(len(trials), dtype=bool)
-    rows, drawn, floors = plan
-    m = outputs.halves(trials, pos[trials] + np.arange(len(rows))[:, None]) * drawn
-    values[rows] = (m >> _U32).astype(np.int64)
-    pos[trials] += len(rows)
-    return values, ((m & _LOW) >= floors).all(axis=0)
+    """The values that draw calls make, each call ``integers(bounds)`` for
+    each trial of its group of trials: a matrix with a column per trial,
+    groups in order, and a row per bound of its call (zeros below a shorter
+    call's), and whether each trial is served; moves each trial's count of
+    draws in ``pos`` past its call.  It is Lemire's method on 32-bit draws, a
+    bound of 1 drawing nothing (a call is padded with such bounds); a trial
+    is not served where one of its draws is rejected and drawn again, nor
+    any where a bound of its call exceeds 2**32."""
+    width = max(map(len, calls))
+    big = [max(bounds, default=1) > 1 << 32 for bounds in calls]
+    padded = np.array([(1,) * width if over else bounds + (1,) * (width - len(bounds))
+                       for bounds, over in zip(calls, big)], dtype=np.uint64).T
+    call = np.repeat(np.arange(len(calls)), [len(group) for group in groups])
+    trials, bounds = np.concatenate(groups), padded[:, call]
+    drawn = (bounds != _U1).astype(np.int64)
+    m = outputs.halves(trials, pos[trials] + drawn.cumsum(axis=0) - drawn) * bounds
+    pos[trials] += drawn.sum(axis=0)
+    kept = ((m & _LOW) >= (_TWO32 - bounds) % bounds).all(axis=0) & ~np.array(big)[call]
+    return (m >> _U32).astype(np.int64), kept
 
 
 @lru_cache(maxsize=1024)
@@ -398,14 +389,14 @@ def _radix(bounds: tuple) -> np.ndarray:
 
 
 def _classes(trials: np.ndarray, values: np.ndarray,
-             radix: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    """The trials, ascending, by their column of values, as (values, trials)
-    pairs, each class ascending and the classes in order of their lowest
-    trial; ``radix`` packs a column into keys, and a stable sort on them
-    keeps each class in the trials' order."""
+             bounds: tuple) -> list[tuple[tuple, np.ndarray]]:
+    """The trials, ascending, by their column of values of a call on
+    ``bounds``, as (values, trials) pairs, each class ascending and the
+    classes in order of their lowest trial; ``_radix`` packs a column into
+    keys, and a stable sort on them keeps each class in the trials' order."""
     if len(trials) < 2:
         return [(tuple(values[:, 0].tolist()), trials)] if len(trials) else []
-    keys = radix @ values
+    keys = _radix(bounds) @ values
     order = np.lexsort(keys)
     keys, trials = keys[:, order], trials[order]
     starts = np.flatnonzero(np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)]))
@@ -415,179 +406,104 @@ def _classes(trials: np.ndarray, values: np.ndarray,
     return sorted(classes, key=lambda c: c[1][0])
 
 
-def _walk(session: _Session, outputs: _Outputs, trials: np.ndarray, miss,
-          stopped=lambda: False) -> tuple[list, np.ndarray]:
-    """Walk trials of a block down a session's memo from its root, group by
-    group, and return the (leaf, trials) pairs of the trials served and each
-    trial's count of draws.
-
-    The trials at a node have drawn the same values, so they make the same
-    call: one ``_draw`` serves them all, and each class of equal value rows
-    goes on to its child.  A trial that is not served is passed to
-    ``miss(t)``, which builds it and says whether it entered its path.  So
-    is the lowest trial of a class with no child, or of the trials at a node
-    with no call yet; if it entered its path, the rest walk on along it, and
-    else each is passed to ``miss`` in turn.  Trials that reach a leaf are
-    served its build, and mark the session as one that has served a trial.
-    Once ``stopped()``, every trial still on the walk is passed to ``miss``,
-    with no further draw: stopped at the root, the walk misses every trial
-    in ascending order, and reads no word."""
-    pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
-    served, groups = [], [(0, trials)]
-    while groups:
-        node, trials = groups.pop()
-        if stopped():
-            for t in trials.tolist():
-                miss(t)
-            continue
-        if session.builds[node] is not None:
-            session.served = True
-            served.append((node, trials))
-            continue
-        bounds = session.calls[node]
-        if bounds is None:
-            classes = [(None, trials)]
-        else:
-            values, kept = _draw(bounds, outputs, trials, pos)
-            if not kept.all():
-                for t in trials[~kept].tolist():
-                    miss(t)
-                trials, values = trials[kept], values[:, kept]
-            classes = _classes(trials, values, _radix(bounds))
-        for row, members in classes:
-            after = session.children.get((node, row))
-            if after is None:
-                entered, members = miss(int(members[0])), members[1:]
-                after = node if row is None else session.children.get((node, row))
-                if not entered or after is None:
-                    for t in members.tolist():
-                        miss(t)
-                    continue
-            if members.size:
-                groups.append((after, members))
-    return served, pos
-
-
-_MISS_BUDGET = 256  # draw paths a trial session enters in its memo; later misses build unrecorded
-_ROW_BATCH = 16  # the most forests a row function classifies in one call while a block builds
+_MISS_BUDGET = 256  # the most nodes below its root that a trial chunk's memo keeps
+_ROW_BATCH = 16  # the most pending nodes that a block's walk takes in one batch
 # the run-time guard's draw calls: they mix bounds of 1 with a Lehmer-shaped call, and make
 # 9 draws, an odd count, so the coin after them steps over a buffered half word
 _PROBE = ((1, 3, 2, 1, 6, 5), (6, 5, 4, 3, 2, 1))
 
 
 @cache
-def _recorder_type() -> type:
-    """The recorder class, made on first use: naming ``np.random`` at import
-    would load numpy.random with this module."""
-
-    class Recorder(np.random.Generator):
-        """A generator on a shared bit generator that logs the integers
-        calls a build makes, as (bounds, drawn values) pairs of int tuples."""
-
-        def __init__(self, bit_generator):
-            super().__init__(bit_generator)
-            self.path: list = []
-
-        def integers(self, bounds):
-            values = super().integers(bounds)
-            logged = tuple(bounds.tolist() if isinstance(bounds, np.ndarray) else bounds)
-            self.path.append((logged, tuple(values.tolist())))
-            return values
-
-    return Recorder
-
-
-@cache
 def _words_match() -> bool:
     """Whether this process's NumPy draws as the word math does: the words
-    of a fixed stream, ``trial_rng(0, 0)``, make its first 8 outputs, and a
-    walk on them makes the draws of ``_PROBE``, and the coin after them, as
-    its generator does.  The outputs are compared whole, since the draws read
-    no output's low bits: Lemire's value keeps the high half of its product
-    and the coin drops the low 11 bits.  Computed on first call, once per
-    process; a forked worker inherits a verdict already computed."""
+    of a fixed stream, ``trial_rng(0, 0)``, make its first 8 outputs, and
+    ``_draw`` on them makes the draws of ``_PROBE``, and the coin after
+    them, as its generator does.  The outputs are compared whole, since the
+    draws read no output's low bits: Lemire's value keeps the high half of
+    its product and the coin drops the low 11 bits.  Computed on first call,
+    once per process; a forked worker inherits a verdict already computed."""
     rng = trial_rng(0, 0)
     outputs = _Outputs(_pack([_lcg(rng)]))
     outputs._cover(7)
     if not np.array_equal(outputs.table[0, :8], trial_rng(0, 0).bit_generator.random_raw(8)):
         return False
-    probe = _Session()
-    probe.enter([(bounds, tuple(rng.integers(bounds).tolist())) for bounds in _PROBE], ())
-    served, pos = _walk(probe, outputs, np.zeros(1, dtype=np.int64), lambda t: False)
-    return bool(served) and outputs.coins(served[0][1], pos[:1])[0] == rng.random()
+    trial, pos = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for bounds in _PROBE:
+        values, kept = _draw([bounds], outputs, [trial], pos)
+        if not kept.all() or values[:, 0].tolist() != rng.integers(bounds).tolist():
+            return False
+    return outputs.coins(trial, pos)[0] == rng.random()
 
 
-def _set_state(rng: np.random.Generator, states: np.ndarray, t: int) -> None:
-    """Set a generator on PCG64 to trial t of a block of states, with no
-    buffered half word."""
-    state, inc = _pair(states, t)
-    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
+class _Node:
+    """A node of a trial chunk's draw memo: ``state``, the build's draw
+    state (bounds, then) that the values drawn on its path lead to, or
+    (None, forest) at a leaf, (None, None) once it keeps only its rows;
+    ``children``, the kept nodes that its call's
+    values lead to, by values, or None on a node that is not kept; and at a
+    leaf ``rows``, its row per row function."""
+    __slots__ = ("state", "children", "rows")
+
+    def __init__(self, state, kept: bool):
+        self.state, self.children, self.rows = state, {} if kept else None, {}
 
 
-class _Session:
-    """A trial session: the draw memo of one trial chunk, whose jobs walk it
-    together, as a tree of the draw paths of the trials built in it, whose
-    nodes are numbered from the root, 0.  ``calls[v]`` is the bounds of the integers
-    call made after the values that lead to node v (None until a build makes
-    one), ``builds[v]`` the forest the build made at the end of a complete
-    path (None elsewhere), and ``children[v, values]`` the node that those
-    values of v's call lead to.
-    It also holds the count of paths entered, at most ``_MISS_BUDGET``, their
-    probability mass (the sum over paths of the product of 1/b over their
-    integers bounds b: each value is a uniform, independent draw of Lemire's
-    method, so this is the chance that a trial follows one of them), and
-    whether a walk has served a trial from the memo.
+class _Memo:
+    """A trial chunk's draw memo: a tree of the build's draw states, from
+    its first at the root.  A node's child is made when a class of trials
+    first reaches it, by one step of its state on their values.  While a
+    later block may reach it (``keeps``), it is kept, if its parent is, up
+    to ``_MISS_BUDGET`` nodes below the root; a node that is not kept lives
+    while its trials walk it."""
 
-    A session lives for one trial chunk, in the process that runs the
-    chunk.  ``_MISS_BUDGET`` bounds the forests a session holds, and a
-    chunk that stops its memo work after its first build adds one."""
+    def __init__(self, build):
+        self.root, self.kept, self.keeps = _Node(build(), True), 0, True
 
-    def __init__(self):
-        self.calls, self.builds, self.children = [None], [None], {}
-        self.paths, self.mass, self.served = 0, 0.0, False
-
-    def full(self) -> bool:
-        """Whether the memo holds its budget of paths, ``_MISS_BUDGET``."""
-        return self.paths >= _MISS_BUDGET
-
-    def stops(self, left: int) -> bool:
-        """Whether a chunk with ``left`` trials still to build, of all its
-        jobs, stops its memo work: never once the session has served a
-        trial, and else once ``_expects_no_hit``."""
-        return not self.served and _expects_no_hit(self, left)
-
-    def enter(self, path: list, forest) -> int:
-        """Enter a build's path, with its forest, and return the path's
-        leaf.  A leaf keeps the forest it was first given: the same values
-        make the same build."""
-        node = 0
-        for bounds, values in path:
-            self.calls[node] = bounds
-            child = self.children.get((node, values))
-            if child is None:
-                child = self.children[node, values] = len(self.calls)
-                self.calls.append(None)
-                self.builds.append(None)
-            node = child
-        if self.builds[node] is None:
-            self.builds[node] = forest
-            self.paths += 1
-            self.mass += 1 / math.prod(b for bounds, _ in path for b in bounds)
+    def child(self, parent: _Node, values: tuple) -> _Node:
+        node = (parent.children or {}).get(values)
+        if node is None:
+            keep = self.keeps and parent.children is not None and self.kept < _MISS_BUDGET
+            node = _Node(parent.state[1](values), keep)
+            if keep:
+                parent.children[values] = node
+                self.kept += 1
         return node
 
 
-def _expects_no_hit(session: _Session, left: int) -> bool:
-    """Whether ``left`` more trials of a chunk cannot expect one memo hit
-    in a session that has served none: its budget is spent, or, with mass m
-    on its paths, the ``left * m`` hits expected on them and the
-    ``C(left, 2) * m / paths`` among the trials themselves (the mean mass of
-    a path entered estimates the chance that two trials draw alike) sum
-    below 1.  A session with no path has no estimate, and expects a hit."""
-    if session.full():
-        return True
-    m = session.mass
-    return session.paths > 0 and left * m + left * (left - 1) / 2 * m / session.paths < 1
+def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray,
+          reach) -> tuple[list[int], np.ndarray]:
+    """Walk trials of a block down a memo from its root, depth first, and
+    return the trials that leave the walk and each trial's count of draws.
+
+    A pending entry is a class of trials that drew the same values at a
+    node; the walk takes up to ``_ROW_BATCH`` of them at a time, from the
+    top of its stack, and finds or makes each one's child.  Each batch's
+    leaves are passed to ``reach`` as (leaf, trials) pairs; its other nodes
+    make their calls in one ``_draw``, and each class of equal values goes
+    on the stack.  A trial whose draw is rejected, or whose call has a bound
+    above 2**32, leaves the walk."""
+    pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
+    loose, pending = [], [(None, None, trials)]
+    while pending:
+        batch, pending[-_ROW_BATCH:] = pending[-_ROW_BATCH:], []
+        nodes = [(memo.root if parent is None else memo.child(parent, values), members)
+                 for parent, values, members in batch]
+        leaves = [(node, members) for node, members in nodes if node.state[0] is None]
+        calls = [(node, members) for node, members in nodes if node.state[0] is not None]
+        reach(leaves)
+        if not calls:
+            continue
+        values, kept = _draw([node.state[0] for node, _ in calls], outputs,
+                             [members for _, members in calls], pos)
+        end = 0
+        for node, members in calls:
+            start, end = end, end + len(members)
+            ok = kept[start:end]
+            loose += members[~ok].tolist()
+            bounds = node.state[0]
+            pending += [(node, row, group) for row, group in _classes(
+                members[ok], values[:len(bounds), start:end][:, ok], bounds)]
+    return loose, pos
 
 
 def _key(f: partial) -> tuple:
@@ -599,8 +515,7 @@ def _key(f: partial) -> tuple:
 def _trial_chunk(payload, lo: int, hi: int) -> list[np.ndarray]:
     """Rows lo..hi-1 of each job of a run, with payload (build, jobs): each
     job (seed, row, finish) is one estimator's, and its rows are those that
-    ``_chunk_rows`` gives it in a ``_Session`` made for this call, in the
-    process that runs it; no session is ever sent to another process.
+    ``_chunk_rows`` gives it, in the process that runs it.
 
     The jobs' trials walk the memo together, so the refusal that the joint
     pass meets first need not be the one that a run of each job in turn
@@ -609,148 +524,108 @@ def _trial_chunk(payload, lo: int, hi: int) -> list[np.ndarray]:
     first job that refuses."""
     build, jobs = payload
     try:
-        return _chunk_rows(_Session(), build, jobs, lo, hi)
+        return _chunk_rows(build, jobs, lo, hi)
     except DyadicLabError:
         if len(jobs) == 1:
             raise
         return [_trial_chunk((build, [job]), lo, hi)[0] for job in jobs]
 
 
-def _chunk_rows(session: _Session, build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
-    """Rows lo..hi-1 of each job in a session: per trial t of job (seed,
-    row, finish), the row of the forest that ``build`` makes from a
-    generator on the stream of ``trial_rng(seed, t)``, where ``row(forests)``
-    gives one int row per forest of a list of forests on the build's space,
-    and the rows ``finish(rows, xi)`` of the matrix of those rows and the
-    vector of coins xi, each the stream's ``random()`` after the build's
-    draws (the rows themselves when ``finish`` is None).  The build, a
-    partial of hashable arguments, may draw only through the generator's
-    ``integers(bounds)``: the recorder logs no other draw, so a build that
-    drew otherwise would share memo leaves between trials that drew apart.
+def _chunk_rows(build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
+    """Rows lo..hi-1 of each job: per trial t of job (seed, row, finish),
+    the row of the forest that the build's draw states (``build()`` gives
+    the first, see ``grids._grid_steps``) lead to on the values that the
+    stream of ``trial_rng(seed, t)`` draws, where ``row(forests)`` gives one
+    int row per forest of a list of forests on the build's space, and the
+    rows ``finish(rows, xi)`` of the matrix of those rows and the vector of
+    coins xi, each the stream's ``random()`` after the build's draws (the
+    rows themselves when ``finish`` is None).
 
     The chunk reads its trials' PCG64 states, the words of their LCGs, from
     ``_trial_states`` a block at a time: a block's columns are a span of
     trials of each job in job order, and the first trial of each job is
     checked against ``trial_rng(seed, lo)``.
 
-    A build is a function of its drawn values, and the bounds of each draw
-    call are a function of the values before it.  So the session keeps a
-    memo of the draw paths of the trials built in it: a tree whose nodes
-    hold the next draw call after a prefix of drawn values, and a leaf at
-    the end of each complete path, which holds the path's forest.  The chunk
-    keeps each leaf's row, per row function and its arguments, so that jobs
-    with equal row functions share their rows.  Each block's trials, every
-    job's at once, walk the memo together, group by group, on the draws
-    their words make (``_walk``): one draw and one class split per memo node
-    serve every job.  A trial that reaches a leaf builds nothing, sets no state,
-    takes the leaf's row, and, where its job has a ``finish``, takes xi from
-    the words that follow.  Any other, and any trial whose walk meets a
-    rejected integers draw or a bound above 2**32, sets the generator state
-    its words stand for, with no buffered half word, on one reused
-    generator, builds, and takes xi from the generator.  While the memo
-    holds fewer than ``_MISS_BUDGET`` paths it builds through the recorder
-    that shares the generator's bit generator and enters its path, and the
-    trials that drew the values it drew, of any job, then walk on along that
-    path; later misses build on the generator itself.
+    A forest is a function of its drawn values, and each draw's bounds a
+    function of the values before it.  So the chunk keeps one memo of the
+    build's draw states (``_Memo``), and each block's trials, every job's at
+    once, walk it together (``_walk``), on the draws their words make: one
+    draw and one class split per node serve every job, and each value and
+    each coin is read from the block's words.  A batch's new leaves are
+    classified together, one call per distinct row function in job order,
+    each leaf for the row functions of the jobs that reach it; a leaf then
+    keeps only its rows, and a kept leaf also its forest, for a job that
+    reaches it in a later block.  So the chunk builds each distinct forest
+    of its kept nodes once, whichever job meets it first, and computes each
+    row once per leaf and row function.
 
-    The chunk stops its memo work, at its start or after a path entered,
-    while the session has served no trial, once ``_expects_no_hit`` for the
-    trials of every job it has still to build (``_Session.stops``): its
-    budget is spent, or the paths entered make less than one hit expected.
-    A stopped walk draws no more, and builds each trial left on the plain
-    generator, taking xi from it: it records no draw, enters no path and
-    keeps no forest, and its builds are unentered.  A session that has
-    served a trial never stops.
-
-    A build computes no row: after the block's walk, one call of each
-    distinct row function, in job order, takes every forest the block built
-    that needs its row, each new leaf's once and each unentered build's, and
-    the forest of any leaf served to its jobs whose row it lacks, whichever
-    job built it.  While the block builds, a row function classifies its
-    forests each time ``_ROW_BATCH`` of them wait, which bounds what a call
-    holds of the unentered builds.  So a session builds each distinct forest
-    about once, whichever job meets it first, computes each row once per
-    distinct leaf and row function, and draws every stream as if each trial
-    built its own forest.
-
-    The walk is stopped, and so builds every trial in ascending order and
-    reads no word, while the chunk is stopped or the process's NumPy does
+    A trial that leaves the walk, on a rejected draw or a bound above
+    2**32, builds on its own generator, ``trial_rng(seed, t)``, and takes
+    its coin from it; so does every trial when the process's NumPy does
     not draw as the word math does (``_words_match``, computed once per
     process): a NumPy whose draws move costs speed, not correctness.
     """
-    blocks = _trial_states([seed for seed, _, _ in jobs], lo, hi)
+    seeds = [seed for seed, _, _ in jobs]
+    blocks = _trial_states(seeds, lo, hi)
     first = next(blocks)
-    rngs = [trial_rng(seed, lo) for seed, _, _ in jobs]
-    if any(_lcg(rng) != _pair(first, j * (first.shape[1] // len(jobs)))
-           for j, rng in enumerate(rngs)):
+    if any(_lcg(trial_rng(seed, lo)) != _pair(first, j * (first.shape[1] // len(jobs)))
+           for j, seed in enumerate(seeds)):
         raise RuntimeError("the batched trial states differ from trial_rng: "
                            "numpy's SeedSequence or PCG64 seeding has changed")
-    rng = rngs[0]
-    recorder = _recorder_type()(rng.bit_generator)
     # each job's row function, as the first job's whose row function equals it, so that
     # equal ones share their rows of the leaves
     keys = [_key(row) for _, row, _ in jobs]
-    kinds, leaf_rows = [keys.index(key) for key in keys], [{} for _ in jobs]
-    parts, left = [[] for _ in jobs], len(jobs) * (hi - lo)  # left: trials not yet built
-    stopped = session.stops(left)
-
+    kinds, memo, parts, start = [keys.index(key) for key in keys], _Memo(build), [[] for _ in jobs], lo
     for states in itertools.chain([first], blocks):
         n = states.shape[1] // len(jobs)  # job j's trials are the columns j*n .. (j+1)*n - 1
         coined = np.repeat([finish is not None for *_, finish in jobs], n)
-        # each column's leaf, or ~t for column t's unentered build, and its coin; per row
-        # function, the forests it has to classify, by key; the unentered builds' rows
-        leaves, xi = np.empty(states.shape[1], dtype=np.int64), np.zeros(states.shape[1])
-        todo, loose = [{} for _ in jobs], {}
+        edges, xi, rows = np.arange(1, len(jobs)) * n, np.zeros(len(coined)), [None] * len(jobs)
 
-        def classify(r: int) -> None:
-            """The rows of the forests a row function has to classify, in one call."""
-            if todo[r]:
-                for key, values in zip(todo[r], jobs[r][1](list(todo[r].values())).tolist()):
-                    (leaf_rows[r] if key >= 0 else loose)[key] = values
-                todo[r].clear()
+        def reach(leaves: list) -> None:
+            """Fill each job's rows of the trials at a batch's leaves, after
+            one call per row function on the leaves that lack its rows."""
+            mine, todo = [[] for _ in jobs], {}
+            for leaf, trials in leaves:
+                for j, part in enumerate(np.split(trials, np.searchsorted(trials, edges))
+                                         if len(jobs) > 1 else [trials]):
+                    if part.size:
+                        mine[j].append((leaf, part))
+                        if kinds[j] not in leaf.rows:
+                            todo.setdefault(kinds[j], {})[id(leaf)] = leaf
+            for r, needed in sorted(todo.items()):
+                forests = [leaf.state[1] for leaf in needed.values()]
+                for leaf, values in zip(needed.values(), jobs[r][1](forests).tolist()):
+                    leaf.rows[r] = values
+            for j, pairs in enumerate(mine):
+                if pairs:
+                    table = np.array([leaf.rows[kinds[j]] for leaf, _ in pairs], dtype=np.int64)
+                    if rows[j] is None:
+                        rows[j] = np.empty((n, table.shape[1]), dtype=np.int64)
+                    rows[j][np.concatenate([part for _, part in pairs]) - j * n] = table.repeat(
+                        [len(part) for _, part in pairs], axis=0)
+            for leaf, _ in leaves:
+                if leaf.children is None or len(leaf.rows) == len(set(kinds)):
+                    leaf.state = (None, None)  # its rows are all that a trial can read
 
-        def miss(t: int) -> bool:
-            nonlocal left, stopped
-            _set_state(rng, states, t)
-            left -= 1
-            if stopped or session.full():
-                forest, key = build(rng), ~t
-            else:
-                recorder.path.clear()
-                forest = build(recorder)
-                key = session.enter(recorder.path, forest)
-                stopped = session.stops(left)
-            leaves[t] = key
-            if coined[t]:  # a coin from the generator, not from the words
-                xi[t], coined[t] = rng.random(), False
-            r = kinds[t // n]
-            if key not in leaf_rows[r]:
-                todo[r].setdefault(key, forest)
-            if len(todo[r]) >= _ROW_BATCH:
-                classify(r)
-            return key >= 0 and not stopped
-
-        outputs = _Outputs(states)
-        served, pos = _walk(session, outputs, np.arange(len(leaves)), miss,
-                            lambda: stopped or not _words_match())
-        for leaf, trials in served:
-            leaves[trials] = leaf
-        if (done := np.flatnonzero(coined)).size:  # the trials served whose job has a finish
-            xi[done] = outputs.coins(done, pos[done])
-        for j, (r, (*_, finish)) in enumerate(zip(kinds, jobs)):
-            # the job's distinct keys, ascending, and each column's index among them, from
-            # a mask over every key of the block: ~t shifted into [0, N), leaf v to N + v
-            keys = leaves[j * n:(j + 1) * n] + len(leaves)
-            present = np.zeros(len(leaves) + len(session.builds), dtype=bool)
-            present[keys] = True
-            seen, inverse = np.flatnonzero(present) - len(leaves), np.cumsum(present)[keys] - 1
-            # the leaves served whose rows the function lacks, built by any job
-            todo[r].update((leaf, session.builds[leaf]) for leaf in seen[seen >= 0].tolist()
-                           if leaf not in leaf_rows[r])
-            classify(r)
-            rows = [(leaf_rows[r] if key >= 0 else loose)[key] for key in seen.tolist()]
-            matrix = np.array(rows, dtype=np.int64)[inverse]
-            parts[j].append(matrix if finish is None else finish(matrix, xi[j * n:(j + 1) * n]))
+        loose = list(range(len(coined)))
+        if _words_match():
+            outputs, memo.keeps = _Outputs(states), start + n < hi
+            loose, pos = _walk(memo, outputs, np.arange(len(coined)), reach)
+            walked = coined.copy()
+            walked[loose] = False
+            if (done := np.flatnonzero(walked)).size:
+                xi[done] = outputs.coins(done, pos[done])
+        for i in range(0, len(loose), _ROW_BATCH):
+            leaves = []
+            for t in loose[i:i + _ROW_BATCH]:
+                rng = trial_rng(seeds[t // n], start + t % n)
+                leaves.append((_Node((None, _drive(build(), rng)), False), np.array([t])))
+                if coined[t]:
+                    xi[t] = rng.random()
+            reach(leaves)
+        for j, (*_, finish) in enumerate(jobs):
+            parts[j].append(rows[j] if finish is None else finish(rows[j], xi[j * n:(j + 1) * n]))
+        start += n
     return [np.concatenate(rows) for rows in parts]
 
 

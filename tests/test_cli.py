@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 import csv
+import gc
 import json
 import tempfile
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dyadiclab as dl
-from dyadiclab import cli, goodness, mc
+from dyadiclab import cli, goodness, lattice, mc
 from dyadiclab.cli import main
 from dyadiclab.grids import MODES
-from report_corpus import DIGESTS, report_digests
+from report_corpus import DIGESTS, criterion_7_cloud, report_digests
 
 
 @pytest.fixture()
@@ -233,8 +235,7 @@ def test_goodness_falls_back_when_exact_is_refused(tmp_path):
 def criterion7_json(tmp_path_factory):
     """The 60-point cascade cloud of acceptance criterion 7."""
     path = tmp_path_factory.mktemp("criterion7") / "cloud.json"
-    dl.save_space(dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                                branching=3, ratio=0.1, spread=(0.25, 0.45)), str(path))
+    dl.save_space(criterion_7_cloud(), str(path))
     return str(path)
 
 
@@ -608,8 +609,7 @@ def test_goodness_refusals_keep_their_text(monkeypatch, tmp_path, capsys, elbow_
     monkeypatch.setenv("DYADICLAB_WORKERS", workers)
     argv = elbow_goodness(elbow_json, 0)
     if extra[:1] == ["cascade"]:
-        cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                              branching=3, ratio=0.1, spread=(0.25, 0.45))
+        cloud = criterion_7_cloud()
         dl.save_space(cloud, str(tmp_path / "cloud.json"))
         argv = ["goodness", "--input", str(tmp_path / "cloud.json"), "--trials", "500",
                 "--seed", "0", *extra[1:]]
@@ -636,27 +636,35 @@ def test_goodness_raises_the_exact_walks_refusal_after_trials_that_pass(tmp_path
     assert not (tmp_path / "r.json").exists()
 
 
+def counting_forests(monkeypatch) -> list:
+    """A weak reference to each forest that ``lattice`` makes from now on."""
+    made = []
+
+    class CountingForest(dl.LatticeForest):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(lattice, "LatticeForest", CountingForest)
+    return made
+
+
 def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path,
                                                            elbow_json):
     """The elbow's trials hold 6 distinct forests.  The command's three
-    estimators run as jobs of one trial chunk, in one session, so it builds
+    estimators run as jobs of one trial chunk, on one memo, so it builds
     6 forests in all, not 6 per estimator, and classifies each once: the
     bad-probability and really-good jobs share their rows.  A second command
-    makes a new session and builds its 6 again.  The forests classified are
+    makes a new memo and builds its 6 again.  The forests classified are
     counted over every batch the row function is called on."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
-    built, classified = [], []
-    build_forest, bad_rows = goodness.build_forest, goodness._bad_rows
-
-    def counting_build_forest(hierarchy, rng):
-        built.append(hierarchy)
-        return build_forest(hierarchy, rng)
+    built, classified = counting_forests(monkeypatch), []
+    bad_rows = goodness._bad_rows
 
     def counting_bad_rows(forests, *args, **kwargs):
         classified.extend(forests)
         return bad_rows(forests, *args, **kwargs)
 
-    monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
     monkeypatch.setattr(goodness, "_bad_rows", counting_bad_rows)
     for _ in range(2):
         built.clear()
@@ -667,47 +675,50 @@ def test_goodness_command_builds_each_distinct_forest_once(monkeypatch, tmp_path
 
 
 def test_goodness_command_keeps_no_forest_it_cannot_reuse(monkeypatch, tmp_path):
-    """On the criterion-7 cloud a trial's draw path has probability about
-    1e-19, so no trial of a command can expect a memo hit.  Its one run is
-    one chunk, whose two jobs (exact enumeration is refused) walk in one
-    session: it enters the first trial's path, keeps that one forest, and
-    stops before any other trial of either job builds.  With the stop never
-    firing, the session enters and keeps all 120 forests of the two jobs,
-    and the report bytes are the same."""
+    """On the criterion-7 cloud every trial's path of draws is its own below
+    the first levels.  A command's one run is one chunk, whose two jobs
+    (exact enumeration is refused) walk one memo, here in blocks of 20
+    trials of each job: it builds 120 forests, and keeps only those of the
+    leaves among its at most ``_MISS_BUDGET`` kept nodes that lack a job's
+    rows; every other leaf drops its forest once classified.  With 1 node
+    kept, and with none, the report bytes are the same."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    monkeypatch.setattr(mc, "_BLOCK", 40)
     path = tmp_path / "cloud.json"
-    dl.save_space(cloud, str(path))
-    runs, sessions, chunk_rows = count_runs(monkeypatch), [], mc._chunk_rows
-    monkeypatch.setattr(mc, "_chunk_rows", lambda session, build, jobs, *args: sessions.append(
-        (session, len(jobs))) or chunk_rows(session, build, jobs, *args))
-    reports = {}
-    for stop in ("rule", "never"):
-        if stop == "never":
-            monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: False)
+    dl.save_space(criterion_7_cloud(), str(path))
+    runs, memos, memo_type = count_runs(monkeypatch), [], mc._Memo
+    monkeypatch.setattr(mc, "_Memo", lambda build: memos.append(memo_type(build)) or memos[-1])
+    made, reports = counting_forests(monkeypatch), set()
+    for budget in (mc._MISS_BUDGET, 1, 0):
+        monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
         runs.clear()
-        sessions.clear()
+        memos.clear()
+        made.clear()
         code, out = run_to_file(tmp_path, ["goodness", "--input", str(path), "--delta", "0.1",
-                                           "--trials", "60", "--seed", "0"], f"{stop}.json")
+                                           "--trials", "60", "--seed", "0"], f"{budget}.json")
         assert code in (0, 1)
-        reports[stop] = out.read_bytes()
-        assert runs == [60] and [jobs for _, jobs in sessions] == [2]
-        (shared, _), = sessions
-        kept = sum(build is not None for build in shared.builds)
-        assert kept == shared.paths
-        assert kept <= 1 if stop == "rule" else kept == 120
-    assert reports["rule"] == reports["never"]
+        reports.add(out.read_bytes())
+        assert runs == [60] and len(memos) == 1 and len(made) == 120
+        gc.collect()
+        live = {id(forest()) for forest in made if forest() is not None}
+        stack, kept = [memos[0].root], set()
+        while stack:
+            node = stack.pop()
+            stack += node.children.values()
+            if node.state[0] is None and node.state[1] is not None:
+                kept.add(id(node.state[1]))
+        assert live == kept and memos[0].kept == budget
+    assert len(reports) == 1
 
 
 def test_goodness_command_walks_its_jobs_together(monkeypatch, tmp_path, elbow_json):
     """A seed-0 elbow command's three jobs take their states from one array
     pass and walk the memo together: 1 ``_walk``, 1 ``_state_block`` and one
-    ``_draw`` per memo node with a call, 5 in all, where a walk per job made
-    3, 3 and 15.  The decay rows, like the bad-probability rows, classify
+    ``_draw`` per batch of nodes with a call, 3 in all, where a walk per job
+    made 3 each.  The decay rows, like the bad-probability rows, classify
     the 6 distinct forests once."""
     monkeypatch.delenv("DYADICLAB_WORKERS", raising=False)
-    mc._words_match()  # the process's probe walks once, on a stream of its own
+    mc._words_match()  # the process's probe draws once, on a stream of its own
     counts, decayed = {}, []
 
     def counting(name, f):
@@ -720,7 +731,7 @@ def test_goodness_command_walks_its_jobs_together(monkeypatch, tmp_path, elbow_j
                         decayed.extend(forests) or decay_rows(forests, *args, **kwargs))
     code, _ = run_to_file(tmp_path, elbow_goodness(elbow_json, 0))
     assert code == 0
-    assert counts == {"_walk": 1, "_state_block": 1, "_draw": 5}
+    assert counts == {"_walk": 1, "_state_block": 1, "_draw": 3}
     assert len(decayed) == 6
 
 
@@ -766,8 +777,8 @@ def test_goodness_report_matches_the_estimators_one_by_one(monkeypatch, tmp_path
                                                            ladder, mode):
     """The command's one run changes no field: each equals that of the
     public estimator called alone, in a run of its own.  On the ladder the
-    miss budget is cut to 2 paths, below its count of distinct forests, so
-    most of its trials take the build-only branch."""
+    memo's budget is cut to 2 nodes, below its count of nodes, so most of
+    the nodes its trials reach are not kept."""
     params = dl.GoodnessParams(delta=0.1, gamma=0.1, r=1)
     for space, budget in ((elbow, mc._MISS_BUDGET), (ladder, 2)):
         monkeypatch.setattr(mc, "_MISS_BUDGET", budget)

@@ -40,6 +40,7 @@ from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest
 from dyadiclab.lattice import LatticeForest, build_forest
 from dyadiclab.mc import _trial_states, run_chunked, trial_rng, wilson_interval
 from oracles import reference_assign_parents, reference_enumerate_forest_outcomes
+from report_corpus import criterion_7_cloud
 
 
 PARAMS = GoodnessParams(delta=0.1, gamma=0.1, r=1)
@@ -173,8 +174,7 @@ def reference_theorem_step_violations(forest: dl.LatticeForest, cube: dl.Cube,
 
 
 def test_classifiers_match_reference(ladder, elbow, decay_probe):
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     forests = [(forest_for(space, params.delta, seed), params)
                for space, params in ((ladder, PARAMS), (elbow, PARAMS),
                                      (cloud, PARAMS), (decay_probe, DECAY_PARAMS))
@@ -253,8 +253,7 @@ def test_batched_verdicts_match_the_oracle_per_forest(ladder, elbow):
     the stack's grids hold there: stacks of 24 criterion-7 trials, of every
     exact outcome of the elbow and of the ladder, and the step-gate stack,
     which holds a step violation of a cube of two points."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     gate = step_gate_stack()
     stacks = [[forest_for(cloud, 0.1, trial_rng(5, t)) for t in range(24)],
               [f for f, _ in dl.enumerate_forest_outcomes(elbow, 0.1, 0)],
@@ -1008,17 +1007,11 @@ def chunk_rows(monkeypatch, estimate, *args, lo=0, **kwargs):
     return part
 
 
-def criterion7_cloud():
-    """The 60-point cascade cloud of acceptance criterion 7."""
-    return dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                         branching=3, ratio=0.1, spread=(0.25, 0.45))
-
-
 def pipeline_cases(elbow, ladder, decay_probe):
     """(space, params, mode, trials, decay level, eps schedule): the elbow,
     the ladder, the decay probe and the criterion-7 cloud, and two
     greedy-mode cases."""
-    cloud = criterion7_cloud()
+    cloud = criterion_7_cloud()
     wide = (2e-4, 2e-5)
     return [(elbow, PARAMS, "exhaustive_uniform", 400, 0, wide),
             (ladder, PARAMS, "exhaustive_uniform", 400, 0, wide),
@@ -1094,126 +1087,76 @@ def test_trial_rows_whatever_the_miss_budget(monkeypatch, budget, elbow, ladder,
         assert_rows_match_reference(monkeypatch, *case)
 
 
-# the stop rule of a chunk's memo work, forced: at the first path entered, and never
-FORCED_STOPS = {"first-miss": lambda session, left: session.paths > 0,
-                "never": lambda session, left: False}
-
-
-@pytest.mark.parametrize("block", [mc._BLOCK, 50], ids=["one-block", "blocks-of-50"])
-@pytest.mark.parametrize("stop", list(FORCED_STOPS))
-def test_trial_rows_whatever_the_stop(monkeypatch, stop, block, elbow, ladder, decay_probe):
-    """Equal rows for all three estimators with the memo work stopped at the
-    first miss, and with it never stopped, also in blocks of 50 trials.
-    Stopped at the first miss, each chunk records its first build alone:
-    every other build draws from the plain generator, whose ``random()``
-    then gives the coin."""
-    monkeypatch.setattr(mc, "_BLOCK", block)
-    monkeypatch.setattr(mc, "_expects_no_hit", FORCED_STOPS[stop])
-    built = count_builds(monkeypatch)
-    for case in pipeline_cases(elbow, ladder, decay_probe)[:3]:
-        assert_rows_match_reference(monkeypatch, *case)
-    # three estimators per case, each run twice by ``chunk_rows``: 18 chunks
-    recorded = sum(kind is not np.random.Generator for kind in built)
-    assert recorded == 18 if stop == "first-miss" else recorded > 18
-
-
 def count_builds(monkeypatch) -> list:
-    """One entry per forest the trial chunks build, from now on: the class
-    of the generator it draws its parents from, the recorder's or a plain
-    ``np.random.Generator``."""
+    """One entry per forest that ``lattice`` makes from now on, in a trial
+    chunk's walk or in a one-trial driver: its hierarchy."""
     built = []
 
-    def counting_build_forest(hierarchy, rng):
-        built.append(type(rng))
-        return build_forest(hierarchy, rng)
+    class CountingForest(LatticeForest):
+        def __init__(self, hierarchy, parents, seed=None):
+            built.append(hierarchy)
+            super().__init__(hierarchy, parents, seed)
 
-    monkeypatch.setattr(goodness, "build_forest", counting_build_forest)
+    monkeypatch.setattr(lattice, "LatticeForest", CountingForest)
     return built
-
-
-def count_entries(monkeypatch) -> list:
-    """The session of each path a trial chunk enters in its memo, from now
-    on; the process's probe, which enters one of its own, is run first."""
-    mc._words_match()
-    sessions, enter = [], mc._Session.enter
-
-    def counting_enter(self, path, forest):
-        sessions.append(self)
-        return enter(self, path, forest)
-
-    monkeypatch.setattr(mc._Session, "enter", counting_enter)
-    return sessions
 
 
 @pytest.mark.parametrize("budget, builds", [(0, 1500), (mc._MISS_BUDGET, 6)])
 def test_trial_chunk_builds_each_forest_once(monkeypatch, elbow, budget, builds):
-    """The elbow's 1500 trials hold 6 distinct forests; a chunk builds each
-    once, and enters its path, unless its miss budget is spent."""
+    """The elbow's 1500 trials hold 6 distinct forests.  In blocks of one
+    trial, a chunk whose memo keeps its nodes builds each once, and one whose
+    memo keeps none builds every trial's again."""
     monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
-    built, entries = count_builds(monkeypatch), count_entries(monkeypatch)
+    monkeypatch.setattr(mc, "_BLOCK", 1)
+    built = count_builds(monkeypatch)
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
     assert len(built) == builds
-    assert len(entries) == min(budget, 6)
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
          reference_bad_row, (2, 0)), 0, 1500)[:, 0].sum())
 
 
-def test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected(monkeypatch):
-    """On the criterion-7 cloud a trial's draw path has probability about
-    1e-19, so after its first build a 16-trial chunk expects no hit: it
-    enters that one path, whose leaf holds its forest, and builds the other
-    15 trials from the plain generator, with no draw computed from words."""
-    cloud = criterion7_cloud()
-    level = finest_level(cloud, 0.1, 0)
-    entries, built = count_entries(monkeypatch), count_builds(monkeypatch)
-    draws, draw = [], mc._draw
-    monkeypatch.setattr(mc, "_draw", lambda *args: draws.append(args) or draw(*args))
-    est = estimate_bad_probability(cloud, level, 0, PARAMS, trials=16, seed=0)
-    (session,) = entries
-    assert session.paths == 1 and 0 < session.mass < 1e-12 and not session.served
-    (kept,) = [forest for forest in session.builds if forest is not None]
-    assert isinstance(kept, LatticeForest)
-    assert draws == []
-    assert built[0] is not np.random.Generator
-    assert built[1:] == [np.random.Generator] * 15
-    assert est.bad_count == int(reference_trial_chunk(
-        (cloud, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 0,
-         reference_bad_row, (level, 0)), 0, 16)[:, 0].sum())
+def capture_memos(monkeypatch) -> list:
+    """The draw memo of each trial chunk, from now on."""
+    memos = []
+
+    class CapturedMemo(mc._Memo):
+        def __init__(self, build):
+            super().__init__(build)
+            memos.append(self)
+
+    monkeypatch.setattr(mc, "_Memo", CapturedMemo)
+    return memos
 
 
-def test_a_session_that_has_served_a_trial_never_stops(monkeypatch, elbow):
-    """The elbow's 1500 trials hold 6 distinct forests, whose paths carry
-    all the probability, so its session never stops and builds 6.  Once a
-    session has served a trial it walks whatever its rule says: a chunk of
-    two jobs, on seeds 5 and 6, walked together in one session, with the
-    rule forced to expect no hit once a trial is served, builds 6 forests,
-    each from a trial of the first job, so the second job builds nothing."""
-    built, starts = count_builds(monkeypatch), []
-    chunks, chunk_rows = [], mc._chunk_rows
-    monkeypatch.setattr(mc, "_chunk_rows", lambda session, build, jobs, *args: chunks.append(
-        [seed for seed, _, _ in jobs]) or chunk_rows(session, build, jobs, *args))
-    verdicts, rule = [], mc._expects_no_hit
+def kept_below(node) -> int:
+    """The count of kept nodes below a memo node."""
+    return sum(1 + kept_below(child) for child in node.children.values())
 
-    def served_rule(session, left):
-        """The rule itself until the session has served a trial, and then no hit expected."""
-        if session.served:
-            return True
-        verdicts.append(rule(session, left))
-        return verdicts[-1]
 
-    monkeypatch.setattr(mc, "_expects_no_hit", served_rule)
-    build, jobs = command_payload(elbow, 5)
-    payload = (lambda rng: starts.append(mc._lcg(rng)) or build(rng),
-               [jobs[0], (6, *jobs[0][1:])])
-    parts = mc._trial_chunk(payload, 0, 1500)
-    assert chunks == [[5, 6]]
-    assert len(built) == 6 and verdicts and not any(verdicts)
-    first_job = {mc._lcg(trial_rng(5, t)) for t in range(1500)}
-    assert len(starts) == 6 and set(starts) <= first_job
-    assert np.array_equal(parts[1], reference_trial_chunk(
-        (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 6,
-         reference_bad_row, (2, 0)), 0, 1500))
+@pytest.mark.parametrize("budget", [0, 5, mc._MISS_BUDGET])
+def test_memo_keeps_at_most_its_budget_of_nodes(monkeypatch, elbow, budget):
+    """A chunk's memo keeps at most ``_MISS_BUDGET`` nodes below its root,
+    and as many as the trials of its blocks but the last reach, up to that:
+    in blocks of 50 trials, the elbow's 300 trials reach 10, and 120
+    criterion-7 trials, each with a path of its own below the first levels,
+    502.  The last block keeps none, so a chunk of one block keeps no node.
+    The rows equal the reference's."""
+    monkeypatch.setattr(mc, "_MISS_BUDGET", budget)
+    memos = capture_memos(monkeypatch)
+    cloud = criterion_7_cloud()
+    level = finest_level(cloud, PARAMS.delta, 0)
+    for block in (50, mc._BLOCK):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        for space, level, trials, reached in ((elbow, 2, 300, 10), (cloud, level, 120, 502)):
+            memos.clear()
+            est = estimate_bad_probability(space, level, 0, PARAMS, trials=trials, seed=5)
+            (memo,) = memos
+            kept = min(budget, reached) if block == 50 else 0
+            assert kept_below(memo.root) == memo.kept == kept
+            assert est.bad_count == int(reference_trial_chunk(
+                (space, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
+                 reference_bad_row, (level, 0)), 0, trials)[:, 0].sum())
 
 
 def count_row_calls(monkeypatch) -> list:
@@ -1230,24 +1173,30 @@ def count_row_calls(monkeypatch) -> list:
 
 
 def test_trial_chunk_classifies_a_block_in_one_call(monkeypatch, elbow):
-    """A chunk classifies the forests it builds together, after its block's
-    walk: 16 criterion-7 trials, every one a new forest, in one call, and
-    the elbow's 1500 trials, one block, their 6 distinct forests in one
-    call, in blocks of 500 one call per block that meets a new forest.
-    With no memo, every trial's forest is classified, in calls of at most
-    ``mc._ROW_BATCH`` forests."""
-    cloud = criterion7_cloud()
+    """A block's walk classifies the new leaves of each of its batches
+    together, in one call: 16 criterion-7 trials, every one a new forest,
+    in one call, and 100 in calls of at most ``mc._ROW_BATCH`` forests; the
+    elbow's 1500 trials, one block, their 6 distinct forests in one call per
+    batch that reaches a leaf, and in blocks of 500 no forest twice, since
+    the memo keeps its leaves.  Built on their own generators, as where the
+    process's NumPy draws otherwise, every trial's forest is classified, in
+    calls of ``mc._ROW_BATCH`` forests."""
+    cloud = criterion_7_cloud()
+    level = finest_level(cloud, 0.1, 0)
     lengths = count_row_calls(monkeypatch)
-    estimate_bad_probability(cloud, finest_level(cloud, 0.1, 0), 0, PARAMS, trials=16, seed=0)
+    estimate_bad_probability(cloud, level, 0, PARAMS, trials=16, seed=0)
     assert lengths == [16]
     lengths.clear()
+    estimate_bad_probability(cloud, level, 0, PARAMS, trials=100, seed=0)
+    assert sum(lengths) == 100 and len(lengths) > 1 and max(lengths) <= mc._ROW_BATCH
+    lengths.clear()
     estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
-    assert lengths == [6]
+    assert lengths == [2, 4]
     monkeypatch.setattr(mc, "_BLOCK", 500)
     lengths.clear()
     estimate_bad_probability(elbow, 2, "x", PARAMS, trials=1500, seed=5)
-    assert len(lengths) <= 3 and sum(lengths) == 6
-    monkeypatch.setattr(mc, "_MISS_BUDGET", 0)
+    assert sum(lengths) == 6
+    monkeypatch.setattr(mc, "_words_match", lambda: False)
     lengths.clear()
     est = estimate_bad_probability(elbow, 2, "x", PARAMS, trials=300, seed=5)
     assert sum(lengths) == 300 and set(lengths[:-1]) == {mc._ROW_BATCH}
@@ -1255,6 +1204,24 @@ def test_trial_chunk_classifies_a_block_in_one_call(monkeypatch, elbow):
     assert est.bad_count == int(reference_trial_chunk(
         (elbow, PARAMS, 0, "exhaustive_uniform", DEFAULT_EXHAUSTIVE_LIMIT, 5,
          reference_bad_row, (2, 0)), 0, 300)[:, 0].sum())
+
+
+def test_a_criterion_7_estimate_holds_little_memory():
+    """A 500-trial criterion-7 estimate, every trial a forest of its own,
+    holds one block's walk: the memo keeps no node in its last block, a leaf
+    keeps its rows alone, and the outputs are computed a bounded pass at a
+    time.  When every such trial built on its own generator, its traced peak
+    was at most 2.3 MiB; the bound, 3 MiB, leaves 30% above that."""
+    mc._words_match()  # the process's probe is no part of the estimate
+    cloud = criterion_7_cloud()
+    level = finest_level(cloud, PARAMS.delta, 0)
+    tracemalloc.start()
+    try:
+        estimate_bad_probability(cloud, level, 0, PARAMS, trials=500, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_trial_chunk_serves_greedy_orders_from_the_words(monkeypatch, elbow):
@@ -1374,7 +1341,7 @@ def command_payload(space, seed: int) -> tuple:
     level and center 0: the build, and the bad-probability, decay and
     really-good jobs, on seeds seed, seed + 1 and seed + 2."""
     level = finest_level(space, PARAMS.delta, 0)
-    build = partial(goodness._trial_part, space, PARAMS, 0, "exhaustive_uniform",
+    build = partial(goodness._trial_steps, space, PARAMS, 0, "exhaustive_uniform",
                     DEFAULT_EXHAUSTIVE_LIMIT)
     jobs = [goodness._bad_probability_job(space, level, 0, PARAMS, 1, seed),
             goodness._decay_job(space, 0, level, (2e-4, 2e-5), 1, seed + 1, PARAMS, 0),
@@ -1466,7 +1433,7 @@ def test_a_chunk_raises_the_refusal_that_its_jobs_in_turn_meet_first(monkeypatch
     jobs = [goodness._bad_probability_job(elbow, 0, 0, PARAMS, 40, seed)[0],
             goodness._decay_job(elbow, 0, 99, (2e-4,), 40, seed + 1, PARAMS, 0)[0]]
     with pytest.raises(InvalidParams, match="^level 99 not present in the hierarchy$"):
-        mc._chunk_rows(mc._Session(), build, jobs, 0, 40)
+        mc._chunk_rows(build, jobs, 0, 40)
     with pytest.raises(CenterNotInGrid, match="^fixed center 0 absent from the level-0 grid"):
         mc._trial_chunk((build, jobs), 0, 40)
 
@@ -1651,7 +1618,7 @@ def test_words_make_the_generators_draws():
         trials = np.arange(first, 240, len(WORD_SCRIPTS))
         drawn, served = [], np.ones(len(trials), dtype=bool)
         for bounds in calls:
-            values, kept = mc._draw(bounds, outputs, trials, pos)
+            values, kept = mc._draw([bounds], outputs, [trials], pos)
             drawn.append(values)
             served &= kept
         coins = outputs.coins(trials, pos[trials])
@@ -1677,7 +1644,7 @@ def test_words_make_the_generators_draws():
     assert min(outcomes["rejected"], outcomes["odd"], outcomes["even"]) >= 20
     trials = np.arange(20)
     for bounds in [(2**32 + 1,), (1, 2**40)]:
-        values, kept = mc._draw(bounds, outputs, trials, pos)
+        values, kept = mc._draw([bounds], outputs, [trials], pos)
         assert not kept.any()
 
 
@@ -1710,24 +1677,24 @@ def test_outputs_match_the_lcg_past_any_table():
 
 
 def test_walk_passes_a_rejected_draw_to_miss():
-    """One path, the value v of a bound of 2**31 + 1, and two trials whose
-    first 32-bit draws, 2v + 1 and 2v, both make v: Lemire's method keeps
-    trial 0's, and rejects trial 1's, whose low half falls below its floor
-    2**31 - 1, and draws again.  The walk serves trial 0 the path's leaf and
-    passes trial 1 to ``miss``."""
+    """One draw step, the value v of a bound of 2**31 + 1, and two trials
+    whose first 32-bit draws, 2v + 1 and 2v, both make v: Lemire's method
+    keeps trial 0's, and rejects trial 1's, whose low half falls below its
+    floor 2**31 - 1, and draws again.  The walk brings trial 0 to the leaf
+    that v leads to, and passes trial 1 out of the walk, to be built on its
+    own generator."""
     v, bound = 5, 2**31 + 1
     floor = (2**32 - bound) % bound
     assert [x * bound >> 32 for x in (2 * v + 1, 2 * v)] == [v, v]
     assert 2 * v * bound % 2**32 < floor <= (2 * v + 1) * bound % 2**32
-    session = mc._Session()
-    leaf = session.enter([((bound,), (v,))], "forest")
+    memo = mc._Memo(lambda: ((bound,), lambda values: (None, values)))
     outputs = mc._Outputs(np.zeros((4, 2), dtype=np.uint64))
     # one output per trial, whose low half is the trial's first draw
     outputs.table = np.array([[2 * v + 1], [2 * v]], dtype="<u8")
     outputs.draws = outputs.table.view("<u4")
-    missed = []
-    served, _ = mc._walk(session, outputs, np.arange(2), lambda t: missed.append(t) or False)
-    assert [(node, trials.tolist()) for node, trials in served] == [(leaf, [0])]
+    reached = []
+    missed, _ = mc._walk(memo, outputs, np.arange(2), reached.extend)
+    assert [(leaf.state, trials.tolist()) for leaf, trials in reached] == [((None, (v,)), [0])]
     assert missed == [1]
 
 
@@ -1747,15 +1714,15 @@ def test_classes_of_a_call_whose_keys_take_two_rows():
     want = {}
     for t, column in zip(trials.tolist(), values.T.tolist()):
         want.setdefault(tuple(column), []).append(t)
-    got = mc._classes(trials, values, radix)
+    got = mc._classes(trials, values, (5,) * 30)
     assert [(row, members.tolist()) for row, members in got] == list(want.items())
     assert len(got) == 6
 
 
-def draw_pair(rng) -> tuple:
-    """A build of one draw call, whose first bound, 2**31 + 1, Lemire's
-    method rejects about half the time."""
-    return tuple(rng.integers([2**31 + 1, 3]).tolist())
+def draw_pair():
+    """The draw state of a build of one draw call, whose first bound,
+    2**31 + 1, Lemire's method rejects about half the time."""
+    return (2**31 + 1, 3), lambda values: (None, values)
 
 
 def pair_rows(pairs: list) -> np.ndarray:
@@ -1763,10 +1730,9 @@ def pair_rows(pairs: list) -> np.ndarray:
 
 
 def test_trial_chunk_rows_where_draws_are_rejected(monkeypatch):
-    """With the memo work never stopped, a chunk of ``draw_pair`` builds
-    walks trials whose first draw is rejected: each is built from the
-    generator, and every row equals a build on its own ``trial_rng(7, t)``."""
-    monkeypatch.setattr(mc, "_expects_no_hit", lambda session, left: False)
+    """A chunk of ``draw_pair`` builds walks trials whose first draw is
+    rejected: each is built from its own generator, and every row equals
+    a draw on its own ``trial_rng(7, t)``."""
     mc._words_match()  # the process's probe draws too; it runs first
     rejected, draw = [], mc._draw
 
@@ -1777,9 +1743,10 @@ def test_trial_chunk_rows_where_draws_are_rejected(monkeypatch):
 
     monkeypatch.setattr(mc, "_draw", counting_draw)
     (rows,) = mc._trial_chunk((draw_pair, [(7, partial(pair_rows), None)]), 0, 400)
-    assert rows.tolist() == [list(draw_pair(trial_rng(7, t))) for t in range(400)]
-    # the first trial builds the root's call; the root's draw then serves the other 399
-    assert rejected[0] == (399, 190)
+    assert rows.tolist() == [trial_rng(7, t).integers([2**31 + 1, 3]).tolist()
+                             for t in range(400)]
+    # the root's draw serves all 400 trials, and rejects 191 (trial 0's among them)
+    assert rejected == [(400, 191)]
 
 
 # --- Wilson intervals ---------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dyadiclab import grids
 from dyadiclab.errors import InvalidParams, TooLargeForExhaustive
 from dyadiclab.grids import (DEFAULT_EXHAUSTIVE_LIMIT, Grid, _component_families,
                              _greedy_members, _require_mode, hierarchy_to_json)
+from report_corpus import criterion_7_cloud
 
 
 def brute_force_maximal(space, base, k):
@@ -337,9 +338,10 @@ def reference_sample_maximal_separated(space, base, k, rng,
 @pytest.mark.parametrize("n", range(1, 6))
 def test_greedy_sampler_decodes_every_lehmer_code(monkeypatch, n):
     """The greedy sampler draws its scan order in one integers call over the
-    bounds n, n - 1, ..., 1, and its decode maps the n! codes onto the n!
-    orders of the base: in the codes' order, the orders of
-    ``itertools.permutations``, each the oracle's decode."""
+    bounds n, n - 1, ..., 2 (the last place's bound of 1 draws nothing), and
+    its decode maps the n! codes onto the n! orders of the base: in the
+    codes' order, the orders of ``itertools.permutations``, each the
+    oracle's decode."""
     space = dl.space_from_coords([[float(i)] for i in range(2 * n)])
     base = [2 * i + 1 for i in reversed(range(n))]  # the sampler sorts it
     codes = list(itertools.product(*map(range, range(n, 0, -1))))
@@ -349,8 +351,8 @@ def test_greedy_sampler_decodes_every_lehmer_code(monkeypatch, n):
 
     class Scripted:
         def integers(self, bounds):
-            assert bounds.tolist() == list(range(n, 0, -1))
-            return np.array(code)
+            assert list(bounds) == list(range(n, 1, -1))
+            return np.array(code[:-1], dtype=np.int64)
 
     for code in codes:
         dl.sample_maximal_separated(space, base, 1.0, Scripted(), mode="greedy_permutation")
@@ -383,8 +385,7 @@ def test_array_draw_equals_scalar_draws_in_order():
 def test_sampler_matches_reference_stream(elbow, ladder, decay_probe):
     """The same grid from one stream, level by level, and the stream left in
     the same state, for both modes and for the public sampler."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     cases = [(cloud, 0.1, "exhaustive_uniform"), (cloud, 0.1, "greedy_permutation"),
              (elbow, 0.1, "exhaustive_uniform"), (ladder, 0.1, "exhaustive_uniform"),
              (ladder, 0.1, "greedy_permutation"),

@@ -39,6 +39,7 @@ from dyadiclab.lattice import (
 )
 from oracles import (reference_assign_parents, reference_enumerate_forest_outcomes,
                      reference_parent_maps, reference_parent_options)
+from report_corpus import criterion_7_cloud
 
 
 def shared_stream_forest(space, delta, n0, seed, **kw):
@@ -118,8 +119,7 @@ def seeded_hierarchies(decay_probe, elbow, ladder, seeds=range(8)):
     """(space, hierarchy) pairs on the criterion-7 cloud, the 60-point cascade,
     the decay probe, the elbow and the ladder.  The cascade's conflict graph at
     ratio 1/1000 is too large for the exhaustive grid sampler."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     cascade = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
                             branching=3, ratio=0.1)
     for space, delta, mode in ((cloud, 0.1, "exhaustive_uniform"),
@@ -208,8 +208,7 @@ def test_build_forest_draws_once_per_forest(elbow, two_far):
     stream's next draw of a plain generator on the same seed: on the
     criterion-7 cloud, the elbow, and a hierarchy where every child is
     captured."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     for space, delta, coarsest, want in ((cloud, 0.1, 0, {1}), (elbow, 0.1, 0, {0, 1}),
                                          (two_far, 0.1, -1, {0})):
         seen = set()
@@ -402,8 +401,7 @@ def fresh_copy(forest: dl.LatticeForest) -> dl.LatticeForest:
 def criterion7_forests(count: int) -> list[dl.LatticeForest]:
     """Forests of the criterion-7 cloud's first trials, as the estimators
     draw them (seed 5, delta 0.1)."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     return [shared_stream_forest(cloud, 0.1, 0, seed=dl.trial_rng(5, t)) for t in range(count)]
 
 
@@ -633,8 +631,7 @@ def test_tilde_matches_reference_on_every_level(ladder, decay_probe):
     """The cover-count interior equals the set-union one for every level and
     center: on the ladder at seed 48, where w lies in two cubes, on the decay
     probe at ratio 1/1000, and on the 60-point criterion-7 cloud."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     forests = [shared_stream_forest(ladder, 0.1, 0, seed=48)]
     forests += [shared_stream_forest(decay_probe, 0.001, 0, seed=s) for s in range(4)]
     forests += [shared_stream_forest(cloud, 0.1, 0, seed=s) for s in range(2)]
@@ -885,8 +882,7 @@ def test_forest_invariants_match_reference():
     sampler (the exhaustive one refuses it), at 1/1000."""
     cascade = dl.make_space("random_cloud", seed=1, n=200, dim=2, levels=5,
                             branching=3, ratio=0.01)
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     for space, delta, mode in ((cascade, 0.001, "exhaustive_uniform"),
                                (cloud, 0.1, "exhaustive_uniform"),
                                (cloud, 0.001, "greedy_permutation")):
@@ -1301,8 +1297,7 @@ def test_chain_levels_outside_hierarchy(l3):
 def test_chain_from_point_outside_grid():
     """A chain or ancestor asked of a point that is not in its level's grid,
     or not in the space, names the point and the level."""
-    cloud = dl.make_space("random_cloud", seed=10, n=60, dim=2, levels=4,
-                          branching=3, ratio=0.1, spread=(0.25, 0.45))
+    cloud = criterion_7_cloud()
     forest = shared_stream_forest(cloud, 0.1, 0, seed=0)
     assert 0 not in forest.hierarchy.grid(1).members
     for point, level in ((0, 1), (999, 2), (-1, 2)):

@@ -68,7 +68,8 @@ def loads_numpy_random(code: str) -> bool:
 
 
 def test_importing_the_package_loads_no_numpy_random():
-    """``mc._recorder_type`` makes its Generator subclass on first use,
+    """No module names ``np.random`` at import: ``trial_rng``, the probe
+    of ``mc._words_match`` and the one-trial drivers call it when they run,
     so the package and its CLI load ``numpy.random`` no sooner than numpy
     does."""
     if loads_numpy_random("import numpy"):
@@ -76,16 +77,17 @@ def test_importing_the_package_loads_no_numpy_random():
     assert not loads_numpy_random("import dyadiclab, dyadiclab.cli")
 
 
-# names of NumPy's PCG64 stream and of the trial chunk's draw memo, mc's
-# helpers that compute draws from words, and the trial session
-STREAM_NAMES = {"bit_generator", "Recorder", "_PROBE"}
-STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Session", "_walk"}
+# names of NumPy's PCG64 stream and of the probe of mc's word math, mc's
+# helpers that compute draws from words, and the trial chunk's draw memo
+STREAM_NAMES = {"bit_generator", "_PROBE"}
+STREAM_HELPERS = {"_lcg", "_pair", "_trial_states", "_Outputs", "_draw", "_Memo", "_Node",
+                  "_walk"}
 
 
 def test_only_mc_knows_the_pcg64_stream():
     """The draw memo is ``mc``'s: no other module names the generator's bit
-    generator, the recorder or the probe, or imports mc's stream helpers
-    or its trial session: a chunk makes its own session."""
+    generator or the probe, or imports mc's stream helpers or its memo: a
+    chunk makes its own memo."""
     for path in sorted(Path(dyadiclab.__file__).parent.glob("*.py")):
         if path.name == "mc.py":
             continue
@@ -98,14 +100,15 @@ def test_only_mc_knows_the_pcg64_stream():
 
 
 def test_trial_builds_draw_only_through_integers():
-    """The draw memo logs a build's ``integers`` calls alone, so ``grids``
-    and ``lattice``, which a trial's build runs, call no other method of a
-    generator (no ``permutation``, ``shuffle``, ``choice`` or ``random``):
-    an unlogged draw would let two trials that drew apart share a memo
-    leaf."""
+    """A build draws only through its draw steps, each one ``integers`` call
+    on the bounds the step states: ``grids`` and ``lattice``, which hold a
+    trial's steps and their one-trial drivers, call no other method of a
+    generator (no ``permutation``, ``shuffle``, ``choice`` or ``random``),
+    whose draws the memo's walk could not make from the words."""
     methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    called = set()
     for name in ("grids.py", "lattice.py"):
         tree = ast.parse((Path(dyadiclab.__file__).parent / name).read_text())
-        called = {node.func.attr for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
-        assert called & methods == {"integers"}, (name, called & methods)
+        called |= {node.func.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert called & methods == {"integers"}, called & methods

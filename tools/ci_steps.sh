@@ -78,6 +78,12 @@ console() {
   DYADICLAB_WORKERS=2 cli goodness --input "$tmp/elbow.json" --delta 0.1 --gamma 0.1 \
     --r 1 --trials 300 --seed 4294967295 --out "$tmp/pooled.json"
   cmp "$tmp/serial.json" "$tmp/pooled.json"
+  # and in greedy mode, whose scan orders the memo's walk draws too
+  (unset DYADICLAB_WORKERS; cli goodness --input "$tmp/elbow.json" --delta 0.1 --gamma 0.1 \
+    --r 1 --trials 300 --seed 0 --mode greedy_permutation --out "$tmp/serial.json")
+  DYADICLAB_WORKERS=2 cli goodness --input "$tmp/elbow.json" --delta 0.1 --gamma 0.1 \
+    --r 1 --trials 300 --seed 0 --mode greedy_permutation --out "$tmp/pooled.json"
+  cmp "$tmp/serial.json" "$tmp/pooled.json"
 }
 
 tier1() {

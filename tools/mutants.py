@@ -102,38 +102,29 @@ MUTANTS = [
      "np.where(inside, np.inf, forests[0].space.d[x])",
      "np.where(inside[:1], np.inf, forests[0].space.d[x])",
      [T_GOODNESS + "test_decay_row_matches_reference_layer_on_every_outcome"]),
-    # the trial session's and the trial chunk's guards: the memo's budget,
-    # the cap on the forests classified in one call, the check of the
-    # batched states against trial_rng, the process's probe that turns the
-    # walk off, and its verdict kept for the process
-    ("miss budget", MC,
-     "return self.paths >= _MISS_BUDGET", "return self.paths > _MISS_BUDGET",
-     [T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
-    # a chunk stops its memo work once its session, having served no trial,
-    # expects no hit; a stopped chunk builds from the plain generator
-    ("the stop never fires", MC,
-     "return not self.served and _expects_no_hit(self, left)", "return False",
-     [T_GOODNESS + "test_trial_chunk_stops_its_memo_work_where_no_hit_is_expected"]),
-    ("the stop fires although a trial was served", MC,
-     "return not self.served and _expects_no_hit(self, left)",
-     "return _expects_no_hit(self, left)",
-     [T_GOODNESS + "test_a_session_that_has_served_a_trial_never_stops"]),
-    ("a stopped chunk still records through the recorder", MC,
-     "forest, key = build(rng), ~t", "forest, key = build(recorder), ~t",
-     [T_GOODNESS + "test_trial_rows_whatever_the_stop[first-miss-one-block]"]),
-    ("rows past their batch cap", MC,
-     "if len(todo[r]) >= _ROW_BATCH:", "if False:",
-     [T_GOODNESS + "test_trial_chunk_classifies_a_block_in_one_call"]),
-    # a build's row is keyed by its leaf, node 0 included, or by ~t when unentered
-    ("root leaf read as an unentered build", MC,
-     "(leaf_rows[r] if key >= 0 else loose)[key] = values",
-     "(leaf_rows[r] if key > 0 else loose)[key] = values",
+    # the trial chunk's walk and its guards: the memo's budget of kept nodes,
+    # each pending class advanced from its own node, a rejected draw sent out
+    # of the walk, the check of the batched states against trial_rng, the
+    # process's probe that turns the walk off, and its verdict kept for the
+    # process
+    ("node budget off by one", MC,
+     "self.kept < _MISS_BUDGET", "self.kept <= _MISS_BUDGET",
+     [T_GOODNESS + "test_memo_keeps_at_most_its_budget_of_nodes[5]",
+      T_GOODNESS + "test_trial_chunk_builds_each_forest_once[0-1500]"]),
+    ("pending child advanced from the wrong parent", MC,
+     "pending += [(node, row, group) for row, group in _classes(",
+     "pending += [(calls[0][0], row, group) for row, group in _classes(",
      [T_GOODNESS + "test_trial_rows_match_reference"]),
+    ("a rejected trial kept in the walk", MC,
+     "ok = kept[start:end]", "ok = np.ones(end - start, dtype=bool)",
+     [T_GOODNESS + "test_walk_passes_a_rejected_draw_to_miss",
+      T_GOODNESS + "test_trial_chunk_rows_where_draws_are_rejected"]),
     ("trial states unchecked", MC,
-     "if any(_lcg(rng) != _pair(first,", "if False and any(_lcg(rng) != _pair(first,",
+     "if any(_lcg(trial_rng(seed, lo)) != _pair(first,",
+     "if False and any(_lcg(trial_rng(seed, lo)) != _pair(first,",
      [T_GOODNESS + "test_trial_chunk_refuses_states_that_differ_from_trial_rng"]),
     ("walk whatever the probe says", MC,
-     "lambda: stopped or not _words_match())", "lambda: stopped)",
+     "        if _words_match():\n", "        if True:\n",
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
@@ -148,18 +139,19 @@ MUTANTS = [
      [T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree[words]",
       T_GOODNESS + "test_trial_chunk_builds_every_trial_when_the_words_disagree"
       "[words-blocks-of-50]"]),
-    # a goodness command's jobs walk a chunk together: each job's columns
-    # its own stream's states, its coins its own, and equal row functions
-    # share their rows; a refusal is the one a run of each job in turn meets
+    # a goodness command's jobs walk a chunk together: each job's coins its
+    # own, read after its build's last draw, and equal row functions share
+    # their rows; a refusal is the one a run of each job in turn meets
     # first, in a chunk, also with workers, and also where the exact walk
     # would refuse before the trials
-    ("a column read from the neighbouring job's states", MC,
-     "_set_state(rng, states, t)", "_set_state(rng, states, t - n)",
-     [T_GOODNESS + "test_a_trial_chunk_builds_each_distinct_forest_once_for_all_its_jobs"]),
     ("served coins read for the wrong job", MC,
      "xi[done] = outputs.coins(done, pos[done])",
      "xi[done] = outputs.coins(done - n, pos[done - n])",
      [T_GOODNESS + "test_a_trial_chunk_builds_each_distinct_forest_once_for_all_its_jobs"]),
+    ("the coin read before the build's last draw", MC,
+     "xi[done] = outputs.coins(done, pos[done])",
+     "xi[done] = outputs.coins(done, pos[done] - 1)",
+     [T_GOODNESS + "test_trial_rows_match_reference"]),
     ("a joint refusal raised without the in-turn rerun", MC,
      "        if len(jobs) == 1:\n            raise", "        if True:\n            raise",
      [T_GOODNESS + "test_a_chunk_raises_the_refusal_that_its_jobs_in_turn_meet_first"]),
@@ -186,20 +178,16 @@ MUTANTS = [
     # that must come from a fresh output, and the carry of the jump-ahead's
     # 128-bit sum
     ("integers without the half-word buffer", MC,
-     "pos[trials] + np.arange(len(rows))[:, None])",
-     "2 * (pos[trials] + np.arange(len(rows))[:, None]))",
+     "pos[trials] + drawn.cumsum(axis=0) - drawn)",
+     "2 * (pos[trials] + drawn.cumsum(axis=0) - drawn))",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     ("coin from the buffered half", MC,
      "self._output((h + 1) >> 1, trials)", "self._output(h >> 1, trials)",
      [T_GOODNESS + "test_words_make_the_generators_draws"]),
     # a rejected draw, which no real build's bound makes likely, served by
-    # the draw or kept on the walk, and a call whose values take two radix keys
+    # the draw, and a call whose values take two radix keys
     ("rejected draw served", MC,
-     "((m & _LOW) >= floors)", "((m & _LOW) >= 0)",
-     [T_GOODNESS + "test_walk_passes_a_rejected_draw_to_miss",
-      T_GOODNESS + "test_trial_chunk_rows_where_draws_are_rejected"]),
-    ("rejected draw walked on", MC,
-     "if not kept.all():", "if False:",
+     "((m & _LOW) >= (_TWO32 - bounds) % bounds)", "((m & _LOW) >= 0)",
      [T_GOODNESS + "test_walk_passes_a_rejected_draw_to_miss",
       T_GOODNESS + "test_trial_chunk_rows_where_draws_are_rejected"]),
     ("radix with one key", MC,
@@ -248,7 +236,7 @@ MUTANTS = [
     # the stacked linker: each pick read at its child's offset, and the level
     # pairs stacked coarse first, the order the per-level draws were made in
     ("pick offset", LATTICE,
-     "counts.cumsum() - counts + picks", "counts.cumsum() - counts",
+     "chosen[drawn] += np.array(picks, dtype=np.intp)", "chosen[drawn] += 0",
      [T_LATTICE + "test_build_forest_matches_reference_stream"]),
     ("level pairs fine first", LATTICE,
      "levels = hierarchy.levels[1:]", "levels = hierarchy.levels[:0:-1]",
@@ -306,7 +294,7 @@ MUTANTS = [
      [T_GRIDS + "test_is_maximal_separated_trio"]),
     # the greedy scan order's Lehmer code: place j draws among the n - j points left
     ("Lehmer bounds shifted up", GRIDS,
-     "rng.integers(np.arange(len(base), 0, -1))", "rng.integers(np.arange(len(base) + 1, 1, -1))",
+     "tuple(range(len(base), 1, -1))", "tuple(range(len(base) + 1, 2, -1))",
      [T_GRIDS + "test_greedy_sampler_decodes_every_lehmer_code"]),
     ("_greedy_members", GRIDS,
      "if all(space.d[p, q] >= k for q in chosen):", "if all(space.d[p, q] > k for q in chosen):",
