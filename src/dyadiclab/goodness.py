@@ -51,7 +51,7 @@ the row is ``_bad_rows`` or ``_decay_rows`` and, for the really-good
 estimator, ``finish`` makes the rows of a chunk's matrix of rows and vector
 of coins (``_equalized_rows``).  ``_run`` runs jobs on one build, the draw
 steps of a trial's forest (``_trial_steps``: ``grids``' grid steps, then
-``lattice``'s link step), in one ``mc.run_chunked`` call of
+``lattice``'s stacked link state), in one ``mc.run_chunked`` call of
 ``mc._trial_chunk``: a public estimator runs its own job, and a ``goodness``
 command the jobs of its estimators, each on its own stream.  A chunk walks
 every job's trials together down one draw memo, a step per draw call: it
@@ -86,8 +86,8 @@ from .errors import (
 )
 from .grids import (DEFAULT_EXHAUSTIVE_LIMIT, GridHierarchy, _grid_steps, _require_limit,
                     _require_mode, finest_level)
-from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _forest_steps, _grid_paths,
-                      _LevelPair, _parent_maps, _unite_children)
+from .lattice import (Cube, LatticeForest, _balls, _cube_tables, _grid_paths, _LevelPair,
+                      _link_state, _parent_maps, _unite_children)
 from .mc import _master_seed, _trial_chunk, _trial_count, run_chunked, wilson_interval
 from .metric import FiniteMetricSpace, _require_integer, max_ball_occupancy
 
@@ -203,10 +203,10 @@ class DecayFit:
 
 def _trial_steps(space: FiniteMetricSpace, params: GoodnessParams, coarsest_level: int,
                  mode: str, limit: int):
-    """The first draw state of one trial's forest: the grids, then the
-    parents (see ``grids._grid_steps``).  Module-level, so that its partials
-    pickle into the worker pool."""
-    return _grid_steps(space, params.delta, coarsest_level, mode, limit, _forest_steps)
+    """The first state of one trial's forest: the grids, then the
+    parents' stacked state (see ``grids._grid_steps``).  Module-level, so
+    that its partials pickle into the worker pool."""
+    return _grid_steps(space, params.delta, coarsest_level, mode, limit, _link_state)
 
 
 def _require_center(members, level: int, center: int) -> None:

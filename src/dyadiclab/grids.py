@@ -311,10 +311,12 @@ def _grid_draw(space: FiniteMetricSpace, base: list[int], k: float, mode: str, l
 
 
 def _drive(state, rng: np.random.Generator):
-    """The result of a build's draw states, each step's values drawn by one
-    ``integers`` call on the generator."""
+    """The result of a build's states (see ``_grid_steps``) on a generator:
+    a draw state's values are drawn by one ``integers`` call, and a stacked
+    state is resolved as a stack of one."""
     while state[0] is not None:
-        state = state[1](tuple(rng.integers(state[0]).tolist()))
+        state = (state[0]([state[1]])[0] if callable(state[0])
+                 else state[1](tuple(rng.integers(state[0]).tolist())))
     return state[1]
 
 
@@ -365,14 +367,16 @@ def finest_level(space: FiniteMetricSpace, delta: float,
 
 def _grid_steps(space: FiniteMetricSpace, delta: float, coarsest_level: int, mode: str,
                 limit: int, done, freeze_above: int | None = None):
-    """The first draw state of a nested grid build, whose inputs have passed
+    """The first state of a nested grid build, whose inputs have passed
     their checks.  A draw state is a pair (bounds, then): the bounds of the
     build's next ``integers`` call, and the function that gives the state
     that the values drawn lead to; a build ends at a state (None, result).
-    Grids are drawn from fine to coarse, each inside the next finer one, and
-    a level that draws nothing (a frozen level, or one with no bound above
-    1) is built on the way to the next state.  ``done(hierarchy)`` gives the
-    state after the grids."""
+    A stacked state is a pair (stack, item), a step that draws nothing and
+    that ``stack``, a function from a list of items to their states, in
+    order, resolves for many builds at once.  Grids are drawn from fine to
+    coarse, each inside the next finer one, and a level that draws nothing
+    (a frozen level, or one with no bound above 1) is built on the way to
+    the next state.  ``done(hierarchy)`` gives the state after the grids."""
     m = finest_level(space, delta, coarsest_level)
     build = (space, delta, coarsest_level, mode, limit, done, freeze_above)
     return _grid_state(build, {m: Grid(scale=delta ** m, members=frozenset(range(len(space))))},

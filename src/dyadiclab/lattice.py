@@ -23,12 +23,16 @@ stacked parent rows of its forests, the exact goodness walk to every parent
 map of a level at once (at the coarsest pair, to the maps of the children
 its test reads, on the near columns), and the forest check to each level's
 ancestor rows when it unites descendant balls.
-The link rule is two boolean child-by-point matrices, captured points and
-parent options, computed by one function on a stack of children.  The
-sampler stacks every child of every level pair of a forest, coarse pairs
-first, takes their distance rows in one gather and draws every random
-parent in one call; the checks and the exact enumeration pass one level pair
-at a time, on the columns of its coarse grid.
+The link rule is stated once: ``_link_radii`` gives its two closed radii
+as boolean matrices, and ``_link_rule`` a stack of children's options from
+their rows of them.  One linker, ``_links``, links a stack of hierarchies
+on one space, a trial pipeline's batch of them or one forest's as a stack
+of one: it reads, one coarse scale at a time, boolean rows of the scale's
+radius matrices of the whole space, as the cube builder reads ball rows,
+runs the rule only on the children outside their coarse grid (a coarse
+point links to itself), and gives each forest one draw of every random
+parent, coarse pairs first.  The checks and the exact enumeration pass one
+level pair at a time, on the columns of its coarse grid.
 
 The exact law of a forest is one product in the construction's own order:
 grids drawn from fine to coarse, each by the grid law from the next finer
@@ -67,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -272,87 +276,143 @@ def _unite_children(balls: np.ndarray, parent_rows, finer_held: np.ndarray) -> n
     return held.reshape(maps.shape[:-1] + balls.shape)
 
 
-def _link_rule(d: np.ndarray, scale, coarse=True) -> tuple[np.ndarray, np.ndarray]:
-    """The link rule on a stack of children, from their distance rows ``d``,
-    each row's coarse scale ``scale`` (a column, or one scale for all rows)
-    and which columns are the row's coarse points ``coarse`` (a boolean
-    matrix of ``d``'s shape, or True for all): two boolean matrices of that
-    shape, ``captured``, the coarse points within a quarter of the coarse
-    scale, and ``options``, those when there are any, else every coarse
-    point within 3 * scale."""
-    captured = (d <= scale / CAPTURE_DIVISOR) & coarse
-    options = np.where(captured.any(axis=1, keepdims=True), captured,
-                       (d <= CANDIDATE_FACTOR * scale) & coarse)
-    return captured, options
+def _link_radii(d: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The link rule's two closed radii on distances ``d`` to the points of
+    a coarse grid of scale ``scale``: boolean matrices of ``d``'s shape, the
+    distances within a quarter of the scale, which capture, and those within
+    3 * scale, in reach."""
+    return d <= scale / CAPTURE_DIVISOR, d <= CANDIDATE_FACTOR * scale
+
+
+def _link_rule(captured: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The link rule on a stack of children, from two boolean child-by-point
+    matrices of each child's coarse points within the ``_link_radii``:
+    the options, the captured points of a child that has any, else every
+    point in its reach."""
+    return np.where(captured.any(axis=1, keepdims=True), captured, reach)
 
 
 def _link_pair(space: FiniteMetricSpace, children: Sequence[int],
                coarse: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The link rule of one level pair: the coarse grid's sorted points
-    ``cols`` and the ``_link_rule`` matrices on the children's distance rows
-    to ``cols``, children in the given order, so a column is a ball row."""
+    ``cols``, and the captured points and the ``_link_rule`` options on the
+    children's distance rows to ``cols``, children in the given order, so a
+    column is a ball row."""
     cols = np.array(sorted(coarse.members), dtype=np.intp)
-    return (cols, *_link_rule(space.d.take(children, 0).take(cols, 1), coarse.scale))
+    captured, reach = _link_radii(space.d.take(children, 0).take(cols, 1), coarse.scale)
+    return cols, captured, _link_rule(captured, reach)
 
 
-def _link_steps(space: FiniteMetricSpace, pairs: Sequence[tuple[Grid, Grid]], done):
-    """The draw state of the parent maps of a stack of (children, coarse
-    grid) level pairs, in the given order (see ``grids._grid_steps``), from
-    one ``_link_rule`` call on the full distance rows of every child, pairs
-    in order and children ascending within a pair; ``done(maps)`` gives the
-    state after it.
+def _link_state(hierarchy: GridHierarchy) -> tuple:
+    """The stacked state of a hierarchy's parents (see ``grids._grid_steps``),
+    which ``_links`` resolves for a stack of hierarchies at once."""
+    return _links, hierarchy
 
-    Every refusal comes before the draw: a coarse grid that is no subset of
-    its children, then the first child of the stack with two captured points
-    or none in reach.  One ``integers`` call then draws the pick of every
-    child with two options or more, and none is made when no child has two;
-    the pick indexes the child's options, which sit at its offset in the
-    flat nonzero of the option matrix."""
-    for children, coarse in pairs:
-        if not coarse.members <= children.members:
-            raise InvalidParams("parent grid must be a subset of the child grid")
-    kids = [sorted(children.members) for children, _ in pairs]
-    child = np.fromiter(itertools.chain.from_iterable(kids), dtype=np.intp)
-    pair = np.repeat(np.arange(len(pairs)), [len(k) for k in kids])
-    grid = np.zeros((len(pairs), len(space)), dtype=bool)
-    for row, (_, coarse) in zip(grid, pairs):
-        row[list(coarse.members)] = True
-    scales = np.array([coarse.scale for _, coarse in pairs])[pair, None]
-    captured, options = _link_rule(space.d[child], scales, grid[pair])
+
+def _links(hierarchies: Sequence[GridHierarchy]) -> list[tuple]:
+    """The states of the parents of a stack of hierarchies on one space, in
+    order: a forest's draw state (see ``grids._grid_steps``), whose one
+    ``integers`` call draws the pick of every child with two options or
+    more, in the forest's order, coarse pairs first and children ascending
+    within a pair, or (None, forest) when no child has two; a pick indexes
+    the child's options, ascending.
+
+    Every refusal comes before any draw, and is that of the first hierarchy
+    of the stack that refuses: a coarse grid that is no subset of its
+    children, else its first child, in its order, captured twice or with no
+    point in reach.
+
+    The rows, one per child of each level pair, are made one coarse scale
+    at a time across the stack, and read boolean rows of the scale's two
+    ``_link_radii`` matrices of the whole space, within their pair's coarse
+    grid.  A child that is a coarse point is its own one option, and its
+    capture row is read only where it captures a point other than itself,
+    for a second captured point; ``_link_rule`` runs on the other children
+    alone.  One stable argsort by pair returns the rows to forest order."""
+    space = hierarchies[0].space
+    n = len(space)
+    pairs = [(e, h.grid(lev), h.grid(lev - 1))
+             for e, h in enumerate(hierarchies) for lev in h.levels[1:]]
+    scales: dict[float, list[int]] = {}
+    for i, (_, _, coarse) in enumerate(pairs):
+        scales.setdefault(coarse.scale, []).append(i)
+    ranked = [i for ids in scales.values() for i in ids]  # the pairs, one scale after another
+    sizes = [len(pairs[i][1].members) for i in ranked]
+    # each child's key, its pair's rank * n + the child, sorted: pairs by rank, children ascending
+    keys = np.fromiter(itertools.chain.from_iterable(pairs[i][1].members for i in ranked),
+                       np.intp, sum(sizes))
+    keys += np.repeat(np.arange(len(ranked)) * n, sizes)
+    keys.sort()
+    rank, child = np.divmod(keys, n)
+    pair = np.array(ranked, dtype=np.intp)[rank]
+    coarse_sizes = [len(coarse.members) for _, _, coarse in pairs]
+    grid = np.zeros((len(pairs), n), dtype=bool)
+    grid[np.repeat(np.arange(len(pairs)), coarse_sizes), np.fromiter(
+        itertools.chain.from_iterable(coarse.members for _, _, coarse in pairs), np.intp)] = True
+    own = grid[pair, child]  # the children that are coarse points
+    unnested = np.flatnonzero(np.bincount(pair[own], minlength=len(pairs)) < coarse_sizes)
+    reads, captures, reaches, lo = [own[:0]], [grid[:0]], [grid[:0]], 0
+    for scale, ids in scales.items():
+        hi = lo + sum(len(pairs[i][1].members) for i in ids)
+        capture, reach = _link_radii(space.d, scale)
+        kids, outside = child[lo:hi], ~own[lo:hi]
+        read = outside | (capture.sum(axis=1)[kids] > 1)
+        reads.append(read)
+        captures.append(capture[kids[read]])
+        reaches.append(reach[kids[outside]])
+        lo = hi
+    rows, free = np.flatnonzero(np.concatenate(reads)), np.flatnonzero(~own)
+    captured = np.concatenate(captures) & grid[pair[rows]]
+    options = _link_rule(captured[~own[rows]], np.concatenate(reaches) & grid[pair[free]])
     counts = options.sum(axis=1)
-    twice = captured.sum(axis=1) > 1
-    failing = np.flatnonzero(twice | (counts == 0))
+    count = own.astype(np.intp)
+    count[free] = counts
+    count[rows[captured.sum(axis=1) > 1]] = -1  # a child captured twice
+    flat = options.ravel().nonzero()[0] % n
+    start = len(flat) + np.arange(len(child))  # a coarse child's option: itself, in ``cols``
+    start[free] = counts.cumsum() - counts
+    cols = np.concatenate([flat, child])
+    order = pair.argsort(kind="stable")
+    pair, child, count, start = pair[order], child[order], count[order], start[order]
+    failing = np.flatnonzero(count < 1)
+    # a hierarchy's unnested pair refuses before its children do
+    if unnested.size and (not failing.size or pairs[unnested[0]][0] <= pairs[pair[failing[0]]][0]):
+        raise InvalidParams("parent grid must be a subset of the child grid")
     if failing.size:
-        first, scale = failing[0], pairs[pair[failing[0]]][1].scale
-        if twice[first]:
+        first = failing[0]
+        scale = pairs[pair[first]][2].scale
+        if count[first] < 0:
             # impossible for a valid grid: two such parents would be within scale/2
             raise InvalidParams(
                 f"grid at scale {scale} has two points within {scale / CAPTURE_DIVISOR} "
                 f"of child {child[first]}")
         raise NoCandidateParent(
             f"child {child[first]} has no parent within {CANDIDATE_FACTOR * scale}")
-    flat, offsets, drawn = options.ravel().nonzero()[0], counts.cumsum() - counts, counts > 1
+    ends = list(itertools.accumulate(sum(len(h.grid(lev).members) for lev in h.levels[1:])
+                                     for h in hierarchies))
+    children = child.tolist()
+    return [_forest_draw(h, children[lo:hi], cols, start[lo:hi], count[lo:hi])
+            for h, lo, hi in zip(hierarchies, [0] + ends, ends)]
+
+
+def _forest_draw(hierarchy: GridHierarchy, kids: list[int], cols: np.ndarray,
+                 start: np.ndarray, count: np.ndarray) -> tuple:
+    """The draw state of one forest of ``_links``, from its rows in its
+    order: ``kids``, the children, ``start``, each child's first option in
+    ``cols``, and ``count``, its options."""
+    drawn = count > 1
 
     def then(picks):
-        chosen = offsets.copy()
+        chosen = start.copy()
         chosen[drawn] += np.array(picks, dtype=np.intp)
-        links = iter((flat[chosen] % len(space)).tolist())  # zip stops at the end of a pair's kids
-        return done([dict(zip(k, links)) for k in kids])
+        links, children = iter(cols[chosen].tolist()), iter(kids)
+        # zip stops at the end of a pair's children
+        return None, LatticeForest(hierarchy=hierarchy, parents={
+            lev: dict(zip(itertools.islice(children, len(hierarchy.grid(lev).members)), links))
+            for lev in hierarchy.levels[1:]})
 
-    bounds = tuple(counts[drawn].tolist())
+    bounds = tuple(count[drawn].tolist())
     return (bounds, then) if bounds else then(())
-
-
-def _forest_steps(hierarchy: GridHierarchy, seed=None):
-    """The draw state of a forest's parents on a hierarchy: one link step,
-    every consecutive pair of levels stacked coarse pairs first, which ends
-    at the forest."""
-    levels = hierarchy.levels[1:]
-    return _link_steps(hierarchy.space,
-                       [(hierarchy.grid(lev), hierarchy.grid(lev - 1)) for lev in levels],
-                       lambda maps: (None, LatticeForest(hierarchy=hierarchy,
-                                                         parents=dict(zip(levels, maps)),
-                                                         seed=seed)))
 
 
 def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
@@ -366,13 +426,16 @@ def assign_parents(space: FiniteMetricSpace, children: Grid, parents: Grid,
     a fixed generator state.
     """
     rng = _generator(rng)
-    return _drive(_link_steps(space, [(children, parents)], lambda maps: (None, maps[0])), rng)
+    # the pair as a hierarchy of two levels; the linker reads each grid's own scale, no delta
+    pair = GridHierarchy(space=space, delta=math.nan, levels=(0, 1),
+                         grids={0: parents, 1: children})
+    return _drive(_link_state(pair), rng).parents[1]
 
 
 def build_forest(hierarchy: GridHierarchy,
                  rng: np.random.Generator | int | None) -> LatticeForest:
     """Assign parents between every consecutive pair of levels in one stacked
-    pass, coarse pairs first, the one-trial driver of ``_forest_steps``: the
+    pass, coarse pairs first, the one-trial driver of ``_links``: the
     parents and the generator's state after it are those of
     ``assign_parents`` called level by level, coarse to fine, but with one
     draw call per forest, and none when no child has two options.  Every
@@ -382,7 +445,7 @@ def build_forest(hierarchy: GridHierarchy,
     candidate, with ``assign_parents``'s exception type and message."""
     seed = _integer(rng)
     rng = _generator(rng)
-    return _drive(_forest_steps(hierarchy, seed), rng)
+    return replace(_drive(_link_state(hierarchy), rng), seed=seed)
 
 
 def build_cubes(forest: LatticeForest, level: int) -> list[Cube]:

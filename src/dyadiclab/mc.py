@@ -19,37 +19,40 @@ NumPy's seeding hash and PCG64's seeding step, each column with its own
 seed's words; any other seed's come from ``trial_rng`` itself.  Each block
 is built as the chunk reads it, and no more than one is held at once.
 
-A run of trials is one ``run_chunked`` call on one build and a list of
-jobs, one per estimator.  The build gives the first of a trial's draw
-states (see ``grids._grid_steps``): each state gives the bounds of its one
-``integers`` call and leads, on the values drawn, to the next, and the last
-holds the forest.  Each job supplies its master seed, its rows of a
-list of forests, one per forest, and what its rows are, given one coin per
-trial drawn after the build (``finish``).  A ``goodness`` command makes one
-run of its three estimators' jobs, and a public estimator a run of its own
-job.  Each chunk of trials is one ``_trial_chunk`` call, which walks every
-job's trials together on one draw memo (``_Memo``) made for that call, in
-the process that runs it; no memo is ever sent to another process, and a
-run with workers has a process pool of its own.  The memo is a tree of the
-build's draw states: a node's child is made, by one step of its state,
-when a class of trials first reaches it, and kept while the memo keeps
-fewer than ``_MISS_BUDGET`` nodes.  Each block's trials, every job's at
-once, walk it together (``_walk``), depth first, in batches of nodes: one
-draw and one class split per node serve every job, a batch's nodes draw in
-one ragged call, and a batch's new leaves are classified together, one
-call per distinct row function, and then keep only their rows (a kept leaf
-also its forest).  The draws are computed in uint64 array math as NumPy
-computes them (``_Outputs``, ``_draw``): the outputs by jump-ahead from
-each state, Lemire's ``integers`` on buffered 32-bit halves, and the coin
-from a fresh output, only for the jobs that draw one; no generator is
-called.  A trial whose draw Lemire's method rejects, or whose call has a
-bound above 2**32, leaves the walk and builds on its own generator,
-``trial_rng(seed, t)``, one step per draw call; so does every trial when
-this process's NumPy does not draw as the word math does, checked once per
-process (``_words_match``, on first use, not at import).  A refusal that
-the joint walk meets sends the chunk back to run its jobs one at a time, so
-a run raises the refusal that a run of each job in turn meets first.  This
-module alone knows how NumPy turns a PCG64 state into draws.
+A run of trials is one ``run_chunked`` call on one build and a list of jobs,
+one per estimator.  The build gives the first of a trial's states (see
+``grids._grid_steps``): a draw state gives the bounds of its one
+``integers`` call and leads, on the values drawn, to the next, a stacked
+state (the forest's parents, once its grids are drawn) is resolved for many
+trials at once, and the last state holds the forest.  Each job supplies its
+master seed, its rows of a list of forests, one per forest, and what its
+rows are, given one coin per trial drawn after the build (``finish``).  A
+``goodness`` command makes one run of its three estimators' jobs, and a
+public estimator a run of its own job.  Each chunk of trials is one
+``_trial_chunk`` call, which walks every job's trials together on one draw
+memo (``_Memo``) made for that call, in the process that runs it; no memo is
+ever sent to another process, and a run with workers has a process pool of
+its own.  The memo is a tree of the build's states: a node's child is
+made, by one step of its state, when a class of trials first reaches it, and
+kept while the memo keeps fewer than ``_MISS_BUDGET`` nodes.  Each block's
+trials, every job's at once, walk it together (``_walk``), depth first, in
+batches of nodes: one draw and one class split per node serve every job, a
+batch's stacked states are resolved in one call (every new forest of the
+batch linked in one ``lattice._links`` call), its nodes draw in one ragged
+call, and its new leaves are classified together, one call per distinct row
+function, and then keep only their rows (a kept leaf also its forest).  The
+draws are computed in uint64 array math as NumPy computes them
+(``_Outputs``, ``_draw``): the outputs by jump-ahead from each state,
+Lemire's ``integers`` on buffered 32-bit halves, and the coin from a fresh
+output, only for the jobs that draw one; no generator is called.  A trial
+whose draw Lemire's method rejects, or whose call has a bound above 2**32,
+leaves the walk and builds on its own generator, ``trial_rng(seed, t)``, one
+step per draw call; so does every trial when this process's NumPy does not
+draw as the word math does, checked once per process (``_words_match``, on
+first use, not at import).  A refusal that the joint walk meets sends the
+chunk back to run its jobs one at a time, so a run raises the refusal that a
+run of each job in turn meets first.  This module alone knows how NumPy
+turns a PCG64 state into draws.
 
 The word math keeps to uint64 arrays with uint64 operands (0-d arrays for
 constants): int64 mixed with uint64 promotes to float64 on every numpy, and
@@ -436,12 +439,12 @@ def _words_match() -> bool:
 
 
 class _Node:
-    """A node of a trial chunk's draw memo: ``state``, the build's draw
-    state (bounds, then) that the values drawn on its path lead to, or
-    (None, forest) at a leaf, (None, None) once it keeps only its rows;
-    ``children``, the kept nodes that its call's
-    values lead to, by values, or None on a node that is not kept; and at a
-    leaf ``rows``, its row per row function."""
+    """A node of a trial chunk's draw memo: ``state``, the build's state
+    that the values drawn on its path lead to, a draw state (bounds, then),
+    or a stacked state until its batch resolves it, or (None, forest) at a
+    leaf, (None, None) once it keeps only its rows; ``children``, the kept
+    nodes that its call's values lead to, by values, or None on a node that
+    is not kept; and at a leaf ``rows``, its row per row function."""
     __slots__ = ("state", "children", "rows")
 
     def __init__(self, state, kept: bool):
@@ -449,12 +452,13 @@ class _Node:
 
 
 class _Memo:
-    """A trial chunk's draw memo: a tree of the build's draw states, from
-    its first at the root.  A node's child is made when a class of trials
-    first reaches it, by one step of its state on their values.  While a
-    later block may reach it (``keeps``), it is kept, if its parent is, up
-    to ``_MISS_BUDGET`` nodes below the root; a node that is not kept lives
-    while its trials walk it."""
+    """A trial chunk's draw memo: a tree of the build's states, from its
+    first at the root, which may be a stacked state, resolved in place by
+    the first batch of the walk, like any node's.  A node's child is made
+    when a class of trials first reaches it, by one step of its state on
+    their values.  While a later block may reach it (``keeps``), it is
+    kept, if its parent is, up to ``_MISS_BUDGET`` nodes below the root; a
+    node that is not kept lives while its trials walk it."""
 
     def __init__(self, build):
         self.root, self.kept, self.keeps = _Node(build(), True), 0, True
@@ -470,6 +474,18 @@ class _Memo:
         return node
 
 
+def _resolve(nodes: list[_Node]) -> None:
+    """Resolve the stacked states of nodes (see ``grids._grid_steps``) in
+    place, in one call of their stack function, which a build's nodes
+    share, on them in order, so that it raises the refusal of the first
+    node that refuses."""
+    stacked = [node for node in nodes if callable(node.state[0])]
+    if stacked:
+        states = stacked[0].state[0]([node.state[1] for node in stacked])
+        for node, state in zip(stacked, states):
+            node.state = state
+
+
 def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray,
           reach) -> tuple[list[int], np.ndarray]:
     """Walk trials of a block down a memo from its root, depth first, and
@@ -477,17 +493,28 @@ def _walk(memo: _Memo, outputs: _Outputs, trials: np.ndarray,
 
     A pending entry is a class of trials that drew the same values at a
     node; the walk takes up to ``_ROW_BATCH`` of them at a time, from the
-    top of its stack, and finds or makes each one's child.  Each batch's
-    leaves are passed to ``reach`` as (leaf, trials) pairs; its other nodes
-    make their calls in one ``_draw``, and each class of equal values goes
-    on the stack.  A trial whose draw is rejected, or whose call has a bound
-    above 2**32, leaves the walk."""
+    top of its stack, and finds or makes each one's child.  The batch's
+    stacked states are then resolved together (``_resolve``): every node
+    whose grids are complete is linked in one call.  That is also done, for
+    the nodes before it, when a node's step refuses, so a batch raises the
+    refusal of its first refusing node, as when each node was linked in
+    its own step.  Each batch's leaves are passed to ``reach`` as (leaf,
+    trials) pairs; its other nodes make their calls in one ``_draw``, and
+    each class of equal values goes on the stack.  A trial whose draw is
+    rejected, or whose call has a bound above 2**32, leaves the walk."""
     pos = np.zeros(outputs.table.shape[0], dtype=np.int64)
     loose, pending = [], [(None, None, trials)]
     while pending:
         batch, pending[-_ROW_BATCH:] = pending[-_ROW_BATCH:], []
-        nodes = [(memo.root if parent is None else memo.child(parent, values), members)
-                 for parent, values, members in batch]
+        nodes = []
+        try:
+            for parent, values, members in batch:
+                nodes.append((memo.root if parent is None else memo.child(parent, values),
+                              members))
+        except DyadicLabError:
+            _resolve([node for node, _ in nodes])  # a node before the refusing one refuses first
+            raise
+        _resolve([node for node, _ in nodes])
         leaves = [(node, members) for node, members in nodes if node.state[0] is None]
         calls = [(node, members) for node, members in nodes if node.state[0] is not None]
         reach(leaves)
@@ -533,7 +560,7 @@ def _trial_chunk(payload, lo: int, hi: int) -> list[np.ndarray]:
 
 def _chunk_rows(build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
     """Rows lo..hi-1 of each job: per trial t of job (seed, row, finish),
-    the row of the forest that the build's draw states (``build()`` gives
+    the row of the forest that the build's states (``build()`` gives
     the first, see ``grids._grid_steps``) lead to on the values that the
     stream of ``trial_rng(seed, t)`` draws, where ``row(forests)`` gives one
     int row per forest of a list of forests on the build's space, and the
@@ -548,10 +575,11 @@ def _chunk_rows(build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
 
     A forest is a function of its drawn values, and each draw's bounds a
     function of the values before it.  So the chunk keeps one memo of the
-    build's draw states (``_Memo``), and each block's trials, every job's at
+    build's states (``_Memo``), and each block's trials, every job's at
     once, walk it together (``_walk``), on the draws their words make: one
-    draw and one class split per node serve every job, and each value and
-    each coin is read from the block's words.  A batch's new leaves are
+    draw and one class split per node serve every job, each value and each
+    coin is read from the block's words, and a batch's nodes whose grids
+    are complete are linked in one call.  A batch's new leaves are
     classified together, one call per distinct row function in job order,
     each leaf for the row functions of the jobs that reach it; a leaf then
     keeps only its rows, and a kept leaf also its forest, for a job that
@@ -560,7 +588,8 @@ def _chunk_rows(build, jobs: list, lo: int, hi: int) -> list[np.ndarray]:
     row once per leaf and row function.
 
     A trial that leaves the walk, on a rejected draw or a bound above
-    2**32, builds on its own generator, ``trial_rng(seed, t)``, and takes
+    2**32, builds on its own generator, ``trial_rng(seed, t)``, its
+    parents linked as a stack of one (``grids._drive``), and takes
     its coin from it; so does every trial when the process's NumPy does
     not draw as the word math does (``_words_match``, computed once per
     process): a NumPy whose draws move costs speed, not correctness.

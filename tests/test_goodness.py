@@ -36,7 +36,8 @@ from dyadiclab.goodness import (
     exact_good_probability,
     theorem_step_violations,
 )
-from dyadiclab.grids import DEFAULT_EXHAUSTIVE_LIMIT, build_nested_grids, finest_level
+from dyadiclab.grids import (DEFAULT_EXHAUSTIVE_LIMIT, _grid_steps, build_nested_grids,
+                             finest_level)
 from dyadiclab.lattice import LatticeForest, build_forest
 from dyadiclab.mc import _trial_states, run_chunked, trial_rng, wilson_interval
 from oracles import reference_assign_parents, reference_enumerate_forest_outcomes
@@ -1224,6 +1225,28 @@ def test_a_criterion_7_estimate_holds_little_memory():
     assert peak < 3 * 2**20
 
 
+def test_a_criterion_7_estimate_links_its_forests_together(monkeypatch):
+    """A 16-trial criterion-7 estimate, every trial a forest of its own,
+    links them in 1 ``lattice._links`` call on all 16 hierarchies, where a
+    link step per forest made 16 calls.  The link rule's matrices hold 944
+    rows, one per child outside its coarse grid, of the 2520 children of
+    the 16 forests' level pairs: a child that is a coarse point links to
+    itself."""
+    stacks, rule_rows = [], []
+    links, rule = lattice._links, lattice._link_rule
+    monkeypatch.setattr(lattice, "_links", lambda hs: stacks.append(hs) or links(hs))
+    monkeypatch.setattr(lattice, "_link_rule", lambda captured, reach: rule_rows.append(
+        len(captured)) or rule(captured, reach))
+    cloud = criterion_7_cloud()
+    estimate_bad_probability(cloud, finest_level(cloud, PARAMS.delta, 0), 0, PARAMS,
+                             trials=16, seed=42)
+    assert [len(hs) for hs in stacks] == [16]
+    pairs = [(h.grid(lev).members, h.grid(lev - 1).members)
+             for h in stacks[0] for lev in h.levels[1:]]
+    assert sum(len(children) for children, _ in pairs) == 2520
+    assert rule_rows == [sum(len(children - coarse) for children, coarse in pairs)] == [944]
+
+
 def test_trial_chunk_serves_greedy_orders_from_the_words(monkeypatch, elbow):
     """Greedy grids draw a scan order per level, as its Lehmer code: the
     elbow's 1500 greedy-mode trials still build at most 18 forests."""
@@ -1696,6 +1719,34 @@ def test_walk_passes_a_rejected_draw_to_miss():
     missed, _ = mc._walk(memo, outputs, np.arange(2), reached.extend)
     assert [(leaf.state, trials.tolist()) for leaf, trials in reached] == [((None, (v,)), [0])]
     assert missed == [1]
+
+
+@pytest.mark.parametrize("first", ["link", "grids"])
+def test_a_walk_batch_raises_the_refusal_of_its_first_refusing_node(first):
+    """One draw step of a bound of 2, whose values 0 and 1 trials 0 and 1
+    draw, leads them to two nodes of one batch, node 0 trial 0's.  At one
+    node the grids are complete and the link refuses (a child captured
+    twice); at the other the grid step refuses (a component of 3 points at
+    a limit of 1).  The batch raises node 0's refusal, as it did when each
+    node ran its grid step and then its link, in batch order, although the
+    batch now links its nodes together after their steps."""
+    space = dl.space_from_coords([[0.0], [2.0], [1.0], [1.2], [1.1], [10.0]])
+    grids = {lev: dl.Grid(scale=0.5 ** lev, members=frozenset(m))
+             for lev, m in enumerate(({0, 1}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}))}
+    twice = dl.GridHierarchy(space=space, delta=0.5, levels=(0, 1, 2), grids=grids)
+    steps = {"link": lambda: lattice._link_state(twice),
+             "grids": lambda: _grid_steps(space, 0.5, 0, "exhaustive_uniform", 1,
+                                          lattice._link_state)}
+    refusals = {"link": exact_outcome(lattice._links, [twice]),
+                "grids": exact_outcome(steps["grids"])}
+    assert [refusals[name][0] for name in steps] == ["InvalidParams", "TooLargeForExhaustive"]
+    order = [first, *(name for name in steps if name != first)]
+    memo = mc._Memo(lambda: ((2,), lambda values: steps[order[values[0]]]()))
+    outputs = mc._Outputs(np.zeros((4, 2), dtype=np.uint64))
+    # trial 0's first draw makes 0, and trial 1's makes 1
+    outputs.table = np.array([[5], [2**31 + 5]], dtype="<u8")
+    outputs.draws = outputs.table.view("<u4")
+    assert exact_outcome(mc._walk, memo, outputs, np.arange(2), list) == refusals[first]
 
 
 def test_classes_of_a_call_whose_keys_take_two_rows():

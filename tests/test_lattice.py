@@ -191,15 +191,20 @@ def test_build_forest_matches_reference_stream(decay_probe, elbow, ladder):
 
 
 class CountingGenerator(np.random.Generator):
-    """A generator on a shared bit generator that counts its integers calls."""
+    """A generator on a shared bit generator that records the bounds of its
+    integers calls, and counts them."""
 
     def __init__(self, bit_generator):
         super().__init__(bit_generator)
-        self.calls = 0
+        self.bounds = []
 
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return super().integers(*args, **kwargs)
+    @property
+    def calls(self) -> int:
+        return len(self.bounds)
+
+    def integers(self, bounds, *args, **kwargs):
+        self.bounds.append(bounds)
+        return super().integers(bounds, *args, **kwargs)
 
 
 def test_build_forest_draws_once_per_forest(elbow, two_far):
@@ -246,6 +251,58 @@ def test_build_forest_refuses_before_any_draw():
         assert want[0] is error
         assert outcome(dl.build_forest, h, rng) == want
         assert rng.bit_generator.state == state
+
+
+def test_stacked_links_match_each_forests_own(decay_probe, elbow, ladder):
+    """Stacks of 1, 2, 7 and 16 hierarchies on one space: each forest's
+    state in the stack draws the bounds that its own ``build_forest`` draws,
+    and on the same stream gives its parents and leaves the stream where
+    ``build_forest`` leaves it."""
+    by_space = {}
+    for space, h in seeded_hierarchies(decay_probe, elbow, ladder, seeds=range(16)):
+        by_space.setdefault(id(space), []).append(h)
+    drawn = 0
+    for hierarchies in by_space.values():
+        for size in (1, 2, 7, 16):
+            stack = hierarchies[-size:]
+            for i, (h, state) in enumerate(zip(stack, lattice._links(stack))):
+                rng, own = np.random.default_rng(i), CountingGenerator(np.random.PCG64(i))
+                forest = dl.build_forest(h, own)
+                assert [tuple(b) for b in own.bounds] == ([] if state[0] is None else [state[0]])
+                if state[0] is not None:
+                    state = state[1](tuple(rng.integers(state[0]).tolist()))
+                    drawn += 1
+                assert state[1].hierarchy is h and state[1].parents == forest.parents
+                assert rng.integers(2 ** 62) == own.integers(2 ** 62)
+    assert drawn > 100
+
+
+def test_a_stack_raises_the_refusal_of_its_first_refusing_hierarchy():
+    """A stack of two hierarchies that link, then one that refuses, then one
+    that refuses otherwise: the stack raises the third's refusal, with the
+    type and text that its own ``build_forest`` raises.  The refusals are
+    those of ``test_build_forest_refuses_before_any_draw``, a child with no
+    candidate and a child captured twice, and a coarse grid that is no
+    subset of its children."""
+    space = dl.space_from_coords([[0.0], [2.0], [1.0], [1.2], [1.1], [10.0]])
+
+    def hand_built(*members):
+        grids = {lev: Grid(scale=0.5 ** lev, members=frozenset(m))
+                 for lev, m in enumerate(members)}
+        return GridHierarchy(space=space, delta=0.5, levels=(0, 1, 2), grids=grids)
+
+    refusing = [hand_built({0, 1}, {0, 1, 2}, {0, 1, 2, 5}),
+                hand_built({0, 1}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}),
+                hand_built({0, 1}, {0, 1, 2, 5}, {0, 1, 2})]
+    linking = [hand_built({0, 1, 5}, {0, 1, 2, 5}, {0, 1, 2, 3, 5}),
+               dl.build_nested_grids(space, 0.5, 0, rng=1)]
+    for h in linking:
+        dl.build_forest(h, 0)
+    errors = [outcome(dl.build_forest, h, 0) for h in refusing]
+    assert [error[0] for error in errors] == [NoCandidateParent, InvalidParams, InvalidParams]
+    for third, h in enumerate(refusing):
+        for later in refusing[:third] + refusing[third + 1:]:
+            assert outcome(lattice._links, [*linking, h, later]) == errors[third]
 
 
 # --- forest construction -----------------------------------------------------------

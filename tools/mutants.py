@@ -219,11 +219,10 @@ MUTANTS = [
      "space.d.take(base, 0).take(base, 1) < k]", "space.d.take(base, 0).take(base, 1) <= k]",
      [T_GRIDS + "test_enumerate_l3"]),
     ("capture", LATTICE,
-     "captured = (d <= scale / CAPTURE_DIVISOR) & coarse",
-     "captured = (d < scale / CAPTURE_DIVISOR) & coarse",
+     "return d <= scale / CAPTURE_DIVISOR,", "return d < scale / CAPTURE_DIVISOR,",
      [T_LATTICE + "test_parent_options_match_reference"]),
     ("candidate", LATTICE,
-     "(d <= CANDIDATE_FACTOR * scale) & coarse", "(d < CANDIDATE_FACTOR * scale) & coarse",
+     "d <= CANDIDATE_FACTOR * scale", "d < CANDIDATE_FACTOR * scale",
      [T_LATTICE + "test_outcomes_match_reference"]),
     # the stacked cube builder: each finer row's parent looked up among its
     # own forest's rows, and the stack locked so that no view is made writable
@@ -233,14 +232,24 @@ MUTANTS = [
     ("stack left writable under its views", LATTICE,
      "if held.base is not None:", "if False:",
      [T_LATTICE + "test_stacked_cube_tables_match_each_forests_own"]),
-    # the stacked linker: each pick read at its child's offset, and the level
-    # pairs stacked coarse first, the order the per-level draws were made in
+    # the stacked linker: each pick read at its child's offset, the level
+    # pairs stacked coarse first, the order the per-level draws were made in,
+    # a coarse child still checked for a second captured point, and each
+    # forest's rows read from its own slice of the stack
     ("pick offset", LATTICE,
      "chosen[drawn] += np.array(picks, dtype=np.intp)", "chosen[drawn] += 0",
      [T_LATTICE + "test_build_forest_matches_reference_stream"]),
     ("level pairs fine first", LATTICE,
-     "levels = hierarchy.levels[1:]", "levels = hierarchy.levels[:0:-1]",
+     "for e, h in enumerate(hierarchies) for lev in h.levels[1:]]",
+     "for e, h in enumerate(hierarchies) for lev in h.levels[:0:-1]]",
      [T_LATTICE + "test_build_forest_matches_reference_stream"]),
+    ("coarse child self-linked without its capture check", LATTICE,
+     "read = outside | (capture.sum(axis=1)[kids] > 1)", "read = outside",
+     [T_LATTICE + "test_parent_option_errors_match_reference"]),
+    ("a forest's slice of the stack read at its neighbour's offset", LATTICE,
+     "for h, lo, hi in zip(hierarchies, [0] + ends, ends)",
+     "for h, lo, hi in zip(hierarchies[1:] + hierarchies[:1], [0] + ends, ends)",
+     [T_LATTICE + "test_stacked_links_match_each_forests_own"]),
     ("ball", LATTICE,
      "(space.d < scale / BALL_DIVISOR)[centers]",
      "(space.d <= scale / BALL_DIVISOR)[centers]",
